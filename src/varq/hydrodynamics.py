@@ -27,6 +27,7 @@ from .mechanics import (
     classical_transport_step,
     upwind_density_update,
     _face_velocity,
+    _uniform_steps,
 )
 from .numerics import Grid1D, TridiagonalOperator, grad_central, sturm_liouville_operator
 
@@ -136,16 +137,18 @@ def _bulk_slice(rho: np.ndarray, floor_frac: float):
     """Bounds of the connected above-floor component containing the peak.
 
     Detached remnants at floor level (left behind by a moving support) are
-    not part of the bulk and stay frozen.
+    not part of the bulk and stay frozen.  The component ends next to the
+    nearest below-floor cells on either side of the peak; a peak that is
+    itself below the floor (floor_frac >= 1) gives (peak, peak).
     """
     mask = rho > floor_frac * float(np.max(rho))
     peak = int(np.argmax(rho))
-    lo = peak
-    while lo > 0 and mask[lo - 1]:
-        lo -= 1
-    hi = peak
-    while hi < rho.size - 1 and mask[hi + 1]:
-        hi += 1
+    if not mask[peak]:
+        return peak, peak
+    off = np.flatnonzero(~mask)
+    k = int(np.searchsorted(off, peak))
+    lo = int(off[k - 1]) + 1 if k > 0 else 0
+    hi = int(off[k]) - 1 if k < off.size else rho.size - 1
     return lo, hi
 
 
@@ -204,15 +207,19 @@ def effective_hamiltonian_density(
     return out
 
 
-def _g_terms(spec, dspec, grid, rho):
+def _mass_sample(spec: NaturalSystemSpec, grid: Grid1D):
+    """m(q) at the face midpoints and at the nodes, each validated once."""
+    return spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
+
+
+def _g_terms(dspec, grid, rho, m_face, m_node):
     """(1/2) m^{-1} g'(rho) (drho/dq)^2 - d/dq(m^{-1} g(rho) drho/dq)."""
     if dspec.g is None:
         return 0.0
     h = grid.h
-    q = grid.nodes
     grad_rho = grad_central(rho, h)
-    first = 0.5 * dspec.g_grad_at(rho) * grad_rho**2 / spec.mass_at(q)
-    mu_f = 1.0 / spec.mass_at(grid.midpoints)
+    first = 0.5 * dspec.g_grad_at(rho) * grad_rho**2 / m_node
+    mu_f = 1.0 / m_face
     rho_f = 0.5 * (rho[:-1] + rho[1:])
     flux = mu_f * dspec.g_at(rho_f) * np.diff(rho) / h
     div = np.zeros_like(rho)
@@ -228,6 +235,7 @@ def madelung_step(
     floor_frac: float = RHO_FLOOR_FRAC,
     support_floor: Optional[float] = None,
     _op: Optional[TridiagonalOperator] = None,
+    _mass: Optional[tuple] = None,
 ) -> HydroState:
     """One semi-implicit step of the coupled (rho, lam) system.
 
@@ -237,17 +245,25 @@ def madelung_step(
     then advanced with the quantum term evaluated at the fresh density
     (lagged sqrt(rho)); multiplier updates are restricted to the bulk
     where rho exceeds the relative floor.
+
+    ``_op`` and ``_mass`` carry what a run computes once: the quantum
+    operator and the pair (m at ``grid.midpoints``, m at ``grid.nodes``)
+    sampled through ``spec.mass_at``, so positivity is checked there.
+    Classical mode reads only the face sample.  Without them the step
+    builds and samples its own, with bitwise-identical results.
     """
     grid = state.grid
     if dspec.mode == "classical":
         rho_new, lam_new = classical_transport_step(
-            grid, state.rho, state.lam, spec, dt, support_floor=support_floor
+            grid, state.rho, state.lam, spec, dt, support_floor=support_floor,
+            _m_face=None if _mass is None else _mass[0],
         )
         return HydroState(grid, rho_new, lam_new)
 
     lo, hi = _check_nodeless(state.rho, floor_frac, "before step")
+    m_face, m_node = _mass if _mass is not None else _mass_sample(spec, grid)
 
-    v_face = _face_velocity(grid, spec, state.lam)
+    v_face = _face_velocity(grid, spec, state.lam, m_face)
     active = slice(lo, hi)
     vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
     cfl = vmax * dt / grid.h
@@ -269,19 +285,16 @@ def madelung_step(
     h_sr = np.zeros_like(sr)
     h_sr[1:-1] = op.apply(sr[1:-1])
     mask = np.zeros(grid.n, dtype=bool)
-    lo2, hi2 = _bulk_slice(rho_new, floor_frac)
+    lo2, hi2 = _check_nodeless(rho_new, floor_frac, "after step")
     mask[lo2 : hi2 + 1] = True
     grad_lam = grad_central(state.lam, grid.h)
-    m = spec.mass_at(grid.nodes)
     rate = np.zeros(grid.n)
-    rate[mask] = grad_lam[mask] ** 2 / (2.0 * m[mask]) + h_sr[mask] / sr[mask]
+    rate[mask] = grad_lam[mask] ** 2 / (2.0 * m_node[mask]) + h_sr[mask] / sr[mask]
     if dspec.g is not None:
-        gterm = _g_terms(spec, dspec, grid, rho_new)
+        gterm = _g_terms(dspec, grid, rho_new, m_face, m_node)
         rate[mask] += np.asarray(gterm)[mask]
     lam_new = state.lam.copy()
     lam_new[mask] -= dt * rate[mask]
-
-    _check_nodeless(rho_new, floor_frac, "after step")
     return HydroState(grid, rho_new, lam_new)
 
 
@@ -294,13 +307,18 @@ def madelung_run(
     floor_frac: float = RHO_FLOOR_FRAC,
     observer=None,
 ) -> HydroState:
-    """Advance to t_final in uniform steps of (at most) dt."""
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    dt = t_final / n_steps
+    """Advance to t_final in uniform steps of (at most) dt.
+
+    The quantum operator is built and m(q) sampled once, before the first
+    step.  Raises InvalidArgumentError unless t_final and dt are finite
+    and > 0.
+    """
+    n_steps, dt = _uniform_steps(t_final, dt)
     t = 0.0
     op = _quantum_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    mass = _mass_sample(spec, state.grid)
     for _ in range(n_steps):
-        state = madelung_step(spec, dspec, state, dt, floor_frac=floor_frac, _op=op)
+        state = madelung_step(spec, dspec, state, dt, floor_frac=floor_frac, _op=op, _mass=mass)
         t += dt
         if observer is not None:
             observer(t, state)
@@ -325,7 +343,7 @@ def multiplier_residual_series(
     lam_series = np.asarray(lam_series, dtype=float)
     times = np.asarray(times, dtype=float)
     q = grid.nodes
-    m = spec.mass_at(q)
+    m_face, m = _mass_sample(spec, grid)
     v = spec.potential_at(q)
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))
@@ -343,7 +361,7 @@ def multiplier_residual_series(
             quantum = np.zeros(grid.n)
             quantum[mask] = h_sr[mask] / sr[mask]
             if dspec.g is not None:
-                quantum[mask] += np.asarray(_g_terms(spec, dspec, grid, rho_series[k]))[mask]
+                quantum[mask] += np.asarray(_g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
             res = np.where(mask, res + quantum, 0.0)
         else:
             mask = np.ones(grid.n, dtype=bool)

@@ -193,9 +193,15 @@ class ClassicalEnsemble:
         object.__setattr__(self, "S", S)
 
 
-def _face_velocity(grid: Grid1D, spec: NaturalSystemSpec, lam: np.ndarray) -> np.ndarray:
-    """Characteristic velocity dH/dp = (dS/dq)/m at the n-1 face midpoints."""
-    m_face = spec.mass_at(grid.midpoints)
+def _face_velocity(grid: Grid1D, spec: NaturalSystemSpec, lam: np.ndarray,
+                   m_face: Optional[np.ndarray] = None) -> np.ndarray:
+    """Characteristic velocity dH/dp = (dS/dq)/m at the n-1 face midpoints.
+
+    ``m_face`` is m(q) already sampled at the midpoints; without it the
+    spec is sampled here.
+    """
+    if m_face is None:
+        m_face = spec.mass_at(grid.midpoints)
     return np.diff(lam) / grid.h / m_face
 
 
@@ -253,6 +259,7 @@ def classical_transport_step(
     dt: float,
     support_floor: Optional[float] = None,
     buffer: int = 12,
+    _m_face: Optional[np.ndarray] = None,
 ):
     """Shared kernel: one coupled (rho, S) step of the classical balance.
 
@@ -263,6 +270,11 @@ def classical_transport_step(
     gradients bounded by the ensemble's physical momentum range even while
     the density passes through a focus.
 
+    ``_m_face`` is m(q) sampled once per run at ``grid.midpoints`` (via
+    ``spec.mass_at``, so positivity is checked there); the run loops pass
+    it so that every step reuses the same validated array.  Without it the
+    step samples the spec itself, with bitwise-identical results.
+
     Raises StepRejectedError when the CFL number exceeds 1 on active faces.
     """
     if support_floor is None:
@@ -270,7 +282,7 @@ def classical_transport_step(
     else:
         lo, hi = _support_window(rho, support_floor, buffer)
 
-    v_face = _face_velocity(grid, spec, S)
+    v_face = _face_velocity(grid, spec, S, _m_face)
     active = slice(lo, hi)  # faces between nodes lo..hi
     vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
     cfl = vmax * dt / grid.h
@@ -313,6 +325,21 @@ def classical_transport_step(
     return rho_new, S_new
 
 
+def _uniform_steps(t_final: float, dt: float) -> tuple:
+    """(n_steps, dt') of the uniform steps of at most dt that reach t_final.
+
+    Raises InvalidArgumentError unless both values are finite and > 0.
+    """
+    for name, val in (("t_final", t_final), ("dt", dt)):
+        if not (np.isfinite(val) and val > 0):
+            raise InvalidArgumentError(f"{name} must be finite and > 0, got {val!r}")
+    ratio = t_final / dt
+    if not np.isfinite(ratio):
+        raise InvalidArgumentError(f"t_final / dt is not finite ({t_final!r} / {dt!r})")
+    n_steps = max(1, int(np.ceil(ratio)))
+    return n_steps, t_final / n_steps
+
+
 def transport_density(
     ens: ClassicalEnsemble,
     spec: NaturalSystemSpec,
@@ -343,13 +370,18 @@ def transport_run(
 ) -> ClassicalEnsemble:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
-    ``observer(t, ens)`` is called after every step when given.
+    ``observer(t, ens)`` is called after every step when given.  m(q) is
+    sampled at the faces once, before the first step.  Raises
+    InvalidArgumentError unless t_final and dt are finite and > 0.
     """
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    dt = t_final / n_steps
+    n_steps, dt = _uniform_steps(t_final, dt)
+    m_face = spec.mass_at(ens.grid.midpoints)
     t = 0.0
     for _ in range(n_steps):
-        ens = transport_density(ens, spec, dt, support_floor=support_floor)
+        rho, S = classical_transport_step(
+            ens.grid, ens.rho, ens.S, spec, dt, support_floor=support_floor, _m_face=m_face
+        )
+        ens = ClassicalEnsemble(ens.grid, rho, S)
         t += dt
         if observer is not None:
             observer(t, ens)

@@ -117,6 +117,20 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestRunTimeArguments:
+    @pytest.mark.parametrize("cfg_name, old, new", [
+        ("madelung_trap.cfg", "t_final = 0.5", "t_final = 0.5\ndt = 0.0"),
+        ("madelung_trap.cfg", "t_final = 0.5", "t_final = nan"),
+        ("classical_oscillator.cfg", "cfl = 0.4", "cfl = -0.4"),
+    ])
+    def test_bad_step_or_horizon_is_config_error(self, tmp_path, capsys, cfg_name, old, new):
+        text = (CONFIG_DIR / cfg_name).read_text()
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "must be finite and > 0" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_directory(self, tmp_path, capsys, monkeypatch):
         d = tmp_path / "cfgs"

@@ -4,7 +4,7 @@ import pytest
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import wavefunction as wv
-from varq.errors import InvalidSpecError, StepRejectedError
+from varq.errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
 from varq.numerics import build_grid, eigensolve_lowest, embed_interior
 
 
@@ -222,3 +222,133 @@ class TestReversal:
             grid, unit_mass_harmonic, rhos[::-1], -lams[::-1], -times[::-1]
         )
         assert np.allclose(np.abs(rc_m[::-1]), np.abs(rc), atol=1e-11)
+
+
+def _bulk_slice_loop(rho, floor_frac):
+    """Reference bulk search: walk out from the peak while cells stay above
+    the floor."""
+    mask = rho > floor_frac * float(np.max(rho))
+    peak = int(np.argmax(rho))
+    lo = peak
+    while lo > 0 and mask[lo - 1]:
+        lo -= 1
+    hi = peak
+    while hi < rho.size - 1 and mask[hi + 1]:
+        hi += 1
+    return lo, hi
+
+
+class TestBulkSlice:
+    FLOORS = (0.0, 1e-12, 1e-6, 0.3, 0.9, 1.0, 1.5)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_loop_on_random_densities(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        q = np.linspace(-1.0, 1.0, n)
+        rho = np.exp(-0.5 * ((q - rng.uniform(-1, 1)) / rng.uniform(0.02, 0.5)) ** 2)
+        rho = rho + rng.random(n) ** rng.uniform(1.0, 20.0) * rng.uniform(0.0, 1e-3)
+        for _ in range(int(rng.integers(0, 4))):  # holes and detached remnants
+            a = int(rng.integers(0, n))
+            rho[a : a + int(rng.integers(1, 6))] = rng.choice([0.0, 1e-15, 1e-3])
+        floors = self.FLOORS + tuple(rng.uniform(0.0, 1.2, 3))
+        for floor_frac in floors:
+            assert hy._bulk_slice(rho, floor_frac) == _bulk_slice_loop(rho, floor_frac)
+
+    @pytest.mark.parametrize("peak_at", ["first", "last"])
+    def test_peak_at_grid_edge(self, peak_at):
+        rho = np.linspace(1.0, 0.0, 50)
+        rho[20:23] = 0.0
+        if peak_at == "last":
+            rho = rho[::-1].copy()
+        for floor_frac in self.FLOORS:
+            got = hy._bulk_slice(rho, floor_frac)
+            assert got == _bulk_slice_loop(rho, floor_frac)
+            assert (got[0] == 0) if peak_at == "first" else (got[1] == rho.size - 1)
+
+    def test_whole_grid_above_floor(self):
+        rho = 1.0 + np.random.default_rng(0).random(64)
+        assert hy._bulk_slice(rho, 0.5) == (0, 63) == _bulk_slice_loop(rho, 0.5)
+
+    @pytest.mark.parametrize("floor_frac", [1.0, 2.0])
+    def test_peak_below_threshold(self, floor_frac):
+        rho = np.exp(-np.linspace(-3.0, 3.0, 41) ** 2)
+        peak = int(np.argmax(rho))
+        assert hy._bulk_slice(rho, floor_frac) == (peak, peak) == _bulk_slice_loop(rho, floor_frac)
+
+    def test_single_cell_and_zero_density(self):
+        for rho in (np.array([0.7]), np.zeros(9)):
+            assert hy._bulk_slice(rho, 1e-12) == _bulk_slice_loop(rho, 1e-12)
+
+
+def _varying_mass(q):
+    return 1.0 + 0.2 * np.cos(np.asarray(q, dtype=float))
+
+
+def _face_hole_spec(grid, face):
+    """Harmonic spec with m <= 0 at exactly one face midpoint; m > 0 at
+    every node."""
+    mid = grid.midpoints[face]
+
+    def mass(q):
+        q = np.asarray(q, dtype=float)
+        return np.where(np.abs(q - mid) < 0.25 * grid.h, -1.0, 1.0)
+
+    return mech.NaturalSystemSpec(mass=mass, potential=lambda q: 0.5 * np.asarray(q) ** 2)
+
+
+class TestRunSampling:
+    """The runs sample m(q) once; every step must see the same bits as a
+    step that samples the spec itself."""
+
+    @pytest.mark.parametrize(
+        "dspec",
+        [hy.DiffusionSpec(a=1.0),
+         hy.DiffusionSpec(a=1.0, g=lambda r: 0.05 * r, g_grad=lambda r: 0.05),
+         hy.DiffusionSpec(a=1.0, mode="classical")],
+        ids=["pole", "pole-g", "classical"],
+    )
+    def test_madelung_run_matches_unsampled_steps(self, dspec):
+        spec = mech.NaturalSystemSpec(mass=_varying_mass, potential=lambda q: 0.5 * np.asarray(q) ** 2)
+        grid = build_grid(-8, 8, 401)
+        rho = mech.normalize_density(grid, np.exp(-((grid.nodes - 0.3) ** 2)))
+        state0 = hy.HydroState(grid, rho, 0.1 * grid.nodes)
+        dt = 0.2 * grid.h**2
+        t_final = 25 * dt
+        seen = []
+        out = hy.madelung_run(spec, dspec, state0, t_final, dt, observer=lambda t, s: seen.append(s))
+        n_steps = int(np.ceil(t_final / dt))
+        ref = state0
+        for k in range(n_steps):
+            ref = hy.madelung_step(spec, dspec, ref, t_final / n_steps)
+            assert np.array_equal(seen[k].rho, ref.rho) and np.array_equal(seen[k].lam, ref.lam)
+        assert len(seen) == n_steps
+        assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.lam, ref.lam)
+
+    @pytest.mark.parametrize("mode", ["quantum-pole", "classical"])
+    def test_bad_face_mass_rejected_before_first_step(self, mode, monkeypatch):
+        grid = build_grid(-4, 4, 201)
+        spec = _face_hole_spec(grid, 137)
+        assert np.all(spec.mass_at(grid.nodes) > 0)
+        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
+        steps = []
+        real_step = hy.madelung_step
+        monkeypatch.setattr(hy, "madelung_step", lambda *a, **k: steps.append(1) or real_step(*a, **k))
+        with pytest.raises(InvalidSpecError):
+            hy.madelung_run(spec, hy.DiffusionSpec(a=1.0, mode=mode),
+                            hy.HydroState(grid, rho, np.zeros(grid.n)), 0.01, 1e-4)
+        assert steps == []
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.1, 0.0), (0.1, -1e-3), (-0.1, 1e-3), (0.0, 1e-3), (float("nan"), 1e-3),
+        (0.1, float("nan")), (float("inf"), 1e-3), (0.1, float("inf")), (0.1, 1e-320),
+    ])
+    def test_bad_time_arguments_rejected(self, unit_mass_harmonic, t_final, dt):
+        grid = build_grid(-4, 4, 101)
+        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
+        state = hy.HydroState(grid, rho, np.zeros(grid.n))
+        seen = []
+        with pytest.raises(InvalidArgumentError):
+            hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0), state, t_final, dt,
+                            observer=lambda t, s: seen.append(t))
+        assert seen == []

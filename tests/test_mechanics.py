@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varq import mechanics as mech
-from varq.errors import InvalidSpecError, StepRejectedError
+from varq.errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
 from varq.numerics import build_grid
 from varq.potentials import harmonic
 
@@ -164,6 +164,60 @@ class TestTransport:
             centroid = grid.h * np.sum(out.rho * grid.nodes)
             errs.append(abs(centroid - q_ref))
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestRunSampling:
+    """transport_run samples m(q) at the faces once; every step must see
+    the same bits as transport_density, which samples the spec itself."""
+
+    @pytest.mark.parametrize("support_floor", [1e-6, None])
+    def test_transport_run_matches_transport_density(self, support_floor):
+        spec = mech.NaturalSystemSpec(
+            mass=lambda q: 1.0 + 0.2 * np.cos(np.asarray(q, dtype=float)),
+            potential=lambda q: 0.5 * np.asarray(q) ** 2,
+        )
+        grid = build_grid(-1.4, 1.4, 401)
+        ens0 = gaussian_ensemble(grid, 1.0, 3 * grid.h)
+        dt = 0.4 * grid.h
+        t_final = 60 * dt
+        seen = []
+        out = mech.transport_run(ens0, spec, t_final, dt, support_floor=support_floor,
+                                 observer=lambda t, e: seen.append(e))
+        n_steps = int(np.ceil(t_final / dt))
+        ref = ens0
+        for k in range(n_steps):
+            ref = mech.transport_density(ref, spec, t_final / n_steps, support_floor=support_floor)
+            assert np.array_equal(seen[k].rho, ref.rho) and np.array_equal(seen[k].S, ref.S)
+        assert len(seen) == n_steps
+        assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.S, ref.S)
+
+    def test_bad_face_mass_rejected_before_first_step(self, monkeypatch):
+        grid = build_grid(-3, 3, 201)
+        mid = grid.midpoints[58]
+        spec = mech.NaturalSystemSpec(
+            mass=lambda q: np.where(np.abs(np.asarray(q) - mid) < 0.25 * grid.h, -1.0, 1.0),
+            potential=lambda q: 0.5 * np.asarray(q) ** 2,
+        )
+        assert np.all(spec.mass_at(grid.nodes) > 0)
+        steps = []
+        real_step = mech.classical_transport_step
+        monkeypatch.setattr(mech, "classical_transport_step",
+                            lambda *a, **k: steps.append(1) or real_step(*a, **k))
+        with pytest.raises(InvalidSpecError):
+            mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), spec, 0.1, 1e-2, support_floor=1e-6)
+        assert steps == []
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.1, 0.0), (0.1, -1e-3), (-0.1, 1e-3), (0.0, 1e-3), (float("nan"), 1e-3),
+        (0.1, float("nan")), (float("inf"), 1e-3), (0.1, float("inf")), (0.1, 1e-320),
+    ])
+    def test_bad_time_arguments_rejected(self, unit_mass_harmonic, t_final, dt):
+        grid = build_grid(-3, 3, 101)
+        seen = []
+        with pytest.raises(InvalidArgumentError):
+            mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), unit_mass_harmonic, t_final, dt,
+                               observer=lambda t, e: seen.append(t))
+        assert seen == []
 
 
 class TestHjResidual:
