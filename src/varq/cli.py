@@ -2,16 +2,14 @@
 `varq check <config>`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 invariant failure (unless waived in the config).  VARQ_THREADS caps
-sweep parallelism.
+4 invariant failure (unless waived in the config).  A sweep runs its
+configs one after another and exits with the largest code among them.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import load_scenario
@@ -87,25 +85,19 @@ def main(argv=None) -> int:
             configs = sorted(cfg_dir.glob("*.cfg")) + sorted(cfg_dir.glob("*.ini"))
             if not configs:
                 raise ConfigError(f"no scenario configs (*.cfg, *.ini) in {cfg_dir}")
-            workers = max(1, int(os.environ.get("VARQ_THREADS", "1")))
             codes = []
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_one, cfg, out_root, args.seed, args.tol_scale)
-                    for cfg in configs
-                ]
-                for fut in futures:
-                    try:
-                        codes.append(fut.result())
-                    except Exception as exc:  # classified below
-                        codes.append(_classify(exc, verbose=True))
+            for cfg in configs:
+                try:
+                    codes.append(_run_one(cfg, out_root, args.seed, args.tol_scale))
+                except Exception as exc:  # classified per config; the sweep goes on
+                    codes.append(_classify(exc))
             return max(codes)
     except Exception as exc:
-        return _classify(exc, verbose=True)
+        return _classify(exc)
     return EXIT_OK
 
 
-def _classify(exc: Exception, verbose: bool = False) -> int:
+def _classify(exc: Exception) -> int:
     if isinstance(exc, ConfigError):
         key = f" (key: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)

@@ -7,7 +7,7 @@ the offending section.key.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -32,7 +32,6 @@ class Scenario:
     seed: int
     sections: dict
     waive_invariants: bool = False
-    tol_scale: float = 1.0
     name: str = "scenario"
 
     def get(self, section: str, key: str, cast, default=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
-from .numerics import rk4_step
+from .numerics import _uniform_steps, rk4_step
 
 __all__ = [
     "SpinSystemSpec",
@@ -179,9 +179,11 @@ def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: fl
 
 def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float,
                    floor: float = P_FLOOR, observer=None):
-    """Uniform-step RK4 drive of the local system."""
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    dt = t_final / n_steps
+    """Uniform-step RK4 drive of the local system.
+
+    Raises InvalidArgumentError unless t_final and dt are finite and > 0.
+    """
+    n_steps, dt = _uniform_steps(t_final, dt)
     t = 0.0
     for _ in range(n_steps):
         p, lam = local_form_step(spec, p, lam, dt, floor=floor)

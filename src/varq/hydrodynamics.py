@@ -27,9 +27,11 @@ from .mechanics import (
     classical_transport_step,
     upwind_density_update,
     _face_velocity,
-    _uniform_steps,
+    _validate_density_state,
 )
-from .numerics import Grid1D, TridiagonalOperator, grad_central, sturm_liouville_operator
+from .numerics import (Grid1D, TridiagonalOperator, _support_mask, _uniform_steps,
+                       embed_interior, grad_central)
+from .wavefunction import schrodinger_operator
 
 __all__ = [
     "DiffusionSpec",
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 RHO_FLOOR_FRAC = 1e-12
+_HARD_FRAC = 0.05  # _check_nodeless: depth of a node, times the floor
+_SIGNIFICANT_FRAC = 1e3  # _check_nodeless: density level of the bulk, times the floor
 
 
 @dataclass(frozen=True)
@@ -105,17 +109,7 @@ class HydroState:
     lam: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        if rho.shape != (self.grid.n,) or lam.shape != (self.grid.n,):
-            raise InvalidStateError("rho and lam must match the grid")
-        if np.any(rho < -1e-14):
-            raise InvalidStateError("density must be nonnegative")
-        total = self.grid.h * float(np.sum(rho))
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
-        object.__setattr__(self, "rho", np.maximum(rho, 0.0))
-        object.__setattr__(self, "lam", lam)
+        _validate_density_state(self, "lam")
 
 
 def diffusion_current(
@@ -141,7 +135,7 @@ def _bulk_slice(rho: np.ndarray, floor_frac: float):
     nearest below-floor cells on either side of the peak; a peak that is
     itself below the floor (floor_frac >= 1) gives (peak, peak).
     """
-    mask = rho > floor_frac * float(np.max(rho))
+    mask = _support_mask(rho, floor_frac)
     peak = int(np.argmax(rho))
     if not mask[peak]:
         return peak, peak
@@ -152,19 +146,18 @@ def _bulk_slice(rho: np.ndarray, floor_frac: float):
     return lo, hi
 
 
-def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str,
-                    hard_frac: float = 0.05, significant_frac: float = 1e3):
+def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
     """Reject when a deep density dip separates two substantial regions.
 
     A node means rho drops far below the floor with density well above the
     floor on both sides.  Floor-level remnants detached from a moving
-    support do not count; neither do cells hovering within ``hard_frac``
+    support do not count; neither do cells hovering within ``_HARD_FRAC``
     of the floor (support boundary noise).
     """
     floor = floor_frac * float(np.max(rho))
-    deep = np.flatnonzero(rho < hard_frac * floor)
+    deep = np.flatnonzero(rho < _HARD_FRAC * floor)
     if deep.size:
-        sig = np.flatnonzero(rho > significant_frac * floor)
+        sig = np.flatnonzero(rho > _SIGNIFICANT_FRAC * floor)
         if sig.size >= 2:
             inside = deep[(deep > sig[0]) & (deep < sig[-1])]
             if inside.size:
@@ -174,12 +167,6 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str,
                     diagnostics={"rho_min": float(rho[inside[0]]), "floor": floor},
                 )
     return _bulk_slice(rho, floor_frac)
-
-
-def _quantum_operator(spec: NaturalSystemSpec, grid: Grid1D, a: float) -> TridiagonalOperator:
-    return sturm_liouville_operator(
-        grid, lambda q: 1.0 / spec.mass_at(q), spec.potential_at, coeff=a * a
-    )
 
 
 def effective_hamiltonian_density(
@@ -200,7 +187,7 @@ def effective_hamiltonian_density(
     grad_rho = grad_central(state.rho, grid.h)
     out = state.rho * (grad_lam**2 / (2.0 * m) + spec.potential_at(q))
     if dspec.mode == "quantum-pole":
-        mask = state.rho > floor_frac * float(np.max(state.rho))
+        mask = _support_mask(state.rho, floor_frac)
         hd2 = np.zeros_like(state.rho)
         hd2[mask] = (0.5 * dspec.a) ** 2 / state.rho[mask] + dspec.g_at(state.rho[mask])
         out = out + 0.5 * hd2 * grad_rho**2 / m
@@ -280,10 +267,9 @@ def madelung_step(
     # multiplier update with the quantum term at the fresh density; the
     # interior-node operator application gives (H sqrt(rho))/sqrt(rho),
     # which reduces exactly to w_r on discrete eigenstate densities
-    op = _op if _op is not None else _quantum_operator(spec, grid, dspec.a)
+    op = _op if _op is not None else schrodinger_operator(spec, grid, dspec.a)
     sr = np.sqrt(np.maximum(rho_new, 0.0))
-    h_sr = np.zeros_like(sr)
-    h_sr[1:-1] = op.apply(sr[1:-1])
+    h_sr = embed_interior(grid, op.apply(sr[1:-1]))
     mask = np.zeros(grid.n, dtype=bool)
     lo2, hi2 = _check_nodeless(rho_new, floor_frac, "after step")
     mask[lo2 : hi2 + 1] = True
@@ -315,7 +301,7 @@ def madelung_run(
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     t = 0.0
-    op = _quantum_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    op = schrodinger_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
     mass = _mass_sample(spec, state.grid)
     for _ in range(n_steps):
         state = madelung_step(spec, dspec, state, dt, floor_frac=floor_frac, _op=op, _mass=mass)
@@ -348,16 +334,15 @@ def multiplier_residual_series(
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))
     masks = np.zeros((nt - 2, grid.n), dtype=bool)
-    op = _quantum_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    op = schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
     for k in range(1, nt - 1):
         dldt = (lam_series[k + 1] - lam_series[k - 1]) / (times[k + 1] - times[k - 1])
         grad_lam = grad_central(lam_series[k], grid.h)
         res = dldt + grad_lam**2 / (2.0 * m)
         if op is not None:
             sr = np.sqrt(rho_series[k])
-            h_sr = np.zeros_like(sr)
-            h_sr[1:-1] = op.apply(sr[1:-1])
-            mask = rho_series[k] > floor_frac * float(np.max(rho_series[k]))
+            h_sr = embed_interior(grid, op.apply(sr[1:-1]))
+            mask = _support_mask(rho_series[k], floor_frac)
             quantum = np.zeros(grid.n)
             quantum[mask] = h_sr[mask] / sr[mask]
             if dspec.g is not None:

@@ -18,7 +18,7 @@ from .errors import (
     InvalidStateError,
     StepRejectedError,
 )
-from .numerics import Grid1D, build_grid, grad_central, rk4_step
+from .numerics import Grid1D, _support_mask, _uniform_steps, build_grid, grad_central, rk4_step
 
 __all__ = [
     "NaturalSystemSpec",
@@ -37,13 +37,14 @@ __all__ = [
 ]
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
+_SUPPORT_BUFFER = 12  # cells added on each side of the support window
 
 
 def _eval_on(fn: Callable, q) -> np.ndarray:
     """Evaluate a scalar-or-vector callback on q, broadcasting constants."""
     out = np.asarray(fn(q), dtype=float)
     if out.shape != np.shape(q):
-        out = np.broadcast_to(out, np.shape(q)).copy() if np.shape(q) else float(out)
+        out = np.full(np.shape(q), out) if np.shape(q) else float(out)
     return out
 
 
@@ -171,6 +172,22 @@ def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     return rho / total
 
 
+def _validate_density_state(state, field: str):
+    """Check a (grid, rho, multiplier ``field``) state: both on the grid, rho
+    nonnegative and normalised; stores rho clipped at 0."""
+    rho = np.asarray(state.rho, dtype=float)
+    lam = np.asarray(getattr(state, field), dtype=float)
+    if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
+        raise InvalidStateError(f"rho and {field} must match the grid")
+    if np.any(rho < -1e-14):
+        raise InvalidStateError("density must be nonnegative")
+    total = state.grid.h * float(np.sum(rho))
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
+    object.__setattr__(state, "rho", np.maximum(rho, 0.0))
+    object.__setattr__(state, field, lam)
+
+
 @dataclass(frozen=True)
 class ClassicalEnsemble:
     """Density rho plus the global multiplier field S on a shared grid."""
@@ -180,17 +197,7 @@ class ClassicalEnsemble:
     S: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        S = np.asarray(self.S, dtype=float)
-        if rho.shape != (self.grid.n,) or S.shape != (self.grid.n,):
-            raise InvalidStateError("rho and S must match the grid")
-        if np.any(rho < -1e-14):
-            raise InvalidStateError("density must be nonnegative")
-        total = self.grid.h * float(np.sum(rho))
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
-        object.__setattr__(self, "rho", np.maximum(rho, 0.0))
-        object.__setattr__(self, "S", S)
+        _validate_density_state(self, "S")
 
 
 def _face_velocity(grid: Grid1D, spec: NaturalSystemSpec, lam: np.ndarray,
@@ -242,12 +249,11 @@ def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt:
     return S - dt * (p2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q))
 
 
-def _support_window(rho: np.ndarray, floor_frac: float, buffer: int) -> tuple:
-    """Index window [lo, hi] covering {rho > floor} dilated by ``buffer``."""
-    mask = rho > floor_frac * float(np.max(rho))
-    idx = np.flatnonzero(mask)
-    lo = max(int(idx[0]) - buffer, 0)
-    hi = min(int(idx[-1]) + buffer, rho.size - 1)
+def _support_window(rho: np.ndarray, floor_frac: float) -> tuple:
+    """Index window [lo, hi] covering {rho > floor} dilated by _SUPPORT_BUFFER."""
+    idx = np.flatnonzero(_support_mask(rho, floor_frac))
+    lo = max(int(idx[0]) - _SUPPORT_BUFFER, 0)
+    hi = min(int(idx[-1]) + _SUPPORT_BUFFER, rho.size - 1)
     return lo, hi
 
 
@@ -258,17 +264,16 @@ def classical_transport_step(
     spec: NaturalSystemSpec,
     dt: float,
     support_floor: Optional[float] = None,
-    buffer: int = 12,
     _m_face: Optional[np.ndarray] = None,
 ):
     """Shared kernel: one coupled (rho, S) step of the classical balance.
 
     With ``support_floor`` set, the multiplier equation is advanced only on
-    the support window {rho > floor * max(rho)} (dilated by ``buffer``
-    cells) and extended quadratically outside it.  The equations only hold
-    where rho > 0, and restricting them there keeps the multiplier
-    gradients bounded by the ensemble's physical momentum range even while
-    the density passes through a focus.
+    the support window {rho > floor * max(rho)} (dilated by a fixed 12
+    cells on each side) and extended quadratically outside it.  The
+    equations only hold where rho > 0, and restricting them there keeps
+    the multiplier gradients bounded by the ensemble's physical momentum
+    range even while the density passes through a focus.
 
     ``_m_face`` is m(q) sampled once per run at ``grid.midpoints`` (via
     ``spec.mass_at``, so positivity is checked there); the run loops pass
@@ -280,7 +285,7 @@ def classical_transport_step(
     if support_floor is None:
         lo, hi = 0, grid.n - 1
     else:
-        lo, hi = _support_window(rho, support_floor, buffer)
+        lo, hi = _support_window(rho, support_floor)
 
     v_face = _face_velocity(grid, spec, S, _m_face)
     active = slice(lo, hi)  # faces between nodes lo..hi
@@ -323,21 +328,6 @@ def classical_transport_step(
         d = h * np.arange(1, grid.n - hi)
         S_new[hi + 1 :] = S_new[hi] + gr * d + 0.5 * cr * d * d
     return rho_new, S_new
-
-
-def _uniform_steps(t_final: float, dt: float) -> tuple:
-    """(n_steps, dt') of the uniform steps of at most dt that reach t_final.
-
-    Raises InvalidArgumentError unless both values are finite and > 0.
-    """
-    for name, val in (("t_final", t_final), ("dt", dt)):
-        if not (np.isfinite(val) and val > 0):
-            raise InvalidArgumentError(f"{name} must be finite and > 0, got {val!r}")
-    ratio = t_final / dt
-    if not np.isfinite(ratio):
-        raise InvalidArgumentError(f"t_final / dt is not finite ({t_final!r} / {dt!r})")
-    n_steps = max(1, int(np.ceil(ratio)))
-    return n_steps, t_final / n_steps
 
 
 def transport_density(

@@ -29,11 +29,9 @@ __all__ = [
     "sturm_liouville_operator",
     "embed_interior",
     "eigensolve_lowest",
-    "unitary_step",
     "CayleyPropagator",
     "rk4_step",
     "grad_central",
-    "grid_quadrature",
 ]
 
 
@@ -112,9 +110,6 @@ class TridiagonalOperator:
         m += np.diag(self.off_diagonal, 1)
         m += np.diag(self.off_diagonal, -1)
         return m
-
-    def shifted(self, s: float) -> "TridiagonalOperator":
-        return TridiagonalOperator(self.diagonal + s, self.off_diagonal)
 
 
 def sturm_liouville_operator(
@@ -225,11 +220,6 @@ class CayleyPropagator:
             raise NumericalFailureError("singular Cayley system") from exc
 
 
-def unitary_step(op: TridiagonalOperator, psi: np.ndarray, dt: float, a: float) -> np.ndarray:
-    """One Cayley step of i a dpsi/dt = H psi.  See CayleyPropagator."""
-    return CayleyPropagator(op, dt, a).step(np.asarray(psi, dtype=complex))
-
-
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:
     """Classical 4th-order Runge-Kutta update for an autonomous system."""
     y = np.asarray(state, dtype=float)
@@ -257,6 +247,22 @@ def grad_central(f: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def grid_quadrature(h: float, f: np.ndarray) -> float:
-    """h * sum(f): the quadrature rule shared by every normalisation."""
-    return float(h * np.sum(f))
+def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:
+    """Support of a density: the equations hold only where rho > 0, and every
+    regime takes that region as the cells above ``floor_frac`` * max(rho)."""
+    return rho > floor_frac * float(np.max(rho))
+
+
+def _uniform_steps(t_final: float, dt: float) -> tuple:
+    """(n_steps, dt') of the uniform steps of at most dt that reach t_final.
+
+    Raises InvalidArgumentError unless both values are finite and > 0.
+    """
+    for name, val in (("t_final", t_final), ("dt", dt)):
+        if not (np.isfinite(val) and val > 0):
+            raise InvalidArgumentError(f"{name} must be finite and > 0, got {val!r}")
+    ratio = t_final / dt
+    if not np.isfinite(ratio):
+        raise InvalidArgumentError(f"t_final / dt is not finite ({t_final!r} / {dt!r})")
+    n_steps = max(1, int(np.ceil(ratio)))
+    return n_steps, t_final / n_steps

@@ -34,6 +34,7 @@ from .errors import (
 from .numerics import (
     CayleyPropagator,
     Grid1D,
+    _support_mask,
     eigensolve_lowest,
     embed_interior,
     grad_central,
@@ -88,6 +89,12 @@ class QFieldSpec:
             raise InvalidSpecError("potential must grow toward the grid ends")
 
 
+_TAIL_TOL = 1e-6  # vacuum_spectrum: largest relative amplitude next to the grid ends
+_MAX_ITER = 60  # confined_solve: sweeps before giving up
+_CHANGE_TOL = 1e-12  # confined_solve: mode-amplitude change that counts as converged
+_PSI0_FLOOR = 1e-6  # confined_solve: relative |psi0| below which the log source is off
+
+
 def _operator(spec: QFieldSpec, grid: Grid1D):
     return sturm_liouville_operator(grid, 1.0 / spec.eta, spec.v_at, coeff=spec.f * spec.f)
 
@@ -116,17 +123,17 @@ class VacuumSpectrum:
         return self.w.size
 
 
-def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int, tail_tol: float = 1e-6) -> VacuumSpectrum:
+def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int) -> VacuumSpectrum:
     """Lowest k invariant states of the stationary operator with constant f.
 
     Raises NumericalFailureError when the requested eigenfunctions are not
-    resolved by the grid (relative boundary amplitude above tail_tol).
+    resolved by the grid (relative boundary amplitude above 1e-6).
     """
     spec.validate_on(grid)
     op = _operator(spec, grid)
     w, vecs = eigensolve_lowest(op, k, grid.h)
     tails = np.max(np.abs(vecs[[0, 1, -2, -1], :]), axis=0) / np.max(np.abs(vecs), axis=0)
-    if np.any(tails > tail_tol):
+    if np.any(tails > _TAIL_TOL):
         raise NumericalFailureError(
             "grid does not resolve the requested eigenfunctions",
             diagnostics={"relative_tail": tails.tolist()},
@@ -187,10 +194,9 @@ def space_independent_evolve(
     prop = CayleyPropagator(op, dt, spec.f)
 
     def observables(psi_now):
-        hpsi = np.zeros_like(psi_now)
-        hpsi[1:-1] = op.apply(psi_now[1:-1])
+        hpsi = embed_interior(grid, op.apply(psi_now[1:-1]))
         dens = np.abs(psi_now) ** 2
-        mask = dens > floor_frac * float(np.max(dens))
+        mask = _support_mask(dens, floor_frac)
         eps = np.zeros(grid.n)
         eps[mask] = np.real(np.conj(psi_now[mask]) * hpsi[mask]) / dens[mask]
         wbar = grid.h * float(np.sum(np.real(np.conj(psi_now) * hpsi)))
@@ -203,9 +209,7 @@ def space_independent_evolve(
     mask_list = [mask0]
     wbar_list = [wbar0]
     for k in range(n_steps):
-        inner = prop.step(psi[1:-1])
-        psi = np.zeros_like(psi)
-        psi[1:-1] = inner
+        psi = embed_interior(grid, prop.step(psi[1:-1]))
         if (k + 1) % store_every == 0:
             eps, mask, wbar = observables(psi)
             times.append((k + 1) * dt)
@@ -244,11 +248,9 @@ def random_energy_density(
         raise InvalidStateError("density must be nonnegative")
     lam0 = np.asarray(lam0, dtype=float)
     lam_m_arr = np.zeros((0, grid.n)) if lam_m is None else np.atleast_2d(np.asarray(lam_m, dtype=float))
-    mask = rho > floor_frac * float(np.max(rho))
-    op = _operator(spec, grid)
+    mask = _support_mask(rho, floor_frac)
     sr = np.sqrt(rho)
-    h_sr = np.zeros_like(sr)
-    h_sr[1:-1] = op.apply(sr[1:-1])
+    h_sr = embed_interior(grid, _operator(spec, grid).apply(sr[1:-1]))
     eps = np.zeros(grid.n)
     # (H sqrt(rho))/sqrt(rho) carries V - quantum potential in one piece
     eps[mask] = h_sr[mask] / sr[mask]
@@ -315,11 +317,6 @@ def confined_solve(
     r_max: float,
     tol: float = 1e-8,
     n_r: int = 1200,
-    max_iter: int = 60,
-    resid_window: Optional[tuple] = None,
-    source_r_start: Optional[float] = None,
-    change_tol: float = 1e-12,
-    psi0_floor: float = 1e-6,
 ) -> ConfinedSolveResult:
     """Successive approximation for the conjugate-pair system
 
@@ -334,16 +331,19 @@ def confined_solve(
 
     The expansion underlying the method is only justified at large radius;
     repeated sweeps amplify below roughly f/(w1 - w0), so the log source
-    is switched on from ``source_r_start`` (default: max(r_min,
-    f/(w1 - w0))) outward.  Fields below that radius are reported (seed
-    plus the constant inward continuation of the corrections) but carry no
-    accuracy claim, matching the residual window, which defaults to the
-    outer half of the radial range.
+    is switched on from max(r_min, f/(w1 - w0)) outward, and only where
+    |psi0| exceeds 1e-6 of its maximum.  Fields below that radius are
+    reported (seed plus the constant inward continuation of the
+    corrections) but carry no accuracy claim, matching the residual
+    window: the outer half of the radial range, which must start at or
+    after the source radius.
 
     A sweep is accepted only if the window residual does not rise above
     max(previous, tol); a rising residual above tolerance stops the
-    iteration as stagnation.  Pure vacuum input (all higher c_n zero) is a
-    fixed point and returns after zero iterations.
+    iteration as stagnation.  It converges once the residual is below tol
+    and the mode amplitudes move by less than 1e-12, and stops after 60
+    sweeps.  Pure vacuum input (all higher c_n zero) is a fixed point and
+    returns after zero iterations.
     """
     c = np.asarray(c, dtype=float)
     if c.size < 1 or abs(c[0] - 1.0) > 0:
@@ -361,17 +361,13 @@ def confined_solve(
     psi_mat = vac.psi  # (nq, K)
     h = vac.grid.h
     psi0 = psi_mat[:, 0]
-    qmask = np.abs(psi0) > psi0_floor * float(np.max(np.abs(psi0)))
-    if source_r_start is None:
-        source_r_start = max(r_min, f / dw[1]) if K > 1 else r_min
+    qmask = _support_mask(np.abs(psi0), _PSI0_FLOOR)
+    source_r_start = max(r_min, f / dw[1]) if K > 1 else r_min
     rmask = r >= source_r_start
-    if resid_window is None:
-        resid_window = (r_min + 0.5 * (r_max - r_min), r_max)
+    resid_window = (r_min + 0.5 * (r_max - r_min), r_max)
     if resid_window[0] < source_r_start:
-        raise InvalidArgumentError("residual window must start at or after source_r_start")
-    rw = (r >= resid_window[0]) & (r <= resid_window[1])
-    if not np.any(rw):
-        raise InvalidArgumentError("empty residual window")
+        raise InvalidArgumentError("r_max too small: the residual window must start at or after f/(w1 - w0)")
+    rw = (r >= resid_window[0]) & (r <= resid_window[1])  # never empty: r[-1] == r_max
 
     A0 = cs[:, None] * np.exp(-np.outer(dw, r) / f)  # (K, nr)
     At0 = np.zeros_like(A0)
@@ -417,7 +413,7 @@ def confined_solve(
     converged = resid < tol and not np.any(cs[1:])
     iterations = 0
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < _MAX_ITER:
         C = _reverse_cumtrapz(P / r[None, :], r)
         Ct = -_reverse_cumtrapz(Pt / r[None, :], r)
         A_new = A0 + C
@@ -436,7 +432,7 @@ def confined_solve(
         history.append(resid_new)
         mode_history.append((A.copy(), At.copy()))
         iterations += 1
-        if resid_new < tol and change < change_tol:
+        if resid_new < tol and change < _CHANGE_TOL:
             converged = True
     if not converged and history[-1] < tol:
         converged = True

@@ -20,7 +20,7 @@ from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import Scenario
 from .errors import ConfigError
-from .numerics import build_grid
+from .numerics import _uniform_steps, build_grid
 from .potentials import make_potential
 from .reporting import RunReport, Series
 
@@ -47,7 +47,7 @@ def _mech_spec(sc: Scenario):
     pot = _potential_from(sc)
     mass = sc.get("system", "mass", float, default=1.0)
     return mech.NaturalSystemSpec(
-        mass=lambda q, _m=mass: _m if np.isscalar(q) else np.full(np.shape(q), _m),
+        mass=lambda q: mass,
         potential=pot.v,
         mass_grad=lambda q: 0.0 if np.isscalar(q) else np.zeros(np.shape(q)),
         potential_grad=pot.dv,
@@ -68,7 +68,7 @@ def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
     rho = np.exp(-0.5 * ((q - center) / (width_cells * grid.h)) ** 2)
     ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
 
-    flow = mech.hamilton_flow(spec, mech.PhaseState(center, 0.0), 1e-3, int(np.ceil(t_final / 1e-3)))
+    flow = mech.hamilton_flow(spec, mech.PhaseState(center, 0.0), 1e-3, _uniform_steps(t_final, 1e-3)[0])
 
     samples = []
 
@@ -138,8 +138,8 @@ def run_schrodinger(sc: Scenario, tol_scale: float) -> RunReport:
 
     psi0 = np.exp(-((q - center) ** 2) / (4 * sigma**2)) * np.exp(1j * momentum * q / a)
     wf = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a)
-    n_steps = int(np.ceil(t_final / dt))
-    evo = wv.SchrodingerEvolution(spec, grid, a, t_final / n_steps)
+    n_steps, dt = _uniform_steps(t_final, dt)
+    evo = wv.SchrodingerEvolution(spec, grid, a, dt)
     psi = wf.psi.copy()
     e0 = evo.energy(psi)
     rows = [(0.0, grid.h * float(np.sum(np.abs(psi) ** 2 * q)), _variance(grid, psi), 0.0, 0.0)]

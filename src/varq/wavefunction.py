@@ -10,13 +10,13 @@ the kinetic term fixes the operator ordering for position-dependent mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DomainEscapeError, InvalidArgumentError, InvalidStateError
+from .errors import DomainEscapeError, InvalidStateError
 from .mechanics import NaturalSystemSpec
-from .numerics import CayleyPropagator, Grid1D, TridiagonalOperator, sturm_liouville_operator
+from .numerics import (CayleyPropagator, Grid1D, TridiagonalOperator, _support_mask,
+                       embed_interior, sturm_liouville_operator)
 
 __all__ = [
     "WaveFunction",
@@ -25,11 +25,11 @@ __all__ = [
     "polar_from_uv",
     "schrodinger_operator",
     "schrodinger_evolve",
-    "schrodinger_evolve_series",
     "normalize_wavefunction",
 ]
 
 DENSITY_FLOOR_FRAC = 1e-12
+_BOUNDARY_THRESHOLD = 1e-8  # edge-cell probability at which the state has left the grid
 
 
 def normalize_wavefunction(grid: Grid1D, psi: np.ndarray) -> np.ndarray:
@@ -73,17 +73,10 @@ def _unwrap_segments(phase: np.ndarray, mask: np.ndarray) -> np.ndarray:
     disconnected components.
     """
     out = np.zeros_like(phase)
-    n = phase.size
-    i = 0
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and mask[j]:
-            j += 1
+    # edges of the False-padded mask alternate: segment start, segment stop
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    for i, j in zip(edges[::2], edges[1::2]):
         out[i:j] = np.unwrap(phase[i:j])
-        i = j
     return out
 
 
@@ -95,7 +88,7 @@ def canonical_map_forward(wf: WaveFunction, floor_frac: float = DENSITY_FLOOR_FR
     The global phase constant is fixed to zero.
     """
     rho = np.abs(wf.psi) ** 2
-    mask = rho > floor_frac * float(np.max(rho))
+    mask = _support_mask(rho, floor_frac)
     phase = np.angle(wf.psi)
     lam = np.where(mask, wf.a * _unwrap_segments(phase, mask), 0.0)
     return rho, lam, mask
@@ -126,7 +119,8 @@ def polar_from_uv(u, v, a: float):
 
 
 def schrodinger_operator(spec: NaturalSystemSpec, grid: Grid1D, a: float) -> TridiagonalOperator:
-    """Interior-node operator -(a^2/2) d/dq (m^{-1} d/dq .) + V."""
+    """Interior-node operator -(a^2/2) d/dq (m^{-1} d/dq .) + V; the
+    Madelung multiplier update in hydrodynamics applies it to sqrt(rho)."""
     return sturm_liouville_operator(
         grid, lambda q: 1.0 / spec.mass_at(q), spec.potential_at, coeff=a * a
     )
@@ -140,29 +134,23 @@ def _boundary_mass(grid: Grid1D, psi: np.ndarray, cells: int = 3) -> float:
 class SchrodingerEvolution:
     """Reusable Cayley evolution with a boundary-leakage guard."""
 
-    def __init__(self, spec: NaturalSystemSpec, grid: Grid1D, a: float, dt: float,
-                 boundary_threshold: float = 1e-8):
+    def __init__(self, spec: NaturalSystemSpec, grid: Grid1D, a: float, dt: float):
         self.grid = grid
         self.a = a
         self.dt = dt
         self.op = schrodinger_operator(spec, grid, a)
         self.prop = CayleyPropagator(self.op, dt, a)
-        self.boundary_threshold = boundary_threshold
 
     def check_boundary(self, psi: np.ndarray, t: float):
         mass = _boundary_mass(self.grid, psi)
-        if mass > self.boundary_threshold:
+        if mass > _BOUNDARY_THRESHOLD:
             raise DomainEscapeError(
-                f"boundary density {mass:.3e} exceeds {self.boundary_threshold:.1e} at t={t:.6g}",
+                f"boundary density {mass:.3e} exceeds {_BOUNDARY_THRESHOLD:.1e} at t={t:.6g}",
                 diagnostics={"boundary_mass": mass, "t": t},
             )
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        out = psi.copy()
-        out[1:-1] = self.prop.step(psi[1:-1])
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+        return embed_interior(self.grid, self.prop.step(psi[1:-1]))
 
     def energy(self, psi: np.ndarray) -> float:
         inner = psi[1:-1]
@@ -174,40 +162,13 @@ def schrodinger_evolve(
     wf: WaveFunction,
     dt: float,
     n_steps: int,
-    boundary_threshold: float = 1e-8,
 ) -> WaveFunction:
     """Evolve by n_steps Cayley steps; raises DomainEscapeError if density
     piles up at the grid edge (the state is no longer represented)."""
-    evo = SchrodingerEvolution(spec, wf.grid, wf.a, dt, boundary_threshold)
+    evo = SchrodingerEvolution(spec, wf.grid, wf.a, dt)
     psi = wf.psi.copy()
     evo.check_boundary(psi, 0.0)
     for k in range(n_steps):
         psi = evo.step(psi)
         evo.check_boundary(psi, (k + 1) * dt)
     return WaveFunction(wf.grid, psi, wf.a)
-
-
-def schrodinger_evolve_series(
-    spec: NaturalSystemSpec,
-    wf: WaveFunction,
-    dt: float,
-    n_steps: int,
-    store_every: int = 1,
-    boundary_threshold: float = 1e-8,
-):
-    """Like schrodinger_evolve but returns (times, snapshots) including t=0."""
-    if store_every < 1:
-        raise InvalidArgumentError("store_every must be >= 1")
-    evo = SchrodingerEvolution(spec, wf.grid, wf.a, dt, boundary_threshold)
-    psi = wf.psi.copy()
-    evo.check_boundary(psi, 0.0)
-    times = [0.0]
-    snaps = [psi.copy()]
-    for k in range(n_steps):
-        psi = evo.step(psi)
-        t = (k + 1) * dt
-        evo.check_boundary(psi, t)
-        if (k + 1) % store_every == 0:
-            times.append(t)
-            snaps.append(psi.copy())
-    return np.asarray(times), np.asarray(snaps)

@@ -1,4 +1,3 @@
-import os
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +121,12 @@ class TestRunTimeArguments:
         ("madelung_trap.cfg", "t_final = 0.5", "t_final = 0.5\ndt = 0.0"),
         ("madelung_trap.cfg", "t_final = 0.5", "t_final = nan"),
         ("classical_oscillator.cfg", "cfl = 0.4", "cfl = -0.4"),
+        ("classical_oscillator.cfg", "t_final = 6.283185307179586", "t_final = nan"),
+        ("classical_oscillator.cfg", "t_final = 6.283185307179586", "t_final = -1.0"),
+        ("spin_rabi.cfg", "dt = 0.0001", "dt = 0.0"),
+        ("spin_rabi.cfg", "dt = 0.0001", "dt = -0.001"),
+        ("schrodinger_free_gaussian.cfg", "dt = 0.002", "dt = 0.0"),
+        ("schrodinger_free_gaussian.cfg", "dt = 0.002", "dt = -0.002"),
     ])
     def test_bad_step_or_horizon_is_config_error(self, tmp_path, capsys, cfg_name, old, new):
         text = (CONFIG_DIR / cfg_name).read_text()
@@ -132,12 +137,11 @@ class TestRunTimeArguments:
 
 
 class TestSweep:
-    def test_sweep_directory(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_directory(self, tmp_path, capsys):
         d = tmp_path / "cfgs"
         d.mkdir()
         (d / "a.cfg").write_text(VACUUM_CFG)
         (d / "b.cfg").write_text(VACUUM_CFG.replace("k = 1.0", "k = 4.0"))
-        monkeypatch.setenv("VARQ_THREADS", "2")
         code = main(["sweep", str(d), "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
         assert (tmp_path / "out" / "a" / "report.txt").exists()
@@ -145,6 +149,17 @@ class TestSweep:
         body_b = (tmp_path / "out" / "b" / "report.txt").read_text()
         w0 = [l for l in body_b.splitlines() if l.startswith("scalar.w_0")][0]
         assert float(w0.split("=")[1]) == pytest.approx(1.0, abs=1e-3)
+
+    def test_bad_config_does_not_stop_sweep(self, tmp_path, capsys):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "a.cfg").write_text("[scenario\nregime = vacuum\n")
+        (d / "b.cfg").write_text(VACUUM_CFG)
+        code = main(["sweep", str(d), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert (tmp_path / "out" / "b" / "report.txt").exists()
+        err = capsys.readouterr().err
+        assert len([l for l in err.splitlines() if l.startswith("config error")]) == 1
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         d = tmp_path / "empty"

@@ -180,3 +180,47 @@ def test_branch_restarts_across_masked_gaps():
     assert np.ptp(lam_back[left]) < 1e-10
     assert np.ptp(lam_back[right]) < 1e-10
     assert (lam_back[left][0] - 5.0) % (2 * np.pi) == pytest.approx(0.0, abs=1e-9)
+
+
+def _unwrap_segments_loop(phase, mask):
+    """Reference: the per-cell walk that _unwrap_segments replaced."""
+    out = np.zeros_like(phase)
+    n = phase.size
+    i = 0
+    while i < n:
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and mask[j]:
+            j += 1
+        out[i:j] = np.unwrap(phase[i:j])
+        i = j
+    return out
+
+
+class TestUnwrapSegments:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_loop_on_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        # phases that jump across the branch cut, masks with runs of any length
+        phase = np.angle(np.exp(1j * np.cumsum(rng.uniform(-3.0, 3.0, n))))
+        mask = rng.random(n) < rng.uniform(0.1, 0.95)
+        got = wv._unwrap_segments(phase, mask)
+        assert np.array_equal(got, _unwrap_segments_loop(phase, mask))
+
+    @pytest.mark.parametrize("mask", [
+        np.zeros(12, dtype=bool),
+        np.ones(12, dtype=bool),
+        np.array([1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1], dtype=bool),  # touches 0 and n-1
+        np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0], dtype=bool),  # single cells
+        np.array([0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1], dtype=bool),
+        np.array([True]),
+        np.array([False]),
+    ])
+    def test_edge_masks(self, mask):
+        phase = np.angle(np.exp(2.5j * np.arange(mask.size)))
+        got = wv._unwrap_segments(phase, mask)
+        assert np.array_equal(got, _unwrap_segments_loop(phase, mask))
+        assert np.all(got[~mask] == 0.0)
