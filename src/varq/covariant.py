@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, StepRejectedError
+from .numerics import _check_fixed_steps, _check_positive
 
 __all__ = [
     "FieldLagrangianSpec",
@@ -86,12 +87,14 @@ class PeriodicGrid1D:
 
 def _d1(f: np.ndarray, dx: float) -> np.ndarray:
     """Periodic central first derivative."""
-    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+    fp = np.concatenate((f[-1:], f, f[:1]))  # fp[i + 1] = f[i]
+    return (fp[2:] - fp[:-2]) / (2.0 * dx)
 
 
 def _lap(f: np.ndarray, dx: float) -> np.ndarray:
     """Periodic 3-point Laplacian."""
-    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (dx * dx)
+    fp = np.concatenate((f[-1:], f, f[:1]))  # fp[i + 1] = f[i]
+    return (fp[2:] - 2.0 * f + fp[:-2]) / (dx * dx)
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,10 @@ def ddw_evolve(
     """Advance d0 q = pi0/eta, d0 pi0 = -d1 pi1 - V'(q) by leapfrog.
 
     Equivalent to the wave equation eta (d0^2 - d1^2) q + V'(q) = 0 once
-    pi1 is eliminated through its constraint.
+    pi1 is eliminated through its constraint.  Raises InvalidArgumentError
+    unless dt is finite and > 0.
     """
+    _check_positive("dt", dt)
     dx = state.x_grid.dx
     if dt > dx:
         raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
@@ -163,7 +168,12 @@ def ddw_evolve(
 def ddw_evolve_series(
     spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, store_every: int = 1
 ):
-    """Leapfrog drive that stores synchronized (q, pi0) snapshots."""
+    """Leapfrog drive that stores synchronized (q, pi0) snapshots.
+
+    Raises InvalidArgumentError unless dt is finite and > 0 and
+    n_steps >= 1.
+    """
+    _check_fixed_steps(dt, n_steps)
     times = [state.time]
     qs = [state.q.copy()]
     pis = [state.pi0.copy()]

@@ -97,14 +97,27 @@ def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
 
 
 def propagate(spec: SpinSystemSpec, state: SpinState, t: float) -> SpinState:
-    """psi(t) = exp(-i h t / a) psi(0), via hermitian eigendecomposition."""
-    if not np.isfinite(t):
-        raise InvalidSpecError("t must be finite")
-    h = build_hamiltonian(spec)
-    w, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * t / spec.a)
-    psi = vecs @ (phases * (vecs.conj().T @ state.psi))
-    return SpinState(psi)
+    """psi(t) = exp(-i h t / a) psi(0), via hermitian eigendecomposition.
+
+    Each call builds and diagonalises h; a run that needs psi(t) at many
+    times builds one `_propagator` instead, which diagonalises h once.
+    """
+    return _propagator(spec, state)(t)
+
+
+def _propagator(spec: SpinSystemSpec, state: SpinState):
+    """t -> psi(t) of `propagate`, with h built, checked and diagonalised
+    once and psi(0) projected onto its eigenvectors once."""
+    w, vecs = np.linalg.eigh(build_hamiltonian(spec))
+    coeffs = vecs.conj().T @ state.psi
+
+    def at(t: float) -> SpinState:
+        if not np.isfinite(t):
+            raise InvalidSpecError("t must be finite")
+        phases = np.exp(-1j * w * t / spec.a)
+        return SpinState(vecs @ (phases * coeffs))
+
+    return at
 
 
 def _eta(spec: SpinSystemSpec, lam: np.ndarray) -> np.ndarray:

@@ -253,14 +253,26 @@ def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:
     return rho > floor_frac * float(np.max(rho))
 
 
+def _check_positive(name: str, val: float) -> None:
+    """Raises InvalidArgumentError unless val is finite and > 0."""
+    if not (np.isfinite(val) and val > 0):
+        raise InvalidArgumentError(f"{name} must be finite and > 0, got {val!r}")
+
+
+def _check_fixed_steps(dt: float, n_steps: int) -> None:
+    """Raises InvalidArgumentError unless dt is finite and > 0 and n_steps >= 1."""
+    _check_positive("dt", dt)
+    if n_steps < 1:
+        raise InvalidArgumentError(f"n_steps must be >= 1, got {n_steps!r}")
+
+
 def _uniform_steps(t_final: float, dt: float) -> tuple:
     """(n_steps, dt') of the uniform steps of at most dt that reach t_final.
 
     Raises InvalidArgumentError unless both values are finite and > 0.
     """
-    for name, val in (("t_final", t_final), ("dt", dt)):
-        if not (np.isfinite(val) and val > 0):
-            raise InvalidArgumentError(f"{name} must be finite and > 0, got {val!r}")
+    _check_positive("t_final", t_final)
+    _check_positive("dt", dt)
     ratio = t_final / dt
     if not np.isfinite(ratio):
         raise InvalidArgumentError(f"t_final / dt is not finite ({t_final!r} / {dt!r})")

@@ -34,6 +34,7 @@ from .errors import (
 from .numerics import (
     CayleyPropagator,
     Grid1D,
+    _check_fixed_steps,
     _support_mask,
     eigensolve_lowest,
     embed_interior,
@@ -185,7 +186,10 @@ def space_independent_evolve(
     The energy density is -d(lam)/dx0 evaluated through the evolution
     equation itself: eps(q, x0) = Re(psi* H psi) / |psi|^2 on the density
     mask; the mean energy h * sum Re(psi* H psi) is constant in x0.
+    Raises InvalidArgumentError unless dt is finite and > 0 and
+    n_steps >= 1.
     """
+    _check_fixed_steps(dt, n_steps)
     op = _operator(spec, grid)
     psi = np.asarray(psi0, dtype=complex).copy()
     norm = grid.h * float(np.sum(np.abs(psi) ** 2))

@@ -127,6 +127,11 @@ class TestRunTimeArguments:
         ("spin_rabi.cfg", "dt = 0.0001", "dt = -0.001"),
         ("schrodinger_free_gaussian.cfg", "dt = 0.002", "dt = 0.0"),
         ("schrodinger_free_gaussian.cfg", "dt = 0.002", "dt = -0.002"),
+        ("ddw_klein_gordon.cfg", "dt = 0.001", "dt = -0.001"),
+        ("ddw_klein_gordon.cfg", "dt = 0.001", "dt = 0.0"),
+        ("ddw_klein_gordon.cfg", "dt = 0.001", "dt = nan"),
+        ("space_independent_superposition.cfg", "dt = 0.002", "dt = 0.0"),
+        ("space_independent_superposition.cfg", "dt = 0.002", "dt = -0.002"),
     ])
     def test_bad_step_or_horizon_is_config_error(self, tmp_path, capsys, cfg_name, old, new):
         text = (CONFIG_DIR / cfg_name).read_text()
@@ -134,6 +139,17 @@ class TestRunTimeArguments:
         cfg = write_cfg(tmp_path, text.replace(old, new))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg_name, old", [
+        ("ddw_klein_gordon.cfg", "n_steps = 20000"),
+        ("space_independent_superposition.cfg", "n_steps = 1000"),
+    ])
+    def test_zero_step_count_is_config_error(self, tmp_path, capsys, cfg_name, old):
+        text = (CONFIG_DIR / cfg_name).read_text()
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(old, "n_steps = 0"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "n_steps" in capsys.readouterr().err
 
 
 class TestSweep:

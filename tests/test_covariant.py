@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varq import covariant as cv
-from varq.errors import StepRejectedError
+from varq import runners
+from varq.config import parse_scenario
+from varq.errors import InvalidArgumentError, StepRejectedError
 
 
 def kg_spec(eta=1.0, m=1.0):
@@ -21,6 +23,27 @@ def plane_wave_state(grid, spec, k, amp, m):
     q0 = amp * np.cos(k * x)
     pi0 = amp * omega * np.sin(k * x) * spec.eta
     return cv.FieldState1p1(grid, q0, pi0), omega
+
+
+def d1_roll(f, dx):
+    """`_d1` as it was before the padded stencil; reference."""
+    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+
+
+def lap_roll(f, dx):
+    """`_lap` as it was before the padded stencil; reference."""
+    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (dx * dx)
+
+
+class TestPeriodicStencils:
+    @pytest.mark.parametrize("n", [3, 4, 257])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_roll_form(self, n, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        dx = float(rng.uniform(1e-3, 1.0))
+        assert np.array_equal(cv._d1(f, dx), d1_roll(f, dx))
+        assert np.array_equal(cv._lap(f, dx), lap_roll(f, dx))
 
 
 class TestCovariantLegendre:
@@ -92,6 +115,24 @@ class TestDdwEvolve:
         with pytest.raises(StepRejectedError):
             cv.ddw_evolve(spec, state, 10.0, 1)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_bad_dt_rejected_before_stepping(self, dt):
+        spec = kg_spec()
+        grid = cv.PeriodicGrid1D(2 * np.pi, 64)
+        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
+        with pytest.raises(InvalidArgumentError, match="dt must be finite and > 0"):
+            cv.ddw_evolve(spec, state, dt, 10)
+        with pytest.raises(InvalidArgumentError, match="dt must be finite and > 0"):
+            cv.ddw_evolve_series(spec, state, dt, 10)
+
+    @pytest.mark.parametrize("n_steps", [0, -5])
+    def test_series_needs_a_step(self, n_steps):
+        spec = kg_spec()
+        grid = cv.PeriodicGrid1D(2 * np.pi, 64)
+        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
+        with pytest.raises(InvalidArgumentError, match="n_steps must be >= 1"):
+            cv.ddw_evolve_series(spec, state, 1e-3, n_steps)
+
     def test_constraint_exact_by_construction(self):
         spec = kg_spec()
         grid = cv.PeriodicGrid1D(2 * np.pi, 128)
@@ -141,6 +182,43 @@ class TestExtremalEmbedding:
         qs = rng.normal(size=(5, grid.n))
         res = cv.extremal_embedding_check(spec, grid, qs, 0.05)
         assert res > 1.0
+
+
+DDW_SHORT = """
+[scenario]
+regime = ddw
+seed = 0
+
+[grid]
+length = 5.0
+n = 96
+
+[system]
+eta = 1.3
+kg_mass = 0.7
+
+[initial]
+k_mode = 2
+amplitude = 0.05
+
+[run]
+dt = 0.004
+n_steps = 600
+"""
+
+
+class TestRunDdwConservationSeries:
+    def test_matches_total_energy_and_momentum_per_snapshot(self):
+        sc = parse_scenario(DDW_SHORT)
+        rows = runners.run_ddw(sc, 1.0).series["conservation"].rows
+        spec = kg_spec(eta=1.3, m=0.7)
+        grid = cv.PeriodicGrid1D(5.0, 96)
+        st0, _ = plane_wave_state(grid, spec, 2 * np.pi * 2 / 5.0, 0.05, 0.7)
+        times, qs, pis, _ = cv.ddw_evolve_series(spec, st0, 0.004, 600, store_every=3)
+        snaps = [cv.FieldState1p1(grid, q, pi) for q, pi in zip(qs, pis)]
+        assert np.array_equal(rows[:, 0], times)
+        assert np.array_equal(rows[:, 1], [cv.total_energy(spec, s) for s in snaps])
+        assert np.array_equal(rows[:, 2], [cv.total_momentum(spec, s) for s in snaps])
 
 
 class TestEnergyMomentum:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varq import discrete as ds
+from varq import runners
+from varq.config import parse_scenario
 from varq.errors import InvalidSpecError, StepRejectedError
 
 
@@ -78,6 +80,85 @@ class TestPropagate:
         e0 = np.real(np.vdot(st0.psi, h @ st0.psi))
         e1 = np.real(np.vdot(out.psi, h @ out.psi))
         assert abs(e1 - e0) <= 1e-12 * max(1.0, abs(e0))
+
+
+def propagate_per_call(spec, state, t):
+    """`propagate` as it was before the per-run propagator: builds and
+    diagonalises h on every call.  Reference for the bitwise tests."""
+    if not np.isfinite(t):
+        raise InvalidSpecError("t must be finite")
+    h = ds.build_hamiltonian(spec)
+    w, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1j * w * t / spec.a)
+    psi = vecs @ (phases * (vecs.conj().T @ state.psi))
+    return ds.SpinState(psi)
+
+
+SPIN_SHORT = """
+[scenario]
+regime = spin
+seed = 3
+
+[system]
+levels = 4
+a = 0.9
+b = -0.8
+u_kind = exchange
+theta_kind = random
+
+[initial]
+basis_state = 1
+
+[run]
+t_start = 0.1
+t_final = 0.2
+dt = 0.001
+p_floor = 1e-9
+"""
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bitwise_equal_to_per_call_propagate(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        spec = random_spec(seed, n=n, a=float(rng.uniform(0.3, 2.0)),
+                           b=float(rng.uniform(-1.5, 1.5)))
+        st0 = random_state(seed + 100, n=n)
+        at = ds._propagator(spec, st0)
+        for t in (0.0, -0.0, -2.7, 1e-9, 0.3, 5.5, *rng.uniform(-10.0, 10.0, size=8)):
+            want = propagate_per_call(spec, st0, t)
+            assert np.array_equal(at(t).psi, want.psi)
+            assert np.array_equal(ds.propagate(spec, st0, t).psi, want.psi)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected_on_every_call(self, t):
+        at = ds._propagator(random_spec(1, n=3), random_state(2, n=3))
+        at(0.5)
+        with pytest.raises(InvalidSpecError, match="t must be finite"):
+            at(t)
+        at(0.5)
+        with pytest.raises(InvalidSpecError, match="t must be finite"):
+            at(t)
+
+    def test_hermiticity_checked_when_built(self):
+        spec = random_spec(4, n=3)
+        bad = spec.theta.copy()
+        bad[0, 1] = bad[1, 0]  # no longer antisymmetric
+        object.__setattr__(spec, "theta", bad)
+        with pytest.raises(InvalidSpecError, match="hermiticity"):
+            ds._propagator(spec, random_state(5, n=3))
+
+    def test_run_spin_matches_per_call_propagate(self, monkeypatch):
+        sc = parse_scenario(SPIN_SHORT)
+        new = runners.run_spin(sc, 1.0)
+        monkeypatch.setattr(
+            ds, "_propagator", lambda spec, st: (lambda t: propagate_per_call(spec, st, t))
+        )
+        old = runners.run_spin(sc, 1.0)
+        assert new.scalars == old.scalars
+        assert np.array_equal(new.series["populations"].rows, old.series["populations"].rows)
+        assert new.scalars["cross_validation_max_err"] > 0.0
 
 
 class TestLocalForm:

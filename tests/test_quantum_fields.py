@@ -127,6 +127,18 @@ class TestSpaceIndependent:
         iq = np.argmin(np.abs(grid.nodes - 0.5))
         assert np.ptp(res.energy_density[:, iq]) > 0.05
 
+    @pytest.mark.parametrize("dt, n_steps, match", [
+        (0.0, 10, "dt must be finite and > 0"),
+        (-2e-3, 10, "dt must be finite and > 0"),
+        (np.nan, 10, "dt must be finite and > 0"),
+        (2e-3, 0, "n_steps must be >= 1"),
+        (2e-3, -3, "n_steps must be >= 1"),
+    ])
+    def test_bad_step_rejected(self, harmonic_vacuum, dt, n_steps, match):
+        spec, grid, vac = harmonic_vacuum
+        with pytest.raises(InvalidArgumentError, match=match):
+            qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), dt, n_steps)
+
     def test_momentum_density_vanishes(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum
         rho = vac.psi[:, 0] ** 2
