@@ -147,10 +147,13 @@ def ddw_evolve(
     """Advance d0 q = pi0/eta, d0 pi0 = -d1 pi1 - V'(q) by leapfrog.
 
     Equivalent to the wave equation eta (d0^2 - d1^2) q + V'(q) = 0 once
-    pi1 is eliminated through its constraint.  Raises InvalidArgumentError
-    unless dt is finite and > 0.
+    pi1 is eliminated through its constraint.  ``n_steps = 0`` returns a
+    copy of the state.  Raises InvalidArgumentError unless dt is finite and
+    > 0 and n_steps >= 0.
     """
     _check_positive("dt", dt)
+    if n_steps < 0:
+        raise InvalidArgumentError(f"n_steps must be >= 0, got {n_steps!r}")
     dx = state.x_grid.dx
     if dt > dx:
         raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")

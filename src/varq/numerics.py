@@ -193,11 +193,21 @@ class CayleyPropagator:
 
     The map is exactly unitary for hermitian H and any real dt, so the
     discrete L2 norm is preserved to solver roundoff.
+
+    The matrix 1 + i dt H / 2a is built and LU-factored once, with partial
+    pivoting (LAPACK ?gttrf); each step solves with the stored factors
+    (?gttrs). That is the same elimination ?gtsv runs, so a step is bitwise
+    equal to ``solve_banded`` on the unfactored matrix. Operators of size 1
+    and 2 (grids of 3 and 4 nodes) keep the ``solve_banded`` call: scipy's
+    ?gttrf wrapper rejects n <= 2.
+
+    A non-finite matrix is rejected when the propagator is built
+    (InvalidArgumentError); a non-finite state raises NumericalFailureError
+    in ``step``.
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float, a: float):
-        if not a > 0:
-            raise InvalidArgumentError(f"need a > 0, got {a}")
+        _check_positive("a", a)
         if not np.isfinite(dt):
             raise InvalidArgumentError("dt must be finite")
         self.op = op
@@ -209,15 +219,34 @@ class CayleyPropagator:
         ab[0, 1:] = mu * op.off_diagonal
         ab[1, :] = 1.0 + mu * op.diagonal
         ab[2, :-1] = mu * op.off_diagonal
+        if not np.isfinite(ab).all():
+            raise InvalidArgumentError(
+                "Cayley matrix must be finite: check the operator entries and dt / a"
+            )
         self._ab = ab
         self._mu = mu
+        self._factors = None
+        if m > 2:
+            gttrf, self._gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (ab,))
+            *factors, info = gttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            if info > 0:  # cannot happen for hermitian op, real dt
+                raise NumericalFailureError(
+                    "singular Cayley system", diagnostics={"size": m, "zero_pivot": info}
+                )
+            self._factors = factors
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         rhs = psi - self._mu * self.op.apply(psi.astype(complex))
-        try:
+        if not np.isfinite(rhs).all():
+            bad = int(np.count_nonzero(~np.isfinite(rhs)))
+            raise NumericalFailureError(
+                "non-finite state in Cayley step", diagnostics={"size": rhs.size, "nonfinite": bad}
+            )
+        if self._factors is None:  # n <= 2: scipy's ?gttrf wrapper rejects these sizes
             return sla.solve_banded((1, 1), self._ab, rhs)
-        except sla.LinAlgError as exc:  # cannot happen for hermitian op, real dt
-            raise NumericalFailureError("singular Cayley system") from exc
+        # ?gttrs fails only on an illegal argument, which the stored factors exclude
+        x, _ = self._gttrs(*self._factors, rhs, overwrite_b=True)
+        return x
 
 
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varq.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from varq.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
 from varq.config import parse_scenario
 from varq.errors import ConfigError
 from varq.reporting import RunReport, Series, emit_series
@@ -150,6 +150,18 @@ class TestRunTimeArguments:
         cfg = write_cfg(tmp_path, text.replace(old, "n_steps = 0"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "n_steps" in capsys.readouterr().err
+
+    def test_non_finite_cayley_state_is_numerical_failure(self, tmp_path, capsys):
+        # V = 1.7e308 is finite, and so is the Cayley matrix at dt = 0.002,
+        # but V * psi overflows where the narrow packet peaks above 1
+        text = (CONFIG_DIR / "schrodinger_free_gaussian.cfg").read_text()
+        text = text.replace("kind = free", "kind = polynomial\ncoeffs = 1.7e308")
+        text = text.replace("sigma = 1.0", "sigma = 0.1")
+        cfg = write_cfg(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "non-finite state in Cayley step" in capsys.readouterr().err
 
 
 class TestSweep:

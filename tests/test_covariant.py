@@ -133,6 +133,22 @@ class TestDdwEvolve:
         with pytest.raises(InvalidArgumentError, match="n_steps must be >= 1"):
             cv.ddw_evolve_series(spec, state, 1e-3, n_steps)
 
+    def test_negative_step_count_rejected(self):
+        spec = kg_spec()
+        grid = cv.PeriodicGrid1D(2 * np.pi, 64)
+        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
+        with pytest.raises(InvalidArgumentError, match="n_steps must be >= 0"):
+            cv.ddw_evolve(spec, state, 1e-3, -1)
+
+    def test_zero_steps_is_identity(self):
+        spec = kg_spec()
+        grid = cv.PeriodicGrid1D(2 * np.pi, 64)
+        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
+        out = cv.ddw_evolve(spec, state, 1e-3, 0)
+        assert np.array_equal(out.q, state.q)
+        assert np.array_equal(out.pi0, state.pi0)
+        assert out.time == state.time
+
     def test_constraint_exact_by_construction(self):
         spec = kg_spec()
         grid = cv.PeriodicGrid1D(2 * np.pi, 128)

@@ -1,10 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg as sla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varq import numerics as nx
+from varq import quantum_fields as qf
+from varq import runners
+from varq.config import parse_scenario
 from varq.errors import InvalidArgumentError, NumericalFailureError
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestBuildGrid:
@@ -120,6 +128,120 @@ class TestUnitaryStep:
         n0 = np.sum(np.abs(psi) ** 2)
         n1 = np.sum(np.abs(out) ** 2)
         assert abs(n1 - n0) / n0 <= 1e-12
+
+
+def cayley_step_per_call(op, dt, a, psi):
+    """`CayleyPropagator.step` as it was before the stored factorisation:
+    the banded matrix is built and solved (and so re-factored) on every call;
+    reference."""
+    mu = 0.5j * dt / a
+    m = op.size
+    ab = np.zeros((3, m), dtype=complex)
+    ab[0, 1:] = mu * op.off_diagonal
+    ab[1, :] = 1.0 + mu * op.diagonal
+    ab[2, :-1] = mu * op.off_diagonal
+    rhs = psi - mu * op.apply(psi.astype(complex))
+    return sla.solve_banded((1, 1), ab, rhs)
+
+
+def _per_call_step(self, psi):
+    return cayley_step_per_call(self.op, self.dt, self.a, psi)
+
+
+class TestCayleyPrefactored:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 40]),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.floats(min_value=0.05, max_value=20.0),
+        st.booleans(),
+    )
+    @example(1401, 7, 0.002, 1.0, True)
+    @example(40, 3, 0.0, 0.7, True)
+    @example(1, 5, 0.3, 1.0, False)
+    @example(2, 6, -0.4, 2.0, False)
+    def test_bitwise_equal_to_per_call_solve(self, m, seed, dt, a, complex_psi):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        op = nx.TridiagonalOperator(scale[0] * rng.normal(size=m),
+                                    scale[1] * rng.normal(size=m - 1))
+        psi = rng.normal(size=m) + (1j * rng.normal(size=m) if complex_psi else 0.0)
+        prop = nx.CayleyPropagator(op, dt, a)
+        got = want = psi
+        for _ in range(20):
+            got = prop.step(got)
+            want = cayley_step_per_call(op, dt, a, want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 40])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_numerical_failure(self, m, bad):
+        rng = np.random.default_rng(m)
+        prop = nx.CayleyPropagator(nx.TridiagonalOperator(rng.normal(size=m), rng.normal(size=m - 1)), 0.1, 1.0)
+        psi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        psi[m // 2] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite state in Cayley step") as err:
+                prop.step(psi)
+        assert err.value.diagnostics["size"] == m
+        # the bad entry and its two neighbours, through the off-diagonal
+        assert err.value.diagnostics["nonfinite"] == min(m, 3)
+        # the propagator is still usable once the state is finite again
+        psi[m // 2] = 0.0
+        assert np.array_equal(prop.step(psi), cayley_step_per_call(prop.op, 0.1, 1.0, psi))
+
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected_when_built(self, where, bad):
+        d, e = np.ones(5), np.ones(4)
+        {"diagonal": d, "off_diagonal": e}[where][2] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidArgumentError, match="Cayley matrix must be finite"):
+                nx.CayleyPropagator(nx.TridiagonalOperator(d, e), 0.1, 1.0)
+
+    def test_overflowing_matrix_rejected_when_built(self):
+        op = nx.TridiagonalOperator(np.full(5, 1e307), np.ones(4))
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidArgumentError, match="Cayley matrix must be finite"):
+                nx.CayleyPropagator(op, 0.5, 1e-3)
+
+    @pytest.mark.parametrize("a", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_a_rejected(self, a):
+        with pytest.raises(InvalidArgumentError, match="a must be finite and > 0"):
+            nx.CayleyPropagator(nx.TridiagonalOperator(np.ones(5), np.ones(4)), 0.1, a)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(InvalidArgumentError, match="dt must be finite"):
+            nx.CayleyPropagator(nx.TridiagonalOperator(np.ones(5), np.ones(4)), dt, 1.0)
+
+    @pytest.mark.parametrize("kicked_in_trap", [False, True])
+    def test_run_schrodinger_matches_per_call_step(self, monkeypatch, kicked_in_trap):
+        text = (CONFIG_DIR / "schrodinger_free_gaussian.cfg").read_text()
+        text = text.replace("t_final = 2.0", "t_final = 0.3")
+        if kicked_in_trap:
+            text = text.replace("kind = free", "kind = harmonic\nk = 1.0")
+            text = text.replace("center = 0.0", "center = 0.5\nmomentum = 1.5")
+        sc = parse_scenario(text)
+        new = runners.run_schrodinger(sc, 1.0)
+        monkeypatch.setattr(nx.CayleyPropagator, "step", _per_call_step)
+        old = runners.run_schrodinger(sc, 1.0)
+        assert new.scalars == old.scalars
+        assert [(c.name, c.value) for c in new.invariants] == [(c.name, c.value) for c in old.invariants]
+        assert np.array_equal(new.series["moments"].rows, old.series["moments"].rows)
+        assert new.series["moments"].rows.shape[0] > 2
+
+    def test_space_independent_evolve_matches_per_call_step(self, monkeypatch):
+        spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * np.square(q), f=1.3)
+        grid = nx.build_grid(-8.0, 8.0, 401)
+        vac = qf.vacuum_spectrum(spec, grid, 3)
+        psi0 = ((vac.psi[:, 0] + vac.psi[:, 2]) / np.sqrt(2.0)).astype(complex)
+        new = qf.space_independent_evolve(spec, grid, psi0, 2e-3, 200, store_every=20)
+        monkeypatch.setattr(nx.CayleyPropagator, "step", _per_call_step)
+        old = qf.space_independent_evolve(spec, grid, psi0, 2e-3, 200, store_every=20)
+        for name in ("times", "psi", "energy_density", "mask", "mean_energy"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 class TestRk4:
