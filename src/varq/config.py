@@ -35,6 +35,9 @@ class Scenario:
     name: str = "scenario"
 
     def get(self, section: str, key: str, cast, default=None):
+        """[section] key parsed by ``cast`` (``bool``: true/yes/on/1 or
+        false/no/off/0; ``list``: a comma- or space-separated float list), or
+        ``default`` when the key is absent; a key without default is required."""
         sec = self.sections.get(section, {})
         if key not in sec:
             if default is not None:
@@ -49,25 +52,13 @@ class Scenario:
                 if low in ("false", "no", "0", "off"):
                     return False
                 raise ValueError(raw)
+            if cast is list:
+                return [float(s) for s in raw.replace(",", " ").split()]
             return cast(raw)
         except (TypeError, ValueError) as exc:
+            what = "a float list" if cast is list else cast.__name__
             raise ConfigError(
-                f"cannot parse [{section}] {key} = {raw!r} as {cast.__name__}",
-                key=f"{section}.{key}",
-            ) from exc
-
-    def get_floats(self, section: str, key: str, default=None):
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            if default is not None:
-                return list(default)
-            raise ConfigError(f"missing required key [{section}] {key}", key=f"{section}.{key}")
-        raw = sec[key]
-        try:
-            return [float(s) for s in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"cannot parse [{section}] {key} = {raw!r} as a float list",
+                f"cannot parse [{section}] {key} = {raw!r} as {what}",
                 key=f"{section}.{key}",
             ) from exc
 
@@ -85,25 +76,16 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
     if "scenario" not in sections:
         raise ConfigError("missing [scenario] section", key="scenario")
-    if "regime" not in sections["scenario"]:
-        raise ConfigError("missing required key [scenario] regime", key="scenario.regime")
-    regime = sections["scenario"]["regime"].strip()
-    if regime not in REGIMES:
+    sc = Scenario(regime="", seed=0, sections=sections, name=name)
+    sc.regime = sc.get("scenario", "regime", str).strip()
+    if sc.regime not in REGIMES:
         raise ConfigError(
-            f"unknown regime {regime!r}; expected one of {', '.join(REGIMES)}",
+            f"unknown regime {sc.regime!r}; expected one of {', '.join(REGIMES)}",
             key="scenario.regime",
         )
-    try:
-        seed = int(sections["scenario"].get("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError("cannot parse [scenario] seed as int", key="scenario.seed") from exc
-    waive = sections.get("checks", {}).get("waive", "false").strip().lower() in (
-        "true",
-        "yes",
-        "1",
-        "on",
-    )
-    return Scenario(regime=regime, seed=seed, sections=sections, waive_invariants=waive, name=name)
+    sc.seed = sc.get("scenario", "seed", int, default=0)
+    sc.waive_invariants = sc.get("checks", "waive", bool, default=False)
+    return sc
 
 
 def load_scenario(path) -> Scenario:

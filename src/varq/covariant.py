@@ -48,8 +48,7 @@ class FieldLagrangianSpec:
     potential_grad: Optional[Callable] = None
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidSpecError(f"need eta > 0, got {self.eta}")
+        _check_positive("eta", self.eta, InvalidSpecError)
 
     def v_at(self, q):
         v = np.asarray(self.potential(q), dtype=float)
@@ -73,8 +72,9 @@ class PeriodicGrid1D:
     n: int
 
     def __post_init__(self):
-        if not self.length > 0 or self.n < 3:
-            raise InvalidArgumentError("need length > 0 and n >= 3")
+        _check_positive("length", self.length, InvalidArgumentError)
+        if self.n < 3:
+            raise InvalidArgumentError(f"need n >= 3, got n={self.n}")
 
     @property
     def dx(self) -> float:
@@ -151,7 +151,7 @@ def ddw_evolve(
     copy of the state.  Raises InvalidArgumentError unless dt is finite and
     > 0 and n_steps >= 0.
     """
-    _check_positive("dt", dt)
+    _check_positive("dt", dt, InvalidArgumentError)
     if n_steps < 0:
         raise InvalidArgumentError(f"n_steps must be >= 0, got {n_steps!r}")
     dx = state.x_grid.dx
@@ -173,23 +173,18 @@ def ddw_evolve_series(
 ):
     """Leapfrog drive that stores synchronized (q, pi0) snapshots.
 
-    Raises InvalidArgumentError unless dt is finite and > 0 and
-    n_steps >= 1.
+    Raises InvalidArgumentError unless dt is finite and > 0 and n_steps
+    and store_every are >= 1.
     """
-    _check_fixed_steps(dt, n_steps)
-    times = [state.time]
-    qs = [state.q.copy()]
-    pis = [state.pi0.copy()]
-    cur = state
+    _check_fixed_steps(dt, n_steps, store_every)
+    snaps = [state]
     done = 0
     while done < n_steps:
         chunk = min(store_every, n_steps - done)
-        cur = ddw_evolve(spec, cur, dt, chunk)
+        snaps.append(ddw_evolve(spec, snaps[-1], dt, chunk))
         done += chunk
-        times.append(cur.time)
-        qs.append(cur.q.copy())
-        pis.append(cur.pi0.copy())
-    return np.asarray(times), np.asarray(qs), np.asarray(pis), cur
+    return (np.asarray([s.time for s in snaps]), np.asarray([s.q for s in snaps]),
+            np.asarray([s.pi0 for s in snaps]), snaps[-1])
 
 
 def _d2_fourth_order(f: np.ndarray, axis: int, step: float, periodic: bool) -> np.ndarray:

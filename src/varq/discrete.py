@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
-from .numerics import _uniform_steps, rk4_step
+from .numerics import _check_positive, _uniform_steps, rk4_step
 
 __all__ = [
     "SpinSystemSpec",
@@ -62,8 +62,7 @@ class SpinSystemSpec:
             raise InvalidSpecError("theta must be antisymmetric")
         if np.any(np.abs(np.diag(th)) > 1e-12):
             raise InvalidSpecError("theta must have zero diagonal")
-        if not self.a > 0:
-            raise InvalidSpecError(f"need a > 0, got {self.a}")
+        _check_positive("a", self.a, InvalidSpecError)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "theta", th)
 

@@ -25,12 +25,11 @@ from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
 from .mechanics import (
     NaturalSystemSpec,
     classical_transport_step,
-    upwind_density_update,
-    _face_velocity,
     _validate_density_state,
+    _windowed_upwind,
 )
-from .numerics import (Grid1D, TridiagonalOperator, _support_mask, _uniform_steps,
-                       embed_interior, grad_central)
+from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _check_positive,
+                       _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "multiplier_residual_series",
 ]
 
-RHO_FLOOR_FRAC = 1e-12
 _HARD_FRAC = 0.05  # _check_nodeless: depth of a node, times the floor
 _SIGNIFICANT_FRAC = 1e3  # _check_nodeless: density level of the bulk, times the floor
 
@@ -64,8 +62,7 @@ class DiffusionSpec:
     mode: str = "quantum-pole"
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidSpecError(f"need a > 0, got {self.a}")
+        _check_positive("a", self.a, InvalidSpecError)
         if self.mode not in ("classical", "quantum-pole"):
             raise InvalidSpecError(f"unknown mode {self.mode!r}")
         if self.g is not None:
@@ -250,32 +247,17 @@ def madelung_step(
     lo, hi = _check_nodeless(state.rho, floor_frac, "before step")
     m_face, m_node = _mass if _mass is not None else _mass_sample(spec, grid)
 
-    v_face = _face_velocity(grid, spec, state.lam, m_face)
-    active = slice(lo, hi)
-    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
-    cfl = vmax * dt / grid.h
-    if cfl > 1.0:
-        raise StepRejectedError(
-            f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
-            location=lo + int(np.argmax(np.abs(v_face[active]))),
-            diagnostics={"cfl": cfl},
-        )
-    v_masked = np.zeros_like(v_face)
-    v_masked[active] = v_face[active]
-    rho_new = upwind_density_update(grid, state.rho, v_masked, dt)
+    rho_new = _windowed_upwind(grid, state.rho, state.lam, m_face, lo, hi, dt)
 
-    # multiplier update with the quantum term at the fresh density; the
-    # interior-node operator application gives (H sqrt(rho))/sqrt(rho),
-    # which reduces exactly to w_r on discrete eigenstate densities
+    # multiplier update with the quantum term (H sqrt(rho))/sqrt(rho) at the
+    # fresh density; it reduces exactly to w_r on discrete eigenstate densities
     op = _op if _op is not None else schrodinger_operator(spec, grid, dspec.a)
-    sr = np.sqrt(np.maximum(rho_new, 0.0))
-    h_sr = embed_interior(grid, op.apply(sr[1:-1]))
     mask = np.zeros(grid.n, dtype=bool)
     lo2, hi2 = _check_nodeless(rho_new, floor_frac, "after step")
     mask[lo2 : hi2 + 1] = True
     grad_lam = grad_central(state.lam, grid.h)
-    rate = np.zeros(grid.n)
-    rate[mask] = grad_lam[mask] ** 2 / (2.0 * m_node[mask]) + h_sr[mask] / sr[mask]
+    rate = _sqrt_density_ratio(grid, op, np.maximum(rho_new, 0.0), mask)
+    rate[mask] += grad_lam[mask] ** 2 / (2.0 * m_node[mask])
     if dspec.g is not None:
         gterm = _g_terms(dspec, grid, rho_new, m_face, m_node)
         rate[mask] += np.asarray(gterm)[mask]
@@ -340,11 +322,8 @@ def multiplier_residual_series(
         grad_lam = grad_central(lam_series[k], grid.h)
         res = dldt + grad_lam**2 / (2.0 * m)
         if op is not None:
-            sr = np.sqrt(rho_series[k])
-            h_sr = embed_interior(grid, op.apply(sr[1:-1]))
             mask = _support_mask(rho_series[k], floor_frac)
-            quantum = np.zeros(grid.n)
-            quantum[mask] = h_sr[mask] / sr[mask]
+            quantum = _sqrt_density_ratio(grid, op, rho_series[k], mask)
             if dspec.g is not None:
                 quantum[mask] += np.asarray(_g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
             res = np.where(mask, res + quantum, 0.0)

@@ -200,18 +200,6 @@ class ClassicalEnsemble:
         _validate_density_state(self, "S")
 
 
-def _face_velocity(grid: Grid1D, spec: NaturalSystemSpec, lam: np.ndarray,
-                   m_face: Optional[np.ndarray] = None) -> np.ndarray:
-    """Characteristic velocity dH/dp = (dS/dq)/m at the n-1 face midpoints.
-
-    ``m_face`` is m(q) already sampled at the midpoints; without it the
-    spec is sampled here.
-    """
-    if m_face is None:
-        m_face = spec.mass_at(grid.midpoints)
-    return np.diff(lam) / grid.h / m_face
-
-
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
@@ -233,6 +221,26 @@ def upwind_density_update(grid: Grid1D, rho: np.ndarray, v_face: np.ndarray, dt:
     new[:-1] -= (dt / grid.h) * flux
     new[1:] += (dt / grid.h) * flux
     return new
+
+
+def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.ndarray,
+                     lo: int, hi: int, dt: float) -> np.ndarray:
+    """Upwind density step with the velocity dH/dp = (dlam/dq)/m (``m_face``
+    is m at ``grid.midpoints``) on the faces between nodes lo..hi and zero
+    outside; raises StepRejectedError when its CFL number there exceeds 1."""
+    v_face = np.diff(lam) / grid.h / m_face
+    active = slice(lo, hi)  # faces between nodes lo..hi
+    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
+    cfl = vmax * dt / grid.h
+    if cfl > 1.0:
+        raise StepRejectedError(
+            f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
+            location=lo + int(np.argmax(np.abs(v_face[active]))),
+            diagnostics={"cfl": cfl},
+        )
+    v_masked = np.zeros_like(v_face)
+    v_masked[active] = v_face[active]
+    return upwind_density_update(grid, rho, v_masked, dt)
 
 
 def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt: float) -> np.ndarray:
@@ -286,27 +294,12 @@ def classical_transport_step(
         lo, hi = 0, grid.n - 1
     else:
         lo, hi = _support_window(rho, support_floor)
-
-    v_face = _face_velocity(grid, spec, S, _m_face)
-    active = slice(lo, hi)  # faces between nodes lo..hi
-    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
-    cfl = vmax * dt / grid.h
-    if cfl > 1.0:
-        loc = lo + int(np.argmax(np.abs(v_face[active])))
-        raise StepRejectedError(
-            f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
-            location=loc,
-            diagnostics={"cfl": cfl},
-        )
-
+    m_face = _m_face if _m_face is not None else spec.mass_at(grid.midpoints)
+    # the whole-grid window keeps every face, so the masked velocity equals
+    # the unmasked one bit for bit
+    rho_new = _windowed_upwind(grid, rho, S, m_face, lo, hi, dt)
     if support_floor is None:
-        rho_new = upwind_density_update(grid, rho, v_face, dt)
-        S_new = _godunov_hj_update(grid, spec, S, dt)
-        return rho_new, S_new
-
-    v_masked = np.zeros_like(v_face)
-    v_masked[active] = v_face[active]
-    rho_new = upwind_density_update(grid, rho, v_masked, dt)
+        return rho_new, _godunov_hj_update(grid, spec, S, dt)
 
     sub = build_grid(grid.nodes[lo], grid.nodes[hi], hi - lo + 1) if hi - lo + 1 >= 3 else None
     S_new = S.copy()
@@ -443,7 +436,7 @@ def lagrangian_equivalence_check(
     """
     grid = ens.grid
     if dt is None:
-        v0 = _face_velocity(grid, spec, ens.S)
+        v0 = np.diff(ens.S) / grid.h / spec.mass_at(grid.midpoints)
         vmax = float(np.max(np.abs(v0)))
         dt = 0.5 * grid.h / max(vmax, 1e-12)
     rho_a, _ = classical_transport_step(grid, ens.rho, ens.S, spec, dt)

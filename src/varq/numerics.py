@@ -207,7 +207,7 @@ class CayleyPropagator:
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float, a: float):
-        _check_positive("a", a)
+        _check_positive("a", a, InvalidArgumentError)
         if not np.isfinite(dt):
             raise InvalidArgumentError("dt must be finite")
         self.op = op
@@ -276,23 +276,40 @@ def grad_central(f: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
+RHO_FLOOR_FRAC = 1e-12  # default relative density floor of the support mask
+
+
 def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:
     """Support of a density: the equations hold only where rho > 0, and every
     regime takes that region as the cells above ``floor_frac`` * max(rho)."""
     return rho > floor_frac * float(np.max(rho))
 
 
-def _check_positive(name: str, val: float) -> None:
-    """Raises InvalidArgumentError unless val is finite and > 0."""
+def _sqrt_density_ratio(grid: Grid1D, op: TridiagonalOperator, rho: np.ndarray,
+                        mask: np.ndarray) -> np.ndarray:
+    """(H sqrt(rho)) / sqrt(rho) on ``mask`` and 0 elsewhere, with ``op``
+    applied at the interior nodes and the Dirichlet zeros at the ends."""
+    sr = np.sqrt(rho)
+    h_sr = embed_interior(grid, op.apply(sr[1:-1]))
+    out = np.zeros(grid.n)
+    out[mask] = h_sr[mask] / sr[mask]
+    return out
+
+
+def _check_positive(name: str, val: float, error: type) -> None:
+    """Raises ``error`` unless val is finite and > 0."""
     if not (np.isfinite(val) and val > 0):
-        raise InvalidArgumentError(f"{name} must be finite and > 0, got {val!r}")
+        raise error(f"{name} must be finite and > 0, got {val!r}")
 
 
-def _check_fixed_steps(dt: float, n_steps: int) -> None:
-    """Raises InvalidArgumentError unless dt is finite and > 0 and n_steps >= 1."""
-    _check_positive("dt", dt)
+def _check_fixed_steps(dt: float, n_steps: int, store_every: int) -> None:
+    """Raises InvalidArgumentError unless dt is finite and > 0, n_steps >= 1
+    and store_every >= 1."""
+    _check_positive("dt", dt, InvalidArgumentError)
     if n_steps < 1:
         raise InvalidArgumentError(f"n_steps must be >= 1, got {n_steps!r}")
+    if store_every < 1:
+        raise InvalidArgumentError(f"store_every must be >= 1, got {store_every!r}")
 
 
 def _uniform_steps(t_final: float, dt: float) -> tuple:
@@ -300,8 +317,8 @@ def _uniform_steps(t_final: float, dt: float) -> tuple:
 
     Raises InvalidArgumentError unless both values are finite and > 0.
     """
-    _check_positive("t_final", t_final)
-    _check_positive("dt", dt)
+    _check_positive("t_final", t_final, InvalidArgumentError)
+    _check_positive("dt", dt, InvalidArgumentError)
     ratio = t_final / dt
     if not np.isfinite(ratio):
         raise InvalidArgumentError(f"t_final / dt is not finite ({t_final!r} / {dt!r})")

@@ -32,9 +32,12 @@ from .errors import (
     NumericalFailureError,
 )
 from .numerics import (
+    RHO_FLOOR_FRAC,
     CayleyPropagator,
     Grid1D,
     _check_fixed_steps,
+    _check_positive,
+    _sqrt_density_ratio,
     _support_mask,
     eigensolve_lowest,
     embed_interior,
@@ -68,10 +71,8 @@ class QFieldSpec:
     f: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidSpecError(f"need eta > 0, got {self.eta}")
-        if not self.f > 0:
-            raise InvalidSpecError(f"need f > 0, got {self.f}")
+        _check_positive("eta", self.eta, InvalidSpecError)
+        _check_positive("f", self.f, InvalidSpecError)
 
     def v_at(self, q):
         return np.asarray(self.potential(q), dtype=float)
@@ -178,7 +179,7 @@ def space_independent_evolve(
     dt: float,
     n_steps: int,
     store_every: int = 1,
-    floor_frac: float = 1e-12,
+    floor_frac: float = RHO_FLOOR_FRAC,
 ) -> SpaceIndependentResult:
     """Evolve i f dpsi/dx0 = -(f^2/2 eta) psi'' + V psi and record the
     pointwise random energy density and its (conserved) expectation.
@@ -186,10 +187,10 @@ def space_independent_evolve(
     The energy density is -d(lam)/dx0 evaluated through the evolution
     equation itself: eps(q, x0) = Re(psi* H psi) / |psi|^2 on the density
     mask; the mean energy h * sum Re(psi* H psi) is constant in x0.
-    Raises InvalidArgumentError unless dt is finite and > 0 and
-    n_steps >= 1.
+    Raises InvalidArgumentError unless dt is finite and > 0 and n_steps
+    and store_every are >= 1.
     """
-    _check_fixed_steps(dt, n_steps)
+    _check_fixed_steps(dt, n_steps, store_every)
     op = _operator(spec, grid)
     psi = np.asarray(psi0, dtype=complex).copy()
     norm = grid.h * float(np.sum(np.abs(psi) ** 2))
@@ -197,37 +198,22 @@ def space_independent_evolve(
         raise InvalidStateError("psi0 must be grid-normalised")
     prop = CayleyPropagator(op, dt, spec.f)
 
-    def observables(psi_now):
+    def record(t, psi_now):
+        """One stored snapshot: (t, psi, eps, mask, wbar)."""
         hpsi = embed_interior(grid, op.apply(psi_now[1:-1]))
         dens = np.abs(psi_now) ** 2
         mask = _support_mask(dens, floor_frac)
         eps = np.zeros(grid.n)
         eps[mask] = np.real(np.conj(psi_now[mask]) * hpsi[mask]) / dens[mask]
         wbar = grid.h * float(np.sum(np.real(np.conj(psi_now) * hpsi)))
-        return eps, mask, wbar
+        return t, psi_now, eps, mask, wbar
 
-    times = [0.0]
-    snaps = [psi.copy()]
-    eps0, mask0, wbar0 = observables(psi)
-    eps_list = [eps0]
-    mask_list = [mask0]
-    wbar_list = [wbar0]
+    records = [record(0.0, psi)]
     for k in range(n_steps):
         psi = embed_interior(grid, prop.step(psi[1:-1]))
         if (k + 1) % store_every == 0:
-            eps, mask, wbar = observables(psi)
-            times.append((k + 1) * dt)
-            snaps.append(psi.copy())
-            eps_list.append(eps)
-            mask_list.append(mask)
-            wbar_list.append(wbar)
-    return SpaceIndependentResult(
-        np.asarray(times),
-        np.asarray(snaps),
-        np.asarray(eps_list),
-        np.asarray(mask_list),
-        np.asarray(wbar_list),
-    )
+            records.append(record((k + 1) * dt, psi))
+    return SpaceIndependentResult(*(np.asarray(column) for column in zip(*records)))
 
 
 def random_energy_density(
@@ -236,7 +222,7 @@ def random_energy_density(
     rho: np.ndarray,
     lam0: np.ndarray,
     lam_m: Optional[np.ndarray] = None,
-    floor_frac: float = 1e-12,
+    floor_frac: float = RHO_FLOOR_FRAC,
 ):
     """Pointwise random energy density and momentum densities from supplied
     multiplier fields (upper-index components):
@@ -253,11 +239,8 @@ def random_energy_density(
     lam0 = np.asarray(lam0, dtype=float)
     lam_m_arr = np.zeros((0, grid.n)) if lam_m is None else np.atleast_2d(np.asarray(lam_m, dtype=float))
     mask = _support_mask(rho, floor_frac)
-    sr = np.sqrt(rho)
-    h_sr = embed_interior(grid, _operator(spec, grid).apply(sr[1:-1]))
-    eps = np.zeros(grid.n)
     # (H sqrt(rho))/sqrt(rho) carries V - quantum potential in one piece
-    eps[mask] = h_sr[mask] / sr[mask]
+    eps = _sqrt_density_ratio(grid, _operator(spec, grid), rho, mask)
     g0 = grad_central(lam0, grid.h)
     eps[mask] += g0[mask] ** 2 / (2.0 * spec.eta)
     P = np.zeros((lam_m_arr.shape[0], grid.n))

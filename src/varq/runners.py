@@ -24,7 +24,7 @@ from .numerics import _uniform_steps, build_grid
 from .potentials import make_potential
 from .reporting import RunReport, Series
 
-__all__ = ["run_scenario", "run_scenario_object"]
+__all__ = ["run_scenario_object"]
 
 
 def _grid_from(sc: Scenario):
@@ -211,8 +211,12 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
     t_start = sc.get("run", "t_start", float, default=0.1)
     floor = sc.get("run", "p_floor", float, default=1e-6)
 
+    basis = sc.get("initial", "basis_state", int, default=0)
+    if not 0 <= basis < n:
+        raise ConfigError(f"[initial] basis_state must be in 0..{n - 1}, got {basis}",
+                          key="initial.basis_state")
     psi0 = np.zeros(n, dtype=complex)
-    psi0[sc.get("initial", "basis_state", int, default=0)] = 1.0
+    psi0[basis] = 1.0
     st0 = ds.SpinState(psi0)
 
     reference = ds._propagator(spec, st0)
@@ -329,7 +333,10 @@ def run_space_independent(sc: Scenario, tol_scale: float) -> RunReport:
     """Superposition evolution in x0: conserved mean energy, zero P."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
-    modes = [int(v) for v in sc.get_floats("initial", "modes", default=[0, 1])]
+    modes = sc.get("initial", "modes", list, default=[0, 1])
+    if not modes or not all(v >= 0 and float(v).is_integer() for v in modes) or len(set(modes)) < len(modes):
+        raise ConfigError(f"[initial] modes must be distinct integers >= 0, got {modes}", key="initial.modes")
+    modes = [int(v) for v in modes]
     k = max(modes) + 1
     vac = qf.vacuum_spectrum(spec, grid, k)
     psi0 = np.sum(vac.psi[:, modes], axis=1) / np.sqrt(len(modes))
@@ -363,7 +370,7 @@ def run_confined(sc: Scenario, tol_scale: float) -> RunReport:
     k = sc.get("run", "k_eigen", int, default=8)
     vac = qf.vacuum_spectrum(spec, grid, k)
     dw = vac.w[1] - vac.w[0]
-    c = sc.get_floats("initial", "c", default=[1.0, 0.1])
+    c = sc.get("initial", "c", list, default=[1.0, 0.1])
     r_min = sc.get("run", "r_min", float, default=0.5 * spec.f / dw)
     r_max = sc.get("run", "r_max", float, default=30.0 * spec.f / dw)
     tol = sc.get("run", "tol", float, default=1e-8)
@@ -418,10 +425,3 @@ def run_scenario_object(sc: Scenario, tol_scale: float = 1.0) -> RunReport:
     report = runner(sc, tol_scale)
     report.wall_time_s = time.perf_counter() - t0
     return report
-
-
-def run_scenario(config_text: str, tol_scale: float = 1.0, name: str = "scenario") -> RunReport:
-    """Parse and run a scenario given as config text."""
-    from .config import parse_scenario
-
-    return run_scenario_object(parse_scenario(config_text, name=name), tol_scale=tol_scale)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainEscapeError, InvalidStateError
 from .mechanics import NaturalSystemSpec
-from .numerics import (CayleyPropagator, Grid1D, TridiagonalOperator, _support_mask,
-                       embed_interior, sturm_liouville_operator)
+from .numerics import (RHO_FLOOR_FRAC, CayleyPropagator, Grid1D, TridiagonalOperator, _check_positive,
+                       _support_mask, embed_interior, sturm_liouville_operator)
 
 __all__ = [
     "WaveFunction",
@@ -28,7 +28,6 @@ __all__ = [
     "normalize_wavefunction",
 ]
 
-DENSITY_FLOOR_FRAC = 1e-12
 _BOUNDARY_THRESHOLD = 1e-8  # edge-cell probability at which the state has left the grid
 
 
@@ -50,8 +49,7 @@ class WaveFunction:
         psi = np.asarray(self.psi, dtype=complex)
         if psi.shape != (self.grid.n,):
             raise InvalidStateError("psi must match the grid")
-        if not self.a > 0:
-            raise InvalidStateError(f"need a > 0, got {self.a}")
+        _check_positive("a", self.a, InvalidStateError)
         norm = self.grid.h * float(np.sum(np.abs(psi) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise InvalidStateError(f"wavefunction not normalised: h*sum|psi|^2 = {norm!r}")
@@ -80,7 +78,7 @@ def _unwrap_segments(phase: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def canonical_map_forward(wf: WaveFunction, floor_frac: float = DENSITY_FLOOR_FRAC):
+def canonical_map_forward(wf: WaveFunction, floor_frac: float = RHO_FLOOR_FRAC):
     """(psi) -> (rho, lam, mask): rho = |psi|^2 and lam = a * arg(psi).
 
     ``mask`` marks cells with rho above the relative floor; lam is branch-

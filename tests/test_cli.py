@@ -164,6 +164,75 @@ class TestRunTimeArguments:
         assert "non-finite state in Cayley step" in capsys.readouterr().err
 
 
+class TestSpecConstants:
+    @pytest.mark.parametrize("cfg_name, key, name", [
+        ("spin_rabi.cfg", "a", "a"),
+        ("madelung_trap.cfg", "a", "a"),
+        ("vacuum_harmonic.cfg", "f", "f"),
+        ("vacuum_harmonic.cfg", "eta", "eta"),
+        ("ddw_klein_gordon.cfg", "eta", "eta"),
+    ])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_constant_is_config_error(self, tmp_path, capsys, cfg_name, key, name, value):
+        text = (CONFIG_DIR / cfg_name).read_text()
+        assert f"\n{key} = 1.0\n" in text
+        cfg = write_cfg(tmp_path, text.replace(f"\n{key} = 1.0\n", f"\n{key} = {value}\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"{name} must be finite and > 0, got {value}" in capsys.readouterr().err
+
+
+class TestWaive:
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_misspelt_waive_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, VACUUM_CFG + "\n[checks]\nwaive = ture\n")
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "checks.waive" in err and "'ture'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spelling, waived", [
+        ("true", True), ("yes", True), ("on", True), ("1", True), ("TRUE", True), ("Yes", True),
+        ("false", False), ("no", False), ("off", False), ("0", False), ("False", False), ("OFF", False),
+    ])
+    def test_accepted_spellings(self, spelling, waived):
+        sc = parse_scenario(VACUUM_CFG + f"\n[checks]\nwaive = {spelling}\n")
+        assert sc.waive_invariants is waived
+
+    def test_absent_waive_is_false(self):
+        assert parse_scenario(VACUUM_CFG).waive_invariants is False
+
+
+BAD_INDICES = [
+    ("spin_rabi.cfg", "basis_state = 0", "basis_state = 5", "initial.basis_state"),
+    ("spin_rabi.cfg", "basis_state = 0", "basis_state = -1", "initial.basis_state"),
+    ("space_independent_superposition.cfg", "modes = 0 1", "modes = 1, -2", "initial.modes"),
+    ("space_independent_superposition.cfg", "modes = 0 1", "modes = 0, 0", "initial.modes"),
+    ("space_independent_superposition.cfg", "modes = 0 1", "modes = 0 1.7", "initial.modes"),
+    ("space_independent_superposition.cfg", "modes = 0 1", "modes = 0 nan", "initial.modes"),
+]
+
+
+class TestConfigIndices:
+    @pytest.mark.parametrize("cfg_name, old, new, key", BAD_INDICES)
+    def test_out_of_range_index_is_config_error(self, tmp_path, capsys, cfg_name, old, new, key):
+        text = (CONFIG_DIR / cfg_name).read_text()
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"(key: {key})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg_name, old, new, key", BAD_INDICES)
+    def test_bad_index_does_not_stop_sweep(self, tmp_path, capsys, cfg_name, old, new, key):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "a.cfg").write_text((CONFIG_DIR / cfg_name).read_text().replace(old, new))
+        (d / "b.cfg").write_text(VACUUM_CFG)
+        assert main(["sweep", str(d), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert (tmp_path / "out" / "b" / "report.txt").exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("config error")]
+        assert len(errors) == 1 and f"(key: {key})" in errors[0]
+
+
 class TestSweep:
     def test_sweep_directory(self, tmp_path, capsys):
         d = tmp_path / "cfgs"

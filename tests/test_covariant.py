@@ -73,6 +73,14 @@ class TestCovariantLegendre:
 
 
 class TestDdwEvolve:
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_bad_store_interval_rejected(self, store_every):
+        spec = kg_spec()
+        grid = cv.PeriodicGrid1D(2 * np.pi, 16)
+        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
+        with pytest.raises(InvalidArgumentError, match=f"store_every must be >= 1, got {store_every}"):
+            cv.ddw_evolve_series(spec, state, 1e-3, 10, store_every=store_every)
+
     def test_klein_gordon_dispersion(self):
         spec = kg_spec()
         grid = cv.PeriodicGrid1D(2 * np.pi, 256)

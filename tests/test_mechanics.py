@@ -296,3 +296,76 @@ class TestTimeReversal:
         )
         assert np.allclose(np.abs(r_hj_m[::-1]), np.abs(r_hj), atol=1e-11)
         assert np.allclose(np.abs(r_ct_m[::-1]), np.abs(r_ct), atol=1e-11)
+
+
+def transport_step_unmasked(grid, rho, S, spec, dt, m_face=None):
+    """classical_transport_step(support_floor=None) before the windowed upwind
+    step was shared: the unmasked face velocity drives the upwind update."""
+    if m_face is None:
+        m_face = spec.mass_at(grid.midpoints)
+    lo, hi = 0, grid.n - 1
+    v_face = np.diff(S) / grid.h / m_face
+    active = slice(lo, hi)
+    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
+    cfl = vmax * dt / grid.h
+    if cfl > 1.0:
+        loc = lo + int(np.argmax(np.abs(v_face[active])))
+        raise StepRejectedError(
+            f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
+            location=loc,
+            diagnostics={"cfl": cfl},
+        )
+    rho_new = mech.upwind_density_update(grid, rho, v_face, dt)
+    S_new = mech._godunov_hj_update(grid, spec, S, dt)
+    return rho_new, S_new
+
+
+def _outcome(step, *args, **kwargs):
+    try:
+        return step(*args, **kwargs)
+    except StepRejectedError as exc:
+        return str(exc), exc.location, exc.diagnostics
+
+
+class TestWholeGridWindow:
+    """Without ``support_floor`` the window is the whole grid, so the shared
+    windowed step must give the old unmasked results bit for bit, and reject
+    with the same message, location and CFL number."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.05, max_value=2.0),
+        st.booleans(),
+    )
+    def test_matches_unmasked_formula(self, n, seed, cfl_target, pass_m_face):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), n)
+        c0, c1 = rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4)
+        spec = mech.NaturalSystemSpec(
+            mass=lambda q: c0 + c1 * np.sin(3.0 * np.asarray(q, dtype=float)),
+            potential=lambda q: c0 * np.asarray(q, dtype=float) ** 2,
+        )
+        rho = rng.random(n) ** 3 * (rng.random(n) > 0.2)
+        S = np.cumsum(rng.normal(scale=rng.uniform(1e-3, 5.0), size=n))
+        vmax = float(np.max(np.abs(np.diff(S) / grid.h / spec.mass_at(grid.midpoints))))
+        dt = cfl_target * grid.h / max(vmax, 1e-300)
+        m_face = spec.mass_at(grid.midpoints) if pass_m_face else None
+        new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None, m_face)
+        old = _outcome(transport_step_unmasked, grid, rho, S, spec, dt, m_face)
+        assert isinstance(new[0], str) == isinstance(old[0], str)
+        if isinstance(old[0], str):
+            assert new == old
+        else:
+            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+
+    def test_rejection_location_is_fastest_face(self, free_particle):
+        grid = build_grid(-1.0, 1.0, 11)
+        S = np.zeros(grid.n)
+        S[7:] = 3.0  # one steep face between nodes 6 and 7
+        rho = np.full(grid.n, 0.5)
+        with pytest.raises(StepRejectedError) as err:
+            mech.classical_transport_step(grid, rho, S, free_particle, 0.1)
+        assert err.value.location == 6
+        assert _outcome(transport_step_unmasked, grid, rho, S, free_particle, 0.1)[1] == 6

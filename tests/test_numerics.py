@@ -6,11 +6,22 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from varq import covariant as cv
+from varq import discrete as ds
+from varq import hydrodynamics as hy
+from varq import mechanics as mech
 from varq import numerics as nx
 from varq import quantum_fields as qf
 from varq import runners
+from varq import wavefunction as wv
 from varq.config import parse_scenario
-from varq.errors import InvalidArgumentError, NumericalFailureError
+from varq.errors import (
+    InvalidArgumentError,
+    InvalidSpecError,
+    InvalidStateError,
+    NumericalFailureError,
+    StepRejectedError,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -283,3 +294,219 @@ def test_operator_apply_matches_dense():
     op = nx.TridiagonalOperator(rng.normal(size=12), rng.normal(size=11))
     v = rng.normal(size=12)
     assert np.allclose(op.apply(v), op.dense() @ v, atol=1e-14)
+
+
+POSITIVE_CONSTANTS = [
+    pytest.param("a", lambda v: hy.DiffusionSpec(a=v), InvalidSpecError, id="DiffusionSpec.a"),
+    pytest.param("a", lambda v: ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.zeros((2, 2)), a=v),
+                 InvalidSpecError, id="SpinSystemSpec.a"),
+    pytest.param("eta", lambda v: cv.FieldLagrangianSpec(eta=v, potential=lambda q: q * q), InvalidSpecError,
+                 id="FieldLagrangianSpec.eta"),
+    pytest.param("eta", lambda v: qf.QFieldSpec(eta=v, potential=lambda q: q * q, f=1.0), InvalidSpecError,
+                 id="QFieldSpec.eta"),
+    pytest.param("f", lambda v: qf.QFieldSpec(eta=1.0, potential=lambda q: q * q, f=v), InvalidSpecError,
+                 id="QFieldSpec.f"),
+    pytest.param("a", lambda v: wv.WaveFunction(nx.build_grid(0.0, 1.0, 3), np.array([0.0, 2.0**0.5, 0.0]),
+                                                v),
+                 InvalidStateError, id="WaveFunction.a"),
+    pytest.param("length", lambda v: cv.PeriodicGrid1D(v, 8), InvalidArgumentError,
+                 id="PeriodicGrid1D.length"),
+]
+
+
+class TestPositiveConstants:
+    """Every spec constant must be finite and > 0, checked by one rule that
+    keeps each constructor's error class."""
+
+    @pytest.mark.parametrize("name, build, error", POSITIVE_CONSTANTS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_bad_value_rejected(self, name, build, error, value):
+        with pytest.raises(error, match=f"^{name} must be finite and > 0, got"):
+            build(value)
+
+    @pytest.mark.parametrize("name, build, error", POSITIVE_CONSTANTS)
+    def test_good_value_accepted(self, name, build, error):
+        build(0.5)
+
+    def test_periodic_grid_needs_three_nodes(self):
+        with pytest.raises(InvalidArgumentError, match="need n >= 3, got n=2"):
+            cv.PeriodicGrid1D(1.0, 2)
+
+    def test_error_class_is_required(self):
+        with pytest.raises(TypeError):
+            nx._check_positive("a", 1.0)
+
+
+def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
+    """madelung_step's quantum-pole branch before the windowed upwind step and
+    (H sqrt(rho))/sqrt(rho) were shared."""
+    grid = state.grid
+    lo, hi = hy._check_nodeless(state.rho, floor_frac, "before step")
+    m_face, m_node = hy._mass_sample(spec, grid)
+    v_face = np.diff(state.lam) / grid.h / m_face
+    active = slice(lo, hi)
+    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
+    cfl = vmax * dt / grid.h
+    if cfl > 1.0:
+        raise StepRejectedError(
+            f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
+            location=lo + int(np.argmax(np.abs(v_face[active]))),
+            diagnostics={"cfl": cfl},
+        )
+    v_masked = np.zeros_like(v_face)
+    v_masked[active] = v_face[active]
+    rho_new = mech.upwind_density_update(grid, state.rho, v_masked, dt)
+    op = wv.schrodinger_operator(spec, grid, dspec.a)
+    sr = np.sqrt(np.maximum(rho_new, 0.0))
+    h_sr = nx.embed_interior(grid, op.apply(sr[1:-1]))
+    mask = np.zeros(grid.n, dtype=bool)
+    lo2, hi2 = hy._check_nodeless(rho_new, floor_frac, "after step")
+    mask[lo2 : hi2 + 1] = True
+    grad_lam = nx.grad_central(state.lam, grid.h)
+    rate = np.zeros(grid.n)
+    rate[mask] = grad_lam[mask] ** 2 / (2.0 * m_node[mask]) + h_sr[mask] / sr[mask]
+    if dspec.g is not None:
+        gterm = hy._g_terms(dspec, grid, rho_new, m_face, m_node)
+        rate[mask] += np.asarray(gterm)[mask]
+    lam_new = state.lam.copy()
+    lam_new[mask] -= dt * rate[mask]
+    return rho_new, lam_new
+
+
+def multiplier_residual_series_inline(grid, spec, dspec, rho_series, lam_series, times,
+                                      floor_frac=nx.RHO_FLOOR_FRAC):
+    """multiplier_residual_series before (H sqrt(rho))/sqrt(rho) was shared."""
+    q = grid.nodes
+    m_face, m = hy._mass_sample(spec, grid)
+    v = spec.potential_at(q)
+    nt = rho_series.shape[0]
+    out = np.zeros((nt - 2, grid.n))
+    masks = np.zeros((nt - 2, grid.n), dtype=bool)
+    op = wv.schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    for k in range(1, nt - 1):
+        dldt = (lam_series[k + 1] - lam_series[k - 1]) / (times[k + 1] - times[k - 1])
+        grad_lam = nx.grad_central(lam_series[k], grid.h)
+        res = dldt + grad_lam**2 / (2.0 * m)
+        if op is not None:
+            sr = np.sqrt(rho_series[k])
+            h_sr = nx.embed_interior(grid, op.apply(sr[1:-1]))
+            mask = nx._support_mask(rho_series[k], floor_frac)
+            quantum = np.zeros(grid.n)
+            quantum[mask] = h_sr[mask] / sr[mask]
+            if dspec.g is not None:
+                quantum[mask] += np.asarray(hy._g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
+            res = np.where(mask, res + quantum, 0.0)
+        else:
+            mask = np.ones(grid.n, dtype=bool)
+            res = res + v
+        out[k - 1] = res
+        masks[k - 1] = mask
+    return out, masks
+
+
+def random_energy_density_inline(spec, grid, rho, lam0, lam_m, floor_frac=nx.RHO_FLOOR_FRAC):
+    """random_energy_density before (H sqrt(rho))/sqrt(rho) was shared."""
+    mask = nx._support_mask(rho, floor_frac)
+    sr = np.sqrt(rho)
+    h_sr = nx.embed_interior(grid, qf._operator(spec, grid).apply(sr[1:-1]))
+    eps = np.zeros(grid.n)
+    eps[mask] = h_sr[mask] / sr[mask]
+    g0 = nx.grad_central(lam0, grid.h)
+    eps[mask] += g0[mask] ** 2 / (2.0 * spec.eta)
+    P = np.zeros((lam_m.shape[0], grid.n))
+    for m in range(lam_m.shape[0]):
+        gm = nx.grad_central(lam_m[m], grid.h)
+        eps[mask] += gm[mask] ** 2 / (2.0 * spec.eta)
+        P[m, mask] = -g0[mask] * gm[mask] / spec.eta
+    return eps, P, mask
+
+
+def _random_setup(seed, n):
+    rng = np.random.default_rng(seed)
+    grid = nx.build_grid(-rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0), n)
+    c0, c1, k = rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4), rng.uniform(0.1, 3.0)
+    spec = mech.NaturalSystemSpec(
+        mass=lambda q: c0 + c1 * np.cos(np.asarray(q, dtype=float)),
+        potential=lambda q: k * np.asarray(q, dtype=float) ** 2,
+    )
+    return rng, grid, spec
+
+
+def _random_density(rng, grid):
+    """A normalised bump with random ripples, zero in random end stretches."""
+    q = grid.nodes
+    rho = np.exp(-((q - rng.uniform(-1.0, 1.0)) ** 2) / rng.uniform(0.2, 2.0))
+    rho *= 1.0 + 0.3 * rng.random(grid.n)
+    rho[: rng.integers(0, grid.n // 4)] = 0.0
+    return rho / (grid.h * rho.sum())
+
+
+class TestSqrtDensityRatio:
+    """The three call sites of _sqrt_density_ratio give the bits of the
+    inline forms they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=8, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.05, max_value=2.0),
+        st.booleans(),
+    )
+    def test_madelung_step(self, n, seed, cfl_target, with_g):
+        rng, grid, spec = _random_setup(seed, n)
+        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0), g=(lambda r: 0.3 * r) if with_g else None)
+        lam = np.cumsum(rng.normal(scale=rng.uniform(1e-3, 1.0), size=n))
+        state = hy.HydroState(grid, _random_density(rng, grid), lam)
+        vmax = float(np.max(np.abs(np.diff(lam) / grid.h / spec.mass_at(grid.midpoints))))
+        dt = cfl_target * grid.h / max(vmax, 1e-300)
+        try:
+            new = hy.madelung_step(spec, dspec, state, dt)
+            new = (new.rho, new.lam)
+        except StepRejectedError as exc:
+            new = (str(exc), exc.location, exc.diagnostics)
+        try:
+            old = madelung_step_inline(spec, dspec, state, dt)
+        except StepRejectedError as exc:
+            old = (str(exc), exc.location, exc.diagnostics)
+        assert isinstance(new[0], str) == isinstance(old[0], str)
+        if isinstance(old[0], str):
+            assert new == old
+        else:
+            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=8, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["quantum-pole", "classical"]),
+        st.booleans(),
+    )
+    def test_multiplier_residual_series(self, n, seed, mode, with_g):
+        rng, grid, spec = _random_setup(seed, n)
+        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0), g=(lambda r: 0.3 * r) if with_g else None,
+                                 mode=mode)
+        nt = int(rng.integers(3, 7))
+        rho = np.array([_random_density(rng, grid) for _ in range(nt)])
+        lam = rng.normal(size=(nt, n))
+        times = np.cumsum(rng.uniform(0.01, 0.1, size=nt))
+        res, masks = hy.multiplier_residual_series(grid, spec, dspec, rho, lam, times)
+        res_old, masks_old = multiplier_residual_series_inline(grid, spec, dspec, rho, lam, times)
+        assert np.array_equal(res, res_old) and np.array_equal(masks, masks_old)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=8, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_random_energy_density(self, n, seed, n_spatial):
+        rng, grid, _ = _random_setup(seed, n)
+        k = rng.uniform(0.1, 3.0)
+        spec = qf.QFieldSpec(eta=rng.uniform(0.3, 3.0), potential=lambda q: k * q * q,
+                             f=rng.uniform(0.3, 3.0))
+        rho = _random_density(rng, grid)
+        lam0 = rng.normal(size=n)
+        lam_m = rng.normal(size=(n_spatial, n))
+        new = qf.random_energy_density(spec, grid, rho, lam0, lam_m if n_spatial else None)
+        old = random_energy_density_inline(spec, grid, rho, lam0, lam_m)
+        assert all(np.array_equal(a, b) for a, b in zip(new, old))

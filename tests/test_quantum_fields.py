@@ -139,6 +139,13 @@ class TestSpaceIndependent:
         with pytest.raises(InvalidArgumentError, match=match):
             qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), dt, n_steps)
 
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_bad_store_interval_rejected(self, harmonic_vacuum, store_every):
+        spec, grid, vac = harmonic_vacuum
+        with pytest.raises(InvalidArgumentError, match=f"store_every must be >= 1, got {store_every}"):
+            qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), 2e-3, 10,
+                                        store_every=store_every)
+
     def test_momentum_density_vanishes(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum
         rho = vac.psi[:, 0] ** 2
