@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="validate a config without running it")
     check_p.add_argument("config", help="path to the scenario config file")
 
-    for p in (run_p, sweep_p, check_p):
+    for p in (run_p, sweep_p):
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
@@ -70,12 +70,12 @@ def _run_one(path, out_root: Path, seed, tol_scale: float) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out_root = Path(args.out)
     try:
         if args.command == "check":
             sc = load_scenario(args.config)
             print(f"{sc.name}: config valid (regime {sc.regime})")
             return EXIT_OK
+        out_root = Path(args.out)
         if args.command == "run":
             return _run_one(args.config, out_root, args.seed, args.tol_scale)
         if args.command == "sweep":

@@ -62,9 +62,6 @@ class Scenario:
                 key=f"{section}.{key}",
             ) from exc
 
-    def section(self, name: str) -> dict:
-        return dict(self.sections.get(name, {}))
-
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     parser = configparser.ConfigParser(interpolation=None)

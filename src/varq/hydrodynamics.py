@@ -25,6 +25,7 @@ from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
 from .mechanics import (
     NaturalSystemSpec,
     classical_transport_step,
+    _RHO_NEG_TOL,
     _validate_density_state,
     _windowed_upwind,
 )
@@ -149,7 +150,9 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
     A node means rho drops far below the floor with density well above the
     floor on both sides.  Floor-level remnants detached from a moving
     support do not count; neither do cells hovering within ``_HARD_FRAC``
-    of the floor (support boundary noise).
+    of the floor (support boundary noise).  A density that HydroState would
+    refuse as negative is rejected too: even at CFL <= 1 the upwind step
+    can overdraw a cell whose two faces both carry density out.
     """
     floor = floor_frac * float(np.max(rho))
     deep = np.flatnonzero(rho < _HARD_FRAC * floor)
@@ -163,6 +166,11 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
                     location=int(inside[0]),
                     diagnostics={"rho_min": float(rho[inside[0]]), "floor": floor},
                 )
+    if np.any(rho < -_RHO_NEG_TOL):
+        low = int(np.argmin(rho))
+        raise StepRejectedError(
+            f"negative density ({where})", location=low, diagnostics={"rho_min": float(rho[low])}
+        )
     return _bulk_slice(rho, floor_frac)
 
 
@@ -170,7 +178,6 @@ def effective_hamiltonian_density(
     spec: NaturalSystemSpec,
     dspec: DiffusionSpec,
     state: HydroState,
-    floor_frac: float = RHO_FLOOR_FRAC,
 ) -> np.ndarray:
     """Pointwise rho [ (dlam/dq)^2/2m + V ] + (1/2) rho d^2(rho) (drho/dq)^2 / m.
 
@@ -184,7 +191,7 @@ def effective_hamiltonian_density(
     grad_rho = grad_central(state.rho, grid.h)
     out = state.rho * (grad_lam**2 / (2.0 * m) + spec.potential_at(q))
     if dspec.mode == "quantum-pole":
-        mask = _support_mask(state.rho, floor_frac)
+        mask = _support_mask(state.rho, RHO_FLOOR_FRAC)
         hd2 = np.zeros_like(state.rho)
         hd2[mask] = (0.5 * dspec.a) ** 2 / state.rho[mask] + dspec.g_at(state.rho[mask])
         out = out + 0.5 * hd2 * grad_rho**2 / m
@@ -235,6 +242,8 @@ def madelung_step(
     sampled through ``spec.mass_at``, so positivity is checked there.
     Classical mode reads only the face sample.  Without them the step
     builds and samples its own, with bitwise-identical results.
+    ``floor_frac`` and ``support_floor`` keep their positional slots because
+    perfbench/kernels.py passes all seven arguments by position.
     """
     grid = state.grid
     if dspec.mode == "classical":
@@ -272,7 +281,6 @@ def madelung_run(
     state: HydroState,
     t_final: float,
     dt: float,
-    floor_frac: float = RHO_FLOOR_FRAC,
     observer=None,
 ) -> HydroState:
     """Advance to t_final in uniform steps of (at most) dt.
@@ -286,7 +294,7 @@ def madelung_run(
     op = schrodinger_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
     mass = _mass_sample(spec, state.grid)
     for _ in range(n_steps):
-        state = madelung_step(spec, dspec, state, dt, floor_frac=floor_frac, _op=op, _mass=mass)
+        state = madelung_step(spec, dspec, state, dt, _op=op, _mass=mass)
         t += dt
         if observer is not None:
             observer(t, state)
@@ -300,7 +308,6 @@ def multiplier_residual_series(
     rho_series: np.ndarray,
     lam_series: np.ndarray,
     times: np.ndarray,
-    floor_frac: float = RHO_FLOOR_FRAC,
 ):
     """Residual of the multiplier equation on stored snapshots.
 
@@ -322,7 +329,7 @@ def multiplier_residual_series(
         grad_lam = grad_central(lam_series[k], grid.h)
         res = dldt + grad_lam**2 / (2.0 * m)
         if op is not None:
-            mask = _support_mask(rho_series[k], floor_frac)
+            mask = _support_mask(rho_series[k], RHO_FLOOR_FRAC)
             quantum = _sqrt_density_ratio(grid, op, rho_series[k], mask)
             if dspec.g is not None:
                 quantum[mask] += np.asarray(_g_terms(dspec, grid, rho_series[k], m_face, m))[mask]

@@ -172,6 +172,9 @@ def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     return rho / total
 
 
+_RHO_NEG_TOL = 1e-14  # rounding below zero that a density state accepts and clips
+
+
 def _validate_density_state(state, field: str):
     """Check a (grid, rho, multiplier ``field``) state: both on the grid, rho
     nonnegative and normalised; stores rho clipped at 0."""
@@ -179,7 +182,7 @@ def _validate_density_state(state, field: str):
     lam = np.asarray(getattr(state, field), dtype=float)
     if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
         raise InvalidStateError(f"rho and {field} must match the grid")
-    if np.any(rho < -1e-14):
+    if np.any(rho < -_RHO_NEG_TOL):
         raise InvalidStateError("density must be nonnegative")
     total = state.grid.h * float(np.sum(rho))
     if abs(total - 1.0) > 1e-9:
@@ -424,7 +427,6 @@ def lagrangian_equivalence_check(
     ens: ClassicalEnsemble,
     spec: NaturalSystemSpec,
     d_rho: Callable,
-    dt: Optional[float] = None,
 ) -> float:
     """Max discrepancy between density updates with and without the
     d(rho)-coupling routed through the multiplier gradient.
@@ -432,13 +434,12 @@ def lagrangian_equivalence_check(
     In the classical balance the momentum entering the velocity is
     (dlam/dq - d(rho) drho/dq) while the multiplier itself shifts by the
     antiderivative of d, so the two contributions cancel identically and
-    the returned discrepancy is zero to rounding.
+    the returned discrepancy is zero to rounding.  Both updates take one
+    step of half the CFL limit of the initial velocity.
     """
     grid = ens.grid
-    if dt is None:
-        v0 = np.diff(ens.S) / grid.h / spec.mass_at(grid.midpoints)
-        vmax = float(np.max(np.abs(v0)))
-        dt = 0.5 * grid.h / max(vmax, 1e-12)
+    v0 = np.diff(ens.S) / grid.h / spec.mass_at(grid.midpoints)
+    dt = 0.5 * grid.h / max(float(np.max(np.abs(v0))), 1e-12)
     rho_a, _ = classical_transport_step(grid, ens.rho, ens.S, spec, dt)
 
     drho_face = np.diff(ens.rho) / grid.h

@@ -276,7 +276,7 @@ def grad_central(f: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-RHO_FLOOR_FRAC = 1e-12  # default relative density floor of the support mask
+RHO_FLOOR_FRAC = 1e-12  # relative density floor of the support mask in every regime
 
 
 def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:

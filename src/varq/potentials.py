@@ -11,9 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-
-__all__ = ["Potential", "free", "harmonic", "quartic", "box", "polynomial", "make_potential"]
+__all__ = ["Potential", "free", "harmonic", "quartic", "box", "polynomial"]
 
 
 @dataclass(frozen=True)
@@ -57,26 +55,3 @@ def polynomial(coeffs: Sequence[float]) -> Potential:
         return np.polyval(dc[::-1], np.asarray(q, dtype=float))
 
     return Potential("polynomial", v, dv)
-
-
-def make_potential(kind: str, **params) -> Potential:
-    """Build a catalog potential from config parameters."""
-    kind = kind.strip().lower()
-    if kind == "free":
-        return free()
-    if kind == "box":
-        return box()
-    if kind == "harmonic":
-        return harmonic(k=float(params.get("k", 1.0)))
-    if kind == "quartic":
-        return quartic(c=float(params.get("c", 1.0)))
-    if kind == "polynomial":
-        raw = params.get("coeffs")
-        if raw is None:
-            raise ConfigError("polynomial potential needs 'coeffs'", key="potential.coeffs")
-        if isinstance(raw, str):
-            coeffs = [float(s) for s in raw.replace(",", " ").split()]
-        else:
-            coeffs = [float(x) for x in raw]
-        return polynomial(coeffs)
-    raise ConfigError(f"unknown potential kind '{kind}'", key="potential.kind")

@@ -92,6 +92,7 @@ class QFieldSpec:
 
 
 _TAIL_TOL = 1e-6  # vacuum_spectrum: largest relative amplitude next to the grid ends
+_TAIL_FLOOR = 1e-280  # confinement_report: smallest tail integral whose log enters the fit
 _MAX_ITER = 60  # confined_solve: sweeps before giving up
 _CHANGE_TOL = 1e-12  # confined_solve: mode-amplitude change that counts as converged
 _PSI0_FLOOR = 1e-6  # confined_solve: relative |psi0| below which the log source is off
@@ -179,7 +180,6 @@ def space_independent_evolve(
     dt: float,
     n_steps: int,
     store_every: int = 1,
-    floor_frac: float = RHO_FLOOR_FRAC,
 ) -> SpaceIndependentResult:
     """Evolve i f dpsi/dx0 = -(f^2/2 eta) psi'' + V psi and record the
     pointwise random energy density and its (conserved) expectation.
@@ -202,7 +202,7 @@ def space_independent_evolve(
         """One stored snapshot: (t, psi, eps, mask, wbar)."""
         hpsi = embed_interior(grid, op.apply(psi_now[1:-1]))
         dens = np.abs(psi_now) ** 2
-        mask = _support_mask(dens, floor_frac)
+        mask = _support_mask(dens, RHO_FLOOR_FRAC)
         eps = np.zeros(grid.n)
         eps[mask] = np.real(np.conj(psi_now[mask]) * hpsi[mask]) / dens[mask]
         wbar = grid.h * float(np.sum(np.real(np.conj(psi_now) * hpsi)))
@@ -222,7 +222,6 @@ def random_energy_density(
     rho: np.ndarray,
     lam0: np.ndarray,
     lam_m: Optional[np.ndarray] = None,
-    floor_frac: float = RHO_FLOOR_FRAC,
 ):
     """Pointwise random energy density and momentum densities from supplied
     multiplier fields (upper-index components):
@@ -238,7 +237,7 @@ def random_energy_density(
         raise InvalidStateError("density must be nonnegative")
     lam0 = np.asarray(lam0, dtype=float)
     lam_m_arr = np.zeros((0, grid.n)) if lam_m is None else np.atleast_2d(np.asarray(lam_m, dtype=float))
-    mask = _support_mask(rho, floor_frac)
+    mask = _support_mask(rho, RHO_FLOOR_FRAC)
     # (H sqrt(rho))/sqrt(rho) carries V - quantum potential in one piece
     eps = _sqrt_density_ratio(grid, _operator(spec, grid), rho, mask)
     g0 = grad_central(lam0, grid.h)
@@ -444,7 +443,6 @@ def confinement_report(
     vac: VacuumSpectrum,
     f: float,
     window: Optional[tuple] = None,
-    floor: float = 1e-280,
 ) -> ConfinementReport:
     """Least-squares decay rate of log(tail) over the asymptotic window and
     the confinement radius f / (w1 - w0)."""
@@ -452,7 +450,7 @@ def confinement_report(
     r = pair.r
     if window is None:
         window = (r[0] + 0.5 * (r[-1] - r[0]), r[-1])
-    sel = (r >= window[0]) & (r <= window[1]) & (tail > floor)
+    sel = (r >= window[0]) & (r <= window[1]) & (tail > _TAIL_FLOOR)
     if np.count_nonzero(sel) < 2:
         raise NumericalFailureError("fit window empty: tail below numerical floor")
     slope, _ = np.polyfit(r[sel], np.log(tail[sel]), 1)

@@ -16,12 +16,12 @@ from . import covariant as cv
 from . import discrete as ds
 from . import hydrodynamics as hy
 from . import mechanics as mech
+from . import potentials
 from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import Scenario
 from .errors import ConfigError
 from .numerics import _uniform_steps, build_grid
-from .potentials import make_potential
 from .reporting import RunReport, Series
 
 __all__ = ["run_scenario_object"]
@@ -35,12 +35,19 @@ def _grid_from(sc: Scenario):
     )
 
 
-def _potential_from(sc: Scenario):
-    params = sc.section("potential")
-    kind = params.pop("kind", None)
-    if kind is None:
-        raise ConfigError("missing required key [potential] kind", key="potential.kind")
-    return make_potential(kind, **params)
+def _potential_from(sc: Scenario) -> potentials.Potential:
+    kind = sc.get("potential", "kind", str).strip().lower()
+    if kind == "free":
+        return potentials.free()
+    if kind == "box":
+        return potentials.box()
+    if kind == "harmonic":
+        return potentials.harmonic(sc.get("potential", "k", float, default=1.0))
+    if kind == "quartic":
+        return potentials.quartic(sc.get("potential", "c", float, default=1.0))
+    if kind == "polynomial":
+        return potentials.polynomial(sc.get("potential", "coeffs", list))
+    raise ConfigError(f"unknown potential kind '{kind}'", key="potential.kind")
 
 
 def _mech_spec(sc: Scenario):

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _BOUNDARY_THRESHOLD = 1e-8  # edge-cell probability at which the state has left the grid
+_BOUNDARY_CELLS = 3  # cells at each grid end that the leakage guard sums
 
 
 def normalize_wavefunction(grid: Grid1D, psi: np.ndarray) -> np.ndarray:
@@ -78,7 +79,7 @@ def _unwrap_segments(phase: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def canonical_map_forward(wf: WaveFunction, floor_frac: float = RHO_FLOOR_FRAC):
+def canonical_map_forward(wf: WaveFunction):
     """(psi) -> (rho, lam, mask): rho = |psi|^2 and lam = a * arg(psi).
 
     ``mask`` marks cells with rho above the relative floor; lam is branch-
@@ -86,7 +87,7 @@ def canonical_map_forward(wf: WaveFunction, floor_frac: float = RHO_FLOOR_FRAC):
     The global phase constant is fixed to zero.
     """
     rho = np.abs(wf.psi) ** 2
-    mask = _support_mask(rho, floor_frac)
+    mask = _support_mask(rho, RHO_FLOOR_FRAC)
     phase = np.angle(wf.psi)
     lam = np.where(mask, wf.a * _unwrap_segments(phase, mask), 0.0)
     return rho, lam, mask
@@ -124,9 +125,9 @@ def schrodinger_operator(spec: NaturalSystemSpec, grid: Grid1D, a: float) -> Tri
     )
 
 
-def _boundary_mass(grid: Grid1D, psi: np.ndarray, cells: int = 3) -> float:
+def _boundary_mass(grid: Grid1D, psi: np.ndarray) -> float:
     dens = np.abs(psi) ** 2
-    return grid.h * float(np.sum(dens[:cells]) + np.sum(dens[-cells:]))
+    return grid.h * float(np.sum(dens[:_BOUNDARY_CELLS]) + np.sum(dens[-_BOUNDARY_CELLS:]))
 
 
 class SchrodingerEvolution:

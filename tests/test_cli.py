@@ -183,9 +183,12 @@ class TestSpecConstants:
 
 class TestWaive:
     @pytest.mark.parametrize("command", ["check", "run"])
-    def test_misspelt_waive_is_config_error(self, tmp_path, capsys, command):
+    def test_misspelt_waive_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # run from tmp_path so that the default --out of run, and any stray
+        # output of check, would land in tmp_path / "out"
+        monkeypatch.chdir(tmp_path)
         cfg = write_cfg(tmp_path, VACUUM_CFG + "\n[checks]\nwaive = ture\n")
-        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert main([command, str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "checks.waive" in err and "'ture'" in err
         assert not (tmp_path / "out").exists()
@@ -231,6 +234,56 @@ class TestConfigIndices:
         assert (tmp_path / "out" / "b" / "report.txt").exists()
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("config error")]
         assert len(errors) == 1 and f"(key: {key})" in errors[0]
+
+
+BAD_POTENTIALS = [
+    ("k = 1.0", "k = abc", "potential.k", "cannot parse [potential] k = 'abc' as float"),
+    ("kind = harmonic\nk = 1.0", "kind = quartic\nc = abc", "potential.c",
+     "cannot parse [potential] c = 'abc' as float"),
+    ("kind = harmonic\nk = 1.0", "kind = polynomial\ncoeffs = 0 x", "potential.coeffs",
+     "cannot parse [potential] coeffs = '0 x' as a float list"),
+    ("kind = harmonic\nk = 1.0", "kind = polynomial", "potential.coeffs",
+     "missing required key [potential] coeffs"),
+    ("kind = harmonic", "kind = cubic", "potential.kind", "unknown potential kind 'cubic'"),
+]
+BAD_POTENTIAL_IDS = ["k", "c", "coeffs", "coeffs-missing", "kind"]
+
+
+class TestPotentialValues:
+    @pytest.mark.parametrize("old, new, key, message", BAD_POTENTIALS, ids=BAD_POTENTIAL_IDS)
+    def test_bad_value_is_config_error(self, tmp_path, capsys, old, new, key, message):
+        cfg = write_cfg(tmp_path, VACUUM_CFG.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config error: {message} (key: {key})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key, message", BAD_POTENTIALS, ids=BAD_POTENTIAL_IDS)
+    def test_bad_value_does_not_stop_sweep(self, tmp_path, capsys, old, new, key, message):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "a.cfg").write_text(VACUUM_CFG.replace(old, new))
+        (d / "b.cfg").write_text(VACUUM_CFG)
+        assert main(["sweep", str(d), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert (tmp_path / "out" / "b" / "report.txt").exists()
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("config error")]
+        assert errors == [f"config error: {message} (key: {key})"]
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "o"], ["--tol-scale", "2"]])
+    def test_check_takes_no_run_flags(self, tmp_path, capsys, flag):
+        cfg = write_cfg(tmp_path, VACUUM_CFG)
+        with pytest.raises(SystemExit) as err:
+            main(["check", str(cfg), *flag])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_run_and_sweep_take_run_flags(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, VACUUM_CFG)
+        target = str(cfg) if command == "run" else str(tmp_path)
+        argv = [command, target, "--out", str(tmp_path / "out"), "--seed", "3", "--tol-scale", "2"]
+        assert main(argv) == EXIT_OK
+        assert "seed=3" in (tmp_path / "out" / "case" / "report.txt").read_text()
 
 
 class TestSweep:

@@ -151,6 +151,20 @@ class TestMadelungStep:
         with pytest.raises(StepRejectedError):
             hy.madelung_step(unit_mass_harmonic, dspec, state, 0.5)
 
+    def test_negative_density_rejected(self, unit_mass_harmonic):
+        # at CFL 1 both faces of cell 11 carry density out, and its two
+        # thin neighbours on the left are not bulk, so no node is seen
+        grid = build_grid(-5, 5, 41)
+        q = grid.nodes
+        rho = np.exp(-(q**2))
+        rho[:10] = 0.0
+        rho[10:13] = 1e-10
+        state = hy.HydroState(grid, mech.normalize_density(grid, rho), np.abs(q - q[11]))
+        with pytest.raises(StepRejectedError, match=r"negative density \(after step\)") as err:
+            hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0), state, grid.h)
+        assert err.value.location == 11
+        assert err.value.diagnostics["rho_min"] < -1e-14
+
     def test_probability_conserved_all_modes(self, unit_mass_harmonic):
         grid = build_grid(-8, 8, 401)
         rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))

@@ -369,3 +369,56 @@ class TestWholeGridWindow:
             mech.classical_transport_step(grid, rho, S, free_particle, 0.1)
         assert err.value.location == 6
         assert _outcome(transport_step_unmasked, grid, rho, S, free_particle, 0.1)[1] == 6
+
+
+def _random_flow(seed, n, cfl):
+    """A grid, a nonnegative density with empty stretches, a multiplier S
+    and a face velocity v = (dS/dq)/m, with dt at CFL number ``cfl``."""
+    rng = np.random.default_rng(seed)
+    grid = build_grid(-rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0), n)
+    c0, c1 = rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4)
+    spec = mech.NaturalSystemSpec(
+        mass=lambda q: c0 + c1 * np.cos(2.0 * np.asarray(q, dtype=float)),
+        potential=lambda q: c0 * np.asarray(q, dtype=float) ** 2,
+    )
+    rho = rng.random(n) ** 3 * (rng.random(n) > 0.3) * 10.0 ** rng.uniform(-3, 3)
+    rho[rng.integers(n)] += 1.0
+    S = np.cumsum(rng.normal(scale=rng.uniform(1e-3, 5.0), size=n))
+    v_face = np.diff(S) / grid.h / spec.mass_at(grid.midpoints)
+    # just below the CFL number, so that rounding never lifts it past 1
+    dt = cfl * grid.h / float(np.max(np.abs(v_face))) * (1.0 - 1e-12)
+    return grid, spec, rho, S, v_face, dt
+
+
+def _mass_moved(grid, rho, new):
+    """|h*sum(new) - h*sum(rho)| in units of the roundoff bound of a
+    telescoping update (a few ulp per cell of the largest density)."""
+    bound = 8.0 * grid.n * np.finfo(float).eps * grid.h * float(np.max(np.abs(rho)))
+    return abs(grid.h * float(np.sum(new)) - grid.h * float(np.sum(rho))) / bound
+
+
+class TestUpwindMassConservation:
+    """h*sum(rho) is conserved by every upwind step at CFL <= 1: the fluxes
+    telescope and the walls carry none."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_upwind_density_update(self, n, seed, cfl):
+        grid, _, rho, _, v_face, dt = _random_flow(seed, n, cfl)
+        assert _mass_moved(grid, rho, mech.upwind_density_update(grid, rho, v_face, dt)) <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.01, max_value=1.0),
+        st.one_of(st.none(), st.floats(min_value=1e-9, max_value=0.9)),
+    )
+    def test_classical_transport_step(self, n, seed, cfl, support_floor):
+        grid, spec, rho, S, _, dt = _random_flow(seed, n, cfl)
+        rho_new, _ = mech.classical_transport_step(grid, rho, S, spec, dt, support_floor)
+        assert _mass_moved(grid, rho, rho_new) <= 1.0
