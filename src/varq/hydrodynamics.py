@@ -25,7 +25,7 @@ from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
 from .mechanics import (
     NaturalSystemSpec,
     classical_transport_step,
-    _RHO_NEG_TOL,
+    _reject_negative,
     _validate_density_state,
     _windowed_upwind,
 )
@@ -151,8 +151,7 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
     floor on both sides.  Floor-level remnants detached from a moving
     support do not count; neither do cells hovering within ``_HARD_FRAC``
     of the floor (support boundary noise).  A density that HydroState would
-    refuse as negative is rejected too: even at CFL <= 1 the upwind step
-    can overdraw a cell whose two faces both carry density out.
+    refuse as negative is rejected too (``mechanics._reject_negative``).
     """
     floor = floor_frac * float(np.max(rho))
     deep = np.flatnonzero(rho < _HARD_FRAC * floor)
@@ -166,11 +165,7 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
                     location=int(inside[0]),
                     diagnostics={"rho_min": float(rho[inside[0]]), "floor": floor},
                 )
-    if np.any(rho < -_RHO_NEG_TOL):
-        low = int(np.argmin(rho))
-        raise StepRejectedError(
-            f"negative density ({where})", location=low, diagnostics={"rho_min": float(rho[low])}
-        )
+    _reject_negative(rho, where, 0)
     return _bulk_slice(rho, floor_frac)
 
 

@@ -8,6 +8,7 @@ classical balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,9 +17,10 @@ from .errors import (
     InvalidArgumentError,
     InvalidSpecError,
     InvalidStateError,
+    NumericalFailureError,
     StepRejectedError,
 )
-from .numerics import Grid1D, _support_mask, _uniform_steps, build_grid, grad_central, rk4_step
+from .numerics import Grid1D, _support_mask, _uniform_steps, build_grid, grad_central
 
 __all__ = [
     "NaturalSystemSpec",
@@ -82,14 +84,6 @@ class NaturalSystemSpec:
             raise InvalidSpecError("potential V(q) must be finite")
         return v
 
-    def dmass_at(self, q):
-        fn = self.mass_grad if self.mass_grad is not None else _fd_grad(self.mass)
-        return _eval_on(fn, q)
-
-    def dpotential_at(self, q):
-        fn = self.potential_grad if self.potential_grad is not None else _fd_grad(self.potential)
-        return _eval_on(fn, q)
-
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -136,29 +130,56 @@ def hamilton_flow(
 ) -> FlowResult:
     """Integrate dq/dt = dH/dp, dp/dt = -dH/dq with RK4.
 
+    The stages run on Python floats, in the operation order of
+    ``numerics.rk4_step`` and with its checks, so the states are those of
+    ``rk4_step`` on [q, p] arrays bit for bit: a non-finite derivative raises
+    NumericalFailureError, and m(q) <= 0 at any stage InvalidSpecError.
+    Missing gradients are central differences (``_fd_grad``).
+
     If the trajectory leaves ``q_range`` (or stops being finite) the run is
     reported as escaped rather than raising; the trajectory is truncated at
-    the escape step.
+    the escape step.  Raises InvalidArgumentError unless n_steps is an
+    integer >= 0 and dt * n_steps is finite.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise InvalidArgumentError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
+    mass = spec.mass
+    dmass = spec.mass_grad if spec.mass_grad is not None else _fd_grad(spec.mass)
+    dpot = spec.potential_grad if spec.potential_grad is not None else _fd_grad(spec.potential)
 
-    def rhs(y):
-        q, p = y
-        m = float(spec.mass_at(q))
-        dm = float(spec.dmass_at(q))
-        dv = float(spec.dpotential_at(q))
-        return np.array([p / m, p * p * dm / (2.0 * m * m) - dv])
+    def rhs(q, p):
+        x = np.float64(q)  # what the callbacks saw on the array path
+        m = float(mass(x))
+        if m <= 0:
+            raise InvalidSpecError("mass m(q) must be positive")
+        dm = float(dmass(x))
+        dv = float(dpot(x))
+        try:
+            return p / m, p * p * dm / (2.0 * m * m) - dv
+        except ZeroDivisionError:  # 2 m^2 underflowed to 0: divide as numpy does
+            return p / m, float(np.float64(p * p * dm) / (2.0 * m * m)) - dv
 
+    half, sixth = 0.5 * dt, dt / 6.0
     out = np.empty((n_steps + 1, 2))
-    out[0] = (state.q, state.p)
-    y = out[0].copy()
+    q, p = float(state.q), float(state.p)
+    out[0] = q, p
     for k in range(1, n_steps + 1):
-        y = rk4_step(rhs, y, dt)
-        out[k] = y
-        bad = not np.all(np.isfinite(y))
+        dq1, dp1 = rhs(q, p)
+        dq2, dp2 = rhs(q + half * dq1, p + half * dp1)
+        dq3, dp3 = rhs(q + half * dq2, p + half * dp2)
+        dq4, dp4 = rhs(q + dt * dq3, p + dt * dp3)
+        if not (isfinite(dq1) and isfinite(dp1) and isfinite(dq2) and isfinite(dp2)
+                and isfinite(dq3) and isfinite(dp3) and isfinite(dq4) and isfinite(dp4)):
+            raise NumericalFailureError("non-finite derivative in rk4_step")
+        q = q + sixth * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+        p = p + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
+        out[k, 0] = q
+        out[k, 1] = p
+        bad = not (isfinite(q) and isfinite(p))
         if q_range is not None and not bad:
-            bad = not (q_range[0] <= y[0] <= q_range[1])
+            bad = not (q_range[0] <= q <= q_range[1])
         if bad:
             return FlowResult(out[: k + 1].copy(), dt, escaped=True, escape_step=k)
     return FlowResult(out, dt)
@@ -176,16 +197,19 @@ _RHO_NEG_TOL = 1e-14  # rounding below zero that a density state accepts and cli
 
 
 def _validate_density_state(state, field: str):
-    """Check a (grid, rho, multiplier ``field``) state: both on the grid, rho
-    nonnegative and normalised; stores rho clipped at 0."""
+    """Check a (grid, rho, multiplier ``field``) state: both on the grid, the
+    multiplier finite, rho nonnegative and normalised (a NaN fails both);
+    stores rho clipped at 0."""
     rho = np.asarray(state.rho, dtype=float)
     lam = np.asarray(getattr(state, field), dtype=float)
     if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
         raise InvalidStateError(f"rho and {field} must match the grid")
+    if not np.all(np.isfinite(lam)):
+        raise InvalidStateError(f"{field} must be finite")
     if np.any(rho < -_RHO_NEG_TOL):
         raise InvalidStateError("density must be nonnegative")
     total = state.grid.h * float(np.sum(rho))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
     object.__setattr__(state, "rho", np.maximum(rho, 0.0))
     object.__setattr__(state, field, lam)
@@ -219,31 +243,52 @@ def upwind_density_update(grid: Grid1D, rho: np.ndarray, v_face: np.ndarray, dt:
     nu = v_face * dt / grid.h
     r_left = rho[:-1] + 0.5 * (1.0 - nu) * drho[:-1]
     r_right = rho[1:] - 0.5 * (1.0 + nu) * drho[1:]
-    flux = np.where(v_face > 0.0, v_face * r_left, v_face * r_right)
+    flux = (dt / grid.h) * np.where(v_face > 0.0, v_face * r_left, v_face * r_right)
     new = rho.copy()
-    new[:-1] -= (dt / grid.h) * flux
-    new[1:] += (dt / grid.h) * flux
+    new[:-1] -= flux
+    new[1:] += flux
     return new
+
+
+def _reject_negative(rho: np.ndarray, where: str, offset: int):
+    """Reject a step that leaves rho (grid index ``offset`` onwards) below
+    what a density state accepts: even at CFL <= 1 the upwind step can
+    overdraw a cell whose two faces both carry density out."""
+    low = int(np.argmin(rho))
+    if rho[low] < -_RHO_NEG_TOL:
+        raise StepRejectedError(
+            f"negative density ({where})", location=offset + low, diagnostics={"rho_min": float(rho[low])}
+        )
 
 
 def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.ndarray,
                      lo: int, hi: int, dt: float) -> np.ndarray:
     """Upwind density step with the velocity dH/dp = (dlam/dq)/m (``m_face``
     is m at ``grid.midpoints``) on the faces between nodes lo..hi and zero
-    outside; raises StepRejectedError when its CFL number there exceeds 1."""
-    v_face = np.diff(lam) / grid.h / m_face
-    active = slice(lo, hi)  # faces between nodes lo..hi
-    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
-    cfl = vmax * dt / grid.h
-    if cfl > 1.0:
+    outside; raises StepRejectedError when its CFL number there exceeds 1
+    or is NaN.
+
+    The step is window-local: the velocity is formed on the active faces
+    only, and ``upwind_density_update`` runs on nodes lo-1..hi+1 (the
+    limiter's neighbours) with the two edge faces at zero velocity.  Every
+    other node is copied.  The result equals a whole-grid update with the
+    velocity masked outside the window.
+    """
+    a, b = max(lo - 1, 0), min(hi + 1, grid.n - 1)
+    v = np.zeros(b - a)  # faces a..b-1; the edge faces a < lo and hi < b stay at 0
+    v[lo - a : hi - a] = np.diff(lam[lo : hi + 1]) / grid.h / m_face[lo:hi]
+    speed = np.abs(v)
+    k = int(np.argmax(speed))
+    cfl = float(speed[k]) * dt / grid.h
+    if not cfl <= 1.0:
         raise StepRejectedError(
             f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
-            location=lo + int(np.argmax(np.abs(v_face[active]))),
+            location=a + k,
             diagnostics={"cfl": cfl},
         )
-    v_masked = np.zeros_like(v_face)
-    v_masked[active] = v_face[active]
-    return upwind_density_update(grid, rho, v_masked, dt)
+    new = rho.copy()
+    new[a : b + 1] = upwind_density_update(grid, rho[a : b + 1], v, dt)
+    return new
 
 
 def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt: float) -> np.ndarray:
@@ -291,7 +336,9 @@ def classical_transport_step(
     it so that every step reuses the same validated array.  Without it the
     step samples the spec itself, with bitwise-identical results.
 
-    Raises StepRejectedError when the CFL number exceeds 1 on active faces.
+    Raises StepRejectedError when the CFL number exceeds 1 on active faces,
+    or when the step leaves a density below -1e-14 (``location`` is the
+    most negative cell, ``diagnostics["rho_min"]`` its value).
     """
     if support_floor is None:
         lo, hi = 0, grid.n - 1
@@ -301,18 +348,20 @@ def classical_transport_step(
     # the whole-grid window keeps every face, so the masked velocity equals
     # the unmasked one bit for bit
     rho_new = _windowed_upwind(grid, rho, S, m_face, lo, hi, dt)
+    _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
     if support_floor is None:
         return rho_new, _godunov_hj_update(grid, spec, S, dt)
 
-    sub = build_grid(grid.nodes[lo], grid.nodes[hi], hi - lo + 1) if hi - lo + 1 >= 3 else None
+    h = grid.h
     S_new = S.copy()
-    if sub is not None:
+    if hi - lo + 1 >= 3:
+        # q_min + i*h is grid.nodes[i] bit for bit, without building the nodes
+        sub = build_grid(grid.q_min + lo * h, grid.q_min + hi * h, hi - lo + 1)
         S_new[lo : hi + 1] = _godunov_hj_update(sub, spec, S[lo : hi + 1], dt)
     # quadratic extension outside the window (matching edge gradient and
     # curvature): the multiplier is local to the support, outside values
     # only seed cells the window grows into, and keeping the curvature
     # avoids kicking the density when the window turns around
-    h = grid.h
     if lo > 0:
         gl = (S_new[lo + 1] - S_new[lo]) / h
         cl = (S_new[lo + 2] - 2.0 * S_new[lo + 1] + S_new[lo]) / (h * h) if lo + 2 < grid.n else 0.0

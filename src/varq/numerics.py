@@ -250,7 +250,11 @@ class CayleyPropagator:
 
 
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta update for an autonomous system."""
+    """Classical 4th-order Runge-Kutta update for an autonomous system.
+
+    ``mechanics.hamilton_flow`` runs these stages on Python floats, in this
+    operation order and with this check; change the two together.
+    """
     y = np.asarray(state, dtype=float)
     k1 = np.asarray(f(y))
     k2 = np.asarray(f(y + 0.5 * dt * k1))

@@ -3,8 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varq import cli
+from varq import hydrodynamics as hy
 from varq import mechanics as mech
-from varq.errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
+from varq import numerics as nx
+from varq import potentials as pot
+from varq.errors import (
+    InvalidArgumentError,
+    InvalidSpecError,
+    InvalidStateError,
+    NumericalFailureError,
+    StepRejectedError,
+)
 from varq.numerics import build_grid
 from varq.potentials import harmonic
 
@@ -320,6 +330,25 @@ def transport_step_unmasked(grid, rho, S, spec, dt, m_face=None):
     return rho_new, S_new
 
 
+def windowed_upwind_masked(grid, rho, lam, m_face, lo, hi, dt):
+    """_windowed_upwind before it became window-local: the face velocity on
+    the whole grid, masked to the faces between nodes lo..hi, drives a
+    whole-grid upwind update."""
+    v_face = np.diff(lam) / grid.h / m_face
+    active = slice(lo, hi)  # faces between nodes lo..hi
+    vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
+    cfl = vmax * dt / grid.h
+    if cfl > 1.0:
+        raise StepRejectedError(
+            f"CFL violation: max |v| dt / h = {cfl:.3g} > 1",
+            location=lo + int(np.argmax(np.abs(v_face[active]))),
+            diagnostics={"cfl": cfl},
+        )
+    v_masked = np.zeros_like(v_face)
+    v_masked[active] = v_face[active]
+    return mech.upwind_density_update(grid, rho, v_masked, dt)
+
+
 def _outcome(step, *args, **kwargs):
     try:
         return step(*args, **kwargs)
@@ -354,6 +383,10 @@ class TestWholeGridWindow:
         m_face = spec.mass_at(grid.midpoints) if pass_m_face else None
         new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None, m_face)
         old = _outcome(transport_step_unmasked, grid, rho, S, spec, dt, m_face)
+        if not isinstance(old[0], str) and np.min(old[0]) < -1e-14:
+            # an overdrawn cell: the step now rejects where the old form went negative
+            low = int(np.argmin(old[0]))
+            old = ("negative density (after step)", low, {"rho_min": float(old[0][low])})
         assert isinstance(new[0], str) == isinstance(old[0], str)
         if isinstance(old[0], str):
             assert new == old
@@ -420,5 +453,327 @@ class TestUpwindMassConservation:
     )
     def test_classical_transport_step(self, n, seed, cfl, support_floor):
         grid, spec, rho, S, _, dt = _random_flow(seed, n, cfl)
-        rho_new, _ = mech.classical_transport_step(grid, rho, S, spec, dt, support_floor)
+        try:
+            rho_new, _ = mech.classical_transport_step(grid, rho, S, spec, dt, support_floor)
+        except StepRejectedError as exc:
+            # an overdrawn cell rejects the step; the density it computed
+            # (the old masked form) must still have conserved mass
+            lo, hi = (0, n - 1) if support_floor is None else mech._support_window(rho, support_floor)
+            rho_new = windowed_upwind_masked(grid, rho, S, spec.mass_at(grid.midpoints), lo, hi, dt)
+            low = int(np.argmin(rho_new))
+            assert rho_new[low] < -1e-14
+            assert (str(exc), exc.location, exc.diagnostics) == (
+                "negative density (after step)", low, {"rho_min": float(rho_new[low])})
         assert _mass_moved(grid, rho, rho_new) <= 1.0
+
+
+def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
+    """hamilton_flow before its scalar path: numerics.rk4_step on [q, p]
+    arrays, with the spec sampled through mass_at and the removed
+    dmass_at/dpotential_at (the gradient or its central difference)."""
+    if not np.isfinite(dt * n_steps):
+        raise InvalidArgumentError("dt * n_steps must be finite")
+    dmass = spec.mass_grad if spec.mass_grad is not None else mech._fd_grad(spec.mass)
+    dpot = spec.potential_grad if spec.potential_grad is not None else mech._fd_grad(spec.potential)
+
+    def rhs(y):
+        q, p = y
+        m = float(spec.mass_at(q))
+        dm = float(mech._eval_on(dmass, q))
+        dv = float(mech._eval_on(dpot, q))
+        return np.array([p / m, p * p * dm / (2.0 * m * m) - dv])
+
+    out = np.empty((n_steps + 1, 2))
+    out[0] = (state.q, state.p)
+    y = out[0].copy()
+    for k in range(1, n_steps + 1):
+        y = nx.rk4_step(rhs, y, dt)
+        out[k] = y
+        bad = not np.all(np.isfinite(y))
+        if q_range is not None and not bad:
+            bad = not (q_range[0] <= y[0] <= q_range[1])
+        if bad:
+            return mech.FlowResult(out[: k + 1].copy(), dt, escaped=True, escape_step=k)
+    return mech.FlowResult(out, dt)
+
+
+def _flow_outcome(flow, *args):
+    try:
+        res = flow(*args)
+    except (InvalidSpecError, NumericalFailureError) as exc:
+        return type(exc), str(exc)
+    return res.states, res.dt, res.escaped, res.escape_step
+
+
+def _assert_same_flow(spec, *args):
+    new = _flow_outcome(mech.hamilton_flow, spec, *args)
+    old = _flow_outcome(hamilton_flow_rk4, spec, *args)
+    assert len(new) == len(old)
+    if len(old) == 2:
+        assert new == old
+    else:
+        assert np.array_equal(new[0], old[0]) and new[1:] == old[1:]
+    return new
+
+
+_POTENTIALS = {
+    "harmonic": lambda c: pot.harmonic(1.0 + abs(c[0])),
+    "quartic": lambda c: pot.quartic(c[0]),  # c < 0 is an inverted well: trajectories blow up
+    "polynomial": lambda c: pot.polynomial(c),
+}
+
+
+def _flow_spec(kind, coeffs, m0, m1, analytic):
+    """Potential from the catalogue and mass m0 (1 + m1 cos q) (> 0 for
+    |m1| < 1), with their analytic gradients or none (central differences)."""
+    p = _POTENTIALS[kind](coeffs)
+    return mech.NaturalSystemSpec(
+        mass=lambda q: m0 * (1.0 + m1 * np.cos(q)),
+        potential=p.v,
+        mass_grad=(lambda q: -m0 * m1 * np.sin(q)) if analytic else None,
+        potential_grad=p.dv if analytic else None,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # blow-ups overflow in the callbacks
+class TestScalarFlow:
+    """hamilton_flow runs its RK4 stages on Python floats; states, escapes
+    and errors must be those of rk4_step on [q, p] arrays, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(_POTENTIALS)),
+        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=5),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.sampled_from([0.0, 0.5, -0.9]),
+        st.booleans(),
+        st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-4.0, max_value=4.0)),
+        st.floats(min_value=1e-3, max_value=0.5),
+        st.integers(min_value=0, max_value=120),
+        st.one_of(st.none(), st.floats(min_value=0.1, max_value=3.0)),
+    )
+    def test_matches_rk4_step_flow(self, kind, coeffs, m0, m1, analytic, qp, dt, n_steps, half_width):
+        spec = _flow_spec(kind, coeffs, m0, m1, analytic)
+        q_range = None if half_width is None else (-half_width, half_width)
+        _assert_same_flow(spec, mech.PhaseState(*qp), dt, n_steps, q_range)
+
+    def test_escape_is_truncated_as_before(self, free_particle):
+        new = _assert_same_flow(free_particle, mech.PhaseState(0.0, 1.0), 0.1, 100, (-1.0, 1.0))
+        assert new[2:] == (True, 11) and new[0].shape == (12, 2)
+
+    def test_blow_up_escapes_or_fails_as_before(self):
+        # V = -q^4 sends the particle to infinity in finite time
+        spec = _flow_spec("quartic", [-1.0], 1.0, 0.0, True)
+        for dt in (0.01, 0.1, 0.4):
+            escaped = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400, (-10.0, 10.0))
+            assert escaped[2] and abs(escaped[0][-1, 0]) > 10.0
+            failed = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400)
+            assert failed == (NumericalFailureError, "non-finite derivative in rk4_step")
+
+    def test_nonpositive_mass_mid_flow(self):
+        # m = 1 - q reaches 0 at q = 1; the free particle gets there near t = 0.5
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 - q, potential=lambda q: 0.0 * q)
+        outcomes = [_assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, n) for n in range(1, 12)]
+        assert len(outcomes[0]) == 4
+        assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be positive")
+
+    def test_nonfinite_derivative_mid_flow(self):
+        # dV/dq = 0 * sqrt(q) is NaN once a stage reaches q < 0
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1.0, potential=lambda q: 0.0,
+                                      potential_grad=lambda q: 0.0 * np.sqrt(q))
+        outcomes = [_assert_same_flow(spec, mech.PhaseState(0.5, -1.0), 0.1, n) for n in range(1, 10)]
+        assert len(outcomes[0]) == 4
+        assert outcomes[-1] == (NumericalFailureError, "non-finite derivative in rk4_step")
+
+    def test_mass_underflow_fails_as_before(self):
+        # 2 m^2 underflows to 0: numpy divides to NaN where Python floats would raise
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1e-170, potential=lambda q: 0.0)
+        assert _assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, 3) == (
+            NumericalFailureError, "non-finite derivative in rk4_step")
+
+    @pytest.mark.parametrize("n_steps", [-1, 2.5, "3", True, None])
+    def test_bad_n_steps_rejected(self, free_particle, n_steps):
+        with pytest.raises(InvalidArgumentError, match="n_steps"):
+            mech.hamilton_flow(free_particle, mech.PhaseState(0.0, 1.0), 0.1, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [0, np.int64(3)])
+    def test_integer_n_steps_accepted(self, free_particle, n_steps):
+        flow = mech.hamilton_flow(free_particle, mech.PhaseState(0.0, 1.0), 0.1, n_steps)
+        assert flow.states.shape == (n_steps + 1, 2)
+
+
+def _confining_spec(c2, c4, m0, m1):
+    """V = c2 q^2 + c4 q^4 with c2, c4 >= 0, mass m0 (1 + m1 cos q), analytic gradients."""
+    return mech.NaturalSystemSpec(
+        mass=lambda q: m0 * (1.0 + m1 * np.cos(q)),
+        potential=lambda q: c2 * q**2 + c4 * q**4,
+        mass_grad=lambda q: -m0 * m1 * np.sin(q),
+        potential_grad=lambda q: 2.0 * c2 * q + 4.0 * c4 * q**3,
+    )
+
+
+def _energy(spec, states):
+    q, p = states[:, 0], states[:, 1]
+    return p**2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q)
+
+
+class TestFlowInvariants:
+    """Time reversal and energy conservation of the RK4 characteristic flow
+    on random confining potentials and position-dependent masses."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=4.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0)),
+    )
+    def test_time_reversal(self, c2, c4, m0, m1, qp):
+        spec = _confining_spec(c2, c4, m0, m1)
+        fwd = mech.hamilton_flow(spec, mech.PhaseState(*qp), 1e-3, 500)
+        qf, pf = fwd.states[-1]
+        back = mech.hamilton_flow(spec, mech.PhaseState(qf, -pf), 1e-3, 500)
+        qb, pb = back.states[-1]
+        assert abs(qb - qp[0]) <= 1e-9 and abs(pb + qp[1]) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=4.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0)),
+    )
+    def test_energy_conservation(self, c2, c4, m0, m1, qp):
+        spec = _confining_spec(c2, c4, m0, m1)
+        e = _energy(spec, mech.hamilton_flow(spec, mech.PhaseState(*qp), 1e-3, 1000).states)
+        assert np.max(np.abs(e - e[0])) <= 1e-9 * (1.0 + abs(e[0]))
+
+
+def _window(mode, rng, n):
+    """(lo, hi) node window: anywhere, from node 0, to node n-1, empty or whole."""
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo, n))
+    return {"any": (lo, hi), "left": (0, hi), "right": (lo, n - 1), "empty": (lo, lo),
+            "whole": (0, n - 1)}[mode]
+
+
+class TestWindowLocalUpwind:
+    """_windowed_upwind updates only nodes lo-1..hi+1; results, rejections,
+    locations and CFL numbers must be those of the whole-grid masked form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=80),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["any", "left", "right", "empty", "whole"]),
+        st.floats(min_value=0.05, max_value=2.0),
+    )
+    def test_matches_masked_form(self, n, seed, mode, cfl_target):
+        grid, spec, rho, S, v_face, _ = _random_flow(seed, n, 1.0)
+        lo, hi = _window(mode, np.random.default_rng(seed + 1), n)
+        m_face = spec.mass_at(grid.midpoints)
+        vmax = float(np.max(np.abs(v_face[lo:hi]))) if hi > lo else 1.0
+        dt = cfl_target * grid.h / max(vmax, 1e-300)
+        new = _outcome(mech._windowed_upwind, grid, rho, S, m_face, lo, hi, dt)
+        old = _outcome(windowed_upwind_masked, grid, rho, S, m_face, lo, hi, dt)
+        assert isinstance(new, tuple) == isinstance(old, tuple)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert np.array_equal(new, old)
+
+    def test_cfl_rejection_as_before(self):
+        grid = build_grid(-1.0, 1.0, 21)
+        S = np.zeros(grid.n)
+        S[13:] = 2.0  # one steep face between nodes 12 and 13
+        rho = np.full(grid.n, 0.5)
+        m_face = np.ones(grid.n - 1)
+        for lo, hi in ((0, 20), (5, 13), (12, 13)):
+            new = _outcome(mech._windowed_upwind, grid, rho, S, m_face, lo, hi, 0.1)
+            assert new == _outcome(windowed_upwind_masked, grid, rho, S, m_face, lo, hi, 0.1)
+            assert new[1] == 12 and new[2]["cfl"] == pytest.approx(20.0)
+        # the steep face outside the window is not an active face
+        assert np.array_equal(mech._windowed_upwind(grid, rho, S, m_face, 0, 12, 0.1), rho)
+
+    @pytest.mark.parametrize("bad", ["lam", "dt", "m_face"])
+    def test_nan_cfl_rejected(self, bad):
+        grid = build_grid(-1.0, 1.0, 21)
+        lam, m_face, dt = 0.1 * grid.nodes, np.ones(grid.n - 1), 0.01
+        if bad == "lam":
+            lam[7] = np.nan
+        elif bad == "m_face":
+            m_face[6] = np.nan
+        else:
+            dt = np.nan
+        with pytest.raises(StepRejectedError, match="CFL violation: max .* = nan > 1") as err:
+            mech._windowed_upwind(grid, np.full(grid.n, 0.5), lam, m_face, 2, 18, dt)
+        assert np.isnan(err.value.diagnostics["cfl"])
+        assert err.value.location == (2 if bad == "dt" else 6)
+
+
+def _overdrawn():
+    """A thin Gaussian whose peak the multiplier |q - q_20| drains through
+    both faces at CFL 0.6 (> 1/2 per face), with three near-empty cells."""
+    grid = build_grid(-1.0, 1.0, 41)
+    q = grid.nodes
+    rho = np.exp(-(q**2) / 0.1)
+    rho[10:13] = 1e-10
+    return grid, mech.normalize_density(grid, rho), np.abs(q - q[20]), 0.6 * grid.h
+
+
+class TestOverdraw:
+    """A step that leaves a density below -1e-14 is a rejected step
+    (StepRejectedError, exit 3), not a bad state (InvalidStateError, exit 2)."""
+
+    @pytest.mark.parametrize("support_floor", [None, 1e-6])
+    @pytest.mark.parametrize("via", ["transport_density", "madelung_step"])
+    def test_rejected_at_most_negative_cell(self, free_particle, via, support_floor):
+        grid, rho, S, dt = _overdrawn()
+        lo, hi = (0, grid.n - 1) if support_floor is None else mech._support_window(rho, support_floor)
+        unchecked = windowed_upwind_masked(grid, rho, S, np.ones(grid.n - 1), lo, hi, dt)
+        low = int(np.argmin(unchecked))
+        assert unchecked[low] < -1e-14
+        with pytest.raises(StepRejectedError) as err:
+            if via == "transport_density":
+                mech.transport_density(mech.ClassicalEnsemble(grid, rho, S), free_particle, dt,
+                                       support_floor=support_floor)
+            else:
+                hy.madelung_step(free_particle, hy.DiffusionSpec(a=1.0, mode="classical"),
+                                 hy.HydroState(grid, rho, S), dt, support_floor=support_floor)
+        assert str(err.value) == "negative density (after step)"
+        assert err.value.location == low
+        assert err.value.diagnostics == {"rho_min": float(unchecked[low])}
+        assert cli._classify(err.value) == cli.EXIT_NUMERICAL
+
+    def test_half_cfl_accepted(self, free_particle):
+        grid, rho, S, dt = _overdrawn()
+        out = mech.transport_density(mech.ClassicalEnsemble(grid, rho, S), free_particle, 0.5 * dt)
+        assert np.min(out.rho) >= 0.0
+
+
+class TestNonFiniteStates:
+    """A NaN fails the normalisation test and a non-finite multiplier is
+    refused, in both density states."""
+
+    @pytest.mark.parametrize("state", ["ensemble", "hydro"])
+    @pytest.mark.parametrize("field, value", [("rho", np.nan), ("mult", np.nan), ("mult", np.inf),
+                                              ("mult", -np.inf)])
+    def test_rejected(self, state, field, value):
+        grid = build_grid(-1.0, 1.0, 41)
+        rho = mech.normalize_density(grid, np.exp(-(grid.nodes**2)))
+        lam = 0.3 * grid.nodes
+        (rho if field == "rho" else lam)[17] = value
+        build = mech.ClassicalEnsemble if state == "ensemble" else hy.HydroState
+        name = "S" if state == "ensemble" else "lam"
+        match = "density not normalised: h\\*sum\\(rho\\) = nan" if field == "rho" else f"^{name} must be finite$"
+        with pytest.raises(InvalidStateError, match=match):
+            build(grid, rho, lam)
+
+    def test_nan_step_rejected_not_returned(self, free_particle):
+        grid = build_grid(-1.0, 1.0, 41)
+        ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, np.exp(-(grid.nodes**2))),
+                                     0.3 * grid.nodes)
+        with pytest.raises(StepRejectedError, match="CFL violation"):
+            mech.transport_density(ens, free_particle, float("nan"))
