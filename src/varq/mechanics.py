@@ -8,7 +8,7 @@ classical balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,8 +74,10 @@ class NaturalSystemSpec:
 
     def mass_at(self, q):
         m = _eval_on(self.mass, q)
-        if np.any(np.asarray(m) <= 0):
-            raise InvalidSpecError("mass m(q) must be positive")
+        a = np.asarray(m)
+        # m <= 0 anywhere, or NaN/inf at a finite q (at a non-finite q a flow has blown up)
+        if not 0.0 < a.min() <= a.max() < np.inf and np.any((a <= 0) | (np.isfinite(q) & ~(a < np.inf))):
+            raise InvalidSpecError("mass m(q) must be finite and > 0")
         return m
 
     def potential_at(self, q):
@@ -133,7 +135,7 @@ def hamilton_flow(
     The stages run on Python floats, in the operation order of
     ``numerics.rk4_step`` and with its checks, so the states are those of
     ``rk4_step`` on [q, p] arrays bit for bit: a non-finite derivative raises
-    NumericalFailureError, and m(q) <= 0 at any stage InvalidSpecError.
+    NumericalFailureError, and a mass that ``mass_at`` rejects InvalidSpecError.
     Missing gradients are central differences (``_fd_grad``).
 
     If the trajectory leaves ``q_range`` (or stops being finite) the run is
@@ -152,8 +154,8 @@ def hamilton_flow(
     def rhs(q, p):
         x = np.float64(q)  # what the callbacks saw on the array path
         m = float(mass(x))
-        if m <= 0:
-            raise InvalidSpecError("mass m(q) must be positive")
+        if not 0.0 < m < inf and (m <= 0 or isfinite(q)):  # the rule of mass_at
+            raise InvalidSpecError("mass m(q) must be finite and > 0")
         dm = float(dmass(x))
         dv = float(dpot(x))
         try:

@@ -32,11 +32,11 @@ def box() -> Potential:
     return Potential("box", p.v, p.dv)
 
 
-def harmonic(k: float = 1.0) -> Potential:
+def harmonic(k: float) -> Potential:
     return Potential("harmonic", lambda q: 0.5 * k * np.square(q), lambda q: k * np.asarray(q, dtype=float))
 
 
-def quartic(c: float = 1.0) -> Potential:
+def quartic(c: float) -> Potential:
     return Potential("quartic", lambda q: c * np.asarray(q, dtype=float) ** 4,
                      lambda q: 4.0 * c * np.asarray(q, dtype=float) ** 3)
 

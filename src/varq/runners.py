@@ -28,33 +28,26 @@ __all__ = ["run_scenario_object"]
 
 
 def _grid_from(sc: Scenario):
-    return build_grid(
-        sc.get("grid", "q_min", float),
-        sc.get("grid", "q_max", float),
-        sc.get("grid", "n", int),
-    )
+    return build_grid(sc.params["grid"]["q_min"], sc.params["grid"]["q_max"], sc.params["grid"]["n"])
 
 
 def _potential_from(sc: Scenario) -> potentials.Potential:
-    kind = sc.get("potential", "kind", str).strip().lower()
-    if kind == "free":
-        return potentials.free()
-    if kind == "box":
-        return potentials.box()
+    kind = sc.params["potential"]["kind"]
     if kind == "harmonic":
-        return potentials.harmonic(sc.get("potential", "k", float, default=1.0))
+        return potentials.harmonic(sc.params["potential"]["k"])
     if kind == "quartic":
-        return potentials.quartic(sc.get("potential", "c", float, default=1.0))
+        return potentials.quartic(sc.params["potential"]["c"])
     if kind == "polynomial":
-        return potentials.polynomial(sc.get("potential", "coeffs", list))
-    raise ConfigError(f"unknown potential kind '{kind}'", key="potential.kind")
+        if "coeffs" not in sc.params["potential"]:
+            raise ConfigError("missing required key [potential] coeffs", key="potential.coeffs")
+        return potentials.polynomial(sc.params["potential"]["coeffs"])
+    return getattr(potentials, kind)()  # free or box
 
 
 def _mech_spec(sc: Scenario):
     pot = _potential_from(sc)
-    mass = sc.get("system", "mass", float, default=1.0)
     return mech.NaturalSystemSpec(
-        mass=lambda q: mass,
+        mass=lambda q: sc.params["system"]["mass"],
         potential=pot.v,
         mass_grad=lambda q: 0.0 if np.isscalar(q) else np.zeros(np.shape(q)),
         potential_grad=pot.dv,
@@ -66,13 +59,8 @@ def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
     q = grid.nodes
-    center = sc.get("initial", "center", float, default=1.0)
-    width_cells = sc.get("initial", "width_cells", float, default=3.0)
-    t_final = sc.get("run", "t_final", float)
-    cfl = sc.get("run", "cfl", float, default=0.4)
-    support_floor = sc.get("run", "support_floor", float, default=1e-6)
-
-    rho = np.exp(-0.5 * ((q - center) / (width_cells * grid.h)) ** 2)
+    center, t_final = sc.params["initial"]["center"], sc.params["run"]["t_final"]
+    rho = np.exp(-0.5 * ((q - center) / (sc.params["initial"]["width_cells"] * grid.h)) ** 2)
     ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
 
     flow = mech.hamilton_flow(spec, mech.PhaseState(center, 0.0), 1e-3, _uniform_steps(t_final, 1e-3)[0])
@@ -84,7 +72,8 @@ def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
         k = min(int(round(t / flow.dt)), flow.states.shape[0] - 1)
         samples.append((t, cen, flow.states[k, 0], grid.h * float(np.sum(e.rho))))
 
-    ens = mech.transport_run(ens, spec, t_final, cfl * grid.h, support_floor=support_floor, observer=obs)
+    ens = mech.transport_run(ens, spec, t_final, sc.params["run"]["cfl"] * grid.h,
+                             support_floor=sc.params["run"]["support_floor"], observer=obs)
     arr = np.asarray(samples)
     centroid_err = float(np.max(np.abs(arr[:, 1] - arr[:, 2])))
     mass_drift = float(np.max(np.abs(arr[:, 3] - 1.0)))
@@ -105,14 +94,8 @@ def run_madelung(sc: Scenario, tol_scale: float) -> RunReport:
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
     q = grid.nodes
-    a = sc.get("system", "a", float, default=1.0)
-    center = sc.get("initial", "center", float, default=0.2)
-    sigma2 = sc.get("initial", "variance", float, default=0.5)
-    t_final = sc.get("run", "t_final", float)
-    dt = sc.get("run", "dt", float, default=0.2 * grid.h**2)
-
-    dspec = hy.DiffusionSpec(a=a)
-    rho = np.exp(-((q - center) ** 2) / (2 * sigma2))
+    dspec = hy.DiffusionSpec(a=sc.params["system"]["a"])
+    rho = np.exp(-((q - sc.params["initial"]["center"]) ** 2) / (2 * sc.params["initial"]["variance"]))
     state = hy.HydroState(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
 
     samples = []
@@ -120,7 +103,8 @@ def run_madelung(sc: Scenario, tol_scale: float) -> RunReport:
     def obs(t, s):
         samples.append((t, grid.h * float(np.sum(s.rho * q)), grid.h * float(np.sum(s.rho))))
 
-    state = hy.madelung_run(spec, dspec, state, t_final, dt, observer=obs)
+    dt = sc.params["run"].get("dt", 0.2 * grid.h**2)
+    state = hy.madelung_run(spec, dspec, state, sc.params["run"]["t_final"], dt, observer=obs)
     arr = np.asarray(samples)
     mass_drift = float(np.max(np.abs(arr[:, 2] - 1.0)))
 
@@ -136,16 +120,11 @@ def run_schrodinger(sc: Scenario, tol_scale: float) -> RunReport:
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
     q = grid.nodes
-    a = sc.get("system", "a", float, default=1.0)
-    sigma = sc.get("initial", "sigma", float, default=1.0)
-    center = sc.get("initial", "center", float, default=0.0)
-    momentum = sc.get("initial", "momentum", float, default=0.0)
-    t_final = sc.get("run", "t_final", float)
-    dt = sc.get("run", "dt", float)
-
-    psi0 = np.exp(-((q - center) ** 2) / (4 * sigma**2)) * np.exp(1j * momentum * q / a)
+    a, t_final = sc.params["system"]["a"], sc.params["run"]["t_final"]
+    psi0 = (np.exp(-((q - sc.params["initial"]["center"]) ** 2) / (4 * sc.params["initial"]["sigma"] ** 2))
+            * np.exp(1j * sc.params["initial"]["momentum"] * q / a))
     wf = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a)
-    n_steps, dt = _uniform_steps(t_final, dt)
+    n_steps, dt = _uniform_steps(t_final, sc.params["run"]["dt"])
     evo = wv.SchrodingerEvolution(spec, grid, a, dt)
     psi = wf.psi.copy()
     e0 = evo.energy(psi)
@@ -181,27 +160,19 @@ def _variance(grid, psi):
 
 
 def _spin_spec(sc: Scenario, rng):
-    n = sc.get("system", "levels", int, default=2)
-    a = sc.get("system", "a", float, default=1.0)
-    b = sc.get("system", "b", float, default=-1.0)
-    u_kind = sc.get("system", "u_kind", str, default="exchange")
-    if u_kind == "exchange":
+    n = sc.params["system"]["levels"]
+    if sc.params["system"]["u_kind"] == "exchange":
         U = np.ones((n, n)) - np.eye(n)
-    elif u_kind == "random":
+    else:
         U = rng.normal(size=(n, n))
         U = 0.5 * (U + U.T)
-    else:
-        raise ConfigError(f"unknown u_kind {u_kind!r}", key="system.u_kind")
-    th_kind = sc.get("system", "theta_kind", str, default="zero")
-    if th_kind == "zero":
+    if sc.params["system"]["theta_kind"] == "zero":
         theta = np.zeros((n, n))
-    elif th_kind == "random":
+    else:
         theta = rng.normal(size=(n, n))
         theta = 0.5 * (theta - theta.T)
         np.fill_diagonal(theta, 0.0)
-    else:
-        raise ConfigError(f"unknown theta_kind {th_kind!r}", key="system.theta_kind")
-    return ds.SpinSystemSpec(U=U, theta=theta, a=a, b=b)
+    return ds.SpinSystemSpec(U=U, theta=theta, a=sc.params["system"]["a"], b=sc.params["system"]["b"])
 
 
 def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
@@ -213,12 +184,8 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
     rng = np.random.default_rng(sc.seed)
     spec = _spin_spec(sc, rng)
     n = spec.n
-    t_final = sc.get("run", "t_final", float, default=1.0)
-    dt = sc.get("run", "dt", float, default=1e-3)
-    t_start = sc.get("run", "t_start", float, default=0.1)
-    floor = sc.get("run", "p_floor", float, default=1e-6)
-
-    basis = sc.get("initial", "basis_state", int, default=0)
+    t_start = sc.params["run"]["t_start"]
+    basis = sc.params["initial"]["basis_state"]
     if not 0 <= basis < n:
         raise ConfigError(f"[initial] basis_state must be in 0..{n - 1}, got {basis}",
                           key="initial.basis_state")
@@ -238,7 +205,8 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
         cross_err = max(cross_err, float(np.max(np.abs(p_now - np.abs(ref.psi) ** 2))))
         rows.append((t_start + t, *p_now))
 
-    p, lam = ds.local_form_run(spec, p, lam, t_final, dt, floor=floor, observer=obs)
+    p, lam = ds.local_form_run(spec, p, lam, sc.params["run"]["t_final"], sc.params["run"]["dt"],
+                               floor=sc.params["run"]["p_floor"], observer=obs)
     total_p_err = abs(float(np.sum(p)) - 1.0)
 
     report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
@@ -253,31 +221,25 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
 
 def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
     """Covariant field evolution: plane-wave dispersion and conservation."""
-    eta = sc.get("system", "eta", float, default=1.0)
-    kg_mass = sc.get("system", "kg_mass", float, default=1.0)
+    kg2 = sc.params["system"]["kg_mass"] ** 2
     spec = cv.FieldLagrangianSpec(
-        eta=eta,
-        potential=lambda qq: 0.5 * kg_mass**2 * qq * qq,
-        potential_grad=lambda qq: kg_mass**2 * qq,
+        eta=sc.params["system"]["eta"],
+        potential=lambda qq: 0.5 * kg2 * qq * qq,
+        potential_grad=lambda qq: kg2 * qq,
     )
-    length = sc.get("grid", "length", float, default=2 * np.pi)
-    n = sc.get("grid", "n", int, default=256)
-    g = cv.PeriodicGrid1D(length, n)
+    g = cv.PeriodicGrid1D(sc.params["grid"]["length"], sc.params["grid"]["n"])
     x = g.nodes
-    mode = sc.get("initial", "k_mode", int, default=1)
-    amp = sc.get("initial", "amplitude", float, default=0.01)
-    dt = sc.get("run", "dt", float, default=1e-3)
-    n_steps = sc.get("run", "n_steps", int, default=20000)
-    store = max(1, n_steps // 200)
+    n_steps = sc.params["run"]["n_steps"]
 
-    k = 2 * np.pi * mode / length
-    omega = np.sqrt(k * k + kg_mass**2)
-    q0 = amp * np.cos(k * x)
-    pi0 = amp * omega * np.sin(k * x) * eta
+    k = 2 * np.pi * sc.params["initial"]["k_mode"] / g.length
+    omega = np.sqrt(k * k + kg2)
+    q0 = sc.params["initial"]["amplitude"] * np.cos(k * x)
+    pi0 = sc.params["initial"]["amplitude"] * omega * np.sin(k * x) * spec.eta
     st = cv.FieldState1p1(g, q0, pi0)
-    times, qs, pis, final = cv.ddw_evolve_series(spec, st, dt, n_steps, store_every=store)
+    times, qs, pis, final = cv.ddw_evolve_series(spec, st, sc.params["run"]["dt"], n_steps,
+                                                 store_every=max(1, n_steps // 200))
 
-    c = qs @ np.exp(-1j * k * x) * (2.0 / n)
+    c = qs @ np.exp(-1j * k * x) * (2.0 / g.n)
     slope = np.polyfit(times, np.unwrap(np.angle(c)), 1)[0]
     omega_meas = float(abs(slope))
     # total_energy and total_momentum of each snapshot, from one tensor
@@ -306,22 +268,17 @@ def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
 
 def _qfield_spec(sc: Scenario):
     pot = _potential_from(sc)
-    return qf.QFieldSpec(
-        eta=sc.get("system", "eta", float, default=1.0),
-        potential=pot.v,
-        f=sc.get("system", "f", float, default=1.0),
-    )
+    return qf.QFieldSpec(eta=sc.params["system"]["eta"], potential=pot.v, f=sc.params["system"]["f"])
 
 
 def run_vacuum(sc: Scenario, tol_scale: float) -> RunReport:
     """Invariant-state spectrum of the stationary operator."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
-    k = sc.get("run", "k_eigen", int, default=3)
-    vac = qf.vacuum_spectrum(spec, grid, k)
+    vac = qf.vacuum_spectrum(spec, grid, sc.params["run"]["k_eigen"])
     mean, var = qf.field_fluctuations(vac)
     gram = grid.h * vac.psi.T @ vac.psi
-    ortho = float(np.max(np.abs(gram - np.eye(k))))
+    ortho = float(np.max(np.abs(gram - np.eye(vac.w.size))))
 
     report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     for i, w in enumerate(vac.w):
@@ -331,7 +288,7 @@ def run_vacuum(sc: Scenario, tol_scale: float) -> RunReport:
     report.add_invariant("orthonormality", ortho, 1e-8 * tol_scale)
     report.add_invariant("ordering", float(np.max(np.diff(vac.w) <= 0)), 0.5)
     report.series["eigenvalues"] = Series(
-        ["index", "w"], np.column_stack([np.arange(k), vac.w])
+        ["index", "w"], np.column_stack([np.arange(vac.w.size), vac.w])
     )
     return report
 
@@ -340,17 +297,16 @@ def run_space_independent(sc: Scenario, tol_scale: float) -> RunReport:
     """Superposition evolution in x0: conserved mean energy, zero P."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
-    modes = sc.get("initial", "modes", list, default=[0, 1])
+    modes = sc.params["initial"]["modes"]
     if not modes or not all(v >= 0 and float(v).is_integer() for v in modes) or len(set(modes)) < len(modes):
         raise ConfigError(f"[initial] modes must be distinct integers >= 0, got {modes}", key="initial.modes")
     modes = [int(v) for v in modes]
     k = max(modes) + 1
     vac = qf.vacuum_spectrum(spec, grid, k)
     psi0 = np.sum(vac.psi[:, modes], axis=1) / np.sqrt(len(modes))
-    dt = sc.get("run", "dt", float, default=2e-3)
-    n_steps = sc.get("run", "n_steps", int, default=1000)
+    n_steps = sc.params["run"]["n_steps"]
     res = qf.space_independent_evolve(
-        spec, grid, psi0.astype(complex), dt, n_steps, store_every=max(1, n_steps // 50)
+        spec, grid, psi0.astype(complex), sc.params["run"]["dt"], n_steps, store_every=max(1, n_steps // 50)
     )
     wbar_expected = float(np.mean(vac.w[modes]))
     drift = float(np.max(np.abs(res.mean_energy - res.mean_energy[0])) / abs(res.mean_energy[0]))
@@ -374,18 +330,13 @@ def run_confined(sc: Scenario, tol_scale: float) -> RunReport:
     """Static spherically symmetric solution and its confinement scales."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
-    k = sc.get("run", "k_eigen", int, default=8)
-    vac = qf.vacuum_spectrum(spec, grid, k)
+    vac = qf.vacuum_spectrum(spec, grid, sc.params["run"]["k_eigen"])
     dw = vac.w[1] - vac.w[0]
-    c = sc.get("initial", "c", list, default=[1.0, 0.1])
-    r_min = sc.get("run", "r_min", float, default=0.5 * spec.f / dw)
-    r_max = sc.get("run", "r_max", float, default=30.0 * spec.f / dw)
-    tol = sc.get("run", "tol", float, default=1e-8)
-    n_r = sc.get("run", "n_r", int, default=1200)
-    res = qf.confined_solve(spec, vac, c, r_min, r_max, tol=tol, n_r=n_r)
-    fit_lo = sc.get("run", "fit_lo", float, default=10.0 * spec.f / dw)
-    fit_hi = sc.get("run", "fit_hi", float, default=25.0 * spec.f / dw)
-    rep = qf.confinement_report(res.pair, vac, spec.f, window=(fit_lo, fit_hi))
+    tol = sc.params["run"]["tol"]
+    res = qf.confined_solve(spec, vac, sc.params["initial"]["c"], sc.params["run"].get("r_min", 0.5 * spec.f / dw),
+                            sc.params["run"].get("r_max", 30.0 * spec.f / dw), tol, sc.params["run"]["n_r"])
+    rep = qf.confinement_report(res.pair, vac, spec.f, window=(sc.params["run"].get("fit_lo", 10.0 * spec.f / dw),
+                                                               sc.params["run"].get("fit_hi", 25.0 * spec.f / dw)))
     tail = qf.tail_integral(res.pair, vac)
     hist = np.asarray(res.residual_history)
     above = hist[hist > tol]

@@ -43,7 +43,9 @@ class TestParse:
     def test_valid_roundtrip(self):
         sc = parse_scenario(VACUUM_CFG, name="vac")
         assert sc.regime == "vacuum"
-        assert sc.get("run", "k_eigen", int) == 3
+        assert sc.params["run"]["k_eigen"] == 3
+        assert sc.params["grid"] == {"q_min": -10.0, "q_max": 10.0, "n": 1800}
+        assert sc.sections["run"] == {"k_eigen": "3"}
 
     def test_unknown_regime_names_key(self):
         with pytest.raises(ConfigError) as err:
@@ -52,8 +54,9 @@ class TestParse:
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError) as err:
-            parse_scenario(VACUUM_CFG.replace("n = 1800", "n = twelve")).get("grid", "n", int)
+            parse_scenario(VACUUM_CFG.replace("n = 1800", "n = twelve"))
         assert err.value.key == "grid.n"
+        assert str(err.value) == "cannot parse [grid] n = 'twelve' as int"
 
     def test_missing_section(self):
         with pytest.raises(ConfigError):
@@ -179,6 +182,20 @@ class TestSpecConstants:
         cfg = write_cfg(tmp_path, text.replace(f"\n{key} = 1.0\n", f"\n{key} = {value}\n"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"{name} must be finite and > 0, got {value}" in capsys.readouterr().err
+
+
+class TestMass:
+    @pytest.mark.parametrize("cfg_name", [
+        "classical_oscillator.cfg", "madelung_trap.cfg", "schrodinger_free_gaussian.cfg",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_mass_is_config_error(self, tmp_path, capsys, cfg_name, value):
+        text = (CONFIG_DIR / cfg_name).read_text()
+        assert "\nmass = 1.0\n" in text
+        cfg = write_cfg(tmp_path, text.replace("\nmass = 1.0\n", f"\nmass = {value}\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error: mass m(q) must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWaive:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
@@ -293,6 +295,36 @@ class TestBulkSlice:
     def test_single_cell_and_zero_density(self):
         for rho in (np.array([0.7]), np.zeros(9)):
             assert hy._bulk_slice(rho, 1e-12) == _bulk_slice_loop(rho, 1e-12)
+
+
+class TestMassConservation:
+    """The Madelung density moves by telescoping upwind fluxes with no-flux
+    walls, so h*sum(rho) stays at its start value to roundoff; the density
+    state's own check only holds it to 1e-9."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=5.0, max_value=9.0),
+        st.integers(min_value=81, max_value=241),
+        st.floats(min_value=-0.3, max_value=0.3),
+        st.floats(min_value=0.2, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.5, max_value=2.0),
+    )
+    def test_random_nodeless_gaussian(self, half_width, n, center_frac, variance, kick, mass, a):
+        grid = build_grid(-half_width, half_width, n)
+        q = grid.nodes
+        spec = mech.NaturalSystemSpec(mass=lambda x: mass, potential=lambda x: 0.5 * np.square(x),
+                                      mass_grad=lambda x: 0.0, potential_grad=lambda x: x)
+        rho = mech.normalize_density(grid, np.exp(-((q - center_frac * half_width) ** 2) / (2 * variance)))
+        start = grid.h * float(np.sum(rho))
+        masses = []
+        dt = 0.2 * grid.h**2 * mass / a
+        hy.madelung_run(spec, hy.DiffusionSpec(a=a), hy.HydroState(grid, rho, kick * q), 20 * dt, dt,
+                        observer=lambda t, s: masses.append(grid.h * float(np.sum(s.rho))))
+        assert len(masses) >= 20
+        assert max(abs(m - start) for m in masses) <= 1e-13
 
 
 def _varying_mass(q):

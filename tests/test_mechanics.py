@@ -575,7 +575,18 @@ class TestScalarFlow:
         spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 - q, potential=lambda q: 0.0 * q)
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, n) for n in range(1, 12)]
         assert len(outcomes[0]) == 4
-        assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be positive")
+        assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be finite and > 0")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_mid_flow(self, bad):
+        # m jumps from 1 to nan or inf at q = 1; the free particle gets there near t = 1
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 if q < 1.0 else bad, potential=lambda q: 0.0,
+                                      mass_grad=lambda q: 0.0, potential_grad=lambda q: 0.0)
+        outcomes = [_assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, n) for n in range(1, 14)]
+        assert len(outcomes[0]) == 4
+        assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be finite and > 0")
+        with pytest.raises(InvalidSpecError, match="finite and > 0"):
+            mech.hamilton_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, 13)
 
     def test_nonfinite_derivative_mid_flow(self):
         # dV/dq = 0 * sqrt(q) is NaN once a stage reaches q < 0
