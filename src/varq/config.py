@@ -7,7 +7,8 @@ true/yes/on/1 or false/no/off/0 in any case, ``list`` a comma- or
 space-separated float list); a tuple of accepted strings, the first the
 default (``None``: required; a ``Folded`` tuple ignores case); or
 ``Derived(type)``, a key the runner derives from other inputs when absent.
-``COMMON`` adds ``[scenario]`` and ``[checks]`` to every regime.
+``COMMON`` adds ``[scenario]`` and ``[checks]`` to every regime; their
+values are the Scenario's ``regime``, ``seed`` and ``waive_invariants``.
 ``parse_scenario`` checks a config against its table before anything runs:
 an unknown section or key, a missing required key, an unparsable value or a
 bad choice raises ConfigError naming ``section.key``.  Value ranges are
@@ -66,8 +67,10 @@ _BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no"
 @dataclass
 class Scenario:
     """A config checked against ``SCHEMA``: ``sections`` holds the raw strings
-    (the report echoes them), ``params`` the typed value of every key in the
-    regime's table, defaults filled in (a ``Derived`` key only when given)."""
+    (the report echoes them), ``params`` the typed value of every key in
+    ``SCHEMA[regime]``, defaults filled in (a ``Derived`` key only when given).
+    The ``COMMON`` keys live only in the fields, so ``--seed`` has one value
+    to override."""
 
     regime: str
     seed: int
@@ -120,15 +123,16 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
     if "scenario" not in sections:
         raise ConfigError("missing [scenario] section", key="scenario")
-    regime = _section("scenario", COMMON["scenario"], sections["scenario"])["regime"]
+    head = _section("scenario", COMMON["scenario"], sections["scenario"])
+    regime = head["regime"]
     if regime not in SCHEMA:
         raise ConfigError(f"unknown regime {regime!r}; expected one of {', '.join(SCHEMA)}", key="scenario.regime")
-    table = {**COMMON, **SCHEMA[regime]}
     for section in sections:
-        if section not in table:
+        if section not in SCHEMA[regime] and section not in COMMON:
             raise ConfigError(f"unknown section [{section}] for regime {regime}", key=section)
-    params = {section: _section(section, keys, sections.get(section, {})) for section, keys in table.items()}
-    return Scenario(regime, params["scenario"]["seed"], sections, params, params["checks"]["waive"], name)
+    waive = _section("checks", COMMON["checks"], sections.get("checks", {}))["waive"]
+    params = {section: _section(section, keys, sections.get(section, {})) for section, keys in SCHEMA[regime].items()}
+    return Scenario(regime, head["seed"], sections, params, waive, name)
 
 
 def load_scenario(path) -> Scenario:

@@ -25,6 +25,7 @@ from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
 from .mechanics import (
     NaturalSystemSpec,
     classical_transport_step,
+    _RunContext,
     _reject_negative,
     _validate_density_state,
     _windowed_upwind,
@@ -134,11 +135,11 @@ def _bulk_slice(rho: np.ndarray, floor_frac: float):
     itself below the floor (floor_frac >= 1) gives (peak, peak).
     """
     mask = _support_mask(rho, floor_frac)
-    peak = int(np.argmax(rho))
+    peak = int(rho.argmax())
     if not mask[peak]:
         return peak, peak
-    off = np.flatnonzero(~mask)
-    k = int(np.searchsorted(off, peak))
+    off = (~mask).nonzero()[0]
+    k = int(off.searchsorted(peak))
     lo = int(off[k - 1]) + 1 if k > 0 else 0
     hi = int(off[k]) - 1 if k < off.size else rho.size - 1
     return lo, hi
@@ -153,10 +154,10 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
     of the floor (support boundary noise).  A density that HydroState would
     refuse as negative is rejected too (``mechanics._reject_negative``).
     """
-    floor = floor_frac * float(np.max(rho))
-    deep = np.flatnonzero(rho < _HARD_FRAC * floor)
+    floor = floor_frac * float(rho.max())
+    deep = (rho < _HARD_FRAC * floor).nonzero()[0]
     if deep.size:
-        sig = np.flatnonzero(rho > _SIGNIFICANT_FRAC * floor)
+        sig = (rho > _SIGNIFICANT_FRAC * floor).nonzero()[0]
         if sig.size >= 2:
             inside = deep[(deep > sig[0]) & (deep < sig[-1])]
             if inside.size:
@@ -207,8 +208,8 @@ def _g_terms(dspec, grid, rho, m_face, m_node):
     first = 0.5 * dspec.g_grad_at(rho) * grad_rho**2 / m_node
     mu_f = 1.0 / m_face
     rho_f = 0.5 * (rho[:-1] + rho[1:])
-    flux = mu_f * dspec.g_at(rho_f) * np.diff(rho) / h
-    div = np.zeros_like(rho)
+    flux = mu_f * dspec.g_at(rho_f) * (rho[1:] - rho[:-1]) / h
+    div = np.zeros(rho.size)
     div[1:-1] = (flux[1:] - flux[:-1]) / h
     return first - div
 
@@ -221,7 +222,7 @@ def madelung_step(
     floor_frac: float = RHO_FLOOR_FRAC,
     support_floor: Optional[float] = None,
     _op: Optional[TridiagonalOperator] = None,
-    _mass: Optional[tuple] = None,
+    _run: Optional[_RunContext] = None,
 ) -> HydroState:
     """One semi-implicit step of the coupled (rho, lam) system.
 
@@ -232,42 +233,42 @@ def madelung_step(
     (lagged sqrt(rho)); multiplier updates are restricted to the bulk
     where rho exceeds the relative floor.
 
-    ``_op`` and ``_mass`` carry what a run computes once: the quantum
-    operator and the pair (m at ``grid.midpoints``, m at ``grid.nodes``)
-    sampled through ``spec.mass_at``, so positivity is checked there.
-    Classical mode reads only the face sample.  Without them the step
-    builds and samples its own, with bitwise-identical results.
-    ``floor_frac`` and ``support_floor`` keep their positional slots because
-    perfbench/kernels.py passes all seven arguments by position.
+    ``_op`` is the quantum operator and ``_run`` the calling run's
+    ``_RunContext`` (mass samples, last bulk window).  Given the state the
+    run's previous step returned, the step takes that step's window
+    instead of scanning the same density again (``HydroState``'s clip at 0
+    moves neither the floor, the node test nor the bulk); any other state
+    is scanned.  Without them the step builds and samples its own, with
+    the same bits.  ``floor_frac``, ``support_floor`` and ``_op`` keep
+    their slots: perfbench/kernels.py passes all seven by position.
     """
     grid = state.grid
     if dspec.mode == "classical":
-        rho_new, lam_new = classical_transport_step(
-            grid, state.rho, state.lam, spec, dt, support_floor=support_floor,
-            _m_face=None if _mass is None else _mass[0],
-        )
+        rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt,
+                                                    support_floor=support_floor, _run=_run)
         return HydroState(grid, rho_new, lam_new)
 
-    lo, hi = _check_nodeless(state.rho, floor_frac, "before step")
-    m_face, m_node = _mass if _mass is not None else _mass_sample(spec, grid)
+    carried = _run is not None and _run.last is state
+    lo, hi = _run.window if carried else _check_nodeless(state.rho, floor_frac, "before step")
+    if _run is None:  # sampled after the scan: a noded density is rejected before m(q) is checked
+        _run = _RunContext(*_mass_sample(spec, grid))
+    m_face, m_node = _run.m_face, _run.m_node
 
     rho_new = _windowed_upwind(grid, state.rho, state.lam, m_face, lo, hi, dt)
 
     # multiplier update with the quantum term (H sqrt(rho))/sqrt(rho) at the
     # fresh density; it reduces exactly to w_r on discrete eigenstate densities
     op = _op if _op is not None else schrodinger_operator(spec, grid, dspec.a)
-    mask = np.zeros(grid.n, dtype=bool)
     lo2, hi2 = _check_nodeless(rho_new, floor_frac, "after step")
-    mask[lo2 : hi2 + 1] = True
-    grad_lam = grad_central(state.lam, grid.h)
-    rate = _sqrt_density_ratio(grid, op, np.maximum(rho_new, 0.0), mask)
-    rate[mask] += grad_lam[mask] ** 2 / (2.0 * m_node[mask])
+    bulk = slice(lo2, hi2 + 1)  # contiguous, so every update below is on views
+    rate = _sqrt_density_ratio(grid, op, np.maximum(rho_new, 0.0), bulk)[bulk]
+    rate += grad_central(state.lam, grid.h)[bulk] ** 2 / (2.0 * m_node[bulk])
     if dspec.g is not None:
-        gterm = _g_terms(dspec, grid, rho_new, m_face, m_node)
-        rate[mask] += np.asarray(gterm)[mask]
+        rate += _g_terms(dspec, grid, rho_new, m_face, m_node)[bulk]
     lam_new = state.lam.copy()
-    lam_new[mask] -= dt * rate[mask]
-    return HydroState(grid, rho_new, lam_new)
+    lam_new[bulk] -= dt * rate
+    _run.last, _run.window = HydroState(grid, rho_new, lam_new), (lo2, hi2)
+    return _run.last
 
 
 def madelung_run(
@@ -280,16 +281,19 @@ def madelung_run(
 ) -> HydroState:
     """Advance to t_final in uniform steps of (at most) dt.
 
-    The quantum operator is built and m(q) sampled once, before the first
-    step.  Raises InvalidArgumentError unless t_final and dt are finite
-    and > 0.
+    The run builds the quantum operator and samples m(q) into one
+    ``_RunContext`` before the first step; the context carries each step's
+    bulk window to the next, so k quantum-pole steps scan the density k + 1
+    times.  ``observer(t, state)``, when given, is called after every step
+    and must not modify the state.  Raises InvalidArgumentError unless
+    t_final and dt are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     t = 0.0
     op = schrodinger_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
-    mass = _mass_sample(spec, state.grid)
+    run = _RunContext(*_mass_sample(spec, state.grid))
     for _ in range(n_steps):
-        state = madelung_step(spec, dspec, state, dt, _op=op, _mass=mass)
+        state = madelung_step(spec, dspec, state, dt, _op=op, _run=run)
         t += dt
         if observer is not None:
             observer(t, state)

@@ -82,7 +82,7 @@ class NaturalSystemSpec:
 
     def potential_at(self, q):
         v = _eval_on(self.potential, q)
-        if not np.all(np.isfinite(np.asarray(v))):
+        if not np.isfinite(v).all():
             raise InvalidSpecError("potential V(q) must be finite")
         return v
 
@@ -206,11 +206,11 @@ def _validate_density_state(state, field: str):
     lam = np.asarray(getattr(state, field), dtype=float)
     if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
         raise InvalidStateError(f"rho and {field} must match the grid")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise InvalidStateError(f"{field} must be finite")
-    if np.any(rho < -_RHO_NEG_TOL):
+    if (rho < -_RHO_NEG_TOL).any():
         raise InvalidStateError("density must be nonnegative")
-    total = state.grid.h * float(np.sum(rho))
+    total = state.grid.h * float(rho.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
     object.__setattr__(state, "rho", np.maximum(rho, 0.0))
@@ -240,7 +240,7 @@ def upwind_density_update(grid: Grid1D, rho: np.ndarray, v_face: np.ndarray, dt:
     limiter keeps the update monotone.  Telescoping fluxes with no-flux
     walls keep h*sum(rho) exact to roundoff.
     """
-    drho = np.zeros_like(rho)
+    drho = np.zeros(rho.size)
     drho[1:-1] = _minmod(rho[1:-1] - rho[:-2], rho[2:] - rho[1:-1])
     nu = v_face * dt / grid.h
     r_left = rho[:-1] + 0.5 * (1.0 - nu) * drho[:-1]
@@ -256,7 +256,7 @@ def _reject_negative(rho: np.ndarray, where: str, offset: int):
     """Reject a step that leaves rho (grid index ``offset`` onwards) below
     what a density state accepts: even at CFL <= 1 the upwind step can
     overdraw a cell whose two faces both carry density out."""
-    low = int(np.argmin(rho))
+    low = int(rho.argmin())
     if rho[low] < -_RHO_NEG_TOL:
         raise StepRejectedError(
             f"negative density ({where})", location=offset + low, diagnostics={"rho_min": float(rho[low])}
@@ -278,9 +278,9 @@ def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.
     """
     a, b = max(lo - 1, 0), min(hi + 1, grid.n - 1)
     v = np.zeros(b - a)  # faces a..b-1; the edge faces a < lo and hi < b stay at 0
-    v[lo - a : hi - a] = np.diff(lam[lo : hi + 1]) / grid.h / m_face[lo:hi]
+    v[lo - a : hi - a] = (lam[lo + 1 : hi + 1] - lam[lo:hi]) / grid.h / m_face[lo:hi]
     speed = np.abs(v)
-    k = int(np.argmax(speed))
+    k = int(speed.argmax())
     cfl = float(speed[k]) * dt / grid.h
     if not cfl <= 1.0:
         raise StepRejectedError(
@@ -296,10 +296,11 @@ def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.
 def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt: float) -> np.ndarray:
     """Upwind (Godunov) step of dS/dt + (dS/dq)^2/2m + V = 0 for convex H."""
     h = grid.h
-    dm = np.empty_like(S)
-    dp = np.empty_like(S)
-    dm[1:] = np.diff(S) / h
-    dp[:-1] = np.diff(S) / h
+    slope = (S[1:] - S[:-1]) / h
+    dm = np.empty(S.size)
+    dp = np.empty(S.size)
+    dm[1:] = slope
+    dp[:-1] = slope
     dm[0] = dp[0]
     dp[-1] = dm[-1]
     p2 = np.maximum(np.maximum(dm, 0.0) ** 2, np.minimum(dp, 0.0) ** 2)
@@ -309,10 +310,21 @@ def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt:
 
 def _support_window(rho: np.ndarray, floor_frac: float) -> tuple:
     """Index window [lo, hi] covering {rho > floor} dilated by _SUPPORT_BUFFER."""
-    idx = np.flatnonzero(_support_mask(rho, floor_frac))
+    idx = _support_mask(rho, floor_frac).nonzero()[0]
     lo = max(int(idx[0]) - _SUPPORT_BUFFER, 0)
     hi = min(int(idx[-1]) + _SUPPORT_BUFFER, rho.size - 1)
     return lo, hi
+
+
+class _RunContext:
+    """What one run computes once for its steps: m(q) at ``grid.midpoints``
+    and ``grid.nodes`` (None if unused), sampled through ``spec.mass_at``; and
+    ``window``, the bulk window ``madelung_step`` found on the state it last
+    returned (``last``), so the next step need not scan that density again."""
+
+    def __init__(self, m_face: np.ndarray, m_node: Optional[np.ndarray]):
+        self.m_face, self.m_node = m_face, m_node
+        self.last = self.window = None
 
 
 def classical_transport_step(
@@ -322,7 +334,7 @@ def classical_transport_step(
     spec: NaturalSystemSpec,
     dt: float,
     support_floor: Optional[float] = None,
-    _m_face: Optional[np.ndarray] = None,
+    _run: Optional[_RunContext] = None,
 ):
     """Shared kernel: one coupled (rho, S) step of the classical balance.
 
@@ -333,10 +345,8 @@ def classical_transport_step(
     the multiplier gradients bounded by the ensemble's physical momentum
     range even while the density passes through a focus.
 
-    ``_m_face`` is m(q) sampled once per run at ``grid.midpoints`` (via
-    ``spec.mass_at``, so positivity is checked there); the run loops pass
-    it so that every step reuses the same validated array.  Without it the
-    step samples the spec itself, with bitwise-identical results.
+    ``_run`` is the calling run's ``_RunContext``; the step reads m(q) at
+    the faces from it instead of sampling the spec (same bits).
 
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
@@ -346,7 +356,7 @@ def classical_transport_step(
         lo, hi = 0, grid.n - 1
     else:
         lo, hi = _support_window(rho, support_floor)
-    m_face = _m_face if _m_face is not None else spec.mass_at(grid.midpoints)
+    m_face = _run.m_face if _run is not None else spec.mass_at(grid.midpoints)
     # the whole-grid window keeps every face, so the masked velocity equals
     # the unmasked one bit for bit
     rho_new = _windowed_upwind(grid, rho, S, m_face, lo, hi, dt)
@@ -407,17 +417,17 @@ def transport_run(
 ) -> ClassicalEnsemble:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
-    ``observer(t, ens)`` is called after every step when given.  m(q) is
-    sampled at the faces once, before the first step.  Raises
+    ``observer(t, ens)`` is called after every step when given.  The run
+    samples m(q) at the faces once, before the first step, into one
+    ``_RunContext`` that every ``classical_transport_step`` reads.  Raises
     InvalidArgumentError unless t_final and dt are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
-    m_face = spec.mass_at(ens.grid.midpoints)
+    run = _RunContext(spec.mass_at(ens.grid.midpoints), None)
     t = 0.0
     for _ in range(n_steps):
-        rho, S = classical_transport_step(
-            ens.grid, ens.rho, ens.S, spec, dt, support_floor=support_floor, _m_face=m_face
-        )
+        rho, S = classical_transport_step(ens.grid, ens.rho, ens.S, spec, dt,
+                                          support_floor=support_floor, _run=run)
         ens = ClassicalEnsemble(ens.grid, rho, S)
         t += dt
         if observer is not None:

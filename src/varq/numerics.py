@@ -286,13 +286,13 @@ RHO_FLOOR_FRAC = 1e-12  # relative density floor of the support mask in every re
 def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:
     """Support of a density: the equations hold only where rho > 0, and every
     regime takes that region as the cells above ``floor_frac`` * max(rho)."""
-    return rho > floor_frac * float(np.max(rho))
+    return rho > floor_frac * float(rho.max())
 
 
-def _sqrt_density_ratio(grid: Grid1D, op: TridiagonalOperator, rho: np.ndarray,
-                        mask: np.ndarray) -> np.ndarray:
-    """(H sqrt(rho)) / sqrt(rho) on ``mask`` and 0 elsewhere, with ``op``
-    applied at the interior nodes and the Dirichlet zeros at the ends."""
+def _sqrt_density_ratio(grid: Grid1D, op: TridiagonalOperator, rho: np.ndarray, mask) -> np.ndarray:
+    """(H sqrt(rho)) / sqrt(rho) on ``mask`` (a boolean mask or a slice)
+    and 0 elsewhere, with ``op`` applied at the interior nodes and the
+    Dirichlet zeros at the ends."""
     sr = np.sqrt(rho)
     h_sr = embed_interior(grid, op.apply(sr[1:-1]))
     out = np.zeros(grid.n)

@@ -68,9 +68,9 @@ def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
     samples = []
 
     def obs(t, e):
-        cen = grid.h * float(np.sum(e.rho * q))
+        cen = grid.h * float((e.rho * q).sum())
         k = min(int(round(t / flow.dt)), flow.states.shape[0] - 1)
-        samples.append((t, cen, flow.states[k, 0], grid.h * float(np.sum(e.rho))))
+        samples.append((t, cen, flow.states[k, 0], grid.h * float(e.rho.sum())))
 
     ens = mech.transport_run(ens, spec, t_final, sc.params["run"]["cfl"] * grid.h,
                              support_floor=sc.params["run"]["support_floor"], observer=obs)
@@ -101,7 +101,7 @@ def run_madelung(sc: Scenario, tol_scale: float) -> RunReport:
     samples = []
 
     def obs(t, s):
-        samples.append((t, grid.h * float(np.sum(s.rho * q)), grid.h * float(np.sum(s.rho))))
+        samples.append((t, grid.h * float((s.rho * q).sum()), grid.h * float(s.rho.sum())))
 
     dt = sc.params["run"].get("dt", 0.2 * grid.h**2)
     state = hy.madelung_run(spec, dspec, state, sc.params["run"]["t_final"], dt, observer=obs)

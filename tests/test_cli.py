@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varq import cli
 from varq.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
 from varq.config import parse_scenario
 from varq.errors import ConfigError
@@ -416,6 +417,18 @@ class TestSeedOverride:
 
         assert populations("s7") == populations("s7b")
         assert populations("s7") != populations("s8")
+
+    def test_no_copy_keeps_the_config_seed(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.run_scenario_object
+        monkeypatch.setattr(cli, "run_scenario_object", lambda sc, **kw: seen.append(sc) or real(sc, **kw))
+        cfg = write_cfg(tmp_path, VACUUM_CFG.replace("seed = 0", "seed = 5") + "\n[checks]\nwaive = yes\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
+        (sc,) = seen
+        assert sc.seed == 7 and sc.waive_invariants is True
+        # the typed values hold each [scenario]/[checks] value once, in the fields
+        assert {key for keys in sc.params.values() for key in keys}.isdisjoint({"regime", "seed", "waive"})
+        assert "seed=7" in (tmp_path / "out" / "case" / "report.txt").read_text().splitlines()
 
 
 class TestSeriesColumns:

@@ -368,7 +368,7 @@ class TestWholeGridWindow:
         st.floats(min_value=0.05, max_value=2.0),
         st.booleans(),
     )
-    def test_matches_unmasked_formula(self, n, seed, cfl_target, pass_m_face):
+    def test_matches_unmasked_formula(self, n, seed, cfl_target, pass_run):
         rng = np.random.default_rng(seed)
         grid = build_grid(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), n)
         c0, c1 = rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4)
@@ -380,8 +380,9 @@ class TestWholeGridWindow:
         S = np.cumsum(rng.normal(scale=rng.uniform(1e-3, 5.0), size=n))
         vmax = float(np.max(np.abs(np.diff(S) / grid.h / spec.mass_at(grid.midpoints))))
         dt = cfl_target * grid.h / max(vmax, 1e-300)
-        m_face = spec.mass_at(grid.midpoints) if pass_m_face else None
-        new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None, m_face)
+        m_face = spec.mass_at(grid.midpoints) if pass_run else None
+        run = mech._RunContext(m_face, None) if pass_run else None
+        new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None, run)
         old = _outcome(transport_step_unmasked, grid, rho, S, spec, dt, m_face)
         if not isinstance(old[0], str) and np.min(old[0]) < -1e-14:
             # an overdrawn cell: the step now rejects where the old form went negative

@@ -140,6 +140,29 @@ class TestUnitaryStep:
         n1 = np.sum(np.abs(out) ** 2)
         assert abs(n1 - n0) / n0 <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.floats(min_value=0.05, max_value=20.0),
+    )
+    def test_energy_conserved_for_random_hermitian_operators(self, m, seed, dt, a):
+        # the Cayley map is a function of H, so <psi|H|psi> is conserved
+        # exactly; 50 steps keep it to rounding, relative to ||H|| ||psi||^2
+        # (worst seen over 400 random draws: 1.4e-14)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        op = nx.TridiagonalOperator(scale[0] * rng.normal(size=m), scale[1] * rng.normal(size=m - 1))
+        psi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        prop = nx.CayleyPropagator(op, dt, a)
+        out = psi
+        for _ in range(50):
+            out = prop.step(out)
+        h_norm = np.abs(op.diagonal).max() + 2.0 * np.abs(op.off_diagonal).max(initial=0.0)
+        drift = abs(np.vdot(out, op.apply(out)).real - np.vdot(psi, op.apply(psi)).real)
+        assert drift <= 1e-12 * h_norm * np.vdot(psi, psi).real
+
 
 def cayley_step_per_call(op, dt, a, psi):
     """`CayleyPropagator.step` as it was before the stored factorisation:
