@@ -15,11 +15,13 @@ shifts the stationary point of each exchange current by +theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import cos, isfinite, sin, sqrt
+from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
-from .numerics import _check_positive, _uniform_steps, rk4_step
+from .errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError, StepRejectedError
+from .numerics import _check_positive, _uniform_steps
 
 __all__ = [
     "SpinSystemSpec",
@@ -82,10 +84,6 @@ class SpinState:
             raise InvalidStateError(f"state not normalised: sum|psi|^2 = {norm!r}")
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def populations(self) -> np.ndarray:
-        return np.abs(self.psi) ** 2
-
 
 def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     """h = -b U exp(-i theta / a); hermitian by construction."""
@@ -119,25 +117,21 @@ def _propagator(spec: SpinSystemSpec, state: SpinState):
     return at
 
 
-def _eta(spec: SpinSystemSpec, lam: np.ndarray) -> np.ndarray:
-    return lam[:, None] - lam[None, :] + spec.theta
-
-
 def local_form_rhs(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray):
     """Time derivatives (dp, dlam) of the local-variable system.
 
     dlam_alpha = b sum_beta U_ab sqrt(p_b/p_a) cos(eta_ab / a)
     dp_alpha   = (2b/a) sum_beta sqrt(p_a p_b) U_ab sin(eta_ab / a)
+
+    An array wrapper over ``_LocalFormRun.rhs``, which the step runs.
+    Raises InvalidStateError unless every p_alpha > 0 (dlam divides by
+    sqrt(p_alpha)).
     """
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    sqrtp = np.sqrt(p)
-    eta = _eta(spec, lam)
-    cos_term = spec.U * np.cos(eta / spec.a)
-    sin_term = spec.U * np.sin(eta / spec.a)
-    dlam = spec.b * (cos_term @ sqrtp) / sqrtp
-    dp = (2.0 * spec.b / spec.a) * sqrtp * (sin_term @ sqrtp)
-    return dp, dlam
+    p, lam = _as_lists(spec.n, p, lam)
+    if not all(x > 0 for x in p):
+        raise InvalidStateError("populations must be > 0")
+    d = _LocalFormRun(spec, 0.0, P_FLOOR).rhs(p + lam, 0.0)
+    return np.array(d[: spec.n]), np.array(d[spec.n :])
 
 
 def gamma_currents(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -150,7 +144,8 @@ def gamma_currents(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray) -> np.n
     if np.any(p < 0):
         raise InvalidStateError("populations must be nonnegative")
     sqrtp = np.sqrt(p)
-    eta = _eta(spec, np.asarray(lam, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    eta = lam[:, None] - lam[None, :] + spec.theta
     return np.outer(sqrtp, sqrtp) * spec.U * (-(spec.b / spec.a) * np.sin(eta / spec.a))
 
 
@@ -161,44 +156,95 @@ def balance_residual(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray) -> np
     return dp + np.sum(gam - gam.T, axis=1)
 
 
-def _check_floor(p: np.ndarray, floor: float):
-    low = np.flatnonzero(np.asarray(p) < floor)
-    if low.size:
-        raise StepRejectedError(
-            f"population below floor {floor:g} (leaving the valid region)",
-            location=int(low[0]),
-            diagnostics={"p_min": float(np.min(p))},
-        )
+def _as_lists(n: int, p, lam):
+    """p and lam as lists of floats, with one entry per level each."""
+    p, lam = np.asarray(p, dtype=float).tolist(), np.asarray(lam, dtype=float).tolist()
+    if len(p) != n or len(lam) != n:
+        raise InvalidStateError(f"need {n} populations and phases, got {len(p)} and {len(lam)}")
+    return p, lam
+
+
+def _check_floor(p: list, floor: float):
+    low = [i for i, x in enumerate(p) if x < floor]  # NaN passes
+    if low:
+        raise StepRejectedError(f"population below floor {floor:g} (leaving the valid region)",
+                                location=low[0], diagnostics={"p_min": float(np.min(p))})
+
+
+class _LocalFormRun:
+    """What a local-form run sets up once for its steps: U and theta as
+    lists, a, b, 2b/a, the floor, its clamp floor * 1e-3, dt/2 and dt/6.
+    Steps run on Python floats: at a few levels numpy's per-call dispatch
+    costs more than the arithmetic."""
+
+    def __init__(self, spec: SpinSystemSpec, dt: float, floor: float):
+        _check_positive("floor", floor, InvalidArgumentError)
+        self.n, self.U, self.theta = spec.n, spec.U.tolist(), spec.theta.tolist()
+        self.a, self.b = float(spec.a), float(spec.b)
+        self.k = 2.0 * self.b / self.a
+        self.floor, self.clamp = floor, floor * 1e-3
+        self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
+
+    def rhs(self, y: list, clamp: float) -> list:
+        """dp + dlam at y = p + lam, with p clamped below at ``clamp`` (NaN
+        passes, as in np.maximum); rows are summed in index order from their
+        first term, so the sign of a zero is kept."""
+        U, a, b, k, n = self.U, self.a, self.b, self.k, self.n
+        sq = [sqrt(clamp if x < clamp else x) for x in y[:n]]
+        lam = y[n:]
+        dp, dlam = [], []
+        for Ui, thi, li, si in zip(U, self.theta, lam, sq):
+            e = (li - lam[0] + thi[0]) / a
+            c, s = Ui[0] * cos(e) * sq[0], Ui[0] * sin(e) * sq[0]
+            for j in range(1, n):
+                e = (li - lam[j] + thi[j]) / a
+                c += Ui[j] * cos(e) * sq[j]
+                s += Ui[j] * sin(e) * sq[j]
+            dlam.append(b * c / si)
+            dp.append(k * si * s)
+        return dp + dlam
 
 
 def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: float,
-                    floor: float = P_FLOOR):
-    """One RK4 step of the local system; rejects if any p_alpha < floor."""
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    _check_floor(p, floor)
-    n = spec.n
+                    floor: float = P_FLOOR, _run: Optional[_LocalFormRun] = None):
+    """One RK4 step of the local system; rejects if any p_alpha < floor.
 
-    def rhs(y):
-        dp, dlam = local_form_rhs(spec, np.maximum(y[:n], floor * 1e-3), y[n:])
-        return np.concatenate([dp, dlam])
-
-    out = rk4_step(rhs, np.concatenate([p, lam]), dt)
-    p_new, lam_new = out[:n], out[n:]
-    _check_floor(p_new, floor)
-    return p_new, lam_new
+    The stages run in the operation order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
+    each with p clamped below at floor * 1e-3.  ``_run`` is the calling run's
+    ``_LocalFormRun`` for this spec, dt and floor; without it the step builds
+    its own (same bits).  Raises InvalidArgumentError unless floor is finite
+    and > 0, and NumericalFailureError on a non-finite derivative.
+    """
+    run = _run if _run is not None else _LocalFormRun(spec, dt, floor)
+    p, lam = _as_lists(run.n, p, lam)
+    _check_floor(p, run.floor)
+    y, f, c, half, dt, n = p + lam, run.rhs, run.clamp, run.half, run.dt, run.n
+    try:
+        k1 = f(y, c)
+        k2 = f([x + half * d for x, d in zip(y, k1)], c)
+        k3 = f([x + half * d for x, d in zip(y, k2)], c)
+        k4 = f([x + dt * d for x, d in zip(y, k3)], c)
+    except (ValueError, ZeroDivisionError):  # cos(inf), x / 0: where numpy gives nan or inf
+        raise NumericalFailureError("non-finite derivative in rk4_step") from None
+    if not all(map(isfinite, k1 + k2 + k3 + k4)):
+        raise NumericalFailureError("non-finite derivative in rk4_step")
+    s = run.sixth
+    y = [x + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+    _check_floor(y[:n], run.floor)
+    return np.array(y[:n]), np.array(y[n:])
 
 
 def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float,
                    floor: float = P_FLOOR, observer=None):
-    """Uniform-step RK4 drive of the local system.
+    """Uniform-step RK4 drive of the local system, set up once (``_LocalFormRun``).
 
-    Raises InvalidArgumentError unless t_final and dt are finite and > 0.
+    Raises InvalidArgumentError unless t_final, dt and floor are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
+    run = _LocalFormRun(spec, dt, floor)
     t = 0.0
     for _ in range(n_steps):
-        p, lam = local_form_step(spec, p, lam, dt, floor=floor)
+        p, lam = local_form_step(spec, p, lam, dt, floor=floor, _run=run)
         t += dt
         if observer is not None:
             observer(t, p, lam)

@@ -45,9 +45,13 @@ _SUPPORT_BUFFER = 12  # cells added on each side of the support window
 def _eval_on(fn: Callable, q) -> np.ndarray:
     """Evaluate a scalar-or-vector callback on q, broadcasting constants."""
     out = np.asarray(fn(q), dtype=float)
-    if out.shape != np.shape(q):
-        out = np.full(np.shape(q), out) if np.shape(q) else float(out)
-    return out
+    if out.shape == np.shape(q):
+        return out
+    if not np.shape(q):
+        return float(out)
+    full = np.empty(np.shape(q))  # not np.full, a Python-level wrapper
+    full[...] = out
+    return full
 
 
 def _fd_grad(fn: Callable) -> Callable:
@@ -132,10 +136,10 @@ def hamilton_flow(
 ) -> FlowResult:
     """Integrate dq/dt = dH/dp, dp/dt = -dH/dq with RK4.
 
-    The stages run on Python floats, in the operation order of
-    ``numerics.rk4_step`` and with its checks, so the states are those of
-    ``rk4_step`` on [q, p] arrays bit for bit: a non-finite derivative raises
-    NumericalFailureError, and a mass that ``mass_at`` rejects InvalidSpecError.
+    The stages run on Python floats in the operation order of the classic
+    update y + dt/6 (k1 + 2 k2 + 2 k3 + k4); a non-finite derivative after
+    the four stages raises NumericalFailureError, and a mass that ``mass_at``
+    rejects InvalidSpecError.
     Missing gradients are central differences (``_fd_grad``).
 
     If the trajectory leaves ``q_range`` (or stops being finite) the run is

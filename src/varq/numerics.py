@@ -1,5 +1,5 @@
 """Shared numerical kernels: uniform grids, symmetric tridiagonal operators,
-their low-lying spectra, Cayley (trapezoidal) unitary stepping and RK4.
+their low-lying spectra and Cayley (trapezoidal) unitary stepping.
 
 Conventions used throughout the package:
 
@@ -14,7 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,22 +30,21 @@ __all__ = [
     "embed_interior",
     "eigensolve_lowest",
     "CayleyPropagator",
-    "rk4_step",
     "grad_central",
 ]
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [q_min, q_max] with n nodes, spacing h."""
+    """Uniform grid on [q_min, q_max] with n nodes, spacing h (stored)."""
 
     q_min: float
     q_max: float
     n: int
+    h: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def h(self) -> float:
-        return (self.q_max - self.q_min) / (self.n - 1)
+    def __post_init__(self):
+        object.__setattr__(self, "h", (self.q_max - self.q_min) / (self.n - 1))
 
     @property
     def nodes(self) -> np.ndarray:
@@ -247,27 +246,6 @@ class CayleyPropagator:
         # ?gttrs fails only on an illegal argument, which the stored factors exclude
         x, _ = self._gttrs(*self._factors, rhs, overwrite_b=True)
         return x
-
-
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta update for an autonomous system.
-
-    ``mechanics.hamilton_flow`` runs these stages on Python floats, in this
-    operation order and with this check; change the two together.
-    """
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(f(y))
-    k2 = np.asarray(f(y + 0.5 * dt * k1))
-    k3 = np.asarray(f(y + 0.5 * dt * k2))
-    k4 = np.asarray(f(y + dt * k3))
-    if not (
-        np.all(np.isfinite(k1))
-        and np.all(np.isfinite(k2))
-        and np.all(np.isfinite(k3))
-        and np.all(np.isfinite(k4))
-    ):
-        raise NumericalFailureError("non-finite derivative in rk4_step")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def grad_central(f: np.ndarray, h: float) -> np.ndarray:

@@ -9,6 +9,7 @@ RunReport with scalars and plottable series.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import Scenario
 from .errors import ConfigError
-from .numerics import _uniform_steps, build_grid
+from .numerics import _check_positive, _uniform_steps, build_grid
 from .reporting import RunReport, Series
 
 __all__ = ["run_scenario_object"]
@@ -91,6 +92,9 @@ def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
 
 def run_madelung(sc: Scenario, tol_scale: float) -> RunReport:
     """Quantum-pole hydrodynamic evolution of a displaced Gaussian."""
+    n = sc.params["grid"]["n"]
+    if n < 7:  # a 3-node bulk, a flux cell on each side of it and the two Dirichlet end nodes
+        raise ConfigError(f"[grid] n must be >= 7 for the quantum-pole step, got {n}", key="grid.n")
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
     q = grid.nodes
@@ -189,6 +193,7 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
     if not 0 <= basis < n:
         raise ConfigError(f"[initial] basis_state must be in 0..{n - 1}, got {basis}",
                           key="initial.basis_state")
+    _check_positive("[run] p_floor", sc.params["run"]["p_floor"], partial(ConfigError, key="run.p_floor"))
     psi0 = np.zeros(n, dtype=complex)
     psi0[basis] = 1.0
     st0 = ds.SpinState(psi0)

@@ -254,6 +254,33 @@ class TestConfigIndices:
         assert len(errors) == 1 and f"(key: {key})" in errors[0]
 
 
+BAD_RANGES = [
+    ("spin_rabi.cfg", "p_floor = 1e-6", f"p_floor = {v}", "run.p_floor", f"[run] p_floor must be finite and > 0, got {g}")
+    for v, g in [("nan", "nan"), ("-1.0", "-1.0"), ("0", "0.0"), ("inf", "inf")]
+] + [
+    ("madelung_trap.cfg", "n = 801", f"n = {n}", "grid.n", f"[grid] n must be >= 7 for the quantum-pole step, got {n}")
+    for n in (2, 3, 6)
+]
+
+
+class TestConfigRanges:
+    """A spin population floor that is not finite and > 0, and a Madelung grid
+    too small for a bulk window and the quantum operator, exit 2 naming the key."""
+
+    @pytest.mark.parametrize("cfg_name, old, new, key, message", BAD_RANGES)
+    def test_bad_value_is_config_error(self, tmp_path, capsys, cfg_name, old, new, key, message):
+        text = (CONFIG_DIR / cfg_name).read_text()
+        assert f"\n{old}\n" in text
+        cfg = write_cfg(tmp_path, text.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
+        assert not (tmp_path / "out" / "case" / "report.txt").exists()
+
+    def test_smallest_madelung_grid_runs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (CONFIG_DIR / "madelung_trap.cfg").read_text().replace("\nn = 801\n", "\nn = 7\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 BAD_POTENTIALS = [
     ("k = 1.0", "k = abc", "potential.k", "cannot parse [potential] k = 'abc' as float"),
     ("kind = harmonic\nk = 1.0", "kind = quartic\nc = abc", "potential.c",

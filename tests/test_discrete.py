@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from varq import discrete as ds
 from varq import runners
 from varq.config import parse_scenario
-from varq.errors import InvalidSpecError, StepRejectedError
+from varq.errors import InvalidSpecError, InvalidStateError, StepRejectedError
 
 
 def two_level_exchange(b=-1.0, a=1.0):
@@ -213,6 +213,12 @@ class TestLocalForm:
 
         ds.local_form_run(spec, p, lam, 0.4, 1e-4, floor=1e-9, observer=obs)
         assert np.max(np.abs(np.asarray(sums) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [[0.5, 0.0], [1.5, -0.5], [np.nan, 0.5]])
+    def test_rhs_needs_positive_populations(self, p):
+        # dlam divides by sqrt(p_alpha)
+        with pytest.raises(InvalidStateError, match=r"populations must be > 0"):
+            ds.local_form_rhs(two_level_exchange(), np.array(p), np.zeros(2))
 
     def test_floor_rejection(self):
         spec = two_level_exchange()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from varq import cli
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
-from varq import numerics as nx
 from varq import potentials as pot
 from varq.errors import (
     InvalidArgumentError,
@@ -17,6 +16,8 @@ from varq.errors import (
 )
 from varq.numerics import build_grid
 from varq.potentials import harmonic
+
+from test_step_reference import rk4_step
 
 
 def gaussian_ensemble(grid, center, width, momentum=0.0):
@@ -469,7 +470,7 @@ class TestUpwindMassConservation:
 
 
 def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
-    """hamilton_flow before its scalar path: numerics.rk4_step on [q, p]
+    """hamilton_flow before its scalar path: the array rk4_step on [q, p]
     arrays, with the spec sampled through mass_at and the removed
     dmass_at/dpotential_at (the gradient or its central difference)."""
     if not np.isfinite(dt * n_steps):
@@ -488,7 +489,7 @@ def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
     out[0] = (state.q, state.p)
     y = out[0].copy()
     for k in range(1, n_steps + 1):
-        y = nx.rk4_step(rhs, y, dt)
+        y = rk4_step(rhs, y, dt)
         out[k] = y
         bad = not np.all(np.isfinite(y))
         if q_range is not None and not bad:

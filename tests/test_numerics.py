@@ -278,35 +278,6 @@ class TestCayleyPrefactored:
             assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
-class TestRk4:
-    def test_zero_field_fixed_point(self):
-        y = np.array([1.0, -2.0])
-        out = nx.rk4_step(lambda s: np.zeros_like(s), y, 0.3)
-        assert np.array_equal(out, y)
-
-    def test_exponential_growth(self):
-        out = nx.rk4_step(lambda s: s, np.array([1.0]), 0.1)
-        assert out[0] == pytest.approx(np.exp(0.1), abs=1e-7)
-
-    def test_fourth_order_convergence(self):
-        # halving dt cuts the one-period error by 16 (up to 20%)
-        def err(dt):
-            y = np.array([1.0, 0.0])
-            f = lambda s: np.array([s[1], -s[0]])
-            n = int(round(2 * np.pi / dt))
-            for _ in range(n):
-                y = nx.rk4_step(f, y, 2 * np.pi / n)
-            return np.hypot(y[0] - 1.0, y[1])
-
-        ratio = err(0.02) / err(0.01)
-        assert 16 * 0.8 <= ratio <= 16 * 1.2
-
-    def test_nonfinite_derivative_raises(self):
-        with np.errstate(divide="ignore"):
-            with pytest.raises(NumericalFailureError):
-                nx.rk4_step(lambda s: s / 0.0, np.array([1.0]), 0.1)
-
-
 def test_operator_shape_validation():
     with pytest.raises(InvalidArgumentError):
         nx.TridiagonalOperator(np.zeros(4), np.zeros(4))

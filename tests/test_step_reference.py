@@ -1,4 +1,4 @@
-"""Bitwise references for the transport step loops.
+"""Bitwise references for the step loops.
 
 ``madelung_run`` hands each quantum-pole step the bulk window that the
 previous step found (one density scan per step), the multiplier update
@@ -9,9 +9,15 @@ here: the two-scan, boolean-mask ``madelung_step`` and the ``np.diff``
 forms of ``_windowed_upwind`` and ``_godunov_hj_update``.  Every run must
 give their bits, observer samples included, and reject where and as they
 did.
+
+The spin local-form step and ``mechanics.hamilton_flow`` run their RK4
+stages on Python floats.  The numpy forms they replaced are kept here too:
+``rk4_step`` (the classic update on arrays) and the spin step that drove
+the array ``local_form_rhs`` through it.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +25,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varq import discrete as ds
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import numerics as nx
 from varq import potentials as pot
 from varq import wavefunction as wv
-from varq.errors import StepRejectedError
+from varq.errors import InvalidArgumentError, InvalidStateError, NumericalFailureError, StepRejectedError
 from varq.numerics import build_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- the replaced forms -------------------------------------------------------
+
+
+def rk4_step(f, state, dt):
+    """Classical 4th-order Runge-Kutta update for an autonomous system."""
+    y = np.asarray(state, dtype=float)
+    k1 = np.asarray(f(y))
+    k2 = np.asarray(f(y + 0.5 * dt * k1))
+    k3 = np.asarray(f(y + 0.5 * dt * k2))
+    k4 = np.asarray(f(y + dt * k3))
+    if not (
+        np.all(np.isfinite(k1))
+        and np.all(np.isfinite(k2))
+        and np.all(np.isfinite(k3))
+        and np.all(np.isfinite(k4))
+    ):
+        raise NumericalFailureError("non-finite derivative in rk4_step")
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def local_form_rhs_ref(spec, p, lam):
+    p = np.asarray(p, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    sqrtp = np.sqrt(p)
+    eta = lam[:, None] - lam[None, :] + spec.theta
+    cos_term = spec.U * np.cos(eta / spec.a)
+    sin_term = spec.U * np.sin(eta / spec.a)
+    dlam = spec.b * (cos_term @ sqrtp) / sqrtp
+    dp = (2.0 * spec.b / spec.a) * sqrtp * (sin_term @ sqrtp)
+    return dp, dlam
+
+
+def check_floor_ref(p, floor):
+    low = np.flatnonzero(np.asarray(p) < floor)
+    if low.size:
+        raise StepRejectedError(
+            f"population below floor {floor:g} (leaving the valid region)",
+            location=int(low[0]),
+            diagnostics={"p_min": float(np.min(p))},
+        )
+
+
+def local_form_step_ref(spec, p, lam, dt, floor=ds.P_FLOOR):
+    p = np.asarray(p, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    check_floor_ref(p, floor)
+    n = spec.n
+
+    def rhs(y):
+        dp, dlam = local_form_rhs_ref(spec, np.maximum(y[:n], floor * 1e-3), y[n:])
+        return np.concatenate([dp, dlam])
+
+    out = rk4_step(rhs, np.concatenate([p, lam]), dt)
+    p_new, lam_new = out[:n], out[n:]
+    check_floor_ref(p_new, floor)
+    return p_new, lam_new
+
+
+def local_form_run_ref(spec, p, lam, t_final, dt, floor, observer):
+    n_steps, dt = nx._uniform_steps(t_final, dt)
+    t = 0.0
+    for _ in range(n_steps):
+        p, lam = local_form_step_ref(spec, p, lam, dt, floor=floor)
+        t += dt
+        observer(t, p, lam)
+    return p, lam
+
 
 
 def upwind_density_update_ref(grid, rho, v_face, dt):
@@ -402,3 +475,225 @@ class TestScanCount:
         got = fn(*args)
         want = classical_transport_step_ref(grid, rho, S, spec, dt, floor, spec.mass_at(grid.midpoints))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# -- RK4 on Python floats -----------------------------------------------------
+
+
+class TestRk4:
+    """The reference form itself."""
+
+    def test_zero_field_fixed_point(self):
+        y = np.array([1.0, -2.0])
+        out = rk4_step(lambda s: np.zeros_like(s), y, 0.3)
+        assert np.array_equal(out, y)
+
+    def test_exponential_growth(self):
+        out = rk4_step(lambda s: s, np.array([1.0]), 0.1)
+        assert out[0] == pytest.approx(np.exp(0.1), abs=1e-7)
+
+    def test_fourth_order_convergence(self):
+        # halving dt cuts the one-period error by 16 (up to 20%)
+        def err(dt):
+            y = np.array([1.0, 0.0])
+            f = lambda s: np.array([s[1], -s[0]])
+            n = int(round(2 * np.pi / dt))
+            for _ in range(n):
+                y = rk4_step(f, y, 2 * np.pi / n)
+            return np.hypot(y[0] - 1.0, y[1])
+
+        ratio = err(0.02) / err(0.01)
+        assert 16 * 0.8 <= ratio <= 16 * 1.2
+
+    def test_nonfinite_derivative_raises(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericalFailureError):
+                rk4_step(lambda s: s / 0.0, np.array([1.0]), 0.1)
+
+
+def _spin_outcome(run, *args):
+    """(observed (t, p, lam) after each step, final (p, lam) or the error)."""
+    seen = []
+    try:
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            out = run(*args, lambda t, p, lam: seen.append((t, p.copy(), lam.copy())))
+    except NumericalFailureError as exc:
+        return seen, (type(exc), str(exc), getattr(exc, "location", None), exc.diagnostics)
+    return seen, out
+
+
+def _assert_same_spin(new, old):
+    (seen_new, end_new), (seen_old, end_old) = new, old
+    assert len(seen_new) == len(seen_old)
+    for (t1, p1, l1), (t2, p2, l2) in zip(seen_new, seen_old):
+        assert t1 == t2 and np.array_equal(p1, p2) and np.array_equal(l1, l2)
+    if isinstance(end_old[0], type):
+        assert end_new == end_old
+    else:
+        assert np.array_equal(end_new[0], end_old[0]) and np.array_equal(end_new[1], end_old[1])
+
+
+def _exchange(theta, a=1.0, b=-1.0):
+    """Two levels, U = [[0, 1], [1, 0]]: the spin_rabi system."""
+    return ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.array([[0.0, theta], [-theta, 0.0]]), a=a, b=b)
+
+
+def _random_spin(seed, n, a, b):
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(n, n))
+    theta = rng.normal(size=(n, n))
+    theta = 0.5 * (theta - theta.T)
+    np.fill_diagonal(theta, 0.0)
+    spec = ds.SpinSystemSpec(U=0.5 * (U + U.T), theta=theta, a=a, b=b)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return spec, ds.polar_decompose(ds.SpinState(psi / np.linalg.norm(psi)), a)
+
+
+def rhs_index_order(spec, p, lam):
+    """The local right-hand side with each row summed in index order from its
+    first term (BLAS and numpy's pairwise sums group the terms otherwise)."""
+    n, k = spec.n, 2.0 * spec.b / spec.a
+    sq = [math.sqrt(x) for x in p]
+    dp, dlam = [], []
+    for i in range(n):
+        e = [(lam[i] - lam[j] + spec.theta[i, j]) / spec.a for j in range(n)]
+        c, s = spec.U[i, 0] * math.cos(e[0]) * sq[0], spec.U[i, 0] * math.sin(e[0]) * sq[0]
+        for j in range(1, n):
+            c = c + spec.U[i, j] * math.cos(e[j]) * sq[j]
+            s = s + spec.U[i, j] * math.sin(e[j]) * sq[j]
+        dlam.append(spec.b * c / sq[i])
+        dp.append(k * sq[i] * s)
+    return np.array(dp), np.array(dlam)
+
+
+def _ulps(new, old, scale):
+    return float(np.max(np.abs(new - old) / np.spacing(scale)))
+
+
+A_B_DT = dict(
+    a=st.floats(min_value=0.3, max_value=3.0),
+    b=st.floats(min_value=-2.0, max_value=2.0),
+    dt=st.floats(min_value=1e-4, max_value=5e-2),
+)
+
+
+class TestLocalFormStep:
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.floats(min_value=-3.0, max_value=3.0), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           floor=st.sampled_from([1e-9, 1e-6, 1e-3]), **A_B_DT)
+    def test_two_level_exchange_runs_bitwise(self, theta, seed, floor, a, b, dt):
+        spec = _exchange(theta, a, b)
+        _, (p, lam) = _random_spin(seed, 2, a, b)
+        new = _spin_outcome(ds.local_form_run, spec, p, lam, 80 * dt, dt, floor)
+        old = _spin_outcome(local_form_run_ref, spec, p, lam, 80 * dt, dt, floor)
+        _assert_same_spin(new, old)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1), **A_B_DT)
+    def test_random_levels_within_4_ulp(self, n, seed, a, b, dt):
+        spec, (p, lam) = _random_spin(seed, n, a, b)
+        p = np.maximum(p, 1e-6)
+        # the summation order is pinned exactly ...
+        dp, dlam = ds.local_form_rhs(spec, p, lam)
+        dp_i, dlam_i = rhs_index_order(spec, p, lam)
+        assert np.array_equal(dp, dp_i) and np.array_equal(dlam, dlam_i)
+        assert np.array_equal(np.signbit(dp), np.signbit(dp_i))
+        # ... and differs from the matrix products only in how the terms are grouped
+        dp_ref, dlam_ref = local_form_rhs_ref(spec, p, lam)
+        eta = lam[:, None] - lam[None, :] + spec.theta
+        sq = np.sqrt(p)
+        cos_abs, sin_abs = np.abs(spec.U * np.cos(eta / a)) @ sq, np.abs(spec.U * np.sin(eta / a)) @ sq
+        assert _ulps(dlam, dlam_ref, abs(b) * cos_abs / sq) <= 4
+        assert _ulps(dp, dp_ref, abs(2.0 * b / a) * sq * sin_abs) <= 4
+        p_new, lam_new = ds.local_form_step(spec, p, lam, dt, 1e-7)
+        p_ref, lam_ref = local_form_step_ref(spec, p, lam, dt, 1e-7)
+        y_ref = np.concatenate([p_ref, lam_ref])
+        assert _ulps(np.concatenate([p_new, lam_new]), y_ref, np.max(np.abs(y_ref))) <= 4
+
+    def test_zero_rows_keep_their_sign(self):
+        # every sin term is -0.0: summed from the first term the row is -0.0,
+        # where a sum started at 0.0 (numpy's matrix product) gives +0.0
+        spec = ds.SpinSystemSpec(U=-np.ones((2, 2)), theta=np.zeros((2, 2)), a=1.0, b=1.0)
+        p, lam = np.array([0.5, 0.5]), np.array([0.3, 0.3])
+        dp, _ = ds.local_form_rhs(spec, p, lam)
+        assert np.signbit(dp).all() and not np.signbit(local_form_rhs_ref(spec, p, lam)[0]).any()
+        p_new, lam_new = ds.local_form_step(spec, p, lam, 1e-3)
+        p_ref, lam_ref = local_form_step_ref(spec, p, lam, 1e-3)
+        assert np.array_equal(p_new, p_ref) and np.array_equal(lam_new, lam_ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_standalone_step_equals_run_step(self, n):
+        spec, (p, lam) = _random_spin(7 + n, n, 0.8, -1.3)
+        run = ds._LocalFormRun(spec, 2e-3, 1e-9)
+        p1, l1, p2, l2 = p, lam, p, lam
+        for _ in range(25):
+            p1, l1 = ds.local_form_step(spec, p1, l1, 2e-3, 1e-9)
+            p2, l2 = ds.local_form_step(spec, p2, l2, 2e-3, 1e-9, _run=run)
+            assert np.array_equal(p1, p2) and np.array_equal(l1, l2)
+
+    def test_run_takes_one_public_step_per_step(self, monkeypatch):
+        runs = []
+        real = ds.local_form_step
+        monkeypatch.setattr(ds, "local_form_step", lambda *a, **kw: runs.append(kw["_run"]) or real(*a, **kw))
+        spec, (p, lam) = _random_spin(3, 3, 1.0, -1.0)
+        ds.local_form_run(spec, p, lam, 0.05, 1e-3, floor=1e-9)
+        assert len(runs) == 50 and all(r is runs[0] for r in runs)
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0, 0.0, -0.0])
+    def test_floor_must_be_finite_and_positive(self, floor):
+        spec = _exchange(0.0)
+        p, lam = np.array([0.5, 0.5]), np.zeros(2)
+        with pytest.raises(InvalidArgumentError, match=r"floor must be finite and > 0"):
+            ds.local_form_step(spec, p, lam, 1e-3, floor)
+        with pytest.raises(InvalidArgumentError, match=r"floor must be finite and > 0"):
+            ds.local_form_run(spec, p, lam, 0.01, 1e-3, floor=floor)
+
+    @pytest.mark.parametrize("p, lam, where", [
+        ([0.5, 1e-10, 0.5 - 1e-10], [0.0, 0.0, 0.0], "before"),  # below the floor on entry
+        ([np.nan, 1e-12, 1.0], [0.0, 0.0, 0.0], "before"),  # NaN is not below the floor; p_min is NaN
+        ([1.0 - 2e-9, 2e-9], [0.0, 0.5], "after"),  # drained below the floor by the step
+    ])
+    def test_floor_rejection(self, p, lam, where):
+        n = len(p)
+        spec = ds.SpinSystemSpec(U=np.ones((n, n)) - np.eye(n), theta=np.zeros((n, n)), b=-1.0)
+        new = _spin_outcome(ds.local_form_run, spec, np.array(p), np.array(lam), 1e-3, 1e-3, 1e-9)
+        old = _spin_outcome(local_form_run_ref, spec, np.array(p), np.array(lam), 1e-3, 1e-3, 1e-9)
+        assert new[0] == old[0] == []
+        kind, message, location, diagnostics = new[1]
+        assert (kind, message, location) == old[1][:3] == (
+            StepRejectedError, "population below floor 1e-09 (leaving the valid region)", 1)
+        assert diagnostics.keys() == {"p_min"}
+        if where == "before":
+            assert diagnostics == {"p_min": 1e-10} or math.isnan(diagnostics["p_min"])
+        else:
+            assert diagnostics == old[1][3] and diagnostics["p_min"] < 0.0
+
+    @pytest.mark.parametrize("p, lam, floor", [
+        ([np.nan, 0.5], [0.0, 0.0], 1e-9),  # passes the floor test, then poisons every stage
+        ([0.5, 0.5], [np.inf, 0.0], 1e-9),  # cos(inf): numpy's nan, math's ValueError
+        ([0.5, 0.5], [1e308, -1e308], 1e-9),  # lam_a - lam_b overflows to inf
+        ([1.0, 1e-320], [0.0, 0.5], 1e-321),  # the clamp floor * 1e-3 underflows: a stage divides by sqrt(0)
+    ])
+    def test_nonfinite_derivative(self, p, lam, floor):
+        spec = _exchange(0.0)
+        new = _spin_outcome(ds.local_form_run, spec, np.array(p), np.array(lam), 1e-3, 1e-3, floor)
+        old = _spin_outcome(local_form_run_ref, spec, np.array(p), np.array(lam), 1e-3, 1e-3, floor)
+        assert new == old == ([], (NumericalFailureError, "non-finite derivative in rk4_step", None, {}))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(InvalidStateError, match="need 2 populations and phases, got 3 and 2"):
+            ds.local_form_step(_exchange(0.0), np.full(3, 1 / 3), np.zeros(2), 1e-3)
+        with pytest.raises(InvalidStateError, match="need 2 populations and phases, got 2 and 3"):
+            ds.local_form_rhs(_exchange(0.0), np.full(2, 0.5), np.zeros(3))
+
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_benchmark_kernel_call(self, levels):
+        # perfbench/kernels.py calls local_form_step with four positional arguments
+        spec_ = importlib.util.spec_from_file_location("perfbench_kernels", ROOT / "perfbench" / "kernels.py")
+        kernels = importlib.util.module_from_spec(spec_)
+        spec_.loader.exec_module(kernels)
+        fn, args = kernels._local_form(levels)
+        p, lam = fn(*args)
+        p_ref, lam_ref = local_form_step_ref(*args)
+        y_ref = np.concatenate([p_ref, lam_ref])
+        assert _ulps(np.concatenate([p, lam]), y_ref, np.max(np.abs(y_ref))) <= (0 if levels == 2 else 4)
