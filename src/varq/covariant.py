@@ -86,15 +86,9 @@ class PeriodicGrid1D:
 
 
 def _d1(f: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic central first derivative."""
-    fp = np.concatenate((f[-1:], f, f[:1]))  # fp[i + 1] = f[i]
-    return (fp[2:] - fp[:-2]) / (2.0 * dx)
-
-
-def _lap(f: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic 3-point Laplacian."""
-    fp = np.concatenate((f[-1:], f, f[:1]))  # fp[i + 1] = f[i]
-    return (fp[2:] - 2.0 * f + fp[:-2]) / (dx * dx)
+    """Periodic central first derivative along the last axis."""
+    fp = np.concatenate((f[..., -1:], f, f[..., :1]), axis=-1)  # fp[..., i + 1] = f[..., i]
+    return (fp[..., 2:] - fp[..., :-2]) / (2.0 * dx)
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ class FieldState1p1:
         pi0 = np.asarray(self.pi0, dtype=float)
         if q.shape != (self.x_grid.n,) or pi0.shape != (self.x_grid.n,):
             raise InvalidStateError("q and pi0 must match the spatial grid")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(pi0))):
+        if not (np.isfinite(q).all() and np.isfinite(pi0).all()):
             raise InvalidStateError("field values must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi0", pi0)
@@ -137,19 +131,49 @@ def reconstruct_pi1(spec: FieldLagrangianSpec, state: FieldState1p1) -> np.ndarr
     return -spec.eta * _d1(state.q, state.x_grid.dx)
 
 
-def _accel(spec: FieldLagrangianSpec, q: np.ndarray, dx: float) -> np.ndarray:
-    return spec.eta * _lap(q, dx) - spec.dv_at(q)
+class _Leapfrog:
+    """What a ddw run carries between its ``ddw_evolve`` calls: q inside the
+    padded buffer ``qp`` (``q = qp[1:-1]``, the ends hold its periodic
+    images), pi0, the acceleration ``acc`` at the current q, one scratch
+    array, eta and dx*dx.  Steps write in place, in the operation order of
+    the allocating form, so the bits are the same."""
+
+    def __init__(self, spec: FieldLagrangianSpec, state: FieldState1p1):
+        self.spec, self.eta, self.dx2 = spec, spec.eta, state.x_grid.dx * state.x_grid.dx
+        self.qp = np.concatenate((state.q[-1:], state.q, state.q[:1]))
+        self.q, self.pi0 = self.qp[1:-1], state.pi0.copy()
+        self.acc, self.tmp = np.empty_like(self.q), np.empty_like(self.q)
+        self._accelerate()
+
+    def _accelerate(self):
+        """acc = eta lap - V'(q), lap = (q[i+1] - 2.0 q[i] + q[i-1]) / (dx*dx)."""
+        qp, q, acc = self.qp, self.q, self.acc
+        qp[0], qp[-1] = q[-1], q[0]
+        np.subtract(qp[2:], np.multiply(q, 2.0, out=acc), out=acc)
+        np.divide(np.add(acc, qp[:-2], out=acc), self.dx2, out=acc)
+        np.subtract(np.multiply(acc, self.eta, out=acc), self.spec.dv_at(q), out=acc)  # V' may alias q
+
+    def step(self, dt: float, n_steps: int):
+        half, eta, q, pi0, acc, tmp = 0.5 * dt, self.eta, self.q, self.pi0, self.acc, self.tmp
+        for _ in range(n_steps):
+            np.add(pi0, np.multiply(acc, half, out=tmp), out=pi0)  # pi_half = pi0 + (0.5*dt)*acc
+            np.add(q, np.divide(np.multiply(pi0, dt, out=tmp), eta, out=tmp), out=q)  # q + (dt*pi_half)/eta
+            self._accelerate()
+            np.add(pi0, np.multiply(acc, half, out=tmp), out=pi0)  # pi_half + (0.5*dt)*acc
 
 
 def ddw_evolve(
-    spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int
+    spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, _run: Optional[_Leapfrog] = None
 ) -> FieldState1p1:
     """Advance d0 q = pi0/eta, d0 pi0 = -d1 pi1 - V'(q) by leapfrog.
 
     Equivalent to the wave equation eta (d0^2 - d1^2) q + V'(q) = 0 once
     pi1 is eliminated through its constraint.  ``n_steps = 0`` returns a
     copy of the state.  Raises InvalidArgumentError unless dt is finite and
-    > 0 and n_steps >= 0.
+    > 0 and n_steps >= 0, and StepRejectedError if dt > dx.
+
+    ``_run`` is the calling run's ``_Leapfrog``, which holds ``state``; without
+    it the call builds its own.  The returned state holds copies of its buffers.
     """
     _check_positive("dt", dt, InvalidArgumentError)
     if n_steps < 0:
@@ -157,31 +181,26 @@ def ddw_evolve(
     dx = state.x_grid.dx
     if dt > dx:
         raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
-    q = state.q.copy()
-    pi0 = state.pi0.copy()
-    acc = _accel(spec, q, dx)
-    for _ in range(n_steps):
-        pi_half = pi0 + 0.5 * dt * acc
-        q = q + dt * pi_half / spec.eta
-        acc = _accel(spec, q, dx)
-        pi0 = pi_half + 0.5 * dt * acc
-    return FieldState1p1(state.x_grid, q, pi0, state.time + n_steps * dt)
+    run = _run if _run is not None else _Leapfrog(spec, state)
+    run.step(dt, n_steps)
+    return FieldState1p1(state.x_grid, run.q.copy(), run.pi0.copy(), state.time + n_steps * dt)
 
 
 def ddw_evolve_series(
     spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, store_every: int = 1
 ):
-    """Leapfrog drive that stores synchronized (q, pi0) snapshots.
-
-    Raises InvalidArgumentError unless dt is finite and > 0 and n_steps
-    and store_every are >= 1.
+    """Leapfrog drive that stores synchronized (q, pi0) snapshots: one
+    ``_Leapfrog`` serves the run, one ``ddw_evolve`` call per stored chunk,
+    and V' is evaluated n_steps + 1 times.  Raises InvalidArgumentError
+    unless dt is finite and > 0 and n_steps and store_every are >= 1.
     """
     _check_fixed_steps(dt, n_steps, store_every)
+    run = _Leapfrog(spec, state)
     snaps = [state]
     done = 0
     while done < n_steps:
         chunk = min(store_every, n_steps - done)
-        snaps.append(ddw_evolve(spec, snaps[-1], dt, chunk))
+        snaps.append(ddw_evolve(spec, snaps[-1], dt, chunk, _run=run))
         done += chunk
     return (np.asarray([s.time for s in snaps]), np.asarray([s.q for s in snaps]),
             np.asarray([s.pi0 for s in snaps]), snaps[-1])
@@ -232,19 +251,20 @@ class EnergyMomentum:
     T: np.ndarray
 
 
+def _tensor(spec: FieldLagrangianSpec, q: np.ndarray, pi0: np.ndarray, dx: float) -> tuple:
+    """(T^0_0, T^0_1, T^1_0, T^1_1) elementwise over fields of shape (..., n),
+    e.g. one state or a (snapshots, n) stack; the spatial axis is the last."""
+    w0 = pi0 / spec.eta  # d0 q = d^0 q
+    w1c = _d1(q, dx)  # d1 q = -d^1 q
+    lag = 0.5 * spec.eta * (w0 * w0 - w1c * w1c) - spec.v_at(q)
+    return (spec.eta * w0 * w0 - lag, spec.eta * w0 * w1c,
+            -spec.eta * w1c * w0, -spec.eta * w1c * w1c - lag)
+
+
 def energy_momentum(spec: FieldLagrangianSpec, state: FieldState1p1) -> EnergyMomentum:
     """T^sigma_nu = eta d^sigma q d_nu q - delta^sigma_nu L, pointwise."""
-    dx = state.x_grid.dx
-    w0 = state.pi0 / spec.eta  # d0 q = d^0 q
-    w1c = _d1(state.q, dx)  # d1 q = -d^1 q
-    v = spec.v_at(state.q)
-    lag = 0.5 * spec.eta * (w0 * w0 - w1c * w1c) - v
-    T = np.empty((state.x_grid.n, 2, 2))
-    T[:, 0, 0] = spec.eta * w0 * w0 - lag
-    T[:, 0, 1] = spec.eta * w0 * w1c
-    T[:, 1, 0] = -spec.eta * w1c * w0
-    T[:, 1, 1] = -spec.eta * w1c * w1c - lag
-    return EnergyMomentum(T)
+    T = np.stack(_tensor(spec, state.q, state.pi0, state.x_grid.dx), axis=-1)
+    return EnergyMomentum(T.reshape(state.x_grid.n, 2, 2))
 
 
 def canonical_reduction(spec: FieldLagrangianSpec, pi0, dq_dx1, q):
@@ -260,13 +280,11 @@ def canonical_reduction(spec: FieldLagrangianSpec, pi0, dq_dx1, q):
 
 
 def total_energy(spec: FieldLagrangianSpec, state: FieldState1p1) -> float:
-    em = energy_momentum(spec, state)
-    return state.x_grid.dx * float(np.sum(em.T[:, 0, 0]))
+    return state.x_grid.dx * float(np.sum(_tensor(spec, state.q, state.pi0, state.x_grid.dx)[0]))
 
 
 def total_momentum(spec: FieldLagrangianSpec, state: FieldState1p1) -> float:
-    em = energy_momentum(spec, state)
-    return state.x_grid.dx * float(np.sum(em.T[:, 0, 1]))
+    return state.x_grid.dx * float(np.sum(_tensor(spec, state.q, state.pi0, state.x_grid.dx)[1]))
 
 
 def energy_momentum_divergence(
@@ -283,15 +301,9 @@ def energy_momentum_divergence(
     pi_history = np.asarray(pi_history, dtype=float)
     if q_history.shape[0] < 3:
         raise InvalidArgumentError("need at least 3 stored time levels")
-    tensors = np.stack(
-        [
-            energy_momentum(spec, FieldState1p1(x_grid, q_history[k], pi_history[k])).T
-            for k in range(q_history.shape[0])
-        ]
-    )  # (nt, nx, 2, 2)
-    d0 = (tensors[2:, :, 0, :] - tensors[:-2, :, 0, :]) / (2.0 * dt)
-    mid = tensors[1:-1]
-    d1 = (np.roll(mid[:, :, 1, :], -1, axis=1) - np.roll(mid[:, :, 1, :], 1, axis=1)) / (
-        2.0 * x_grid.dx
-    )
+    for q, pi0 in zip(q_history, pi_history):
+        FieldState1p1(x_grid, q, pi0)  # shape and finiteness, per snapshot
+    T = np.stack(_tensor(spec, q_history, pi_history, x_grid.dx), axis=-1).reshape(q_history.shape + (2, 2))
+    d0 = (T[2:, :, 0] - T[:-2, :, 0]) / (2.0 * dt)
+    d1 = (np.roll(T[1:-1, :, 1], -1, axis=1) - np.roll(T[1:-1, :, 1], 1, axis=1)) / (2.0 * x_grid.dx)
     return float(np.max(np.abs(d0 + d1)))

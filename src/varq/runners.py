@@ -226,7 +226,15 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
 
 def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
     """Covariant field evolution: plane-wave dispersion and conservation."""
-    kg2 = sc.params["system"]["kg_mass"] ** 2
+    kg_mass = sc.params["system"]["kg_mass"]
+    k_mode, amp = sc.params["initial"]["k_mode"], sc.params["initial"]["amplitude"]
+    if not np.isfinite(kg_mass * kg_mass):
+        raise ConfigError(f"[system] kg_mass and its square must be finite, got {kg_mass!r}", key="system.kg_mass")
+    if k_mode == 0:
+        raise ConfigError("[initial] k_mode must be nonzero: a k = 0 field has no wave", key="initial.k_mode")
+    if not (np.isfinite(amp) and amp != 0.0):
+        raise ConfigError(f"[initial] amplitude must be finite and nonzero, got {amp!r}", key="initial.amplitude")
+    kg2 = kg_mass ** 2
     spec = cv.FieldLagrangianSpec(
         eta=sc.params["system"]["eta"],
         potential=lambda qq: 0.5 * kg2 * qq * qq,
@@ -236,10 +244,10 @@ def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
     x = g.nodes
     n_steps = sc.params["run"]["n_steps"]
 
-    k = 2 * np.pi * sc.params["initial"]["k_mode"] / g.length
-    omega = np.sqrt(k * k + kg2)
-    q0 = sc.params["initial"]["amplitude"] * np.cos(k * x)
-    pi0 = sc.params["initial"]["amplitude"] * omega * np.sin(k * x) * spec.eta
+    k = 2 * np.pi * k_mode / g.length
+    omega = np.sqrt(k * k + kg2 / spec.eta)  # eta (q_tt - q_xx) + kg^2 q = 0
+    q0 = amp * np.cos(k * x)
+    pi0 = amp * omega * np.sin(k * x) * spec.eta
     st = cv.FieldState1p1(g, q0, pi0)
     times, qs, pis, final = cv.ddw_evolve_series(spec, st, sc.params["run"]["dt"], n_steps,
                                                  store_every=max(1, n_steps // 200))
@@ -247,13 +255,8 @@ def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
     c = qs @ np.exp(-1j * k * x) * (2.0 / g.n)
     slope = np.polyfit(times, np.unwrap(np.angle(c)), 1)[0]
     omega_meas = float(abs(slope))
-    # total_energy and total_momentum of each snapshot, from one tensor
-    energies = np.empty(len(times))
-    momenta = np.empty(len(times))
-    for i in range(len(times)):
-        T = cv.energy_momentum(spec, cv.FieldState1p1(g, qs[i], pis[i])).T
-        energies[i] = g.dx * float(np.sum(T[:, 0, 0]))
-        momenta[i] = g.dx * float(np.sum(T[:, 0, 1]))
+    t00, t01 = cv._tensor(spec, qs, pis, g.dx)[:2]  # total_energy and total_momentum per snapshot
+    energies, momenta = g.dx * np.sum(t00, axis=1), g.dx * np.sum(t01, axis=1)
     e_drift = float(np.max(np.abs(energies - energies[0])) / abs(energies[0]))
     p_scale = max(float(np.max(np.abs(momenta))), abs(energies[0]))
     p_drift = float(np.max(np.abs(momenta - momenta[0])) / p_scale)

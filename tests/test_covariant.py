@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from varq import covariant as cv
 from varq import runners
+from varq.cli import EXIT_CONFIG, main
 from varq.config import parse_scenario
 from varq.errors import InvalidArgumentError, StepRejectedError
 
@@ -19,7 +22,7 @@ def kg_spec(eta=1.0, m=1.0):
 
 def plane_wave_state(grid, spec, k, amp, m):
     x = grid.nodes
-    omega = np.sqrt(k * k + m * m)
+    omega = np.sqrt(k * k + m * m / spec.eta)
     q0 = amp * np.cos(k * x)
     pi0 = amp * omega * np.sin(k * x) * spec.eta
     return cv.FieldState1p1(grid, q0, pi0), omega
@@ -43,7 +46,11 @@ class TestPeriodicStencils:
         f = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
         dx = float(rng.uniform(1e-3, 1.0))
         assert np.array_equal(cv._d1(f, dx), d1_roll(f, dx))
-        assert np.array_equal(cv._lap(f, dx), lap_roll(f, dx))
+        # the leapfrog's in-place Laplacian: acc = 1.0 * lap - 0.0 with eta = 1, V' = 0
+        free = cv.FieldLagrangianSpec(1.0, potential=np.zeros_like, potential_grad=np.zeros_like)
+        grid = cv.PeriodicGrid1D(n * dx, n)
+        run = cv._Leapfrog(free, cv.FieldState1p1(grid, f, f))
+        assert np.array_equal(run.acc, lap_roll(f, grid.dx))
 
 
 class TestCovariantLegendre:
@@ -270,6 +277,51 @@ class TestRunDdwConservationSeries:
         assert np.array_equal(rows[:, 0], times)
         assert np.array_equal(rows[:, 1], [cv.total_energy(spec, s) for s in snaps])
         assert np.array_equal(rows[:, 2], [cv.total_momentum(spec, s) for s in snaps])
+
+
+KG_CFG = (Path(__file__).resolve().parent.parent / "configs" / "ddw_klein_gordon.cfg").read_text()
+
+
+def kg_cfg(**changes):
+    """The shipped Klein-Gordon config at 4000 steps, with keys replaced."""
+    text = KG_CFG.replace("n_steps = 20000", "n_steps = 4000")
+    for key, value in changes.items():
+        line = next(l for l in text.splitlines() if l.startswith(f"{key} = "))
+        text = text.replace(line, f"{key} = {value}")
+    return text
+
+
+BAD_DDW = [
+    ({"k_mode": 0}, "initial.k_mode", "[initial] k_mode must be nonzero: a k = 0 field has no wave"),
+    ({"amplitude": 0.0}, "initial.amplitude", "[initial] amplitude must be finite and nonzero, got 0.0"),
+    ({"amplitude": "nan"}, "initial.amplitude", "[initial] amplitude must be finite and nonzero, got nan"),
+    ({"amplitude": "-inf"}, "initial.amplitude", "[initial] amplitude must be finite and nonzero, got -inf"),
+    ({"kg_mass": "nan"}, "system.kg_mass", "[system] kg_mass and its square must be finite, got nan"),
+    ({"kg_mass": "inf"}, "system.kg_mass", "[system] kg_mass and its square must be finite, got inf"),
+    ({"kg_mass": "1e200"}, "system.kg_mass", "[system] kg_mass and its square must be finite, got 1e+200"),
+]
+
+
+class TestRunDdwInputs:
+    @pytest.mark.parametrize("eta", [0.5, 1.3, 2.0, 3.0])
+    def test_invariants_pass_at_any_eta(self, eta):
+        # the plane wave of eta (q_tt - q_xx) + kg^2 q = 0 has omega^2 = k^2 + kg^2 / eta
+        report = runners.run_ddw(parse_scenario(kg_cfg(eta=eta)), 1.0)
+        assert [c.name for c in report.invariants] == ["energy_drift_rel", "momentum_drift_rel", "dispersion"]
+        assert all(c.passed for c in report.invariants), report.invariants
+        assert report.scalars["omega_exact"] == np.sqrt(1.0 + 1.0 / eta)
+
+    @pytest.mark.parametrize("changes", [{"kg_mass": 0.0}, {"k_mode": -1}, {"k_mode": -2, "kg_mass": -0.5}])
+    def test_massless_and_left_moving_waves_pass(self, changes):
+        report = runners.run_ddw(parse_scenario(kg_cfg(**changes)), 1.0)
+        assert all(c.passed for c in report.invariants), report.invariants
+
+    @pytest.mark.parametrize("changes, key, message", BAD_DDW)
+    def test_bad_input_is_config_error(self, tmp_path, capsys, changes, key, message):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(kg_cfg(**changes))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
 
 
 class TestEnergyMomentum:

@@ -14,6 +14,13 @@ The spin local-form step and ``mechanics.hamilton_flow`` run their RK4
 stages on Python floats.  The numpy forms they replaced are kept here too:
 ``rk4_step`` (the classic update on arrays) and the spin step that drove
 the array ``local_form_rhs`` through it.
+
+The De Donder-Weyl leapfrog steps in place on the buffers of one
+``covariant._Leapfrog`` per run, carrying the acceleration between stored
+chunks, and ``run_ddw`` evaluates the energy-momentum tensor once over the
+stacked snapshots.  The allocating leapfrog with its ``_lap``/``_accel`` and
+the per-snapshot conservation loop are kept here; runs and series must give
+their bits.
 """
 
 import importlib.util
@@ -25,13 +32,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varq import covariant as cv
 from varq import discrete as ds
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import numerics as nx
 from varq import potentials as pot
+from varq import runners
 from varq import wavefunction as wv
-from varq.errors import InvalidArgumentError, InvalidStateError, NumericalFailureError, StepRejectedError
+from varq.errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
+                         StepRejectedError)
+from varq.config import parse_scenario
 from varq.numerics import build_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -697,3 +708,265 @@ class TestLocalFormStep:
         p_ref, lam_ref = local_form_step_ref(*args)
         y_ref = np.concatenate([p_ref, lam_ref])
         assert _ulps(np.concatenate([p, lam]), y_ref, np.max(np.abs(y_ref))) <= (0 if levels == 2 else 4)
+
+
+# -- the De Donder-Weyl leapfrog ----------------------------------------------
+#
+# ``ddw_evolve`` steps in place on the buffers of one ``covariant._Leapfrog``
+# per run, and ``run_ddw`` takes its conservation series from one tensor
+# evaluation over the stacked snapshots.  The allocating forms they replaced:
+
+
+def lap_ref(f, dx):
+    """Periodic 3-point Laplacian."""
+    fp = np.concatenate((f[-1:], f, f[:1]))  # fp[i + 1] = f[i]
+    return (fp[2:] - 2.0 * f + fp[:-2]) / (dx * dx)
+
+
+def accel_ref(spec, q, dx):
+    return spec.eta * lap_ref(q, dx) - spec.dv_at(q)
+
+
+def ddw_evolve_ref(spec, state, dt, n_steps):
+    dx = state.x_grid.dx
+    if dt > dx:
+        raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
+    q = state.q.copy()
+    pi0 = state.pi0.copy()
+    acc = accel_ref(spec, q, dx)
+    for _ in range(n_steps):
+        pi_half = pi0 + 0.5 * dt * acc
+        q = q + dt * pi_half / spec.eta
+        acc = accel_ref(spec, q, dx)
+        pi0 = pi_half + 0.5 * dt * acc
+    return cv.FieldState1p1(state.x_grid, q, pi0, state.time + n_steps * dt)
+
+
+def ddw_evolve_series_ref(spec, state, dt, n_steps, store_every=1):
+    snaps = [state]
+    done = 0
+    while done < n_steps:
+        chunk = min(store_every, n_steps - done)
+        snaps.append(ddw_evolve_ref(spec, snaps[-1], dt, chunk))
+        done += chunk
+    return (np.asarray([s.time for s in snaps]), np.asarray([s.q for s in snaps]),
+            np.asarray([s.pi0 for s in snaps]), snaps[-1])
+
+
+def energy_momentum_ref(spec, state):
+    dx = state.x_grid.dx
+    w0 = state.pi0 / spec.eta
+    w1c = cv._d1(state.q, dx)
+    v = spec.v_at(state.q)
+    lag = 0.5 * spec.eta * (w0 * w0 - w1c * w1c) - v
+    T = np.empty((state.x_grid.n, 2, 2))
+    T[:, 0, 0] = spec.eta * w0 * w0 - lag
+    T[:, 0, 1] = spec.eta * w0 * w1c
+    T[:, 1, 0] = -spec.eta * w1c * w0
+    T[:, 1, 1] = -spec.eta * w1c * w1c - lag
+    return T
+
+
+def conservation_ref(spec, grid, qs, pis):
+    """run_ddw's energy and momentum series, one snapshot at a time."""
+    energies = np.empty(len(qs))
+    momenta = np.empty(len(qs))
+    for i in range(len(qs)):
+        T = energy_momentum_ref(spec, cv.FieldState1p1(grid, qs[i], pis[i]))
+        energies[i] = grid.dx * float(np.sum(T[:, 0, 0]))
+        momenta[i] = grid.dx * float(np.sum(T[:, 0, 1]))
+    return energies, momenta
+
+
+def _field_spec(eta, m, quartic, grad="closed"):
+    """Klein-Gordon plus a quartic term; ``grad`` "closed" gives V' in closed
+    form, "identity" a V' that returns its argument (it aliases the q it
+    is handed), "none" the spec's finite-difference V'."""
+    grads = {"closed": lambda q: m * m * q + 4.0 * quartic * q**3, "identity": lambda q: q, "none": None}
+    return cv.FieldLagrangianSpec(eta, potential=lambda q: 0.5 * m * m * q * q + quartic * q**4,
+                                  potential_grad=grads[grad])
+
+
+def _random_field(seed, n):
+    rng = np.random.default_rng(seed)
+    grid = cv.PeriodicGrid1D(n * rng.uniform(0.02, 0.2), n)
+    amp = rng.uniform(0.01, 1.0, size=2)
+    return cv.FieldState1p1(grid, amp[0] * rng.standard_normal(n), amp[1] * rng.standard_normal(n), 0.25)
+
+
+DDW_DRAWS = dict(
+    n=st.integers(min_value=3, max_value=600),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    cfl=st.floats(min_value=0.05, max_value=1.0),
+    eta=st.floats(min_value=0.3, max_value=3.0),
+    m=st.floats(min_value=0.0, max_value=2.0),
+    quartic=st.floats(min_value=0.0, max_value=1.0),
+    n_steps=st.integers(min_value=1, max_value=60),
+    store_every=st.integers(min_value=1, max_value=25),
+)
+
+
+def _ddw_outcome(run, *args):
+    """The run's result, or the type and message of what it raised: a stiff
+    quartic field can blow up, and must then fail as the reference did."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return run(*args)
+        except (InvalidSpecError, InvalidStateError) as exc:
+            return type(exc), str(exc)
+
+
+def _assert_same_state(new, old):
+    assert np.array_equal(new.q, old.q) and np.array_equal(new.pi0, old.pi0) and new.time == old.time
+
+
+def _assert_same_series(new, old):
+    assert isinstance(new[0], type) == isinstance(old[0], type)
+    if isinstance(old[0], type):
+        assert new == old
+        return
+    for a, b in zip(new[:3], old[:3]):
+        assert np.array_equal(a, b)
+    _assert_same_state(new[3], old[3])
+
+
+class TestDdwLeapfrog:
+    @settings(max_examples=60, deadline=None)
+    @given(grad=st.sampled_from(["closed", "identity", "none"]), **DDW_DRAWS)
+    def test_series_bitwise(self, grad, n, seed, cfl, eta, m, quartic, n_steps, store_every):
+        spec = _field_spec(eta, m, quartic, grad)
+        state = _random_field(seed, n)
+        dt = cfl * state.x_grid.dx
+        new = _ddw_outcome(cv.ddw_evolve_series, spec, state, dt, n_steps, store_every)
+        _assert_same_series(new, _ddw_outcome(ddw_evolve_series_ref, spec, state, dt, n_steps, store_every))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**DDW_DRAWS)
+    def test_returned_states_are_copies(self, n, seed, cfl, eta, m, quartic, n_steps, store_every):
+        # chunks of one run: no state handed out changes as the run steps on
+        spec = _field_spec(eta, m, quartic, "identity")
+        state = _random_field(seed, n)
+        dt = cfl * state.x_grid.dx
+        run = cv._Leapfrog(spec, state)
+        states, kept = [state], [(state.q.copy(), state.pi0.copy())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for _ in range(1 + n_steps // store_every):
+                    states.append(cv.ddw_evolve(spec, states[-1], dt, store_every, _run=run))
+                    kept.append((states[-1].q.copy(), states[-1].pi0.copy()))
+            except InvalidStateError:
+                pass  # a field that blew up; the states before it must still hold
+        for s, (q, pi0) in zip(states, kept):
+            assert not np.shares_memory(s.q, run.qp) and not np.shares_memory(s.pi0, run.pi0)
+            assert np.array_equal(s.q, q) and np.array_equal(s.pi0, pi0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**DDW_DRAWS)
+    def test_standalone_call_is_the_series_end(self, n, seed, cfl, eta, m, quartic, n_steps, store_every):
+        spec = _field_spec(eta, m, quartic)
+        state = _random_field(seed, n)
+        dt = cfl * state.x_grid.dx
+        end = _ddw_outcome(cv.ddw_evolve, spec, state, dt, n_steps)
+        ref = _ddw_outcome(ddw_evolve_ref, spec, state, dt, n_steps)
+        series = _ddw_outcome(cv.ddw_evolve_series, spec, state, dt, n_steps, store_every)
+        if isinstance(ref, tuple):
+            assert end == ref == series
+            return
+        _assert_same_state(end, ref)
+        last = series[3]  # the series sums its time chunk by chunk
+        assert np.array_equal(end.q, last.q) and np.array_equal(end.pi0, last.pi0)
+        assert end.time == pytest.approx(last.time, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=1100), snaps=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2**32 - 1), eta=st.floats(min_value=0.3, max_value=3.0),
+           m=st.floats(min_value=0.0, max_value=2.0), quartic=st.floats(min_value=0.0, max_value=1.0))
+    def test_stacked_conservation_rows(self, n, snaps, seed, eta, m, quartic):
+        spec = _field_spec(eta, m, quartic)
+        rng = np.random.default_rng(seed)
+        grid = cv.PeriodicGrid1D(float(rng.uniform(0.5, 20.0)), n)
+        qs, pis = rng.standard_normal((2, snaps, n)) * 10.0 ** rng.uniform(-3, 1, size=(2, snaps, 1))
+        t00, t01 = cv._tensor(spec, qs, pis, grid.dx)[:2]
+        energies, momenta = grid.dx * np.sum(t00, axis=1), grid.dx * np.sum(t01, axis=1)
+        e_ref, p_ref = conservation_ref(spec, grid, qs, pis)
+        assert np.array_equal(energies, e_ref) and np.array_equal(momenta, p_ref)
+        states = [cv.FieldState1p1(grid, q, pi) for q, pi in zip(qs, pis)]
+        assert np.array_equal(energies, [cv.total_energy(spec, s) for s in states])
+        assert np.array_equal(momenta, [cv.total_momentum(spec, s) for s in states])
+        for s in states:
+            assert np.array_equal(cv.energy_momentum(spec, s).T, energy_momentum_ref(spec, s))
+
+    def test_divergence_bitwise(self):
+        spec = _field_spec(1.3, 0.8, 0.2)
+        state = _random_field(5, 97)
+        dt = 0.5 * state.x_grid.dx
+        _, qs, pis, _ = cv.ddw_evolve_series(spec, state, dt, 12, 1)
+        tensors = np.stack([energy_momentum_ref(spec, cv.FieldState1p1(state.x_grid, q, pi))
+                            for q, pi in zip(qs, pis)])
+        d0 = (tensors[2:, :, 0, :] - tensors[:-2, :, 0, :]) / (2.0 * dt)
+        d1 = (np.roll(tensors[1:-1, :, 1, :], -1, axis=1) - np.roll(tensors[1:-1, :, 1, :], 1, axis=1)) / (
+            2.0 * state.x_grid.dx)
+        assert cv.energy_momentum_divergence(spec, state.x_grid, qs, pis, dt) == float(np.max(np.abs(d0 + d1)))
+        with pytest.raises(InvalidStateError, match="must match the spatial grid"):
+            cv.energy_momentum_divergence(spec, state.x_grid, qs[:, :-1], pis[:, :-1], dt)
+        qs[4, 7] = np.nan
+        with pytest.raises(InvalidStateError, match="field values must be finite"):
+            cv.energy_momentum_divergence(spec, state.x_grid, qs, pis, dt)
+
+    def test_run_ddw_series_bitwise(self):
+        # the whole runner against the allocating leapfrog and the per-snapshot loop
+        sc = parse_scenario(DDW_CFG.format(eta=1.3, n_steps=700))
+        rows = runners.run_ddw(sc, 1.0).series["conservation"].rows
+        spec = _field_spec(1.3, 0.7, 0.0)
+        grid = cv.PeriodicGrid1D(5.0, 96)
+        k = 2 * np.pi * 2 / 5.0
+        omega = np.sqrt(k * k + 0.7**2 / 1.3)
+        st0 = cv.FieldState1p1(grid, 0.05 * np.cos(k * grid.nodes), 0.05 * omega * np.sin(k * grid.nodes) * 1.3)
+        times, qs, pis, _ = ddw_evolve_series_ref(spec, st0, 0.004, 700, store_every=3)
+        e_ref, p_ref = conservation_ref(spec, grid, qs, pis)
+        assert np.array_equal(rows, np.column_stack([times, e_ref, p_ref]))
+
+    def test_acceleration_evaluations(self):
+        # n_steps + 1 evaluations of V' per run, whatever the chunking
+        calls = []
+        spec = cv.FieldLagrangianSpec(1.0, potential=lambda q: 0.5 * q * q,
+                                      potential_grad=lambda q: calls.append(1) or q.copy())
+        state = _random_field(2, 64)
+        cv.ddw_evolve_series(spec, state, 0.5 * state.x_grid.dx, 103, store_every=5)
+        assert len(calls) == 104
+
+    def test_run_ddw_public_calls_sum_to_n_steps(self, monkeypatch):
+        # perfbench/tracer.py replaces cv.ddw_evolve by a wrapper and counts
+        # covariant.ddw_steps from each call's n_steps argument
+        counted = []
+        real = cv.ddw_evolve
+
+        def wrapper(*args, **kwargs):
+            counted.append(int(kwargs.get("n_steps", args[3] if len(args) > 3 else 0)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "ddw_evolve", wrapper)
+        runners.run_ddw(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003)), 1.0)
+        assert sum(counted) == 1003 and len(counted) == 201  # store_every = 1003 // 200 = 5
+
+
+DDW_CFG = """
+[scenario]
+regime = ddw
+
+[grid]
+length = 5.0
+n = 96
+
+[system]
+eta = {eta}
+kg_mass = 0.7
+
+[initial]
+k_mode = 2
+amplitude = 0.05
+
+[run]
+dt = 0.004
+n_steps = {n_steps}
+"""
