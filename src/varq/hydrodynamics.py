@@ -22,14 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
-from .mechanics import (
-    NaturalSystemSpec,
-    classical_transport_step,
-    _RunContext,
-    _reject_negative,
-    _validate_density_state,
-    _windowed_upwind,
-)
+from .mechanics import (NaturalSystemSpec, classical_transport_step, _RunContext, _next_state, _reject_negative,
+                        _validate_density_state, _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _check_positive,
                        _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
@@ -194,11 +188,6 @@ def effective_hamiltonian_density(
     return out
 
 
-def _mass_sample(spec: NaturalSystemSpec, grid: Grid1D):
-    """m(q) at the face midpoints and at the nodes, each validated once."""
-    return spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
-
-
 def _g_terms(dspec, grid, rho, m_face, m_node):
     """(1/2) m^{-1} g'(rho) (drho/dq)^2 - d/dq(m^{-1} g(rho) drho/dq)."""
     if dspec.g is None:
@@ -214,16 +203,9 @@ def _g_terms(dspec, grid, rho, m_face, m_node):
     return first - div
 
 
-def madelung_step(
-    spec: NaturalSystemSpec,
-    dspec: DiffusionSpec,
-    state: HydroState,
-    dt: float,
-    floor_frac: float = RHO_FLOOR_FRAC,
-    support_floor: Optional[float] = None,
-    _op: Optional[TridiagonalOperator] = None,
-    _run: Optional[_RunContext] = None,
-) -> HydroState:
+def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, dt: float,
+                  floor_frac: float = RHO_FLOOR_FRAC, support_floor: Optional[float] = None,
+                  _op: Optional[TridiagonalOperator] = None, _run: Optional[_RunContext] = None) -> HydroState:
     """One semi-implicit step of the coupled (rho, lam) system.
 
     Classical mode delegates to the shared classical transport kernel, so
@@ -236,22 +218,23 @@ def madelung_step(
     ``_op`` is the quantum operator and ``_run`` the calling run's
     ``_RunContext`` (mass samples, last bulk window).  Given the state the
     run's previous step returned, the step takes that step's window
-    instead of scanning the same density again (``HydroState``'s clip at 0
-    moves neither the floor, the node test nor the bulk); any other state
-    is scanned.  Without them the step builds and samples its own, with
-    the same bits.  ``floor_frac``, ``support_floor`` and ``_op`` keep
+    instead of scanning the same density again (the clip at 0 moves neither
+    the floor, the node test nor the bulk); any other state is scanned.
+    Without them the step builds and samples its own, with the same bits.
+    ``mechanics._next_state`` builds the new state, checking only the cells
+    the step wrote.  ``floor_frac``, ``support_floor`` and ``_op`` keep
     their slots: perfbench/kernels.py passes all seven by position.
     """
     grid = state.grid
     if dspec.mode == "classical":
         rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt,
                                                     support_floor=support_floor, _run=_run)
-        return HydroState(grid, rho_new, lam_new)
+        return _next_state(HydroState, grid, rho_new, lam_new, _run.moved if _run else slice(None), slice(None))
 
     carried = _run is not None and _run.last is state
     lo, hi = _run.window if carried else _check_nodeless(state.rho, floor_frac, "before step")
     if _run is None:  # sampled after the scan: a noded density is rejected before m(q) is checked
-        _run = _RunContext(*_mass_sample(spec, grid))
+        _run = _RunContext(grid, spec, nodes=True)
     m_face, m_node = _run.m_face, _run.m_node
 
     rho_new = _windowed_upwind(grid, state.rho, state.lam, m_face, lo, hi, dt)
@@ -267,18 +250,12 @@ def madelung_step(
         rate += _g_terms(dspec, grid, rho_new, m_face, m_node)[bulk]
     lam_new = state.lam.copy()
     lam_new[bulk] -= dt * rate
-    _run.last, _run.window = HydroState(grid, rho_new, lam_new), (lo2, hi2)
+    _run.last, _run.window = _next_state(HydroState, grid, rho_new, lam_new, slice(lo, hi + 1), bulk), (lo2, hi2)
     return _run.last
 
 
-def madelung_run(
-    spec: NaturalSystemSpec,
-    dspec: DiffusionSpec,
-    state: HydroState,
-    t_final: float,
-    dt: float,
-    observer=None,
-) -> HydroState:
+def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, t_final: float, dt: float,
+                 observer=None) -> HydroState:
     """Advance to t_final in uniform steps of (at most) dt.
 
     The run builds the quantum operator and samples m(q) into one
@@ -291,7 +268,7 @@ def madelung_run(
     n_steps, dt = _uniform_steps(t_final, dt)
     t = 0.0
     op = schrodinger_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
-    run = _RunContext(*_mass_sample(spec, state.grid))
+    run = _RunContext(state.grid, spec, nodes=True)
     for _ in range(n_steps):
         state = madelung_step(spec, dspec, state, dt, _op=op, _run=run)
         t += dt
@@ -317,7 +294,7 @@ def multiplier_residual_series(
     lam_series = np.asarray(lam_series, dtype=float)
     times = np.asarray(times, dtype=float)
     q = grid.nodes
-    m_face, m = _mass_sample(spec, grid)
+    m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(q)
     v = spec.potential_at(q)
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))

@@ -13,14 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidSpecError,
-    InvalidStateError,
-    NumericalFailureError,
-    StepRejectedError,
-)
-from .numerics import Grid1D, _support_mask, _uniform_steps, build_grid, grad_central
+from .errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
+                     StepRejectedError)
+from .numerics import Grid1D, _support_mask, _uniform_steps, grad_central
 
 __all__ = [
     "NaturalSystemSpec",
@@ -202,23 +197,32 @@ def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
 _RHO_NEG_TOL = 1e-14  # rounding below zero that a density state accepts and clips
 
 
+def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, moved: slice, lam_moved: slice):
+    """Check the density state cells rho[moved] and lam[lam_moved] (the
+    multiplier ``field`` finite, then rho >= -1e-14) and h*sum(rho) = 1 on
+    the whole grid (a NaN density fails it); clip rho[moved] at 0 in place."""
+    part = rho[moved]
+    if not np.isfinite(lam[lam_moved]).all():
+        raise InvalidStateError(f"{field} must be finite")
+    low = part.min()  # a NaN minimum leaves the decision to the cell test
+    if not low >= -_RHO_NEG_TOL and (part < -_RHO_NEG_TOL).any():
+        raise InvalidStateError("density must be nonnegative")
+    total = grid.h * float(rho.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
+    if not low > 0.0:
+        np.maximum(part, 0.0, out=part)
+
+
 def _validate_density_state(state, field: str):
-    """Check a (grid, rho, multiplier ``field``) state: both on the grid, the
-    multiplier finite, rho nonnegative and normalised (a NaN fails both);
-    stores rho clipped at 0."""
-    rho = np.asarray(state.rho, dtype=float)
+    """Check a constructor's arguments: rho and the multiplier ``field`` on
+    the grid, then every cell; stores a clipped copy of rho."""
+    rho = np.array(state.rho, dtype=float)
     lam = np.asarray(getattr(state, field), dtype=float)
     if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
         raise InvalidStateError(f"rho and {field} must match the grid")
-    if not np.isfinite(lam).all():
-        raise InvalidStateError(f"{field} must be finite")
-    if (rho < -_RHO_NEG_TOL).any():
-        raise InvalidStateError("density must be nonnegative")
-    total = state.grid.h * float(rho.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
-    object.__setattr__(state, "rho", np.maximum(rho, 0.0))
-    object.__setattr__(state, field, lam)
+    _check_cells(state.grid, rho, lam, field, slice(None), slice(None))
+    vars(state).update({"rho": rho, field: lam})
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,31 @@ class ClassicalEnsemble:
         _validate_density_state(self, "S")
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _next_state(cls, grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice):
+    """The ``ClassicalEnsemble`` or ``HydroState`` (``cls``) of the fresh
+    arrays rho and lam, built without ``__post_init__``: outside rho[moved]
+    and lam[lam_moved] they equal a checked state's, so only those cells
+    are checked (``_check_cells``)."""
+    field = "S" if cls is ClassicalEnsemble else "lam"
+    _check_cells(grid, rho, lam, field, moved, lam_moved)
+    state = object.__new__(cls)
+    vars(state).update({"grid": grid, "rho": rho, field: lam})
+    return state
+
+
+def _add_upwind_flux(new: np.ndarray, rho: np.ndarray, v_face: np.ndarray, dt: float, h: float):
+    """Move the upwind fluxes through the faces between the nodes of rho
+    into ``new``, a copy of rho; each face takes the upwind node's value with
+    the minmod slope (the smaller one-sided difference where both agree in sign)."""
+    d = rho[1:] - rho[:-1]
+    ad = np.abs(d)
+    drho = np.zeros(rho.size)
+    np.copyto(drho[1:-1], np.where(ad[:-1] < ad[1:], d[:-1], d[1:]), where=d[:-1] * d[1:] > 0)
+    nu = v_face * dt / h
+    r = np.where(v_face > 0.0, rho[:-1] + 0.5 * (1.0 - nu) * drho[:-1], rho[1:] - 0.5 * (1.0 + nu) * drho[1:])
+    flux = (dt / h) * (v_face * r)
+    new[:-1] -= flux
+    new[1:] += flux
 
 
 def upwind_density_update(grid: Grid1D, rho: np.ndarray, v_face: np.ndarray, dt: float) -> np.ndarray:
@@ -244,15 +271,8 @@ def upwind_density_update(grid: Grid1D, rho: np.ndarray, v_face: np.ndarray, dt:
     limiter keeps the update monotone.  Telescoping fluxes with no-flux
     walls keep h*sum(rho) exact to roundoff.
     """
-    drho = np.zeros(rho.size)
-    drho[1:-1] = _minmod(rho[1:-1] - rho[:-2], rho[2:] - rho[1:-1])
-    nu = v_face * dt / grid.h
-    r_left = rho[:-1] + 0.5 * (1.0 - nu) * drho[:-1]
-    r_right = rho[1:] - 0.5 * (1.0 + nu) * drho[1:]
-    flux = (dt / grid.h) * np.where(v_face > 0.0, v_face * r_left, v_face * r_right)
     new = rho.copy()
-    new[:-1] -= flux
-    new[1:] += flux
+    _add_upwind_flux(new, rho, v_face, dt, grid.h)
     return new
 
 
@@ -275,10 +295,9 @@ def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.
     or is NaN.
 
     The step is window-local: the velocity is formed on the active faces
-    only, and ``upwind_density_update`` runs on nodes lo-1..hi+1 (the
-    limiter's neighbours) with the two edge faces at zero velocity.  Every
-    other node is copied.  The result equals a whole-grid update with the
-    velocity masked outside the window.
+    only, and the fluxes of nodes lo-1..hi+1 (the limiter's neighbours),
+    with the two edge faces at zero velocity, go into one copy of rho.  The
+    result equals a whole-grid update with the velocity masked outside.
     """
     a, b = max(lo - 1, 0), min(hi + 1, grid.n - 1)
     v = np.zeros(b - a)  # faces a..b-1; the edge faces a < lo and hi < b stay at 0
@@ -293,13 +312,13 @@ def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.
             diagnostics={"cfl": cfl},
         )
     new = rho.copy()
-    new[a : b + 1] = upwind_density_update(grid, rho[a : b + 1], v, dt)
+    _add_upwind_flux(new[a : b + 1], rho[a : b + 1], v, dt, grid.h)
     return new
 
 
-def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt: float) -> np.ndarray:
-    """Upwind (Godunov) step of dS/dt + (dS/dq)^2/2m + V = 0 for convex H."""
-    h = grid.h
+def _godunov_hj_update(h: float, q: np.ndarray, spec: NaturalSystemSpec, S: np.ndarray, dt: float) -> np.ndarray:
+    """Upwind (Godunov) step of dS/dt + (dS/dq)^2/2m + V = 0 for convex H,
+    on the nodes q of spacing h."""
     slope = (S[1:] - S[:-1]) / h
     dm = np.empty(S.size)
     dp = np.empty(S.size)
@@ -308,7 +327,6 @@ def _godunov_hj_update(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dt:
     dm[0] = dp[0]
     dp[-1] = dm[-1]
     p2 = np.maximum(np.maximum(dm, 0.0) ** 2, np.minimum(dp, 0.0) ** 2)
-    q = grid.nodes
     return S - dt * (p2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q))
 
 
@@ -321,25 +339,31 @@ def _support_window(rho: np.ndarray, floor_frac: float) -> tuple:
 
 
 class _RunContext:
-    """What one run computes once for its steps: m(q) at ``grid.midpoints``
-    and ``grid.nodes`` (None if unused), sampled through ``spec.mass_at``; and
-    ``window``, the bulk window ``madelung_step`` found on the state it last
-    returned (``last``), so the next step need not scan that density again."""
+    """What a run computes once for its steps: m(q) through ``spec.mass_at``
+    at ``grid.midpoints`` and, with ``nodes``, at ``grid.nodes`` (else None);
+    ``dist`` (h*i at node i) and the n-cell ``scratch`` of the multiplier
+    extension.  What a step leaves for the next: ``moved``, the slice a
+    classical step's density update wrote, and ``window``, the bulk window
+    ``madelung_step`` found on the state it returned (``last``)."""
 
-    def __init__(self, m_face: np.ndarray, m_node: Optional[np.ndarray]):
-        self.m_face, self.m_node = m_face, m_node
-        self.last = self.window = None
+    def __init__(self, grid: Grid1D, spec: NaturalSystemSpec, *, nodes: bool):
+        self.m_face = spec.mass_at(grid.midpoints)
+        self.m_node = spec.mass_at(grid.nodes) if nodes else None
+        self.dist = grid.h * np.arange(grid.n)
+        self.scratch = np.empty(grid.n)
+        self.last = self.window = self.moved = None
 
 
-def classical_transport_step(
-    grid: Grid1D,
-    rho: np.ndarray,
-    S: np.ndarray,
-    spec: NaturalSystemSpec,
-    dt: float,
-    support_floor: Optional[float] = None,
-    _run: Optional[_RunContext] = None,
-):
+def _extend(out: np.ndarray, s_edge: float, g: float, c: float, d: np.ndarray, tmp: np.ndarray):
+    """out = s_edge + g*d + ((0.5*c)*d)*d, through the buffer ``tmp``."""
+    np.add(s_edge, np.multiply(g, d, out=tmp), out=out)
+    np.multiply(0.5 * c, d, out=tmp)
+    tmp *= d
+    out += tmp
+
+
+def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: NaturalSystemSpec, dt: float,
+                             support_floor: Optional[float] = None, _run: Optional[_RunContext] = None):
     """Shared kernel: one coupled (rho, S) step of the classical balance.
 
     With ``support_floor`` set, the multiplier equation is advanced only on
@@ -349,45 +373,44 @@ def classical_transport_step(
     the multiplier gradients bounded by the ensemble's physical momentum
     range even while the density passes through a focus.
 
-    ``_run`` is the calling run's ``_RunContext``; the step reads m(q) at
-    the faces from it instead of sampling the spec (same bits).
+    ``_run`` is the calling run's ``_RunContext`` (a call without one builds
+    its own): m(q) at the faces and the extension's buffers; the step
+    records its window in ``moved``.  The window's update samples the spec
+    on the nodes ``build_grid`` would give the window, without building it.
 
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
     most negative cell, ``diagnostics["rho_min"]`` its value).
     """
-    if support_floor is None:
-        lo, hi = 0, grid.n - 1
-    else:
-        lo, hi = _support_window(rho, support_floor)
-    m_face = _run.m_face if _run is not None else spec.mass_at(grid.midpoints)
+    n, h = grid.n, grid.h
+    lo, hi = (0, n - 1) if support_floor is None else _support_window(rho, support_floor)
+    if _run is None:
+        _run = _RunContext(grid, spec, nodes=False)
     # the whole-grid window keeps every face, so the masked velocity equals
     # the unmasked one bit for bit
-    rho_new = _windowed_upwind(grid, rho, S, m_face, lo, hi, dt)
+    rho_new = _windowed_upwind(grid, rho, S, _run.m_face, lo, hi, dt)
     _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
+    _run.moved = slice(lo, hi + 1)
     if support_floor is None:
-        return rho_new, _godunov_hj_update(grid, spec, S, dt)
+        return rho_new, _godunov_hj_update(h, grid.nodes, spec, S, dt)
 
-    h = grid.h
-    S_new = S.copy()
-    if hi - lo + 1 >= 3:
-        # q_min + i*h is grid.nodes[i] bit for bit, without building the nodes
-        sub = build_grid(grid.q_min + lo * h, grid.q_min + hi * h, hi - lo + 1)
-        S_new[lo : hi + 1] = _godunov_hj_update(sub, spec, S[lo : hi + 1], dt)
+    k, q0 = hi - lo + 1, grid.q_min + lo * h
+    hs = (grid.q_min + hi * h - q0) / (k - 1)  # k >= 3 (build_grid's n >= 3); hs may differ from h
+    S_new = np.empty(n)  # the window and the two extensions write every cell
+    S_new[lo : hi + 1] = _godunov_hj_update(hs, q0 + np.arange(k) * hs, spec, S[lo : hi + 1], dt)
     # quadratic extension outside the window (matching edge gradient and
     # curvature): the multiplier is local to the support, outside values
     # only seed cells the window grows into, and keeping the curvature
     # avoids kicking the density when the window turns around
     if lo > 0:
-        gl = (S_new[lo + 1] - S_new[lo]) / h
-        cl = (S_new[lo + 2] - 2.0 * S_new[lo + 1] + S_new[lo]) / (h * h) if lo + 2 < grid.n else 0.0
-        d = h * np.arange(lo, 0, -1)
-        S_new[:lo] = S_new[lo] - gl * d + 0.5 * cl * d * d
-    if hi < grid.n - 1:
-        gr = (S_new[hi] - S_new[hi - 1]) / h
-        cr = (S_new[hi] - 2.0 * S_new[hi - 1] + S_new[hi - 2]) / (h * h) if hi - 2 >= 0 else 0.0
-        d = h * np.arange(1, grid.n - hi)
-        S_new[hi + 1 :] = S_new[hi] + gr * d + 0.5 * cr * d * d
+        s0, s1, s2 = S_new[lo : lo + 3].tolist()
+        # s0 - gl*d is s0 + (-gl)*d bit for bit
+        _extend(S_new[:lo], s0, -((s1 - s0) / h), (s2 - 2.0 * s1 + s0) / (h * h), _run.dist[lo:0:-1],
+                _run.scratch[:lo])
+    if hi < n - 1:
+        s2, s1, s0 = S_new[hi - 2 : hi + 1].tolist()
+        _extend(S_new[hi + 1 :], s0, (s0 - s1) / h, (s0 - 2.0 * s1 + s2) / (h * h), _run.dist[1 : n - hi],
+                _run.scratch[: n - hi - 1])
     return rho_new, S_new
 
 
@@ -411,28 +434,24 @@ def transport_density(
     return ClassicalEnsemble(ens.grid, rho_new, S_new)
 
 
-def transport_run(
-    ens: ClassicalEnsemble,
-    spec: NaturalSystemSpec,
-    t_final: float,
-    dt: float,
-    support_floor: Optional[float] = None,
-    observer=None,
-) -> ClassicalEnsemble:
+def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: float, dt: float,
+                  support_floor: Optional[float] = None, observer=None) -> ClassicalEnsemble:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
-    ``observer(t, ens)`` is called after every step when given.  The run
-    samples m(q) at the faces once, before the first step, into one
-    ``_RunContext`` that every ``classical_transport_step`` reads.  Raises
-    InvalidArgumentError unless t_final and dt are finite and > 0.
+    ``observer(t, ens)`` is called after every step when given.  Every step
+    reads one ``_RunContext``, built before the first, and ``_next_state``
+    builds each ensemble, checking rho on the step's window and S on the
+    whole grid.  Raises InvalidArgumentError unless t_final and dt are
+    finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
-    run = _RunContext(spec.mass_at(ens.grid.midpoints), None)
+    grid = ens.grid
+    run = _RunContext(grid, spec, nodes=False)
     t = 0.0
     for _ in range(n_steps):
-        rho, S = classical_transport_step(ens.grid, ens.rho, ens.S, spec, dt,
+        rho, S = classical_transport_step(grid, ens.rho, ens.S, spec, dt,
                                           support_floor=support_floor, _run=run)
-        ens = ClassicalEnsemble(ens.grid, rho, S)
+        ens = _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None))
         t += dt
         if observer is not None:
             observer(t, ens)

@@ -327,7 +327,7 @@ def transport_step_unmasked(grid, rho, S, spec, dt, m_face=None):
             diagnostics={"cfl": cfl},
         )
     rho_new = mech.upwind_density_update(grid, rho, v_face, dt)
-    S_new = mech._godunov_hj_update(grid, spec, S, dt)
+    S_new = mech._godunov_hj_update(grid.h, grid.nodes, spec, S, dt)
     return rho_new, S_new
 
 
@@ -382,7 +382,7 @@ class TestWholeGridWindow:
         vmax = float(np.max(np.abs(np.diff(S) / grid.h / spec.mass_at(grid.midpoints))))
         dt = cfl_target * grid.h / max(vmax, 1e-300)
         m_face = spec.mass_at(grid.midpoints) if pass_run else None
-        run = mech._RunContext(m_face, None) if pass_run else None
+        run = mech._RunContext(grid, spec, nodes=False) if pass_run else None
         new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None, run)
         old = _outcome(transport_step_unmasked, grid, rho, S, spec, dt, m_face)
         if not isinstance(old[0], str) and np.min(old[0]) < -1e-14:

@@ -336,7 +336,7 @@ def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
     (H sqrt(rho))/sqrt(rho) were shared."""
     grid = state.grid
     lo, hi = hy._check_nodeless(state.rho, floor_frac, "before step")
-    m_face, m_node = hy._mass_sample(spec, grid)
+    m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
     v_face = np.diff(state.lam) / grid.h / m_face
     active = slice(lo, hi)
     vmax = float(np.max(np.abs(v_face[active]))) if hi > lo else 0.0
@@ -371,7 +371,7 @@ def multiplier_residual_series_inline(grid, spec, dspec, rho_series, lam_series,
                                       floor_frac=nx.RHO_FLOOR_FRAC):
     """multiplier_residual_series before (H sqrt(rho))/sqrt(rho) was shared."""
     q = grid.nodes
-    m_face, m = hy._mass_sample(spec, grid)
+    m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(q)
     v = spec.potential_at(q)
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))
