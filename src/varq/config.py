@@ -5,14 +5,16 @@ per concern; potentials come from the named catalog.
 is required); a default value (parsed as the default's type: ``bool`` takes
 true/yes/on/1 or false/no/off/0 in any case, ``list`` a comma- or
 space-separated float list); a tuple of accepted strings, the first the
-default (``None``: required; a ``Folded`` tuple ignores case); or
-``Derived(type)``, a key the runner derives from other inputs when absent.
+default (``None``: required; a ``Folded`` tuple ignores case);
+``Between(default, lo, hi)``, a float that must lie strictly between lo and
+hi; or ``Derived(type)``, a key the runner derives from other inputs when
+absent.
 ``COMMON`` adds ``[scenario]`` and ``[checks]`` to every regime; their
 values are the Scenario's ``regime``, ``seed`` and ``waive_invariants``.
 ``parse_scenario`` checks a config against its table before anything runs:
 an unknown section or key, a missing required key, an unparsable value or a
-bad choice raises ConfigError naming ``section.key``.  Value ranges are
-checked by the library's specs and steppers when a run builds them.
+bad choice raises ConfigError naming ``section.key``.  Other value ranges
+are checked by the library's specs and steppers when a run builds them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ class Folded(tuple):
     """Accepted strings, matched after lower-casing."""
 
 
+@dataclass(frozen=True)
+class Between:
+    """A float default whose value must lie strictly between ``lo`` and ``hi``."""
+
+    default: float
+    lo: float
+    hi: float
+
+
 _GRID = {"q_min": float, "q_max": float, "n": int}
 _POTENTIAL = {"kind": Folded((None, "free", "box", "harmonic", "quartic", "polynomial")),
               "k": 1.0, "c": 1.0, "coeffs": Derived(list)}  # coeffs: required for polynomial
@@ -42,7 +53,7 @@ COMMON = {"scenario": {"regime": str, "seed": 0}, "checks": {"waive": False}}
 SCHEMA = {
     "classical": {"grid": _GRID, "system": {"mass": 1.0}, "potential": _POTENTIAL,
                   "initial": {"center": 1.0, "width_cells": 3.0},
-                  "run": {"t_final": float, "cfl": 0.4, "support_floor": 1e-6}},
+                  "run": {"t_final": float, "cfl": 0.4, "support_floor": Between(1e-6, 0.0, 1.0)}},
     "madelung": {"grid": _GRID, "system": {"mass": 1.0, "a": 1.0}, "potential": _POTENTIAL,
                  "initial": {"center": 0.2, "variance": 0.5},
                  "run": {"t_final": float, "dt": Derived(float)}},  # dt = 0.2 h^2
@@ -82,6 +93,12 @@ class Scenario:
 
 def _typed(section: str, key: str, entry, raw: str):
     """[section] key = ``raw`` parsed as its table ``entry`` says."""
+    if isinstance(entry, Between):
+        value = _typed(section, key, entry.default, raw)
+        if not entry.lo < value < entry.hi:  # NaN fails too
+            raise ConfigError(f"[{section}] {key} must be > {entry.lo!r} and < {entry.hi!r}, got {value!r}",
+                              key=f"{section}.{key}")
+        return value
     if isinstance(entry, tuple):
         value = raw.lower() if isinstance(entry, Folded) else raw
         if value not in entry:
@@ -108,6 +125,8 @@ def _section(section: str, table: dict, raw: dict) -> dict:
             out[key] = _typed(section, key, entry, raw[key])
         elif isinstance(entry, type) or (isinstance(entry, tuple) and entry[0] is None):
             raise ConfigError(f"missing required key [{section}] {key}", key=f"{section}.{key}")
+        elif isinstance(entry, Between):
+            out[key] = entry.default
         elif not isinstance(entry, Derived):
             out[key] = entry[0] if isinstance(entry, tuple) else type(entry)(entry)  # a list is copied
     return out

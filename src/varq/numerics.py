@@ -203,6 +203,10 @@ class CayleyPropagator:
     A non-finite matrix is rejected when the propagator is built
     (InvalidArgumentError); a non-finite state raises NumericalFailureError
     in ``step``.
+
+    A run loop that holds H psi hands it over as ``step(psi, _hpsi=...)``: it
+    must be H applied to the complex state passed in,
+    ``op.apply(psi.astype(complex))``, and the step is then bitwise ``step(psi)``.
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float, a: float):
@@ -234,8 +238,9 @@ class CayleyPropagator:
                 )
             self._factors = factors
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        rhs = psi - self._mu * self.op.apply(psi.astype(complex))
+    def step(self, psi: np.ndarray, _hpsi: np.ndarray | None = None) -> np.ndarray:
+        hpsi = self.op.apply(np.asarray(psi, dtype=complex)) if _hpsi is None else _hpsi
+        rhs = psi - self._mu * hpsi
         if not np.isfinite(rhs).all():
             bad = int(np.count_nonzero(~np.isfinite(rhs)))
             raise NumericalFailureError(

@@ -198,9 +198,10 @@ def space_independent_evolve(
         raise InvalidStateError("psi0 must be grid-normalised")
     prop = CayleyPropagator(op, dt, spec.f)
 
-    def record(t, psi_now):
-        """One stored snapshot: (t, psi, eps, mask, wbar)."""
-        hpsi = embed_interior(grid, op.apply(psi_now[1:-1]))
+    def record(t, psi_now, h_in):
+        """One stored snapshot: (t, psi, eps, mask, wbar); ``h_in`` is H
+        applied to the interior of ``psi_now``."""
+        hpsi = embed_interior(grid, h_in)
         dens = np.abs(psi_now) ** 2
         mask = _support_mask(dens, RHO_FLOOR_FRAC)
         eps = np.zeros(grid.n)
@@ -208,11 +209,15 @@ def space_independent_evolve(
         wbar = grid.h * float(np.sum(np.real(np.conj(psi_now) * hpsi)))
         return t, psi_now, eps, mask, wbar
 
-    records = [record(0.0, psi)]
+    h_in = op.apply(psi[1:-1])
+    records = [record(0.0, psi, h_in)]
     for k in range(n_steps):
-        psi = embed_interior(grid, prop.step(psi[1:-1]))
+        # a stored step hands its H psi to the next step; the others let it apply H
+        psi = embed_interior(grid, prop.step(psi[1:-1], _hpsi=h_in))
+        h_in = None
         if (k + 1) % store_every == 0:
-            records.append(record((k + 1) * dt, psi))
+            h_in = op.apply(psi[1:-1])
+            records.append(record((k + 1) * dt, psi, h_in))
     return SpaceIndependentResult(*(np.asarray(column) for column in zip(*records)))
 
 
@@ -287,6 +292,13 @@ class ConfinementReport:
     n_points: int
 
 
+def _index_span(mask: np.ndarray):
+    """The True positions of ``mask``: a slice when they are contiguous, else
+    an index array (a ground state can dip below the floor between wells)."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1) if idx.size and idx[-1] - idx[0] + 1 == idx.size else idx
+
+
 def _reverse_cumtrapz(g: np.ndarray, r: np.ndarray) -> np.ndarray:
     """I(r_j) = integral_{r_j}^{r_max} g dr, trapezoid on the given nodes."""
     seg = 0.5 * (g[..., 1:] + g[..., :-1]) * np.diff(r)
@@ -322,7 +334,9 @@ def confined_solve(
     reported (seed plus the constant inward continuation of the
     corrections) but carry no accuracy claim, matching the residual
     window: the outer half of the radial range, which must start at or
-    after the source radius.
+    after the source radius.  A sweep checks positivity and evaluates the
+    log source on the active box only (those rows times that radial suffix;
+    zero outside), and writes its full-grid products into per-solve buffers.
 
     A sweep is accepted only if the window residual does not rise above
     max(previous, tol); a rising residual above tolerance stops the
@@ -349,48 +363,50 @@ def confined_solve(
     psi0 = psi_mat[:, 0]
     qmask = _support_mask(np.abs(psi0), _PSI0_FLOOR)
     source_r_start = max(r_min, f / dw[1]) if K > 1 else r_min
-    rmask = r >= source_r_start
     resid_window = (r_min + 0.5 * (r_max - r_min), r_max)
     if resid_window[0] < source_r_start:
         raise InvalidArgumentError("r_max too small: the residual window must start at or after f/(w1 - w0)")
-    rw = (r >= resid_window[0]) & (r <= resid_window[1])  # never empty: r[-1] == r_max
 
     A0 = cs[:, None] * np.exp(-np.outer(dw, r) / f)  # (K, nr)
     At0 = np.zeros_like(A0)
     At0[0, :] = cs[0]
 
-    def fields(A, At):
-        return psi_mat @ A, psi_mat @ At  # (nq, nr)
+    # the log source and the residual window are boxes: the qmask rows times
+    # a suffix of the ascending r (never empty for the window: r[-1] == r_max)
+    rows = _index_span(qmask)
+    box = (rows, slice(int(np.count_nonzero(r < source_r_start)), None))
+    res_box = (rows, slice(int(np.count_nonzero(r < resid_window[0])), None))
+    # per-solve buffers of the sweep; L stays zero outside the box
+    phi, phi_tilde, work, L = (np.zeros((psi_mat.shape[0], n_r)) for _ in range(4))
 
-    def log_source(phi, phi_tilde):
-        active = qmask[:, None] & rmask[None, :]
-        bad = active & ((phi <= 0.0) | (phi_tilde <= 0.0))
-        if np.any(bad):
+    def sources(A, At):
+        """P, Pt: the log source times each field of the amplitudes A, At,
+        projected on the modes (the fields go to ``phi``, ``phi_tilde``)."""
+        np.matmul(psi_mat, A, out=phi)
+        np.matmul(psi_mat, At, out=phi_tilde)
+        pb, ptb = phi[box], phi_tilde[box]
+        bad = (pb <= 0.0) | (ptb <= 0.0)
+        if bad.any():
             iq, ir = np.argwhere(bad)[0]
             raise NumericalFailureError(
                 "conjugate pair lost positivity",
-                diagnostics={"q": float(vac.grid.nodes[iq]), "r": float(r[ir])},
+                diagnostics={"q": float(vac.grid.nodes[rows][iq]), "r": float(r[box[1]][ir])},
             )
-        L = np.zeros_like(phi)
-        L[active] = np.log(phi[active] / phi_tilde[active])
-        return L
+        ratio = np.divide(pb, ptb)  # np.log on a contiguous array: a strided output may take another loop
+        L[box] = np.log(ratio, out=ratio)
+        return project(np.multiply(L, phi, out=work)), project(np.multiply(L, phi_tilde, out=work))
 
     def project(field):
         return h * (psi_mat.T @ field)  # (K, nr)
 
     def residual_max(P_prev, P_new, C, Pt_prev, Pt_new, Ct):
-        R = (f / r)[None, :] * (P_prev - P_new) - dw[:, None] * C
-        Rt = (f / r)[None, :] * (Pt_prev - Pt_new) - dw[:, None] * Ct
-        r_field = psi_mat @ R
-        rt_field = psi_mat @ Rt
-        sub = np.ix_(qmask, rw)
-        return max(float(np.max(np.abs(r_field[sub]))), float(np.max(np.abs(rt_field[sub]))))
+        def window_max(R):
+            return float(np.max(np.abs(np.matmul(psi_mat, R, out=work)[res_box])))
+        return max(window_max((f / r)[None, :] * (P_prev - P_new) - dw[:, None] * C),
+                   window_max((f / r)[None, :] * (Pt_prev - Pt_new) - dw[:, None] * Ct))
 
     A, At = A0.copy(), At0.copy()
-    phi, phi_tilde = fields(A, At)
-    L = log_source(phi, phi_tilde)
-    P = project(L * phi)
-    Pt = project(L * phi_tilde)
+    P, Pt = sources(A, At)
     # seed residual: the missing log source (the seed solves the log-free
     # system exactly in the discrete eigenbasis)
     resid = residual_max(np.zeros_like(P), P, np.zeros_like(P), np.zeros_like(Pt), Pt, np.zeros_like(Pt))
@@ -404,10 +420,7 @@ def confined_solve(
         Ct = -_reverse_cumtrapz(Pt / r[None, :], r)
         A_new = A0 + C
         At_new = At0 + Ct
-        phi_new, phit_new = fields(A_new, At_new)
-        L_new = log_source(phi_new, phit_new)
-        P_new = project(L_new * phi_new)
-        Pt_new = project(L_new * phit_new)
+        P_new, Pt_new = sources(A_new, At_new)
         resid_new = residual_max(P, P_new, C, Pt, Pt_new, Ct)
         if resid_new > max(history[-1] * (1.0 + 1e-12), tol):
             # residual stagnated above tolerance: reject the sweep
@@ -427,8 +440,7 @@ def confined_solve(
             "confined solve did not reach tolerance (max-iterations)",
             diagnostics={"residual_history": history},
         )
-    phi, phi_tilde = fields(A, At)
-    pair = RadialPair(vac.grid, r, phi, phi_tilde, cs)
+    pair = RadialPair(vac.grid, r, psi_mat @ A, psi_mat @ At, cs)
     return ConfinedSolveResult(pair, history, iterations, converged, mode_history, resid_window)
 
 

@@ -148,12 +148,19 @@ class SchrodingerEvolution:
                 diagnostics={"boundary_mass": mass, "t": t},
             )
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        return embed_interior(self.grid, self.prop.step(psi[1:-1]))
+    def step(self, psi: np.ndarray, _hpsi: np.ndarray | None = None) -> np.ndarray:
+        """One Cayley step; ``_hpsi`` is ``_energy(psi)[1]``, H applied to psi's interior."""
+        return embed_interior(self.grid, self.prop.step(psi[1:-1], _hpsi=_hpsi))
 
     def energy(self, psi: np.ndarray) -> float:
+        return self._energy(psi)[0]
+
+    def _energy(self, psi: np.ndarray) -> tuple:
+        """(<psi|H|psi>, H applied to psi's interior) for a complex psi: a run
+        loop hands the second to the next ``step``, so H is applied once per step."""
         inner = psi[1:-1]
-        return self.grid.h * float(np.real(np.vdot(inner, self.op.apply(inner))))
+        hpsi = self.op.apply(inner)
+        return self.grid.h * float(np.real(np.vdot(inner, hpsi))), hpsi
 
 
 def schrodinger_evolve(

@@ -260,12 +260,17 @@ BAD_RANGES = [
 ] + [
     ("madelung_trap.cfg", "n = 801", f"n = {n}", "grid.n", f"[grid] n must be >= 7 for the quantum-pole step, got {n}")
     for n in (2, 3, 6)
+] + [
+    ("classical_oscillator.cfg", "support_floor = 1e-6", f"support_floor = {v}", "run.support_floor",
+     f"[run] support_floor must be > 0.0 and < 1.0, got {float(v)!r}")
+    for v in ("1.0", "2.0", "nan", "0.0", "-1.0")
 ]
 
 
 class TestConfigRanges:
-    """A spin population floor that is not finite and > 0, and a Madelung grid
-    too small for a bulk window and the quantum operator, exit 2 naming the key."""
+    """A spin population floor that is not finite and > 0, a Madelung grid
+    too small for a bulk window and the quantum operator, and a classical
+    support floor outside (0, 1), exit 2 naming the key."""
 
     @pytest.mark.parametrize("cfg_name, old, new, key, message", BAD_RANGES)
     def test_bad_value_is_config_error(self, tmp_path, capsys, cfg_name, old, new, key, message):

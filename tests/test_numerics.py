@@ -178,7 +178,8 @@ def cayley_step_per_call(op, dt, a, psi):
     return sla.solve_banded((1, 1), ab, rhs)
 
 
-def _per_call_step(self, psi):
+def _per_call_step(self, psi, _hpsi=None):
+    # applies H itself: a run that hands the step a wrong H psi differs from it
     return cayley_step_per_call(self.op, self.dt, self.a, psi)
 
 
@@ -276,6 +277,60 @@ class TestCayleyPrefactored:
         old = qf.space_independent_evolve(spec, grid, psi0, 2e-3, 200, store_every=20)
         for name in ("times", "psi", "energy_density", "mask", "mean_energy"):
             assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+
+def _step_outcome(prop, psi, **kwargs):
+    """The step's result, or the class, message and diagnostics it raised."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return prop.step(psi, **kwargs)
+    except NumericalFailureError as exc:
+        return type(exc), str(exc), exc.diagnostics
+
+
+class TestCayleyHandedHpsi:
+    """``step(psi, _hpsi=op.apply(psi))`` for a complex psi: the run loops hand
+    the step the H psi they already hold instead of letting it apply H."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 40, 1401]),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.floats(min_value=0.05, max_value=20.0),
+        st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    @example(1401, 7, 0.002, 1.0, None)
+    @example(1, 5, 0.3, 1.0, np.nan)
+    @example(40, 3, 0.1, 0.7, -np.inf)
+    def test_bitwise_equal_to_applying_h(self, m, seed, dt, a, bad):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        op = nx.TridiagonalOperator(scale[0] * rng.normal(size=m), scale[1] * rng.normal(size=m - 1))
+        prop = nx.CayleyPropagator(op, dt, a)
+        psi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        for _ in range(5):
+            want = _step_outcome(prop, psi)
+            with np.errstate(invalid="ignore"):
+                hpsi = op.apply(psi)
+            got = _step_outcome(prop, psi, _hpsi=hpsi)
+            if isinstance(want, tuple):  # a non-finite state: the same failure either way
+                assert got == want
+                break
+            assert np.array_equal(got, want)
+            psi = want
+            if bad is not None:
+                psi = psi.copy()
+                psi[rng.integers(m)] = bad
+
+    def test_non_finite_failure_names_size_and_count(self):
+        rng = np.random.default_rng(2)
+        op = nx.TridiagonalOperator(rng.normal(size=40), rng.normal(size=39))
+        psi = rng.normal(size=40) + 1j * rng.normal(size=40)
+        psi[20] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = _step_outcome(nx.CayleyPropagator(op, 0.1, 1.0), psi, _hpsi=op.apply(psi))
+        assert got == (NumericalFailureError, "non-finite state in Cayley step", {"size": 40, "nonfinite": 3})
 
 
 def test_operator_shape_validation():

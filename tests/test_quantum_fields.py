@@ -5,7 +5,7 @@ from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import quantum_fields as qf
 from varq.errors import InvalidArgumentError, InvalidSpecError, NumericalFailureError
-from varq.numerics import build_grid
+from varq.numerics import CayleyPropagator, build_grid, embed_interior
 
 
 def harmonic_field_spec(k=1.0, eta=1.0, f=1.0):
@@ -145,6 +145,24 @@ class TestSpaceIndependent:
         with pytest.raises(InvalidArgumentError, match=f"store_every must be >= 1, got {store_every}"):
             qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), 2e-3, 10,
                                         store_every=store_every)
+
+    def test_snapshots_are_distinct_fresh_states(self, harmonic_vacuum):
+        # a stored step hands its H psi to the next step; no stored row may
+        # alias the state the loop steps on or the caller's psi0
+        spec, grid, vac = harmonic_vacuum
+        psi0 = ((vac.psi[:, 0] + vac.psi[:, 2]) / np.sqrt(2.0)).astype(complex)
+        res = qf.space_independent_evolve(spec, grid, psi0, 2e-3, 60, store_every=7)
+        prop = CayleyPropagator(qf._operator(spec, grid), 2e-3, spec.f)
+        psi, fresh = psi0, [psi0]
+        for k in range(60):  # every step applies H itself
+            psi = embed_interior(grid, prop.step(psi[1:-1]))
+            if (k + 1) % 7 == 0:
+                fresh.append(psi)
+        assert np.array_equal(res.psi, np.asarray(fresh))
+        assert len({row.tobytes() for row in res.psi}) == len(fresh) == 9
+        again = qf.space_independent_evolve(spec, grid, psi0, 2e-3, 60, store_every=7)
+        assert np.array_equal(again.psi, res.psi)
+        assert not np.shares_memory(again.psi, res.psi) and not np.shares_memory(res.psi, psi0)
 
     def test_momentum_density_vanishes(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum

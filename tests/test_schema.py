@@ -12,7 +12,7 @@ import pytest
 
 from varq import runners
 from varq.cli import EXIT_CONFIG, main
-from varq.config import COMMON, SCHEMA, parse_scenario
+from varq.config import COMMON, SCHEMA, Between, parse_scenario
 from varq.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -117,6 +117,44 @@ class TestProbes:
 
 VACUUM = (CONFIG_DIR / "vacuum_harmonic.cfg").read_text()
 SPIN = (CONFIG_DIR / "spin_rabi.cfg").read_text()
+
+
+FLOOR = "support_floor = 1e-6\n"
+
+
+class TestRanges:
+    """A ``Between`` entry takes only values strictly inside its range; a
+    classical support floor of 1 or more, or NaN, crashed the run, and one of
+    0 or below ran on the whole grid."""
+
+    @pytest.mark.parametrize("value", ["1.0", "2.0", "nan", "0.0", "-1.0", "inf", "1e-400"])
+    def test_support_floor_outside_unit_interval(self, tmp_path, monkeypatch, capsys, value):
+        text = (CONFIG_DIR / "classical_oscillator.cfg").read_text()
+        assert FLOOR in text
+        bad = text.replace(FLOOR, f"support_floor = {value}\n")
+        for err in _both_commands_reject(tmp_path, monkeypatch, capsys, bad, "run.support_floor"):
+            assert err == (f"config error: [run] support_floor must be > 0.0 and < 1.0, got {float(value)!r}"
+                           " (key: run.support_floor)\n")
+
+    @pytest.mark.parametrize("value", ["0.5", "1e-300", "0.999"])
+    def test_support_floor_inside_unit_interval(self, value):
+        text = (CONFIG_DIR / "classical_oscillator.cfg").read_text().replace(FLOOR, f"support_floor = {value}\n")
+        assert parse_scenario(text).params["run"]["support_floor"] == float(value)
+
+    def test_support_floor_default(self):
+        text = (CONFIG_DIR / "classical_oscillator.cfg").read_text().replace(FLOOR, "")
+        assert parse_scenario(text).params["run"]["support_floor"] == 1e-6
+
+    def test_unparsable_support_floor(self):
+        text = (CONFIG_DIR / "classical_oscillator.cfg").read_text().replace(FLOOR, "support_floor = tiny\n")
+        with pytest.raises(ConfigError, match=r"cannot parse \[run\] support_floor = 'tiny' as float") as err:
+            parse_scenario(text)
+        assert err.value.key == "run.support_floor"
+
+    def test_every_default_inside_its_range(self):
+        entries = [e for regime in SCHEMA.values() for keys in regime.values() for e in keys.values()
+                   if isinstance(e, Between)]
+        assert entries and all(e.lo < e.default < e.hi for e in entries)
 
 
 class TestSpellings:

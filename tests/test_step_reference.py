@@ -27,6 +27,13 @@ chunks, and ``run_ddw`` evaluates the energy-momentum tensor once over the
 stacked snapshots.  The allocating leapfrog with its ``_lap``/``_accel`` and
 the per-snapshot conservation loop are kept here; runs and series must give
 their bits.
+
+The linear run loops hand each Cayley step the H psi they already hold
+(``CayleyPropagator.step(psi, _hpsi=...)``), and ``confined_solve`` evaluates
+its log source on the active box into per-solve buffers.  The Schrodinger
+runner must give the bits of a loop over the public ``step`` and ``energy``,
+and the solver those of its former whole-grid form, ``confined_solve_ref``,
+failures and their diagnostics included.
 """
 
 import importlib.util
@@ -45,6 +52,7 @@ from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import numerics as nx
 from varq import potentials as pot
+from varq import quantum_fields as qf
 from varq import runners
 from varq import wavefunction as wv
 from varq.errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
@@ -1234,3 +1242,269 @@ amplitude = 0.05
 dt = 0.004
 n_steps = {n_steps}
 """
+
+
+# -- the linear run loops -----------------------------------------------------
+
+
+def run_schrodinger_ref(sc):
+    """``runners.run_schrodinger``'s loop over the public ``SchrodingerEvolution``
+    ``step`` and ``energy``, each applying H itself, with the moments taken
+    from psi as the runner took them; returns the rows, the final variance
+    and the two drifts."""
+    p = sc.params
+    spec = runners._mech_spec(sc)
+    grid = runners._grid_from(sc)
+    q = grid.nodes
+    a = p["system"]["a"]
+
+    def variance(psi):
+        dens = np.abs(psi) ** 2
+        mean = grid.h * float(np.sum(dens * q))
+        return grid.h * float(np.sum(dens * (q - mean) ** 2))
+
+    def row(t, psi, norm_drift, energy_drift):
+        return t, grid.h * float(np.sum(np.abs(psi) ** 2 * q)), variance(psi), norm_drift, energy_drift
+
+    psi0 = (np.exp(-((q - p["initial"]["center"]) ** 2) / (4 * p["initial"]["sigma"] ** 2))
+            * np.exp(1j * p["initial"]["momentum"] * q / a))
+    psi = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a).psi.copy()
+    n_steps, dt = nx._uniform_steps(p["run"]["t_final"], p["run"]["dt"])
+    evo = wv.SchrodingerEvolution(spec, grid, a, dt)
+    e0 = evo.energy(psi)
+    rows = [row(0.0, psi, 0.0, 0.0)]
+    norm_drift = energy_drift = 0.0
+    for k in range(n_steps):
+        psi = evo.step(psi)
+        norm_drift = max(norm_drift, abs(grid.h * float(np.sum(np.abs(psi) ** 2)) - 1.0))
+        energy_drift = max(energy_drift, abs(evo.energy(psi) - e0) / max(abs(e0), 1e-300))
+        if (k + 1) % max(1, n_steps // 64) == 0:
+            rows.append(row((k + 1) * evo.dt, psi, norm_drift, energy_drift))
+    return np.asarray(rows), variance(psi), norm_drift, energy_drift
+
+
+SCHRODINGER_CFG = """
+[scenario]
+regime = schrodinger
+[grid]
+q_min = -14.0
+q_max = 14.0
+n = {n}
+[system]
+mass = {mass}
+a = {a}
+[potential]
+{potential}
+[initial]
+sigma = {sigma}
+center = {center}
+momentum = {momentum}
+[run]
+t_final = {t_final}
+dt = 0.002
+"""
+
+
+class TestSchrodingerRun:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([281, 700, 1401]), mass=st.floats(0.8, 1.25), a=st.floats(0.8, 1.25),
+           k=st.one_of(st.none(), st.floats(0.6, 1.4)), sigma=st.floats(0.8, 1.2),
+           center=st.floats(-1.0, 1.0), momentum=st.floats(0.0, 2.0), t_final=st.floats(0.002, 0.3))
+    def test_moments_bitwise(self, n, mass, a, k, sigma, center, momentum, t_final):
+        potential = "kind = free" if k is None else f"kind = harmonic\nk = {k!r}"
+        sc = parse_scenario(SCHRODINGER_CFG.format(n=n, mass=repr(mass), a=repr(a), potential=potential,
+                                                   sigma=repr(sigma), center=repr(center),
+                                                   momentum=repr(momentum), t_final=repr(t_final)))
+        rows, variance, norm_drift, energy_drift = run_schrodinger_ref(sc)
+        report = runners.run_schrodinger(sc, 1.0)
+        assert np.array_equal(report.series["moments"].rows, rows)
+        assert report.scalars["final_variance"] == variance
+        assert {c.name: c.value for c in report.invariants} == {"norm_drift_per_run": norm_drift,
+                                                                 "energy_drift_rel": energy_drift}
+
+
+def confined_solve_ref(spec, vac, c, r_min, r_max, tol=1e-8, n_r=1200):
+    """``quantum_fields.confined_solve`` as it was before the sweep evaluated
+    its log source on the active box into per-solve buffers: every sweep
+    rebuilds the whole-grid ``active`` mask and gathers and scatters through
+    it, and every product allocates."""
+    c = np.asarray(c, dtype=float)
+    if c.size < 1 or abs(c[0] - 1.0) > 0:
+        raise InvalidArgumentError("mode coefficients must start with c0 = 1")
+    if c.size > vac.k:
+        raise InvalidArgumentError("more coefficients than available modes")
+    if not (0 < r_min < r_max):
+        raise InvalidArgumentError("need 0 < r_min < r_max")
+    K = vac.k
+    cs = np.zeros(K)
+    cs[: c.size] = c
+    f = spec.f
+    dw = vac.w - vac.w[0]
+    r = np.geomspace(r_min, r_max, n_r)
+    psi_mat = vac.psi
+    h = vac.grid.h
+    psi0 = psi_mat[:, 0]
+    qmask = nx._support_mask(np.abs(psi0), qf._PSI0_FLOOR)
+    source_r_start = max(r_min, f / dw[1]) if K > 1 else r_min
+    rmask = r >= source_r_start
+    resid_window = (r_min + 0.5 * (r_max - r_min), r_max)
+    if resid_window[0] < source_r_start:
+        raise InvalidArgumentError("r_max too small: the residual window must start at or after f/(w1 - w0)")
+    rw = (r >= resid_window[0]) & (r <= resid_window[1])
+
+    A0 = cs[:, None] * np.exp(-np.outer(dw, r) / f)
+    At0 = np.zeros_like(A0)
+    At0[0, :] = cs[0]
+
+    def fields(A, At):
+        return psi_mat @ A, psi_mat @ At
+
+    def log_source(phi, phi_tilde):
+        active = qmask[:, None] & rmask[None, :]
+        bad = active & ((phi <= 0.0) | (phi_tilde <= 0.0))
+        if np.any(bad):
+            iq, ir = np.argwhere(bad)[0]
+            raise NumericalFailureError(
+                "conjugate pair lost positivity",
+                diagnostics={"q": float(vac.grid.nodes[iq]), "r": float(r[ir])},
+            )
+        L = np.zeros_like(phi)
+        L[active] = np.log(phi[active] / phi_tilde[active])
+        return L
+
+    def project(field):
+        return h * (psi_mat.T @ field)
+
+    def residual_max(P_prev, P_new, C, Pt_prev, Pt_new, Ct):
+        R = (f / r)[None, :] * (P_prev - P_new) - dw[:, None] * C
+        Rt = (f / r)[None, :] * (Pt_prev - Pt_new) - dw[:, None] * Ct
+        r_field = psi_mat @ R
+        rt_field = psi_mat @ Rt
+        sub = np.ix_(qmask, rw)
+        return max(float(np.max(np.abs(r_field[sub]))), float(np.max(np.abs(rt_field[sub]))))
+
+    A, At = A0.copy(), At0.copy()
+    phi, phi_tilde = fields(A, At)
+    L = log_source(phi, phi_tilde)
+    P = project(L * phi)
+    Pt = project(L * phi_tilde)
+    resid = residual_max(np.zeros_like(P), P, np.zeros_like(P), np.zeros_like(Pt), Pt, np.zeros_like(Pt))
+    history = [resid]
+    mode_history = [(A.copy(), At.copy())]
+    converged = resid < tol and not np.any(cs[1:])
+    iterations = 0
+
+    while not converged and iterations < qf._MAX_ITER:
+        C = qf._reverse_cumtrapz(P / r[None, :], r)
+        Ct = -qf._reverse_cumtrapz(Pt / r[None, :], r)
+        A_new = A0 + C
+        At_new = At0 + Ct
+        phi_new, phit_new = fields(A_new, At_new)
+        L_new = log_source(phi_new, phit_new)
+        P_new = project(L_new * phi_new)
+        Pt_new = project(L_new * phit_new)
+        resid_new = residual_max(P, P_new, C, Pt, Pt_new, Ct)
+        if resid_new > max(history[-1] * (1.0 + 1e-12), tol):
+            break
+        change = max(float(np.max(np.abs(A_new - A))), float(np.max(np.abs(At_new - At))))
+        A, At = A_new, At_new
+        P, Pt = P_new, Pt_new
+        history.append(resid_new)
+        mode_history.append((A.copy(), At.copy()))
+        iterations += 1
+        if resid_new < tol and change < qf._CHANGE_TOL:
+            converged = True
+    if not converged and history[-1] < tol:
+        converged = True
+    if not converged:
+        raise NumericalFailureError(
+            "confined solve did not reach tolerance (max-iterations)",
+            diagnostics={"residual_history": history},
+        )
+    phi, phi_tilde = fields(A, At)
+    pair = qf.RadialPair(vac.grid, r, phi, phi_tilde, cs)
+    return qf.ConfinedSolveResult(pair, history, iterations, converged, mode_history, resid_window)
+
+
+def _confined_outcome(solve, *args):
+    """The solve's result, or the class, message and diagnostics it raised."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return solve(*args)
+    except (NumericalFailureError, InvalidArgumentError) as exc:
+        return type(exc), str(exc), getattr(exc, "diagnostics", None)
+
+
+def _assert_same_solve(new, old):
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert not isinstance(new, tuple), new
+    assert new.residual_history == old.residual_history
+    assert (new.iterations, new.converged, new.resid_window) == (old.iterations, old.converged, old.resid_window)
+    assert len(new.mode_history) == len(old.mode_history)
+    for (a, at), (b, bt) in zip(new.mode_history, old.mode_history):
+        assert np.array_equal(a, b) and np.array_equal(at, bt)
+    for name in ("r", "phi", "phi_tilde", "c"):
+        assert np.array_equal(getattr(new.pair, name), getattr(old.pair, name)), name
+
+
+def _two_well_vacuum(n=321, k=4, half_width=8.0, centre=4.0):
+    """A hand-made orthonormal spectrum whose ground state is two lumps: |psi0|
+    falls below 1e-6 of its maximum between them, so the active rows have a gap."""
+    grid = build_grid(-half_width, half_width, n)
+    q = grid.nodes
+    lumps = np.exp(-((q - centre) ** 2)) + np.exp(-((q + centre) ** 2))
+    basis = np.column_stack([lumps * q**j for j in range(k)])
+    basis[[0, -1], :] = 0.0  # the Dirichlet ends
+    Q, _ = np.linalg.qr(basis)
+    Q *= np.sign(Q[np.argmax(np.abs(Q[:, 0])), 0]) / np.sqrt(grid.h)
+    return grid, qf.VacuumSpectrum(grid, 0.5 + np.arange(k, dtype=float), Q)
+
+
+class TestConfinedSolve:
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.floats(0.6, 1.4), c1=st.floats(0.0, 0.4), c2=st.floats(0.0, 0.1),
+           n=st.sampled_from([201, 301, 501]), n_r=st.integers(100, 600),
+           r_min=st.floats(0.2, 1.0), r_max=st.floats(3.0, 40.0), f=st.floats(0.8, 1.25))
+    @example(k=1.0, c1=0.1, c2=0.0, n=501, n_r=1200, r_min=0.5, r_max=30.0, f=1.0)
+    @example(k=1.0, c1=5.0, c2=0.0, n=201, n_r=240, r_min=0.5, r_max=30.0, f=1.0)
+    @example(k=1.0, c1=0.1, c2=0.0, n=201, n_r=240, r_min=0.5, r_max=1.2, f=1.0)
+    def test_bitwise(self, k, c1, c2, n, n_r, r_min, r_max, f):
+        spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * k * np.square(q), f=f)
+        vac = qf.vacuum_spectrum(spec, build_grid(-10.0, 10.0, n), 4)
+        dw = vac.w[1] - vac.w[0]  # radii in units of f / (w1 - w0), as the runner draws them
+        args = (spec, vac, [1.0, c1, c2], r_min * f / dw, r_max * f / dw, 1e-8, n_r)
+        _assert_same_solve(_confined_outcome(qf.confined_solve, *args),
+                           _confined_outcome(confined_solve_ref, *args))
+
+    @pytest.mark.parametrize("c1", [5.0, -5.0, 40.0])
+    def test_positivity_loss_reports_the_reference_point(self, c1):
+        spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * np.square(q), f=1.0)
+        vac = qf.vacuum_spectrum(spec, build_grid(-8.0, 8.0, 401), 4)
+        args = (spec, vac, [1.0, c1], 0.5, 30.0, 1e-8, 600)
+        new = _confined_outcome(qf.confined_solve, *args)
+        assert new[:2] == (NumericalFailureError, "conjugate pair lost positivity")
+        assert set(new[2]) == {"q", "r"}
+        assert new == _confined_outcome(confined_solve_ref, *args)
+
+    @pytest.mark.parametrize("c1", [0.0, 0.02, 0.05, 30.0])
+    def test_gapped_active_rows(self, c1):
+        grid, vac = _two_well_vacuum()
+        qmask = nx._support_mask(np.abs(vac.psi[:, 0]), qf._PSI0_FLOOR)
+        assert isinstance(qf._index_span(qmask), np.ndarray)  # the rows are not one slice
+        spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * np.square(q), f=1.0)
+        args = (spec, vac, [1.0, c1], 0.5, 30.0, 1e-8, 300)
+        new = _confined_outcome(qf.confined_solve, *args)
+        _assert_same_solve(new, _confined_outcome(confined_solve_ref, *args))
+        if c1 == 30.0:
+            assert new[:2] == (NumericalFailureError, "conjugate pair lost positivity")
+        else:
+            assert not isinstance(new, tuple)
+
+
+def test_index_span():
+    assert qf._index_span(np.array([False, True, True, False])) == slice(1, 3)
+    assert qf._index_span(np.array([True, True])) == slice(0, 2)
+    assert np.array_equal(qf._index_span(np.array([True, False, True])), [0, 2])
+    assert np.array_equal(qf._index_span(np.zeros(3, dtype=bool)), np.zeros(0, dtype=int))
