@@ -22,8 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
-from .mechanics import (NaturalSystemSpec, classical_transport_step, _RunContext, _next_state, _reject_negative,
-                        _validate_density_state, _windowed_upwind)
+from .mechanics import (NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext, _next_state,
+                        _reject_negative, _validate_density_state, _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _check_positive,
                        _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
@@ -290,29 +290,24 @@ def multiplier_residual_series(
     Returns (residuals, mask) with residuals shaped (nt - 2, n), centered
     in time and evaluated only on the bulk mask of each snapshot.
     """
-    rho_series = np.asarray(rho_series, dtype=float)
     lam_series = np.asarray(lam_series, dtype=float)
     times = np.asarray(times, dtype=float)
-    q = grid.nodes
-    m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(q)
-    v = spec.potential_at(q)
+    if dspec.mode == "classical":
+        res = hj_residual_series(grid, spec, lam_series, times)
+        return res, np.ones(res.shape, dtype=bool)
+    rho_series = np.asarray(rho_series, dtype=float)
+    m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))
     masks = np.zeros((nt - 2, grid.n), dtype=bool)
-    op = schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    op = schrodinger_operator(spec, grid, dspec.a)
     for k in range(1, nt - 1):
         dldt = (lam_series[k + 1] - lam_series[k - 1]) / (times[k + 1] - times[k - 1])
         grad_lam = grad_central(lam_series[k], grid.h)
-        res = dldt + grad_lam**2 / (2.0 * m)
-        if op is not None:
-            mask = _support_mask(rho_series[k], RHO_FLOOR_FRAC)
-            quantum = _sqrt_density_ratio(grid, op, rho_series[k], mask)
-            if dspec.g is not None:
-                quantum[mask] += np.asarray(_g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
-            res = np.where(mask, res + quantum, 0.0)
-        else:
-            mask = np.ones(grid.n, dtype=bool)
-            res = res + v
-        out[k - 1] = res
+        mask = _support_mask(rho_series[k], RHO_FLOOR_FRAC)
+        quantum = _sqrt_density_ratio(grid, op, rho_series[k], mask)
+        if dspec.g is not None:
+            quantum[mask] += np.asarray(_g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
+        out[k - 1] = np.where(mask, dldt + grad_lam**2 / (2.0 * m) + quantum, 0.0)
         masks[k - 1] = mask
     return out, masks

@@ -380,9 +380,12 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
 
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
-    most negative cell, ``diagnostics["rho_min"]`` its value).
+    most negative cell, ``diagnostics["rho_min"]`` its value), and
+    InvalidArgumentError unless ``support_floor`` is None or in (0, 1).
     """
     n, h = grid.n, grid.h
+    if support_floor is not None and not 0.0 < support_floor < 1.0:
+        raise InvalidArgumentError(f"support_floor must be > 0.0 and < 1.0, got {support_floor!r}")
     lo, hi = (0, n - 1) if support_floor is None else _support_window(rho, support_floor)
     if _run is None:
         _run = _RunContext(grid, spec, nodes=False)

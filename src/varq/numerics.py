@@ -283,6 +283,12 @@ def _sqrt_density_ratio(grid: Grid1D, op: TridiagonalOperator, rho: np.ndarray, 
     return out
 
 
+def _moments(h: float, q: np.ndarray, dens: np.ndarray) -> tuple:
+    """(centroid, variance) of the density ``dens`` on the nodes ``q`` of spacing h."""
+    mean = h * float(np.sum(dens * q))
+    return mean, h * float(np.sum(dens * (q - mean) ** 2))
+
+
 def _check_positive(name: str, val: float, error: type) -> None:
     """Raises ``error`` unless val is finite and > 0."""
     if not (np.isfinite(val) and val > 0):

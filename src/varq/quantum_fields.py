@@ -37,6 +37,7 @@ from .numerics import (
     Grid1D,
     _check_fixed_steps,
     _check_positive,
+    _moments,
     _sqrt_density_ratio,
     _support_mask,
     eigensolve_lowest,
@@ -113,10 +114,10 @@ class VacuumSpectrum:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
-        if np.any(np.diff(w) <= 0) or w[0] < -1e-10:
-            raise InvalidStateError("eigenvalues must satisfy 0 <= w0 < w1 < ...")
+        if not (np.all(np.diff(w) > 0) and w[0] >= -1e-10 and np.isfinite(w[-1])):
+            raise InvalidStateError("eigenvalues must be finite and satisfy 0 <= w0 < w1 < ...")
         gram = self.grid.h * psi.T @ psi
-        if np.max(np.abs(gram - np.eye(w.size))) > 1e-8:
+        if not np.max(np.abs(gram - np.eye(w.size))) <= 1e-8:
             raise InvalidStateError("eigenfunctions not orthonormal to 1e-8")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "psi", psi)
@@ -154,11 +155,7 @@ def invariant_state_tensor(ws: float, dim: int = 2) -> np.ndarray:
 
 def field_fluctuations(vac: VacuumSpectrum):
     """(mean, variance) of the field in the fundamental vacuum psi_0^2."""
-    q = vac.grid.nodes
-    rho0 = vac.psi[:, 0] ** 2
-    h = vac.grid.h
-    mean = h * float(np.sum(q * rho0))
-    var = h * float(np.sum((q - mean) ** 2 * rho0))
+    mean, var = _moments(vac.grid.h, vac.grid.nodes, vac.psi[:, 0] ** 2)
     if not (np.isfinite(mean) and np.isfinite(var)):
         raise NumericalFailureError("fluctuations are not finite")
     return mean, var

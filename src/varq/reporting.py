@@ -49,6 +49,7 @@ class RunReport:
     regime: str
     seed: int
     scenario_echo: dict
+    tol_scale: float  # add_invariant multiplies every tolerance by it
     scalars: dict = field(default_factory=dict)
     invariants: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
@@ -58,7 +59,7 @@ class RunReport:
         return all(c.passed for c in self.invariants)
 
     def add_invariant(self, name: str, value: float, tol: float):
-        self.invariants.append(InvariantCheck(name, float(value), float(tol)))
+        self.invariants.append(InvariantCheck(name, float(value), float(tol) * self.tol_scale))
 
 
 def render_report(report: RunReport) -> str:

@@ -2,8 +2,8 @@
 
 Every runner builds its system from the validated scenario, executes a
 deterministic computation (any random probe state comes from the recorded
-seed), evaluates the regime's built-in invariant suite, and returns a
-RunReport with scalars and plottable series.
+seed), evaluates the regime's built-in invariant suite, and fills the
+RunReport that run_scenario_object made with scalars and plottable series.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from . import potentials
 from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import Scenario
-from .errors import ConfigError
-from .numerics import _check_positive, _uniform_steps, build_grid
-from .reporting import RunReport, Series
+from .errors import ConfigError, InvalidArgumentError
+from .numerics import _check_positive, _moments, _uniform_steps, build_grid
+from .reporting import InvariantCheck, RunReport, Series
 
 __all__ = ["run_scenario_object"]
 
@@ -55,7 +55,7 @@ def _mech_spec(sc: Scenario):
     )
 
 
-def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
+def run_classical(sc: Scenario, report: RunReport) -> None:
     """Narrow-Gaussian transport tracked against the characteristic flow."""
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
@@ -79,18 +79,16 @@ def run_classical(sc: Scenario, tol_scale: float) -> RunReport:
     centroid_err = float(np.max(np.abs(arr[:, 1] - arr[:, 2])))
     mass_drift = float(np.max(np.abs(arr[:, 3] - 1.0)))
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     report.scalars["centroid_error_max"] = centroid_err
     report.scalars["centroid_error_over_2h"] = centroid_err / (2 * grid.h)
-    report.add_invariant("mass_conservation", mass_drift, 1e-9 * tol_scale)
-    report.add_invariant("centroid_tracking", centroid_err, 2 * grid.h * tol_scale)
+    report.add_invariant("mass_conservation", mass_drift, 1e-9)
+    report.add_invariant("centroid_tracking", centroid_err, 2 * grid.h)
     report.series["centroid"] = Series(
         ["t", "centroid", "flow_q", "mass"], arr
     )
-    return report
 
 
-def run_madelung(sc: Scenario, tol_scale: float) -> RunReport:
+def run_madelung(sc: Scenario, report: RunReport) -> None:
     """Quantum-pole hydrodynamic evolution of a displaced Gaussian."""
     n = sc.params["grid"]["n"]
     if n < 7:  # a 3-node bulk, a flux cell on each side of it and the two Dirichlet end nodes
@@ -112,14 +110,12 @@ def run_madelung(sc: Scenario, tol_scale: float) -> RunReport:
     arr = np.asarray(samples)
     mass_drift = float(np.max(np.abs(arr[:, 2] - 1.0)))
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     report.scalars["final_centroid"] = float(arr[-1, 1])
-    report.add_invariant("mass_conservation", mass_drift, 1e-9 * tol_scale)
+    report.add_invariant("mass_conservation", mass_drift, 1e-9)
     report.series["centroid"] = Series(["t", "centroid", "mass"], arr)
-    return report
 
 
-def run_schrodinger(sc: Scenario, tol_scale: float) -> RunReport:
+def run_schrodinger(sc: Scenario, report: RunReport) -> None:
     """Linear evolution of a Gaussian packet; dispersion and norm checks."""
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
@@ -132,7 +128,7 @@ def run_schrodinger(sc: Scenario, tol_scale: float) -> RunReport:
     evo = wv.SchrodingerEvolution(spec, grid, a, dt)
     psi = wf.psi.copy()
     e0, hpsi = evo._energy(psi)
-    rows = [(0.0, *_moments(grid, q, np.abs(psi) ** 2), 0.0, 0.0)]
+    rows = [(0.0, *_moments(grid.h, q, np.abs(psi) ** 2), 0.0, 0.0)]
     norm_drift = 0.0
     energy_drift = 0.0
     for k in range(n_steps):
@@ -143,23 +139,15 @@ def run_schrodinger(sc: Scenario, tol_scale: float) -> RunReport:
         e, hpsi = evo._energy(psi)
         energy_drift = max(energy_drift, abs(e - e0) / max(abs(e0), 1e-300))
         if (k + 1) % max(1, n_steps // 64) == 0:
-            rows.append((t, *_moments(grid, q, dens), norm_drift, energy_drift))
+            rows.append((t, *_moments(grid.h, q, dens), norm_drift, energy_drift))
     evo.check_boundary(psi, t_final)
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
-    report.scalars["final_variance"] = _moments(grid, q, dens)[1]  # n_steps >= 1: dens is |psi|^2 of the final psi
-    report.add_invariant("norm_drift_per_run", norm_drift, 1e-12 * n_steps * tol_scale)
-    report.add_invariant("energy_drift_rel", energy_drift, 1e-8 * tol_scale)
+    report.scalars["final_variance"] = _moments(grid.h, q, dens)[1]  # n_steps >= 1: dens is |psi|^2 of the final psi
+    report.add_invariant("norm_drift_per_run", norm_drift, 1e-12 * n_steps)
+    report.add_invariant("energy_drift_rel", energy_drift, 1e-8)
     report.series["moments"] = Series(
         ["t", "centroid", "variance", "norm_drift", "energy_drift"], np.asarray(rows)
     )
-    return report
-
-
-def _moments(grid, q, dens):
-    """(centroid, variance) of the density ``dens`` on the grid nodes ``q``."""
-    mean = grid.h * float(np.sum(dens * q))
-    return mean, grid.h * float(np.sum(dens * (q - mean) ** 2))
 
 
 def _spin_spec(sc: Scenario, rng):
@@ -178,7 +166,7 @@ def _spin_spec(sc: Scenario, rng):
     return ds.SpinSystemSpec(U=U, theta=theta, a=sc.params["system"]["a"], b=sc.params["system"]["b"])
 
 
-def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
+def run_spin(sc: Scenario, report: RunReport) -> None:
     """Amplitude-form propagation cross-validated against the local form.
 
     h is diagonalised once per run: one `_propagator` gives the start state
@@ -213,17 +201,15 @@ def run_spin(sc: Scenario, tol_scale: float) -> RunReport:
                                floor=sc.params["run"]["p_floor"], observer=obs)
     total_p_err = abs(float(np.sum(p)) - 1.0)
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     report.scalars["cross_validation_max_err"] = cross_err
-    report.add_invariant("total_probability", total_p_err, 1e-12 * tol_scale)
-    report.add_invariant("cross_validation", cross_err, 1e-4 * tol_scale)
+    report.add_invariant("total_probability", total_p_err, 1e-12)
+    report.add_invariant("cross_validation", cross_err, 1e-4)
     report.series["populations"] = Series(
         ["t"] + [f"p_{i+1}" for i in range(n)], np.asarray(rows)
     )
-    return report
 
 
-def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
+def run_ddw(sc: Scenario, report: RunReport) -> None:
     """Covariant field evolution: plane-wave dispersion and conservation."""
     kg_mass = sc.params["system"]["kg_mass"]
     k_mode, amp = sc.params["initial"]["k_mode"], sc.params["initial"]["amplitude"]
@@ -260,17 +246,15 @@ def run_ddw(sc: Scenario, tol_scale: float) -> RunReport:
     p_scale = max(float(np.max(np.abs(momenta))), abs(energies[0]))
     p_drift = float(np.max(np.abs(momenta - momenta[0])) / p_scale)
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     report.scalars["omega_measured"] = omega_meas
     report.scalars["omega_exact"] = omega
     report.scalars["dispersion_rel_err"] = abs(omega_meas - omega) / omega
-    report.add_invariant("energy_drift_rel", e_drift, 1e-6 * tol_scale)
-    report.add_invariant("momentum_drift_rel", p_drift, 1e-6 * tol_scale)
-    report.add_invariant("dispersion", abs(omega_meas - omega) / omega, 1e-3 * tol_scale)
+    report.add_invariant("energy_drift_rel", e_drift, 1e-6)
+    report.add_invariant("momentum_drift_rel", p_drift, 1e-6)
+    report.add_invariant("dispersion", abs(omega_meas - omega) / omega, 1e-3)
     report.series["conservation"] = Series(
         ["t", "energy", "momentum"], np.column_stack([times, energies, momenta])
     )
-    return report
 
 
 def _qfield_spec(sc: Scenario):
@@ -278,7 +262,7 @@ def _qfield_spec(sc: Scenario):
     return qf.QFieldSpec(eta=sc.params["system"]["eta"], potential=pot.v, f=sc.params["system"]["f"])
 
 
-def run_vacuum(sc: Scenario, tol_scale: float) -> RunReport:
+def run_vacuum(sc: Scenario, report: RunReport) -> None:
     """Invariant-state spectrum of the stationary operator."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
@@ -287,20 +271,19 @@ def run_vacuum(sc: Scenario, tol_scale: float) -> RunReport:
     gram = grid.h * vac.psi.T @ vac.psi
     ortho = float(np.max(np.abs(gram - np.eye(vac.w.size))))
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     for i, w in enumerate(vac.w):
         report.scalars[f"w_{i}"] = float(w)
     report.scalars["fluctuation_mean"] = mean
     report.scalars["fluctuation_variance"] = var
-    report.add_invariant("orthonormality", ortho, 1e-8 * tol_scale)
-    report.add_invariant("ordering", float(np.max(np.diff(vac.w) <= 0)), 0.5)
+    report.add_invariant("orthonormality", ortho, 1e-8)
+    # a 0/1 flag with threshold 0.5, not a tolerance: scaled, a failed ordering would pass
+    report.invariants.append(InvariantCheck("ordering", float(np.max(np.diff(vac.w) <= 0)), 0.5))
     report.series["eigenvalues"] = Series(
         ["index", "w"], np.column_stack([np.arange(vac.w.size), vac.w])
     )
-    return report
 
 
-def run_space_independent(sc: Scenario, tol_scale: float) -> RunReport:
+def run_space_independent(sc: Scenario, report: RunReport) -> None:
     """Superposition evolution in x0: conserved mean energy, zero P."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
@@ -318,22 +301,20 @@ def run_space_independent(sc: Scenario, tol_scale: float) -> RunReport:
     wbar_expected = float(np.mean(vac.w[modes]))
     drift = float(np.max(np.abs(res.mean_energy - res.mean_energy[0])) / abs(res.mean_energy[0]))
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     report.scalars["mean_energy"] = float(res.mean_energy[0])
     report.scalars["mean_energy_expected"] = wbar_expected
-    report.add_invariant("mean_energy_drift_rel", drift, 1e-8 * tol_scale)
+    report.add_invariant("mean_energy_drift_rel", drift, 1e-8)
     report.add_invariant(
         "mean_energy_value",
         abs(res.mean_energy[0] - wbar_expected) / wbar_expected,
-        1e-6 * tol_scale,
+        1e-6,
     )
     report.series["mean_energy"] = Series(
         ["x0", "w_bar"], np.column_stack([res.times, res.mean_energy])
     )
-    return report
 
 
-def run_confined(sc: Scenario, tol_scale: float) -> RunReport:
+def run_confined(sc: Scenario, report: RunReport) -> None:
     """Static spherically symmetric solution and its confinement scales."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
@@ -349,16 +330,15 @@ def run_confined(sc: Scenario, tol_scale: float) -> RunReport:
     above = hist[hist > tol]
     monotone_violation = float(np.max(np.diff(above))) if above.size > 1 else 0.0
 
-    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections)
     report.scalars["fitted_rate"] = rep.fitted_rate
     report.scalars["expected_rate"] = dw / spec.f
     report.scalars["confinement_radius"] = rep.radius
     report.scalars["iterations"] = res.iterations
     report.scalars["final_residual"] = float(hist[-1])
-    report.add_invariant("residual_final", float(hist[-1]), tol * tol_scale)
+    report.add_invariant("residual_final", float(hist[-1]), tol)
     report.add_invariant("residual_monotone_above_tol", monotone_violation, 0.0)
     report.add_invariant(
-        "rate_match", abs(rep.fitted_rate - dw / spec.f) / (dw / spec.f), 0.02 * tol_scale
+        "rate_match", abs(rep.fitted_rate - dw / spec.f) / (dw / spec.f), 0.02
     )
     with np.errstate(divide="ignore"):
         log_tail = np.where(tail > 0, np.log(tail), -np.inf)
@@ -369,7 +349,6 @@ def run_confined(sc: Scenario, tol_scale: float) -> RunReport:
         ["iteration", "residual"],
         np.column_stack([np.arange(hist.size), hist]),
     )
-    return report
 
 
 _RUNNERS = {
@@ -385,8 +364,10 @@ _RUNNERS = {
 
 
 def run_scenario_object(sc: Scenario, tol_scale: float = 1.0) -> RunReport:
-    runner = _RUNNERS[sc.regime]
+    """One run of ``sc``; every invariant tolerance is scaled by ``tol_scale`` (finite and > 0)."""
+    _check_positive("tol_scale", tol_scale, InvalidArgumentError)
+    report = RunReport(sc.name, sc.regime, sc.seed, sc.sections, tol_scale)
     t0 = time.perf_counter()
-    report = runner(sc, tol_scale)
+    _RUNNERS[sc.regime](sc, report)
     report.wall_time_s = time.perf_counter() - t0
     return report

@@ -3,11 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varq import cli
+from varq import cli, runners
 from varq.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
 from varq.config import parse_scenario
 from varq.errors import ConfigError
 from varq.reporting import RunReport, Series, emit_series
+
+from test_schema import SMALL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -367,15 +369,38 @@ class TestSweep:
         assert main(["sweep", str(d), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+class TestTolScale:
+    @pytest.mark.parametrize("regime", sorted(SMALL))
+    def test_every_tolerance_scaled_once(self, regime):
+        sc = parse_scenario(f"[scenario]\nregime = {regime}\n" + SMALL[regime])
+        base, scaled = runners.run_scenario_object(sc), runners.run_scenario_object(sc, tol_scale=3.0)
+        assert base.invariants
+        assert [(c.name, c.value) for c in scaled.invariants] == [(c.name, c.value) for c in base.invariants]
+        for b, s in zip(base.invariants, scaled.invariants):
+            if b.name == "ordering":  # a 0/1 flag with threshold 0.5, which no scale may move
+                assert b.tol == s.tol == 0.5
+            else:
+                assert s.tol == 3.0 * b.tol, b.name
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_tol_scale_is_config_error(self, tmp_path, capsys, command, value):
+        cfg = write_cfg(tmp_path, VACUUM_CFG)
+        target = str(cfg) if command == "run" else str(tmp_path)
+        assert main([command, target, "--out", str(tmp_path / "out"), "--tol-scale", value]) == EXIT_CONFIG
+        assert f"tol_scale must be finite and > 0, got {float(value)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "case" / "report.txt").exists()
+
+
 class TestSeriesFiles:
     def test_empty_series_header_only(self, tmp_path):
-        report = RunReport("case", "vacuum", 0, {})
+        report = RunReport("case", "vacuum", 0, {}, 1.0)
         report.series["nothing"] = Series(["a", "b"], np.zeros((0, 2)))
         emit_series(report, tmp_path)
         assert (tmp_path / "nothing.csv").read_text() == "a,b\n"
 
     def test_full_precision_floats(self, tmp_path):
-        report = RunReport("case", "vacuum", 0, {})
+        report = RunReport("case", "vacuum", 0, {}, 1.0)
         x = 1.0 / 3.0
         report.series["vals"] = Series(["x"], np.array([[x]]))
         emit_series(report, tmp_path)

@@ -268,7 +268,7 @@ n_steps = 600
 class TestRunDdwConservationSeries:
     def test_matches_total_energy_and_momentum_per_snapshot(self):
         sc = parse_scenario(DDW_SHORT)
-        rows = runners.run_ddw(sc, 1.0).series["conservation"].rows
+        rows = runners.run_scenario_object(sc).series["conservation"].rows
         spec = kg_spec(eta=1.3, m=0.7)
         grid = cv.PeriodicGrid1D(5.0, 96)
         st0, _ = plane_wave_state(grid, spec, 2 * np.pi * 2 / 5.0, 0.05, 0.7)
@@ -306,14 +306,14 @@ class TestRunDdwInputs:
     @pytest.mark.parametrize("eta", [0.5, 1.3, 2.0, 3.0])
     def test_invariants_pass_at_any_eta(self, eta):
         # the plane wave of eta (q_tt - q_xx) + kg^2 q = 0 has omega^2 = k^2 + kg^2 / eta
-        report = runners.run_ddw(parse_scenario(kg_cfg(eta=eta)), 1.0)
+        report = runners.run_scenario_object(parse_scenario(kg_cfg(eta=eta)))
         assert [c.name for c in report.invariants] == ["energy_drift_rel", "momentum_drift_rel", "dispersion"]
         assert all(c.passed for c in report.invariants), report.invariants
         assert report.scalars["omega_exact"] == np.sqrt(1.0 + 1.0 / eta)
 
     @pytest.mark.parametrize("changes", [{"kg_mass": 0.0}, {"k_mode": -1}, {"k_mode": -2, "kg_mass": -0.5}])
     def test_massless_and_left_moving_waves_pass(self, changes):
-        report = runners.run_ddw(parse_scenario(kg_cfg(**changes)), 1.0)
+        report = runners.run_scenario_object(parse_scenario(kg_cfg(**changes)))
         assert all(c.passed for c in report.invariants), report.invariants
 
     @pytest.mark.parametrize("changes, key, message", BAD_DDW)

@@ -151,11 +151,11 @@ class TestPropagator:
 
     def test_run_spin_matches_per_call_propagate(self, monkeypatch):
         sc = parse_scenario(SPIN_SHORT)
-        new = runners.run_spin(sc, 1.0)
+        new = runners.run_scenario_object(sc)
         monkeypatch.setattr(
             ds, "_propagator", lambda spec, st: (lambda t: propagate_per_call(spec, st, t))
         )
-        old = runners.run_spin(sc, 1.0)
+        old = runners.run_scenario_object(sc)
         assert new.scalars == old.scalars
         assert np.array_equal(new.series["populations"].rows, old.series["populations"].rows)
         assert new.scalars["cross_validation_max_err"] > 0.0

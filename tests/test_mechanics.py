@@ -230,6 +230,20 @@ class TestRunSampling:
                                observer=lambda t, e: seen.append(t))
         assert seen == []
 
+    @pytest.mark.parametrize("floor", [1.0, 2.0, float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("via", ["transport_run", "transport_density", "madelung_step"])
+    def test_support_floor_outside_unit_interval_rejected(self, unit_mass_harmonic, via, floor):
+        grid = build_grid(-3, 3, 101)
+        ens = gaussian_ensemble(grid, 0.0, 0.4)
+        with pytest.raises(InvalidArgumentError, match=r"support_floor must be > 0\.0 and < 1\.0, got"):
+            if via == "transport_run":
+                mech.transport_run(ens, unit_mass_harmonic, 0.01, 0.4 * grid.h, support_floor=floor)
+            elif via == "transport_density":
+                mech.transport_density(ens, unit_mass_harmonic, 0.4 * grid.h, support_floor=floor)
+            else:
+                hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode="classical"),
+                                 hy.HydroState(grid, ens.rho, ens.S), 0.4 * grid.h, support_floor=floor)
+
 
 class TestHjResidual:
     def test_free_particle_exact_solution(self, free_particle):

@@ -259,9 +259,9 @@ class TestCayleyPrefactored:
             text = text.replace("kind = free", "kind = harmonic\nk = 1.0")
             text = text.replace("center = 0.0", "center = 0.5\nmomentum = 1.5")
         sc = parse_scenario(text)
-        new = runners.run_schrodinger(sc, 1.0)
+        new = runners.run_scenario_object(sc)
         monkeypatch.setattr(nx.CayleyPropagator, "step", _per_call_step)
-        old = runners.run_schrodinger(sc, 1.0)
+        old = runners.run_scenario_object(sc)
         assert new.scalars == old.scalars
         assert [(c.name, c.value) for c in new.invariants] == [(c.name, c.value) for c in old.invariants]
         assert np.array_equal(new.series["moments"].rows, old.series["moments"].rows)
@@ -543,6 +543,8 @@ class TestSqrtDensityRatio:
         res, masks = hy.multiplier_residual_series(grid, spec, dspec, rho, lam, times)
         res_old, masks_old = multiplier_residual_series_inline(grid, spec, dspec, rho, lam, times)
         assert np.array_equal(res, res_old) and np.array_equal(masks, masks_old)
+        if mode == "classical":
+            assert np.array_equal(res, mech.hj_residual_series(grid, spec, lam, times)) and masks.all()
 
     @settings(max_examples=40, deadline=None)
     @given(

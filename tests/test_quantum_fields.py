@@ -4,7 +4,7 @@ import pytest
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import quantum_fields as qf
-from varq.errors import InvalidArgumentError, InvalidSpecError, NumericalFailureError
+from varq.errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError
 from varq.numerics import CayleyPropagator, build_grid, embed_interior
 
 
@@ -68,6 +68,24 @@ class TestVacuumSpectrum:
     def test_ground_state_positive_interior(self, harmonic_vacuum):
         _, grid, vac = harmonic_vacuum
         assert np.all(vac.psi[1:-1, 0] > 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1, -1])
+    def test_non_finite_eigenvalue_rejected(self, harmonic_vacuum, index, value):
+        _, grid, vac = harmonic_vacuum
+        w = vac.w.copy()
+        w[index] = value
+        with pytest.raises(InvalidStateError, match="eigenvalues must be finite"):
+            qf.VacuumSpectrum(grid, w, vac.psi)
+
+    def test_non_finite_eigenfunctions_rejected(self, harmonic_vacuum):
+        _, grid, vac = harmonic_vacuum
+        with pytest.raises(InvalidStateError, match="orthonormal"):
+            qf.VacuumSpectrum(grid, vac.w, np.full(vac.psi.shape, np.nan))
+        psi = vac.psi.copy()
+        psi[grid.n // 2, 1] = np.nan
+        with pytest.raises(InvalidStateError, match="orthonormal"):
+            qf.VacuumSpectrum(grid, vac.w, psi)
 
 
 class TestInvariantStateTensor:

@@ -1188,7 +1188,7 @@ class TestDdwLeapfrog:
     def test_run_ddw_series_bitwise(self):
         # the whole runner against the allocating leapfrog and the per-snapshot loop
         sc = parse_scenario(DDW_CFG.format(eta=1.3, n_steps=700))
-        rows = runners.run_ddw(sc, 1.0).series["conservation"].rows
+        rows = runners.run_scenario_object(sc).series["conservation"].rows
         spec = _field_spec(1.3, 0.7, 0.0)
         grid = cv.PeriodicGrid1D(5.0, 96)
         k = 2 * np.pi * 2 / 5.0
@@ -1218,7 +1218,7 @@ class TestDdwLeapfrog:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cv, "ddw_evolve", wrapper)
-        runners.run_ddw(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003)), 1.0)
+        runners.run_scenario_object(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003)))
         assert sum(counted) == 1003 and len(counted) == 201  # store_every = 1003 // 200 = 5
 
 
@@ -1316,7 +1316,7 @@ class TestSchrodingerRun:
                                                    sigma=repr(sigma), center=repr(center),
                                                    momentum=repr(momentum), t_final=repr(t_final)))
         rows, variance, norm_drift, energy_drift = run_schrodinger_ref(sc)
-        report = runners.run_schrodinger(sc, 1.0)
+        report = runners.run_scenario_object(sc)
         assert np.array_equal(report.series["moments"].rows, rows)
         assert report.scalars["final_variance"] == variance
         assert {c.name: c.value for c in report.invariants} == {"norm_drift_per_run": norm_drift,
