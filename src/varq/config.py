@@ -7,8 +7,8 @@ true/yes/on/1 or false/no/off/0 in any case, ``list`` a comma- or
 space-separated float list); a tuple of accepted strings, the first the
 default (``None``: required; a ``Folded`` tuple ignores case);
 ``Between(default, lo, hi)``, a float that must lie strictly between lo and
-hi; or ``Derived(type)``, a key the runner derives from other inputs when
-absent.
+hi (with ``hi = inf``: finite and > lo); or ``Derived(type)``, a key the
+runner derives from other inputs when absent.
 ``COMMON`` adds ``[scenario]`` and ``[checks]`` to every regime; their
 values are the Scenario's ``regime``, ``seed`` and ``waive_invariants``.
 ``parse_scenario`` checks a config against its table before anything runs:
@@ -63,7 +63,8 @@ SCHEMA = {
     "spin": {"system": {"levels": 2, "a": 1.0, "b": -1.0, "u_kind": ("exchange", "random"),
                         "theta_kind": ("zero", "random")},
              "initial": {"basis_state": 0},
-             "run": {"t_final": 1.0, "dt": 1e-3, "t_start": 0.1, "p_floor": 1e-6}},
+             "run": {"t_final": Between(1.0, 0.0, math.inf), "dt": Between(1e-3, 0.0, math.inf),
+                     "t_start": 0.1, "p_floor": 1e-6}},
     "ddw": {"grid": {"length": 2 * math.pi, "n": 256}, "system": {"eta": 1.0, "kg_mass": 1.0},
             "initial": {"k_mode": 1, "amplitude": 0.01}, "run": {"dt": 1e-3, "n_steps": 20000}},
     "vacuum": {**_QFIELD, "run": {"k_eigen": 3}},
@@ -96,8 +97,8 @@ def _typed(section: str, key: str, entry, raw: str):
     if isinstance(entry, Between):
         value = _typed(section, key, entry.default, raw)
         if not entry.lo < value < entry.hi:  # NaN fails too
-            raise ConfigError(f"[{section}] {key} must be > {entry.lo!r} and < {entry.hi!r}, got {value!r}",
-                              key=f"{section}.{key}")
+            rule = f"finite and > {entry.lo!r}" if entry.hi == math.inf else f"> {entry.lo!r} and < {entry.hi!r}"
+            raise ConfigError(f"[{section}] {key} must be {rule}, got {value!r}", key=f"{section}.{key}")
         return value
     if isinstance(entry, tuple):
         value = raw.lower() if isinstance(entry, Folded) else raw

@@ -79,10 +79,16 @@ class SpinState:
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=complex)
-        norm = float(np.sum(np.abs(psi) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidStateError(f"state not normalised: sum|psi|^2 = {norm!r}")
+        _check_normalised(np.abs(psi) ** 2)
         object.__setattr__(self, "psi", psi)
+
+
+def _check_normalised(prob: np.ndarray) -> None:
+    """The norm rule on |psi|^2, one state per row: InvalidStateError if a sum is off 1 by > 1e-12 (NaN passes)."""
+    norms = np.atleast_1d(np.sum(prob, axis=-1))
+    bad = np.abs(norms - 1.0) > 1e-12
+    if bad.any():
+        raise InvalidStateError(f"state not normalised: sum|psi|^2 = {float(norms[bad][0])!r}")
 
 
 def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
@@ -96,23 +102,32 @@ def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
 def propagate(spec: SpinSystemSpec, state: SpinState, t: float) -> SpinState:
     """psi(t) = exp(-i h t / a) psi(0), via hermitian eigendecomposition.
 
-    Each call builds and diagonalises h; a run that needs psi(t) at many
-    times builds one `_propagator` instead, which diagonalises h once.
+    Each call builds and diagonalises h and takes `_propagator`'s batched
+    path with one time; a run that needs many times makes one batched call.
     """
-    return _propagator(spec, state)(t)
+    psi, _ = _propagator(spec, state)([t])
+    return SpinState(psi[0])
 
 
 def _propagator(spec: SpinSystemSpec, state: SpinState):
-    """t -> psi(t) of `propagate`, with h built, checked and diagonalised
-    once and psi(0) projected onto its eigenvectors once."""
+    """ts -> (psi, |psi|^2) of `propagate`, one row per time, with h built,
+    checked and diagonalised once and psi(0) projected onto its eigenvectors
+    once.  Row k has the bits of evaluating ts[k] alone: the same phase
+    operation order and a stack of the same matrix-vector products (one
+    matrix-matrix product gives other bits).  Raises InvalidSpecError unless
+    every time is finite, InvalidStateError if a row breaks the norm rule."""
     w, vecs = np.linalg.eigh(build_hamiltonian(spec))
     coeffs = vecs.conj().T @ state.psi
 
-    def at(t: float) -> SpinState:
-        if not np.isfinite(t):
+    def at(ts):
+        ts = np.asarray(ts, dtype=float)
+        if not np.isfinite(ts).all():
             raise InvalidSpecError("t must be finite")
-        phases = np.exp(-1j * w * t / spec.a)
-        return SpinState(vecs @ (phases * coeffs))
+        phases = np.exp(-1j * w * ts[:, None] / spec.a)
+        psi = np.matmul(vecs, (phases * coeffs)[:, :, None])[:, :, 0]
+        prob = np.abs(psi) ** 2
+        _check_normalised(prob)
+        return psi, prob
 
     return at
 

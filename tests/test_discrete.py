@@ -117,6 +117,12 @@ p_floor = 1e-9
 """
 
 
+def per_call_rows(spec, state, ts):
+    """`_propagator`'s (psi, |psi|^2) rows, one `propagate_per_call` per time."""
+    psi = np.array([propagate_per_call(spec, state, t).psi for t in ts]).reshape(len(ts), spec.n)
+    return psi, np.abs(psi) ** 2
+
+
 class TestPropagator:
     @pytest.mark.parametrize("seed", range(12))
     def test_bitwise_equal_to_per_call_propagate(self, seed):
@@ -125,21 +131,60 @@ class TestPropagator:
         spec = random_spec(seed, n=n, a=float(rng.uniform(0.3, 2.0)),
                            b=float(rng.uniform(-1.5, 1.5)))
         st0 = random_state(seed + 100, n=n)
-        at = ds._propagator(spec, st0)
-        for t in (0.0, -0.0, -2.7, 1e-9, 0.3, 5.5, *rng.uniform(-10.0, 10.0, size=8)):
+        ts = (0.0, -0.0, -2.7, 1e-9, 0.3, 5.5, *rng.uniform(-10.0, 10.0, size=8))
+        psi, _ = ds._propagator(spec, st0)(ts)
+        for row, t in zip(psi, ts):
             want = propagate_per_call(spec, st0, t)
-            assert np.array_equal(at(t).psi, want.psi)
+            assert np.array_equal(row, want.psi)
             assert np.array_equal(ds.propagate(spec, st0, t).psi, want.psi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.lists(st.floats(min_value=-10.0, max_value=10.0), max_size=20),
+    )
+    def test_batched_rows_are_per_call_bits(self, levels, seed, a, b, drawn):
+        spec = random_spec(seed, n=levels, a=a, b=b)
+        st0 = random_state(seed + 1, n=levels)
+        ts = [0.0, -0.0, 1e-9, -10.0, 10.0, *drawn]
+        psi, prob = ds._propagator(spec, st0)(ts)
+        want_psi, want_prob = per_call_rows(spec, st0, ts)
+        assert psi.tobytes() == want_psi.tobytes()  # bytes: -0.0 and 0.0 differ
+        assert prob.tobytes() == want_prob.tobytes()
+
+    def test_no_times_gives_no_rows(self):
+        psi, prob = ds._propagator(random_spec(1, n=3), random_state(2, n=3))([])
+        assert psi.shape == prob.shape == (0, 3)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected_on_every_call(self, t):
         at = ds._propagator(random_spec(1, n=3), random_state(2, n=3))
-        at(0.5)
+        at([0.5])
         with pytest.raises(InvalidSpecError, match="t must be finite"):
-            at(t)
-        at(0.5)
+            at([t])
+        at([0.5])
         with pytest.raises(InvalidSpecError, match="t must be finite"):
-            at(t)
+            at([0.1, 0.2, t, 0.3])
+        with pytest.raises(InvalidSpecError, match="t must be finite"):
+            ds.propagate(random_spec(1, n=3), random_state(2, n=3), t)
+
+    def test_row_breaking_the_norm_rule_rejected(self):
+        st0 = random_state(2, n=3)
+        object.__setattr__(st0, "psi", st0.psi * 1.001)
+        at = ds._propagator(random_spec(1, n=3), st0)
+        with pytest.raises(InvalidStateError, match="state not normalised"):
+            at([0.1, 0.2])
+        with pytest.raises(InvalidStateError, match="state not normalised"):
+            ds.propagate(random_spec(1, n=3), st0, 0.1)
+
+    def test_norm_rule_names_the_first_failing_row(self):
+        prob = np.array([[0.5, 0.5], [0.5, 0.625], [0.5, 0.75]])
+        with pytest.raises(InvalidStateError, match=r"sum\|psi\|\^2 = 1\.125$"):
+            ds._check_normalised(prob)
+        ds._check_normalised(prob[:1])
 
     def test_hermiticity_checked_when_built(self):
         spec = random_spec(4, n=3)
@@ -153,12 +198,82 @@ class TestPropagator:
         sc = parse_scenario(SPIN_SHORT)
         new = runners.run_scenario_object(sc)
         monkeypatch.setattr(
-            ds, "_propagator", lambda spec, st: (lambda t: propagate_per_call(spec, st, t))
+            ds, "_propagator", lambda spec, st: (lambda ts: per_call_rows(spec, st, ts))
         )
         old = runners.run_scenario_object(sc)
         assert new.scalars == old.scalars
         assert np.array_equal(new.series["populations"].rows, old.series["populations"].rows)
         assert new.scalars["cross_validation_max_err"] > 0.0
+
+
+def _failing_run(monkeypatch, ref_fails_from: int, run_fails_at: int):
+    """SPIN_SHORT (t_start 0.1, dt 1e-3) with its reference failing at every
+    time from step ``ref_fails_from`` on and its local step failing at step
+    ``run_fails_at``."""
+    real_propagator, real_step, calls = ds._propagator, ds.local_form_step, []
+
+    def propagator(spec, state):
+        at = real_propagator(spec, state)
+
+        def checked(ts):
+            if np.any(np.asarray(ts) > 0.1 + (ref_fails_from - 0.5) * 1e-3):
+                raise InvalidStateError("reference failed")
+            return at(ts)
+        return checked
+
+    def step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == run_fails_at:
+            raise StepRejectedError("local step failed")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(ds, "_propagator", propagator)
+    monkeypatch.setattr(ds, "local_form_step", step)
+    runners.run_scenario_object(parse_scenario(SPIN_SHORT))
+
+
+class TestErrorPrecedence:
+    """A run failing at step K checks the references of steps 1..K-1 first,
+    as the per-step observer did."""
+
+    @pytest.mark.parametrize("ref_fails_from", [1, 5, 9])
+    def test_earlier_reference_failure_wins(self, monkeypatch, ref_fails_from):
+        with pytest.raises(InvalidStateError, match="reference failed"):
+            _failing_run(monkeypatch, ref_fails_from, run_fails_at=10)
+
+    @pytest.mark.parametrize("ref_fails_from", [10, 11, 500])
+    def test_local_failure_wins_at_or_before_the_reference(self, monkeypatch, ref_fails_from):
+        with pytest.raises(StepRejectedError, match="local step failed"):
+            _failing_run(monkeypatch, ref_fails_from, run_fails_at=10)
+
+    def test_reference_failure_after_a_whole_run(self, monkeypatch):
+        with pytest.raises(InvalidStateError, match="reference failed"):
+            _failing_run(monkeypatch, ref_fails_from=100, run_fails_at=0)
+
+    def test_nan_row_skipped_as_the_per_step_fold_skipped_it(self, monkeypatch):
+        sc = parse_scenario(SPIN_SHORT)
+        rows = runners.run_scenario_object(sc).series["populations"].rows[1:]
+        spec = runners._spin_spec(sc, np.random.default_rng(sc.seed))
+        real_propagator = ds._propagator
+        _, ref = real_propagator(spec, ds.SpinState(np.eye(4, dtype=complex)[1]))(rows[:, 0])
+        errs = np.max(np.abs(rows[:, 1:] - ref), axis=1)
+        worst, want = int(np.argmax(errs)), 0.0
+        for k, v in enumerate(errs):
+            want = max(want, np.nan if k == worst else float(v))  # the per-step fold
+
+        def propagator(spec, state):
+            at = real_propagator(spec, state)
+
+            def with_nan(ts):
+                psi, prob = at(ts)
+                if len(ts) == len(rows):
+                    prob[worst] = np.nan
+                return psi, prob
+            return with_nan
+
+        monkeypatch.setattr(ds, "_propagator", propagator)
+        got = runners.run_scenario_object(sc).scalars["cross_validation_max_err"]
+        assert got == want < errs[worst]
 
 
 class TestLocalForm:

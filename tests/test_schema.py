@@ -151,6 +151,19 @@ class TestRanges:
             parse_scenario(text)
         assert err.value.key == "run.support_floor"
 
+    @pytest.mark.parametrize("key, old", [("dt", "dt = 0.0001\n"), ("t_final", "t_final = 1.15\n")])
+    @pytest.mark.parametrize("value", ["0.0", "-0.0", "-1e-3", "nan", "inf", "-inf", "1e-400"])
+    def test_spin_step_and_span_must_be_positive_and_finite(self, tmp_path, monkeypatch, capsys, key, old, value):
+        # check passed these, and run rejected them naming no key
+        assert old in SPIN
+        bad = SPIN.replace(old, f"{key} = {value}\n")
+        for err in _both_commands_reject(tmp_path, monkeypatch, capsys, bad, f"run.{key}"):
+            assert err == f"config error: [run] {key} must be finite and > 0.0, got {float(value)!r} (key: run.{key})\n"
+
+    def test_spin_step_and_span_defaults(self):
+        run = parse_scenario(SPIN.replace("dt = 0.0001\n", "").replace("t_final = 1.15\n", "")).params["run"]
+        assert (run["dt"], run["t_final"]) == (1e-3, 1.0)
+
     def test_every_default_inside_its_range(self):
         entries = [e for regime in SCHEMA.values() for keys in regime.values() for e in keys.values()
                    if isinstance(e, Between)]
