@@ -28,11 +28,7 @@ def main():
     args = ap.parse_args()
 
     pot = harmonic(1.0)
-    spec = mech.NaturalSystemSpec(
-        mass=lambda q: 1.0 if np.isscalar(q) else np.ones(np.shape(q)),
-        potential=pot.v,
-        potential_grad=pot.dv,
-    )
+    spec = mech.NaturalSystemSpec(mass=1.0, potential=pot.v, potential_grad=pot.dv)
     dspec = hy.DiffusionSpec(a=1.0)
     grid = build_grid(-8.0, 8.0, args.n)
     q = grid.nodes

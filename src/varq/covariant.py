@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, StepRejectedError
 from .numerics import _check_fixed_steps, _check_positive
+from .potentials import _fd, _sample
 
 __all__ = [
     "FieldLagrangianSpec",
@@ -51,17 +52,12 @@ class FieldLagrangianSpec:
         _check_positive("eta", self.eta, InvalidSpecError)
 
     def v_at(self, q):
-        v = np.asarray(self.potential(q), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise InvalidSpecError("potential must be finite")
-        return v
+        return _sample(self.potential, q, "potential V(q)", False)
 
     def dv_at(self, q):
-        if self.potential_grad is not None:
+        if self.potential_grad is not None:  # unchecked: every leapfrog step calls it
             return np.asarray(self.potential_grad(q), dtype=float)
-        q = np.asarray(q, dtype=float)
-        step = 1e-6 * np.maximum(1.0, np.abs(q))
-        return (self.v_at(q + step) - self.v_at(q - step)) / (2.0 * step)
+        return _fd(self.v_at)(q)
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,9 @@ class SpinState:
 
 
 def _check_normalised(prob: np.ndarray) -> None:
-    """The norm rule on |psi|^2, one state per row: InvalidStateError if a sum is off 1 by > 1e-12 (NaN passes)."""
+    """The norm rule on |psi|^2, one state per row: InvalidStateError if a sum is NaN or off 1 by > 1e-12."""
     norms = np.atleast_1d(np.sum(prob, axis=-1))
-    bad = np.abs(norms - 1.0) > 1e-12
+    bad = ~(np.abs(norms - 1.0) <= 1e-12)
     if bad.any():
         raise InvalidStateError(f"state not normalised: sum|psi|^2 = {float(norms[bad][0])!r}")
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
                      StepRejectedError)
-from .numerics import Grid1D, _support_mask, _uniform_steps, grad_central
+from .numerics import Grid1D, _check_positive, _support_mask, _uniform_steps, grad_central
+from .potentials import _fd, _sample
 
 __all__ = [
     "NaturalSystemSpec",
@@ -33,57 +34,32 @@ __all__ = [
     "normalize_density",
 ]
 
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 _SUPPORT_BUFFER = 12  # cells added on each side of the support window
-
-
-def _eval_on(fn: Callable, q) -> np.ndarray:
-    """Evaluate a scalar-or-vector callback on q, broadcasting constants."""
-    out = np.asarray(fn(q), dtype=float)
-    if out.shape == np.shape(q):
-        return out
-    if not np.shape(q):
-        return float(out)
-    full = np.empty(np.shape(q))  # not np.full, a Python-level wrapper
-    full[...] = out
-    return full
-
-
-def _fd_grad(fn: Callable) -> Callable:
-    def dfn(q):
-        q = np.asarray(q, dtype=float)
-        step = _FD_STEP * np.maximum(1.0, np.abs(q))
-        return (np.asarray(fn(q + step), dtype=float) - np.asarray(fn(q - step), dtype=float)) / (2.0 * step)
-
-    return dfn
 
 
 @dataclass(frozen=True)
 class NaturalSystemSpec:
-    """Positive mass profile m(q) and potential V(q) of a natural system.
+    """Positive mass m(q) and potential V(q) of a natural system.
 
-    Analytic gradients are optional; central finite differences are used
-    when they are not supplied.
+    The mass is a callback or a number: a constant, checked once here, with
+    a zero gradient.  Analytic gradients are optional; central finite
+    differences (``potentials._fd``) are used when they are not supplied.
     """
 
-    mass: Callable
+    mass: Callable | float
     potential: Callable
     mass_grad: Optional[Callable] = None
     potential_grad: Optional[Callable] = None
 
+    def __post_init__(self):
+        if not callable(self.mass):
+            _check_positive("mass m(q)", self.mass, InvalidSpecError)
+
     def mass_at(self, q):
-        m = _eval_on(self.mass, q)
-        a = np.asarray(m)
-        # m <= 0 anywhere, or NaN/inf at a finite q (at a non-finite q a flow has blown up)
-        if not 0.0 < a.min() <= a.max() < np.inf and np.any((a <= 0) | (np.isfinite(q) & ~(a < np.inf))):
-            raise InvalidSpecError("mass m(q) must be finite and > 0")
-        return m
+        return _sample(self.mass, q, "mass m(q)", True)
 
     def potential_at(self, q):
-        v = _eval_on(self.potential, q)
-        if not np.isfinite(v).all():
-            raise InvalidSpecError("potential V(q) must be finite")
-        return v
+        return _sample(self.potential, q, "potential V(q)", False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +111,7 @@ def hamilton_flow(
     update y + dt/6 (k1 + 2 k2 + 2 k3 + k4); a non-finite derivative after
     the four stages raises NumericalFailureError, and a mass that ``mass_at``
     rejects InvalidSpecError.
-    Missing gradients are central differences (``_fd_grad``).
+    Missing gradients are central differences (``potentials._fd``).
 
     If the trajectory leaves ``q_range`` (or stops being finite) the run is
     reported as escaped rather than raising; the trajectory is truncated at
@@ -146,9 +122,11 @@ def hamilton_flow(
         raise InvalidArgumentError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
-    mass = spec.mass
-    dmass = spec.mass_grad if spec.mass_grad is not None else _fd_grad(spec.mass)
-    dpot = spec.potential_grad if spec.potential_grad is not None else _fd_grad(spec.potential)
+    if callable(spec.mass):
+        mass, dmass = spec.mass, spec.mass_grad if spec.mass_grad is not None else _fd(spec.mass)
+    else:  # a number: checked when the spec was built, with a zero gradient
+        mass, dmass = (lambda x: spec.mass), (lambda x: 0.0)
+    dpot = spec.potential_grad if spec.potential_grad is not None else _fd(spec.potential)
 
     def rhs(q, p):
         x = np.float64(q)  # what the callbacks saw on the array path

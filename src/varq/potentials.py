@@ -1,4 +1,7 @@
-"""Named potential catalog shared by the library specs and the scenario CLI.
+"""Named potential catalog shared by the library specs and the scenario CLI,
+with the one sampler of the specs' callbacks (``_sample``) and their one
+finite-difference rule (``_fd``).  ``DiffusionSpec.g_grad_at`` keeps its
+one-sided rule: g is defined only for rho >= 0.
 
 Every entry carries the potential and its analytic derivative so the
 characteristic integrators do not have to fall back on finite differences.
@@ -6,12 +9,49 @@ characteristic integrators do not have to fall back on finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InvalidSpecError
+
 __all__ = ["Potential", "free", "harmonic", "quartic", "box", "polynomial"]
+
+_FD_STEP = float(np.cbrt(np.finfo(float).eps))
+
+
+def _sample(fn, q, what: str, positive: bool):
+    """fn(q) as floats of q's shape, a constant broadcast.  A number fn, a
+    constant mass checked when its spec was built, is not checked again; a
+    callback's value raises InvalidSpecError if it is NaN or inf at a finite
+    q (at a non-finite q a flow has blown up) or, with ``positive``, <= 0."""
+    out = np.asarray(fn(q) if callable(fn) else fn, dtype=float)
+    if out.shape != np.shape(q):
+        if not np.shape(q):
+            out = float(out)
+        else:
+            full = np.empty(np.shape(q))  # not np.full, a Python-level wrapper
+            full[...] = out
+            out = full
+    a = np.asarray(out)
+    if callable(fn) and not (0.0 < a.min() <= a.max() < np.inf if positive else np.isfinite(a).all()):
+        bad = np.isfinite(q) & ~np.isfinite(a)
+        if positive:
+            bad |= a <= 0.0
+        if bad.any():
+            raise InvalidSpecError(f"{what} must be finite" + (" and > 0" if positive else ""))
+    return out
+
+
+def _fd(fn: Callable) -> Callable:
+    """Central difference of fn with the step cbrt(eps) * max(1, |q|)."""
+    def dfn(q):
+        q = np.asarray(q, dtype=float)
+        step = _FD_STEP * np.maximum(1.0, np.abs(q))
+        return (np.asarray(fn(q + step), dtype=float) - np.asarray(fn(q - step), dtype=float)) / (2.0 * step)
+
+    return dfn
 
 
 @dataclass(frozen=True)
@@ -27,9 +67,7 @@ def free() -> Potential:
 
 
 def box() -> Potential:
-    # hard walls come from the Dirichlet grid ends, the interior is flat
-    p = free()
-    return Potential("box", p.v, p.dv)
+    return replace(free(), name="box")  # hard walls come from the Dirichlet grid ends, the interior is flat
 
 
 def harmonic(k: float) -> Potential:
@@ -44,14 +82,6 @@ def quartic(c: float) -> Potential:
 def polynomial(coeffs: Sequence[float]) -> Potential:
     """V(q) = sum_j coeffs[j] * q**j."""
     c = np.asarray(coeffs, dtype=float)
-    dc = c[1:] * np.arange(1, c.size)
-
-    def v(q):
-        return np.polyval(c[::-1], np.asarray(q, dtype=float))
-
-    def dv(q):
-        if dc.size == 0:
-            return np.zeros_like(np.asarray(q, dtype=float))
-        return np.polyval(dc[::-1], np.asarray(q, dtype=float))
-
-    return Potential("polynomial", v, dv)
+    dc = c[1:] * np.arange(1, c.size)  # polyval of no coefficients is zeros_like(q)
+    return Potential("polynomial", lambda q: np.polyval(c[::-1], np.asarray(q, dtype=float)),
+                     lambda q: np.polyval(dc[::-1], np.asarray(q, dtype=float)))

@@ -45,6 +45,7 @@ from .numerics import (
     grad_central,
     sturm_liouville_operator,
 )
+from .potentials import _sample
 
 __all__ = [
     "QFieldSpec",
@@ -76,14 +77,12 @@ class QFieldSpec:
         _check_positive("f", self.f, InvalidSpecError)
 
     def v_at(self, q):
-        return np.asarray(self.potential(q), dtype=float)
+        return _sample(self.potential, q, "potential V(q)", False)
 
     def validate_on(self, grid: Grid1D):
         """Check the confinement conditions numerically on the grid:
         V >= 0 everywhere and growth toward both grid ends."""
         v = self.v_at(grid.nodes)
-        if not np.all(np.isfinite(v)):
-            raise InvalidSpecError("potential must be finite on the grid")
         if np.any(v < -1e-12):
             raise InvalidSpecError("potential must be nonnegative")
         mid = v[grid.n // 4 : (3 * grid.n) // 4]

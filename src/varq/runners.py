@@ -47,12 +47,7 @@ def _potential_from(sc: Scenario) -> potentials.Potential:
 
 def _mech_spec(sc: Scenario):
     pot = _potential_from(sc)
-    return mech.NaturalSystemSpec(
-        mass=lambda q: sc.params["system"]["mass"],
-        potential=pot.v,
-        mass_grad=lambda q: 0.0 if np.isscalar(q) else np.zeros(np.shape(q)),
-        potential_grad=pot.dv,
-    )
+    return mech.NaturalSystemSpec(mass=sc.params["system"]["mass"], potential=pot.v, potential_grad=pot.dv)
 
 
 def run_classical(sc: Scenario, report: RunReport) -> None:

@@ -186,6 +186,13 @@ class TestPropagator:
             ds._check_normalised(prob)
         ds._check_normalised(prob[:1])
 
+    @pytest.mark.parametrize("psi", [[np.nan, 0.0], [np.nan, np.nan], [np.inf, 0.0]])
+    def test_non_finite_state_rejected(self, psi):
+        with pytest.raises(InvalidStateError, match="state not normalised"):
+            ds.SpinState(np.array(psi))
+        with pytest.raises(InvalidStateError, match=r"sum\|psi\|\^2 = nan$"):
+            ds._check_normalised(np.array([[0.5, 0.5], [np.nan, 0.0]]))
+
     def test_hermiticity_checked_when_built(self):
         spec = random_spec(4, n=3)
         bad = spec.theta.copy()

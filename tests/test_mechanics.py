@@ -7,6 +7,7 @@ from varq import cli
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import potentials as pot
+from varq import wavefunction as wv
 from varq.errors import (
     InvalidArgumentError,
     InvalidSpecError,
@@ -489,14 +490,14 @@ def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
     dmass_at/dpotential_at (the gradient or its central difference)."""
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
-    dmass = spec.mass_grad if spec.mass_grad is not None else mech._fd_grad(spec.mass)
-    dpot = spec.potential_grad if spec.potential_grad is not None else mech._fd_grad(spec.potential)
+    dmass = spec.mass_grad if spec.mass_grad is not None else pot._fd(spec.mass)
+    dpot = spec.potential_grad if spec.potential_grad is not None else pot._fd(spec.potential)
 
     def rhs(y):
         q, p = y
         m = float(spec.mass_at(q))
-        dm = float(mech._eval_on(dmass, q))
-        dv = float(mech._eval_on(dpot, q))
+        dm = float(np.asarray(dmass(q), dtype=float))
+        dv = float(np.asarray(dpot(q), dtype=float))
         return np.array([p / m, p * p * dm / (2.0 * m * m) - dv])
 
     out = np.empty((n_steps + 1, 2))
@@ -804,3 +805,34 @@ class TestNonFiniteStates:
                                      0.3 * grid.nodes)
         with pytest.raises(StepRejectedError, match="CFL violation"):
             mech.transport_density(ens, free_particle, float("nan"))
+
+
+class TestNumberMass:
+    """A number mass gives the bits of the constant callable that the
+    scenario runner used to pass (with its zero gradient)."""
+
+    @staticmethod
+    def _pair(m):
+        p = pot.harmonic(1.3)
+        number = mech.NaturalSystemSpec(mass=m, potential=p.v, potential_grad=p.dv)
+        callable_ = mech.NaturalSystemSpec(mass=lambda q: m, potential=p.v, potential_grad=p.dv,
+                                           mass_grad=lambda q: 0.0 if np.isscalar(q) else np.zeros(np.shape(q)))
+        return number, callable_
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=0.05, max_value=20.0), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_same_bits_as_constant_callable(self, m, seed):
+        number, callable_ = self._pair(m)
+        rng = np.random.default_rng(seed)
+        grid = build_grid(-2.0, 2.0, 57)
+        S = rng.standard_normal(grid.n)
+        hj = [mech._godunov_hj_update(grid.h, grid.nodes, s, S, 0.01) for s in (number, callable_)]
+        assert np.array_equal(*hj)
+        runs = [mech._RunContext(grid, s, nodes=True) for s in (number, callable_)]
+        assert np.array_equal(runs[0].m_face, runs[1].m_face) and np.array_equal(runs[0].m_node, runs[1].m_node)
+        start = mech.PhaseState(*rng.uniform(-1.0, 1.0, 2))
+        flows = [mech.hamilton_flow(s, start, 0.01, 50) for s in (number, callable_)]
+        assert np.array_equal(flows[0].states, flows[1].states)
+        ops = [wv.schrodinger_operator(s, grid, 0.8) for s in (number, callable_)]
+        assert np.array_equal(ops[0].diagonal, ops[1].diagonal)
+        assert np.array_equal(ops[0].off_diagonal, ops[1].off_diagonal)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,8 @@ POSITIVE_CONSTANTS = [
                  InvalidStateError, id="WaveFunction.a"),
     pytest.param("length", lambda v: cv.PeriodicGrid1D(v, 8), InvalidArgumentError,
                  id="PeriodicGrid1D.length"),
+    pytest.param("mass m(q)", lambda v: mech.NaturalSystemSpec(mass=v, potential=lambda q: q * q),
+                 InvalidSpecError, id="NaturalSystemSpec.mass"),
 ]
 
 
@@ -370,7 +373,7 @@ class TestPositiveConstants:
     @pytest.mark.parametrize("name, build, error", POSITIVE_CONSTANTS)
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     def test_bad_value_rejected(self, name, build, error, value):
-        with pytest.raises(error, match=f"^{name} must be finite and > 0, got"):
+        with pytest.raises(error, match=f"^{re.escape(name)} must be finite and > 0, got"):
             build(value)
 
     @pytest.mark.parametrize("name, build, error", POSITIVE_CONSTANTS)
@@ -384,6 +387,46 @@ class TestPositiveConstants:
     def test_error_class_is_required(self):
         with pytest.raises(TypeError):
             nx._check_positive("a", 1.0)
+
+
+SAMPLERS = [
+    pytest.param(lambda fn: mech.NaturalSystemSpec(mass=fn, potential=lambda q: q * q).mass_at,
+                 id="NaturalSystemSpec.mass_at"),
+    pytest.param(lambda fn: mech.NaturalSystemSpec(mass=1.0, potential=fn).potential_at,
+                 id="NaturalSystemSpec.potential_at"),
+    pytest.param(lambda fn: cv.FieldLagrangianSpec(eta=1.0, potential=fn).v_at, id="FieldLagrangianSpec.v_at"),
+    pytest.param(lambda fn: cv.FieldLagrangianSpec(eta=1.0, potential=fn).dv_at,
+                 id="FieldLagrangianSpec.dv_at-finite-difference"),
+    pytest.param(lambda fn: qf.QFieldSpec(eta=1.0, potential=fn, f=1.0).v_at, id="QFieldSpec.v_at"),
+]
+
+
+class TestSpecSampler:
+    """Every spec samples m and V through one rule (``potentials._sample``):
+    a NaN or inf value at a finite q raises InvalidSpecError."""
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_at_finite_q_rejected(self, sampler, bad):
+        at = sampler(lambda q: np.where(np.asarray(q) > 0.5, bad, 1.0 + np.square(q)))
+        for q in (np.linspace(-1.0, 1.0, 7), 0.75):
+            with pytest.raises(InvalidSpecError, match="must be finite"):
+                at(q)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("fn", [lambda x: 1.0 + np.square(x), lambda x: 2.0], ids=["profile", "constant"])
+    def test_finite_values_pass_with_the_shape_of_q(self, sampler, fn):
+        q = np.linspace(-1.0, 1.0, 7)
+        assert sampler(fn)(q).shape == q.shape
+
+    def test_non_finite_value_at_non_finite_q_passes(self):
+        # a flow that blew up samples m at q = inf; only a value <= 0 is then an error
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 + np.square(q), potential=lambda q: np.square(q))
+        q = np.array([0.0, np.inf, np.nan])
+        assert np.array_equal(spec.mass_at(q), [1.0, np.inf, np.nan], equal_nan=True)
+        assert np.array_equal(spec.potential_at(q), [0.0, np.inf, np.nan], equal_nan=True)
+        with pytest.raises(InvalidSpecError, match="finite and > 0"):
+            mech.NaturalSystemSpec(mass=lambda q: -np.square(q), potential=lambda q: q).mass_at(q)
 
 
 def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
