@@ -6,9 +6,9 @@ is required); a default value (parsed as the default's type: ``bool`` takes
 true/yes/on/1 or false/no/off/0 in any case, ``list`` a comma- or
 space-separated float list); a tuple of accepted strings, the first the
 default (``None``: required; a ``Folded`` tuple ignores case);
-``Between(default, lo, hi)``, a float that must lie strictly between lo and
-hi (with ``hi = inf``: finite and > lo); or ``Derived(type)``, a key the
-runner derives from other inputs when absent.
+``Between(default, lo, hi)``, a float, or an int if the default is one, that
+must lie strictly between lo and hi (with ``hi = inf``: finite and > lo); or
+``Derived(type)``, a key the runner derives from other inputs when absent.
 ``COMMON`` adds ``[scenario]`` and ``[checks]`` to every regime; their
 values are the Scenario's ``regime``, ``seed`` and ``waive_invariants``.
 ``parse_scenario`` checks a config against its table before anything runs:
@@ -38,7 +38,7 @@ class Folded(tuple):
 
 @dataclass(frozen=True)
 class Between:
-    """A float default whose value must lie strictly between ``lo`` and ``hi``."""
+    """A float or int default whose value must lie strictly between ``lo`` and ``hi``."""
 
     default: float
     lo: float
@@ -70,8 +70,9 @@ SCHEMA = {
     "vacuum": {**_QFIELD, "run": {"k_eigen": 3}},
     "space-independent": {**_QFIELD, "initial": {"modes": [0, 1]}, "run": {"dt": 2e-3, "n_steps": 1000}},
     "confined": {**_QFIELD, "initial": {"c": [1.0, 0.1]},  # radii: multiples of f / (w1 - w0)
-                 "run": {"k_eigen": 8, "r_min": Derived(float), "r_max": Derived(float), "tol": 1e-8,
-                         "n_r": 1200, "fit_lo": Derived(float), "fit_hi": Derived(float)}},
+                 "run": {"k_eigen": Between(8, 1, math.inf), "r_min": Derived(float), "r_max": Derived(float),
+                         "tol": Between(1e-8, 0.0, math.inf), "n_r": Between(1200, 1, math.inf),
+                         "fit_lo": Derived(float), "fit_hi": Derived(float)}},
 }
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
 

@@ -330,9 +330,10 @@ def confined_solve(
     reported (seed plus the constant inward continuation of the
     corrections) but carry no accuracy claim, matching the residual
     window: the outer half of the radial range, which must start at or
-    after the source radius.  A sweep checks positivity and evaluates the
-    log source on the active box only (those rows times that radial suffix;
-    zero outside), and writes its full-grid products into per-solve buffers.
+    after the source radius.  A sweep works in two per-solve grid buffers:
+    each field, then that field times the log source (taken on the active
+    box, those rows times a radial suffix; zero outside) for the projection,
+    then a residual product.  They end as the returned pair.
 
     A sweep is accepted only if the window residual does not rise above
     max(previous, tol); a rising residual above tolerance stops the
@@ -348,6 +349,8 @@ def confined_solve(
         raise InvalidArgumentError("more coefficients than available modes")
     if not (0 < r_min < r_max):
         raise InvalidArgumentError("need 0 < r_min < r_max")
+    if not (0 < tol < np.inf and n_r >= 2):  # a NaN tol fails too
+        raise InvalidArgumentError(f"need tol finite and > 0 and n_r >= 2, got tol={tol!r}, n_r={n_r!r}")
     K = vac.k
     cs = np.zeros(K)
     cs[: c.size] = c
@@ -370,34 +373,31 @@ def confined_solve(
     # the log source and the residual window are boxes: the qmask rows times
     # a suffix of the ascending r (never empty for the window: r[-1] == r_max)
     rows = _index_span(qmask)
-    box = (rows, slice(int(np.count_nonzero(r < source_r_start)), None))
-    res_box = (rows, slice(int(np.count_nonzero(r < resid_window[0])), None))
-    # per-solve buffers of the sweep; L stays zero outside the box
-    phi, phi_tilde, work, L = (np.zeros((psi_mat.shape[0], n_r)) for _ in range(4))
+    src_col, res_col = (int(np.count_nonzero(r < r0)) for r0 in (source_r_start, resid_window[0]))
+    phi, phi_tilde = (np.empty((psi_mat.shape[0], n_r)) for _ in range(2))
 
     def sources(A, At):
-        """P, Pt: the log source times each field of the amplitudes A, At,
-        projected on the modes (the fields go to ``phi``, ``phi_tilde``)."""
+        """P, Pt: the log source times each field of the amplitudes A, At, projected on the modes."""
         np.matmul(psi_mat, A, out=phi)
         np.matmul(psi_mat, At, out=phi_tilde)
-        pb, ptb = phi[box], phi_tilde[box]
-        bad = (pb <= 0.0) | (ptb <= 0.0)
-        if bad.any():
-            iq, ir = np.argwhere(bad)[0]
+        pb, ptb = phi[rows, src_col:], phi_tilde[rows, src_col:]
+        if (pb <= 0.0).any() or (ptb <= 0.0).any():
+            iq, ir = np.argwhere((pb <= 0.0) | (ptb <= 0.0))[0]
             raise NumericalFailureError(
                 "conjugate pair lost positivity",
-                diagnostics={"q": float(vac.grid.nodes[rows][iq]), "r": float(r[box[1]][ir])},
+                diagnostics={"q": float(vac.grid.nodes[rows][iq]), "r": float(r[src_col:][ir])},
             )
         ratio = np.divide(pb, ptb)  # np.log on a contiguous array: a strided output may take another loop
-        L[box] = np.log(ratio, out=ratio)
-        return project(np.multiply(L, phi, out=work)), project(np.multiply(L, phi_tilde, out=work))
-
-    def project(field):
-        return h * (psi_mat.T @ field)  # (K, nr)
+        log_ratio = np.log(ratio, out=ratio)
+        for field in (phi, phi_tilde):  # times the log source, zero outside the box
+            field[rows, src_col:] *= log_ratio
+            field[:, :src_col] = 0.0
+            field[~qmask] = 0.0
+        return h * (psi_mat.T @ phi), h * (psi_mat.T @ phi_tilde)  # (K, nr) each
 
     def residual_max(P_prev, P_new, C, Pt_prev, Pt_new, Ct):
         def window_max(R):
-            return float(np.max(np.abs(np.matmul(psi_mat, R, out=work)[res_box])))
+            return float(np.max(np.abs(np.matmul(psi_mat, R, out=phi)[rows, res_col:])))
         return max(window_max((f / r)[None, :] * (P_prev - P_new) - dw[:, None] * C),
                    window_max((f / r)[None, :] * (Pt_prev - Pt_new) - dw[:, None] * Ct))
 
@@ -436,7 +436,7 @@ def confined_solve(
             "confined solve did not reach tolerance (max-iterations)",
             diagnostics={"residual_history": history},
         )
-    pair = RadialPair(vac.grid, r, psi_mat @ A, psi_mat @ At, cs)
+    pair = RadialPair(vac.grid, r, np.matmul(psi_mat, A, out=phi), np.matmul(psi_mat, At, out=phi_tilde), cs)
     return ConfinedSolveResult(pair, history, iterations, converged, mode_history, resid_window)
 
 

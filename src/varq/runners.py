@@ -270,7 +270,7 @@ def run_vacuum(sc: Scenario, report: RunReport) -> None:
     report.scalars["fluctuation_variance"] = var
     report.add_invariant("orthonormality", ortho, 1e-8)
     # a 0/1 flag with threshold 0.5, not a tolerance: scaled, a failed ordering would pass
-    report.invariants.append(InvariantCheck("ordering", float(np.max(np.diff(vac.w) <= 0)), 0.5))
+    report.invariants.append(InvariantCheck("ordering", float(np.any(np.diff(vac.w) <= 0)), 0.5))
     report.series["eigenvalues"] = Series(
         ["index", "w"], np.column_stack([np.arange(vac.w.size), vac.w])
     )

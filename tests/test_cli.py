@@ -79,6 +79,14 @@ class TestRunCommand:
         assert csv[0] == "index,w"
         assert len(csv) == 4
 
+    def test_single_level_vacuum_runs(self, tmp_path, capsys):
+        # the ordering flag took np.max of an empty np.diff and exited 2
+        cfg = write_cfg(tmp_path, VACUUM_CFG.replace("k_eigen = 3", "k_eigen = 1"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        body = (tmp_path / "out" / "case" / "report.txt").read_text().splitlines()
+        assert [line.split("=")[0] for line in body if line.startswith("scalar.w_")] == ["scalar.w_0"]
+        assert "invariant.ordering=PASS value=0 tol=0.5" in body
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, VACUUM_CFG.replace("regime = vacuum", "regime = nope"))
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,27 @@ class TestConfinedSolve:
         spec, grid, vac = harmonic_vacuum
         with pytest.raises(InvalidArgumentError):
             qf.confined_solve(spec, vac, [0.5, 0.1], r_min=0.5, r_max=30.0)
+
+    @pytest.mark.parametrize("tol, n_r", [(0.0, 1200), (-1e-8, 1200), (np.nan, 1200), (np.inf, 1200),
+                                          (1e-8, 1), (1e-8, 0)])
+    def test_bad_tol_or_radial_count_rejected(self, harmonic_vacuum, tol, n_r):
+        # a tol of 0, below 0 or NaN ran all 60 sweeps; n_r < 2 leaves the residual window empty
+        spec, grid, vac = harmonic_vacuum
+        with pytest.raises(InvalidArgumentError, match="need tol finite and > 0 and n_r >= 2"):
+            qf.confined_solve(spec, vac, [1.0, 0.1], r_min=0.5, r_max=30.0, tol=tol, n_r=n_r)
+
+    def test_peak_memory(self, harmonic_vacuum):
+        """The sweep works in two grid buffers that end as the returned pair.
+        tracemalloc peak of this solve (801 x 1200, K = 8, numpy 2.4): 24.8 MB.
+        The former sweep kept four grid fields besides the pair: 50.6 MB."""
+        spec, grid, vac = harmonic_vacuum
+        tracemalloc.start()
+        try:
+            qf.confined_solve(spec, vac, [1.0, 0.1], r_min=0.5, r_max=30.0, tol=1e-8, n_r=1200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_residual_history_decreasing_above_tol(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum

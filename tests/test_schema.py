@@ -170,6 +170,31 @@ class TestRanges:
         assert entries and all(e.lo < e.default < e.hi for e in entries)
 
 
+CONFINED = (CONFIG_DIR / "confined_harmonic.cfg").read_text()
+CONFINED_RANGES = ([("tol", "1e-8", v, "0.0") for v in ("0", "-1e-8", "nan", "inf")]
+                   + [("k_eigen", "8", v, "1") for v in ("1", "0", "-3")]
+                   + [("n_r", "1200", v, "1") for v in ("1", "0")])
+
+
+class TestConfinedRanges:
+    """A confined tol of 0, below 0 or NaN ran all 60 sweeps and exited 3;
+    k_eigen = 1 stopped on an IndexError, and an n_r of 0 or 1 exited 2 with
+    numpy's empty-reduction message; none of them named its key."""
+
+    @pytest.mark.parametrize("key, old, value, lo", CONFINED_RANGES)
+    def test_check_and_run_reject(self, tmp_path, monkeypatch, capsys, key, old, value, lo):
+        assert f"\n{key} = {old}\n" in CONFINED
+        bad = CONFINED.replace(f"\n{key} = {old}\n", f"\n{key} = {value}\n")
+        got = repr(float(value)) if key == "tol" else value
+        for err in _both_commands_reject(tmp_path, monkeypatch, capsys, bad, f"run.{key}"):
+            assert err == f"config error: [run] {key} must be finite and > {lo}, got {got} (key: run.{key})\n"
+
+    def test_int_defaults_parse_as_int(self):
+        run = parse_scenario(CONFINED.replace("k_eigen = 8\n", "").replace("n_r = 1200\n", "")).params["run"]
+        assert (run["k_eigen"], run["n_r"]) == (8, 1200)
+        assert type(run["k_eigen"]) is int and type(run["n_r"]) is int
+
+
 class TestSpellings:
     @pytest.mark.parametrize("spelling", ["harmonic", "Harmonic", "HARMONIC"])
     def test_potential_kind_ignores_case(self, spelling):

@@ -30,7 +30,7 @@ their bits.
 
 The linear run loops hand each Cayley step the H psi they already hold
 (``CayleyPropagator.step(psi, _hpsi=...)``), and ``confined_solve`` evaluates
-its log source on the active box into per-solve buffers.  The Schrodinger
+its log source on the active box in two per-solve grid buffers.  The Schrodinger
 runner must give the bits of a loop over the public ``step`` and ``energy``,
 and the solver those of its former whole-grid form, ``confined_solve_ref``,
 failures and their diagnostics included.
@@ -1464,17 +1464,21 @@ def _two_well_vacuum(n=321, k=4, half_width=8.0, centre=4.0):
 
 class TestConfinedSolve:
     @settings(max_examples=25, deadline=None)
-    @given(k=st.floats(0.6, 1.4), c1=st.floats(0.0, 0.4), c2=st.floats(0.0, 0.1),
+    @given(k=st.floats(0.6, 1.4), modes=st.integers(2, 9), c1=st.floats(0.0, 0.4), c2=st.floats(0.0, 0.1),
            n=st.sampled_from([201, 301, 501]), n_r=st.integers(100, 600),
            r_min=st.floats(0.2, 1.0), r_max=st.floats(3.0, 40.0), f=st.floats(0.8, 1.25))
-    @example(k=1.0, c1=0.1, c2=0.0, n=501, n_r=1200, r_min=0.5, r_max=30.0, f=1.0)
-    @example(k=1.0, c1=5.0, c2=0.0, n=201, n_r=240, r_min=0.5, r_max=30.0, f=1.0)
-    @example(k=1.0, c1=0.1, c2=0.0, n=201, n_r=240, r_min=0.5, r_max=1.2, f=1.0)
-    def test_bitwise(self, k, c1, c2, n, n_r, r_min, r_max, f):
+    @example(k=1.0, modes=4, c1=0.1, c2=0.0, n=501, n_r=1200, r_min=0.5, r_max=30.0, f=1.0)
+    @example(k=1.0, modes=4, c1=5.0, c2=0.0, n=201, n_r=240, r_min=0.5, r_max=30.0, f=1.0)
+    @example(k=1.0, modes=4, c1=0.1, c2=0.0, n=201, n_r=240, r_min=0.5, r_max=1.2, f=1.0)
+    # the shipped config's shape: 8 modes, 801 rows, 997 source columns
+    @example(k=1.0, modes=8, c1=0.1, c2=0.0, n=801, n_r=1200, r_min=0.5, r_max=30.0, f=1.0)
+    # 467 source columns: K-mode products on the qmask rows alone change bits here
+    @example(k=1.17, modes=8, c1=0.27, c2=0.07, n=501, n_r=523, r_min=0.66, r_max=32.2, f=1.03)
+    def test_bitwise(self, k, modes, c1, c2, n, n_r, r_min, r_max, f):
         spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * k * np.square(q), f=f)
-        vac = qf.vacuum_spectrum(spec, build_grid(-10.0, 10.0, n), 4)
+        vac = qf.vacuum_spectrum(spec, build_grid(-10.0, 10.0, n), modes)
         dw = vac.w[1] - vac.w[0]  # radii in units of f / (w1 - w0), as the runner draws them
-        args = (spec, vac, [1.0, c1, c2], r_min * f / dw, r_max * f / dw, 1e-8, n_r)
+        args = (spec, vac, [1.0, c1, c2][:modes], r_min * f / dw, r_max * f / dw, 1e-8, n_r)
         _assert_same_solve(_confined_outcome(qf.confined_solve, *args),
                            _confined_outcome(confined_solve_ref, *args))
 
