@@ -67,7 +67,7 @@ SCHEMA = {
                      "t_start": 0.1, "p_floor": 1e-6}},
     "ddw": {"grid": {"length": 2 * math.pi, "n": 256}, "system": {"eta": 1.0, "kg_mass": 1.0},
             "initial": {"k_mode": 1, "amplitude": 0.01}, "run": {"dt": 1e-3, "n_steps": 20000}},
-    "vacuum": {**_QFIELD, "run": {"k_eigen": 3}},
+    "vacuum": {**_QFIELD, "run": {"k_eigen": Between(3, 0, math.inf)}},
     "space-independent": {**_QFIELD, "initial": {"modes": [0, 1]}, "run": {"dt": 2e-3, "n_steps": 1000}},
     "confined": {**_QFIELD, "initial": {"c": [1.0, 0.1]},  # radii: multiples of f / (w1 - w0)
                  "run": {"k_eigen": Between(8, 1, math.inf), "r_min": Derived(float), "r_max": Derived(float),

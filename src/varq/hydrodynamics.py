@@ -24,8 +24,8 @@ import numpy as np
 from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
 from .mechanics import (NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext, _next_state,
                         _reject_negative, _validate_density_state, _windowed_upwind)
-from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _check_positive,
-                       _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
+from .numerics import (_HEAD, _INNER, _TAIL, RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate,
+                       _check_positive, _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
 
 __all__ = [
@@ -190,16 +190,14 @@ def effective_hamiltonian_density(
 
 def _g_terms(dspec, grid, rho, m_face, m_node):
     """(1/2) m^{-1} g'(rho) (drho/dq)^2 - d/dq(m^{-1} g(rho) drho/dq)."""
-    if dspec.g is None:
-        return 0.0
     h = grid.h
     grad_rho = grad_central(rho, h)
     first = 0.5 * dspec.g_grad_at(rho) * grad_rho**2 / m_node
     mu_f = 1.0 / m_face
-    rho_f = 0.5 * (rho[:-1] + rho[1:])
-    flux = mu_f * dspec.g_at(rho_f) * (rho[1:] - rho[:-1]) / h
-    div = np.zeros(rho.size)
-    div[1:-1] = (flux[1:] - flux[:-1]) / h
+    rho_f = 0.5 * (rho[_HEAD] + rho[_TAIL])
+    flux = mu_f * dspec.g_at(rho_f) * (rho[_TAIL] - rho[_HEAD]) / h
+    div = np.zeros(rho.shape)
+    div[_INNER] = (flux[_TAIL] - flux[_HEAD]) / h
     return first - div
 
 
@@ -244,7 +242,7 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     op = _op if _op is not None else schrodinger_operator(spec, grid, dspec.a)
     lo2, hi2 = _check_nodeless(rho_new, floor_frac, "after step")
     bulk = slice(lo2, hi2 + 1)  # contiguous, so every update below is on views
-    rate = _sqrt_density_ratio(grid, op, np.maximum(rho_new, 0.0), bulk)[bulk]
+    rate = _sqrt_density_ratio(op, np.maximum(rho_new, 0.0), bulk)[bulk]
     rate += grad_central(state.lam, grid.h)[bulk] ** 2 / (2.0 * m_node[bulk])
     if dspec.g is not None:
         rate += _g_terms(dspec, grid, rho_new, m_face, m_node)[bulk]
@@ -277,37 +275,22 @@ def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroStat
     return state
 
 
-def multiplier_residual_series(
-    grid: Grid1D,
-    spec: NaturalSystemSpec,
-    dspec: DiffusionSpec,
-    rho_series: np.ndarray,
-    lam_series: np.ndarray,
-    times: np.ndarray,
-):
+def multiplier_residual_series(grid: Grid1D, spec: NaturalSystemSpec, dspec: DiffusionSpec, rho_series: np.ndarray,
+                               lam_series: np.ndarray, times: np.ndarray):
     """Residual of the multiplier equation on stored snapshots.
 
     Returns (residuals, mask) with residuals shaped (nt - 2, n), centered
     in time and evaluated only on the bulk mask of each snapshot.
     """
     lam_series = np.asarray(lam_series, dtype=float)
-    times = np.asarray(times, dtype=float)
     if dspec.mode == "classical":
         res = hj_residual_series(grid, spec, lam_series, times)
         return res, np.ones(res.shape, dtype=bool)
-    rho_series = np.asarray(rho_series, dtype=float)
+    rho = np.asarray(rho_series, dtype=float)[1:-1]
     m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
-    nt = rho_series.shape[0]
-    out = np.zeros((nt - 2, grid.n))
-    masks = np.zeros((nt - 2, grid.n), dtype=bool)
-    op = schrodinger_operator(spec, grid, dspec.a)
-    for k in range(1, nt - 1):
-        dldt = (lam_series[k + 1] - lam_series[k - 1]) / (times[k + 1] - times[k - 1])
-        grad_lam = grad_central(lam_series[k], grid.h)
-        mask = _support_mask(rho_series[k], RHO_FLOOR_FRAC)
-        quantum = _sqrt_density_ratio(grid, op, rho_series[k], mask)
-        if dspec.g is not None:
-            quantum[mask] += np.asarray(_g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
-        out[k - 1] = np.where(mask, dldt + grad_lam**2 / (2.0 * m) + quantum, 0.0)
-        masks[k - 1] = mask
-    return out, masks
+    mask = _support_mask(rho, RHO_FLOOR_FRAC)
+    quantum = _sqrt_density_ratio(schrodinger_operator(spec, grid, dspec.a), rho, mask)
+    if dspec.g is not None:
+        quantum[mask] += _g_terms(dspec, grid, rho, m_face, m)[mask]
+    dldt = _centered_rate(lam_series, times)
+    return np.where(mask, dldt + grad_central(lam_series[1:-1], grid.h) ** 2 / (2.0 * m) + quantum, 0.0), mask

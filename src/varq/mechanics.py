@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
                      StepRejectedError)
-from .numerics import Grid1D, _check_positive, _support_mask, _uniform_steps, grad_central
+from .numerics import Grid1D, _centered_rate, _check_positive, _support_mask, _uniform_steps, grad_central
 from .potentials import _fd, _sample
 
 __all__ = [
@@ -439,14 +439,18 @@ def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: floa
     return ens
 
 
+def _hj_rule(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dSdt: np.ndarray) -> np.ndarray:
+    """dS/dt + H(q, dS/dq) of S (one field or a stack) with a central gradient."""
+    q = grid.nodes
+    return dSdt + grad_central(S, grid.h) ** 2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q)
+
+
 def hj_residual(ens: ClassicalEnsemble, spec: NaturalSystemSpec, dSdt: np.ndarray) -> np.ndarray:
     """Pointwise residual dS/dt + H(q, dS/dq) with a central gradient."""
     dSdt = np.asarray(dSdt, dtype=float)
     if dSdt.shape != (ens.grid.n,):
         raise InvalidArgumentError("dSdt must match the grid")
-    q = ens.grid.nodes
-    grad = grad_central(ens.S, ens.grid.h)
-    return dSdt + grad**2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q)
+    return _hj_rule(ens.grid, spec, ens.S, dSdt)
 
 
 def hj_residual_series(grid: Grid1D, spec: NaturalSystemSpec, S_series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -455,37 +459,16 @@ def hj_residual_series(grid: Grid1D, spec: NaturalSystemSpec, S_series: np.ndarr
     Returns an (nt - 2, n) array aligned with times[1:-1].
     """
     S_series = np.asarray(S_series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    q = grid.nodes
-    m = spec.mass_at(q)
-    v = spec.potential_at(q)
-    out = np.empty((S_series.shape[0] - 2, grid.n))
-    for k in range(1, S_series.shape[0] - 1):
-        dSdt = (S_series[k + 1] - S_series[k - 1]) / (times[k + 1] - times[k - 1])
-        grad = grad_central(S_series[k], grid.h)
-        out[k - 1] = dSdt + grad**2 / (2.0 * m) + v
-    return out
+    return _hj_rule(grid, spec, S_series[1:-1], _centered_rate(S_series, times))
 
 
-def continuity_residual_series(
-    grid: Grid1D,
-    spec: NaturalSystemSpec,
-    rho_series: np.ndarray,
-    lam_series: np.ndarray,
-    times: np.ndarray,
-) -> np.ndarray:
+def continuity_residual_series(grid: Grid1D, spec: NaturalSystemSpec, rho_series: np.ndarray, lam_series: np.ndarray,
+                               times: np.ndarray) -> np.ndarray:
     """Residual of drho/dt + d/dq(rho dlam/dq / m) on stored snapshots."""
     rho_series = np.asarray(rho_series, dtype=float)
     lam_series = np.asarray(lam_series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    q = grid.nodes
-    m = spec.mass_at(q)
-    out = np.empty((rho_series.shape[0] - 2, grid.n))
-    for k in range(1, rho_series.shape[0] - 1):
-        drdt = (rho_series[k + 1] - rho_series[k - 1]) / (times[k + 1] - times[k - 1])
-        flux = rho_series[k] * grad_central(lam_series[k], grid.h) / m
-        out[k - 1] = drdt + grad_central(flux, grid.h)
-    return out
+    flux = rho_series[1:-1] * grad_central(lam_series[1:-1], grid.h) / spec.mass_at(grid.nodes)
+    return _centered_rate(rho_series, times) + grad_central(flux, grid.h)
 
 
 def lagrangian_equivalence_check(

@@ -9,7 +9,10 @@ Conventions used throughout the package:
   ``n`` nodes acts on the ``n - 2`` interior values;
 * all normalisations use the plain grid quadrature ``h * sum(.)``, which
   coincides with the trapezoid rule for fields that have decayed at the
-  boundary.
+  boundary;
+* spatial helpers act along the last axis: given a stack of snapshots
+  ``(nt, n)`` they evaluate every row at once, with the bits of a call on
+  each row.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ __all__ = [
     "CayleyPropagator",
     "grad_central",
 ]
+
+
+# last-axis slices of a field or a stack of them; prebuilt, they cost no more than plain slices
+_HEAD, _TAIL, _INNER = np.s_[..., :-1], np.s_[..., 1:], np.s_[..., 1:-1]
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,10 @@ class TridiagonalOperator:
         return self.diagonal.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product; accepts real or complex v."""
+        """Matrix-vector product along the last axis; accepts real or complex v."""
         out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
+        out[_HEAD] += self.off_diagonal * v[_TAIL]
+        out[_TAIL] += self.off_diagonal * v[_HEAD]
         return out
 
     def dense(self) -> np.ndarray:
@@ -254,13 +261,21 @@ class CayleyPropagator:
 
 
 def grad_central(f: np.ndarray, h: float) -> np.ndarray:
-    """Second-order central gradient with one-sided second-order ends."""
+    """Second-order central gradient along the last axis, with one-sided second-order ends."""
     f = np.asarray(f)
     g = np.empty_like(f, dtype=complex if np.iscomplexobj(f) else float)
-    g[1:-1] = (f[2:] - f[:-2]) * (0.5 / h)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    f, e = f.T, g.T  # nodes first: the end nodes are scalars of one field, columns of a stack
+    e[1:-1] = (f[2:] - f[:-2]) * (0.5 / h)
+    e[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    e[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
     return g
+
+
+def _centered_rate(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(X[k+1] - X[k-1]) / (t[k+1] - t[k-1]) of the snapshots ``series``
+    (nt, n), one row per interior time ``times[1:-1]``."""
+    times = np.asarray(times, dtype=float)
+    return (series[2:] - series[:-2]) / (times[2:] - times[:-2])[:, None]
 
 
 RHO_FLOOR_FRAC = 1e-12  # relative density floor of the support mask in every regime
@@ -268,17 +283,18 @@ RHO_FLOOR_FRAC = 1e-12  # relative density floor of the support mask in every re
 
 def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:
     """Support of a density: the equations hold only where rho > 0, and every
-    regime takes that region as the cells above ``floor_frac`` * max(rho)."""
-    return rho > floor_frac * float(rho.max())
+    regime takes that region as the cells above ``floor_frac`` * max(rho) (per row of a stack)."""
+    return (rho.T > floor_frac * rho.max(-1)).T
 
 
-def _sqrt_density_ratio(grid: Grid1D, op: TridiagonalOperator, rho: np.ndarray, mask) -> np.ndarray:
-    """(H sqrt(rho)) / sqrt(rho) on ``mask`` (a boolean mask or a slice)
-    and 0 elsewhere, with ``op`` applied at the interior nodes and the
-    Dirichlet zeros at the ends."""
+def _sqrt_density_ratio(op: TridiagonalOperator, rho: np.ndarray, mask) -> np.ndarray:
+    """(H sqrt(rho)) / sqrt(rho) on ``mask`` and 0 elsewhere, with ``op``
+    applied at the interior nodes and the Dirichlet zeros at the ends;
+    ``mask`` is a boolean mask of rho's shape or, for one density, a slice."""
     sr = np.sqrt(rho)
-    h_sr = embed_interior(grid, op.apply(sr[1:-1]))
-    out = np.zeros(grid.n)
+    h_sr = np.zeros(rho.shape)
+    h_sr[_INNER] = op.apply(sr[_INNER])
+    out = np.zeros(rho.shape)
     out[mask] = h_sr[mask] / sr[mask]
     return out
 

@@ -194,27 +194,24 @@ def space_independent_evolve(
         raise InvalidStateError("psi0 must be grid-normalised")
     prop = CayleyPropagator(op, dt, spec.f)
 
-    def record(t, psi_now, h_in):
-        """One stored snapshot: (t, psi, eps, mask, wbar); ``h_in`` is H
-        applied to the interior of ``psi_now``."""
-        hpsi = embed_interior(grid, h_in)
-        dens = np.abs(psi_now) ** 2
-        mask = _support_mask(dens, RHO_FLOOR_FRAC)
-        eps = np.zeros(grid.n)
-        eps[mask] = np.real(np.conj(psi_now[mask]) * hpsi[mask]) / dens[mask]
-        wbar = grid.h * float(np.sum(np.real(np.conj(psi_now) * hpsi)))
-        return t, psi_now, eps, mask, wbar
-
+    # a stored step keeps (t, psi, H psi interior) and hands its H psi to the next step
     h_in = op.apply(psi[1:-1])
-    records = [record(0.0, psi, h_in)]
+    records = [(0.0, psi, h_in)]
     for k in range(n_steps):
-        # a stored step hands its H psi to the next step; the others let it apply H
         psi = embed_interior(grid, prop.step(psi[1:-1], _hpsi=h_in))
         h_in = None
         if (k + 1) % store_every == 0:
             h_in = op.apply(psi[1:-1])
-            records.append(record((k + 1) * dt, psi, h_in))
-    return SpaceIndependentResult(*(np.asarray(column) for column in zip(*records)))
+            records.append(((k + 1) * dt, psi, h_in))
+    times, psi, h_in = (np.array(column) for column in zip(*records))
+    hpsi = np.zeros(psi.shape, dtype=complex)
+    hpsi[:, 1:-1] = h_in
+    dens = np.abs(psi) ** 2
+    mask = _support_mask(dens, RHO_FLOOR_FRAC)
+    eps = np.zeros(dens.shape)
+    eps[mask] = np.real(np.conj(psi[mask]) * hpsi[mask]) / dens[mask]
+    mean_energy = grid.h * np.sum(np.real(np.conj(psi) * hpsi), axis=1)
+    return SpaceIndependentResult(times, psi, eps, mask, mean_energy)
 
 
 def random_energy_density(
@@ -240,7 +237,7 @@ def random_energy_density(
     lam_m_arr = np.zeros((0, grid.n)) if lam_m is None else np.atleast_2d(np.asarray(lam_m, dtype=float))
     mask = _support_mask(rho, RHO_FLOOR_FRAC)
     # (H sqrt(rho))/sqrt(rho) carries V - quantum potential in one piece
-    eps = _sqrt_density_ratio(grid, _operator(spec, grid), rho, mask)
+    eps = _sqrt_density_ratio(_operator(spec, grid), rho, mask)
     g0 = grad_central(lam0, grid.h)
     eps[mask] += g0[mask] ** 2 / (2.0 * spec.eta)
     P = np.zeros((lam_m_arr.shape[0], grid.n))
@@ -286,6 +283,7 @@ class ConfinementReport:
     radius: float
     window: tuple
     n_points: int
+    tail: np.ndarray  # tail_integral at every radius, the fitted ones and the rest
 
 
 def _index_span(mask: np.ndarray):
@@ -463,4 +461,4 @@ def confinement_report(
         raise NumericalFailureError("fit window empty: tail below numerical floor")
     slope, _ = np.polyfit(r[sel], np.log(tail[sel]), 1)
     radius = f / (vac.w[1] - vac.w[0])
-    return ConfinementReport(float(-slope), float(radius), window, int(np.count_nonzero(sel)))
+    return ConfinementReport(float(-slope), float(radius), window, int(np.count_nonzero(sel)), tail)

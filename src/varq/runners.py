@@ -311,14 +311,16 @@ def run_confined(sc: Scenario, report: RunReport) -> None:
     """Static spherically symmetric solution and its confinement scales."""
     spec = _qfield_spec(sc)
     grid = _grid_from(sc)
-    vac = qf.vacuum_spectrum(spec, grid, sc.params["run"]["k_eigen"])
+    c, k = sc.params["initial"]["c"], sc.params["run"]["k_eigen"]
+    if len(c) > k:  # confined_solve would reject it only after the eigensolve
+        raise ConfigError(f"[initial] c has {len(c)} coefficients, more than [run] k_eigen = {k}", key="initial.c")
+    vac = qf.vacuum_spectrum(spec, grid, k)
     dw = vac.w[1] - vac.w[0]
     tol = sc.params["run"]["tol"]
-    res = qf.confined_solve(spec, vac, sc.params["initial"]["c"], sc.params["run"].get("r_min", 0.5 * spec.f / dw),
+    res = qf.confined_solve(spec, vac, c, sc.params["run"].get("r_min", 0.5 * spec.f / dw),
                             sc.params["run"].get("r_max", 30.0 * spec.f / dw), tol, sc.params["run"]["n_r"])
     rep = qf.confinement_report(res.pair, vac, spec.f, window=(sc.params["run"].get("fit_lo", 10.0 * spec.f / dw),
                                                                sc.params["run"].get("fit_hi", 25.0 * spec.f / dw)))
-    tail = qf.tail_integral(res.pair, vac)
     hist = np.asarray(res.residual_history)
     above = hist[hist > tol]
     monotone_violation = float(np.max(np.diff(above))) if above.size > 1 else 0.0
@@ -334,9 +336,9 @@ def run_confined(sc: Scenario, report: RunReport) -> None:
         "rate_match", abs(rep.fitted_rate - dw / spec.f) / (dw / spec.f), 0.02
     )
     with np.errstate(divide="ignore"):
-        log_tail = np.where(tail > 0, np.log(tail), -np.inf)
+        log_tail = np.where(rep.tail > 0, np.log(rep.tail), -np.inf)
     report.series["tail"] = Series(
-        ["r", "tail_integral", "log_tail"], np.column_stack([res.pair.r, tail, log_tail])
+        ["r", "tail_integral", "log_tail"], np.column_stack([res.pair.r, rep.tail, log_tail])
     )
     report.series["residuals"] = Series(
         ["iteration", "residual"],

@@ -60,9 +60,6 @@ class WaveFunction:
     def rho(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
 
-    def norm(self) -> float:
-        return self.grid.h * float(np.sum(np.abs(self.psi) ** 2))
-
 
 def _unwrap_segments(phase: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Unwrap the phase left-to-right independently on each masked segment.

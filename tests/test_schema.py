@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from varq import runners
-from varq.cli import EXIT_CONFIG, main
+from varq.cli import EXIT_CONFIG, EXIT_OK, main
 from varq.config import COMMON, SCHEMA, Between, parse_scenario
 from varq.errors import ConfigError
 
@@ -171,28 +171,57 @@ class TestRanges:
 
 
 CONFINED = (CONFIG_DIR / "confined_harmonic.cfg").read_text()
-CONFINED_RANGES = ([("tol", "1e-8", v, "0.0") for v in ("0", "-1e-8", "nan", "inf")]
-                   + [("k_eigen", "8", v, "1") for v in ("1", "0", "-3")]
-                   + [("n_r", "1200", v, "1") for v in ("1", "0")])
+QFIELD_RANGES = ([("confined", "tol", "1e-8", v, "0.0") for v in ("0", "-1e-8", "nan", "inf")]
+                 + [("confined", "k_eigen", "8", v, "1") for v in ("1", "0", "-3")]
+                 + [("confined", "n_r", "1200", v, "1") for v in ("1", "0")]
+                 + [("vacuum", "k_eigen", "3", v, "0") for v in ("0", "-3")])
 
 
-class TestConfinedRanges:
+class TestQFieldRanges:
     """A confined tol of 0, below 0 or NaN ran all 60 sweeps and exited 3;
     k_eigen = 1 stopped on an IndexError, and an n_r of 0 or 1 exited 2 with
-    numpy's empty-reduction message; none of them named its key."""
+    numpy's empty-reduction message; a vacuum k_eigen of 0 or below passed
+    check and exited 2 from the eigensolver; none of them named its key."""
 
-    @pytest.mark.parametrize("key, old, value, lo", CONFINED_RANGES)
-    def test_check_and_run_reject(self, tmp_path, monkeypatch, capsys, key, old, value, lo):
-        assert f"\n{key} = {old}\n" in CONFINED
-        bad = CONFINED.replace(f"\n{key} = {old}\n", f"\n{key} = {value}\n")
+    @pytest.mark.parametrize("regime, key, old, value, lo", QFIELD_RANGES)
+    def test_check_and_run_reject(self, tmp_path, monkeypatch, capsys, regime, key, old, value, lo):
+        text = {"confined": CONFINED, "vacuum": VACUUM}[regime]
+        assert f"\n{key} = {old}\n" in text
+        bad = text.replace(f"\n{key} = {old}\n", f"\n{key} = {value}\n")
         got = repr(float(value)) if key == "tol" else value
         for err in _both_commands_reject(tmp_path, monkeypatch, capsys, bad, f"run.{key}"):
             assert err == f"config error: [run] {key} must be finite and > {lo}, got {got} (key: run.{key})\n"
+
+    def test_more_coefficients_than_modes(self, tmp_path, monkeypatch, capsys):
+        # check cannot compare two keys and passes; run used to do the whole
+        # eigensolve and then exit 2 naming no key
+        bad = CONFINED.replace("\nc = 1.0 0.1\n", "\nc = 1.0" + " 0.01" * 8 + "\n")
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(bad)
+        assert main(["check", str(cfg)]) == EXIT_OK
+        capsys.readouterr()
+
+        def no_eigensolve(*args):
+            raise AssertionError("vacuum_spectrum called")
+
+        monkeypatch.setattr(runners.qf, "vacuum_spectrum", no_eigensolve)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: [initial] c has 9 coefficients, more than [run] k_eigen = 8"
+                                           " (key: initial.c)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_as_many_coefficients_as_modes_run(self):
+        sc = parse_scenario(CONFINED.replace("k_eigen = 8\n", "k_eigen = 2\n").replace("n = 801\n", "n = 201\n")
+                            .replace("n_r = 1200\n", "n_r = 300\n"))
+        assert sc.params["initial"]["c"] == [1.0, 0.1]
+        assert runners.run_scenario_object(sc).all_passed()
 
     def test_int_defaults_parse_as_int(self):
         run = parse_scenario(CONFINED.replace("k_eigen = 8\n", "").replace("n_r = 1200\n", "")).params["run"]
         assert (run["k_eigen"], run["n_r"]) == (8, 1200)
         assert type(run["k_eigen"]) is int and type(run["n_r"]) is int
+        run = parse_scenario(VACUUM.replace("k_eigen = 3\n", "")).params["run"]
+        assert run["k_eigen"] == 3 and type(run["k_eigen"]) is int
 
 
 class TestSpellings:

@@ -34,6 +34,13 @@ its log source on the active box in two per-solve grid buffers.  The Schrodinger
 runner must give the bits of a loop over the public ``step`` and ``energy``,
 and the solver those of its former whole-grid form, ``confined_solve_ref``,
 failures and their diagnostics included.
+
+The HJ and continuity residual series and the space-independent records
+(energy density, mask, mean energy) evaluate once over the stacked
+snapshots, through spatial helpers that act along the last axis.  The
+per-snapshot loops and the one-field helpers they called
+(``grad_central_ref``, ``apply_ref``) are kept here; every row must give
+their bits.
 """
 
 import importlib.util
@@ -248,9 +255,27 @@ def check_nodeless_ref(rho, floor_frac, where):
     return bulk_slice_ref(rho, floor_frac)
 
 
+def grad_central_ref(f, h):
+    """``numerics.grad_central`` on one field, before it took a stack."""
+    f = np.asarray(f)
+    g = np.empty_like(f, dtype=complex if np.iscomplexobj(f) else float)
+    g[1:-1] = (f[2:] - f[:-2]) * (0.5 / h)
+    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return g
+
+
+def apply_ref(op, v):
+    """``TridiagonalOperator.apply`` on one vector, before it took a stack."""
+    out = op.diagonal * v
+    out[:-1] += op.off_diagonal * v[1:]
+    out[1:] += op.off_diagonal * v[:-1]
+    return out
+
+
 def sqrt_density_ratio_ref(grid, op, rho, mask):
     sr = np.sqrt(rho)
-    h_sr = nx.embed_interior(grid, op.apply(sr[1:-1]))
+    h_sr = nx.embed_interior(grid, apply_ref(op, sr[1:-1]))
     out = np.zeros(grid.n)
     out[mask] = h_sr[mask] / sr[mask]
     return out
@@ -258,7 +283,7 @@ def sqrt_density_ratio_ref(grid, op, rho, mask):
 
 def g_terms_ref(dspec, grid, rho, m_face, m_node):
     h = grid.h
-    grad_rho = nx.grad_central(rho, h)
+    grad_rho = grad_central_ref(rho, h)
     first = 0.5 * dspec.g_grad_at(rho) * grad_rho**2 / m_node
     rho_f = 0.5 * (rho[:-1] + rho[1:])
     flux = (1.0 / m_face) * dspec.g_at(rho_f) * np.diff(rho) / h
@@ -278,7 +303,7 @@ def madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node, floor_frac=nx.
     mask = np.zeros(grid.n, dtype=bool)
     lo2, hi2 = check_nodeless_ref(rho_new, floor_frac, "after step")
     mask[lo2 : hi2 + 1] = True
-    grad_lam = nx.grad_central(state.lam, grid.h)
+    grad_lam = grad_central_ref(state.lam, grid.h)
     rate = sqrt_density_ratio_ref(grid, op, np.maximum(rho_new, 0.0), mask)
     rate[mask] += grad_lam[mask] ** 2 / (2.0 * m_node[mask])
     if dspec.g is not None:
@@ -1512,3 +1537,172 @@ def test_index_span():
     assert qf._index_span(np.array([True, True])) == slice(0, 2)
     assert np.array_equal(qf._index_span(np.array([True, False, True])), [0, 2])
     assert np.array_equal(qf._index_span(np.zeros(3, dtype=bool)), np.zeros(0, dtype=int))
+
+
+# -- the snapshot series ------------------------------------------------------
+
+
+def hj_residual_series_ref(grid, spec, S_series, times):
+    """``mechanics.hj_residual_series`` as one centred difference and one
+    gradient per snapshot."""
+    S_series = np.asarray(S_series, dtype=float)
+    times = np.asarray(times, dtype=float)
+    q = grid.nodes
+    m = spec.mass_at(q)
+    v = spec.potential_at(q)
+    out = np.empty((S_series.shape[0] - 2, grid.n))
+    for k in range(1, S_series.shape[0] - 1):
+        dSdt = (S_series[k + 1] - S_series[k - 1]) / (times[k + 1] - times[k - 1])
+        grad = grad_central_ref(S_series[k], grid.h)
+        out[k - 1] = dSdt + grad**2 / (2.0 * m) + v
+    return out
+
+
+def continuity_residual_series_ref(grid, spec, rho_series, lam_series, times):
+    """``mechanics.continuity_residual_series`` snapshot by snapshot."""
+    rho_series = np.asarray(rho_series, dtype=float)
+    lam_series = np.asarray(lam_series, dtype=float)
+    times = np.asarray(times, dtype=float)
+    m = spec.mass_at(grid.nodes)
+    out = np.empty((rho_series.shape[0] - 2, grid.n))
+    for k in range(1, rho_series.shape[0] - 1):
+        drdt = (rho_series[k + 1] - rho_series[k - 1]) / (times[k + 1] - times[k - 1])
+        flux = rho_series[k] * grad_central_ref(lam_series[k], grid.h) / m
+        out[k - 1] = drdt + grad_central_ref(flux, grid.h)
+    return out
+
+
+def space_independent_evolve_ref(spec, grid, psi0, dt, n_steps, store_every):
+    """``quantum_fields.space_independent_evolve`` with each record (t, psi,
+    eps, mask, mean energy) built as its step is stored."""
+    op = qf._operator(spec, grid)
+    psi = np.asarray(psi0, dtype=complex).copy()
+    prop = nx.CayleyPropagator(op, dt, spec.f)
+
+    def record(t, psi_now, h_in):
+        hpsi = nx.embed_interior(grid, h_in)
+        dens = np.abs(psi_now) ** 2
+        mask = support_mask_ref(dens, nx.RHO_FLOOR_FRAC)
+        eps = np.zeros(grid.n)
+        eps[mask] = np.real(np.conj(psi_now[mask]) * hpsi[mask]) / dens[mask]
+        wbar = grid.h * float(np.sum(np.real(np.conj(psi_now) * hpsi)))
+        return t, psi_now, eps, mask, wbar
+
+    h_in = apply_ref(op, psi[1:-1])
+    records = [record(0.0, psi, h_in)]
+    for k in range(n_steps):
+        psi = nx.embed_interior(grid, prop.step(psi[1:-1], _hpsi=h_in))
+        h_in = None
+        if (k + 1) % store_every == 0:
+            h_in = apply_ref(op, psi[1:-1])
+            records.append(record((k + 1) * dt, psi, h_in))
+    return [np.asarray(column) for column in zip(*records)]
+
+
+def _series_setup(seed, n, nt, mass, reverse):
+    """A grid, a spec of constant or varying mass, nt densities (zero in
+    random end stretches) and multipliers, and nt increasing times, reversed
+    (the time-reversed series) when ``reverse``."""
+    rng = np.random.default_rng(seed)
+    grid = build_grid(-rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0), n)
+    c0, c1, k = rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4), rng.uniform(0.1, 3.0)
+    spec = mech.NaturalSystemSpec(
+        mass=c0 if mass == "constant" else (lambda q: c0 + c1 * np.cos(np.asarray(q, dtype=float))),
+        potential=lambda q: k * np.asarray(q, dtype=float) ** 2,
+    )
+    rho = np.exp(-((grid.nodes[None, :] - rng.uniform(-1.0, 1.0, (nt, 1))) ** 2) / rng.uniform(0.2, 2.0, (nt, 1)))
+    for row in rho:
+        row[: rng.integers(0, n // 3)] = 0.0
+        row[n - rng.integers(0, n // 3) :] = 0.0
+    rho /= grid.h * rho.sum(axis=1, keepdims=True)
+    lam = np.cumsum(rng.normal(scale=rng.uniform(1e-3, 1.0), size=(nt, n)), axis=1)
+    times = np.cumsum(rng.uniform(1e-3, 0.1, size=nt))
+    if reverse:
+        return grid, spec, rho[::-1], -lam[::-1], -times[::-1]
+    return grid, spec, rho, lam, times
+
+
+SERIES_DRAWS = dict(
+    n=st.integers(min_value=3, max_value=400),
+    nt=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mass=st.sampled_from(["constant", "varying"]),
+    reverse=st.booleans(),
+)
+
+
+class TestSnapshotSeries:
+    """The residual series and the space-independent records evaluate once
+    over the stacked snapshots; each row must have the bits of the
+    per-snapshot form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**SERIES_DRAWS)
+    def test_residual_series_bitwise(self, n, nt, seed, mass, reverse):
+        grid, spec, rho, lam, times = _series_setup(seed, n, nt, mass, reverse)
+        hj = mech.hj_residual_series(grid, spec, lam, times)
+        assert hj.shape == (nt - 2, n) and np.array_equal(hj, hj_residual_series_ref(grid, spec, lam, times))
+        ct = mech.continuity_residual_series(grid, spec, rho, lam, times)
+        assert np.array_equal(ct, continuity_residual_series_ref(grid, spec, rho, lam, times))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SERIES_DRAWS)
+    def test_hj_series_row_is_hj_residual(self, n, nt, seed, mass, reverse):
+        grid, spec, rho, lam, times = _series_setup(seed, n, nt, mass, reverse)
+        rows = mech.hj_residual_series(grid, spec, lam, times)
+        for k in range(1, nt - 1):
+            dSdt = (lam[k + 1] - lam[k - 1]) / (times[k + 1] - times[k - 1])
+            ens = mech.ClassicalEnsemble(grid, rho[k], lam[k])
+            assert np.array_equal(rows[k - 1], mech.hj_residual(ens, spec, dSdt))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=300), n_steps=st.integers(min_value=1, max_value=80),
+           store_every=st.integers(min_value=1, max_value=30), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           zero_ends=st.booleans())
+    # the benchmark's larger grid: the stacked mean energy sums rows of 2400 strided values
+    @example(n=2400, n_steps=60, store_every=6, seed=3, zero_ends=False)
+    def test_space_independent_records_bitwise(self, n, n_steps, store_every, seed, zero_ends):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(-rng.uniform(3.0, 8.0), rng.uniform(3.0, 8.0), n)
+        k = rng.uniform(0.2, 3.0)
+        spec = qf.QFieldSpec(eta=rng.uniform(0.3, 3.0), potential=lambda q: k * q * q, f=rng.uniform(0.3, 3.0))
+        q = grid.nodes
+        psi0 = np.exp(-((q - rng.uniform(-1.0, 1.0)) ** 2) / rng.uniform(0.3, 3.0) + 1j * rng.uniform(-3.0, 3.0) * q)
+        psi0[[0, -1]] = 0.0
+        if zero_ends:  # cells below the density floor: the mask matters
+            psi0[: n // 4] = psi0[n - n // 4 :] = 0.0
+        if not np.any(psi0):
+            return
+        psi0 /= np.sqrt(grid.h * np.sum(np.abs(psi0) ** 2))
+        dt = rng.uniform(1e-4, 1e-1)
+        res = qf.space_independent_evolve(spec, grid, psi0, dt, n_steps, store_every)
+        ref = space_independent_evolve_ref(spec, grid, psi0, dt, n_steps, store_every)
+        new = [res.times, res.psi, res.energy_density, res.mask, res.mean_energy]
+        assert all(a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(new, ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=500), rows=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1), floor=st.sampled_from([1e-12, 1e-3, 0.5]))
+    def test_spatial_helpers_stack_rows(self, n, rows, seed, floor):
+        # every row of a stacked call has the bits of the former one-field forms
+        rng = np.random.default_rng(seed)
+        grid = build_grid(-rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0), n)
+        spec = mech.NaturalSystemSpec(mass=rng.uniform(0.5, 2.0), potential=lambda q: q * q)
+        op = wv.schrodinger_operator(spec, grid, rng.uniform(0.3, 2.0))
+        dspec = hy.DiffusionSpec(a=1.0, g=lambda r: 0.3 * r + r * r)
+        m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
+        rho = rng.uniform(0.0, 1.0, (rows, n)) ** 4
+        f = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        mask = nx._support_mask(rho, floor)
+        stacked = [nx.grad_central(f, grid.h), nx.grad_central(rho, grid.h), mask, op.apply(f[:, 1:-1]),
+                   nx._sqrt_density_ratio(op, rho, mask), hy._g_terms(dspec, grid, rho, m_face, m_node)]
+        for i in range(rows):
+            one = [nx.grad_central(f[i], grid.h), nx.grad_central(rho[i], grid.h), nx._support_mask(rho[i], floor),
+                   op.apply(f[i, 1:-1]), nx._sqrt_density_ratio(op, rho[i], mask[i]),
+                   hy._g_terms(dspec, grid, rho[i], m_face, m_node)]
+            ref = [grad_central_ref(f[i], grid.h), grad_central_ref(rho[i], grid.h), support_mask_ref(rho[i], floor),
+                   apply_ref(op, f[i, 1:-1]), sqrt_density_ratio_ref(grid, op, rho[i], mask[i]),
+                   g_terms_ref(dspec, grid, rho[i], m_face, m_node)]
+            for a, b, c in zip(stacked, one, ref):
+                assert a[i].dtype == b.dtype == c.dtype
+                assert np.array_equal(a[i], b) and np.array_equal(b, c)
