@@ -52,19 +52,19 @@ _QFIELD = {"grid": _GRID, "system": {"eta": 1.0, "f": 1.0}, "potential": _POTENT
 COMMON = {"scenario": {"regime": str, "seed": 0}, "checks": {"waive": False}}
 SCHEMA = {
     "classical": {"grid": _GRID, "system": {"mass": 1.0}, "potential": _POTENTIAL,
-                  "initial": {"center": 1.0, "width_cells": 3.0},
+                  "initial": {"center": 1.0, "width_cells": Between(3.0, 0, math.inf)},
                   "run": {"t_final": float, "cfl": 0.4, "support_floor": Between(1e-6, 0.0, 1.0)}},
     "madelung": {"grid": _GRID, "system": {"mass": 1.0, "a": 1.0}, "potential": _POTENTIAL,
-                 "initial": {"center": 0.2, "variance": 0.5},
+                 "initial": {"center": 0.2, "variance": Between(0.5, 0, math.inf)},
                  "run": {"t_final": float, "dt": Derived(float)}},  # dt = 0.2 h^2
     "schrodinger": {"grid": _GRID, "system": {"mass": 1.0, "a": 1.0}, "potential": _POTENTIAL,
-                    "initial": {"sigma": 1.0, "center": 0.0, "momentum": 0.0},
+                    "initial": {"sigma": Between(1.0, 0, math.inf), "center": 0.0, "momentum": 0.0},
                     "run": {"t_final": float, "dt": float}},
     "spin": {"system": {"levels": 2, "a": 1.0, "b": -1.0, "u_kind": ("exchange", "random"),
                         "theta_kind": ("zero", "random")},
              "initial": {"basis_state": 0},
              "run": {"t_final": Between(1.0, 0.0, math.inf), "dt": Between(1e-3, 0.0, math.inf),
-                     "t_start": 0.1, "p_floor": 1e-6}},
+                     "t_start": 0.1, "p_floor": Between(1e-6, 0, math.inf)}},
     "ddw": {"grid": {"length": 2 * math.pi, "n": 256}, "system": {"eta": 1.0, "kg_mass": 1.0},
             "initial": {"k_mode": 1, "amplitude": 0.01}, "run": {"dt": 1e-3, "n_steps": 20000}},
     "vacuum": {**_QFIELD, "run": {"k_eigen": Between(3, 0, math.inf)}},

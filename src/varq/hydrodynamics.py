@@ -286,11 +286,11 @@ def multiplier_residual_series(grid: Grid1D, spec: NaturalSystemSpec, dspec: Dif
     if dspec.mode == "classical":
         res = hj_residual_series(grid, spec, lam_series, times)
         return res, np.ones(res.shape, dtype=bool)
+    dldt = _centered_rate(lam_series, times)
     rho = np.asarray(rho_series, dtype=float)[1:-1]
     m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
     mask = _support_mask(rho, RHO_FLOOR_FRAC)
     quantum = _sqrt_density_ratio(schrodinger_operator(spec, grid, dspec.a), rho, mask)
     if dspec.g is not None:
         quantum[mask] += _g_terms(dspec, grid, rho, m_face, m)[mask]
-    dldt = _centered_rate(lam_series, times)
     return np.where(mask, dldt + grad_central(lam_series[1:-1], grid.h) ** 2 / (2.0 * m) + quantum, 0.0), mask

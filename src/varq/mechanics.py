@@ -467,8 +467,9 @@ def continuity_residual_series(grid: Grid1D, spec: NaturalSystemSpec, rho_series
     """Residual of drho/dt + d/dq(rho dlam/dq / m) on stored snapshots."""
     rho_series = np.asarray(rho_series, dtype=float)
     lam_series = np.asarray(lam_series, dtype=float)
+    drdt = _centered_rate(rho_series, times)
     flux = rho_series[1:-1] * grad_central(lam_series[1:-1], grid.h) / spec.mass_at(grid.nodes)
-    return _centered_rate(rho_series, times) + grad_central(flux, grid.h)
+    return drdt + grad_central(flux, grid.h)
 
 
 def lagrangian_equivalence_check(

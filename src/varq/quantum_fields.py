@@ -188,21 +188,11 @@ def space_independent_evolve(
     """
     _check_fixed_steps(dt, n_steps, store_every)
     op = _operator(spec, grid)
-    psi = np.asarray(psi0, dtype=complex).copy()
-    norm = grid.h * float(np.sum(np.abs(psi) ** 2))
-    if abs(norm - 1.0) > 1e-9:
+    norm = grid.h * float(np.sum(np.abs(psi0) ** 2))
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise InvalidStateError("psi0 must be grid-normalised")
-    prop = CayleyPropagator(op, dt, spec.f)
-
-    # a stored step keeps (t, psi, H psi interior) and hands its H psi to the next step
-    h_in = op.apply(psi[1:-1])
-    records = [(0.0, psi, h_in)]
-    for k in range(n_steps):
-        psi = embed_interior(grid, prop.step(psi[1:-1], _hpsi=h_in))
-        h_in = None
-        if (k + 1) % store_every == 0:
-            h_in = op.apply(psi[1:-1])
-            records.append(((k + 1) * dt, psi, h_in))
+    steps = CayleyPropagator(op, dt, spec.f).run(psi0, n_steps)
+    records = [(k * dt, psi, h_in) for k, (psi, h_in) in enumerate(steps) if k % store_every == 0]
     times, psi, h_in = (np.array(column) for column in zip(*records))
     hpsi = np.zeros(psi.shape, dtype=complex)
     hpsi[:, 1:-1] = h_in

@@ -9,7 +9,6 @@ RunReport that run_scenario_object made with scalars and plottable series.
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 
@@ -121,23 +120,20 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
     wf = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a)
     n_steps, dt = _uniform_steps(t_final, sc.params["run"]["dt"])
     evo = wv.SchrodingerEvolution(spec, grid, a, dt)
-    psi = wf.psi.copy()
-    e0, hpsi = evo._energy(psi)
-    rows = [(0.0, *_moments(grid.h, q, np.abs(psi) ** 2), 0.0, 0.0)]
-    norm_drift = 0.0
-    energy_drift = 0.0
-    for k in range(n_steps):
-        psi = evo.step(psi, _hpsi=hpsi)
-        t = (k + 1) * evo.dt
+    rows, norm_drift, energy_drift = [], 0.0, 0.0
+    for k, (psi, hpsi) in enumerate(evo.prop.run(wf.psi, n_steps)):
         dens = np.abs(psi) ** 2
-        norm_drift = max(norm_drift, abs(grid.h * float(np.sum(dens)) - 1.0))
-        e, hpsi = evo._energy(psi)
-        energy_drift = max(energy_drift, abs(e - e0) / max(abs(e0), 1e-300))
-        if (k + 1) % max(1, n_steps // 64) == 0:
-            rows.append((t, *_moments(grid.h, q, dens), norm_drift, energy_drift))
+        e = wv._expected_energy(grid.h, psi, hpsi)
+        if k == 0:
+            e0 = e
+        else:
+            norm_drift = max(norm_drift, abs(grid.h * float(np.sum(dens)) - 1.0))
+            energy_drift = max(energy_drift, abs(e - e0) / max(abs(e0), 1e-300))
+        if k % max(1, n_steps // 64) == 0:
+            rows.append((k * dt, *_moments(grid.h, q, dens), norm_drift, energy_drift))
     evo.check_boundary(psi, t_final)
 
-    report.scalars["final_variance"] = _moments(grid.h, q, dens)[1]  # n_steps >= 1: dens is |psi|^2 of the final psi
+    report.scalars["final_variance"] = _moments(grid.h, q, dens)[1]  # dens is |psi|^2 of the final psi
     report.add_invariant("norm_drift_per_run", norm_drift, 1e-12 * n_steps)
     report.add_invariant("energy_drift_rel", energy_drift, 1e-8)
     report.series["moments"] = Series(
@@ -176,7 +172,6 @@ def run_spin(sc: Scenario, report: RunReport) -> None:
     if not 0 <= basis < n:
         raise ConfigError(f"[initial] basis_state must be in 0..{n - 1}, got {basis}",
                           key="initial.basis_state")
-    _check_positive("[run] p_floor", sc.params["run"]["p_floor"], partial(ConfigError, key="run.p_floor"))
 
     reference = ds._propagator(spec, ds.SpinState(np.eye(n, dtype=complex)[basis]))
     start, _ = reference([t_start])

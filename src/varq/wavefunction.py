@@ -35,8 +35,8 @@ _BOUNDARY_CELLS = 3  # cells at each grid end that the leakage guard sums
 def normalize_wavefunction(grid: Grid1D, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     norm = grid.h * float(np.sum(np.abs(psi) ** 2))
-    if norm <= 0:
-        raise InvalidStateError("wavefunction has zero norm")
+    if not (np.isfinite(norm) and norm > 0):  # NaN fails too
+        raise InvalidStateError(f"wavefunction norm must be finite and > 0, got {norm!r}")
     return psi / np.sqrt(norm)
 
 
@@ -52,7 +52,7 @@ class WaveFunction:
             raise InvalidStateError("psi must match the grid")
         _check_positive("a", self.a, InvalidStateError)
         norm = self.grid.h * float(np.sum(np.abs(psi) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise InvalidStateError(f"wavefunction not normalised: h*sum|psi|^2 = {norm!r}")
         object.__setattr__(self, "psi", psi)
 
@@ -122,42 +122,34 @@ def schrodinger_operator(spec: NaturalSystemSpec, grid: Grid1D, a: float) -> Tri
     )
 
 
-def _boundary_mass(grid: Grid1D, psi: np.ndarray) -> float:
-    dens = np.abs(psi) ** 2
-    return grid.h * float(np.sum(dens[:_BOUNDARY_CELLS]) + np.sum(dens[-_BOUNDARY_CELLS:]))
+def _expected_energy(h: float, psi: np.ndarray, hpsi: np.ndarray) -> float:
+    """h Re<psi|H psi> of a full-length psi, from H applied to its interior."""
+    return h * float(np.real(np.vdot(psi[1:-1], hpsi)))
 
 
 class SchrodingerEvolution:
-    """Reusable Cayley evolution with a boundary-leakage guard."""
+    """Reusable Cayley evolution with a boundary-leakage guard; run loops iterate over ``prop.run``."""
 
     def __init__(self, spec: NaturalSystemSpec, grid: Grid1D, a: float, dt: float):
         self.grid = grid
-        self.a = a
         self.dt = dt
         self.op = schrodinger_operator(spec, grid, a)
         self.prop = CayleyPropagator(self.op, dt, a)
 
     def check_boundary(self, psi: np.ndarray, t: float):
-        mass = _boundary_mass(self.grid, psi)
+        dens = np.abs(psi) ** 2
+        mass = self.grid.h * float(np.sum(dens[:_BOUNDARY_CELLS]) + np.sum(dens[-_BOUNDARY_CELLS:]))
         if mass > _BOUNDARY_THRESHOLD:
             raise DomainEscapeError(
                 f"boundary density {mass:.3e} exceeds {_BOUNDARY_THRESHOLD:.1e} at t={t:.6g}",
                 diagnostics={"boundary_mass": mass, "t": t},
             )
 
-    def step(self, psi: np.ndarray, _hpsi: np.ndarray | None = None) -> np.ndarray:
-        """One Cayley step; ``_hpsi`` is ``_energy(psi)[1]``, H applied to psi's interior."""
-        return embed_interior(self.grid, self.prop.step(psi[1:-1], _hpsi=_hpsi))
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        return embed_interior(self.grid, self.prop.step(psi[1:-1]))
 
     def energy(self, psi: np.ndarray) -> float:
-        return self._energy(psi)[0]
-
-    def _energy(self, psi: np.ndarray) -> tuple:
-        """(<psi|H|psi>, H applied to psi's interior) for a complex psi: a run
-        loop hands the second to the next ``step``, so H is applied once per step."""
-        inner = psi[1:-1]
-        hpsi = self.op.apply(inner)
-        return self.grid.h * float(np.real(np.vdot(inner, hpsi))), hpsi
+        return _expected_energy(self.grid.h, psi, self.op.apply(psi[1:-1]))
 
 
 def schrodinger_evolve(
@@ -169,9 +161,6 @@ def schrodinger_evolve(
     """Evolve by n_steps Cayley steps; raises DomainEscapeError if density
     piles up at the grid edge (the state is no longer represented)."""
     evo = SchrodingerEvolution(spec, wf.grid, wf.a, dt)
-    psi = wf.psi.copy()
-    evo.check_boundary(psi, 0.0)
-    for k in range(n_steps):
-        psi = evo.step(psi)
-        evo.check_boundary(psi, (k + 1) * dt)
+    for k, (psi, _) in enumerate(evo.prop.run(wf.psi, n_steps)):
+        evo.check_boundary(psi, k * dt)
     return WaveFunction(wf.grid, psi, wf.a)

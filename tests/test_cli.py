@@ -274,13 +274,24 @@ BAD_RANGES = [
     ("classical_oscillator.cfg", "support_floor = 1e-6", f"support_floor = {v}", "run.support_floor",
      f"[run] support_floor must be > 0.0 and < 1.0, got {float(v)!r}")
     for v in ("1.0", "2.0", "nan", "0.0", "-1.0")
+] + [
+    # a zero or NaN sigma failed in the Cayley step, a negative variance at a
+    # density node, a zero or NaN variance or width exited 2 naming no key,
+    # and a negative or infinite width ran
+    (cfg_name, f"{key} = {old}", f"{key} = {v}", f"initial.{key}",
+     f"[initial] {key} must be finite and > 0, got {float(v)!r}")
+    for cfg_name, key, old in [("schrodinger_free_gaussian.cfg", "sigma", "1.0"),
+                               ("madelung_trap.cfg", "variance", "0.5"),
+                               ("classical_oscillator.cfg", "width_cells", "3.0")]
+    for v in ("0", "-1.0", "nan", "inf")
 ]
 
 
 class TestConfigRanges:
-    """A spin population floor that is not finite and > 0, a Madelung grid
-    too small for a bulk window and the quantum operator, and a classical
-    support floor outside (0, 1), exit 2 naming the key."""
+    """A spin population floor or an initial width that is not finite and
+    > 0, a Madelung grid too small for a bulk window and the quantum
+    operator, and a classical support floor outside (0, 1), exit 2 naming
+    the key."""
 
     @pytest.mark.parametrize("cfg_name, old, new, key, message", BAD_RANGES)
     def test_bad_value_is_config_error(self, tmp_path, capsys, cfg_name, old, new, key, message):
@@ -290,6 +301,9 @@ class TestConfigRanges:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
         assert not (tmp_path / "out" / "case" / "report.txt").exists()
+        if key != "grid.n":  # a SCHEMA range: check rejects it too
+            assert main(["check", str(cfg)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
 
     def test_smallest_madelung_grid_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (CONFIG_DIR / "madelung_trap.cfg").read_text().replace("\nn = 801\n", "\nn = 7\n"))

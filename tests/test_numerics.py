@@ -205,10 +205,19 @@ class TestCayleyPrefactored:
         psi = rng.normal(size=m) + (1j * rng.normal(size=m) if complex_psi else 0.0)
         prop = nx.CayleyPropagator(op, dt, a)
         got = want = psi
+        wants = [np.pad(psi.astype(complex), 1)]
         for _ in range(20):
             got = prop.step(got)
             want = cayley_step_per_call(op, dt, a, want)
             assert np.array_equal(got, want)
+            wants.append(np.pad(want, 1))
+        # the run loop on the padded state: the per-call states, and each
+        # handed-over H psi is H applied to that state's interior
+        runs = list(prop.run(wants[0], 20))
+        assert len(runs) == len(wants) and not np.shares_memory(runs[0][0], wants[0])
+        for (state, hpsi), want in zip(runs, wants):
+            assert np.array_equal(state, want) and state.dtype == complex
+            assert np.array_equal(hpsi, op.apply(state[1:-1]))
 
     @pytest.mark.parametrize("m", [1, 2, 40])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -290,8 +299,8 @@ def _step_outcome(prop, psi, **kwargs):
 
 
 class TestCayleyHandedHpsi:
-    """``step(psi, _hpsi=op.apply(psi))`` for a complex psi: the run loops hand
-    the step the H psi they already hold instead of letting it apply H."""
+    """``step(psi, _hpsi=op.apply(psi))`` for a complex psi: ``run`` hands
+    the step the H psi it already holds instead of letting it apply H."""
 
     @settings(max_examples=60, deadline=None)
     @given(

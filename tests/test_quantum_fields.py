@@ -166,8 +166,15 @@ class TestSpaceIndependent:
             qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), 2e-3, 10,
                                         store_every=store_every)
 
+    @pytest.mark.parametrize("scale", [2.0, np.nan])
+    def test_unnormalised_psi0_rejected(self, harmonic_vacuum, scale):
+        # a NaN psi0 used to pass the norm rule and fail in the first Cayley step
+        spec, grid, vac = harmonic_vacuum
+        with pytest.raises(InvalidStateError, match="psi0 must be grid-normalised"):
+            qf.space_independent_evolve(spec, grid, scale * vac.psi[:, 0].astype(complex), 2e-3, 10)
+
     def test_snapshots_are_distinct_fresh_states(self, harmonic_vacuum):
-        # a stored step hands its H psi to the next step; no stored row may
+        # the run hands each step's H psi to the next; no stored row may
         # alias the state the loop steps on or the caller's psi0
         spec, grid, vac = harmonic_vacuum
         psi0 = ((vac.psi[:, 0] + vac.psi[:, 2]) / np.sqrt(2.0)).astype(complex)

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "varq"
-LIMIT = 51
+LIMIT = 50
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -28,9 +28,10 @@ stacked snapshots.  The allocating leapfrog with its ``_lap``/``_accel`` and
 the per-snapshot conservation loop are kept here; runs and series must give
 their bits.
 
-The linear run loops hand each Cayley step the H psi they already hold
-(``CayleyPropagator.step(psi, _hpsi=...)``), and ``confined_solve`` evaluates
-its log source on the active box in two per-solve grid buffers.  The Schrodinger
+The linear run loops step through ``CayleyPropagator.run``, which hands
+each step the H psi it already holds (``step(psi, _hpsi=...)``), and
+``confined_solve`` evaluates its log source on the active box in two
+per-solve grid buffers.  The Schrodinger
 runner must give the bits of a loop over the public ``step`` and ``energy``,
 and the solver those of its former whole-grid form, ``confined_solve_ref``,
 failures and their diagnostics included.
@@ -1624,7 +1625,7 @@ def _series_setup(seed, n, nt, mass, reverse):
 
 SERIES_DRAWS = dict(
     n=st.integers(min_value=3, max_value=400),
-    nt=st.integers(min_value=2, max_value=40),
+    nt=st.integers(min_value=3, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     mass=st.sampled_from(["constant", "varying"]),
     reverse=st.booleans(),
@@ -1644,6 +1645,21 @@ class TestSnapshotSeries:
         assert hj.shape == (nt - 2, n) and np.array_equal(hj, hj_residual_series_ref(grid, spec, lam, times))
         ct = mech.continuity_residual_series(grid, spec, rho, lam, times)
         assert np.array_equal(ct, continuity_residual_series_ref(grid, spec, rho, lam, times))
+
+    @pytest.mark.parametrize("nt", [1, 2])
+    @pytest.mark.parametrize("series", ["hj", "continuity", "multiplier", "multiplier-classical"])
+    def test_fewer_than_three_snapshots_rejected(self, nt, series):
+        # these returned (0, n) arrays: no interior time to centre on
+        grid, spec, rho, lam, times = _series_setup(7, 40, nt, "varying", False)
+        call = {
+            "hj": lambda: mech.hj_residual_series(grid, spec, lam, times),
+            "continuity": lambda: mech.continuity_residual_series(grid, spec, rho, lam, times),
+            "multiplier": lambda: hy.multiplier_residual_series(grid, spec, hy.DiffusionSpec(a=1.0), rho, lam, times),
+            "multiplier-classical": lambda: hy.multiplier_residual_series(
+                grid, spec, hy.DiffusionSpec(a=1.0, mode="classical"), rho, lam, times),
+        }[series]
+        with pytest.raises(InvalidArgumentError, match="need at least 3 stored time levels"):
+            call()
 
     @settings(max_examples=60, deadline=None)
     @given(**SERIES_DRAWS)

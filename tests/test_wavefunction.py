@@ -18,6 +18,23 @@ def nodeless_wavefunction(grid, a=1.0, seed=0):
     return wv.canonical_map_inverse(grid, rho, lam, a)
 
 
+class TestNormRule:
+    """A NaN norm fails the norm rules: ``abs(norm - 1) > tol`` and
+    ``norm <= 0`` are both false for NaN, so a NaN state used to build."""
+
+    @pytest.mark.parametrize("fill", [np.nan, np.nan + 1j, 2.0])
+    def test_wavefunction_rejects_bad_norm(self, fill):
+        grid = build_grid(0.0, 1.0, 101)
+        with pytest.raises(InvalidStateError, match="wavefunction not normalised"):
+            wv.WaveFunction(grid, np.full(grid.n, fill, dtype=complex), 1.0)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_normalize_rejects_zero_or_non_finite_norm(self, fill):
+        grid = build_grid(0.0, 1.0, 101)
+        with pytest.raises(InvalidStateError, match="wavefunction norm must be finite and > 0"):
+            wv.normalize_wavefunction(grid, np.full(grid.n, fill))
+
+
 class TestCanonicalMap:
     def test_amplitude_density_from_components(self):
         # P(psi1=3, psi2=4) = 25 regardless of the scale constant
