@@ -1,19 +1,17 @@
 """Covariant Hamiltonian field dynamics for one real scalar field in 1+1
-dimensions with metric diag(+, -): the covariant Legendre transform with
-two polymomenta, evolution by the covariant Hamilton equations with the
-spatial momentum eliminated through its constraint, the energy-momentum
-tensor, and the reduction to the standard single-momentum Hamiltonian
-density.
+dimensions with metric diag(+, -): evolution by the covariant Hamilton
+equations with the spatial polymomentum pi1 = -eta dq/dx1 eliminated through
+its constraint, the energy-momentum tensor, and the reduction to the
+standard single-momentum Hamiltonian density.
 
-The spatial momentum pi1 is always reconstructed from the constraint
-pi1 = -eta dq/dx1 (never independently evolved), so the constraint holds
+Only q and pi0 are evolved and pi1 is never stored, so the constraint holds
 exactly by construction.  Time stepping is kick-drift-kick leapfrog, which
 is time-reversible and keeps the total energy drift bounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,13 +25,10 @@ __all__ = [
     "PeriodicGrid1D",
     "FieldState1p1",
     "EnergyMomentum",
-    "covariant_legendre",
-    "reconstruct_pi1",
     "ddw_evolve",
     "ddw_evolve_series",
     "extremal_embedding_check",
     "energy_momentum",
-    "energy_momentum_divergence",
     "canonical_reduction",
     "total_energy",
     "total_momentum",
@@ -103,28 +98,6 @@ class FieldState1p1:
             raise InvalidStateError("field values must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi0", pi0)
-
-
-def covariant_legendre(spec: FieldLagrangianSpec, w0: float, w1: float, q: float = 0.0):
-    """Polymomenta and covariant Hamiltonian of the natural field Lagrangian.
-
-    Velocities w^mu = d^mu q (contravariant); pi^mu = eta w^mu, and
-
-        H = (pi_mu pi^mu)/(2 eta) + V(q) = ((pi0)^2 - (pi1)^2)/(2 eta) + V(q)
-
-    is a Lorentz scalar, not an energy density.
-    """
-    if not (np.isfinite(w0) and np.isfinite(w1)):
-        raise InvalidArgumentError("velocities must be finite")
-    pi0 = spec.eta * w0
-    pi1 = spec.eta * w1
-    ham = (pi0 * pi0 - pi1 * pi1) / (2.0 * spec.eta) + float(spec.v_at(q))
-    return pi0, pi1, ham
-
-
-def reconstruct_pi1(spec: FieldLagrangianSpec, state: FieldState1p1) -> np.ndarray:
-    """Spatial momentum from its constraint: pi1 = -eta dq/dx1 (central)."""
-    return -spec.eta * _d1(state.q, state.x_grid.dx)
 
 
 class _Leapfrog:
@@ -282,24 +255,3 @@ def total_energy(spec: FieldLagrangianSpec, state: FieldState1p1) -> float:
 def total_momentum(spec: FieldLagrangianSpec, state: FieldState1p1) -> float:
     return state.x_grid.dx * float(np.sum(_tensor(spec, state.q, state.pi0, state.x_grid.dx)[1]))
 
-
-def energy_momentum_divergence(
-    spec: FieldLagrangianSpec,
-    x_grid: PeriodicGrid1D,
-    q_history: np.ndarray,
-    pi_history: np.ndarray,
-    dt: float,
-) -> float:
-    """Companion diagnostic: max |d_0 T^0_nu + d_1 T^1_nu| on stored
-    snapshots (centered differences), pure discretisation error for a
-    ddw_evolve trajectory."""
-    q_history = np.asarray(q_history, dtype=float)
-    pi_history = np.asarray(pi_history, dtype=float)
-    if q_history.shape[0] < 3:
-        raise InvalidArgumentError("need at least 3 stored time levels")
-    for q, pi0 in zip(q_history, pi_history):
-        FieldState1p1(x_grid, q, pi0)  # shape and finiteness, per snapshot
-    T = np.stack(_tensor(spec, q_history, pi_history, x_grid.dx), axis=-1).reshape(q_history.shape + (2, 2))
-    d0 = (T[2:, :, 0] - T[:-2, :, 0]) / (2.0 * dt)
-    d1 = (np.roll(T[1:-1, :, 1], -1, axis=1) - np.roll(T[1:-1, :, 1], 1, axis=1)) / (2.0 * x_grid.dx)
-    return float(np.max(np.abs(d0 + d1)))

@@ -1,4 +1,4 @@
-"""Discrete-configuration (spin-like) systems: exchange-current balance in
+"""Discrete-configuration (spin-like) systems: the exchange dynamics in
 local variables (p_alpha, lam_alpha), the cosine exchange Hamiltonian, and
 the equivalent complex-amplitude evolution
 
@@ -28,11 +28,8 @@ __all__ = [
     "SpinState",
     "build_hamiltonian",
     "propagate",
-    "local_form_rhs",
     "local_form_step",
     "local_form_run",
-    "gamma_currents",
-    "balance_residual",
     "polar_decompose",
 ]
 
@@ -130,45 +127,6 @@ def _propagator(spec: SpinSystemSpec, state: SpinState):
         return psi, prob
 
     return at
-
-
-def local_form_rhs(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray):
-    """Time derivatives (dp, dlam) of the local-variable system.
-
-    dlam_alpha = b sum_beta U_ab sqrt(p_b/p_a) cos(eta_ab / a)
-    dp_alpha   = (2b/a) sum_beta sqrt(p_a p_b) U_ab sin(eta_ab / a)
-
-    An array wrapper over ``_LocalFormRun.rhs``, which the step runs.
-    Raises InvalidStateError unless every p_alpha > 0 (dlam divides by
-    sqrt(p_alpha)).
-    """
-    p, lam = _as_lists(spec.n, p, lam)
-    if not all(x > 0 for x in p):
-        raise InvalidStateError("populations must be > 0")
-    d = _LocalFormRun(spec, 0.0, P_FLOOR).rhs(p + lam, 0.0)
-    return np.array(d[: spec.n]), np.array(d[spec.n :])
-
-
-def gamma_currents(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exchange currents gamma_ab = sqrt(p_a p_b) U_ab * (-b/a) sin(eta_ab/a).
-
-    Antisymmetric (U symmetric, theta antisymmetric), which conserves the
-    total probability exactly.
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise InvalidStateError("populations must be nonnegative")
-    sqrtp = np.sqrt(p)
-    lam = np.asarray(lam, dtype=float)
-    eta = lam[:, None] - lam[None, :] + spec.theta
-    return np.outer(sqrtp, sqrtp) * spec.U * (-(spec.b / spec.a) * np.sin(eta / spec.a))
-
-
-def balance_residual(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """dp_alpha + sum_beta (gamma_ab - gamma_ba); zero up to roundoff."""
-    dp, _ = local_form_rhs(spec, p, lam)
-    gam = gamma_currents(spec, p, lam)
-    return dp + np.sum(gam - gam.T, axis=1)
 
 
 def _as_lists(n: int, p, lam):

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidSpecError, InvalidStateError, StepRejectedError
+from .errors import InvalidSpecError, StepRejectedError
 from .mechanics import (NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext, _next_state,
                         _reject_negative, _validate_density_state, _windowed_upwind)
 from .numerics import (_HEAD, _INNER, _TAIL, RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate,
@@ -31,7 +31,6 @@ from .wavefunction import schrodinger_operator
 __all__ = [
     "DiffusionSpec",
     "HydroState",
-    "diffusion_current",
     "effective_hamiltonian_density",
     "madelung_step",
     "madelung_run",
@@ -47,9 +46,8 @@ class DiffusionSpec:
     """Action constant a, regular coupling g(rho), and mode selector.
 
     mode = "classical" forces d(rho) = 0; mode = "quantum-pole" selects
-    rho d^2(rho) = (a/2)^2 / rho + g(rho).  The sign branch of rho*d(rho)
-    is fixed to + (the dynamics only sees rho*d^2, so the branch shows up
-    only in diffusion-current reporting).
+    rho d^2(rho) = (a/2)^2 / rho + g(rho).  The dynamics only sees
+    rho*d^2(rho), so the sign branch of rho*d(rho) never enters.
     """
 
     a: float
@@ -85,16 +83,6 @@ class DiffusionSpec:
             step + np.minimum(rho, step)
         )
 
-    def rho_d(self, rho):
-        """Regular combination rho*d(rho) = +sqrt((a/2)^2 + rho g(rho))."""
-        if self.mode == "classical":
-            return np.zeros_like(np.asarray(rho, dtype=float))
-        val = (0.5 * self.a) ** 2 + np.asarray(rho, dtype=float) * self.g_at(rho)
-        if np.any(val < 0):
-            raise InvalidStateError("rho*d^2(rho) lost positivity; g too negative")
-        return np.sqrt(val)
-
-
 @dataclass(frozen=True)
 class HydroState:
     grid: Grid1D
@@ -103,21 +91,6 @@ class HydroState:
 
     def __post_init__(self):
         _validate_density_state(self, "lam")
-
-
-def diffusion_current(
-    spec: NaturalSystemSpec, dspec: DiffusionSpec, grid: Grid1D, rho: np.ndarray
-) -> np.ndarray:
-    """Non-convective current i = rho d(rho) (drho/dq) / m(q).
-
-    Identically zero in classical mode; in quantum-pole mode the rho-pole
-    cancels and the current stays regular through rho = 0.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise InvalidStateError("density must be nonnegative")
-    grad = grad_central(rho, grid.h)
-    return dspec.rho_d(rho) * grad / spec.mass_at(grid.nodes)
 
 
 def _bulk_slice(rho: np.ndarray, floor_frac: float):

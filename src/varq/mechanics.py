@@ -1,8 +1,7 @@
 """Classical probabilistic transport for natural systems H = p^2/2m(q) + V(q):
-Legendre transform, characteristic (Hamilton) flow, density transport driven
-by a global multiplier field S, and the residual checks used to validate
-time-reversal and the irrelevance of density-gradient couplings in the
-classical balance.
+characteristic (Hamilton) flow, density transport driven by a global
+multiplier field S, and the Hamilton-Jacobi and continuity residuals on
+stored snapshots.
 """
 
 from __future__ import annotations
@@ -23,14 +22,11 @@ __all__ = [
     "PhaseState",
     "FlowResult",
     "ClassicalEnsemble",
-    "legendre_hamiltonian",
     "hamilton_flow",
     "transport_density",
     "classical_transport_step",
-    "hj_residual",
     "hj_residual_series",
     "continuity_residual_series",
-    "lagrangian_equivalence_check",
     "normalize_density",
 ]
 
@@ -70,18 +66,6 @@ class PhaseState:
     def __post_init__(self):
         if not (np.isfinite(self.q) and np.isfinite(self.p)):
             raise InvalidStateError("phase-space point must be finite")
-
-
-def legendre_hamiltonian(spec: NaturalSystemSpec, q: float, p: float) -> float:
-    """H(q, p) = p^2 / (2 m(q)) + V(q).
-
-    For a positive mass the velocity-momentum map is invertible, so this is
-    the exact Legendre transform of the quadratic kinetic Lagrangian.
-    """
-    if not (np.isfinite(q) and np.isfinite(p)):
-        raise InvalidArgumentError("q and p must be finite")
-    m = float(spec.mass_at(q))
-    return float(p * p / (2.0 * m) + spec.potential_at(q))
 
 
 @dataclass(frozen=True)
@@ -445,14 +429,6 @@ def _hj_rule(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dSdt: np.ndar
     return dSdt + grad_central(S, grid.h) ** 2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q)
 
 
-def hj_residual(ens: ClassicalEnsemble, spec: NaturalSystemSpec, dSdt: np.ndarray) -> np.ndarray:
-    """Pointwise residual dS/dt + H(q, dS/dq) with a central gradient."""
-    dSdt = np.asarray(dSdt, dtype=float)
-    if dSdt.shape != (ens.grid.n,):
-        raise InvalidArgumentError("dSdt must match the grid")
-    return _hj_rule(ens.grid, spec, ens.S, dSdt)
-
-
 def hj_residual_series(grid: Grid1D, spec: NaturalSystemSpec, S_series: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Residual of the S-equation on stored snapshots, centered in time.
 
@@ -471,31 +447,3 @@ def continuity_residual_series(grid: Grid1D, spec: NaturalSystemSpec, rho_series
     flux = rho_series[1:-1] * grad_central(lam_series[1:-1], grid.h) / spec.mass_at(grid.nodes)
     return drdt + grad_central(flux, grid.h)
 
-
-def lagrangian_equivalence_check(
-    ens: ClassicalEnsemble,
-    spec: NaturalSystemSpec,
-    d_rho: Callable,
-) -> float:
-    """Max discrepancy between density updates with and without the
-    d(rho)-coupling routed through the multiplier gradient.
-
-    In the classical balance the momentum entering the velocity is
-    (dlam/dq - d(rho) drho/dq) while the multiplier itself shifts by the
-    antiderivative of d, so the two contributions cancel identically and
-    the returned discrepancy is zero to rounding.  Both updates take one
-    step of half the CFL limit of the initial velocity.
-    """
-    grid = ens.grid
-    v0 = np.diff(ens.S) / grid.h / spec.mass_at(grid.midpoints)
-    dt = 0.5 * grid.h / max(float(np.max(np.abs(v0))), 1e-12)
-    rho_a, _ = classical_transport_step(grid, ens.rho, ens.S, spec, dt)
-
-    drho_face = np.diff(ens.rho) / grid.h
-    rho_face = 0.5 * (ens.rho[:-1] + ens.rho[1:])
-    shift = np.asarray(d_rho(rho_face), dtype=float) * drho_face
-    lam_grad_face = np.diff(ens.S) / grid.h + shift
-    p_face = lam_grad_face - shift
-    v_face = p_face / spec.mass_at(grid.midpoints)
-    rho_b = upwind_density_update(grid, ens.rho, v_face, dt)
-    return float(np.max(np.abs(rho_a - rho_b)))

@@ -148,9 +148,6 @@ class SchrodingerEvolution:
     def step(self, psi: np.ndarray) -> np.ndarray:
         return embed_interior(self.grid, self.prop.step(psi[1:-1]))
 
-    def energy(self, psi: np.ndarray) -> float:
-        return _expected_energy(self.grid.h, psi, self.op.apply(psi[1:-1]))
-
 
 def schrodinger_evolve(
     spec: NaturalSystemSpec,

@@ -53,32 +53,6 @@ class TestPeriodicStencils:
         assert np.array_equal(run.acc, lap_roll(f, grid.dx))
 
 
-class TestCovariantLegendre:
-    def test_timelike_unit_velocity(self):
-        spec = cv.FieldLagrangianSpec(eta=1.0, potential=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
-        pi0, pi1, ham = cv.covariant_legendre(spec, 1.0, 0.0)
-        assert (pi0, pi1) == (1.0, 0.0)
-        assert ham == pytest.approx(0.5)
-
-    def test_lightlike_velocity_null_hamiltonian(self):
-        spec = cv.FieldLagrangianSpec(eta=2.0, potential=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
-        _, _, ham = cv.covariant_legendre(spec, 1.0, 1.0)
-        assert ham == pytest.approx(0.0, abs=1e-14)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.floats(min_value=-3, max_value=3),
-        st.floats(min_value=-3, max_value=3),
-        st.floats(min_value=0.3, max_value=4.0),
-    )
-    def test_legendre_involution(self, w0, w1, eta):
-        # dH/dpi recovers the velocities with lowered index
-        spec = cv.FieldLagrangianSpec(eta=eta, potential=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
-        pi0, pi1, _ = cv.covariant_legendre(spec, w0, w1)
-        assert pi0 / eta == pytest.approx(w0, abs=1e-12)   # dH/dpi0 = d_0 q
-        assert -pi1 / eta == pytest.approx(-w1, abs=1e-12)  # dH/dpi1 = d_1 q = -w^1
-
-
 class TestDdwEvolve:
     @pytest.mark.parametrize("store_every", [0, -1])
     def test_bad_store_interval_rejected(self, store_every):
@@ -163,15 +137,6 @@ class TestDdwEvolve:
         assert np.array_equal(out.q, state.q)
         assert np.array_equal(out.pi0, state.pi0)
         assert out.time == state.time
-
-    def test_constraint_exact_by_construction(self):
-        spec = kg_spec()
-        grid = cv.PeriodicGrid1D(2 * np.pi, 128)
-        state, _ = plane_wave_state(grid, spec, 2.0, 0.05, 1.0)
-        out = cv.ddw_evolve(spec, state, 1e-3, 1000)
-        pi1 = cv.reconstruct_pi1(spec, out)
-        d1q = (np.roll(out.q, -1) - np.roll(out.q, 1)) / (2 * grid.dx)
-        assert np.max(np.abs(pi1 + spec.eta * d1q)) == 0.0
 
     def test_time_reversal_retraces(self):
         spec = kg_spec()
@@ -396,20 +361,6 @@ class TestEnergyMomentum:
         hc = cv.canonical_reduction(spec, state.pi0, d1q, state.q)
         assert np.max(np.abs(hc - em.T[:, 0, 0])) <= 1e-12
         assert np.min(em.T[:, 0, 0]) >= 0.0  # nonnegative energy density
-
-    def test_divergence_diagnostic_small_on_solutions(self):
-        spec = kg_spec()
-        grid = cv.PeriodicGrid1D(2 * np.pi, 256)
-        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
-        dt = grid.dx / 4
-        _, qs, pis, _ = cv.ddw_evolve_series(spec, state, dt, 100, store_every=1)
-        res = cv.energy_momentum_divergence(spec, grid, qs, pis, dt)
-        assert res < 1e-6
-        rng = np.random.default_rng(0)
-        res_rnd = cv.energy_momentum_divergence(
-            spec, grid, rng.normal(size=(3, grid.n)), rng.normal(size=(3, grid.n)), dt
-        )
-        assert res_rnd > res * 1e3
 
     def test_reduction_simple_values(self):
         spec = cv.FieldLagrangianSpec(eta=1.0, potential=lambda q: np.zeros_like(np.asarray(q, dtype=float)))

@@ -26,39 +26,6 @@ class TestDiffusionSpec:
         with pytest.raises(InvalidSpecError):
             hy.DiffusionSpec(a=1.0, g=lambda r: 1.0 / r)
 
-    def test_pole_branch_at_zero_coupling(self):
-        d = hy.DiffusionSpec(a=2.0)
-        assert np.allclose(d.rho_d(np.array([0.0, 0.5, 3.0])), 1.0)
-
-
-class TestDiffusionCurrent:
-    def test_flat_density_no_current(self, unit_mass_harmonic):
-        grid = build_grid(-1, 1, 101)
-        dspec = hy.DiffusionSpec(a=1.0)
-        rho = np.full(grid.n, 0.5)
-        cur = hy.diffusion_current(unit_mass_harmonic, dspec, grid, rho)
-        assert np.allclose(cur, 0.0, atol=1e-14)
-
-    def test_classical_mode_identically_zero(self, unit_mass_harmonic):
-        grid = build_grid(-4, 4, 301)
-        dspec = hy.DiffusionSpec(a=1.0, mode="classical")
-        rho = np.exp(-grid.nodes**2)
-        assert np.array_equal(
-            hy.diffusion_current(unit_mass_harmonic, dspec, grid, rho), np.zeros(grid.n)
-        )
-
-    def test_pole_closed_form_at_zero_g(self, unit_mass_harmonic):
-        # with g = 0 the regular combination is exactly a/2
-        grid = build_grid(-4, 4, 401)
-        a = 1.6
-        dspec = hy.DiffusionSpec(a=a)
-        rho = np.exp(-grid.nodes**2)
-        cur = hy.diffusion_current(unit_mass_harmonic, dspec, grid, rho)
-        from varq.numerics import grad_central
-
-        expected = 0.5 * a * grad_central(rho, grid.h)
-        assert np.allclose(cur, expected, atol=1e-12)
-
 
 class TestEffectiveHamiltonian:
     def test_classical_flat_multiplier_free_potential(self, free_particle):

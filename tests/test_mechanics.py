@@ -27,34 +27,6 @@ def gaussian_ensemble(grid, center, width, momentum=0.0):
     return mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), momentum * q)
 
 
-class TestLegendre:
-    def test_free_particle(self, free_particle):
-        assert mech.legendre_hamiltonian(free_particle, 0.3, 2.0) == pytest.approx(2.0)
-
-    def test_quadratic_closed_form(self):
-        spec = mech.NaturalSystemSpec(mass=lambda q: 2.0, potential=lambda q: q * q)
-        assert mech.legendre_hamiltonian(spec, 1.0, 4.0) == pytest.approx(5.0)
-
-    def test_nonpositive_mass_rejected(self):
-        spec = mech.NaturalSystemSpec(mass=lambda q: -1.0, potential=lambda q: 0.0)
-        with pytest.raises(InvalidSpecError):
-            mech.legendre_hamiltonian(spec, 0.0, 1.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.floats(min_value=-3, max_value=3),
-        st.floats(min_value=-5, max_value=5),
-        st.floats(min_value=0.2, max_value=4.0),
-    )
-    def test_legendre_involution(self, q, p, m0):
-        # velocity from dH/dp, then momentum from dL/dw, recovers p
-        spec = mech.NaturalSystemSpec(mass=lambda qq: m0 * (1.0 + 0.1 * np.cos(qq)),
-                                      potential=lambda qq: np.sin(qq))
-        m = float(spec.mass_at(q))
-        w = p / m
-        assert m * w == pytest.approx(p, abs=1e-12 * max(1.0, abs(p)))
-
-
 class TestHamiltonFlow:
     def test_harmonic_period(self, unit_mass_harmonic):
         dt = 1e-3
@@ -244,58 +216,6 @@ class TestRunSampling:
             else:
                 hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode="classical"),
                                  hy.HydroState(grid, ens.rho, ens.S), 0.4 * grid.h, support_floor=floor)
-
-
-class TestHjResidual:
-    def test_free_particle_exact_solution(self, free_particle):
-        grid = build_grid(-5, 5, 800)
-        p0, t = 1.3, 0.7
-        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
-        S = p0 * grid.nodes - (p0**2 / 2) * t
-        ens = mech.ClassicalEnsemble(grid, rho, S)
-        dSdt = np.full(grid.n, -(p0**2) / 2)
-        res = mech.hj_residual(ens, free_particle, dSdt)
-        assert np.max(np.abs(res)) < 1e-12
-
-    def test_zero_multiplier_reads_potential(self, unit_mass_harmonic):
-        grid = build_grid(-2, 2, 400)
-        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
-        ens = mech.ClassicalEnsemble(grid, rho, np.zeros(grid.n))
-        res = mech.hj_residual(ens, unit_mass_harmonic, np.zeros(grid.n))
-        assert np.array_equal(res, unit_mass_harmonic.potential_at(grid.nodes))
-
-    def test_harmonic_generating_function(self, unit_mass_harmonic):
-        # S = (q^2/2) cot(t) solves the harmonic equation away from t = k pi
-        grid = build_grid(-2, 2, 500)
-        t = 0.9
-        S = 0.5 * grid.nodes**2 / np.tan(t)
-        dSdt = -0.5 * grid.nodes**2 / np.sin(t) ** 2
-        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
-        ens = mech.ClassicalEnsemble(grid, rho, S)
-        res = mech.hj_residual(ens, unit_mass_harmonic, dSdt)
-        assert np.max(np.abs(res)) < 1e-8
-
-
-class TestEquivalenceCheck:
-    @settings(max_examples=20, deadline=None)
-    @given(st.floats(min_value=-2.0, max_value=2.0), st.integers(min_value=0, max_value=100))
-    def test_any_coupling_is_inert(self, scale, seed):
-        spec = mech.NaturalSystemSpec(
-            mass=lambda q: 1.0 if np.isscalar(q) else np.ones(np.shape(q)),
-            potential=lambda q: 0.5 * np.square(q),
-        )
-        grid = build_grid(-4, 4, 301)
-        rng = np.random.default_rng(seed)
-        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2) + 0.01 * rng.random(grid.n))
-        ens = mech.ClassicalEnsemble(grid, rho, 0.3 * grid.nodes + 0.05 * np.sin(grid.nodes))
-        disc = mech.lagrangian_equivalence_check(ens, spec, lambda r: scale * (1.0 + r))
-        assert disc <= 1e-12
-
-    def test_zero_coupling_identically_zero(self, unit_mass_harmonic):
-        grid = build_grid(-4, 4, 301)
-        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
-        ens = mech.ClassicalEnsemble(grid, rho, 0.2 * grid.nodes)
-        assert mech.lagrangian_equivalence_check(ens, unit_mass_harmonic, lambda r: 0.0) == 0.0
 
 
 class TestTimeReversal:

@@ -13,7 +13,7 @@ did.
 The spin local-form step and ``mechanics.hamilton_flow`` run their RK4
 stages on Python floats.  The numpy forms they replaced are kept here too:
 ``rk4_step`` (the classic update on arrays) and the spin step that drove
-the array ``local_form_rhs`` through it.
+the array rhs ``local_form_rhs_ref`` through it.
 
 The transport run loops build each state through ``mechanics._next_state``,
 which checks only the cells a step wrote; the constructors' former
@@ -101,6 +101,13 @@ def local_form_rhs_ref(spec, p, lam):
     dlam = spec.b * (cos_term @ sqrtp) / sqrtp
     dp = (2.0 * spec.b / spec.a) * sqrtp * (sin_term @ sqrtp)
     return dp, dlam
+
+
+def run_rhs(spec, p, lam):
+    """(dp, dlam) of the step's rhs, ``_LocalFormRun.rhs``, at (p, lam) unclamped."""
+    y = np.asarray(p, dtype=float).tolist() + np.asarray(lam, dtype=float).tolist()
+    d = ds._LocalFormRun(spec, 0.0, ds.P_FLOOR).rhs(y, 0.0)
+    return np.array(d[: spec.n]), np.array(d[spec.n :])
 
 
 def check_floor_ref(p, floor):
@@ -884,7 +891,7 @@ class TestLocalFormStep:
         spec, (p, lam) = _random_spin(seed, n, a, b)
         p = np.maximum(p, 1e-6)
         # the summation order is pinned exactly ...
-        dp, dlam = ds.local_form_rhs(spec, p, lam)
+        dp, dlam = run_rhs(spec, p, lam)
         dp_i, dlam_i = rhs_index_order(spec, p, lam)
         assert np.array_equal(dp, dp_i) and np.array_equal(dlam, dlam_i)
         assert np.array_equal(np.signbit(dp), np.signbit(dp_i))
@@ -924,7 +931,7 @@ class TestLocalFormStep:
         # where a sum started at 0.0 (numpy's matrix product) gives +0.0
         spec = ds.SpinSystemSpec(U=-np.ones((2, 2)), theta=np.zeros((2, 2)), a=1.0, b=1.0)
         p, lam = np.array([0.5, 0.5]), np.array([0.3, 0.3])
-        dp, _ = ds.local_form_rhs(spec, p, lam)
+        dp, _ = run_rhs(spec, p, lam)
         assert np.signbit(dp).all() and not np.signbit(local_form_rhs_ref(spec, p, lam)[0]).any()
         p_new, lam_new = ds.local_form_step(spec, p, lam, 1e-3)
         p_ref, lam_ref = local_form_step_ref(spec, p, lam, 1e-3)
@@ -993,7 +1000,7 @@ class TestLocalFormStep:
         with pytest.raises(InvalidStateError, match="need 2 populations and phases, got 3 and 2"):
             ds.local_form_step(_exchange(0.0), np.full(3, 1 / 3), np.zeros(2), 1e-3)
         with pytest.raises(InvalidStateError, match="need 2 populations and phases, got 2 and 3"):
-            ds.local_form_rhs(_exchange(0.0), np.full(2, 0.5), np.zeros(3))
+            ds.local_form_step(_exchange(0.0), np.full(2, 0.5), np.zeros(3), 1e-3)
 
     @pytest.mark.parametrize("levels", [2, 4])
     def test_benchmark_kernel_call(self, levels):
@@ -1194,23 +1201,6 @@ class TestDdwLeapfrog:
         for s in states:
             assert np.array_equal(cv.energy_momentum(spec, s).T, energy_momentum_ref(spec, s))
 
-    def test_divergence_bitwise(self):
-        spec = _field_spec(1.3, 0.8, 0.2)
-        state = _random_field(5, 97)
-        dt = 0.5 * state.x_grid.dx
-        _, qs, pis, _ = cv.ddw_evolve_series(spec, state, dt, 12, 1)
-        tensors = np.stack([energy_momentum_ref(spec, cv.FieldState1p1(state.x_grid, q, pi))
-                            for q, pi in zip(qs, pis)])
-        d0 = (tensors[2:, :, 0, :] - tensors[:-2, :, 0, :]) / (2.0 * dt)
-        d1 = (np.roll(tensors[1:-1, :, 1, :], -1, axis=1) - np.roll(tensors[1:-1, :, 1, :], 1, axis=1)) / (
-            2.0 * state.x_grid.dx)
-        assert cv.energy_momentum_divergence(spec, state.x_grid, qs, pis, dt) == float(np.max(np.abs(d0 + d1)))
-        with pytest.raises(InvalidStateError, match="must match the spatial grid"):
-            cv.energy_momentum_divergence(spec, state.x_grid, qs[:, :-1], pis[:, :-1], dt)
-        qs[4, 7] = np.nan
-        with pytest.raises(InvalidStateError, match="field values must be finite"):
-            cv.energy_momentum_divergence(spec, state.x_grid, qs, pis, dt)
-
     def test_run_ddw_series_bitwise(self):
         # the whole runner against the allocating leapfrog and the per-snapshot loop
         sc = parse_scenario(DDW_CFG.format(eta=1.3, n_steps=700))
@@ -1274,8 +1264,8 @@ n_steps = {n_steps}
 
 
 def run_schrodinger_ref(sc):
-    """``runners.run_schrodinger``'s loop over the public ``SchrodingerEvolution``
-    ``step`` and ``energy``, each applying H itself, with the moments taken
+    """``runners.run_schrodinger``'s loop over the public ``SchrodingerEvolution.step``
+    and ``wavefunction._expected_energy``, each applying H itself, with the moments taken
     from psi as the runner took them; returns the rows, the final variance
     and the two drifts."""
     p = sc.params
@@ -1297,13 +1287,17 @@ def run_schrodinger_ref(sc):
     psi = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a).psi.copy()
     n_steps, dt = nx._uniform_steps(p["run"]["t_final"], p["run"]["dt"])
     evo = wv.SchrodingerEvolution(spec, grid, a, dt)
-    e0 = evo.energy(psi)
+
+    def energy(psi):
+        return wv._expected_energy(grid.h, psi, evo.op.apply(psi[1:-1]))
+
+    e0 = energy(psi)
     rows = [row(0.0, psi, 0.0, 0.0)]
     norm_drift = energy_drift = 0.0
     for k in range(n_steps):
         psi = evo.step(psi)
         norm_drift = max(norm_drift, abs(grid.h * float(np.sum(np.abs(psi) ** 2)) - 1.0))
-        energy_drift = max(energy_drift, abs(evo.energy(psi) - e0) / max(abs(e0), 1e-300))
+        energy_drift = max(energy_drift, abs(energy(psi) - e0) / max(abs(e0), 1e-300))
         if (k + 1) % max(1, n_steps // 64) == 0:
             rows.append(row((k + 1) * evo.dt, psi, norm_drift, energy_drift))
     return np.asarray(rows), variance(psi), norm_drift, energy_drift
@@ -1660,16 +1654,6 @@ class TestSnapshotSeries:
         }[series]
         with pytest.raises(InvalidArgumentError, match="need at least 3 stored time levels"):
             call()
-
-    @settings(max_examples=60, deadline=None)
-    @given(**SERIES_DRAWS)
-    def test_hj_series_row_is_hj_residual(self, n, nt, seed, mass, reverse):
-        grid, spec, rho, lam, times = _series_setup(seed, n, nt, mass, reverse)
-        rows = mech.hj_residual_series(grid, spec, lam, times)
-        for k in range(1, nt - 1):
-            dSdt = (lam[k + 1] - lam[k - 1]) / (times[k + 1] - times[k - 1])
-            ens = mech.ClassicalEnsemble(grid, rho[k], lam[k])
-            assert np.array_equal(rows[k - 1], mech.hj_residual(ens, spec, dSdt))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=3, max_value=300), n_steps=st.integers(min_value=1, max_value=80),
