@@ -93,16 +93,17 @@ class HydroState:
         _validate_density_state(self, "lam")
 
 
-def _bulk_slice(rho: np.ndarray, floor_frac: float):
-    """Bounds of the connected above-floor component containing the peak.
+def _bulk_slice(rho: np.ndarray, floor: float, peak: int):
+    """Bounds of the connected above-floor component containing the peak
+    (``peak`` = rho.argmax(); ``floor`` = floor_frac * rho[peak], so the
+    cells above it are ``_support_mask``'s, from the caller's one scan).
 
     Detached remnants at floor level (left behind by a moving support) are
     not part of the bulk and stay frozen.  The component ends next to the
     nearest below-floor cells on either side of the peak; a peak that is
     itself below the floor (floor_frac >= 1) gives (peak, peak).
     """
-    mask = _support_mask(rho, floor_frac)
-    peak = int(rho.argmax())
+    mask = rho > floor
     if not mask[peak]:
         return peak, peak
     off = (~mask).nonzero()[0]
@@ -121,7 +122,8 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
     of the floor (support boundary noise).  A density that HydroState would
     refuse as negative is rejected too (``mechanics._reject_negative``).
     """
-    floor = floor_frac * float(rho.max())
+    peak = int(rho.argmax())  # one scan: the floor and the bulk's peak
+    floor = floor_frac * float(rho[peak])
     deep = (rho < _HARD_FRAC * floor).nonzero()[0]
     if deep.size:
         sig = (rho > _SIGNIFICANT_FRAC * floor).nonzero()[0]
@@ -134,7 +136,7 @@ def _check_nodeless(rho: np.ndarray, floor_frac: float, where: str):
                     diagnostics={"rho_min": float(rho[inside[0]]), "floor": floor},
                 )
     _reject_negative(rho, where, 0)
-    return _bulk_slice(rho, floor_frac)
+    return _bulk_slice(rho, floor, peak)
 
 
 def effective_hamiltonian_density(
@@ -200,7 +202,8 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     if dspec.mode == "classical":
         rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt,
                                                     support_floor=support_floor, _run=_run)
-        return _next_state(HydroState, grid, rho_new, lam_new, _run.moved if _run else slice(None), slice(None))
+        return _next_state(HydroState, grid, rho_new, lam_new, _run.moved if _run else slice(None), slice(None),
+                           _run and _run.low)
 
     carried = _run is not None and _run.last is state
     lo, hi = _run.window if carried else _check_nodeless(state.rho, floor_frac, "before step")
@@ -221,7 +224,7 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
         rate += _g_terms(dspec, grid, rho_new, m_face, m_node)[bulk]
     lam_new = state.lam.copy()
     lam_new[bulk] -= dt * rate
-    _run.last, _run.window = _next_state(HydroState, grid, rho_new, lam_new, slice(lo, hi + 1), bulk), (lo2, hi2)
+    _run.last, _run.window = _next_state(HydroState, grid, rho_new, lam_new, slice(lo, hi + 1), bulk, None), (lo2, hi2)
     return _run.last
 
 

@@ -159,14 +159,17 @@ def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
 _RHO_NEG_TOL = 1e-14  # rounding below zero that a density state accepts and clips
 
 
-def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, moved: slice, lam_moved: slice):
+def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, moved: slice, lam_moved: slice,
+                 low: Optional[float]):
     """Check the density state cells rho[moved] and lam[lam_moved] (the
     multiplier ``field`` finite, then rho >= -1e-14) and h*sum(rho) = 1 on
-    the whole grid (a NaN density fails it); clip rho[moved] at 0 in place."""
+    the whole grid (a NaN density fails it); clip rho[moved] at 0 in place.
+    ``low`` is min(rho[moved]) when the caller has scanned it, else None."""
     part = rho[moved]
     if not np.isfinite(lam[lam_moved]).all():
         raise InvalidStateError(f"{field} must be finite")
-    low = part.min()  # a NaN minimum leaves the decision to the cell test
+    if low is None:
+        low = part.min()  # a NaN minimum leaves the decision to the cell test
     if not low >= -_RHO_NEG_TOL and (part < -_RHO_NEG_TOL).any():
         raise InvalidStateError("density must be nonnegative")
     total = grid.h * float(rho.sum())
@@ -183,7 +186,7 @@ def _validate_density_state(state, field: str):
     lam = np.asarray(getattr(state, field), dtype=float)
     if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
         raise InvalidStateError(f"rho and {field} must match the grid")
-    _check_cells(state.grid, rho, lam, field, slice(None), slice(None))
+    _check_cells(state.grid, rho, lam, field, slice(None), slice(None), None)
     vars(state).update({"rho": rho, field: lam})
 
 
@@ -199,13 +202,14 @@ class ClassicalEnsemble:
         _validate_density_state(self, "S")
 
 
-def _next_state(cls, grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice):
+def _next_state(cls, grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice,
+                low: Optional[float]):
     """The ``ClassicalEnsemble`` or ``HydroState`` (``cls``) of the fresh
     arrays rho and lam, built without ``__post_init__``: outside rho[moved]
     and lam[lam_moved] they equal a checked state's, so only those cells
-    are checked (``_check_cells``)."""
+    are checked (``_check_cells``, given ``low``)."""
     field = "S" if cls is ClassicalEnsemble else "lam"
-    _check_cells(grid, rho, lam, field, moved, lam_moved)
+    _check_cells(grid, rho, lam, field, moved, lam_moved, low)
     state = object.__new__(cls)
     vars(state).update({"grid": grid, "rho": rho, field: lam})
     return state
@@ -238,15 +242,16 @@ def upwind_density_update(grid: Grid1D, rho: np.ndarray, v_face: np.ndarray, dt:
     return new
 
 
-def _reject_negative(rho: np.ndarray, where: str, offset: int):
+def _reject_negative(rho: np.ndarray, where: str, offset: int) -> float:
     """Reject a step that leaves rho (grid index ``offset`` onwards) below
     what a density state accepts: even at CFL <= 1 the upwind step can
-    overdraw a cell whose two faces both carry density out."""
-    low = int(rho.argmin())
-    if rho[low] < -_RHO_NEG_TOL:
-        raise StepRejectedError(
-            f"negative density ({where})", location=offset + low, diagnostics={"rho_min": float(rho[low])}
-        )
+    overdraw a cell whose two faces both carry density out.  Returns
+    min(rho), NaN when rho holds one (``_check_cells`` takes it)."""
+    k = int(rho.argmin())
+    low = float(rho[k])
+    if low < -_RHO_NEG_TOL:
+        raise StepRejectedError(f"negative density ({where})", location=offset + k, diagnostics={"rho_min": low})
+    return low
 
 
 def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.ndarray,
@@ -305,15 +310,28 @@ class _RunContext:
     at ``grid.midpoints`` and, with ``nodes``, at ``grid.nodes`` (else None);
     ``dist`` (h*i at node i) and the n-cell ``scratch`` of the multiplier
     extension.  What a step leaves for the next: ``moved``, the slice a
-    classical step's density update wrote, and ``window``, the bulk window
-    ``madelung_step`` found on the state it returned (``last``)."""
+    classical step's density update wrote, and ``low``, its minimum;
+    ``window``, the bulk window ``madelung_step`` found on the state it
+    returned (``last``); in ``transport_run``, whose S buffer is ``S``, the
+    extension ``ext`` not yet written: its window, then per side the edge
+    value, gradient and curvature."""
 
     def __init__(self, grid: Grid1D, spec: NaturalSystemSpec, *, nodes: bool):
         self.m_face = spec.mass_at(grid.midpoints)
         self.m_node = spec.mass_at(grid.nodes) if nodes else None
         self.dist = grid.h * np.arange(grid.n)
         self.scratch = np.empty(grid.n)
-        self.last = self.window = self.moved = None
+        self.last = self.window = self.moved = self.low = self.S = self.ext = None
+
+    def fill(self, S: np.ndarray, lo: int, hi: int):
+        """Write the recorded extension into the cells lo..hi outside its window."""
+        wlo, whi, left, right = self.ext
+        if lo < wlo:
+            end = min(wlo, hi + 1)
+            _extend(S[lo:end], *left, self.dist[wlo - lo : wlo - end : -1], self.scratch[: end - lo])
+        if hi > whi:
+            start = max(whi + 1, lo)
+            _extend(S[start : hi + 1], *right, self.dist[start - whi : hi + 1 - whi], self.scratch[: hi + 1 - start])
 
 
 def _extend(out: np.ndarray, s_edge: float, g: float, c: float, d: np.ndarray, tmp: np.ndarray):
@@ -337,8 +355,15 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
 
     ``_run`` is the calling run's ``_RunContext`` (a call without one builds
     its own): m(q) at the faces and the extension's buffers; the step
-    records its window in ``moved``.  The window's update samples the spec
-    on the nodes ``build_grid`` would give the window, without building it.
+    records its window in ``moved`` and the window's minimum density in
+    ``low``.  The window's update samples the spec on the nodes
+    ``build_grid`` would give the window, without building it.  Given the
+    run's buffer ``_run.S``, the step first writes the extension recorded
+    in ``_run.ext`` into the cells its window adds, then writes S only on
+    its window and records its own extension; it writes that extension at
+    once (``ext`` None) unless |s0| + |g| D + |c/2| D^2 < 1e300 on both
+    sides (D = q_max - q_min), so a recorded one is finite.  Any other S
+    gets a new array, whole.
 
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
@@ -351,31 +376,33 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     lo, hi = (0, n - 1) if support_floor is None else _support_window(rho, support_floor)
     if _run is None:
         _run = _RunContext(grid, spec, nodes=False)
+    if _run.ext is not None:
+        _run.fill(S, lo, hi)
     # the whole-grid window keeps every face, so the masked velocity equals
     # the unmasked one bit for bit
     rho_new = _windowed_upwind(grid, rho, S, _run.m_face, lo, hi, dt)
-    _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
+    _run.low = _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
     _run.moved = slice(lo, hi + 1)
     if support_floor is None:
         return rho_new, _godunov_hj_update(h, grid.nodes, spec, S, dt)
 
     k, q0 = hi - lo + 1, grid.q_min + lo * h
     hs = (grid.q_min + hi * h - q0) / (k - 1)  # k >= 3 (build_grid's n >= 3); hs may differ from h
-    S_new = np.empty(n)  # the window and the two extensions write every cell
+    S_new = S if S is _run.S else np.empty(n)
     S_new[lo : hi + 1] = _godunov_hj_update(hs, q0 + np.arange(k) * hs, spec, S[lo : hi + 1], dt)
     # quadratic extension outside the window (matching edge gradient and
     # curvature): the multiplier is local to the support, outside values
     # only seed cells the window grows into, and keeping the curvature
     # avoids kicking the density when the window turns around
-    if lo > 0:
-        s0, s1, s2 = S_new[lo : lo + 3].tolist()
-        # s0 - gl*d is s0 + (-gl)*d bit for bit
-        _extend(S_new[:lo], s0, -((s1 - s0) / h), (s2 - 2.0 * s1 + s0) / (h * h), _run.dist[lo:0:-1],
-                _run.scratch[:lo])
-    if hi < n - 1:
-        s2, s1, s0 = S_new[hi - 2 : hi + 1].tolist()
-        _extend(S_new[hi + 1 :], s0, (s0 - s1) / h, (s0 - 2.0 * s1 + s2) / (h * h), _run.dist[1 : n - hi],
-                _run.scratch[: n - hi - 1])
+    s0, s1, s2 = S_new[lo : lo + 3].tolist()
+    left = s0, -((s1 - s0) / h), (s2 - 2.0 * s1 + s0) / (h * h)  # s0 - gl*d is s0 + (-gl)*d bit for bit
+    s2, s1, s0 = S_new[hi - 2 : hi + 1].tolist()
+    right = s0, (s0 - s1) / h, (s0 - 2.0 * s1 + s2) / (h * h)
+    _run.ext = lo, hi, left, right
+    D = grid.q_max - grid.q_min
+    if S_new is not S or not all(abs(s) + abs(g) * D + abs(0.5 * c) * D * D < 1e300 for s, g, c in (left, right)):
+        _run.fill(S_new, 0, n - 1)
+        _run.ext = None
     return rho_new, S_new
 
 
@@ -403,24 +430,29 @@ def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: floa
                   support_floor: Optional[float] = None, observer=None) -> ClassicalEnsemble:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
-    ``observer(t, ens)`` is called after every step when given.  Every step
-    reads one ``_RunContext``, built before the first, and ``_next_state``
-    builds each ensemble, checking rho on the step's window and S on the
-    whole grid.  Raises InvalidArgumentError unless t_final and dt are
-    finite and > 0.
+    ``observer(t, rho)``, when given, is called after every step and must
+    not modify rho.  The steps share one ``_RunContext`` and, with
+    ``support_floor``, one S buffer that the run writes outside the last
+    window only before it returns (see classical_transport_step).  Each
+    step checks rho on its window and S where it wrote (``_check_cells``).
+    Raises InvalidArgumentError unless t_final and dt are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     grid = ens.grid
     run = _RunContext(grid, spec, nodes=False)
+    rho, S = ens.rho, ens.S
+    if support_floor is not None:
+        S = run.S = S.copy()
     t = 0.0
     for _ in range(n_steps):
-        rho, S = classical_transport_step(grid, ens.rho, ens.S, spec, dt,
-                                          support_floor=support_floor, _run=run)
-        ens = _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None))
+        rho, S = classical_transport_step(grid, rho, S, spec, dt, support_floor=support_floor, _run=run)
+        _check_cells(grid, rho, S, "S", run.moved, slice(None) if run.ext is None else run.moved, run.low)
         t += dt
         if observer is not None:
-            observer(t, ens)
-    return ens
+            observer(t, rho)
+    if run.ext is not None:
+        run.fill(S, 0, grid.n - 1)
+    return _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None), run.low)  # S checked whole
 
 
 def _hj_rule(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dSdt: np.ndarray) -> np.ndarray:

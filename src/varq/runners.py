@@ -62,10 +62,10 @@ def run_classical(sc: Scenario, report: RunReport) -> None:
 
     samples = []
 
-    def obs(t, e):
-        cen = grid.h * float((e.rho * q).sum())
+    def obs(t, rho):
+        cen = grid.h * float((rho * q).sum())
         k = min(int(round(t / flow.dt)), flow.states.shape[0] - 1)
-        samples.append((t, cen, flow.states[k, 0], grid.h * float(e.rho.sum())))
+        samples.append((t, cen, flow.states[k, 0], grid.h * float(rho.sum())))
 
     ens = mech.transport_run(ens, spec, t_final, sc.params["run"]["cfl"] * grid.h,
                              support_floor=sc.params["run"]["support_floor"], observer=obs)

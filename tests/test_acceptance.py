@@ -7,7 +7,6 @@ lines; every tolerance is pinned here, not configurable.
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg as sla
 
 from varq import covariant as cv
@@ -16,7 +15,7 @@ from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import quantum_fields as qf
 from varq import wavefunction as wv
-from varq.numerics import build_grid, eigensolve_lowest, embed_interior
+from varq.numerics import build_grid
 from varq.potentials import harmonic
 
 
@@ -46,9 +45,9 @@ def test_criterion_1_classical_limit():
     ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
     worst = 0.0
 
-    def obs(t, e):
+    def obs(t, rho):
         nonlocal worst
-        worst = max(worst, abs(grid.h * np.sum(e.rho * q) - np.cos(t)))
+        worst = max(worst, abs(grid.h * np.sum(rho * q) - np.cos(t)))
 
     mech.transport_run(ens, HARMONIC, 2 * np.pi, 0.4 * grid.h, support_floor=1e-6, observer=obs)
 

@@ -221,6 +221,13 @@ def _bulk_slice_loop(rho, floor_frac):
     return lo, hi
 
 
+def _bulk(rho, floor_frac):
+    """``hy._bulk_slice`` given the floor and peak that ``_check_nodeless``
+    takes from its one scan."""
+    peak = int(rho.argmax())
+    return hy._bulk_slice(rho, floor_frac * float(rho[peak]), peak)
+
+
 class TestBulkSlice:
     FLOORS = (0.0, 1e-12, 1e-6, 0.3, 0.9, 1.0, 1.5)
 
@@ -236,7 +243,7 @@ class TestBulkSlice:
             rho[a : a + int(rng.integers(1, 6))] = rng.choice([0.0, 1e-15, 1e-3])
         floors = self.FLOORS + tuple(rng.uniform(0.0, 1.2, 3))
         for floor_frac in floors:
-            assert hy._bulk_slice(rho, floor_frac) == _bulk_slice_loop(rho, floor_frac)
+            assert _bulk(rho, floor_frac) == _bulk_slice_loop(rho, floor_frac)
 
     @pytest.mark.parametrize("peak_at", ["first", "last"])
     def test_peak_at_grid_edge(self, peak_at):
@@ -245,23 +252,23 @@ class TestBulkSlice:
         if peak_at == "last":
             rho = rho[::-1].copy()
         for floor_frac in self.FLOORS:
-            got = hy._bulk_slice(rho, floor_frac)
+            got = _bulk(rho, floor_frac)
             assert got == _bulk_slice_loop(rho, floor_frac)
             assert (got[0] == 0) if peak_at == "first" else (got[1] == rho.size - 1)
 
     def test_whole_grid_above_floor(self):
         rho = 1.0 + np.random.default_rng(0).random(64)
-        assert hy._bulk_slice(rho, 0.5) == (0, 63) == _bulk_slice_loop(rho, 0.5)
+        assert _bulk(rho, 0.5) == (0, 63) == _bulk_slice_loop(rho, 0.5)
 
     @pytest.mark.parametrize("floor_frac", [1.0, 2.0])
     def test_peak_below_threshold(self, floor_frac):
         rho = np.exp(-np.linspace(-3.0, 3.0, 41) ** 2)
         peak = int(np.argmax(rho))
-        assert hy._bulk_slice(rho, floor_frac) == (peak, peak) == _bulk_slice_loop(rho, floor_frac)
+        assert _bulk(rho, floor_frac) == (peak, peak) == _bulk_slice_loop(rho, floor_frac)
 
     def test_single_cell_and_zero_density(self):
         for rho in (np.array([0.7]), np.zeros(9)):
-            assert hy._bulk_slice(rho, 1e-12) == _bulk_slice_loop(rho, 1e-12)
+            assert _bulk(rho, 1e-12) == _bulk_slice_loop(rho, 1e-12)
 
 
 class TestMassConservation:

@@ -16,7 +16,6 @@ from varq.errors import (
     StepRejectedError,
 )
 from varq.numerics import build_grid
-from varq.potentials import harmonic
 
 from test_step_reference import rk4_step
 
@@ -151,8 +150,10 @@ class TestTransport:
 
 
 class TestRunSampling:
-    """transport_run samples m(q) at the faces once; every step must see
-    the same bits as transport_density, which samples the spec itself."""
+    """transport_run samples m(q) at the faces once and writes S outside the
+    support window only before it returns; every step's density and the
+    returned S (sign bits too) must be the bits of transport_density, which
+    samples the spec itself and returns the whole S each step."""
 
     @pytest.mark.parametrize("support_floor", [1e-6, None])
     def test_transport_run_matches_transport_density(self, support_floor):
@@ -166,14 +167,15 @@ class TestRunSampling:
         t_final = 60 * dt
         seen = []
         out = mech.transport_run(ens0, spec, t_final, dt, support_floor=support_floor,
-                                 observer=lambda t, e: seen.append(e))
+                                 observer=lambda t, rho: seen.append(rho.copy()))
         n_steps = int(np.ceil(t_final / dt))
         ref = ens0
         for k in range(n_steps):
             ref = mech.transport_density(ref, spec, t_final / n_steps, support_floor=support_floor)
-            assert np.array_equal(seen[k].rho, ref.rho) and np.array_equal(seen[k].S, ref.S)
+            assert np.array_equal(seen[k], ref.rho)
         assert len(seen) == n_steps
         assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.S, ref.S)
+        assert np.array_equal(np.signbit(out.S), np.signbit(ref.S))
 
     def test_bad_face_mass_rejected_before_first_step(self, monkeypatch):
         grid = build_grid(-3, 3, 201)

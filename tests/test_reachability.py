@@ -1,5 +1,5 @@
 """Guard: src/varq holds only what a run, a criterion, a script or the
-benchmark calls, and every module uses what it imports.
+benchmark calls, and every module, tests/*.py included, uses what it imports.
 
 The scan reads the source, it imports nothing.  It starts from ``cli.main``
 and the module-level code of every src/varq module (``__all__`` aside), and
@@ -168,6 +168,12 @@ def test_allowed_unreached_is_still_unreached():
 @pytest.mark.parametrize("mod", MODULES)
 def test_every_import_is_used(mod):
     unused = [u for u in scan()[1] if u.startswith(f"{mod}: ")]
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.stem)
+def test_every_test_import_is_used(path):
+    unused = unused_imports({path.stem: ast.parse(path.read_text(), str(path))})
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 

@@ -15,10 +15,14 @@ stages on Python floats.  The numpy forms they replaced are kept here too:
 ``rk4_step`` (the classic update on arrays) and the spin step that drove
 the array rhs ``local_form_rhs_ref`` through it.
 
-The transport run loops build each state through ``mechanics._next_state``,
-which checks only the cells a step wrote; the constructors' former
-whole-grid check is kept here (``density_state_ref``) and both must match
-it.  The spin step's comparison with its numpy form is held to a rounding
+The transport run loops check only the cells a step wrote
+(``mechanics._check_cells``, through ``mechanics._next_state`` in
+``madelung_run``); the constructors' former whole-grid check is kept here
+(``density_state_ref``) and both must match it.  ``transport_run`` with a
+support floor writes S outside the window once, before it returns; the
+reference keeps a whole S and a checked ensemble at every step
+(``transport_run_ref``), and the run must give its densities, rejections
+and returned S, sign bits included.  The spin step's comparison with its numpy form is held to a rounding
 bound derived in ``rk4_rounding_bound``.
 
 The De Donder-Weyl leapfrog steps in place on the buffers of one
@@ -335,6 +339,7 @@ def madelung_run_ref(spec, dspec, state, t_final, dt, observer):
 
 
 def transport_run_ref(ens, spec, t_final, dt, support_floor, observer):
+    """A whole-grid S and a checked ensemble at every step."""
     n_steps, dt = nx._uniform_steps(t_final, dt)
     m_face = spec.mass_at(ens.grid.midpoints)
     t = 0.0
@@ -342,7 +347,7 @@ def transport_run_ref(ens, spec, t_final, dt, support_floor, observer):
         rho, S = classical_transport_step_ref(ens.grid, ens.rho, ens.S, spec, dt, support_floor, m_face)
         ens = mech.ClassicalEnsemble(ens.grid, rho, S)
         t += dt
-        observer(t, ens)
+        observer(t, ens.rho)
     return ens
 
 
@@ -357,6 +362,37 @@ def _trajectory(run, *args):
     except StepRejectedError as exc:
         return seen, (str(exc), exc.location, exc.diagnostics)
     return seen, out
+
+
+def _rho_trajectory(run, ens, *args):
+    """``_trajectory`` of a transport run, whose observer takes (t, rho): the
+    observed densities with the runner's samples, then the final ensemble
+    or the rejection (a rejected step or a bad state) as (class, message,
+    location, diagnostics)."""
+    q, h = ens.grid.nodes, ens.grid.h
+    seen = []
+    try:
+        out = run(ens, *args, lambda t, rho: seen.append((t, rho.copy(), (h * float((rho * q).sum()),
+                                                                           h * float(rho.sum())))))
+    except (StepRejectedError, InvalidStateError) as exc:
+        return seen, (type(exc), str(exc), getattr(exc, "location", None), getattr(exc, "diagnostics", None))
+    return seen, out
+
+
+def _assert_same_rho(new, old, q, h):
+    """Every observed density and sample, then the rejection, or the final
+    ensemble with the sign bits of S."""
+    (seen_new, end_new), (seen_old, end_old) = new, old
+    assert len(seen_new) == len(seen_old)
+    for (t1, r1, x1), (t2, r2, _) in zip(seen_new, seen_old):
+        assert t1 == t2 and np.array_equal(r1, r2)
+        assert x1 == (h * float(np.sum(r2 * q)), h * float(np.sum(r2)))
+    assert isinstance(end_new, tuple) == isinstance(end_old, tuple)
+    if isinstance(end_old, tuple):
+        assert end_new == end_old
+    else:
+        assert np.array_equal(end_new.rho, end_old.rho) and np.array_equal(end_new.S, end_old.S)
+        assert np.array_equal(np.signbit(end_new.S), np.signbit(end_old.S))
 
 
 def _samples(s):
@@ -467,9 +503,51 @@ class TestTransportRun:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - center_frac * half_width) / (width_cells * grid.h)) ** 2))
         ens = mech.ClassicalEnsemble(grid, rho, kick * q)
         dt = cfl * grid.h
-        new = _trajectory(mech.transport_run, ens, spec, 30 * dt, dt, support_floor)
-        old = _trajectory(transport_run_ref, ens, spec, 30 * dt, dt, support_floor)
-        _assert_same(new, old, "S")
+        new = _rho_trajectory(mech.transport_run, ens, spec, 30 * dt, dt, support_floor)
+        old = _rho_trajectory(transport_run_ref, ens, spec, 30 * dt, dt, support_floor)
+        _assert_same_rho(new, old, q, grid.h)
+
+    @pytest.mark.parametrize("wall, seen, error", [(1e308, 4, "S must be finite"), (1e302, 5, "CFL violation")],
+                             ids=["overflow", "bound-only"])
+    def test_planted_overflow_fails_as_before(self, monkeypatch, wall, seen, error):
+        # the packet's window reaches a potential wall at step 5; there the
+        # edge curvature of S bursts the bound |s0| + |g| D + |c/2| D^2 <
+        # 1e300, so the step writes the whole extension: at 1e308 it
+        # overflows and the state check fails, at 1e302 it stays finite and
+        # the next step's CFL test rejects the kick the wall gave
+        spec = mech.NaturalSystemSpec(mass=1.0, potential=lambda q: np.where(np.asarray(q) >= 0.3, wall, 0.0))
+        grid = build_grid(-1.4, 1.4, 401)
+        q = grid.nodes
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.1) / (3 * grid.h)) ** 2))
+        ens = mech.ClassicalEnsemble(grid, rho, 0.5 * q)
+        dt = 0.4 * grid.h
+        written = []
+        real = mech._extend
+        monkeypatch.setattr(mech, "_extend", lambda out, *a: written.append(out.size) or real(out, *a))
+        with np.errstate(over="ignore"):
+            new = _rho_trajectory(mech.transport_run, ens, spec, 200 * dt, dt, 1e-6)
+            old = _rho_trajectory(transport_run_ref, ens, spec, 200 * dt, dt, 1e-6)
+        _assert_same_rho(new, old, q, grid.h)
+        assert len(new[0]) == seen and new[1][1].startswith(error)
+        assert new[1][0] is (InvalidStateError if wall == 1e308 else StepRejectedError)
+        assert sum(written[-2:]) == grid.n - 56  # every cell outside the wall step's 56-node window
+
+    def test_full_S_outside_a_run(self):
+        # without a transport run's context every step returns the whole S
+        spec = _spec("quartic", 1.3, 0.9, 0.2)
+        grid = build_grid(-2.0, 2.0, 301)
+        q = grid.nodes
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.4) / (4 * grid.h)) ** 2))
+        S, dt, floor = -0.7 * q, 0.3 * grid.h, 1e-6
+        want = classical_transport_step_ref(grid, rho, S, spec, dt, floor, spec.mass_at(grid.midpoints))[1]
+        dspec = hy.DiffusionSpec(a=1.0, mode="classical")
+        state = hy.HydroState(grid, rho, S)
+        for got in (mech.classical_transport_step(grid, rho, S, spec, dt, floor)[1],
+                    mech.transport_density(mech.ClassicalEnsemble(grid, rho, S), spec, dt, floor).S,
+                    hy.madelung_step(spec, dspec, state, dt, support_floor=floor).lam,
+                    hy.madelung_step(spec, dspec, state, dt, support_floor=floor,
+                                     _run=mech._RunContext(grid, spec, nodes=True)).lam):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # -- one scan per step --------------------------------------------------------
@@ -612,8 +690,11 @@ class TestNextState:
         field = "S" if cls is mech.ClassicalEnsemble else "lam"
         old = _build(density_state_ref, grid, rho.copy(), lam.copy(), field)
         public = _build(cls, grid, rho.copy(), lam.copy())
-        private = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved)
-        for got in (public, private):
+        private = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved, None)
+        # a step hands over the minimum its rejection test took (a NaN when rho[moved] holds one)
+        scanned = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved,
+                         float(rho[moved][int(rho[moved].argmin())]))
+        for got in (public, private, scanned):
             assert isinstance(got[0], type) == isinstance(old[0], type)
             if isinstance(old[0], type):
                 assert got == old
@@ -629,9 +710,9 @@ class TestNextState:
         lam[6] = np.inf
         for cls, field in ((mech.ClassicalEnsemble, "S"), (hy.HydroState, "lam")):
             with pytest.raises(InvalidStateError, match=f"^{field} must be finite$"):
-                mech._next_state(cls, grid, rho.copy(), lam.copy(), slice(3, 8), slice(None))
+                mech._next_state(cls, grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None)
             with pytest.raises(InvalidStateError, match=r"^density not normalised: h\*sum\(rho\) = nan$"):
-                mech._next_state(cls, grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None))
+                mech._next_state(cls, grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None)
 
 
 class TestStepWork:
@@ -691,17 +772,55 @@ class TestStepWork:
 
         def recording(*a, **kw):
             out = real(*a, **kw)
-            seen.append((a[1].copy(), a[2].copy(), out[0].copy(), out[1].copy()))
+            moved = kw["_run"].moved  # the step's window: a run's S holds the step's values only there
+            seen.append((a[1].copy(), out[0].copy(), moved, out[1][moved].copy()))
             return out
 
         monkeypatch.setattr(mech, "classical_transport_step", recording)
         dt = 0.3 * grid.h
-        mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor)
+        out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor)
         assert len(seen) == 40
-        for rho, S, rho_run, S_run in seen:
-            rho_alone, S_alone = real(grid, rho, S, spec, dt, floor)
-            assert np.array_equal(rho_alone, rho_run) and np.array_equal(S_alone, S_run)
-            assert np.array_equal(np.signbit(S_alone), np.signbit(S_run))
+        S = ens.S  # the whole S of each step, from the standalone steps
+        for rho, rho_run, moved, S_run in seen:
+            rho_alone, S = real(grid, rho, S, spec, dt, floor)
+            assert np.array_equal(rho_alone, rho_run) and np.array_equal(S[moved], S_run)
+            assert np.array_equal(np.signbit(S[moved]), np.signbit(S_run))
+        assert np.array_equal(out.S, S) and np.array_equal(np.signbit(out.S), np.signbit(S))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=80), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fill_writes_the_recorded_extension_outside_its_window(self, n, seed):
+        # any later window, overlapping the recorded one or not, gets the
+        # bits of the whole extension on its cells outside it, and no other cell changes
+        rng = np.random.default_rng(seed)
+        grid = build_grid(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), n)
+        run = mech._RunContext(grid, mech.NaturalSystemSpec(mass=1.0, potential=lambda q: 0.0 * q), nodes=False)
+        wlo, whi = sorted(rng.choice(n, size=2, replace=False).tolist())
+        run.ext = wlo, whi, tuple(rng.normal(scale=5.0, size=3)), tuple(rng.normal(scale=5.0, size=3))
+        whole = np.full(n, np.nan)
+        run.fill(whole, 0, n - 1)
+        assert np.isnan(whole[wlo : whi + 1]).all() and not np.isnan(np.delete(whole, range(wlo, whi + 1))).any()
+        lo, hi = sorted(rng.integers(0, n, size=2).tolist())
+        S = np.full(n, np.nan)
+        run.fill(S, lo, hi)
+        want = np.full(n, np.nan)
+        want[lo : hi + 1] = whole[lo : hi + 1]
+        assert np.array_equal(S, want, equal_nan=True)
+        assert np.array_equal(np.signbit(S), np.signbit(want))
+
+    def test_extension_written_once_per_run(self, unit_mass_harmonic, monkeypatch):
+        # 200 supported steps write S outside their windows in about one
+        # grid's worth of cells, not one grid per step
+        grid = build_grid(-1.4, 1.4, 1401)
+        q = grid.nodes
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 1.0) / (3 * grid.h)) ** 2))
+        ens = mech.ClassicalEnsemble(grid, rho, np.zeros(grid.n))
+        written = []
+        real = mech._extend
+        monkeypatch.setattr(mech, "_extend", lambda out, *a: written.append(out.size) or real(out, *a))
+        dt = 0.4 * grid.h
+        mech.transport_run(ens, unit_mass_harmonic, 200 * dt, dt, support_floor=1e-6)
+        assert 0 < sum(written) <= 2 * grid.n
 
 
 # -- RK4 on Python floats -----------------------------------------------------
