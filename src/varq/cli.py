@@ -69,7 +69,10 @@ def _run_one(path, out_root: Path, seed, tol_scale: float) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         if args.command == "check":
             sc = load_scenario(args.config)
@@ -108,7 +111,7 @@ def _classify(exc: Exception) -> int:
     if isinstance(exc, NumericalFailureError):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if isinstance(exc, (ValueError, OSError)):
+    if isinstance(exc, (ValueError, OSError)):  # a library check the config cannot make, such as a confining V
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise exc

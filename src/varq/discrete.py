@@ -198,9 +198,9 @@ def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: fl
         k3 = f([x + half * d for x, d in zip(y, k2)], c)
         k4 = f([x + dt * d for x, d in zip(y, k3)], c)
     except (ValueError, ZeroDivisionError):  # cos(inf), x / 0: where numpy gives nan or inf
-        raise NumericalFailureError("non-finite derivative in rk4_step") from None
+        raise NumericalFailureError("non-finite derivative in local_form_step") from None
     if not all(map(isfinite, k1 + k2 + k3 + k4)):
-        raise NumericalFailureError("non-finite derivative in rk4_step")
+        raise NumericalFailureError("non-finite derivative in local_form_step")
     s = run.sixth
     y = [x + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
     _check_floor(y[:n], run.floor)

@@ -135,7 +135,7 @@ def hamilton_flow(
         dq4, dp4 = rhs(q + dt * dq3, p + dt * dp3)
         if not (isfinite(dq1) and isfinite(dp1) and isfinite(dq2) and isfinite(dp2)
                 and isfinite(dq3) and isfinite(dp3) and isfinite(dq4) and isfinite(dp4)):
-            raise NumericalFailureError("non-finite derivative in rk4_step")
+            raise NumericalFailureError("non-finite derivative in hamilton_flow")
         q = q + sixth * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
         p = p + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
         out[k, 0] = q

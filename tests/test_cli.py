@@ -205,7 +205,8 @@ class TestMass:
         assert "\nmass = 1.0\n" in text
         cfg = write_cfg(tmp_path, text.replace("\nmass = 1.0\n", f"\nmass = {value}\n"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "config error: mass m(q) must be finite and > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"config error: [system] mass must be finite and > 0, got {float(value)!r}"
+                                           " (key: system.mass)\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -250,7 +251,10 @@ class TestConfigIndices:
         assert old in text
         cfg = write_cfg(tmp_path, text.replace(old, new))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert f"(key: {key})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"(key: {key})" in err
+        assert main(["check", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("cfg_name, old, new, key", BAD_INDICES)
     def test_bad_index_does_not_stop_sweep(self, tmp_path, capsys, cfg_name, old, new, key):
@@ -290,8 +294,8 @@ BAD_RANGES = [
 class TestConfigRanges:
     """A spin population floor or an initial width that is not finite and
     > 0, a Madelung grid too small for a bulk window and the quantum
-    operator, and a classical support floor outside (0, 1), exit 2 naming
-    the key."""
+    operator, and a classical support floor outside (0, 1): check and run
+    both exit 2 with the same line, naming the key."""
 
     @pytest.mark.parametrize("cfg_name, old, new, key, message", BAD_RANGES)
     def test_bad_value_is_config_error(self, tmp_path, capsys, cfg_name, old, new, key, message):
@@ -301,9 +305,8 @@ class TestConfigRanges:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
         assert not (tmp_path / "out" / "case" / "report.txt").exists()
-        if key != "grid.n":  # a SCHEMA range: check rejects it too
-            assert main(["check", str(cfg)]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
+        assert main(["check", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
 
     def test_smallest_madelung_grid_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (CONFIG_DIR / "madelung_trap.cfg").read_text().replace("\nn = 801\n", "\nn = 7\n"))
@@ -328,7 +331,10 @@ class TestPotentialValues:
     def test_bad_value_is_config_error(self, tmp_path, capsys, old, new, key, message):
         cfg = write_cfg(tmp_path, VACUUM_CFG.replace(old, new))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert f"config error: {message} (key: {key})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"config error: {message} (key: {key})\n"
+        assert main(["check", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("old, new, key, message", BAD_POTENTIALS, ids=BAD_POTENTIAL_IDS)
     def test_bad_value_does_not_stop_sweep(self, tmp_path, capsys, old, new, key, message):
@@ -496,6 +502,17 @@ class TestSeedOverride:
 
         assert populations("s7") == populations("s7b")
         assert populations("s7") != populations("s8")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        # a spin run exited 2 with numpy's message, and other regimes ran green
+        cfg = write_cfg(tmp_path, SPIN_CFG)
+        target = str(cfg) if command == "run" else str(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, target, "--seed", "-5", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "argument --seed: must be >= 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_copy_keeps_the_config_seed(self, tmp_path, capsys, monkeypatch):
         seen = []

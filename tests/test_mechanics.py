@@ -426,7 +426,7 @@ def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
     out[0] = (state.q, state.p)
     y = out[0].copy()
     for k in range(1, n_steps + 1):
-        y = rk4_step(rhs, y, dt)
+        y = rk4_step(rhs, y, dt, "hamilton_flow")
         out[k] = y
         bad = not np.all(np.isfinite(y))
         if q_range is not None and not bad:
@@ -507,7 +507,7 @@ class TestScalarFlow:
             escaped = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400, (-10.0, 10.0))
             assert escaped[2] and abs(escaped[0][-1, 0]) > 10.0
             failed = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400)
-            assert failed == (NumericalFailureError, "non-finite derivative in rk4_step")
+            assert failed == (NumericalFailureError, "non-finite derivative in hamilton_flow")
 
     def test_nonpositive_mass_mid_flow(self):
         # m = 1 - q reaches 0 at q = 1; the free particle gets there near t = 0.5
@@ -533,13 +533,13 @@ class TestScalarFlow:
                                       potential_grad=lambda q: 0.0 * np.sqrt(q))
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.5, -1.0), 0.1, n) for n in range(1, 10)]
         assert len(outcomes[0]) == 4
-        assert outcomes[-1] == (NumericalFailureError, "non-finite derivative in rk4_step")
+        assert outcomes[-1] == (NumericalFailureError, "non-finite derivative in hamilton_flow")
 
     def test_mass_underflow_fails_as_before(self):
         # 2 m^2 underflows to 0: numpy divides to NaN where Python floats would raise
         spec = mech.NaturalSystemSpec(mass=lambda q: 1e-170, potential=lambda q: 0.0)
         assert _assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, 3) == (
-            NumericalFailureError, "non-finite derivative in rk4_step")
+            NumericalFailureError, "non-finite derivative in hamilton_flow")
 
     @pytest.mark.parametrize("n_steps", [-1, 2.5, "3", True, None])
     def test_bad_n_steps_rejected(self, free_particle, n_steps):

@@ -6,13 +6,14 @@ entry is read by its regime's runner, and the runners read nothing else.
 """
 
 import configparser
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from varq import runners
 from varq.cli import EXIT_CONFIG, EXIT_OK, main
-from varq.config import COMMON, SCHEMA, Between, parse_scenario
+from varq.config import COMMON, POTENTIALS, SCHEMA, Between, parse_scenario
 from varq.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -33,7 +34,8 @@ def render(sections: dict) -> str:
 
 
 def _required(entry) -> bool:
-    return isinstance(entry, type) or (isinstance(entry, tuple) and entry[0] is None)
+    base = entry.default if isinstance(entry, Between) else entry
+    return isinstance(base, type) or (isinstance(base, tuple) and base[0] is None)
 
 
 def bad_variants(path: Path) -> list:
@@ -53,9 +55,10 @@ def bad_variants(path: Path) -> list:
     for sec in sections:
         variant(f"unknown-key-{sec}", f"{sec}.bogus", lambda c, sec=sec: c[sec].update(bogus="1"))
     variant("unknown-section", "bogus", lambda c: c.update(bogus={"x": "1"}))
+    kind = sections.get("potential", {}).get("kind", "").lower()
     for sec, keys in table.items():
         for key, entry in keys.items():
-            if _required(entry):
+            if _required(entry) and (sec != "potential" or key in ("kind", *POTENTIALS[kind])):
                 assert key in sections[sec], f"{path.name} lacks required {sec}.{key}"
                 variant(f"missing-{sec}.{key}", f"{sec}.{key}", lambda c, sec=sec, key=key: c[sec].pop(key))
     for (sec, key), bad in CHOICES.items():
@@ -104,8 +107,9 @@ PROBES = [
 
 
 class TestProbes:
-    """Inputs that `varq check` passed and `varq run` either rejected or ran
-    on defaults, reporting ok."""
+    """A misspelt key, an unknown section, an unparsable value and a bad
+    choice: check and run both exit 2 with the same line, naming the key,
+    where run once rejected them naming no key or ran on defaults."""
 
     @pytest.mark.parametrize("cfg_name, old, new, key, message", PROBES, ids=[p[3] for p in PROBES])
     def test_rejected_before_running(self, tmp_path, monkeypatch, capsys, cfg_name, old, new, key, message):
@@ -164,10 +168,19 @@ class TestRanges:
         run = parse_scenario(SPIN.replace("dt = 0.0001\n", "").replace("t_final = 1.15\n", "")).params["run"]
         assert (run["dt"], run["t_final"]) == (1e-3, 1.0)
 
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys):
+        # check passed it; a spin run then exited 2 with numpy's message, naming no key
+        assert "\nseed = 0\n" in SPIN
+        bad = SPIN.replace("\nseed = 0\n", "\nseed = -1\n")
+        for err in _both_commands_reject(tmp_path, monkeypatch, capsys, bad, "scenario.seed"):
+            assert err == "config error: [scenario] seed must be finite and > -1, got -1 (key: scenario.seed)\n"
+
     def test_every_default_inside_its_range(self):
-        entries = [e for regime in SCHEMA.values() for keys in regime.values() for e in keys.values()
-                   if isinstance(e, Between)]
-        assert entries and all(e.lo < e.default < e.hi for e in entries)
+        # a required or derived key (a type or Derived entry) has no default
+        defaults = [(e, v) for regime in [*SCHEMA.values(), COMMON] for keys in regime.values() for e in keys.values()
+                    if isinstance(e, Between) and isinstance(e.default, (int, float, list))
+                    for v in (e.default if isinstance(e.default, list) else [e.default])]
+        assert defaults and all(e.lo < v < e.hi for e, v in defaults)
 
 
 CONFINED = (CONFIG_DIR / "confined_harmonic.cfg").read_text()
@@ -193,22 +206,16 @@ class TestQFieldRanges:
             assert err == f"config error: [run] {key} must be finite and > {lo}, got {got} (key: run.{key})\n"
 
     def test_more_coefficients_than_modes(self, tmp_path, monkeypatch, capsys):
-        # check cannot compare two keys and passes; run used to do the whole
-        # eigensolve and then exit 2 naming no key
+        # check passed it, and run did the whole eigensolve and then exited 2
+        # naming no key
         bad = CONFINED.replace("\nc = 1.0 0.1\n", "\nc = 1.0" + " 0.01" * 8 + "\n")
-        cfg = tmp_path / "case.cfg"
-        cfg.write_text(bad)
-        assert main(["check", str(cfg)]) == EXIT_OK
-        capsys.readouterr()
 
         def no_eigensolve(*args):
             raise AssertionError("vacuum_spectrum called")
 
         monkeypatch.setattr(runners.qf, "vacuum_spectrum", no_eigensolve)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == ("config error: [initial] c has 9 coefficients, more than [run] k_eigen = 8"
-                                           " (key: initial.c)\n")
-        assert not (tmp_path / "out").exists()
+        for err in _both_commands_reject(tmp_path, monkeypatch, capsys, bad, "initial.c"):
+            assert err == "config error: [initial] c has 9 coefficients, more than [run] k_eigen = 8 (key: initial.c)\n"
 
     def test_as_many_coefficients_as_modes_run(self):
         sc = parse_scenario(CONFINED.replace("k_eigen = 8\n", "k_eigen = 2\n").replace("n = 801\n", "n = 201\n")
@@ -222,6 +229,39 @@ class TestQFieldRanges:
         assert type(run["k_eigen"]) is int and type(run["n_r"]) is int
         run = parse_scenario(VACUUM.replace("k_eigen = 3\n", "")).params["run"]
         assert run["k_eigen"] == 3 and type(run["k_eigen"]) is int
+
+
+SPACE_INDEPENDENT = (CONFIG_DIR / "space_independent_superposition.cfg").read_text()
+RULE_CASES = [
+    *[(text, "kind = harmonic\nk = 1.0\n", f"kind = {kind}\n", "potential.kind",
+       f"[potential] kind {kind} does not confine the field")
+      for text in (VACUUM, SPACE_INDEPENDENT, CONFINED) for kind in ("free", "box")],
+    (CONFINED, "r_min = 0.5\n", "r_min = 40.0\n", "run.r_max", "[run] r_max must be > r_min = 40.0, got 30.0"),
+    (CONFINED, "fit_hi = 25.0\n", "fit_hi = 10.0\n", "run.fit_hi", "[run] fit_hi must be > fit_lo = 10.0, got 10.0"),
+    (CONFINED, "c = 1.0 0.1\n", "c = 1.0 nan\n", "initial.c", "[initial] c must be finite, got [1.0, nan]"),
+    (CONFINED, "c = 1.0 0.1\n", "c = 0.5 0.1\n", "initial.c", "[initial] c must start with c0 = 1, got [0.5, 0.1]"),
+    (VACUUM, "k = 1.0\n", "k = 1.0\nc = 2.0\n", "potential.c", "unknown key [potential] c for kind harmonic"),
+    (SPACE_INDEPENDENT, "modes = 0 1\n", "modes = 0 1e400\n", "initial.modes",
+     "[initial] modes must be finite, got [0.0, inf]"),
+]
+
+
+class TestRules:
+    """Rules the fuzz values cannot reach from the SMALL bases: a potential
+    that cannot confine a quantum field, a radial range or fit window given
+    in the wrong order, a list entry or a first coefficient out of range, and
+    a key the chosen potential kind does not read.  check passed each of
+    them; run exited 2 naming no key (free, box, the radii, c0), exited 3
+    after the whole solve (the fit window, a NaN in c), ran green (c under
+    harmonic), or exited 2 naming the key only at run time (modes)."""
+
+    @pytest.mark.parametrize("text, old, new, key, message", RULE_CASES,
+                             ids=[f"{read_sections(c[0])['scenario']['regime']}-{c[2].splitlines()[-1]}"
+                                  for c in RULE_CASES])
+    def test_check_and_run_reject(self, tmp_path, monkeypatch, capsys, text, old, new, key, message):
+        assert old in text
+        for err in _both_commands_reject(tmp_path, monkeypatch, capsys, text.replace(old, new), key):
+            assert err == f"config error: {message} (key: {key})\n"
 
 
 class TestSpellings:
@@ -316,6 +356,8 @@ def _reads(regime: str) -> set:
     runners.run_scenario_object(sc)
     if "potential" in SCHEMA[regime]:
         for kind, extra in KINDS.items():
+            if not POTENTIALS[kind]:  # free and box read only the kind, and do not confine a quantum field
+                continue
             pot_sc, pot_seen = _recorded(f"[scenario]\nregime = {regime}\n"
                                          + SMALL[regime].replace("kind = harmonic\n", f"kind = {kind}\n{extra}"))
             runners._potential_from(pot_sc)
@@ -336,3 +378,73 @@ def test_every_entry_is_read(regime):
 def test_drift_check_covers_every_potential_kind():
     kinds = [k for k in SCHEMA["vacuum"]["potential"]["kind"] if k is not None]
     assert kinds == list(KINDS)
+
+
+# ---------------------------------------------------------------------------
+# check rejects what run rejects: each SCHEMA key of each SMALL base set to
+# each of FUZZ_VALUES, one at a time, through both commands
+
+FUZZ_VALUES = ("0", "-1", "nan", "inf")
+GROWTH = "config error: potential must grow toward the grid ends\n"
+# A quantum-field potential must grow toward both grid ends, which only V
+# sampled on the grid shows: config leaves it to QFieldSpec.validate_on, and
+# these cases pass check and exit 2 from run with GROWTH, naming no key.
+GRID_SAMPLED = {(regime, f"grid.{key}", value) for regime in ("confined", "space-independent", "vacuum")
+                for key in ("q_min", "q_max") for value in ("0", "-1")}
+# a rule's key -> the other keys it reads; an edit of one of them may name the rule's key
+RULE_KEYS = {"grid.q_max": {"grid.q_min"}, "initial.center": {"grid.q_min", "grid.q_max"},
+             "initial.basis_state": {"system.levels"}, "initial.c": {"run.k_eigen"},
+             "run.r_max": {"run.r_min"}, "run.fit_hi": {"run.fit_lo"}}
+# Keys that exit 2 at every fuzz value.  Before the rules, these ran to
+# max-iterations, to an empty fit window or to a green report; the SMALL
+# bases use kind = harmonic, which reads neither c nor coeffs.
+ALWAYS_REJECTED = {"run.r_min", "run.r_max", "run.fit_lo", "run.fit_hi", "initial.c", "potential.c", "potential.coeffs"}
+
+
+def _outcome(argv, capsys) -> tuple:
+    code = main(argv)  # raises, as the console script would exit 1, on an unclassified error
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("regime", sorted(SCHEMA))
+def test_check_rejects_what_run_rejects(tmp_path, capsys, regime):
+    """check exits 2 exactly when run does, but for GRID_SAMPLED; both then
+    print the same line, which names the edited key or a rule that reads it."""
+    base = read_sections(f"[scenario]\nregime = {regime}\n" + SMALL[regime])
+    assert base.get("potential", {"kind": "harmonic"})["kind"] == "harmonic"
+    cfg, out = tmp_path / "case.cfg", str(tmp_path / "out")
+    wrong, grid_sampled = [], set()
+    for sec, keys in SCHEMA[regime].items():
+        for key, value in ((key, value) for key in keys for value in FUZZ_VALUES):
+            edited = f"{sec}.{key}"
+            sections = {s: dict(k) for s, k in base.items()}
+            sections.setdefault(sec, {})[key] = value
+            cfg.write_text(render(sections))
+            check, check_err = _outcome(["check", str(cfg)], capsys)
+            run, run_err = _outcome(["run", str(cfg), "--out", out], capsys)
+            named = check_err.rpartition("(key: ")[2].rstrip(")\n")
+            if (check, run, run_err) == (EXIT_OK, EXIT_CONFIG, GROWTH):
+                grid_sampled.add((regime, edited, value))
+            elif EXIT_CONFIG in (check, run) or edited in ALWAYS_REJECTED:
+                if not (check_err == run_err and (named == edited or edited in RULE_KEYS.get(named, ()))):
+                    wrong.append((edited, value, check, run, run_err))
+    assert not wrong
+    assert grid_sampled == {case for case in GRID_SAMPLED if case[0] == regime}
+
+
+def test_benchmark_configs_parse(monkeypatch):
+    """Every config the benchmark generates passes the schema and its rules:
+    one that a rule rejected would count as a failed operation."""
+    root = CONFIG_DIR.parent
+    monkeypatch.chdir(root)  # the sweep workload reads configs/ from the root of the checkout
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for seed in range(10):
+            configs = workloads.generate(workload, seed)
+            assert len(configs) == (len(SHIPPED) if workload == "sweep" else 40)
+            for name, text in configs:
+                parse_scenario(text, name=name)
+    assert [parse_scenario(text).regime for _, text in workloads.warmup()] == list(workloads._WARMUP)

@@ -78,8 +78,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # -- the replaced forms -------------------------------------------------------
 
 
-def rk4_step(f, state, dt):
-    """Classical 4th-order Runge-Kutta update for an autonomous system."""
+def rk4_step(f, state, dt, caller="rk4_step"):
+    """Classical 4th-order Runge-Kutta update for an autonomous system; its
+    error names ``caller``, the library function the reference stands for."""
     y = np.asarray(state, dtype=float)
     k1 = np.asarray(f(y))
     k2 = np.asarray(f(y + 0.5 * dt * k1))
@@ -91,7 +92,7 @@ def rk4_step(f, state, dt):
         and np.all(np.isfinite(k3))
         and np.all(np.isfinite(k4))
     ):
-        raise NumericalFailureError("non-finite derivative in rk4_step")
+        raise NumericalFailureError(f"non-finite derivative in {caller}")
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -134,7 +135,7 @@ def local_form_step_ref(spec, p, lam, dt, floor=ds.P_FLOOR):
         dp, dlam = local_form_rhs_ref(spec, np.maximum(y[:n], floor * 1e-3), y[n:])
         return np.concatenate([dp, dlam])
 
-    out = rk4_step(rhs, np.concatenate([p, lam]), dt)
+    out = rk4_step(rhs, np.concatenate([p, lam]), dt, "local_form_step")
     p_new, lam_new = out[:n], out[n:]
     check_floor_ref(p_new, floor)
     return p_new, lam_new
@@ -1113,7 +1114,7 @@ class TestLocalFormStep:
         spec = _exchange(0.0)
         new = _spin_outcome(ds.local_form_run, spec, np.array(p), np.array(lam), 1e-3, 1e-3, floor)
         old = _spin_outcome(local_form_run_ref, spec, np.array(p), np.array(lam), 1e-3, 1e-3, floor)
-        assert new == old == ([], (NumericalFailureError, "non-finite derivative in rk4_step", None, {}))
+        assert new == old == ([], (NumericalFailureError, "non-finite derivative in local_form_step", None, {}))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidStateError, match="need 2 populations and phases, got 3 and 2"):
