@@ -47,6 +47,10 @@ class Between:
 
 
 INF = math.inf
+# steps one run may take (numerics._uniform_steps and _check_fixed_steps hold the
+# library to it too): the largest shipped run takes 20000, and a spin run holds
+# about 300 B per recorded step, so a capped run stays near 0.3 GB
+_MAX_STEPS = 10**6
 # finite and > 0: required, 1 by default, or derived when absent
 _SPAN, _UNIT, _DERIVED = Between(float, 0, INF), Between(1.0, 0, INF), Between(Derived(float), 0, INF)
 _GRID = {"q_min": Between(float, -INF, INF), "q_max": Between(float, -INF, INF), "n": Between(int, 2, INF)}
@@ -70,10 +74,10 @@ SCHEMA = {
                      "t_start": Between(0.1, -INF, INF), "p_floor": Between(1e-6, 0, INF)}},
     "ddw": {"grid": {"length": Between(2 * math.pi, 0, INF), "n": Between(256, 2, INF)},
             "system": {"eta": _UNIT, "kg_mass": 1.0}, "initial": {"k_mode": 1, "amplitude": 0.01},
-            "run": {"dt": Between(1e-3, 0, INF), "n_steps": Between(20000, 0, INF)}},
+            "run": {"dt": Between(1e-3, 0, INF), "n_steps": Between(20000, 0, _MAX_STEPS + 1)}},
     "vacuum": {**_QFIELD, "run": {"k_eigen": Between(3, 0, INF)}},
     "space-independent": {**_QFIELD, "initial": {"modes": Between([0, 1], -INF, INF)},
-                          "run": {"dt": Between(2e-3, 0, INF), "n_steps": Between(1000, 0, INF)}},
+                          "run": {"dt": Between(2e-3, 0, INF), "n_steps": Between(1000, 0, _MAX_STEPS + 1)}},
     "confined": {**_QFIELD, "initial": {"c": Between([1.0, 0.1], -INF, INF)},  # radii: multiples of f / (w1 - w0)
                  "run": {"k_eigen": Between(8, 1, INF), "r_min": _DERIVED, "r_max": _DERIVED,
                          "tol": Between(1e-8, 0.0, INF), "n_r": Between(1200, 1, INF), "fit_lo": _DERIVED,
@@ -90,12 +94,25 @@ _CONFINING = ("potential.kind", lambda potential, **_: potential["kind"] in ("fr
 _AFTER = lambda lo, hi: lambda run, **_: (run.get(lo, 0.0) >= run.get(hi, INF)  # when both are given
                                           and f"[run] {hi} must be > {lo} = {run[lo]!r}, got {run[hi]!r}")
 _MODES = lambda m: not m or not all(v >= 0 and float(v).is_integer() for v in m) or len(set(m)) < len(m)
+# a run of t_final / dt uniform steps (numerics._uniform_steps) takes at most _MAX_STEPS
+_STEPS = lambda key, t_final, dt: (not t_final / dt <= _MAX_STEPS  # an overflow to inf fails too
+                                   and f"[run] {key} gives t_final / dt = {t_final / dt:.6g} steps, more than {_MAX_STEPS}")
+_DT = ("run.dt", lambda run, **_: "dt" in run and _STEPS("dt", run["t_final"], run["dt"]))
+_H = lambda grid: (grid["q_max"] - grid["q_min"]) / (grid["n"] - 1)  # Grid1D.h
+# the eigenpairs a run asks vacuum_spectrum for, of the n - 2 the grid's operator has
+_EIGEN = lambda key, k: (key, lambda grid, **sec: k(sec) > grid["n"] - 2 and
+                         f"[{key.replace('.', '] ', 1)} needs {k(sec)} eigenpairs, more than [grid] n - 2 = {grid['n'] - 2}")
 RULES = {
-    "classical": [_BOUNDS, _CENTER], "schrodinger": [_BOUNDS, _CENTER], "vacuum": [_BOUNDS, _CONFINING],
+    "classical": [_BOUNDS, _CENTER, ("run.t_final", lambda run, **_: _STEPS("t_final", run["t_final"], 1e-3)),  # the flow
+                  ("run.cfl", lambda grid, run, **_: _STEPS("cfl", run["t_final"], run["cfl"] * _H(grid)))],
+    "schrodinger": [_BOUNDS, _CENTER, _DT],
+    "vacuum": [_BOUNDS, _CONFINING, _EIGEN("run.k_eigen", lambda sec: sec["run"]["k_eigen"])],
     "madelung": [_BOUNDS, _CENTER, ("grid.n", lambda grid, **_: grid["n"] < 7  # 3 bulk, 2 flux and 2 end nodes
-                                    and f"[grid] n must be >= 7 for the quantum-pole step, got {grid['n']}")],
+                                    and f"[grid] n must be >= 7 for the quantum-pole step, got {grid['n']}"),
+                 _DT, ("run.t_final", lambda grid, run, **_: "dt" not in run  # dt = 0.2 h^2
+                       and _STEPS("t_final", run["t_final"], 0.2 * _H(grid) ** 2))],
     "spin": [("initial.basis_state", lambda system, initial, **_: not 0 <= initial["basis_state"] < system["levels"]
-              and f"[initial] basis_state must be in 0..{system['levels'] - 1}, got {initial['basis_state']}")],
+              and f"[initial] basis_state must be in 0..{system['levels'] - 1}, got {initial['basis_state']}"), _DT],
     "ddw": [("system.kg_mass", lambda system, **_: not math.isfinite(system["kg_mass"] * system["kg_mass"])
              and f"[system] kg_mass and its square must be finite, got {system['kg_mass']!r}"),
             ("initial.k_mode", lambda initial, **_: initial["k_mode"] == 0
@@ -103,12 +120,15 @@ RULES = {
             ("initial.amplitude", lambda initial, **_: not 0 < abs(initial["amplitude"]) < INF  # NaN fails too
              and f"[initial] amplitude must be finite and nonzero, got {initial['amplitude']!r}")],
     "space-independent": [_BOUNDS, _CONFINING, ("initial.modes", lambda initial, **_: _MODES(initial["modes"])
-                          and f"[initial] modes must be distinct integers >= 0, got {initial['modes']}")],
+                          and f"[initial] modes must be distinct integers >= 0, got {initial['modes']}"),
+                          _EIGEN("initial.modes", lambda sec: int(max(sec["initial"]["modes"])) + 1)],
     "confined": [_BOUNDS, _CONFINING, ("initial.c", lambda initial, **_: initial["c"][:1] != [1.0]
                                        and f"[initial] c must start with c0 = 1, got {initial['c']}"),
                  ("initial.c", lambda initial, run, **_: len(initial["c"]) > run["k_eigen"]
                   and f"[initial] c has {len(initial['c'])} coefficients, more than [run] k_eigen = {run['k_eigen']}"),
-                 ("run.r_max", _AFTER("r_min", "r_max")), ("run.fit_hi", _AFTER("fit_lo", "fit_hi"))],
+                 _EIGEN("run.k_eigen", lambda sec: sec["run"]["k_eigen"]),
+                 ("run.r_max", _AFTER("r_min", "r_max")), ("run.fit_hi", _AFTER("fit_lo", "fit_hi")),
+                 ("run.r_max", _AFTER("fit_lo", "r_max")), ("run.fit_hi", _AFTER("r_min", "fit_hi"))],  # windows overlap
 }
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
 

@@ -182,7 +182,7 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     """One semi-implicit step of the coupled (rho, lam) system.
 
     Classical mode delegates to the shared classical transport kernel, so
-    it reproduces mechanics.transport_density bit for bit.  In quantum-pole
+    it reproduces mechanics.classical_transport_step bit for bit.  In quantum-pole
     mode the density moves by limited upwind fluxes and the multiplier is
     then advanced with the quantum term evaluated at the fresh density
     (lagged sqrt(rho)); multiplier updates are restricted to the bulk

@@ -20,7 +20,6 @@ from .potentials import _fd, _sample
 __all__ = [
     "NaturalSystemSpec",
     "PhaseState",
-    "FlowResult",
     "ClassicalEnsemble",
     "hamilton_flow",
     "transport_density",
@@ -68,38 +67,16 @@ class PhaseState:
             raise InvalidStateError("phase-space point must be finite")
 
 
-@dataclass(frozen=True)
-class FlowResult:
-    """Trajectory of the characteristic flow; (n_steps + 1, 2) [q, p] rows."""
-
-    states: np.ndarray
-    dt: float
-    escaped: bool = False
-    escape_step: Optional[int] = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.states.shape[0])
-
-
-def hamilton_flow(
-    spec: NaturalSystemSpec,
-    state: PhaseState,
-    dt: float,
-    n_steps: int,
-    q_range: Optional[tuple] = None,
-) -> FlowResult:
-    """Integrate dq/dt = dH/dp, dp/dt = -dH/dq with RK4.
+def hamilton_flow(spec: NaturalSystemSpec, state: PhaseState, dt: float, n_steps: int) -> np.ndarray:
+    """Integrate dq/dt = dH/dp, dp/dt = -dH/dq with RK4; returns the
+    (n_steps + 1, 2) [q, p] states, one row per time k * dt.
 
     The stages run on Python floats in the operation order of the classic
     update y + dt/6 (k1 + 2 k2 + 2 k3 + k4); a non-finite derivative after
-    the four stages raises NumericalFailureError, and a mass that ``mass_at``
-    rejects InvalidSpecError.
-    Missing gradients are central differences (``potentials._fd``).
-
-    If the trajectory leaves ``q_range`` (or stops being finite) the run is
-    reported as escaped rather than raising; the trajectory is truncated at
-    the escape step.  Raises InvalidArgumentError unless n_steps is an
+    the four stages, or a state that stops being finite, raises
+    NumericalFailureError, and a mass that ``mass_at`` rejects
+    InvalidSpecError.  Missing gradients are central differences
+    (``potentials._fd``).  Raises InvalidArgumentError unless n_steps is an
     integer >= 0 and dt * n_steps is finite.
     """
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
@@ -138,14 +115,11 @@ def hamilton_flow(
             raise NumericalFailureError("non-finite derivative in hamilton_flow")
         q = q + sixth * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
         p = p + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
+        if not (isfinite(q) and isfinite(p)):
+            raise NumericalFailureError("non-finite state in hamilton_flow")
         out[k, 0] = q
         out[k, 1] = p
-        bad = not (isfinite(q) and isfinite(p))
-        if q_range is not None and not bad:
-            bad = not (q_range[0] <= q <= q_range[1])
-        if bad:
-            return FlowResult(out[: k + 1].copy(), dt, escaped=True, escape_step=k)
-    return FlowResult(out, dt)
+    return out
 
 
 def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
@@ -406,24 +380,15 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     return rho_new, S_new
 
 
-def transport_density(
-    ens: ClassicalEnsemble,
-    spec: NaturalSystemSpec,
-    dt: float,
-    support_floor: Optional[float] = None,
-) -> ClassicalEnsemble:
+def transport_density(ens: ClassicalEnsemble, spec: NaturalSystemSpec, dt: float) -> ClassicalEnsemble:
     """One step of the coupled global system
 
-        drho/dt + d/dq (rho dS/dq / m) = 0,    dS/dt + H(q, dS/dq) = 0.
+        drho/dt + d/dq (rho dS/dq / m) = 0,    dS/dt + H(q, dS/dq) = 0
 
-    ``support_floor`` switches on the support-restricted multiplier update
-    (see classical_transport_step); omit it to advance both fields on the
-    whole grid.
+    with both fields advanced on the whole grid; ``classical_transport_step``
+    with a ``support_floor`` restricts the multiplier update to the support.
     """
-    rho_new, S_new = classical_transport_step(
-        ens.grid, ens.rho, ens.S, spec, dt, support_floor=support_floor
-    )
-    return ClassicalEnsemble(ens.grid, rho_new, S_new)
+    return ClassicalEnsemble(ens.grid, *classical_transport_step(ens.grid, ens.rho, ens.S, spec, dt))
 
 
 def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: float, dt: float,

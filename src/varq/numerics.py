@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
+from .config import _MAX_STEPS  # numpy-free config owns the step cap, so check applies it too
 from .errors import InvalidArgumentError, NumericalFailureError
 
 __all__ = [
@@ -329,11 +330,11 @@ def _check_positive(name: str, val: float, error: type) -> None:
 
 
 def _check_fixed_steps(dt: float, n_steps: int, store_every: int) -> None:
-    """Raises InvalidArgumentError unless dt is finite and > 0, n_steps >= 1
-    and store_every >= 1."""
+    """Raises InvalidArgumentError unless dt is finite and > 0, 1 <= n_steps
+    <= _MAX_STEPS and store_every >= 1."""
     _check_positive("dt", dt, InvalidArgumentError)
-    if n_steps < 1:
-        raise InvalidArgumentError(f"n_steps must be >= 1, got {n_steps!r}")
+    if not 1 <= n_steps <= _MAX_STEPS:
+        raise InvalidArgumentError(f"n_steps must be >= 1 and <= {_MAX_STEPS}, got {n_steps!r}")
     if store_every < 1:
         raise InvalidArgumentError(f"store_every must be >= 1, got {store_every!r}")
 
@@ -341,12 +342,13 @@ def _check_fixed_steps(dt: float, n_steps: int, store_every: int) -> None:
 def _uniform_steps(t_final: float, dt: float) -> tuple:
     """(n_steps, dt') of the uniform steps of at most dt that reach t_final.
 
-    Raises InvalidArgumentError unless both values are finite and > 0.
+    Raises InvalidArgumentError unless both values are finite and > 0 and
+    t_final / dt <= _MAX_STEPS.
     """
     _check_positive("t_final", t_final, InvalidArgumentError)
     _check_positive("dt", dt, InvalidArgumentError)
     ratio = t_final / dt
-    if not np.isfinite(ratio):
-        raise InvalidArgumentError(f"t_final / dt is not finite ({t_final!r} / {dt!r})")
+    if not ratio <= _MAX_STEPS:  # an overflow to inf fails too
+        raise InvalidArgumentError(f"t_final / dt = {ratio!r} exceeds {_MAX_STEPS} steps ({t_final!r} / {dt!r})")
     n_steps = max(1, int(np.ceil(ratio)))
     return n_steps, t_final / n_steps

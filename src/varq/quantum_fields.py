@@ -145,11 +145,11 @@ def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int) -> VacuumSpectrum:
     return VacuumSpectrum(grid, w, psi_full)
 
 
-def invariant_state_tensor(ws: float, dim: int = 2) -> np.ndarray:
-    """Mixed energy-momentum tensor of an invariant state: delta^s_n * ws."""
+def invariant_state_tensor(ws: float) -> np.ndarray:
+    """Mixed energy-momentum tensor of an invariant state in 1+1 dimensions: delta^s_n * ws."""
     if ws < 0:
         raise InvalidArgumentError(f"need ws >= 0, got {ws}")
-    return ws * np.eye(dim)
+    return ws * np.eye(2)
 
 
 def field_fluctuations(vac: VacuumSpectrum):
@@ -262,17 +262,13 @@ class ConfinedSolveResult:
     pair: RadialPair
     residual_history: list
     iterations: int
-    converged: bool
     mode_history: list  # [(A, At)] per accepted iterate, seed first
-    resid_window: tuple
 
 
 @dataclass(frozen=True)
 class ConfinementReport:
     fitted_rate: float
     radius: float
-    window: tuple
-    n_points: int
     tail: np.ndarray  # tail_integral at every radius, the fitted ones and the rest
 
 
@@ -327,8 +323,9 @@ def confined_solve(
     max(previous, tol); a rising residual above tolerance stops the
     iteration as stagnation.  It converges once the residual is below tol
     and the mode amplitudes move by less than 1e-12, and stops after 60
-    sweeps.  Pure vacuum input (all higher c_n zero) is a fixed point and
-    returns after zero iterations.
+    sweeps; a stopped solve whose last residual is not below tol raises
+    NumericalFailureError.  Pure vacuum input (all higher c_n zero) is a
+    fixed point and returns after zero iterations.
     """
     c = np.asarray(c, dtype=float)
     if c.size < 1 or abs(c[0] - 1.0) > 0:
@@ -350,8 +347,8 @@ def confined_solve(
     psi0 = psi_mat[:, 0]
     qmask = _support_mask(np.abs(psi0), _PSI0_FLOOR)
     source_r_start = max(r_min, f / dw[1]) if K > 1 else r_min
-    resid_window = (r_min + 0.5 * (r_max - r_min), r_max)
-    if resid_window[0] < source_r_start:
+    resid_lo = r_min + 0.5 * (r_max - r_min)  # the residual window is [resid_lo, r_max]
+    if resid_lo < source_r_start:
         raise InvalidArgumentError("r_max too small: the residual window must start at or after f/(w1 - w0)")
 
     A0 = cs[:, None] * np.exp(-np.outer(dw, r) / f)  # (K, nr)
@@ -361,7 +358,7 @@ def confined_solve(
     # the log source and the residual window are boxes: the qmask rows times
     # a suffix of the ascending r (never empty for the window: r[-1] == r_max)
     rows = _index_span(qmask)
-    src_col, res_col = (int(np.count_nonzero(r < r0)) for r0 in (source_r_start, resid_window[0]))
+    src_col, res_col = (int(np.count_nonzero(r < r0)) for r0 in (source_r_start, resid_lo))
     phi, phi_tilde = (np.empty((psi_mat.shape[0], n_r)) for _ in range(2))
 
     def sources(A, At):
@@ -417,15 +414,13 @@ def confined_solve(
         iterations += 1
         if resid_new < tol and change < _CHANGE_TOL:
             converged = True
-    if not converged and history[-1] < tol:
-        converged = True
-    if not converged:
+    if not history[-1] < tol:  # a converged solve ends below tol; a stopped one is accepted there too
         raise NumericalFailureError(
             "confined solve did not reach tolerance (max-iterations)",
             diagnostics={"residual_history": history},
         )
     pair = RadialPair(vac.grid, r, np.matmul(psi_mat, A, out=phi), np.matmul(psi_mat, At, out=phi_tilde), cs)
-    return ConfinedSolveResult(pair, history, iterations, converged, mode_history, resid_window)
+    return ConfinedSolveResult(pair, history, iterations, mode_history)
 
 
 def tail_integral(pair: RadialPair, vac: VacuumSpectrum) -> np.ndarray:
@@ -434,21 +429,14 @@ def tail_integral(pair: RadialPair, vac: VacuumSpectrum) -> np.ndarray:
     return pair.grid.h * np.sum(np.abs(pair.rho - rho0[:, None]), axis=0)
 
 
-def confinement_report(
-    pair: RadialPair,
-    vac: VacuumSpectrum,
-    f: float,
-    window: Optional[tuple] = None,
-) -> ConfinementReport:
-    """Least-squares decay rate of log(tail) over the asymptotic window and
-    the confinement radius f / (w1 - w0)."""
+def confinement_report(pair: RadialPair, vac: VacuumSpectrum, f: float, window: tuple) -> ConfinementReport:
+    """Least-squares decay rate of log(tail) over the radii in ``window``
+    (lo, hi) and the confinement radius f / (w1 - w0)."""
     tail = tail_integral(pair, vac)
     r = pair.r
-    if window is None:
-        window = (r[0] + 0.5 * (r[-1] - r[0]), r[-1])
     sel = (r >= window[0]) & (r <= window[1]) & (tail > _TAIL_FLOOR)
     if np.count_nonzero(sel) < 2:
         raise NumericalFailureError("fit window empty: tail below numerical floor")
     slope, _ = np.polyfit(r[sel], np.log(tail[sel]), 1)
     radius = f / (vac.w[1] - vac.w[0])
-    return ConfinementReport(float(-slope), float(radius), window, int(np.count_nonzero(sel)), tail)
+    return ConfinementReport(float(-slope), float(radius), tail)

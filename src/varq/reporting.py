@@ -49,10 +49,11 @@ class RunReport:
     seed: int
     scenario_echo: dict
     tol_scale: float  # add_invariant multiplies every tolerance by it
-    scalars: dict = field(default_factory=dict)
-    invariants: list = field(default_factory=list)
-    series: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    # the runners fill these after construction
+    scalars: dict = field(init=False, default_factory=dict)
+    invariants: list = field(init=False, default_factory=list)
+    series: dict = field(init=False, default_factory=dict)
+    wall_time_s: float = field(init=False, default=0.0)
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.invariants)

@@ -21,7 +21,7 @@ from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import POTENTIALS, Scenario
 from .errors import InvalidArgumentError
-from .numerics import _check_positive, _moments, _uniform_steps, build_grid
+from .numerics import CayleyPropagator, _check_positive, _moments, _uniform_steps, build_grid
 from .reporting import InvariantCheck, RunReport, Series
 
 __all__ = ["run_scenario_object"]
@@ -50,14 +50,15 @@ def run_classical(sc: Scenario, report: RunReport) -> None:
     rho = np.exp(-0.5 * ((q - center) / (sc.params["initial"]["width_cells"] * grid.h)) ** 2)
     ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
 
-    flow = mech.hamilton_flow(spec, mech.PhaseState(center, 0.0), 1e-3, _uniform_steps(t_final, 1e-3)[0])
+    flow_dt = 1e-3
+    flow = mech.hamilton_flow(spec, mech.PhaseState(center, 0.0), flow_dt, _uniform_steps(t_final, flow_dt)[0])
 
     samples = []
 
     def obs(t, rho):
         cen = grid.h * float((rho * q).sum())
-        k = min(int(round(t / flow.dt)), flow.states.shape[0] - 1)
-        samples.append((t, cen, flow.states[k, 0], grid.h * float(rho.sum())))
+        k = min(int(round(t / flow_dt)), flow.shape[0] - 1)
+        samples.append((t, cen, flow[k, 0], grid.h * float(rho.sum())))
 
     ens = mech.transport_run(ens, spec, t_final, sc.params["run"]["cfl"] * grid.h,
                              support_floor=sc.params["run"]["support_floor"], observer=obs)
@@ -106,9 +107,9 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
             * np.exp(1j * sc.params["initial"]["momentum"] * q / a))
     wf = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a)
     n_steps, dt = _uniform_steps(t_final, sc.params["run"]["dt"])
-    evo = wv.SchrodingerEvolution(spec, grid, a, dt)
+    prop = CayleyPropagator(wv.schrodinger_operator(spec, grid, a), dt, a)
     rows, norm_drift, energy_drift = [], 0.0, 0.0
-    for k, (psi, hpsi) in enumerate(evo.prop.run(wf.psi, n_steps)):
+    for k, (psi, hpsi) in enumerate(prop.run(wf.psi, n_steps)):
         dens = np.abs(psi) ** 2
         e = wv._expected_energy(grid.h, psi, hpsi)
         if k == 0:
@@ -118,7 +119,7 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
             energy_drift = max(energy_drift, abs(e - e0) / max(abs(e0), 1e-300))
         if k % max(1, n_steps // 64) == 0:
             rows.append((k * dt, *_moments(grid.h, q, dens), norm_drift, energy_drift))
-    evo.check_boundary(psi, t_final)
+    wv._check_boundary(grid, psi, t_final)
 
     report.scalars["final_variance"] = _moments(grid.h, q, dens)[1]  # dens is |psi|^2 of the final psi
     report.add_invariant("norm_drift_per_run", norm_drift, 1e-12 * n_steps)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainEscapeError, InvalidStateError
 from .mechanics import NaturalSystemSpec
 from .numerics import (RHO_FLOOR_FRAC, CayleyPropagator, Grid1D, TridiagonalOperator, _check_positive,
-                       _support_mask, embed_interior, sturm_liouville_operator)
+                       _support_mask, sturm_liouville_operator)
 
 __all__ = [
     "WaveFunction",
@@ -127,26 +127,16 @@ def _expected_energy(h: float, psi: np.ndarray, hpsi: np.ndarray) -> float:
     return h * float(np.real(np.vdot(psi[1:-1], hpsi)))
 
 
-class SchrodingerEvolution:
-    """Reusable Cayley evolution with a boundary-leakage guard; run loops iterate over ``prop.run``."""
-
-    def __init__(self, spec: NaturalSystemSpec, grid: Grid1D, a: float, dt: float):
-        self.grid = grid
-        self.dt = dt
-        self.op = schrodinger_operator(spec, grid, a)
-        self.prop = CayleyPropagator(self.op, dt, a)
-
-    def check_boundary(self, psi: np.ndarray, t: float):
-        dens = np.abs(psi) ** 2
-        mass = self.grid.h * float(np.sum(dens[:_BOUNDARY_CELLS]) + np.sum(dens[-_BOUNDARY_CELLS:]))
-        if mass > _BOUNDARY_THRESHOLD:
-            raise DomainEscapeError(
-                f"boundary density {mass:.3e} exceeds {_BOUNDARY_THRESHOLD:.1e} at t={t:.6g}",
-                diagnostics={"boundary_mass": mass, "t": t},
-            )
-
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        return embed_interior(self.grid, self.prop.step(psi[1:-1]))
+def _check_boundary(grid: Grid1D, psi: np.ndarray, t: float):
+    """Leakage guard: raises DomainEscapeError when the 3 cells at each grid
+    end hold more than 1e-8 of the probability at time t (the state has left the grid)."""
+    dens = np.abs(psi) ** 2
+    mass = grid.h * float(np.sum(dens[:_BOUNDARY_CELLS]) + np.sum(dens[-_BOUNDARY_CELLS:]))
+    if mass > _BOUNDARY_THRESHOLD:
+        raise DomainEscapeError(
+            f"boundary density {mass:.3e} exceeds {_BOUNDARY_THRESHOLD:.1e} at t={t:.6g}",
+            diagnostics={"boundary_mass": mass, "t": t},
+        )
 
 
 def schrodinger_evolve(
@@ -157,7 +147,7 @@ def schrodinger_evolve(
 ) -> WaveFunction:
     """Evolve by n_steps Cayley steps; raises DomainEscapeError if density
     piles up at the grid edge (the state is no longer represented)."""
-    evo = SchrodingerEvolution(spec, wf.grid, wf.a, dt)
-    for k, (psi, _) in enumerate(evo.prop.run(wf.psi, n_steps)):
-        evo.check_boundary(psi, k * dt)
+    prop = CayleyPropagator(schrodinger_operator(spec, wf.grid, wf.a), dt, wf.a)
+    for k, (psi, _) in enumerate(prop.run(wf.psi, n_steps)):
+        _check_boundary(wf.grid, psi, k * dt)
     return WaveFunction(wf.grid, psi, wf.a)

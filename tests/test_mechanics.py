@@ -36,48 +36,49 @@ class TestHamiltonFlow:
 
     def test_free_motion_exact(self, free_particle):
         flow = mech.hamilton_flow(free_particle, mech.PhaseState(0.5, 1.5), 0.01, 100)
-        times = flow.times
-        assert np.allclose(flow.states[:, 0], 0.5 + 1.5 * times, atol=1e-12)
-        assert np.allclose(flow.states[:, 1], 1.5, atol=1e-14)
+        times = 0.01 * np.arange(101)
+        assert np.allclose(flow[:, 0], 0.5 + 1.5 * times, atol=1e-12)
+        assert np.allclose(flow[:, 1], 1.5, atol=1e-14)
 
     def test_time_reversal(self, unit_mass_harmonic):
         fwd = mech.hamilton_flow(unit_mass_harmonic, mech.PhaseState(0.7, 0.4), 1e-3, 1500)
-        qf, pf = fwd.states[-1]
+        qf, pf = fwd[-1]
         back = mech.hamilton_flow(unit_mass_harmonic, mech.PhaseState(qf, -pf), 1e-3, 1500)
-        qb, pb = back.states[-1]
+        qb, pb = back[-1]
         assert qb == pytest.approx(0.7, abs=1e-10)
         assert -pb == pytest.approx(0.4, abs=1e-10)
 
     def test_energy_conservation(self, unit_mass_harmonic):
         flow = mech.hamilton_flow(unit_mass_harmonic, mech.PhaseState(1.0, 0.0), 1e-3, 6283)
-        e = 0.5 * flow.states[:, 1] ** 2 + 0.5 * flow.states[:, 0] ** 2
+        e = 0.5 * flow[:, 1] ** 2 + 0.5 * flow[:, 0] ** 2
         assert np.max(np.abs(e - e[0])) < 1e-12
 
-    def test_domain_escape_reported(self, free_particle):
-        flow = mech.hamilton_flow(
-            free_particle, mech.PhaseState(0.0, 1.0), 0.1, 100, q_range=(-1.0, 1.0)
-        )
-        assert flow.escaped
-        assert flow.escape_step is not None
-        assert flow.states.shape[0] == flow.escape_step + 1
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_fails(self, free_particle):
+        # every derivative is finite (dq/dt = p = 1), but q + dt p overflows to inf
+        with pytest.raises(NumericalFailureError, match="^non-finite state in hamilton_flow$"):
+            mech.hamilton_flow(free_particle, mech.PhaseState(1.7e308, 1.0), 1e308, 1)
+        # p = 1.7e308 overflows p^2 in dp/dt = p^2 m'/2m^2 - V' (inf * 0 = nan) before any state does
+        with pytest.raises(NumericalFailureError, match="^non-finite derivative in hamilton_flow$"):
+            mech.hamilton_flow(free_particle, mech.PhaseState(0.0, 1.7e308), 10.0, 5)
 
 
 def _refine_period(spec, flow, dt):
     # the initial state (q0, 0) returns where p crosses 0 downward with q > 0
-    p = flow.states[:, 1]
-    q = flow.states[:, 0]
+    p = flow[:, 1]
+    q = flow[:, 0]
     down = (p[:-1] > 0) & (p[1:] <= 0) & (q[:-1] > 0)
     k = int(np.flatnonzero(down)[0])
     t_lo, t_hi = k * dt, (k + 1) * dt
-    state_lo = mech.PhaseState(*flow.states[k])
+    state_lo = mech.PhaseState(*flow[k])
     for _ in range(60):
         half = 0.5 * (t_hi - t_lo)
         if half < 1e-14:
             break
         probe = mech.hamilton_flow(spec, state_lo, half / 8, 8)
-        if probe.states[-1, 1] > 0:  # crossing is later
+        if probe[-1, 1] > 0:  # crossing is later
             t_lo += half
-            state_lo = mech.PhaseState(*probe.states[-1])
+            state_lo = mech.PhaseState(*probe[-1])
         else:
             t_hi = t_lo + half
     return 0.5 * (t_lo + t_hi)
@@ -138,7 +139,7 @@ class TestTransport:
         )
         t_final = 0.8
         flow = mech.hamilton_flow(spec, mech.PhaseState(1.0, 0.0), 1e-4, 8000)
-        q_ref = flow.states[-1, 0]
+        q_ref = flow[-1, 0]
         errs = []
         for width_cells in (16.0, 9.0, 4.0):
             grid = build_grid(-1.6, 1.6, 1201)
@@ -152,11 +153,12 @@ class TestTransport:
 class TestRunSampling:
     """transport_run samples m(q) at the faces once and writes S outside the
     support window only before it returns; every step's density and the
-    returned S (sign bits too) must be the bits of transport_density, which
-    samples the spec itself and returns the whole S each step."""
+    returned S (sign bits too) must be the bits of a checked ensemble built
+    from each standalone classical_transport_step, which samples the spec
+    itself and returns the whole S."""
 
     @pytest.mark.parametrize("support_floor", [1e-6, None])
-    def test_transport_run_matches_transport_density(self, support_floor):
+    def test_transport_run_matches_standalone_steps(self, support_floor):
         spec = mech.NaturalSystemSpec(
             mass=lambda q: 1.0 + 0.2 * np.cos(np.asarray(q, dtype=float)),
             potential=lambda q: 0.5 * np.asarray(q) ** 2,
@@ -171,7 +173,8 @@ class TestRunSampling:
         n_steps = int(np.ceil(t_final / dt))
         ref = ens0
         for k in range(n_steps):
-            ref = mech.transport_density(ref, spec, t_final / n_steps, support_floor=support_floor)
+            ref = mech.ClassicalEnsemble(grid, *mech.classical_transport_step(grid, ref.rho, ref.S, spec,
+                                                                              t_final / n_steps, support_floor))
             assert np.array_equal(seen[k], ref.rho)
         assert len(seen) == n_steps
         assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.S, ref.S)
@@ -206,15 +209,15 @@ class TestRunSampling:
         assert seen == []
 
     @pytest.mark.parametrize("floor", [1.0, 2.0, float("nan"), 0.0, -1.0])
-    @pytest.mark.parametrize("via", ["transport_run", "transport_density", "madelung_step"])
+    @pytest.mark.parametrize("via", ["transport_run", "classical_transport_step", "madelung_step"])
     def test_support_floor_outside_unit_interval_rejected(self, unit_mass_harmonic, via, floor):
         grid = build_grid(-3, 3, 101)
         ens = gaussian_ensemble(grid, 0.0, 0.4)
         with pytest.raises(InvalidArgumentError, match=r"support_floor must be > 0\.0 and < 1\.0, got"):
             if via == "transport_run":
                 mech.transport_run(ens, unit_mass_harmonic, 0.01, 0.4 * grid.h, support_floor=floor)
-            elif via == "transport_density":
-                mech.transport_density(ens, unit_mass_harmonic, 0.4 * grid.h, support_floor=floor)
+            elif via == "classical_transport_step":
+                mech.classical_transport_step(grid, ens.rho, ens.S, unit_mass_harmonic, 0.4 * grid.h, floor)
             else:
                 hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode="classical"),
                                  hy.HydroState(grid, ens.rho, ens.S), 0.4 * grid.h, support_floor=floor)
@@ -406,7 +409,7 @@ class TestUpwindMassConservation:
         assert _mass_moved(grid, rho, rho_new) <= 1.0
 
 
-def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
+def hamilton_flow_rk4(spec, state, dt, n_steps):
     """hamilton_flow before its scalar path: the array rk4_step on [q, p]
     arrays, with the spec sampled through mass_at and the removed
     dmass_at/dpotential_at (the gradient or its central difference)."""
@@ -427,31 +430,24 @@ def hamilton_flow_rk4(spec, state, dt, n_steps, q_range=None):
     y = out[0].copy()
     for k in range(1, n_steps + 1):
         y = rk4_step(rhs, y, dt, "hamilton_flow")
+        if not np.all(np.isfinite(y)):
+            raise NumericalFailureError("non-finite state in hamilton_flow")
         out[k] = y
-        bad = not np.all(np.isfinite(y))
-        if q_range is not None and not bad:
-            bad = not (q_range[0] <= y[0] <= q_range[1])
-        if bad:
-            return mech.FlowResult(out[: k + 1].copy(), dt, escaped=True, escape_step=k)
-    return mech.FlowResult(out, dt)
+    return out
 
 
 def _flow_outcome(flow, *args):
     try:
-        res = flow(*args)
+        return flow(*args)
     except (InvalidSpecError, NumericalFailureError) as exc:
         return type(exc), str(exc)
-    return res.states, res.dt, res.escaped, res.escape_step
 
 
 def _assert_same_flow(spec, *args):
     new = _flow_outcome(mech.hamilton_flow, spec, *args)
     old = _flow_outcome(hamilton_flow_rk4, spec, *args)
-    assert len(new) == len(old)
-    if len(old) == 2:
-        assert new == old
-    else:
-        assert np.array_equal(new[0], old[0]) and new[1:] == old[1:]
+    assert type(new) is type(old)
+    assert new == old if isinstance(old, tuple) else np.array_equal(new, old)
     return new
 
 
@@ -476,8 +472,8 @@ def _flow_spec(kind, coeffs, m0, m1, analytic):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # blow-ups overflow in the callbacks
 class TestScalarFlow:
-    """hamilton_flow runs its RK4 stages on Python floats; states, escapes
-    and errors must be those of rk4_step on [q, p] arrays, bit for bit."""
+    """hamilton_flow runs its RK4 stages on Python floats; states and errors
+    must be those of rk4_step on [q, p] arrays, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -489,23 +485,20 @@ class TestScalarFlow:
         st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-4.0, max_value=4.0)),
         st.floats(min_value=1e-3, max_value=0.5),
         st.integers(min_value=0, max_value=120),
-        st.one_of(st.none(), st.floats(min_value=0.1, max_value=3.0)),
     )
-    def test_matches_rk4_step_flow(self, kind, coeffs, m0, m1, analytic, qp, dt, n_steps, half_width):
+    def test_matches_rk4_step_flow(self, kind, coeffs, m0, m1, analytic, qp, dt, n_steps):
         spec = _flow_spec(kind, coeffs, m0, m1, analytic)
-        q_range = None if half_width is None else (-half_width, half_width)
-        _assert_same_flow(spec, mech.PhaseState(*qp), dt, n_steps, q_range)
+        _assert_same_flow(spec, mech.PhaseState(*qp), dt, n_steps)
 
-    def test_escape_is_truncated_as_before(self, free_particle):
-        new = _assert_same_flow(free_particle, mech.PhaseState(0.0, 1.0), 0.1, 100, (-1.0, 1.0))
-        assert new[2:] == (True, 11) and new[0].shape == (12, 2)
+    def test_overflowing_state_fails_as_before(self, free_particle):
+        # finite derivatives, and q + dt p overflows: the state, not a derivative, stops being finite
+        failed = _assert_same_flow(free_particle, mech.PhaseState(1.7e308, 1.0), 1e308, 1)
+        assert failed == (NumericalFailureError, "non-finite state in hamilton_flow")
 
-    def test_blow_up_escapes_or_fails_as_before(self):
+    def test_blow_up_fails_as_before(self):
         # V = -q^4 sends the particle to infinity in finite time
         spec = _flow_spec("quartic", [-1.0], 1.0, 0.0, True)
         for dt in (0.01, 0.1, 0.4):
-            escaped = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400, (-10.0, 10.0))
-            assert escaped[2] and abs(escaped[0][-1, 0]) > 10.0
             failed = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400)
             assert failed == (NumericalFailureError, "non-finite derivative in hamilton_flow")
 
@@ -513,7 +506,7 @@ class TestScalarFlow:
         # m = 1 - q reaches 0 at q = 1; the free particle gets there near t = 0.5
         spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 - q, potential=lambda q: 0.0 * q)
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, n) for n in range(1, 12)]
-        assert len(outcomes[0]) == 4
+        assert isinstance(outcomes[0], np.ndarray)
         assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be finite and > 0")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -522,7 +515,7 @@ class TestScalarFlow:
         spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 if q < 1.0 else bad, potential=lambda q: 0.0,
                                       mass_grad=lambda q: 0.0, potential_grad=lambda q: 0.0)
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, n) for n in range(1, 14)]
-        assert len(outcomes[0]) == 4
+        assert isinstance(outcomes[0], np.ndarray)
         assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be finite and > 0")
         with pytest.raises(InvalidSpecError, match="finite and > 0"):
             mech.hamilton_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, 13)
@@ -532,7 +525,7 @@ class TestScalarFlow:
         spec = mech.NaturalSystemSpec(mass=lambda q: 1.0, potential=lambda q: 0.0,
                                       potential_grad=lambda q: 0.0 * np.sqrt(q))
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.5, -1.0), 0.1, n) for n in range(1, 10)]
-        assert len(outcomes[0]) == 4
+        assert isinstance(outcomes[0], np.ndarray)
         assert outcomes[-1] == (NumericalFailureError, "non-finite derivative in hamilton_flow")
 
     def test_mass_underflow_fails_as_before(self):
@@ -549,7 +542,7 @@ class TestScalarFlow:
     @pytest.mark.parametrize("n_steps", [0, np.int64(3)])
     def test_integer_n_steps_accepted(self, free_particle, n_steps):
         flow = mech.hamilton_flow(free_particle, mech.PhaseState(0.0, 1.0), 0.1, n_steps)
-        assert flow.states.shape == (n_steps + 1, 2)
+        assert flow.shape == (n_steps + 1, 2)
 
 
 def _confining_spec(c2, c4, m0, m1):
@@ -582,9 +575,9 @@ class TestFlowInvariants:
     def test_time_reversal(self, c2, c4, m0, m1, qp):
         spec = _confining_spec(c2, c4, m0, m1)
         fwd = mech.hamilton_flow(spec, mech.PhaseState(*qp), 1e-3, 500)
-        qf, pf = fwd.states[-1]
+        qf, pf = fwd[-1]
         back = mech.hamilton_flow(spec, mech.PhaseState(qf, -pf), 1e-3, 500)
-        qb, pb = back.states[-1]
+        qb, pb = back[-1]
         assert abs(qb - qp[0]) <= 1e-9 and abs(pb + qp[1]) <= 1e-9
 
     @settings(max_examples=25, deadline=None)
@@ -597,7 +590,7 @@ class TestFlowInvariants:
     )
     def test_energy_conservation(self, c2, c4, m0, m1, qp):
         spec = _confining_spec(c2, c4, m0, m1)
-        e = _energy(spec, mech.hamilton_flow(spec, mech.PhaseState(*qp), 1e-3, 1000).states)
+        e = _energy(spec, mech.hamilton_flow(spec, mech.PhaseState(*qp), 1e-3, 1000))
         assert np.max(np.abs(e - e[0])) <= 1e-9 * (1.0 + abs(e[0]))
 
 
@@ -678,7 +671,7 @@ class TestOverdraw:
     (StepRejectedError, exit 3), not a bad state (InvalidStateError, exit 2)."""
 
     @pytest.mark.parametrize("support_floor", [None, 1e-6])
-    @pytest.mark.parametrize("via", ["transport_density", "madelung_step"])
+    @pytest.mark.parametrize("via", ["classical_transport_step", "madelung_step"])
     def test_rejected_at_most_negative_cell(self, free_particle, via, support_floor):
         grid, rho, S, dt = _overdrawn()
         lo, hi = (0, grid.n - 1) if support_floor is None else mech._support_window(rho, support_floor)
@@ -686,9 +679,8 @@ class TestOverdraw:
         low = int(np.argmin(unchecked))
         assert unchecked[low] < -1e-14
         with pytest.raises(StepRejectedError) as err:
-            if via == "transport_density":
-                mech.transport_density(mech.ClassicalEnsemble(grid, rho, S), free_particle, dt,
-                                       support_floor=support_floor)
+            if via == "classical_transport_step":
+                mech.classical_transport_step(grid, rho, S, free_particle, dt, support_floor)
             else:
                 hy.madelung_step(free_particle, hy.DiffusionSpec(a=1.0, mode="classical"),
                                  hy.HydroState(grid, rho, S), dt, support_floor=support_floor)
@@ -754,7 +746,7 @@ class TestNumberMass:
         assert np.array_equal(runs[0].m_face, runs[1].m_face) and np.array_equal(runs[0].m_node, runs[1].m_node)
         start = mech.PhaseState(*rng.uniform(-1.0, 1.0, 2))
         flows = [mech.hamilton_flow(s, start, 0.01, 50) for s in (number, callable_)]
-        assert np.array_equal(flows[0].states, flows[1].states)
+        assert np.array_equal(flows[0], flows[1])
         ops = [wv.schrodinger_operator(s, grid, 0.8) for s in (number, callable_)]
         assert np.array_equal(ops[0].diagonal, ops[1].diagonal)
         assert np.array_equal(ops[0].off_diagonal, ops[1].off_diagonal)

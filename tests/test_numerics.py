@@ -615,3 +615,27 @@ class TestSqrtDensityRatio:
         new = qf.random_energy_density(spec, grid, rho, lam0, lam_m if n_spatial else None)
         old = random_energy_density_inline(spec, grid, rho, lam0, lam_m)
         assert all(np.array_equal(a, b) for a, b in zip(new, old))
+
+
+class TestStepCap:
+    """_MAX_STEPS = 10^6 bounds every run before its first step: a
+    spin dt of 1e-300 passed check and run, then grew without bound."""
+
+    def test_uniform_steps(self):
+        assert nx._uniform_steps(1.0, 1e-6) == (nx._MAX_STEPS, 1e-6)
+        for t_final, dt in ((1.0, 1e-300), (1.0, 0.99e-6)):
+            with pytest.raises(InvalidArgumentError, match=r"exceeds 1000000 steps"):
+                nx._uniform_steps(t_final, dt)
+
+    def test_fixed_steps(self):
+        nx._check_fixed_steps(1e-3, nx._MAX_STEPS, 1)
+        with pytest.raises(InvalidArgumentError, match=r"n_steps must be >= 1 and <= 1000000, got 1000001"):
+            nx._check_fixed_steps(1e-3, nx._MAX_STEPS + 1, 1)
+
+    def test_spin_run_rejected_before_stepping(self):
+        spec = ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.zeros((2, 2)), b=-1.0)
+        seen = []
+        with pytest.raises(InvalidArgumentError, match="exceeds 1000000 steps"):
+            ds.local_form_run(spec, np.array([0.9, 0.1]), np.zeros(2), 1.0, 1e-300,
+                              observer=lambda t, p, lam: seen.append(t))
+        assert seen == []

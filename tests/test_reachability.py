@@ -4,8 +4,10 @@ benchmark calls, and every module, tests/*.py included, uses what it imports.
 The scan reads the source, it imports nothing.  It starts from ``cli.main``
 and the module-level code of every src/varq module (``__all__`` aside), and
 from the whole of ``scripts/*.py``, ``perfbench/*.py``,
-``tests/test_acceptance.py`` and ``tests/test_golden.py``.  From there it
-follows names to a fixed point:
+``tests/test_acceptance.py`` and ``tests/test_golden.py`` (``ROOT_FILES``:
+with src/varq, the code outside the unit tests, which
+``test_settable_values`` scans for setters too).  From there it follows
+names to a fixed point:
 
 * a name that is read, bare or as an attribute (``cv.ddw_evolve``), reaches
   every top-level function or class of that name, in any module;
@@ -145,6 +147,12 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 @lru_cache(maxsize=None)
 def root_trees() -> tuple:
     return tuple(ast.parse(p.read_text(), str(p)) for p in ROOT_FILES)
+
+
+@lru_cache(maxsize=None)
+def outside_trees() -> tuple:
+    """The code outside the unit tests: every src/varq module and every root file."""
+    return (*parse_modules().values(), *root_trees())
 
 
 @lru_cache(maxsize=None)

@@ -232,6 +232,10 @@ class TestQFieldRanges:
 
 
 SPACE_INDEPENDENT = (CONFIG_DIR / "space_independent_superposition.cfg").read_text()
+CLASSICAL = (CONFIG_DIR / "classical_oscillator.cfg").read_text()
+MADELUNG = (CONFIG_DIR / "madelung_trap.cfg").read_text()
+SCHRODINGER = (CONFIG_DIR / "schrodinger_free_gaussian.cfg").read_text()
+DDW = (CONFIG_DIR / "ddw_klein_gordon.cfg").read_text()
 RULE_CASES = [
     *[(text, "kind = harmonic\nk = 1.0\n", f"kind = {kind}\n", "potential.kind",
        f"[potential] kind {kind} does not confine the field")
@@ -243,6 +247,33 @@ RULE_CASES = [
     (VACUUM, "k = 1.0\n", "k = 1.0\nc = 2.0\n", "potential.c", "unknown key [potential] c for kind harmonic"),
     (SPACE_INDEPENDENT, "modes = 0 1\n", "modes = 0 1e400\n", "initial.modes",
      "[initial] modes must be finite, got [0.0, inf]"),
+    # more eigenpairs than the n - 2 interior nodes give
+    (VACUUM, "k_eigen = 3\n", "k_eigen = 2001\n", "run.k_eigen",
+     "[run] k_eigen needs 2001 eigenpairs, more than [grid] n - 2 = 1998"),
+    (CONFINED, "k_eigen = 8\n", "k_eigen = 800\n", "run.k_eigen",
+     "[run] k_eigen needs 800 eigenpairs, more than [grid] n - 2 = 799"),
+    (SPACE_INDEPENDENT, "modes = 0 1\n", "modes = 0 1198\n", "initial.modes",
+     "[initial] modes needs 1199 eigenpairs, more than [grid] n - 2 = 1198"),
+    # a fit window outside the radial range
+    (CONFINED, "r_max = 30.0\n", "r_max = 9.0\n", "run.r_max", "[run] r_max must be > fit_lo = 10.0, got 9.0"),
+    (CONFINED, "r_min = 0.5\n", "r_min = 26.0\n", "run.fit_hi", "[run] fit_hi must be > r_min = 26.0, got 25.0"),
+    # more than config._MAX_STEPS = 10^6 steps
+    (SPIN, "dt = 0.0001\n", "dt = 1e-300\n", "run.dt",
+     "[run] dt gives t_final / dt = 1.15e+300 steps, more than 1000000"),
+    (SCHRODINGER, "dt = 0.002\n", "dt = 1e-300\n", "run.dt",
+     "[run] dt gives t_final / dt = 2e+300 steps, more than 1000000"),
+    (MADELUNG, "t_final = 0.5\n", "t_final = 0.5\ndt = 1e-300\n", "run.dt",
+     "[run] dt gives t_final / dt = 5e+299 steps, more than 1000000"),
+    (MADELUNG, "t_final = 0.5\n", "t_final = 81.0\n", "run.t_final",  # dt = 0.2 h^2 = 8e-5
+     "[run] t_final gives t_final / dt = 1.0125e+06 steps, more than 1000000"),
+    (CLASSICAL, "t_final = 6.283185307179586\n", "t_final = 1000.5\n", "run.t_final",  # the flow's dt = 1e-3
+     "[run] t_final gives t_final / dt = 1.0005e+06 steps, more than 1000000"),
+    (CLASSICAL, "cfl = 0.4\n", "cfl = 1e-300\n", "run.cfl",
+     "[run] cfl gives t_final / dt = 3.14159e+303 steps, more than 1000000"),
+    (DDW, "n_steps = 20000\n", "n_steps = 1000001\n", "run.n_steps",
+     "[run] n_steps must be > 0 and < 1000001, got 1000001"),
+    (SPACE_INDEPENDENT, "n_steps = 1000\n", "n_steps = 1000001\n", "run.n_steps",
+     "[run] n_steps must be > 0 and < 1000001, got 1000001"),
 ]
 
 
@@ -253,7 +284,11 @@ class TestRules:
     a key the chosen potential kind does not read.  check passed each of
     them; run exited 2 naming no key (free, box, the radii, c0), exited 3
     after the whole solve (the fit window, a NaN in c), ran green (c under
-    harmonic), or exited 2 naming the key only at run time (modes)."""
+    harmonic), or exited 2 naming the key only at run time (modes).  So did
+    more eigenpairs than the grid has (exit 2 from the eigensolver, naming no
+    key) and a fit window outside the radii (exit 3 after the solve); a run
+    of more than 10^6 steps passed both and ran on, its memory growing with
+    its steps."""
 
     @pytest.mark.parametrize("text, old, new, key, message", RULE_CASES,
                              ids=[f"{read_sections(c[0])['scenario']['regime']}-{c[2].splitlines()[-1]}"
@@ -392,9 +427,12 @@ GROWTH = "config error: potential must grow toward the grid ends\n"
 GRID_SAMPLED = {(regime, f"grid.{key}", value) for regime in ("confined", "space-independent", "vacuum")
                 for key in ("q_min", "q_max") for value in ("0", "-1")}
 # a rule's key -> the other keys it reads; an edit of one of them may name the rule's key
+GRID = {"grid.q_min", "grid.q_max", "grid.n"}
 RULE_KEYS = {"grid.q_max": {"grid.q_min"}, "initial.center": {"grid.q_min", "grid.q_max"},
              "initial.basis_state": {"system.levels"}, "initial.c": {"run.k_eigen"},
-             "run.r_max": {"run.r_min"}, "run.fit_hi": {"run.fit_lo"}}
+             "run.r_max": {"run.r_min", "run.fit_lo"}, "run.fit_hi": {"run.fit_lo", "run.r_min"},
+             "run.k_eigen": {"grid.n"}, "initial.modes": {"grid.n"}, "run.dt": {"run.t_final"},
+             "run.t_final": GRID, "run.cfl": {"run.t_final", *GRID}}
 # Keys that exit 2 at every fuzz value.  Before the rules, these ran to
 # max-iterations, to an empty fit window or to a green report; the SMALL
 # bases use kind = harmonic, which reads neither c nor coeffs.
