@@ -81,23 +81,21 @@ def main(argv=None) -> int:
         out_root = Path(args.out)
         if args.command == "run":
             return _run_one(args.config, out_root, args.seed, args.tol_scale)
-        if args.command == "sweep":
-            cfg_dir = Path(args.config_dir)
-            if not cfg_dir.is_dir():
-                raise ConfigError(f"not a directory: {cfg_dir}")
-            configs = sorted(cfg_dir.glob("*.cfg")) + sorted(cfg_dir.glob("*.ini"))
-            if not configs:
-                raise ConfigError(f"no scenario configs (*.cfg, *.ini) in {cfg_dir}")
-            codes = []
-            for cfg in configs:
-                try:
-                    codes.append(_run_one(cfg, out_root, args.seed, args.tol_scale))
-                except Exception as exc:  # classified per config; the sweep goes on
-                    codes.append(_classify(exc))
-            return max(codes)
+        cfg_dir = Path(args.config_dir)  # sweep, the last command
+        if not cfg_dir.is_dir():
+            raise ConfigError(f"not a directory: {cfg_dir}")
+        configs = sorted(cfg_dir.glob("*.cfg")) + sorted(cfg_dir.glob("*.ini"))
+        if not configs:
+            raise ConfigError(f"no scenario configs (*.cfg, *.ini) in {cfg_dir}")
+        codes = []
+        for cfg in configs:
+            try:
+                codes.append(_run_one(cfg, out_root, args.seed, args.tol_scale))
+            except Exception as exc:  # classified per config; the sweep goes on
+                codes.append(_classify(exc))
+        return max(codes)
     except Exception as exc:
         return _classify(exc)
-    return EXIT_OK
 
 
 def _classify(exc: Exception) -> int:

@@ -195,7 +195,7 @@ def _section(section: str, table: dict, raw: dict) -> dict:
     return out
 
 
-def parse_scenario(text: str, name: str = "scenario") -> Scenario:
+def parse_scenario(text: str, name: str) -> Scenario:
     parser = configparser.ConfigParser(interpolation=None, default_section="")  # [DEFAULT] is no special case
     parser.optionxform = str
     try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, StepRejectedError
 from .numerics import _check_fixed_steps, _check_positive
-from .potentials import _fd, _sample
+from .potentials import _sample
 
 __all__ = [
     "FieldLagrangianSpec",
@@ -41,7 +41,7 @@ class FieldLagrangianSpec:
 
     eta: float
     potential: Callable
-    potential_grad: Optional[Callable] = None
+    potential_grad: Callable
 
     def __post_init__(self):
         _check_positive("eta", self.eta, InvalidSpecError)
@@ -49,10 +49,8 @@ class FieldLagrangianSpec:
     def v_at(self, q):
         return _sample(self.potential, q, "potential V(q)", False)
 
-    def dv_at(self, q):
-        if self.potential_grad is not None:  # unchecked: every leapfrog step calls it
-            return np.asarray(self.potential_grad(q), dtype=float)
-        return _fd(self.v_at)(q)
+    def dv_at(self, q):  # unchecked: every leapfrog step calls it
+        return np.asarray(self.potential_grad(q), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def ddw_evolve(
 
 
 def ddw_evolve_series(
-    spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, store_every: int = 1
+    spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, store_every: int
 ):
     """Leapfrog drive that stores synchronized (q, pi0) snapshots: one
     ``_Leapfrog`` serves the run, one ``ddw_evolve`` call per stored chunk,

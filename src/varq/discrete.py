@@ -43,8 +43,8 @@ class SpinSystemSpec:
 
     U: np.ndarray
     theta: np.ndarray
+    b: float
     a: float = 1.0
-    b: float = 1.0
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
@@ -207,9 +207,9 @@ def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: fl
     return np.array(y[:n]), np.array(y[n:])
 
 
-def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float,
-                   floor: float = P_FLOOR, observer=None):
-    """Uniform-step RK4 drive of the local system, set up once (``_LocalFormRun``).
+def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float, floor: float, observer):
+    """Uniform-step RK4 drive of the local system, set up once (``_LocalFormRun``);
+    ``observer(t, p, lam)`` is called after every step.
 
     Raises InvalidArgumentError unless t_final, dt and floor are finite and > 0.
     """
@@ -219,8 +219,7 @@ def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float,
     for _ in range(n_steps):
         p, lam = local_form_step(spec, p, lam, dt, floor=floor, _run=run)
         t += dt
-        if observer is not None:
-            observer(t, p, lam)
+        observer(t, p, lam)
     return p, lam
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
                      StepRejectedError)
 from .numerics import Grid1D, _centered_rate, _check_positive, _support_mask, _uniform_steps, grad_central
-from .potentials import _fd, _sample
+from .potentials import _sample
 
 __all__ = [
     "NaturalSystemSpec",
@@ -37,8 +37,8 @@ class NaturalSystemSpec:
     """Positive mass m(q) and potential V(q) of a natural system.
 
     The mass is a callback or a number: a constant, checked once here, with
-    a zero gradient.  Analytic gradients are optional; central finite
-    differences (``potentials._fd``) are used when they are not supplied.
+    a zero gradient.  ``hamilton_flow`` needs the analytic gradients: V'
+    always, m' for a callback mass.
     """
 
     mass: Callable | float
@@ -75,22 +75,23 @@ def hamilton_flow(spec: NaturalSystemSpec, state: PhaseState, dt: float, n_steps
     update y + dt/6 (k1 + 2 k2 + 2 k3 + k4); a non-finite derivative after
     the four stages, or a state that stops being finite, raises
     NumericalFailureError, and a mass that ``mass_at`` rejects
-    InvalidSpecError.  Missing gradients are central differences
-    (``potentials._fd``).  Raises InvalidArgumentError unless n_steps is an
-    integer >= 0 and dt * n_steps is finite.
+    InvalidSpecError.  A number mass takes no m' term.  Raises
+    InvalidSpecError without ``potential_grad``, or with a callback mass and
+    no ``mass_grad``, and InvalidArgumentError unless n_steps is an integer
+    >= 0 and dt * n_steps is finite.
     """
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise InvalidArgumentError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
-    if callable(spec.mass):
-        mass, dmass = spec.mass, spec.mass_grad if spec.mass_grad is not None else _fd(spec.mass)
-    else:  # a number: checked when the spec was built, with a zero gradient
-        mass, dmass = (lambda x: spec.mass), (lambda x: 0.0)
-    dpot = spec.potential_grad if spec.potential_grad is not None else _fd(spec.potential)
+    mass, dmass, dpot = spec.mass, spec.mass_grad, spec.potential_grad
+    if dpot is None or (callable(mass) and dmass is None):
+        raise InvalidSpecError("hamilton_flow needs potential_grad, and mass_grad for a callback mass")
 
     def rhs(q, p):
         x = np.float64(q)  # what the callbacks saw on the array path
+        if not callable(mass):  # a number, checked when the spec was built
+            return p / float(mass), 0.0 - float(dpot(x))  # 0.0 - dv: the bits of p*p*0/(2m^2) - dv
         m = float(mass(x))
         if not 0.0 < m < inf and (m <= 0 or isfinite(q)):  # the rule of mass_at
             raise InvalidSpecError("mass m(q) must be finite and > 0")
@@ -392,12 +393,12 @@ def transport_density(ens: ClassicalEnsemble, spec: NaturalSystemSpec, dt: float
 
 
 def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: float, dt: float,
-                  support_floor: Optional[float] = None, observer=None) -> ClassicalEnsemble:
+                  support_floor: Optional[float], observer) -> ClassicalEnsemble:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
-    ``observer(t, rho)``, when given, is called after every step and must
-    not modify rho.  The steps share one ``_RunContext`` and, with
-    ``support_floor``, one S buffer that the run writes outside the last
+    ``observer(t, rho)`` is called after every step and must not modify
+    rho.  The steps share one ``_RunContext`` and one S buffer, a copy of
+    ``ens.S``; with ``support_floor`` the run writes it outside the last
     window only before it returns (see classical_transport_step).  Each
     step checks rho on its window and S where it wrote (``_check_cells``).
     Raises InvalidArgumentError unless t_final and dt are finite and > 0.
@@ -406,15 +407,13 @@ def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: floa
     grid = ens.grid
     run = _RunContext(grid, spec, nodes=False)
     rho, S = ens.rho, ens.S
-    if support_floor is not None:
-        S = run.S = S.copy()
+    S = run.S = S.copy()
     t = 0.0
     for _ in range(n_steps):
         rho, S = classical_transport_step(grid, rho, S, spec, dt, support_floor=support_floor, _run=run)
         _check_cells(grid, rho, S, "S", run.moved, slice(None) if run.ext is None else run.moved, run.low)
         t += dt
-        if observer is not None:
-            observer(t, rho)
+        observer(t, rho)
     if run.ext is not None:
         run.fill(S, 0, grid.n - 1)
     return _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None), run.low)  # S checked whole

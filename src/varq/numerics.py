@@ -33,7 +33,6 @@ __all__ = [
     "TridiagonalOperator",
     "build_grid",
     "sturm_liouville_operator",
-    "embed_interior",
     "eigensolve_lowest",
     "CayleyPropagator",
     "grad_central",
@@ -147,13 +146,6 @@ def sturm_liouville_operator(
     return TridiagonalOperator(diag, off)
 
 
-def embed_interior(grid: Grid1D, v_interior: np.ndarray) -> np.ndarray:
-    """Pad an interior-node vector with the Dirichlet zeros at both ends."""
-    out = np.zeros(grid.n, dtype=np.asarray(v_interior).dtype)
-    out[1:-1] = v_interior
-    return out
-
-
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: largest-magnitude entry positive."""
     for j in range(vecs.shape[1]):
@@ -163,7 +155,7 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float = 1.0):
+def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float):
     """Lowest k eigenpairs of a symmetric tridiagonal operator.
 
     Returns (w, vecs) with ``w`` strictly increasing and ``vecs[:, j]``

@@ -1,15 +1,13 @@
 """Named potential catalog shared by the library specs and the scenario CLI,
-with the one sampler of the specs' callbacks (``_sample``) and their one
-finite-difference rule (``_fd``).  ``DiffusionSpec.g_grad_at`` keeps its
-one-sided rule: g is defined only for rho >= 0.
+with the one sampler of the specs' callbacks (``_sample``).
 
-Every entry carries the potential and its analytic derivative so the
-characteristic integrators do not have to fall back on finite differences.
+Every entry carries the potential and its analytic derivative, which the
+characteristic integrators require.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,8 +15,6 @@ import numpy as np
 from .errors import InvalidSpecError
 
 __all__ = ["Potential", "free", "harmonic", "quartic", "box", "polynomial"]
-
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 def _sample(fn, q, what: str, positive: bool):
@@ -44,38 +40,27 @@ def _sample(fn, q, what: str, positive: bool):
     return out
 
 
-def _fd(fn: Callable) -> Callable:
-    """Central difference of fn with the step cbrt(eps) * max(1, |q|)."""
-    def dfn(q):
-        q = np.asarray(q, dtype=float)
-        step = _FD_STEP * np.maximum(1.0, np.abs(q))
-        return (np.asarray(fn(q + step), dtype=float) - np.asarray(fn(q - step), dtype=float)) / (2.0 * step)
-
-    return dfn
-
-
 @dataclass(frozen=True)
 class Potential:
-    name: str
     v: Callable
     dv: Callable
 
 
 def free() -> Potential:
-    return Potential("free", lambda q: np.zeros_like(np.asarray(q, dtype=float)),
+    return Potential(lambda q: np.zeros_like(np.asarray(q, dtype=float)),
                      lambda q: np.zeros_like(np.asarray(q, dtype=float)))
 
 
 def box() -> Potential:
-    return replace(free(), name="box")  # hard walls come from the Dirichlet grid ends, the interior is flat
+    return free()  # hard walls come from the Dirichlet grid ends, the interior is flat
 
 
 def harmonic(k: float) -> Potential:
-    return Potential("harmonic", lambda q: 0.5 * k * np.square(q), lambda q: k * np.asarray(q, dtype=float))
+    return Potential(lambda q: 0.5 * k * np.square(q), lambda q: k * np.asarray(q, dtype=float))
 
 
 def quartic(c: float) -> Potential:
-    return Potential("quartic", lambda q: c * np.asarray(q, dtype=float) ** 4,
+    return Potential(lambda q: c * np.asarray(q, dtype=float) ** 4,
                      lambda q: 4.0 * c * np.asarray(q, dtype=float) ** 3)
 
 
@@ -83,5 +68,5 @@ def polynomial(coeffs: Sequence[float]) -> Potential:
     """V(q) = sum_j coeffs[j] * q**j."""
     c = np.asarray(coeffs, dtype=float)
     dc = c[1:] * np.arange(1, c.size)  # polyval of no coefficients is zeros_like(q)
-    return Potential("polynomial", lambda q: np.polyval(c[::-1], np.asarray(q, dtype=float)),
+    return Potential(lambda q: np.polyval(c[::-1], np.asarray(q, dtype=float)),
                      lambda q: np.polyval(dc[::-1], np.asarray(q, dtype=float)))

@@ -21,7 +21,7 @@ Pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .numerics import (
     _sqrt_density_ratio,
     _support_mask,
     eigensolve_lowest,
-    embed_interior,
     grad_central,
     sturm_liouville_operator,
 )
@@ -141,7 +140,8 @@ def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int) -> VacuumSpectrum:
             "grid does not resolve the requested eigenfunctions",
             diagnostics={"relative_tail": tails.tolist()},
         )
-    psi_full = np.column_stack([embed_interior(grid, vecs[:, j]) for j in range(k)])
+    psi_full = np.zeros((grid.n, k))
+    psi_full[1:-1] = vecs
     return VacuumSpectrum(grid, w, psi_full)
 
 
@@ -175,7 +175,7 @@ def space_independent_evolve(
     psi0: np.ndarray,
     dt: float,
     n_steps: int,
-    store_every: int = 1,
+    store_every: int,
 ) -> SpaceIndependentResult:
     """Evolve i f dpsi/dx0 = -(f^2/2 eta) psi'' + V psi and record the
     pointwise random energy density and its (conserved) expectation.
@@ -209,7 +209,7 @@ def random_energy_density(
     grid: Grid1D,
     rho: np.ndarray,
     lam0: np.ndarray,
-    lam_m: Optional[np.ndarray] = None,
+    lam_m: np.ndarray,
 ):
     """Pointwise random energy density and momentum densities from supplied
     multiplier fields (upper-index components):
@@ -224,7 +224,7 @@ def random_energy_density(
     if np.any(rho < 0):
         raise InvalidStateError("density must be nonnegative")
     lam0 = np.asarray(lam0, dtype=float)
-    lam_m_arr = np.zeros((0, grid.n)) if lam_m is None else np.atleast_2d(np.asarray(lam_m, dtype=float))
+    lam_m_arr = np.atleast_2d(np.asarray(lam_m, dtype=float))
     mask = _support_mask(rho, RHO_FLOOR_FRAC)
     # (H sqrt(rho))/sqrt(rho) carries V - quantum potential in one piece
     eps = _sqrt_density_ratio(_operator(spec, grid), rho, mask)
@@ -250,7 +250,6 @@ class RadialPair:
     r: np.ndarray
     phi: np.ndarray
     phi_tilde: np.ndarray
-    c: np.ndarray
 
     @property
     def rho(self) -> np.ndarray:
@@ -293,7 +292,7 @@ def confined_solve(
     c: Sequence[float],
     r_min: float,
     r_max: float,
-    tol: float = 1e-8,
+    tol: float,
     n_r: int = 1200,
 ) -> ConfinedSolveResult:
     """Successive approximation for the conjugate-pair system
@@ -419,7 +418,7 @@ def confined_solve(
             "confined solve did not reach tolerance (max-iterations)",
             diagnostics={"residual_history": history},
         )
-    pair = RadialPair(vac.grid, r, np.matmul(psi_mat, A, out=phi), np.matmul(psi_mat, At, out=phi_tilde), cs)
+    pair = RadialPair(vac.grid, r, np.matmul(psi_mat, A, out=phi), np.matmul(psi_mat, At, out=phi_tilde))
     return ConfinedSolveResult(pair, history, iterations, mode_history)
 
 

@@ -52,18 +52,18 @@ class TestParse:
 
     def test_unknown_regime_names_key(self):
         with pytest.raises(ConfigError) as err:
-            parse_scenario(VACUUM_CFG.replace("vacuum", "warpdrive"))
+            parse_scenario(VACUUM_CFG.replace("vacuum", "warpdrive"), "scenario")
         assert err.value.key == "scenario.regime"
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError) as err:
-            parse_scenario(VACUUM_CFG.replace("n = 1800", "n = twelve"))
+            parse_scenario(VACUUM_CFG.replace("n = 1800", "n = twelve"), "scenario")
         assert err.value.key == "grid.n"
         assert str(err.value) == "cannot parse [grid] n = 'twelve' as int"
 
     def test_missing_section(self):
         with pytest.raises(ConfigError):
-            parse_scenario("[grid]\nn = 10\n")
+            parse_scenario("[grid]\nn = 10\n", "scenario")
 
 
 class TestRunCommand:
@@ -227,11 +227,11 @@ class TestWaive:
         ("false", False), ("no", False), ("off", False), ("0", False), ("False", False), ("OFF", False),
     ])
     def test_accepted_spellings(self, spelling, waived):
-        sc = parse_scenario(VACUUM_CFG + f"\n[checks]\nwaive = {spelling}\n")
+        sc = parse_scenario(VACUUM_CFG + f"\n[checks]\nwaive = {spelling}\n", "scenario")
         assert sc.waive_invariants is waived
 
     def test_absent_waive_is_false(self):
-        assert parse_scenario(VACUUM_CFG).waive_invariants is False
+        assert parse_scenario(VACUUM_CFG, "scenario").waive_invariants is False
 
 
 BAD_INDICES = [
@@ -400,7 +400,7 @@ class TestSweep:
 class TestTolScale:
     @pytest.mark.parametrize("regime", sorted(SMALL))
     def test_every_tolerance_scaled_once(self, regime):
-        sc = parse_scenario(f"[scenario]\nregime = {regime}\n" + SMALL[regime])
+        sc = parse_scenario(f"[scenario]\nregime = {regime}\n" + SMALL[regime], "scenario")
         base, scaled = runners.run_scenario_object(sc), runners.run_scenario_object(sc, tol_scale=3.0)
         assert base.invariants
         assert [(c.name, c.value) for c in scaled.invariants] == [(c.name, c.value) for c in base.invariants]

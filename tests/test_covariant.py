@@ -112,7 +112,7 @@ class TestDdwEvolve:
         with pytest.raises(InvalidArgumentError, match="dt must be finite and > 0"):
             cv.ddw_evolve(spec, state, dt, 10)
         with pytest.raises(InvalidArgumentError, match="dt must be finite and > 0"):
-            cv.ddw_evolve_series(spec, state, dt, 10)
+            cv.ddw_evolve_series(spec, state, dt, 10, store_every=1)
 
     @pytest.mark.parametrize("n_steps", [0, -5])
     def test_series_needs_a_step(self, n_steps):
@@ -120,7 +120,7 @@ class TestDdwEvolve:
         grid = cv.PeriodicGrid1D(2 * np.pi, 64)
         state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
         with pytest.raises(InvalidArgumentError, match="n_steps must be >= 1"):
-            cv.ddw_evolve_series(spec, state, 1e-3, n_steps)
+            cv.ddw_evolve_series(spec, state, 1e-3, n_steps, store_every=1)
 
     def test_negative_step_count_rejected(self):
         spec = kg_spec()
@@ -262,7 +262,7 @@ n_steps = 600
 
 class TestRunDdwConservationSeries:
     def test_matches_total_energy_and_momentum_per_snapshot(self):
-        sc = parse_scenario(DDW_SHORT)
+        sc = parse_scenario(DDW_SHORT, "scenario")
         rows = runners.run_scenario_object(sc).series["conservation"].rows
         spec = kg_spec(eta=1.3, m=0.7)
         grid = cv.PeriodicGrid1D(5.0, 96)
@@ -301,14 +301,14 @@ class TestRunDdwInputs:
     @pytest.mark.parametrize("eta", [0.5, 1.3, 2.0, 3.0])
     def test_invariants_pass_at_any_eta(self, eta):
         # the plane wave of eta (q_tt - q_xx) + kg^2 q = 0 has omega^2 = k^2 + kg^2 / eta
-        report = runners.run_scenario_object(parse_scenario(kg_cfg(eta=eta)))
+        report = runners.run_scenario_object(parse_scenario(kg_cfg(eta=eta), "scenario"))
         assert [c.name for c in report.invariants] == ["energy_drift_rel", "momentum_drift_rel", "dispersion"]
         assert all(c.passed for c in report.invariants), report.invariants
         assert report.scalars["omega_exact"] == np.sqrt(1.0 + 1.0 / eta)
 
     @pytest.mark.parametrize("changes", [{"kg_mass": 0.0}, {"k_mode": -1}, {"k_mode": -2, "kg_mass": -0.5}])
     def test_massless_and_left_moving_waves_pass(self, changes):
-        report = runners.run_scenario_object(parse_scenario(kg_cfg(**changes)))
+        report = runners.run_scenario_object(parse_scenario(kg_cfg(**changes), "scenario"))
         assert all(c.passed for c in report.invariants), report.invariants
 
     @pytest.mark.parametrize("changes, key, message", BAD_DDW)
@@ -363,7 +363,8 @@ class TestEnergyMomentum:
         assert np.min(em.T[:, 0, 0]) >= 0.0  # nonnegative energy density
 
     def test_reduction_simple_values(self):
-        spec = cv.FieldLagrangianSpec(eta=1.0, potential=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
+        zero = lambda q: np.zeros_like(np.asarray(q, dtype=float))
+        spec = cv.FieldLagrangianSpec(eta=1.0, potential=zero, potential_grad=zero)
         assert cv.canonical_reduction(spec, 1.0, 1.0, 0.0) == pytest.approx(1.0)
         spec_v = kg_spec()
         assert cv.canonical_reduction(spec_v, 0.0, 0.0, 2.0) == pytest.approx(2.0)

@@ -48,11 +48,11 @@ class TestBuildHamiltonian:
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(InvalidSpecError):
-            ds.SpinSystemSpec(U=np.array([[0.0, 1.0], [2.0, 0.0]]), theta=np.zeros((2, 2)))
+            ds.SpinSystemSpec(U=np.array([[0.0, 1.0], [2.0, 0.0]]), theta=np.zeros((2, 2)), b=1.0)
         with pytest.raises(InvalidSpecError):
-            ds.SpinSystemSpec(U=np.eye(2), theta=np.array([[0.0, 1.0], [1.0, 0.0]]))
+            ds.SpinSystemSpec(U=np.eye(2), theta=np.array([[0.0, 1.0], [1.0, 0.0]]), b=1.0)
         with pytest.raises(InvalidSpecError):
-            ds.SpinSystemSpec(U=np.ones((1, 1)), theta=np.zeros((1, 1)))
+            ds.SpinSystemSpec(U=np.ones((1, 1)), theta=np.zeros((1, 1)), b=1.0)
 
 
 class TestPropagate:
@@ -202,7 +202,7 @@ class TestPropagator:
             ds._propagator(spec, random_state(5, n=3))
 
     def test_run_spin_matches_per_call_propagate(self, monkeypatch):
-        sc = parse_scenario(SPIN_SHORT)
+        sc = parse_scenario(SPIN_SHORT, "scenario")
         new = runners.run_scenario_object(sc)
         monkeypatch.setattr(
             ds, "_propagator", lambda spec, st: (lambda ts: per_call_rows(spec, st, ts))
@@ -236,7 +236,7 @@ def _failing_run(monkeypatch, ref_fails_from: int, run_fails_at: int):
 
     monkeypatch.setattr(ds, "_propagator", propagator)
     monkeypatch.setattr(ds, "local_form_step", step)
-    runners.run_scenario_object(parse_scenario(SPIN_SHORT))
+    runners.run_scenario_object(parse_scenario(SPIN_SHORT, "scenario"))
 
 
 class TestErrorPrecedence:
@@ -258,7 +258,7 @@ class TestErrorPrecedence:
             _failing_run(monkeypatch, ref_fails_from=100, run_fails_at=0)
 
     def test_nan_row_skipped_as_the_per_step_fold_skipped_it(self, monkeypatch):
-        sc = parse_scenario(SPIN_SHORT)
+        sc = parse_scenario(SPIN_SHORT, "scenario")
         rows = runners.run_scenario_object(sc).series["populations"].rows[1:]
         spec = runners._spin_spec(sc, np.random.default_rng(sc.seed))
         real_propagator = ds._propagator
@@ -350,7 +350,7 @@ class TestLocalForm:
         p, lam = ds.polar_decompose(ds.propagate(spec, st0, 0.05), spec.a)
         with pytest.raises(StepRejectedError):
             # running to the population zero at t = pi/2 must reject
-            ds.local_form_run(spec, p, lam, 3.0, 1e-3, floor=1e-9)
+            ds.local_form_run(spec, p, lam, 3.0, 1e-3, floor=1e-9, observer=lambda t, p, lam: None)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

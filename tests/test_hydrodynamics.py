@@ -7,13 +7,13 @@ from varq import hydrodynamics as hy
 from varq import mechanics as mech
 from varq import wavefunction as wv
 from varq.errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
-from varq.numerics import build_grid, eigensolve_lowest, embed_interior
+from varq.numerics import build_grid, eigensolve_lowest
 
 
 def ground_state_density(spec, grid, a=1.0):
     op = wv.schrodinger_operator(spec, grid, a)
     w, vecs = eigensolve_lowest(op, 1, grid.h)
-    psi0 = embed_interior(grid, vecs[:, 0])
+    psi0 = np.pad(vecs[:, 0], 1)
     return w[0], psi0**2
 
 

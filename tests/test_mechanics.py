@@ -58,9 +58,29 @@ class TestHamiltonFlow:
         # every derivative is finite (dq/dt = p = 1), but q + dt p overflows to inf
         with pytest.raises(NumericalFailureError, match="^non-finite state in hamilton_flow$"):
             mech.hamilton_flow(free_particle, mech.PhaseState(1.7e308, 1.0), 1e308, 1)
-        # p = 1.7e308 overflows p^2 in dp/dt = p^2 m'/2m^2 - V' (inf * 0 = nan) before any state does
+        # with a callback mass, p = 1.7e308 overflows p^2 in dp/dt = p^2 m'/2m^2 - V'
+        # (inf * 0 = nan) before any state does
         with pytest.raises(NumericalFailureError, match="^non-finite derivative in hamilton_flow$"):
             mech.hamilton_flow(free_particle, mech.PhaseState(0.0, 1.7e308), 10.0, 5)
+
+    def test_number_mass_takes_no_mass_gradient_term(self):
+        # a constant mass has no p^2 m' term to overflow: a free particle at p = 1e300 flows
+        spec = mech.NaturalSystemSpec(mass=1.0, potential=lambda q: 0.0 * q, potential_grad=lambda q: 0.0 * q)
+        flow = mech.hamilton_flow(spec, mech.PhaseState(0.0, 1e300), 1e-10, 5)
+        assert np.isfinite(flow).all()
+        assert np.array_equal(flow[:, 1], np.full(6, 1e300))
+        assert flow[-1, 0] == pytest.approx(5e290, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [1.0, lambda q: 1.0 + 0.0 * q], ids=["number", "callback"])
+    def test_missing_gradient_rejected(self, mass):
+        # V' is always needed, m' for a callback mass: no finite-difference fallback
+        p = pot.harmonic(1.0)
+        specs = [mech.NaturalSystemSpec(mass=mass, potential=p.v, mass_grad=lambda q: 0.0 * q)]
+        if callable(mass):
+            specs.append(mech.NaturalSystemSpec(mass=mass, potential=p.v, potential_grad=p.dv))
+        for spec in specs:
+            with pytest.raises(InvalidSpecError, match="^hamilton_flow needs potential_grad, and mass_grad"):
+                mech.hamilton_flow(spec, mech.PhaseState(1.0, 0.0), 0.1, 1)
 
 
 def _refine_period(spec, flow, dt):
@@ -123,7 +143,7 @@ class TestTransport:
         ens = gaussian_ensemble(grid, 1.0, width)
         t_final = 0.5
         ens = mech.transport_run(ens, unit_mass_harmonic, t_final, 0.4 * grid.h,
-                                 support_floor=1e-6)
+                                 support_floor=1e-6, observer=lambda t, rho: None)
         centroid = grid.h * np.sum(ens.rho * grid.nodes)
         assert centroid == pytest.approx(np.cos(t_final), abs=2 * grid.h)
 
@@ -135,6 +155,7 @@ class TestTransport:
         spec = mech.NaturalSystemSpec(
             mass=lambda q: 1.0 if np.isscalar(q) else np.ones(np.shape(q)),
             potential=lambda q: 0.25 * np.power(q, 4),
+            mass_grad=lambda q: 0.0 if np.isscalar(q) else np.zeros(np.shape(q)),
             potential_grad=lambda q: np.power(q, 3),
         )
         t_final = 0.8
@@ -144,7 +165,7 @@ class TestTransport:
         for width_cells in (16.0, 9.0, 4.0):
             grid = build_grid(-1.6, 1.6, 1201)
             ens = gaussian_ensemble(grid, 1.0, width_cells * grid.h)
-            out = mech.transport_run(ens, spec, t_final, 0.4 * grid.h, support_floor=1e-6)
+            out = mech.transport_run(ens, spec, t_final, 0.4 * grid.h, support_floor=1e-6, observer=lambda t, rho: None)
             centroid = grid.h * np.sum(out.rho * grid.nodes)
             errs.append(abs(centroid - q_ref))
         assert errs[0] > errs[1] > errs[2]
@@ -193,7 +214,8 @@ class TestRunSampling:
         monkeypatch.setattr(mech, "classical_transport_step",
                             lambda *a, **k: steps.append(1) or real_step(*a, **k))
         with pytest.raises(InvalidSpecError):
-            mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), spec, 0.1, 1e-2, support_floor=1e-6)
+            mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), spec, 0.1, 1e-2, support_floor=1e-6,
+                               observer=lambda t, rho: None)
         assert steps == []
 
     @pytest.mark.parametrize("t_final, dt", [
@@ -205,7 +227,7 @@ class TestRunSampling:
         seen = []
         with pytest.raises(InvalidArgumentError):
             mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), unit_mass_harmonic, t_final, dt,
-                               observer=lambda t, e: seen.append(t))
+                               support_floor=None, observer=lambda t, e: seen.append(t))
         assert seen == []
 
     @pytest.mark.parametrize("floor", [1.0, 2.0, float("nan"), 0.0, -1.0])
@@ -215,7 +237,8 @@ class TestRunSampling:
         ens = gaussian_ensemble(grid, 0.0, 0.4)
         with pytest.raises(InvalidArgumentError, match=r"support_floor must be > 0\.0 and < 1\.0, got"):
             if via == "transport_run":
-                mech.transport_run(ens, unit_mass_harmonic, 0.01, 0.4 * grid.h, support_floor=floor)
+                mech.transport_run(ens, unit_mass_harmonic, 0.01, 0.4 * grid.h, support_floor=floor,
+                                   observer=lambda t, rho: None)
             elif via == "classical_transport_step":
                 mech.classical_transport_step(grid, ens.rho, ens.S, unit_mass_harmonic, 0.4 * grid.h, floor)
             else:
@@ -411,18 +434,16 @@ class TestUpwindMassConservation:
 
 def hamilton_flow_rk4(spec, state, dt, n_steps):
     """hamilton_flow before its scalar path: the array rk4_step on [q, p]
-    arrays, with the spec sampled through mass_at and the removed
-    dmass_at/dpotential_at (the gradient or its central difference)."""
+    arrays, with a callback mass sampled through mass_at and the removed
+    dmass_at/dpotential_at (the analytic gradients)."""
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
-    dmass = spec.mass_grad if spec.mass_grad is not None else pot._fd(spec.mass)
-    dpot = spec.potential_grad if spec.potential_grad is not None else pot._fd(spec.potential)
 
     def rhs(y):
         q, p = y
         m = float(spec.mass_at(q))
-        dm = float(np.asarray(dmass(q), dtype=float))
-        dv = float(np.asarray(dpot(q), dtype=float))
+        dm = float(np.asarray(spec.mass_grad(q), dtype=float))
+        dv = float(np.asarray(spec.potential_grad(q), dtype=float))
         return np.array([p / m, p * p * dm / (2.0 * m * m) - dv])
 
     out = np.empty((n_steps + 1, 2))
@@ -458,15 +479,15 @@ _POTENTIALS = {
 }
 
 
-def _flow_spec(kind, coeffs, m0, m1, analytic):
+def _flow_spec(kind, coeffs, m0, m1):
     """Potential from the catalogue and mass m0 (1 + m1 cos q) (> 0 for
-    |m1| < 1), with their analytic gradients or none (central differences)."""
+    |m1| < 1), with their analytic gradients."""
     p = _POTENTIALS[kind](coeffs)
     return mech.NaturalSystemSpec(
         mass=lambda q: m0 * (1.0 + m1 * np.cos(q)),
         potential=p.v,
-        mass_grad=(lambda q: -m0 * m1 * np.sin(q)) if analytic else None,
-        potential_grad=p.dv if analytic else None,
+        mass_grad=lambda q: -m0 * m1 * np.sin(q),
+        potential_grad=p.dv,
     )
 
 
@@ -481,13 +502,12 @@ class TestScalarFlow:
         st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=5),
         st.floats(min_value=0.2, max_value=3.0),
         st.sampled_from([0.0, 0.5, -0.9]),
-        st.booleans(),
         st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-4.0, max_value=4.0)),
         st.floats(min_value=1e-3, max_value=0.5),
         st.integers(min_value=0, max_value=120),
     )
-    def test_matches_rk4_step_flow(self, kind, coeffs, m0, m1, analytic, qp, dt, n_steps):
-        spec = _flow_spec(kind, coeffs, m0, m1, analytic)
+    def test_matches_rk4_step_flow(self, kind, coeffs, m0, m1, qp, dt, n_steps):
+        spec = _flow_spec(kind, coeffs, m0, m1)
         _assert_same_flow(spec, mech.PhaseState(*qp), dt, n_steps)
 
     def test_overflowing_state_fails_as_before(self, free_particle):
@@ -497,14 +517,15 @@ class TestScalarFlow:
 
     def test_blow_up_fails_as_before(self):
         # V = -q^4 sends the particle to infinity in finite time
-        spec = _flow_spec("quartic", [-1.0], 1.0, 0.0, True)
+        spec = _flow_spec("quartic", [-1.0], 1.0, 0.0)
         for dt in (0.01, 0.1, 0.4):
             failed = _assert_same_flow(spec, mech.PhaseState(1.0, 0.0), dt, 400)
             assert failed == (NumericalFailureError, "non-finite derivative in hamilton_flow")
 
     def test_nonpositive_mass_mid_flow(self):
         # m = 1 - q reaches 0 at q = 1; the free particle gets there near t = 0.5
-        spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 - q, potential=lambda q: 0.0 * q)
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1.0 - q, potential=lambda q: 0.0 * q,
+                                      mass_grad=lambda q: -1.0 + 0.0 * q, potential_grad=lambda q: 0.0 * q)
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, n) for n in range(1, 12)]
         assert isinstance(outcomes[0], np.ndarray)
         assert outcomes[-1] == (InvalidSpecError, "mass m(q) must be finite and > 0")
@@ -523,14 +544,15 @@ class TestScalarFlow:
     def test_nonfinite_derivative_mid_flow(self):
         # dV/dq = 0 * sqrt(q) is NaN once a stage reaches q < 0
         spec = mech.NaturalSystemSpec(mass=lambda q: 1.0, potential=lambda q: 0.0,
-                                      potential_grad=lambda q: 0.0 * np.sqrt(q))
+                                      mass_grad=lambda q: 0.0, potential_grad=lambda q: 0.0 * np.sqrt(q))
         outcomes = [_assert_same_flow(spec, mech.PhaseState(0.5, -1.0), 0.1, n) for n in range(1, 10)]
         assert isinstance(outcomes[0], np.ndarray)
         assert outcomes[-1] == (NumericalFailureError, "non-finite derivative in hamilton_flow")
 
     def test_mass_underflow_fails_as_before(self):
         # 2 m^2 underflows to 0: numpy divides to NaN where Python floats would raise
-        spec = mech.NaturalSystemSpec(mass=lambda q: 1e-170, potential=lambda q: 0.0)
+        spec = mech.NaturalSystemSpec(mass=lambda q: 1e-170, potential=lambda q: 0.0,
+                                      mass_grad=lambda q: 0.0, potential_grad=lambda q: 0.0)
         assert _assert_same_flow(spec, mech.PhaseState(0.0, 1.0), 0.1, 3) == (
             NumericalFailureError, "non-finite derivative in hamilton_flow")
 

@@ -108,7 +108,7 @@ class TestEigensolve:
     def test_k_out_of_range(self):
         _, op = harmonic_operator(n=50)
         with pytest.raises(InvalidArgumentError):
-            nx.eigensolve_lowest(op, op.size + 1)
+            nx.eigensolve_lowest(op, op.size + 1, 1.0)
 
 
 class TestUnitaryStep:
@@ -268,7 +268,7 @@ class TestCayleyPrefactored:
         if kicked_in_trap:
             text = text.replace("kind = free", "kind = harmonic\nk = 1.0")
             text = text.replace("center = 0.0", "center = 0.5\nmomentum = 1.5")
-        sc = parse_scenario(text)
+        sc = parse_scenario(text, "scenario")
         new = runners.run_scenario_object(sc)
         monkeypatch.setattr(nx.CayleyPropagator, "step", _per_call_step)
         old = runners.run_scenario_object(sc)
@@ -357,10 +357,11 @@ def test_operator_apply_matches_dense():
 
 POSITIVE_CONSTANTS = [
     pytest.param("a", lambda v: hy.DiffusionSpec(a=v), InvalidSpecError, id="DiffusionSpec.a"),
-    pytest.param("a", lambda v: ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.zeros((2, 2)), a=v),
+    pytest.param("a", lambda v: ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.zeros((2, 2)), a=v, b=1.0),
                  InvalidSpecError, id="SpinSystemSpec.a"),
-    pytest.param("eta", lambda v: cv.FieldLagrangianSpec(eta=v, potential=lambda q: q * q), InvalidSpecError,
-                 id="FieldLagrangianSpec.eta"),
+    pytest.param("eta", lambda v: cv.FieldLagrangianSpec(eta=v, potential=lambda q: q * q,
+                                                         potential_grad=lambda q: 2.0 * q),
+                 InvalidSpecError, id="FieldLagrangianSpec.eta"),
     pytest.param("eta", lambda v: qf.QFieldSpec(eta=v, potential=lambda q: q * q, f=1.0), InvalidSpecError,
                  id="QFieldSpec.eta"),
     pytest.param("f", lambda v: qf.QFieldSpec(eta=1.0, potential=lambda q: q * q, f=v), InvalidSpecError,
@@ -403,9 +404,8 @@ SAMPLERS = [
                  id="NaturalSystemSpec.mass_at"),
     pytest.param(lambda fn: mech.NaturalSystemSpec(mass=1.0, potential=fn).potential_at,
                  id="NaturalSystemSpec.potential_at"),
-    pytest.param(lambda fn: cv.FieldLagrangianSpec(eta=1.0, potential=fn).v_at, id="FieldLagrangianSpec.v_at"),
-    pytest.param(lambda fn: cv.FieldLagrangianSpec(eta=1.0, potential=fn).dv_at,
-                 id="FieldLagrangianSpec.dv_at-finite-difference"),
+    pytest.param(lambda fn: cv.FieldLagrangianSpec(eta=1.0, potential=fn, potential_grad=fn).v_at,
+                 id="FieldLagrangianSpec.v_at"),
     pytest.param(lambda fn: qf.QFieldSpec(eta=1.0, potential=fn, f=1.0).v_at, id="QFieldSpec.v_at"),
 ]
 
@@ -459,7 +459,7 @@ def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
     rho_new = mech.upwind_density_update(grid, state.rho, v_masked, dt)
     op = wv.schrodinger_operator(spec, grid, dspec.a)
     sr = np.sqrt(np.maximum(rho_new, 0.0))
-    h_sr = nx.embed_interior(grid, op.apply(sr[1:-1]))
+    h_sr = np.pad(op.apply(sr[1:-1]), 1)
     mask = np.zeros(grid.n, dtype=bool)
     lo2, hi2 = hy._check_nodeless(rho_new, floor_frac, "after step")
     mask[lo2 : hi2 + 1] = True
@@ -490,7 +490,7 @@ def multiplier_residual_series_inline(grid, spec, dspec, rho_series, lam_series,
         res = dldt + grad_lam**2 / (2.0 * m)
         if op is not None:
             sr = np.sqrt(rho_series[k])
-            h_sr = nx.embed_interior(grid, op.apply(sr[1:-1]))
+            h_sr = np.pad(op.apply(sr[1:-1]), 1)
             mask = nx._support_mask(rho_series[k], floor_frac)
             quantum = np.zeros(grid.n)
             quantum[mask] = h_sr[mask] / sr[mask]
@@ -509,7 +509,7 @@ def random_energy_density_inline(spec, grid, rho, lam0, lam_m, floor_frac=nx.RHO
     """random_energy_density before (H sqrt(rho))/sqrt(rho) was shared."""
     mask = nx._support_mask(rho, floor_frac)
     sr = np.sqrt(rho)
-    h_sr = nx.embed_interior(grid, qf._operator(spec, grid).apply(sr[1:-1]))
+    h_sr = np.pad(qf._operator(spec, grid).apply(sr[1:-1]), 1)
     eps = np.zeros(grid.n)
     eps[mask] = h_sr[mask] / sr[mask]
     g0 = nx.grad_central(lam0, grid.h)
@@ -612,7 +612,7 @@ class TestSqrtDensityRatio:
         rho = _random_density(rng, grid)
         lam0 = rng.normal(size=n)
         lam_m = rng.normal(size=(n_spatial, n))
-        new = qf.random_energy_density(spec, grid, rho, lam0, lam_m if n_spatial else None)
+        new = qf.random_energy_density(spec, grid, rho, lam0, lam_m)
         old = random_energy_density_inline(spec, grid, rho, lam0, lam_m)
         assert all(np.array_equal(a, b) for a, b in zip(new, old))
 
@@ -636,6 +636,6 @@ class TestStepCap:
         spec = ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.zeros((2, 2)), b=-1.0)
         seen = []
         with pytest.raises(InvalidArgumentError, match="exceeds 1000000 steps"):
-            ds.local_form_run(spec, np.array([0.9, 0.1]), np.zeros(2), 1.0, 1e-300,
+            ds.local_form_run(spec, np.array([0.9, 0.1]), np.zeros(2), 1.0, 1e-300, floor=1e-6,
                               observer=lambda t, p, lam: seen.append(t))
         assert seen == []

@@ -2,12 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varq import hydrodynamics as hy
 from varq import mechanics as mech
+from varq import potentials as pot
 from varq import quantum_fields as qf
 from varq.errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError
-from varq.numerics import CayleyPropagator, build_grid, embed_interior
+from varq.numerics import CayleyPropagator, build_grid
 
 
 def harmonic_field_spec(k=1.0, eta=1.0, f=1.0):
@@ -90,6 +93,73 @@ class TestVacuumSpectrum:
             qf.VacuumSpectrum(grid, vac.w, psi)
 
 
+def _even_well(c4, a2, c0):
+    """c0 + c4 (q^2 - a2)^2: a double well for a2 > 0, a single one otherwise."""
+    return pot.polynomial([c0 + c4 * a2 * a2, 0.0, -2.0 * c4 * a2, 0.0, c4])
+
+
+# confining potentials from the catalog, from a scale s > 0, a shape u in
+# [-1, 1], a shift c0 >= 0 and T = f^2 / (2 eta).  The well's a2 keeps the
+# barrier's WKB action below 2 a^3 sqrt(c4 / T) <= 20: a deeper barrier
+# splits its lowest pair by less than rounding (action 43 at c4 = 1/16,
+# a2 = 16, T = 1/4, drawn before this bound), and the solver then refuses
+# the pair as not strictly increasing or the ground state as not signed.
+CONFINING = {
+    "harmonic": lambda s, u, c0, T: pot.harmonic(s),
+    "quartic": lambda s, u, c0, T: pot.quartic(s),
+    "polynomial": lambda s, u, c0, T: _even_well(s, u * (10.0 * np.sqrt(T / s)) ** (2.0 / 3.0), c0),
+}
+
+
+def resolving_half_width(v, T, levels):
+    """A grid half-width that resolves the lowest ``levels`` states of
+    -T d^2/dq^2 + V for an even V that grows beyond its last minimum.
+
+    E = min over a of T (pi levels / 2a)^2 + max_{|q| <= a} V bounds the
+    level w_{levels-1} from above (min-max on the Dirichlet box [-a, a]);
+    the half-width is where the WKB decay integral of sqrt((V - E) / T)
+    beyond the last q with V <= E reaches 30, far past the relative tail
+    1e-6 (exp(-13.8)) that vacuum_spectrum refuses."""
+    q = np.linspace(0.0, 100.0, 100001)
+    vq = v(q)
+    e = np.min(T * (np.pi * levels / (2.0 * q[1:])) ** 2 + np.maximum.accumulate(vq)[1:])
+    last = np.flatnonzero(vq <= e)[-1]
+    decay = np.cumsum(np.sqrt(np.maximum(vq[last:] - e, 0.0) / T)) * (q[1] - q[0])
+    return q[last + np.searchsorted(decay, 30.0)]
+
+
+class TestVacuumProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=100, max_value=400),
+        kind=st.sampled_from(sorted(CONFINING)),
+        s=st.floats(min_value=0.05, max_value=5.0),
+        u=st.floats(min_value=-1.0, max_value=1.0),
+        c0=st.floats(min_value=0.0, max_value=1.0),
+        eta=st.floats(min_value=0.5, max_value=2.0),
+        f=st.floats(min_value=0.5, max_value=2.0),
+        k_eigen=st.integers(min_value=1, max_value=5),
+    )
+    def test_spectrum_is_ordered_orthonormal_rayleigh(self, n, kind, s, u, c0, eta, f, k_eigen):
+        # a refused draw (unresolved tails, an unordered pair) fails here
+        T = f * f / (2.0 * eta)
+        spec = qf.QFieldSpec(eta=eta, potential=CONFINING[kind](s, u, c0, T).v, f=f)
+        half = resolving_half_width(spec.v_at, T, k_eigen)
+        grid = build_grid(-half, half, n)
+        vac = qf.vacuum_spectrum(spec, grid, k_eigen)
+        assert np.all(np.diff(vac.w) > 0)
+        assert np.max(np.abs(grid.h * vac.psi.T @ vac.psi - np.eye(k_eigen))) <= 1e-8
+        # |h psi^T H psi - w| <= n eps ||H||_inf: the rounding bound of an
+        # n-term dot product, with h |psi|^2 = 1; the eigensolver's residual
+        # is a few eps ||H|| (at most 0.66 eps ||H|| over 3000 draws)
+        op = qf._operator(spec, grid)
+        h_norm = np.max(np.abs(op.diagonal)) + 2.0 * np.max(np.abs(op.off_diagonal))
+        tol = n * np.finfo(float).eps * h_norm
+        for i in range(k_eigen):
+            psi = vac.psi[1:-1, i]
+            assert abs(grid.h * psi @ op.apply(psi) - vac.w[i]) <= tol
+
+
 class TestInvariantStateTensor:
     def test_fundamental_vacuum(self):
         t = qf.invariant_state_tensor(0.5)
@@ -153,7 +223,7 @@ class TestSpaceIndependent:
     def test_bad_step_rejected(self, harmonic_vacuum, dt, n_steps, match):
         spec, grid, vac = harmonic_vacuum
         with pytest.raises(InvalidArgumentError, match=match):
-            qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), dt, n_steps)
+            qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), dt, n_steps, store_every=1)
 
     @pytest.mark.parametrize("store_every", [0, -1])
     def test_bad_store_interval_rejected(self, harmonic_vacuum, store_every):
@@ -167,7 +237,7 @@ class TestSpaceIndependent:
         # a NaN psi0 used to pass the norm rule and fail in the first Cayley step
         spec, grid, vac = harmonic_vacuum
         with pytest.raises(InvalidStateError, match="psi0 must be grid-normalised"):
-            qf.space_independent_evolve(spec, grid, scale * vac.psi[:, 0].astype(complex), 2e-3, 10)
+            qf.space_independent_evolve(spec, grid, scale * vac.psi[:, 0].astype(complex), 2e-3, 10, store_every=1)
 
     def test_snapshots_are_distinct_fresh_states(self, harmonic_vacuum):
         # the run hands each step's H psi to the next; no stored row may
@@ -178,7 +248,7 @@ class TestSpaceIndependent:
         prop = CayleyPropagator(qf._operator(spec, grid), 2e-3, spec.f)
         psi, fresh = psi0, [psi0]
         for k in range(60):  # every step applies H itself
-            psi = embed_interior(grid, prop.step(psi[1:-1]))
+            psi = np.pad(prop.step(psi[1:-1]), 1)
             if (k + 1) % 7 == 0:
                 fresh.append(psi)
         assert np.array_equal(res.psi, np.asarray(fresh))
@@ -198,7 +268,7 @@ class TestSpaceIndependent:
 class TestRandomEnergyDensity:
     def test_invariant_state_reads_eigenvalue(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum
-        eps, _, mask = qf.random_energy_density(spec, grid, vac.psi[:, 0] ** 2, np.zeros(grid.n))
+        eps, _, mask = qf.random_energy_density(spec, grid, vac.psi[:, 0] ** 2, np.zeros(grid.n), np.zeros((0, grid.n)))
         assert np.max(np.abs(eps[mask] - vac.w[0])) < 1e-7
 
     def test_excited_state_away_from_node(self, harmonic_vacuum):
@@ -206,7 +276,7 @@ class TestRandomEnergyDensity:
         # at least two nodes away from the zero crossing
         spec, grid, vac = harmonic_vacuum
         psi1 = vac.psi[:, 1]
-        eps, _, mask = qf.random_energy_density(spec, grid, psi1**2, np.zeros(grid.n))
+        eps, _, mask = qf.random_energy_density(spec, grid, psi1**2, np.zeros(grid.n), np.zeros((0, grid.n)))
         crossings = np.flatnonzero(np.sign(psi1[:-1]) * np.sign(psi1[1:]) < 0)
         keep = mask.copy()
         for c in crossings:
@@ -293,7 +363,7 @@ class TestConfinedSolve:
     def test_bad_normalisation_rejected(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum
         with pytest.raises(InvalidArgumentError):
-            qf.confined_solve(spec, vac, [0.5, 0.1], r_min=0.5, r_max=30.0)
+            qf.confined_solve(spec, vac, [0.5, 0.1], r_min=0.5, r_max=30.0, tol=1e-8)
 
     @pytest.mark.parametrize("tol, n_r", [(0.0, 1200), (-1e-8, 1200), (np.nan, 1200), (np.inf, 1200),
                                           (1e-8, 1), (1e-8, 0)])

@@ -143,16 +143,16 @@ class TestRanges:
     @pytest.mark.parametrize("value", ["0.5", "1e-300", "0.999"])
     def test_support_floor_inside_unit_interval(self, value):
         text = (CONFIG_DIR / "classical_oscillator.cfg").read_text().replace(FLOOR, f"support_floor = {value}\n")
-        assert parse_scenario(text).params["run"]["support_floor"] == float(value)
+        assert parse_scenario(text, "scenario").params["run"]["support_floor"] == float(value)
 
     def test_support_floor_default(self):
         text = (CONFIG_DIR / "classical_oscillator.cfg").read_text().replace(FLOOR, "")
-        assert parse_scenario(text).params["run"]["support_floor"] == 1e-6
+        assert parse_scenario(text, "scenario").params["run"]["support_floor"] == 1e-6
 
     def test_unparsable_support_floor(self):
         text = (CONFIG_DIR / "classical_oscillator.cfg").read_text().replace(FLOOR, "support_floor = tiny\n")
         with pytest.raises(ConfigError, match=r"cannot parse \[run\] support_floor = 'tiny' as float") as err:
-            parse_scenario(text)
+            parse_scenario(text, "scenario")
         assert err.value.key == "run.support_floor"
 
     @pytest.mark.parametrize("key, old", [("dt", "dt = 0.0001\n"), ("t_final", "t_final = 1.15\n")])
@@ -165,7 +165,8 @@ class TestRanges:
             assert err == f"config error: [run] {key} must be finite and > 0.0, got {float(value)!r} (key: run.{key})\n"
 
     def test_spin_step_and_span_defaults(self):
-        run = parse_scenario(SPIN.replace("dt = 0.0001\n", "").replace("t_final = 1.15\n", "")).params["run"]
+        text = SPIN.replace("dt = 0.0001\n", "").replace("t_final = 1.15\n", "")
+        run = parse_scenario(text, "scenario").params["run"]
         assert (run["dt"], run["t_final"]) == (1e-3, 1.0)
 
     def test_negative_seed(self, tmp_path, monkeypatch, capsys):
@@ -219,15 +220,16 @@ class TestQFieldRanges:
 
     def test_as_many_coefficients_as_modes_run(self):
         sc = parse_scenario(CONFINED.replace("k_eigen = 8\n", "k_eigen = 2\n").replace("n = 801\n", "n = 201\n")
-                            .replace("n_r = 1200\n", "n_r = 300\n"))
+                            .replace("n_r = 1200\n", "n_r = 300\n"), "scenario")
         assert sc.params["initial"]["c"] == [1.0, 0.1]
         assert runners.run_scenario_object(sc).all_passed()
 
     def test_int_defaults_parse_as_int(self):
-        run = parse_scenario(CONFINED.replace("k_eigen = 8\n", "").replace("n_r = 1200\n", "")).params["run"]
+        text = CONFINED.replace("k_eigen = 8\n", "").replace("n_r = 1200\n", "")
+        run = parse_scenario(text, "scenario").params["run"]
         assert (run["k_eigen"], run["n_r"]) == (8, 1200)
         assert type(run["k_eigen"]) is int and type(run["n_r"]) is int
-        run = parse_scenario(VACUUM.replace("k_eigen = 3\n", "")).params["run"]
+        run = parse_scenario(VACUUM.replace("k_eigen = 3\n", ""), "scenario").params["run"]
         assert run["k_eigen"] == 3 and type(run["k_eigen"]) is int
 
 
@@ -302,7 +304,7 @@ class TestRules:
 class TestSpellings:
     @pytest.mark.parametrize("spelling", ["harmonic", "Harmonic", "HARMONIC"])
     def test_potential_kind_ignores_case(self, spelling):
-        sc = parse_scenario(VACUUM.replace("kind = harmonic", f"kind = {spelling}"))
+        sc = parse_scenario(VACUUM.replace("kind = harmonic", f"kind = {spelling}"), "scenario")
         assert sc.params["potential"]["kind"] == "harmonic"
         assert sc.sections["potential"]["kind"] == spelling
 
@@ -312,29 +314,29 @@ class TestSpellings:
     ])
     def test_spin_kinds_are_exact(self, old, new):
         with pytest.raises(ConfigError) as err:
-            parse_scenario(SPIN.replace(old, new))
+            parse_scenario(SPIN.replace(old, new), "scenario")
         assert err.value.key == "system." + old.split(" = ")[0]
 
     def test_choice_defaults_to_first(self):
         text = SPIN.replace("u_kind = exchange\n", "").replace("theta_kind = zero\n", "")
-        sc = parse_scenario(text)
+        sc = parse_scenario(text, "scenario")
         assert (sc.params["system"]["u_kind"], sc.params["system"]["theta_kind"]) == ("exchange", "zero")
 
     def test_default_section_is_an_unknown_section(self):
         # configparser would copy [DEFAULT] keys into every section
         with pytest.raises(ConfigError) as err:
-            parse_scenario("[DEFAULT]\nk_eigen = 5\n" + VACUUM)
+            parse_scenario("[DEFAULT]\nk_eigen = 5\n" + VACUUM, "scenario")
         assert err.value.key == "DEFAULT"
 
     def test_list_default_is_a_fresh_copy(self):
         text = (CONFIG_DIR / "space_independent_superposition.cfg").read_text().replace("modes = 0 1\n", "")
-        parse_scenario(text).params["initial"]["modes"].append(5)
-        assert parse_scenario(text).params["initial"]["modes"] == [0, 1]
+        parse_scenario(text, "scenario").params["initial"]["modes"].append(5)
+        assert parse_scenario(text, "scenario").params["initial"]["modes"] == [0, 1]
 
     def test_derived_key_absent_unless_given(self):
         cfg = (CONFIG_DIR / "confined_harmonic.cfg").read_text()
-        assert parse_scenario(cfg).params["run"]["r_min"] == 0.5
-        assert "r_min" not in parse_scenario(cfg.replace("r_min = 0.5\n", "")).params["run"]
+        assert parse_scenario(cfg, "scenario").params["run"]["r_min"] == 0.5
+        assert "r_min" not in parse_scenario(cfg.replace("r_min = 0.5\n", ""), "scenario").params["run"]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ class _Recording(dict):
 
 
 def _recorded(text: str):
-    sc = parse_scenario(text)
+    sc = parse_scenario(text, "scenario")
     seen = set()
     sc.params = {s: _Recording(s, values, seen) for s, values in sc.params.items() if s in SCHEMA[sc.regime]}
     return sc, seen
@@ -485,4 +487,4 @@ def test_benchmark_configs_parse(monkeypatch):
             assert len(configs) == (len(SHIPPED) if workload == "sweep" else 40)
             for name, text in configs:
                 parse_scenario(text, name=name)
-    assert [parse_scenario(text).regime for _, text in workloads.warmup()] == list(workloads._WARMUP)
+    assert [parse_scenario(text, "scenario").regime for _, text in workloads.warmup()] == list(workloads._WARMUP)

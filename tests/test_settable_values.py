@@ -13,24 +13,33 @@ dataclass field with a default that ``__init__`` takes (a
   end-to-end test files).  A call sets a value when it names the function
   (or the class, for a dataclass field or an ``__init__`` parameter), bare or
   as an attribute, and passes its keyword, a positional argument at its
-  index, or ``*``/``**``.  ``SETTER_OK`` holds the exceptions, each with its
-  reason; an entry that gains a setter or goes must leave the list.
+  index, or ``*``/``**``.  The benchmark's kernel table counts as calls too:
+  each ``return fn, (args...)`` in ``perfbench/kernels.py`` is a positional
+  call of ``fn``.  ``SETTER_OK`` holds the exceptions, each with its reason;
+  an entry that gains a setter or goes must leave the list.
+* Default rule: some call outside the unit tests relies on every default, by
+  leaving the value out (a ``*``/``**`` call may leave it out).  A default
+  that every such call overrides is a required parameter in disguise.
+  ``DEFAULT_OK`` holds the exceptions, each with its reason; an entry that
+  gains a call relying on it or goes must leave the list.
 """
 
 import ast
+from functools import lru_cache
 
-from test_reachability import SRC, outside_trees
+from test_reachability import ROOT, SRC, outside_trees
 
-LIMIT = 38
+LIMIT = 26
 
 SETTER_OK = {
     ("DiffusionSpec", "g"): "the paper's regular term g(rho) of the quantum-pole closure, "
                             "rho d^2(rho) = (a/2)^2/rho + g(rho), which the README documents",
     ("DiffusionSpec", "g_grad"): "the analytic gradient of that regular term g(rho)",
-    # the call is fn(*args) and names no function (ROADMAP item 8)
-    ("madelung_step", "floor_frac"): "perfbench/kernels.py passes it by position from an args tuple",
-    ("madelung_step", "support_floor"): "perfbench/kernels.py passes it by position from an args tuple",
 }
+
+DEFAULT_OK = {}
+
+KERNELS = ROOT / "perfbench" / "kernels.py"
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -86,28 +95,59 @@ def settable_values(source: str) -> list:
     return found
 
 
-def calls(trees) -> dict:
-    """callee name -> [(positional count, keywords, starred)] of every call under ``trees``."""
+def _call(args, keywords) -> tuple:
+    n_pos = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), len(args))
+    return n_pos, {k.arg for k in keywords}, n_pos < len(args) or any(k.arg is None for k in keywords)
+
+
+def calls(trees, tables=()) -> dict:
+    """callee name -> [(positional count, keywords, starred)] of every call
+    under ``trees``, and of every ``return fn, (args...)`` under ``tables``
+    (a kernel table, whose runner calls ``fn(*args)``) as a positional call
+    of ``fn``; an unbound ``Class.method`` takes the instance first, so its
+    first argument is no parameter's."""
     out = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                n_pos = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
-                starred = n_pos < len(node.args) or any(k.arg is None for k in node.keywords)
-                out.setdefault(_callee(node.func), []).append((n_pos, {k.arg for k in node.keywords}, starred))
+                out.setdefault(_callee(node.func), []).append(_call(node.args, node.keywords))
+    for tree in tables:
+        for node in ast.walk(tree):
+            entry = node.value if isinstance(node, ast.Return) else None
+            if isinstance(entry, ast.Tuple) and len(entry.elts) == 2 and isinstance(entry.elts[1], ast.Tuple):
+                fn, args = entry.elts
+                unbound = isinstance(fn, ast.Attribute) and _callee(fn.value)[:1].isupper()
+                out.setdefault(_callee(fn), []).append(_call(args.elts[unbound:], []))
     return out
 
 
-def unset(values, trees) -> list:
-    """The (owner, name) of ``values`` that no call under ``trees`` sets."""
-    seen = calls(trees)
+def _sets(name, index, call) -> bool:
+    """Whether ``call`` surely passes the value ``name`` at ``index``."""
+    n_pos, keywords, _ = call
+    return name in keywords or (index is not None and index < n_pos)
+
+
+def unset(values, seen) -> list:
+    """The (owner, name) of ``values`` that no call in ``seen`` (from ``calls``) sets."""
     return [(owner, name) for owner, name, index in values
-            if not any(starred or name in keywords or (index is not None and index < n_pos)
-                       for n_pos, keywords, starred in seen.get(owner, []))]
+            if not any(call[2] or _sets(name, index, call) for call in seen.get(owner, []))]
+
+
+def overridden(values, seen) -> list:
+    """The (owner, name) of ``values`` that some call in ``seen`` names and
+    every such call sets: no call relies on the default."""
+    return [(owner, name) for owner, name, index in values
+            if seen.get(owner) and all(_sets(name, index, call) for call in seen[owner])]
 
 
 def src_values() -> list:
     return [(p.name, *v) for p in sorted(SRC.glob("*.py")) for v in settable_values(p.read_text())]
+
+
+@lru_cache(maxsize=None)
+def outside_calls() -> dict:
+    """The calls outside the unit tests, the benchmark's kernel table included."""
+    return calls(outside_trees(), [ast.parse(KERNELS.read_text(), str(KERNELS))])
 
 
 def test_counter_sees_each_kind():
@@ -134,14 +174,27 @@ def test_settable_values_at_most_limit():
 
 
 def test_every_settable_value_has_a_setter():
-    missing = [v for v in unset([v[1:] for v in src_values()], outside_trees()) if v not in SETTER_OK]
+    missing = [v for v in unset([v[1:] for v in src_values()], outside_calls()) if v not in SETTER_OK]
     assert not missing, "set by no call outside the unit tests: " + ", ".join(f"{o}.{n}" for o, n in missing)
 
 
 def test_allowed_unset_is_still_unset():
-    flagged = set(unset([v[1:] for v in src_values()], outside_trees()))
+    flagged = set(unset([v[1:] for v in src_values()], outside_calls()))
     stale = sorted(set(SETTER_OK) - flagged)
     assert not stale, "allowed without a setter but now set or gone, drop from SETTER_OK: " + ", ".join(
+        f"{o}.{n}" for o, n in stale)
+
+
+def test_every_default_is_relied_on():
+    needless = [v for v in overridden([v[1:] for v in src_values()], outside_calls()) if v not in DEFAULT_OK]
+    assert not needless, "a default that every call outside the unit tests overrides, make it required: " + \
+        ", ".join(f"{o}.{n}" for o, n in needless)
+
+
+def test_allowed_overridden_is_still_overridden():
+    flagged = set(overridden([v[1:] for v in src_values()], outside_calls()))
+    stale = sorted(set(DEFAULT_OK) - flagged)
+    assert not stale, "allowed default now relied on or gone, drop from DEFAULT_OK: " + ", ".join(
         f"{o}.{n}" for o, n in stale)
 
 
@@ -159,4 +212,36 @@ def test_setter_rule_on_a_small_module():
         "args = (1, 2.0)\nkernel(*args)\n"
         "Spec(1.0, c=3.0)\n"
     )
-    assert unset(settable_values(lib), [caller]) == [("run", "n"), ("run", "probe"), ("Spec", "b")]
+    assert unset(settable_values(lib), calls([caller])) == [("run", "n"), ("run", "probe"), ("Spec", "b")]
+
+
+
+def test_default_rule_on_a_small_module():
+    # a default is relied on when some call leaves it out or may (*args);
+    # one that every call passes, by keyword or at its index, is flagged,
+    # and one that no call names is left to the setter rule
+    lib = (
+        "def run(x, tol=1.0, n=2, *, floor=None): pass\n"
+        "def fit(x, w=1.0): pass\n"
+        "def spare(x, z=0): pass\n"
+    )
+    caller = ast.parse("run(1, 0.5, floor=2)\nrun(1, tol=0.1, n=3, floor=4)\nfit(*args)\n")
+    assert overridden(settable_values(lib), calls([caller])) == [("run", "tol"), ("run", "floor")]
+
+
+def test_kernel_table_on_a_small_module():
+    # each `return fn, (args...)` of a kernel table is a positional call of
+    # fn; an unbound Class.method's first argument is the instance.  Read
+    # as plain code, the table calls nothing.
+    lib = (
+        "def kernel(x, floor=0.0, _run=None): pass\n"
+        "class Prop:\n    def step(self, psi, _hpsi=None): pass\n"
+    )
+    table = ast.parse(
+        "def _kernel(n):\n    return lib.kernel, (n, 1e-6)\n"
+        "def _step(n):\n    prop = lib.Prop()\n    return lib.Prop.step, (prop, n)\n"
+    )
+    values = settable_values(lib)
+    assert unset(values, calls([], [table])) == [("kernel", "_run"), ("step", "_hpsi")]
+    assert overridden(values, calls([], [table])) == [("kernel", "floor")]
+    assert unset(values, calls([table])) == [("kernel", "floor"), ("kernel", "_run"), ("step", "_hpsi")]

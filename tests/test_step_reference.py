@@ -289,7 +289,7 @@ def apply_ref(op, v):
 
 def sqrt_density_ratio_ref(grid, op, rho, mask):
     sr = np.sqrt(rho)
-    h_sr = nx.embed_interior(grid, apply_ref(op, sr[1:-1]))
+    h_sr = np.pad(apply_ref(op, sr[1:-1]), 1)
     out = np.zeros(grid.n)
     out[mask] = h_sr[mask] / sr[mask]
     return out
@@ -745,7 +745,7 @@ class TestStepWork:
         monkeypatch.setattr(mech, "classical_transport_step",
                             lambda *a, **kw: steps.append(kw["_run"]) or real(*a, **kw))
         dt = 0.4 * grid.h
-        mech.transport_run(ens, unit_mass_harmonic, k * dt, dt, support_floor=1e-6)
+        mech.transport_run(ens, unit_mass_harmonic, k * dt, dt, support_floor=1e-6, observer=lambda t, rho: None)
         assert calls == {"validate": 0, "build_grid": 0}
         assert len(steps) == k and all(r is steps[0] for r in steps)
 
@@ -779,7 +779,7 @@ class TestStepWork:
 
         monkeypatch.setattr(mech, "classical_transport_step", recording)
         dt = 0.3 * grid.h
-        out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor)
+        out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor, observer=lambda t, rho: None)
         assert len(seen) == 40
         S = ens.S  # the whole S of each step, from the standalone steps
         for rho, rho_run, moved, S_run in seen:
@@ -820,7 +820,7 @@ class TestStepWork:
         real = mech._extend
         monkeypatch.setattr(mech, "_extend", lambda out, *a: written.append(out.size) or real(out, *a))
         dt = 0.4 * grid.h
-        mech.transport_run(ens, unit_mass_harmonic, 200 * dt, dt, support_floor=1e-6)
+        mech.transport_run(ens, unit_mass_harmonic, 200 * dt, dt, support_floor=1e-6, observer=lambda t, rho: None)
         assert 0 < sum(written) <= 2 * grid.n
 
 
@@ -1072,7 +1072,7 @@ class TestLocalFormStep:
         real = ds.local_form_step
         monkeypatch.setattr(ds, "local_form_step", lambda *a, **kw: runs.append(kw["_run"]) or real(*a, **kw))
         spec, (p, lam) = _random_spin(3, 3, 1.0, -1.0)
-        ds.local_form_run(spec, p, lam, 0.05, 1e-3, floor=1e-9)
+        ds.local_form_run(spec, p, lam, 0.05, 1e-3, floor=1e-9, observer=lambda t, p, lam: None)
         assert len(runs) == 50 and all(r is runs[0] for r in runs)
 
     @pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0, 0.0, -0.0])
@@ -1082,7 +1082,7 @@ class TestLocalFormStep:
         with pytest.raises(InvalidArgumentError, match=r"floor must be finite and > 0"):
             ds.local_form_step(spec, p, lam, 1e-3, floor)
         with pytest.raises(InvalidArgumentError, match=r"floor must be finite and > 0"):
-            ds.local_form_run(spec, p, lam, 0.01, 1e-3, floor=floor)
+            ds.local_form_run(spec, p, lam, 0.01, 1e-3, floor=floor, observer=lambda t, p, lam: None)
 
     @pytest.mark.parametrize("p, lam, where", [
         ([0.5, 1e-10, 0.5 - 1e-10], [0.0, 0.0, 0.0], "before"),  # below the floor on entry
@@ -1206,8 +1206,8 @@ def conservation_ref(spec, grid, qs, pis):
 def _field_spec(eta, m, quartic, grad="closed"):
     """Klein-Gordon plus a quartic term; ``grad`` "closed" gives V' in closed
     form, "identity" a V' that returns its argument (it aliases the q it
-    is handed), "none" the spec's finite-difference V'."""
-    grads = {"closed": lambda q: m * m * q + 4.0 * quartic * q**3, "identity": lambda q: q, "none": None}
+    is handed)."""
+    grads = {"closed": lambda q: m * m * q + 4.0 * quartic * q**3, "identity": lambda q: q}
     return cv.FieldLagrangianSpec(eta, potential=lambda q: 0.5 * m * m * q * q + quartic * q**4,
                                   potential_grad=grads[grad])
 
@@ -1257,7 +1257,7 @@ def _assert_same_series(new, old):
 
 class TestDdwLeapfrog:
     @settings(max_examples=60, deadline=None)
-    @given(grad=st.sampled_from(["closed", "identity", "none"]), **DDW_DRAWS)
+    @given(grad=st.sampled_from(["closed", "identity"]), **DDW_DRAWS)
     def test_series_bitwise(self, grad, n, seed, cfl, eta, m, quartic, n_steps, store_every):
         spec = _field_spec(eta, m, quartic, grad)
         state = _random_field(seed, n)
@@ -1323,7 +1323,7 @@ class TestDdwLeapfrog:
 
     def test_run_ddw_series_bitwise(self):
         # the whole runner against the allocating leapfrog and the per-snapshot loop
-        sc = parse_scenario(DDW_CFG.format(eta=1.3, n_steps=700))
+        sc = parse_scenario(DDW_CFG.format(eta=1.3, n_steps=700), "scenario")
         rows = runners.run_scenario_object(sc).series["conservation"].rows
         spec = _field_spec(1.3, 0.7, 0.0)
         grid = cv.PeriodicGrid1D(5.0, 96)
@@ -1354,7 +1354,7 @@ class TestDdwLeapfrog:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cv, "ddw_evolve", wrapper)
-        runners.run_scenario_object(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003)))
+        runners.run_scenario_object(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003), "scenario"))
         assert sum(counted) == 1003 and len(counted) == 201  # store_every = 1003 // 200 = 5
 
 
@@ -1416,7 +1416,7 @@ def run_schrodinger_ref(sc):
     rows = [row(0.0, psi, 0.0, 0.0)]
     norm_drift = energy_drift = 0.0
     for k in range(n_steps):
-        psi = nx.embed_interior(grid, prop.step(psi[1:-1]))
+        psi = np.pad(prop.step(psi[1:-1]), 1)
         norm_drift = max(norm_drift, abs(grid.h * float(np.sum(np.abs(psi) ** 2)) - 1.0))
         energy_drift = max(energy_drift, abs(energy(psi) - e0) / max(abs(e0), 1e-300))
         if (k + 1) % max(1, n_steps // 64) == 0:
@@ -1455,7 +1455,7 @@ class TestSchrodingerRun:
         potential = "kind = free" if k is None else f"kind = harmonic\nk = {k!r}"
         sc = parse_scenario(SCHRODINGER_CFG.format(n=n, mass=repr(mass), a=repr(a), potential=potential,
                                                    sigma=repr(sigma), center=repr(center),
-                                                   momentum=repr(momentum), t_final=repr(t_final)))
+                                                   momentum=repr(momentum), t_final=repr(t_final)), "scenario")
         rows, variance, norm_drift, energy_drift = run_schrodinger_ref(sc)
         report = runners.run_scenario_object(sc)
         assert np.array_equal(report.series["moments"].rows, rows)
@@ -1563,7 +1563,7 @@ def confined_solve_ref(spec, vac, c, r_min, r_max, tol=1e-8, n_r=1200):
             diagnostics={"residual_history": history},
         )
     phi, phi_tilde = fields(A, At)
-    pair = qf.RadialPair(vac.grid, r, phi, phi_tilde, cs)
+    pair = qf.RadialPair(vac.grid, r, phi, phi_tilde)
     return qf.ConfinedSolveResult(pair, history, iterations, mode_history)
 
 
@@ -1586,7 +1586,7 @@ def _assert_same_solve(new, old):
     assert len(new.mode_history) == len(old.mode_history)
     for (a, at), (b, bt) in zip(new.mode_history, old.mode_history):
         assert np.array_equal(a, b) and np.array_equal(at, bt)
-    for name in ("r", "phi", "phi_tilde", "c"):
+    for name in ("r", "phi", "phi_tilde"):
         assert np.array_equal(getattr(new.pair, name), getattr(old.pair, name)), name
 
 
@@ -1696,7 +1696,7 @@ def space_independent_evolve_ref(spec, grid, psi0, dt, n_steps, store_every):
     prop = nx.CayleyPropagator(op, dt, spec.f)
 
     def record(t, psi_now, h_in):
-        hpsi = nx.embed_interior(grid, h_in)
+        hpsi = np.pad(h_in, 1)
         dens = np.abs(psi_now) ** 2
         mask = support_mask_ref(dens, nx.RHO_FLOOR_FRAC)
         eps = np.zeros(grid.n)
@@ -1707,7 +1707,7 @@ def space_independent_evolve_ref(spec, grid, psi0, dt, n_steps, store_every):
     h_in = apply_ref(op, psi[1:-1])
     records = [record(0.0, psi, h_in)]
     for k in range(n_steps):
-        psi = nx.embed_interior(grid, prop.step(psi[1:-1], _hpsi=h_in))
+        psi = np.pad(prop.step(psi[1:-1], _hpsi=h_in), 1)
         h_in = None
         if (k + 1) % store_every == 0:
             h_in = apply_ref(op, psi[1:-1])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from varq import mechanics as mech
 from varq import wavefunction as wv
 from varq.errors import DomainEscapeError, InvalidStateError
-from varq.numerics import CayleyPropagator, build_grid, eigensolve_lowest, embed_interior
+from varq.numerics import CayleyPropagator, build_grid, eigensolve_lowest
 
 
 def nodeless_wavefunction(grid, a=1.0, seed=0):
@@ -121,7 +121,7 @@ class TestSchrodingerEvolve:
         grid = build_grid(-10, 10, 1000)
         op = wv.schrodinger_operator(unit_mass_harmonic, grid, 1.0)
         w, vecs = eigensolve_lowest(op, 2, grid.h)
-        psi = embed_interior(grid, vecs[:, 1]).astype(complex)
+        psi = np.pad(vecs[:, 1], 1).astype(complex)
         wf = wv.WaveFunction(grid, psi, 1.0)
         out = wv.schrodinger_evolve(unit_mass_harmonic, wf, 1e-3, 1000)
         assert np.max(np.abs(np.abs(out.psi) - np.abs(wf.psi))) < 1e-10
