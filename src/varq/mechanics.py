@@ -135,11 +135,12 @@ _RHO_NEG_TOL = 1e-14  # rounding below zero that a density state accepts and cli
 
 
 def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, moved: slice, lam_moved: slice,
-                 low: Optional[float]):
+                 low: Optional[float]) -> float:
     """Check the density state cells rho[moved] and lam[lam_moved] (the
     multiplier ``field`` finite, then rho >= -1e-14) and h*sum(rho) = 1 on
     the whole grid (a NaN density fails it); clip rho[moved] at 0 in place.
-    ``low`` is min(rho[moved]) when the caller has scanned it, else None."""
+    ``low`` is min(rho[moved]), or a lower bound of it, when the caller has
+    scanned it, else None.  Returns h*sum(rho) of the clipped rho."""
     part = rho[moved]
     if not np.isfinite(lam[lam_moved]).all():
         raise InvalidStateError(f"{field} must be finite")
@@ -150,8 +151,10 @@ def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, mov
     total = grid.h * float(rho.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
-    if not low > 0.0:
-        np.maximum(part, 0.0, out=part)
+    if low > 0.0:
+        return total
+    np.maximum(part, 0.0, out=part)
+    return grid.h * float(rho.sum())
 
 
 def _validate_density_state(state, field: str):
@@ -178,13 +181,16 @@ class ClassicalEnsemble:
 
 
 def _next_state(cls, grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice,
-                low: Optional[float]):
+                low: Optional[float], run: Optional[_RunContext]):
     """The ``ClassicalEnsemble`` or ``HydroState`` (``cls``) of the fresh
     arrays rho and lam, built without ``__post_init__``: outside rho[moved]
     and lam[lam_moved] they equal a checked state's, so only those cells
-    are checked (``_check_cells``, given ``low``)."""
+    are checked (``_check_cells``, given ``low``).  A ``_RunContext``
+    ``run`` (else None) gets the state's h*sum(rho) as ``run.mass``."""
     field = "S" if cls is ClassicalEnsemble else "lam"
-    _check_cells(grid, rho, lam, field, moved, lam_moved, low)
+    mass = _check_cells(grid, rho, lam, field, moved, lam_moved, low)
+    if run is not None:
+        run.mass = mass
     state = object.__new__(cls)
     vars(state).update({"grid": grid, "rho": rho, field: lam})
     return state
@@ -258,9 +264,9 @@ def _windowed_upwind(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, m_face: np.
     return new
 
 
-def _godunov_hj_update(h: float, q: np.ndarray, spec: NaturalSystemSpec, S: np.ndarray, dt: float) -> np.ndarray:
+def _godunov_hj_update(h: float, m2, v: np.ndarray, S: np.ndarray, dt: float) -> np.ndarray:
     """Upwind (Godunov) step of dS/dt + (dS/dq)^2/2m + V = 0 for convex H,
-    on the nodes q of spacing h."""
+    on nodes of spacing h where 2m is ``m2`` and V is ``v``."""
     slope = (S[1:] - S[:-1]) / h
     dm = np.empty(S.size)
     dp = np.empty(S.size)
@@ -269,7 +275,7 @@ def _godunov_hj_update(h: float, q: np.ndarray, spec: NaturalSystemSpec, S: np.n
     dm[0] = dp[0]
     dp[-1] = dm[-1]
     p2 = np.maximum(np.maximum(dm, 0.0) ** 2, np.minimum(dp, 0.0) ** 2)
-    return S - dt * (p2 / (2.0 * spec.mass_at(q)) + spec.potential_at(q))
+    return S - dt * (p2 / m2 + v)
 
 
 def _support_window(rho: np.ndarray, floor_frac: float) -> tuple:
@@ -287,16 +293,31 @@ class _RunContext:
     extension.  What a step leaves for the next: ``moved``, the slice a
     classical step's density update wrote, and ``low``, its minimum;
     ``window``, the bulk window ``madelung_step`` found on the state it
-    returned (``last``); in ``transport_run``, whose S buffer is ``S``, the
-    extension ``ext`` not yet written: its window, then per side the edge
-    value, gradient and curvature."""
+    returned (``last``), and ``mass``, h*sum(rho) of the last state checked;
+    in ``transport_run``, whose S buffer is ``S``, the extension ``ext`` not
+    yet written: its window, then per side the edge value, gradient and
+    curvature.  The record of the last supported window (``samples``):
+    ``win`` = (lo, hi), then ``rec`` = (hs, 2m, V) on its nodes."""
 
     def __init__(self, grid: Grid1D, spec: NaturalSystemSpec, *, nodes: bool):
         self.m_face = spec.mass_at(grid.midpoints)
         self.m_node = spec.mass_at(grid.nodes) if nodes else None
         self.dist = grid.h * np.arange(grid.n)
         self.scratch = np.empty(grid.n)
-        self.last = self.window = self.moved = self.low = self.S = self.ext = None
+        self.last = self.window = self.moved = self.low = self.mass = self.S = self.ext = self.win = self.rec = None
+
+    def samples(self, grid: Grid1D, spec: NaturalSystemSpec, lo: int, hi: int) -> tuple:
+        """(hs, 2m, V) on the nodes ``build_grid`` would give the window
+        lo..hi, q_min + lo*h + i*hs, without building it; sampled (m first)
+        only when the window differs from the last one's.  A number mass
+        stays a float: its quotient has the bits of a broadcast array's."""
+        if self.win != (lo, hi):
+            k, q0 = hi - lo + 1, grid.q_min + lo * grid.h
+            hs = (grid.q_min + hi * grid.h - q0) / (k - 1)  # k >= 3 (build_grid's n >= 3); hs may differ from h
+            q = q0 + np.arange(k) * hs
+            self.rec = hs, 2.0 * (spec.mass_at(q) if callable(spec.mass) else float(spec.mass)), spec.potential_at(q)
+            self.win = lo, hi
+        return self.rec
 
     def fill(self, S: np.ndarray, lo: int, hi: int):
         """Write the recorded extension into the cells lo..hi outside its window."""
@@ -331,14 +352,14 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     ``_run`` is the calling run's ``_RunContext`` (a call without one builds
     its own): m(q) at the faces and the extension's buffers; the step
     records its window in ``moved`` and the window's minimum density in
-    ``low``.  The window's update samples the spec on the nodes
-    ``build_grid`` would give the window, without building it.  Given the
-    run's buffer ``_run.S``, the step first writes the extension recorded
-    in ``_run.ext`` into the cells its window adds, then writes S only on
-    its window and records its own extension; it writes that extension at
-    once (``ext`` None) unless |s0| + |g| D + |c/2| D^2 < 1e300 on both
-    sides (D = q_max - q_min), so a recorded one is finite.  Any other S
-    gets a new array, whole.
+    ``low``.  The window's update takes 2m and V from the run's record of
+    the last window (``_RunContext.samples``), which samples them only when
+    the window moved.  Given the run's buffer ``_run.S``, the step first
+    writes the extension recorded in ``_run.ext`` into the cells its window
+    adds, then writes S only on its window and records its own extension;
+    it writes that extension at once (``ext`` None) unless |s0| + |g| D +
+    |c/2| D^2 < 1e300 on both sides (D = q_max - q_min), so a recorded one
+    is finite.  Any other S gets a new array, whole.
 
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
@@ -359,23 +380,22 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     _run.low = _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
     _run.moved = slice(lo, hi + 1)
     if support_floor is None:
-        return rho_new, _godunov_hj_update(h, grid.nodes, spec, S, dt)
+        return rho_new, _godunov_hj_update(h, 2.0 * spec.mass_at(grid.nodes), spec.potential_at(grid.nodes), S, dt)
 
-    k, q0 = hi - lo + 1, grid.q_min + lo * h
-    hs = (grid.q_min + hi * h - q0) / (k - 1)  # k >= 3 (build_grid's n >= 3); hs may differ from h
     S_new = S if S is _run.S else np.empty(n)
-    S_new[lo : hi + 1] = _godunov_hj_update(hs, q0 + np.arange(k) * hs, spec, S[lo : hi + 1], dt)
+    S_new[lo : hi + 1] = _godunov_hj_update(*_run.samples(grid, spec, lo, hi), S[lo : hi + 1], dt)
     # quadratic extension outside the window (matching edge gradient and
     # curvature): the multiplier is local to the support, outside values
     # only seed cells the window grows into, and keeping the curvature
     # avoids kicking the density when the window turns around
-    s0, s1, s2 = S_new[lo : lo + 3].tolist()
-    left = s0, -((s1 - s0) / h), (s2 - 2.0 * s1 + s0) / (h * h)  # s0 - gl*d is s0 + (-gl)*d bit for bit
-    s2, s1, s0 = S_new[hi - 2 : hi + 1].tolist()
-    right = s0, (s0 - s1) / h, (s0 - 2.0 * s1 + s2) / (h * h)
-    _run.ext = lo, hi, left, right
+    l0, l1, l2 = S_new[lo : lo + 3].tolist()
+    gl, cl = -((l1 - l0) / h), (l2 - 2.0 * l1 + l0) / (h * h)  # negated: l0 - g*d is l0 + (-g)*d bit for bit
+    r2, r1, r0 = S_new[hi - 2 : hi + 1].tolist()
+    gr, cr = (r0 - r1) / h, (r0 - 2.0 * r1 + r2) / (h * h)
+    _run.ext = lo, hi, (l0, gl, cl), (r0, gr, cr)
     D = grid.q_max - grid.q_min
-    if S_new is not S or not all(abs(s) + abs(g) * D + abs(0.5 * c) * D * D < 1e300 for s, g, c in (left, right)):
+    if S_new is not S or not (abs(l0) + abs(gl) * D + abs(0.5 * cl) * D * D < 1e300
+                              and abs(r0) + abs(gr) * D + abs(0.5 * cr) * D * D < 1e300):
         _run.fill(S_new, 0, n - 1)
         _run.ext = None
     return rho_new, S_new
@@ -396,12 +416,13 @@ def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: floa
                   support_floor: Optional[float], observer) -> ClassicalEnsemble:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
-    ``observer(t, rho)`` is called after every step and must not modify
-    rho.  The steps share one ``_RunContext`` and one S buffer, a copy of
-    ``ens.S``; with ``support_floor`` the run writes it outside the last
-    window only before it returns (see classical_transport_step).  Each
-    step checks rho on its window and S where it wrote (``_check_cells``).
-    Raises InvalidArgumentError unless t_final and dt are finite and > 0.
+    ``observer(t, rho, mass)`` is called after every step with h*sum(rho),
+    the sum the step's check took, and must not modify rho.  The steps
+    share one ``_RunContext`` and one S buffer, a copy of ``ens.S``; with
+    ``support_floor`` the run writes it outside the last window only before
+    it returns (see classical_transport_step).  Each step checks rho on its
+    window and S where it wrote (``_check_cells``).  Raises
+    InvalidArgumentError unless t_final and dt are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     grid = ens.grid
@@ -411,12 +432,12 @@ def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: floa
     t = 0.0
     for _ in range(n_steps):
         rho, S = classical_transport_step(grid, rho, S, spec, dt, support_floor=support_floor, _run=run)
-        _check_cells(grid, rho, S, "S", run.moved, slice(None) if run.ext is None else run.moved, run.low)
+        mass = _check_cells(grid, rho, S, "S", run.moved, slice(None) if run.ext is None else run.moved, run.low)
         t += dt
-        observer(t, rho)
+        observer(t, rho, mass)
     if run.ext is not None:
         run.fill(S, 0, grid.n - 1)
-    return _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None), run.low)  # S checked whole
+    return _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None), run.low, run)  # S checked whole
 
 
 def _hj_rule(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dSdt: np.ndarray) -> np.ndarray:

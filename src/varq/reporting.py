@@ -95,7 +95,8 @@ def write_report(report: RunReport, out_dir) -> Path:
 
 
 def emit_series(report: RunReport, out_dir) -> list:
-    """One CSV per observable: header row then full-precision rows."""
+    """One CSV per observable: header row then full-precision rows, each
+    value as ``fmt`` renders a float (every runner's series is float64)."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -106,8 +107,7 @@ def emit_series(report: RunReport, out_dir) -> list:
         series = report.series[name]
         path = out / f"{name}.csv"
         lines = [",".join(series.columns)]
-        for row in np.atleast_2d(series.rows):
-            lines.append(",".join(fmt(x) for x in row))
+        lines += [",".join([format(x, ".17g") for x in row]) for row in np.atleast_2d(series.rows).tolist()]
         try:
             path.write_text("\n".join(lines) + "\n")
         except OSError as exc:

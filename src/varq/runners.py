@@ -55,10 +55,10 @@ def run_classical(sc: Scenario, report: RunReport) -> None:
 
     samples = []
 
-    def obs(t, rho):
+    def obs(t, rho, mass):
         cen = grid.h * float((rho * q).sum())
         k = min(int(round(t / flow_dt)), flow.shape[0] - 1)
-        samples.append((t, cen, flow[k, 0], grid.h * float(rho.sum())))
+        samples.append((t, cen, flow[k, 0], mass))
 
     ens = mech.transport_run(ens, spec, t_final, sc.params["run"]["cfl"] * grid.h,
                              support_floor=sc.params["run"]["support_floor"], observer=obs)
@@ -84,8 +84,8 @@ def run_madelung(sc: Scenario, report: RunReport) -> None:
 
     samples = []
 
-    def obs(t, s):
-        samples.append((t, grid.h * float((s.rho * q).sum()), grid.h * float(s.rho.sum())))
+    def obs(t, s, mass):
+        samples.append((t, grid.h * float((s.rho * q).sum()), mass))
 
     dt = sc.params["run"].get("dt", 0.2 * grid.h**2)
     state = hy.madelung_run(spec, dspec, state, sc.params["run"]["t_final"], dt, observer=obs)

@@ -45,7 +45,7 @@ def test_criterion_1_classical_limit():
     ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
     worst = 0.0
 
-    def obs(t, rho):
+    def obs(t, rho, mass):
         nonlocal worst
         worst = max(worst, abs(grid.h * np.sum(rho * q) - np.cos(t)))
 

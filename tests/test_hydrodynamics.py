@@ -22,10 +22,6 @@ class TestDiffusionSpec:
         with pytest.raises(InvalidSpecError):
             hy.DiffusionSpec(a=0.0)
 
-    def test_g_must_be_finite_at_zero(self):
-        with pytest.raises(InvalidSpecError):
-            hy.DiffusionSpec(a=1.0, g=lambda r: 1.0 / r)
-
 
 class TestEffectiveHamiltonian:
     def test_classical_flat_multiplier_free_potential(self, free_particle):
@@ -91,7 +87,7 @@ class TestMadelungStep:
         dt = 0.25 * grid.h**2
         ts, cens = [], []
 
-        def obs(t, s):
+        def obs(t, s, mass):
             ts.append(t)
             cens.append(grid.h * np.sum(s.rho * q))
 
@@ -137,30 +133,11 @@ class TestMadelungStep:
     def test_probability_conserved_all_modes(self, unit_mass_harmonic):
         grid = build_grid(-8, 8, 401)
         rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
-        for dspec in (hy.DiffusionSpec(a=1.0), hy.DiffusionSpec(a=1.0, mode="classical"),
-                      hy.DiffusionSpec(a=1.0, g=lambda r: 0.05 * r, g_grad=lambda r: 0.05)):
+        for dspec in (hy.DiffusionSpec(a=1.0), hy.DiffusionSpec(a=1.0, mode="classical")):
             state = hy.HydroState(grid, rho, 0.1 * grid.nodes)
             for _ in range(20):
                 state = hy.madelung_step(unit_mass_harmonic, dspec, state, 0.2 * grid.h**2)
                 assert abs(grid.h * np.sum(state.rho) - 1.0) < 1e-9
-
-    def test_small_g_continuity(self, unit_mass_harmonic):
-        # the g(rho) coupling enters smoothly: a tiny g stays near g = 0
-        grid = build_grid(-8, 8, 401)
-        rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
-        lam = 0.1 * grid.nodes
-        eps = 1e-6
-        s0 = hy.HydroState(grid, rho, lam)
-        sg = hy.HydroState(grid, rho, lam)
-        d0 = hy.DiffusionSpec(a=1.0)
-        dg = hy.DiffusionSpec(a=1.0, g=lambda r: eps * r, g_grad=lambda r: eps)
-        dt = 0.2 * grid.h**2
-        for _ in range(50):
-            s0 = hy.madelung_step(unit_mass_harmonic, d0, s0, dt)
-            sg = hy.madelung_step(unit_mass_harmonic, dg, sg, dt)
-        assert np.max(np.abs(s0.rho - sg.rho)) < 1e-6
-        mask = s0.rho > 1e-12 * s0.rho.max()
-        assert np.max(np.abs(s0.lam[mask] - sg.lam[mask])) < 1e-4
 
 
 class TestQuantumClassicalContrast:
@@ -296,7 +273,9 @@ class TestMassConservation:
         masses = []
         dt = 0.2 * grid.h**2 * mass / a
         hy.madelung_run(spec, hy.DiffusionSpec(a=a), hy.HydroState(grid, rho, kick * q), 20 * dt, dt,
-                        observer=lambda t, s: masses.append(grid.h * float(np.sum(s.rho))))
+                        observer=lambda t, s, mass: masses.append((mass, grid.h * float(np.sum(s.rho)))))
+        assert all(mass == summed for mass, summed in masses)  # the observer's mass is h*sum(rho)
+        masses = [m for m, _ in masses]
         assert len(masses) >= 20
         assert max(abs(m - start) for m in masses) <= 1e-13
 
@@ -323,10 +302,8 @@ class TestRunSampling:
 
     @pytest.mark.parametrize(
         "dspec",
-        [hy.DiffusionSpec(a=1.0),
-         hy.DiffusionSpec(a=1.0, g=lambda r: 0.05 * r, g_grad=lambda r: 0.05),
-         hy.DiffusionSpec(a=1.0, mode="classical")],
-        ids=["pole", "pole-g", "classical"],
+        [hy.DiffusionSpec(a=1.0), hy.DiffusionSpec(a=1.0, mode="classical")],
+        ids=["pole", "classical"],
     )
     def test_madelung_run_matches_unsampled_steps(self, dspec):
         spec = mech.NaturalSystemSpec(mass=_varying_mass, potential=lambda q: 0.5 * np.asarray(q) ** 2)
@@ -336,7 +313,7 @@ class TestRunSampling:
         dt = 0.2 * grid.h**2
         t_final = 25 * dt
         seen = []
-        out = hy.madelung_run(spec, dspec, state0, t_final, dt, observer=lambda t, s: seen.append(s))
+        out = hy.madelung_run(spec, dspec, state0, t_final, dt, observer=lambda t, s, mass: seen.append(s))
         n_steps = int(np.ceil(t_final / dt))
         ref = state0
         for k in range(n_steps):
@@ -370,5 +347,5 @@ class TestRunSampling:
         seen = []
         with pytest.raises(InvalidArgumentError):
             hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0), state, t_final, dt,
-                            observer=lambda t, s: seen.append(t))
+                            observer=lambda t, s, mass: seen.append(t))
         assert seen == []

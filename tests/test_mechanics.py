@@ -143,7 +143,7 @@ class TestTransport:
         ens = gaussian_ensemble(grid, 1.0, width)
         t_final = 0.5
         ens = mech.transport_run(ens, unit_mass_harmonic, t_final, 0.4 * grid.h,
-                                 support_floor=1e-6, observer=lambda t, rho: None)
+                                 support_floor=1e-6, observer=lambda t, rho, mass: None)
         centroid = grid.h * np.sum(ens.rho * grid.nodes)
         assert centroid == pytest.approx(np.cos(t_final), abs=2 * grid.h)
 
@@ -165,7 +165,8 @@ class TestTransport:
         for width_cells in (16.0, 9.0, 4.0):
             grid = build_grid(-1.6, 1.6, 1201)
             ens = gaussian_ensemble(grid, 1.0, width_cells * grid.h)
-            out = mech.transport_run(ens, spec, t_final, 0.4 * grid.h, support_floor=1e-6, observer=lambda t, rho: None)
+            out = mech.transport_run(ens, spec, t_final, 0.4 * grid.h, support_floor=1e-6,
+                                     observer=lambda t, rho, mass: None)
             centroid = grid.h * np.sum(out.rho * grid.nodes)
             errs.append(abs(centroid - q_ref))
         assert errs[0] > errs[1] > errs[2]
@@ -190,13 +191,13 @@ class TestRunSampling:
         t_final = 60 * dt
         seen = []
         out = mech.transport_run(ens0, spec, t_final, dt, support_floor=support_floor,
-                                 observer=lambda t, rho: seen.append(rho.copy()))
+                                 observer=lambda t, rho, mass: seen.append((rho.copy(), mass)))
         n_steps = int(np.ceil(t_final / dt))
         ref = ens0
         for k in range(n_steps):
             ref = mech.ClassicalEnsemble(grid, *mech.classical_transport_step(grid, ref.rho, ref.S, spec,
                                                                               t_final / n_steps, support_floor))
-            assert np.array_equal(seen[k], ref.rho)
+            assert np.array_equal(seen[k][0], ref.rho) and seen[k][1] == grid.h * float(ref.rho.sum())
         assert len(seen) == n_steps
         assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.S, ref.S)
         assert np.array_equal(np.signbit(out.S), np.signbit(ref.S))
@@ -215,7 +216,7 @@ class TestRunSampling:
                             lambda *a, **k: steps.append(1) or real_step(*a, **k))
         with pytest.raises(InvalidSpecError):
             mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), spec, 0.1, 1e-2, support_floor=1e-6,
-                               observer=lambda t, rho: None)
+                               observer=lambda t, rho, mass: None)
         assert steps == []
 
     @pytest.mark.parametrize("t_final, dt", [
@@ -227,7 +228,7 @@ class TestRunSampling:
         seen = []
         with pytest.raises(InvalidArgumentError):
             mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), unit_mass_harmonic, t_final, dt,
-                               support_floor=None, observer=lambda t, e: seen.append(t))
+                               support_floor=None, observer=lambda t, e, mass: seen.append(t))
         assert seen == []
 
     @pytest.mark.parametrize("floor", [1.0, 2.0, float("nan"), 0.0, -1.0])
@@ -238,7 +239,7 @@ class TestRunSampling:
         with pytest.raises(InvalidArgumentError, match=r"support_floor must be > 0\.0 and < 1\.0, got"):
             if via == "transport_run":
                 mech.transport_run(ens, unit_mass_harmonic, 0.01, 0.4 * grid.h, support_floor=floor,
-                                   observer=lambda t, rho: None)
+                                   observer=lambda t, rho, mass: None)
             elif via == "classical_transport_step":
                 mech.classical_transport_step(grid, ens.rho, ens.S, unit_mass_harmonic, 0.4 * grid.h, floor)
             else:
@@ -290,7 +291,7 @@ def transport_step_unmasked(grid, rho, S, spec, dt, m_face=None):
             diagnostics={"cfl": cfl},
         )
     rho_new = mech.upwind_density_update(grid, rho, v_face, dt)
-    S_new = mech._godunov_hj_update(grid.h, grid.nodes, spec, S, dt)
+    S_new = mech._godunov_hj_update(grid.h, 2.0 * spec.mass_at(grid.nodes), spec.potential_at(grid.nodes), S, dt)
     return rho_new, S_new
 
 
@@ -762,8 +763,11 @@ class TestNumberMass:
         rng = np.random.default_rng(seed)
         grid = build_grid(-2.0, 2.0, 57)
         S = rng.standard_normal(grid.n)
-        hj = [mech._godunov_hj_update(grid.h, grid.nodes, s, S, 0.01) for s in (number, callable_)]
-        assert np.array_equal(*hj)
+        # the windowed step divides by a float 2m for a number mass, the whole-grid step by an array
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((grid.nodes - 0.3) / (3 * grid.h)) ** 2))
+        for floor in (1e-6, None):
+            steps = [mech.classical_transport_step(grid, rho, 0.1 * S, s, 1e-4, floor)[1] for s in (number, callable_)]
+            assert np.array_equal(*steps)
         runs = [mech._RunContext(grid, s, nodes=True) for s in (number, callable_)]
         assert np.array_equal(runs[0].m_face, runs[1].m_face) and np.array_equal(runs[0].m_node, runs[1].m_node)
         start = mech.PhaseState(*rng.uniform(-1.0, 1.0, 2))

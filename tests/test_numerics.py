@@ -442,7 +442,7 @@ def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
     """madelung_step's quantum-pole branch before the windowed upwind step and
     (H sqrt(rho))/sqrt(rho) were shared."""
     grid = state.grid
-    lo, hi = hy._check_nodeless(state.rho, floor_frac, "before step")
+    lo, hi, _ = hy._check_nodeless(state.rho, floor_frac, "before step")
     m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
     v_face = np.diff(state.lam) / grid.h / m_face
     active = slice(lo, hi)
@@ -461,14 +461,11 @@ def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
     sr = np.sqrt(np.maximum(rho_new, 0.0))
     h_sr = np.pad(op.apply(sr[1:-1]), 1)
     mask = np.zeros(grid.n, dtype=bool)
-    lo2, hi2 = hy._check_nodeless(rho_new, floor_frac, "after step")
+    lo2, hi2, _ = hy._check_nodeless(rho_new, floor_frac, "after step")
     mask[lo2 : hi2 + 1] = True
     grad_lam = nx.grad_central(state.lam, grid.h)
     rate = np.zeros(grid.n)
     rate[mask] = grad_lam[mask] ** 2 / (2.0 * m_node[mask]) + h_sr[mask] / sr[mask]
-    if dspec.g is not None:
-        gterm = hy._g_terms(dspec, grid, rho_new, m_face, m_node)
-        rate[mask] += np.asarray(gterm)[mask]
     lam_new = state.lam.copy()
     lam_new[mask] -= dt * rate[mask]
     return rho_new, lam_new
@@ -478,7 +475,7 @@ def multiplier_residual_series_inline(grid, spec, dspec, rho_series, lam_series,
                                       floor_frac=nx.RHO_FLOOR_FRAC):
     """multiplier_residual_series before (H sqrt(rho))/sqrt(rho) was shared."""
     q = grid.nodes
-    m_face, m = spec.mass_at(grid.midpoints), spec.mass_at(q)
+    m = spec.mass_at(q)
     v = spec.potential_at(q)
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))
@@ -494,8 +491,6 @@ def multiplier_residual_series_inline(grid, spec, dspec, rho_series, lam_series,
             mask = nx._support_mask(rho_series[k], floor_frac)
             quantum = np.zeros(grid.n)
             quantum[mask] = h_sr[mask] / sr[mask]
-            if dspec.g is not None:
-                quantum[mask] += np.asarray(hy._g_terms(dspec, grid, rho_series[k], m_face, m))[mask]
             res = np.where(mask, res + quantum, 0.0)
         else:
             mask = np.ones(grid.n, dtype=bool)
@@ -551,11 +546,10 @@ class TestSqrtDensityRatio:
         st.integers(min_value=8, max_value=120),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.floats(min_value=0.05, max_value=2.0),
-        st.booleans(),
     )
-    def test_madelung_step(self, n, seed, cfl_target, with_g):
+    def test_madelung_step(self, n, seed, cfl_target):
         rng, grid, spec = _random_setup(seed, n)
-        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0), g=(lambda r: 0.3 * r) if with_g else None)
+        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0))
         lam = np.cumsum(rng.normal(scale=rng.uniform(1e-3, 1.0), size=n))
         state = hy.HydroState(grid, _random_density(rng, grid), lam)
         vmax = float(np.max(np.abs(np.diff(lam) / grid.h / spec.mass_at(grid.midpoints))))
@@ -582,12 +576,10 @@ class TestSqrtDensityRatio:
         st.integers(min_value=8, max_value=120),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from(["quantum-pole", "classical"]),
-        st.booleans(),
     )
-    def test_multiplier_residual_series(self, n, seed, mode, with_g):
+    def test_multiplier_residual_series(self, n, seed, mode):
         rng, grid, spec = _random_setup(seed, n)
-        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0), g=(lambda r: 0.3 * r) if with_g else None,
-                                 mode=mode)
+        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0), mode=mode)
         nt = int(rng.integers(3, 7))
         rho = np.array([_random_density(rng, grid) for _ in range(nt)])
         lam = rng.normal(size=(nt, n))

@@ -29,13 +29,9 @@ from functools import lru_cache
 
 from test_reachability import ROOT, SRC, outside_trees
 
-LIMIT = 26
+LIMIT = 24
 
-SETTER_OK = {
-    ("DiffusionSpec", "g"): "the paper's regular term g(rho) of the quantum-pole closure, "
-                            "rho d^2(rho) = (a/2)^2/rho + g(rho), which the README documents",
-    ("DiffusionSpec", "g_grad"): "the analytic gradient of that regular term g(rho)",
-}
+SETTER_OK = {}
 
 DEFAULT_OK = {}
 

@@ -19,8 +19,9 @@ The transport run loops check only the cells a step wrote
 (``mechanics._check_cells``, through ``mechanics._next_state`` in
 ``madelung_run``); the constructors' former whole-grid check is kept here
 (``density_state_ref``) and both must match it.  ``transport_run`` with a
-support floor writes S outside the window once, before it returns; the
-reference keeps a whole S and a checked ensemble at every step
+support floor writes S outside the window once, before it returns, and
+samples V and m once per window; the reference keeps a whole S and a
+checked ensemble at every step and samples every step's window
 (``transport_run_ref``), and the run must give its densities, rejections
 and returned S, sign bits included.  The spin step's comparison with its numpy form is held to a rounding
 bound derived in ``rk4_rounding_bound``.
@@ -295,17 +296,6 @@ def sqrt_density_ratio_ref(grid, op, rho, mask):
     return out
 
 
-def g_terms_ref(dspec, grid, rho, m_face, m_node):
-    h = grid.h
-    grad_rho = grad_central_ref(rho, h)
-    first = 0.5 * dspec.g_grad_at(rho) * grad_rho**2 / m_node
-    rho_f = 0.5 * (rho[:-1] + rho[1:])
-    flux = (1.0 / m_face) * dspec.g_at(rho_f) * np.diff(rho) / h
-    div = np.zeros_like(rho)
-    div[1:-1] = (flux[1:] - flux[:-1]) / h
-    return first - div
-
-
 def madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node, floor_frac=nx.RHO_FLOOR_FRAC):
     """Two scans per step, boolean-mask gathers and scatters."""
     grid = state.grid
@@ -320,8 +310,6 @@ def madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node, floor_frac=nx.
     grad_lam = grad_central_ref(state.lam, grid.h)
     rate = sqrt_density_ratio_ref(grid, op, np.maximum(rho_new, 0.0), mask)
     rate[mask] += grad_lam[mask] ** 2 / (2.0 * m_node[mask])
-    if dspec.g is not None:
-        rate[mask] += np.asarray(g_terms_ref(dspec, grid, rho_new, m_face, m_node))[mask]
     lam_new = state.lam.copy()
     lam_new[mask] -= dt * rate[mask]
     return hy.HydroState(grid, rho_new, lam_new)
@@ -336,7 +324,7 @@ def madelung_run_ref(spec, dspec, state, t_final, dt, observer):
     for _ in range(n_steps):
         state = madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node)
         t += dt
-        observer(t, state)
+        observer(t, state, grid.h * float(np.sum(state.rho)))
     return state
 
 
@@ -349,7 +337,7 @@ def transport_run_ref(ens, spec, t_final, dt, support_floor, observer):
         rho, S = classical_transport_step_ref(ens.grid, ens.rho, ens.S, spec, dt, support_floor, m_face)
         ens = mech.ClassicalEnsemble(ens.grid, rho, S)
         t += dt
-        observer(t, ens.rho)
+        observer(t, ens.rho, ens.grid.h * float(np.sum(ens.rho)))
     return ens
 
 
@@ -360,23 +348,22 @@ def _trajectory(run, *args):
     """(observed states with the runners' samples, final state or rejection)."""
     seen = []
     try:
-        out = run(*args, lambda t, s: seen.append((t, s, _samples(s))))
+        out = run(*args, lambda t, s, mass: seen.append((t, s, _samples(s, mass))))
     except StepRejectedError as exc:
         return seen, (str(exc), exc.location, exc.diagnostics)
     return seen, out
 
 
 def _rho_trajectory(run, ens, *args):
-    """``_trajectory`` of a transport run, whose observer takes (t, rho): the
+    """``_trajectory`` of a transport run, whose observer takes (t, rho, mass): the
     observed densities with the runner's samples, then the final ensemble
-    or the rejection (a rejected step or a bad state) as (class, message,
-    location, diagnostics)."""
+    or the rejection (a rejected step, a bad state or a spec the step's
+    samples refuse) as (class, message, location, diagnostics)."""
     q, h = ens.grid.nodes, ens.grid.h
     seen = []
     try:
-        out = run(ens, *args, lambda t, rho: seen.append((t, rho.copy(), (h * float((rho * q).sum()),
-                                                                           h * float(rho.sum())))))
-    except (StepRejectedError, InvalidStateError) as exc:
+        out = run(ens, *args, lambda t, rho, mass: seen.append((t, rho.copy(), (h * float((rho * q).sum()), mass))))
+    except (StepRejectedError, InvalidStateError, InvalidSpecError) as exc:
         return seen, (type(exc), str(exc), getattr(exc, "location", None), getattr(exc, "diagnostics", None))
     return seen, out
 
@@ -397,11 +384,11 @@ def _assert_same_rho(new, old, q, h):
         assert np.array_equal(np.signbit(end_new.S), np.signbit(end_old.S))
 
 
-def _samples(s):
+def _samples(s, mass):
     """What run_classical/run_madelung record from each state, in the
-    method form they use."""
+    method form they use: the centroid and the mass the run hands over."""
     q, h = s.grid.nodes, s.grid.h
-    return h * float((s.rho * q).sum()), h * float(s.rho.sum())
+    return h * float((s.rho * q).sum()), mass
 
 
 def _samples_ref(s):
@@ -446,17 +433,15 @@ class TestMadelungRun:
         center_frac=st.floats(min_value=-0.3, max_value=0.3),
         variance=st.floats(min_value=0.2, max_value=1.0),
         kick=st.floats(min_value=-2.0, max_value=2.0),
-        coupling=st.sampled_from([None, 0.05, -0.05]),
         mode=st.sampled_from(["quantum-pole", "quantum-pole", "classical"]),
         **SPECS,
     )
-    def test_matches_two_scan_masked_run(self, half_width, n, center_frac, variance, kick, coupling, mode,
+    def test_matches_two_scan_masked_run(self, half_width, n, center_frac, variance, kick, mode,
                                          kind, strength, m0, m1):
         grid = build_grid(-half_width, half_width, n)
         q = grid.nodes
         spec = _spec(kind, strength, m0, m1)
-        g = {} if coupling is None else dict(g=lambda r: coupling * r, g_grad=lambda r: coupling)
-        dspec = hy.DiffusionSpec(a=1.0, mode=mode, **g)
+        dspec = hy.DiffusionSpec(a=1.0, mode=mode)
         rho = mech.normalize_density(grid, np.exp(-((q - center_frac * half_width) ** 2) / (2 * variance)))
         state = hy.HydroState(grid, rho, kick * q)
         dt = 0.2 * grid.h**2
@@ -483,6 +468,41 @@ class TestMadelungRun:
         assert len(new[0]) == 94
         assert new[1][:2] == ("density node forming inside the bulk (after step)", 20)
         assert new[1][2]["rho_min"] == 0.0
+
+    @pytest.mark.parametrize("center, ends", [(0.0, "interior"), (-7.5, "first node"), (7.5, "last node")])
+    def test_bulk_gradient_at_the_grid_ends(self, center, ends):
+        # the step forms grad(lam) on the bulk alone unless the bulk touches a
+        # grid end; either way its bits are grad_central's on the whole grid
+        spec = _spec("quartic", 1.2, 1.1, 0.2)
+        grid = build_grid(-8.0, 8.13, 161)
+        q = grid.nodes
+        rho = mech.normalize_density(grid, np.exp(-((q - center) ** 2) / 0.8))
+        lam = 0.3 * q + 0.05 * q * q + 1e-3 * np.random.default_rng(5).standard_normal(grid.n)
+        state = hy.HydroState(grid, rho, lam)
+        dt = 0.2 * grid.h**2
+        dspec = hy.DiffusionSpec(a=1.0)
+        run = mech._RunContext(grid, spec, nodes=True)
+        new = hy.madelung_step(spec, dspec, state, dt, _op=wv.schrodinger_operator(spec, grid, 1.0), _run=run)
+        lo2, hi2 = run.window
+        assert {"interior": 0 < lo2 and hi2 < grid.n - 1, "first node": lo2 == 0 and hi2 < grid.n - 1,
+                "last node": hi2 == grid.n - 1 and lo2 > 0}[ends]
+        m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
+        old = madelung_step_ref(spec, dspec, state, dt, wv.schrodinger_operator(spec, grid, 1.0), m_face, m_node)
+        assert np.array_equal(new.rho, old.rho) and np.array_equal(new.lam, old.lam)
+        assert not np.array_equal(new.lam[lo2 : hi2 + 1], state.lam[lo2 : hi2 + 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=3, max_value=300), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           ends=st.sampled_from(["interior", "first node", "last node", "whole grid"]))
+    def test_bulk_gradient_is_grad_central_on_the_bulk(self, n, seed, ends):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(-rng.uniform(0.5, 9.0), rng.uniform(0.5, 9.0), n)
+        lam = rng.normal(scale=rng.uniform(1e-3, 1e3), size=n)
+        lo, hi = sorted(rng.integers(0, n, size=2).tolist())
+        lo, hi = {"interior": (min(max(lo, 1), n - 2), max(min(hi, n - 2), min(max(lo, 1), n - 2))),
+                  "first node": (0, min(hi, n - 2)), "last node": (max(lo, 1), n - 1), "whole grid": (0, n - 1)}[ends]
+        got = hy._bulk_gradient(lam, grid.h, lo, hi)
+        assert got.shape == (hi - lo + 1,) and np.array_equal(got, grad_central_ref(lam, grid.h)[lo : hi + 1])
 
 
 class TestTransportRun:
@@ -533,6 +553,22 @@ class TestTransportRun:
         assert len(new[0]) == seen and new[1][1].startswith(error)
         assert new[1][0] is (InvalidStateError if wall == 1e308 else StepRejectedError)
         assert sum(written[-2:]) == grid.n - 56  # every cell outside the wall step's 56-node window
+
+    def test_planted_nan_wall_fails_as_before(self):
+        # V is NaN from q = 0.4 on; the packet's window reaches it mid-run, and
+        # the step that first samples there refuses the spec, as the
+        # reference, which samples every step's window, does at that step
+        spec = mech.NaturalSystemSpec(mass=1.0, potential=lambda q: np.where(np.asarray(q) >= 0.4, np.nan,
+                                                                             0.5 * np.square(q)))
+        grid = build_grid(-1.4, 1.4, 401)
+        q = grid.nodes
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.1) / (3 * grid.h)) ** 2))
+        ens = mech.ClassicalEnsemble(grid, rho, 0.5 * q)
+        dt = 0.4 * grid.h
+        new = _rho_trajectory(mech.transport_run, ens, spec, 200 * dt, dt, 1e-6)
+        old = _rho_trajectory(transport_run_ref, ens, spec, 200 * dt, dt, 1e-6)
+        _assert_same_rho(new, old, q, grid.h)
+        assert len(new[0]) > 10 and new[1][:2] == (InvalidSpecError, "potential V(q) must be finite")
 
     def test_full_S_outside_a_run(self):
         # without a transport run's context every step returns the whole S
@@ -691,10 +727,10 @@ class TestNextState:
         field = "S" if cls is mech.ClassicalEnsemble else "lam"
         old = _build(density_state_ref, grid, rho.copy(), lam.copy(), field)
         public = _build(cls, grid, rho.copy(), lam.copy())
-        private = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved, None)
+        private = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved, None, None)
         # a step hands over the minimum its rejection test took (a NaN when rho[moved] holds one)
         scanned = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved,
-                         float(rho[moved][int(rho[moved].argmin())]))
+                         float(rho[moved][int(rho[moved].argmin())]), None)
         for got in (public, private, scanned):
             assert isinstance(got[0], type) == isinstance(old[0], type)
             if isinstance(old[0], type):
@@ -711,14 +747,14 @@ class TestNextState:
         lam[6] = np.inf
         for cls, field in ((mech.ClassicalEnsemble, "S"), (hy.HydroState, "lam")):
             with pytest.raises(InvalidStateError, match=f"^{field} must be finite$"):
-                mech._next_state(cls, grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None)
+                mech._next_state(cls, grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None, None)
             with pytest.raises(InvalidStateError, match=r"^density not normalised: h\*sum\(rho\) = nan$"):
-                mech._next_state(cls, grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None)
+                mech._next_state(cls, grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None, None)
 
 
 class TestStepWork:
     """Per-step work of the transport run loops: no whole-state validation,
-    no grid object, one public step per step."""
+    no grid object, one public step per step, one spec sample per window."""
 
     def _count(self, monkeypatch):
         calls = {"validate": 0, "build_grid": 0}
@@ -745,7 +781,7 @@ class TestStepWork:
         monkeypatch.setattr(mech, "classical_transport_step",
                             lambda *a, **kw: steps.append(kw["_run"]) or real(*a, **kw))
         dt = 0.4 * grid.h
-        mech.transport_run(ens, unit_mass_harmonic, k * dt, dt, support_floor=1e-6, observer=lambda t, rho: None)
+        mech.transport_run(ens, unit_mass_harmonic, k * dt, dt, support_floor=1e-6, observer=lambda t, rho, mass: None)
         assert calls == {"validate": 0, "build_grid": 0}
         assert len(steps) == k and all(r is steps[0] for r in steps)
 
@@ -779,7 +815,7 @@ class TestStepWork:
 
         monkeypatch.setattr(mech, "classical_transport_step", recording)
         dt = 0.3 * grid.h
-        out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor, observer=lambda t, rho: None)
+        out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor, observer=lambda t, rho, mass: None)
         assert len(seen) == 40
         S = ens.S  # the whole S of each step, from the standalone steps
         for rho, rho_run, moved, S_run in seen:
@@ -809,6 +845,32 @@ class TestStepWork:
         assert np.array_equal(S, want, equal_nan=True)
         assert np.array_equal(np.signbit(S), np.signbit(want))
 
+    def test_window_samples_once_per_window(self, monkeypatch):
+        # a supported run shaped like the benchmark's classical scenarios
+        # samples V on a window only when the window differs from the
+        # previous step's, and then on that window's nodes
+        sampled = []
+        spec = mech.NaturalSystemSpec(mass=1.0, potential=lambda q: sampled.append(np.size(q)) or 0.5 * np.square(q))
+        grid = build_grid(-1.4, 1.4, 1401)
+        q = grid.nodes
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 1.0) / (3 * grid.h)) ** 2))
+        ens = mech.ClassicalEnsemble(grid, rho, np.zeros(grid.n))
+        windows = []
+        real = mech.classical_transport_step
+
+        def recording(*a, **kw):
+            out = real(*a, **kw)
+            windows.append(kw["_run"].moved)
+            return out
+
+        monkeypatch.setattr(mech, "classical_transport_step", recording)
+        dt = 0.4 * grid.h
+        mech.transport_run(ens, spec, 157 * dt, dt, support_floor=1e-6, observer=lambda t, rho, mass: None)
+        assert len(windows) == 157
+        moved = sum(w != v for v, w in zip(windows, windows[1:]))
+        assert len(sampled) == 1 + moved and len(sampled) < len(windows) // 2
+        assert sampled == [w.stop - w.start for w, v in zip(windows, [None] + windows) if w != v]
+
     def test_extension_written_once_per_run(self, unit_mass_harmonic, monkeypatch):
         # 200 supported steps write S outside their windows in about one
         # grid's worth of cells, not one grid per step
@@ -820,7 +882,8 @@ class TestStepWork:
         real = mech._extend
         monkeypatch.setattr(mech, "_extend", lambda out, *a: written.append(out.size) or real(out, *a))
         dt = 0.4 * grid.h
-        mech.transport_run(ens, unit_mass_harmonic, 200 * dt, dt, support_floor=1e-6, observer=lambda t, rho: None)
+        mech.transport_run(ens, unit_mass_harmonic, 200 * dt, dt, support_floor=1e-6,
+                           observer=lambda t, rho, mass: None)
         assert 0 < sum(written) <= 2 * grid.n
 
 
@@ -1810,20 +1873,16 @@ class TestSnapshotSeries:
         grid = build_grid(-rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0), n)
         spec = mech.NaturalSystemSpec(mass=rng.uniform(0.5, 2.0), potential=lambda q: q * q)
         op = wv.schrodinger_operator(spec, grid, rng.uniform(0.3, 2.0))
-        dspec = hy.DiffusionSpec(a=1.0, g=lambda r: 0.3 * r + r * r)
-        m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
         rho = rng.uniform(0.0, 1.0, (rows, n)) ** 4
         f = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
         mask = nx._support_mask(rho, floor)
         stacked = [nx.grad_central(f, grid.h), nx.grad_central(rho, grid.h), mask, op.apply(f[:, 1:-1]),
-                   nx._sqrt_density_ratio(op, rho, mask), hy._g_terms(dspec, grid, rho, m_face, m_node)]
+                   nx._sqrt_density_ratio(op, rho, mask)]
         for i in range(rows):
             one = [nx.grad_central(f[i], grid.h), nx.grad_central(rho[i], grid.h), nx._support_mask(rho[i], floor),
-                   op.apply(f[i, 1:-1]), nx._sqrt_density_ratio(op, rho[i], mask[i]),
-                   hy._g_terms(dspec, grid, rho[i], m_face, m_node)]
+                   op.apply(f[i, 1:-1]), nx._sqrt_density_ratio(op, rho[i], mask[i])]
             ref = [grad_central_ref(f[i], grid.h), grad_central_ref(rho[i], grid.h), support_mask_ref(rho[i], floor),
-                   apply_ref(op, f[i, 1:-1]), sqrt_density_ratio_ref(grid, op, rho[i], mask[i]),
-                   g_terms_ref(dspec, grid, rho[i], m_face, m_node)]
+                   apply_ref(op, f[i, 1:-1]), sqrt_density_ratio_ref(grid, op, rho[i], mask[i])]
             for a, b, c in zip(stacked, one, ref):
                 assert a[i].dtype == b.dtype == c.dtype
                 assert np.array_equal(a[i], b) and np.array_equal(b, c)
