@@ -84,9 +84,9 @@ def main(argv=None) -> int:
         cfg_dir = Path(args.config_dir)  # sweep, the last command
         if not cfg_dir.is_dir():
             raise ConfigError(f"not a directory: {cfg_dir}")
-        configs = sorted(cfg_dir.glob("*.cfg")) + sorted(cfg_dir.glob("*.ini"))
+        configs = sorted(cfg_dir.glob("*.cfg"))
         if not configs:
-            raise ConfigError(f"no scenario configs (*.cfg, *.ini) in {cfg_dir}")
+            raise ConfigError(f"no scenario configs (*.cfg) in {cfg_dir}")
         codes = []
         for cfg in configs:
             try:

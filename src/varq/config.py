@@ -47,7 +47,7 @@ class Between:
 
 
 INF = math.inf
-# steps one run may take (numerics._uniform_steps and _check_fixed_steps hold the
+# steps one run may take (numerics._uniform_steps and _check_steps hold the
 # library to it too): the largest shipped run takes 20000, and a spin run holds
 # about 300 B per recorded step, so a capped run stays near 0.3 GB
 _MAX_STEPS = 10**6

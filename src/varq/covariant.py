@@ -17,14 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, StepRejectedError
-from .numerics import _check_fixed_steps, _check_positive
+from .numerics import _check_fixed_steps, _check_positive, _check_steps, _quad
 from .potentials import _sample
 
 __all__ = [
     "FieldLagrangianSpec",
     "PeriodicGrid1D",
     "FieldState1p1",
-    "EnergyMomentum",
     "ddw_evolve",
     "ddw_evolve_series",
     "extremal_embedding_check",
@@ -137,14 +136,14 @@ def ddw_evolve(
     Equivalent to the wave equation eta (d0^2 - d1^2) q + V'(q) = 0 once
     pi1 is eliminated through its constraint.  ``n_steps = 0`` returns a
     copy of the state.  Raises InvalidArgumentError unless dt is finite and
-    > 0 and n_steps >= 0, and StepRejectedError if dt > dx.
+    > 0 and n_steps is an integer with 0 <= n_steps <= _MAX_STEPS, and
+    StepRejectedError if dt > dx.
 
     ``_run`` is the calling run's ``_Leapfrog``, which holds ``state``; without
     it the call builds its own.  The returned state holds copies of its buffers.
     """
     _check_positive("dt", dt, InvalidArgumentError)
-    if n_steps < 0:
-        raise InvalidArgumentError(f"n_steps must be >= 0, got {n_steps!r}")
+    _check_steps(n_steps, 0)
     dx = state.x_grid.dx
     if dt > dx:
         raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
@@ -211,13 +210,6 @@ def extremal_embedding_check(
     return float(np.max(np.abs(res)))
 
 
-@dataclass(frozen=True)
-class EnergyMomentum:
-    """Mixed components T^sigma_nu on the spatial grid, shape (n, 2, 2)."""
-
-    T: np.ndarray
-
-
 def _tensor(spec: FieldLagrangianSpec, q: np.ndarray, pi0: np.ndarray, dx: float) -> tuple:
     """(T^0_0, T^0_1, T^1_0, T^1_1) elementwise over fields of shape (..., n),
     e.g. one state or a (snapshots, n) stack; the spatial axis is the last."""
@@ -228,10 +220,11 @@ def _tensor(spec: FieldLagrangianSpec, q: np.ndarray, pi0: np.ndarray, dx: float
             -spec.eta * w1c * w0, -spec.eta * w1c * w1c - lag)
 
 
-def energy_momentum(spec: FieldLagrangianSpec, state: FieldState1p1) -> EnergyMomentum:
-    """T^sigma_nu = eta d^sigma q d_nu q - delta^sigma_nu L, pointwise."""
+def energy_momentum(spec: FieldLagrangianSpec, state: FieldState1p1) -> np.ndarray:
+    """T^sigma_nu = eta d^sigma q d_nu q - delta^sigma_nu L, pointwise: the
+    mixed components on the spatial grid, shape (n, 2, 2)."""
     T = np.stack(_tensor(spec, state.q, state.pi0, state.x_grid.dx), axis=-1)
-    return EnergyMomentum(T.reshape(state.x_grid.n, 2, 2))
+    return T.reshape(state.x_grid.n, 2, 2)
 
 
 def canonical_reduction(spec: FieldLagrangianSpec, pi0, dq_dx1, q):
@@ -247,9 +240,9 @@ def canonical_reduction(spec: FieldLagrangianSpec, pi0, dq_dx1, q):
 
 
 def total_energy(spec: FieldLagrangianSpec, state: FieldState1p1) -> float:
-    return state.x_grid.dx * float(np.sum(_tensor(spec, state.q, state.pi0, state.x_grid.dx)[0]))
+    return _quad(state.x_grid.dx, _tensor(spec, state.q, state.pi0, state.x_grid.dx)[0])
 
 
 def total_momentum(spec: FieldLagrangianSpec, state: FieldState1p1) -> float:
-    return state.x_grid.dx * float(np.sum(_tensor(spec, state.q, state.pi0, state.x_grid.dx)[1]))
+    return _quad(state.x_grid.dx, _tensor(spec, state.q, state.pi0, state.x_grid.dx)[1])
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError,
                      StepRejectedError)
-from .numerics import Grid1D, _centered_rate, _check_positive, _support_mask, _uniform_steps, grad_central
+from .numerics import (_NORM_TOL, Grid1D, _centered_rate, _check_positive, _check_steps, _quad, _support_mask,
+                       _uniform_steps, grad_central)
 from .potentials import _sample
 
 __all__ = [
@@ -78,10 +79,9 @@ def hamilton_flow(spec: NaturalSystemSpec, state: PhaseState, dt: float, n_steps
     InvalidSpecError.  A number mass takes no m' term.  Raises
     InvalidSpecError without ``potential_grad``, or with a callback mass and
     no ``mass_grad``, and InvalidArgumentError unless n_steps is an integer
-    >= 0 and dt * n_steps is finite.
+    with 0 <= n_steps <= _MAX_STEPS and dt * n_steps is finite.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
-        raise InvalidArgumentError(f"n_steps must be an integer >= 0, got {n_steps!r}")
+    _check_steps(n_steps, 0)
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
     mass, dmass, dpot = spec.mass, spec.mass_grad, spec.potential_grad
@@ -125,7 +125,7 @@ def hamilton_flow(spec: NaturalSystemSpec, state: PhaseState, dt: float, n_steps
 
 def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
-    total = grid.h * float(np.sum(rho))
+    total = _quad(grid.h, rho)
     if total <= 0:
         raise InvalidStateError("density has nonpositive total mass")
     return rho / total
@@ -148,13 +148,13 @@ def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, mov
         low = part.min()  # a NaN minimum leaves the decision to the cell test
     if not low >= -_RHO_NEG_TOL and (part < -_RHO_NEG_TOL).any():
         raise InvalidStateError("density must be nonnegative")
-    total = grid.h * float(rho.sum())
-    if not abs(total - 1.0) <= 1e-9:
+    total = _quad(grid.h, rho)
+    if not abs(total - 1.0) <= _NORM_TOL:
         raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
     if low > 0.0:
         return total
     np.maximum(part, 0.0, out=part)
-    return grid.h * float(rho.sum())
+    return _quad(grid.h, rho)
 
 
 def _validate_density_state(state, field: str):

@@ -9,7 +9,8 @@ Conventions used throughout the package:
   ``n`` nodes acts on the ``n - 2`` interior values;
 * all normalisations use the plain grid quadrature ``h * sum(.)``, which
   coincides with the trapezoid rule for fields that have decayed at the
-  boundary;
+  boundary; every module takes it from ``_quad``, and a unit norm holds to
+  ``_NORM_TOL``;
 * spatial helpers act along the last axis: given a stack of snapshots
   ``(nt, n)`` they evaluate every row at once, with the bits of a call on
   each row;
@@ -60,10 +61,6 @@ class Grid1D:
         # each node is one fused multiply-add away from q_min: no
         # accumulated rounding along the grid
         return self.q_min + np.arange(self.n) * self.h
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.nodes[1:-1]
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -132,7 +129,7 @@ def sturm_liouville_operator(
     interior nodes; either may be a constant or None (for V = 0).
     """
     h = grid.h
-    q_in = grid.interior
+    q_in = grid.nodes[1:-1]
     faces = grid.midpoints
     mu_f = np.full(faces.shape, float(mu)) if np.isscalar(mu) else np.asarray(mu(faces), dtype=float)
     if np.any(mu_f <= 0):
@@ -177,7 +174,7 @@ def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float):
             diagnostics={"size": op.size, "k": k, "reason": str(exc)},
         ) from exc
     vecs = _fix_signs(np.array(vecs))
-    vecs /= np.sqrt(h * np.sum(vecs**2, axis=0))
+    vecs /= np.sqrt(_quad(h, (vecs**2).T))  # the columns: a view, summed in memory order
     if np.any(vecs[:, 0] < -1e-10 * np.max(np.abs(vecs[:, 0]))):
         # nonzero off-diagonals guarantee a nodeless ground state; a sign
         # flip can only hide in roundoff
@@ -289,6 +286,7 @@ def _centered_rate(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 RHO_FLOOR_FRAC = 1e-12  # relative density floor of the support mask in every regime
+_NORM_TOL = 1e-9  # |h*sum(.) - 1| that a state called normalised may show
 
 
 def _support_mask(rho: np.ndarray, floor_frac: float) -> np.ndarray:
@@ -309,10 +307,15 @@ def _sqrt_density_ratio(op: TridiagonalOperator, rho: np.ndarray, mask) -> np.nd
     return out
 
 
+def _quad(h: float, f: np.ndarray):
+    """The grid quadrature h * sum(f) of one field (a float) or of each row of a stack."""
+    return h * float(f.sum()) if f.ndim == 1 else h * f.sum(axis=-1)
+
+
 def _moments(h: float, q: np.ndarray, dens: np.ndarray) -> tuple:
     """(centroid, variance) of the density ``dens`` on the nodes ``q`` of spacing h."""
-    mean = h * float(np.sum(dens * q))
-    return mean, h * float(np.sum(dens * (q - mean) ** 2))
+    mean = _quad(h, dens * q)
+    return mean, _quad(h, dens * (q - mean) ** 2)
 
 
 def _check_positive(name: str, val: float, error: type) -> None:
@@ -321,12 +324,17 @@ def _check_positive(name: str, val: float, error: type) -> None:
         raise error(f"{name} must be finite and > 0, got {val!r}")
 
 
+def _check_steps(n_steps: int, least: int) -> None:
+    """Raises InvalidArgumentError unless n_steps is an integer (no bool) in [least, _MAX_STEPS]."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or not least <= n_steps <= _MAX_STEPS:
+        raise InvalidArgumentError(f"n_steps must be an integer >= {least} and <= {_MAX_STEPS}, got {n_steps!r}")
+
+
 def _check_fixed_steps(dt: float, n_steps: int, store_every: int) -> None:
-    """Raises InvalidArgumentError unless dt is finite and > 0, 1 <= n_steps
-    <= _MAX_STEPS and store_every >= 1."""
+    """Raises InvalidArgumentError unless dt is finite and > 0, n_steps an
+    integer with 1 <= n_steps <= _MAX_STEPS and store_every >= 1."""
     _check_positive("dt", dt, InvalidArgumentError)
-    if not 1 <= n_steps <= _MAX_STEPS:
-        raise InvalidArgumentError(f"n_steps must be >= 1 and <= {_MAX_STEPS}, got {n_steps!r}")
+    _check_steps(n_steps, 1)
     if store_every < 1:
         raise InvalidArgumentError(f"store_every must be >= 1, got {store_every!r}")
 

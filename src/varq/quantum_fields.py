@@ -32,12 +32,14 @@ from .errors import (
     NumericalFailureError,
 )
 from .numerics import (
+    _NORM_TOL,
     RHO_FLOOR_FRAC,
     CayleyPropagator,
     Grid1D,
     _check_fixed_steps,
     _check_positive,
     _moments,
+    _quad,
     _sqrt_density_ratio,
     _support_mask,
     eigensolve_lowest,
@@ -120,10 +122,6 @@ class VacuumSpectrum:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def k(self) -> int:
-        return self.w.size
-
 
 def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int) -> VacuumSpectrum:
     """Lowest k invariant states of the stationary operator with constant f.
@@ -188,8 +186,8 @@ def space_independent_evolve(
     """
     _check_fixed_steps(dt, n_steps, store_every)
     op = _operator(spec, grid)
-    norm = grid.h * float(np.sum(np.abs(psi0) ** 2))
-    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+    norm = _quad(grid.h, np.abs(psi0) ** 2)
+    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
         raise InvalidStateError("psi0 must be grid-normalised")
     steps = CayleyPropagator(op, dt, spec.f).run(psi0, n_steps)
     records = [(k * dt, psi, h_in) for k, (psi, h_in) in enumerate(steps) if k % store_every == 0]
@@ -200,7 +198,7 @@ def space_independent_evolve(
     mask = _support_mask(dens, RHO_FLOOR_FRAC)
     eps = np.zeros(dens.shape)
     eps[mask] = np.real(np.conj(psi[mask]) * hpsi[mask]) / dens[mask]
-    mean_energy = grid.h * np.sum(np.real(np.conj(psi) * hpsi), axis=1)
+    mean_energy = _quad(grid.h, np.real(np.conj(psi) * hpsi))
     return SpaceIndependentResult(times, psi, eps, mask, mean_energy)
 
 
@@ -250,10 +248,6 @@ class RadialPair:
     r: np.ndarray
     phi: np.ndarray
     phi_tilde: np.ndarray
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.phi * self.phi_tilde
 
 
 @dataclass(frozen=True)
@@ -329,13 +323,13 @@ def confined_solve(
     c = np.asarray(c, dtype=float)
     if c.size < 1 or abs(c[0] - 1.0) > 0:
         raise InvalidArgumentError("mode coefficients must start with c0 = 1")
-    if c.size > vac.k:
+    if c.size > vac.w.size:
         raise InvalidArgumentError("more coefficients than available modes")
     if not (0 < r_min < r_max):
         raise InvalidArgumentError("need 0 < r_min < r_max")
     if not (0 < tol < np.inf and n_r >= 2):  # a NaN tol fails too
         raise InvalidArgumentError(f"need tol finite and > 0 and n_r >= 2, got tol={tol!r}, n_r={n_r!r}")
-    K = vac.k
+    K = vac.w.size
     cs = np.zeros(K)
     cs[: c.size] = c
     f = spec.f
@@ -425,7 +419,7 @@ def confined_solve(
 def tail_integral(pair: RadialPair, vac: VacuumSpectrum) -> np.ndarray:
     """h * sum_q |rho(q, r) - psi0(q)^2| for each radius."""
     rho0 = vac.psi[:, 0] ** 2
-    return pair.grid.h * np.sum(np.abs(pair.rho - rho0[:, None]), axis=0)
+    return _quad(pair.grid.h, np.abs(pair.phi * pair.phi_tilde - rho0[:, None]).T)  # a view, summed in memory order
 
 
 def confinement_report(pair: RadialPair, vac: VacuumSpectrum, f: float, window: tuple) -> ConfinementReport:

@@ -21,7 +21,7 @@ from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import POTENTIALS, Scenario
 from .errors import InvalidArgumentError
-from .numerics import CayleyPropagator, _check_positive, _moments, _uniform_steps, build_grid
+from .numerics import _NORM_TOL, CayleyPropagator, _check_positive, _moments, _quad, _uniform_steps, build_grid
 from .reporting import InvariantCheck, RunReport, Series
 
 __all__ = ["run_scenario_object"]
@@ -56,7 +56,7 @@ def run_classical(sc: Scenario, report: RunReport) -> None:
     samples = []
 
     def obs(t, rho, mass):
-        cen = grid.h * float((rho * q).sum())
+        cen = _quad(grid.h, rho * q)
         k = min(int(round(t / flow_dt)), flow.shape[0] - 1)
         samples.append((t, cen, flow[k, 0], mass))
 
@@ -68,7 +68,7 @@ def run_classical(sc: Scenario, report: RunReport) -> None:
 
     report.scalars["centroid_error_max"] = centroid_err
     report.scalars["centroid_error_over_2h"] = centroid_err / (2 * grid.h)
-    report.add_invariant("mass_conservation", mass_drift, 1e-9)
+    report.add_invariant("mass_conservation", mass_drift, _NORM_TOL)
     report.add_invariant("centroid_tracking", centroid_err, 2 * grid.h)
     report.series["centroid"] = Series(["t", "centroid", "flow_q", "mass"], arr)
 
@@ -85,7 +85,7 @@ def run_madelung(sc: Scenario, report: RunReport) -> None:
     samples = []
 
     def obs(t, s, mass):
-        samples.append((t, grid.h * float((s.rho * q).sum()), mass))
+        samples.append((t, _quad(grid.h, s.rho * q), mass))
 
     dt = sc.params["run"].get("dt", 0.2 * grid.h**2)
     state = hy.madelung_run(spec, dspec, state, sc.params["run"]["t_final"], dt, observer=obs)
@@ -93,7 +93,7 @@ def run_madelung(sc: Scenario, report: RunReport) -> None:
     mass_drift = float(np.max(np.abs(arr[:, 2] - 1.0)))
 
     report.scalars["final_centroid"] = float(arr[-1, 1])
-    report.add_invariant("mass_conservation", mass_drift, 1e-9)
+    report.add_invariant("mass_conservation", mass_drift, _NORM_TOL)
     report.series["centroid"] = Series(["t", "centroid", "mass"], arr)
 
 
@@ -115,7 +115,7 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
         if k == 0:
             e0 = e
         else:
-            norm_drift = max(norm_drift, abs(grid.h * float(np.sum(dens)) - 1.0))
+            norm_drift = max(norm_drift, abs(_quad(grid.h, dens) - 1.0))
             energy_drift = max(energy_drift, abs(e - e0) / max(abs(e0), 1e-300))
         if k % max(1, n_steps // 64) == 0:
             rows.append((k * dt, *_moments(grid.h, q, dens), norm_drift, energy_drift))
@@ -203,7 +203,7 @@ def run_ddw(sc: Scenario, report: RunReport) -> None:
     slope = np.polyfit(times, np.unwrap(np.angle(c)), 1)[0]
     omega_meas = float(abs(slope))
     t00, t01 = cv._tensor(spec, qs, pis, g.dx)[:2]  # total_energy and total_momentum per snapshot
-    energies, momenta = g.dx * np.sum(t00, axis=1), g.dx * np.sum(t01, axis=1)
+    energies, momenta = _quad(g.dx, t00), _quad(g.dx, t01)
     e_drift = float(np.max(np.abs(energies - energies[0])) / abs(energies[0]))
     p_scale = max(float(np.max(np.abs(momenta))), abs(energies[0]))
     p_drift = float(np.max(np.abs(momenta - momenta[0])) / p_scale)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainEscapeError, InvalidStateError
 from .mechanics import NaturalSystemSpec
-from .numerics import (RHO_FLOOR_FRAC, CayleyPropagator, Grid1D, TridiagonalOperator, _check_positive,
-                       _support_mask, sturm_liouville_operator)
+from .numerics import (_NORM_TOL, RHO_FLOOR_FRAC, CayleyPropagator, Grid1D, TridiagonalOperator, _check_positive,
+                       _quad, _support_mask, sturm_liouville_operator)
 
 __all__ = [
     "WaveFunction",
@@ -34,7 +34,7 @@ _BOUNDARY_CELLS = 3  # cells at each grid end that the leakage guard sums
 
 def normalize_wavefunction(grid: Grid1D, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
-    norm = grid.h * float(np.sum(np.abs(psi) ** 2))
+    norm = _quad(grid.h, np.abs(psi) ** 2)
     if not (np.isfinite(norm) and norm > 0):  # NaN fails too
         raise InvalidStateError(f"wavefunction norm must be finite and > 0, got {norm!r}")
     return psi / np.sqrt(norm)
@@ -51,8 +51,8 @@ class WaveFunction:
         if psi.shape != (self.grid.n,):
             raise InvalidStateError("psi must match the grid")
         _check_positive("a", self.a, InvalidStateError)
-        norm = self.grid.h * float(np.sum(np.abs(psi) ** 2))
-        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+        norm = _quad(self.grid.h, np.abs(psi) ** 2)
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
             raise InvalidStateError(f"wavefunction not normalised: h*sum|psi|^2 = {norm!r}")
         object.__setattr__(self, "psi", psi)
 

@@ -271,7 +271,7 @@ def test_criterion_6_de_donder_weyl():
     em = cv.energy_momentum(spec, rnd)
     d1q = (np.roll(rnd.q, -1) - np.roll(rnd.q, 1)) / (2 * grid.dx)
     hc = cv.canonical_reduction(spec, rnd.pi0, d1q, rnd.q)
-    hc_dev = float(np.max(np.abs(hc - em.T[:, 0, 0])))
+    hc_dev = float(np.max(np.abs(hc - em[:, 0, 0])))
 
     ok = (
         disp_err <= 1e-3

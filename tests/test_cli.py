@@ -396,6 +396,14 @@ class TestSweep:
         d.mkdir()
         assert main(["sweep", str(d), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    def test_sweep_reads_cfg_only(self, tmp_path, capsys):
+        d = tmp_path / "ini"
+        d.mkdir()
+        (d / "x.ini").write_text(VACUUM_CFG)
+        assert main(["sweep", str(d), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: no scenario configs (*.cfg) in {d}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestTolScale:
     @pytest.mark.parametrize("regime", sorted(SMALL))

@@ -609,6 +609,27 @@ class TestSqrtDensityRatio:
         assert all(np.array_equal(a, b) for a, b in zip(new, old))
 
 
+class _FirstStep(Exception):
+    """Raised by a callback that no capped call may reach."""
+
+
+class TestQuad:
+    """_quad keeps the bits of the sums it replaced, for one field, a stack
+    of rows and the columns of a matrix taken as a transposed view."""
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1401,), (3, 1401), (51, 257), (1401, 8), (801, 1200)])
+    def test_bits(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        h = float(rng.uniform(1e-3, 1.0))
+        if a.ndim == 1:
+            out = nx._quad(h, a)
+            assert type(out) is float and out == h * float(np.sum(a))
+        else:
+            assert np.array_equal(nx._quad(h, a), h * np.sum(a, axis=1))
+            assert np.array_equal(nx._quad(h, a.T), h * np.sum(a, axis=0))
+
+
 class TestStepCap:
     """_MAX_STEPS = 10^6 bounds every run before its first step: a
     spin dt of 1e-300 passed check and run, then grew without bound."""
@@ -621,8 +642,30 @@ class TestStepCap:
 
     def test_fixed_steps(self):
         nx._check_fixed_steps(1e-3, nx._MAX_STEPS, 1)
-        with pytest.raises(InvalidArgumentError, match=r"n_steps must be >= 1 and <= 1000000, got 1000001"):
+        with pytest.raises(InvalidArgumentError, match=r"n_steps must be an integer >= 1 and <= 1000000, got 1000001"):
             nx._check_fixed_steps(1e-3, nx._MAX_STEPS + 1, 1)
+
+    @pytest.mark.parametrize("n_steps", [nx._MAX_STEPS + 1, 2.5, True, -1])
+    def test_stepping_entry_points_take_the_cap(self, n_steps):
+        # a V' that raises makes a call that skipped the check fail at its first step
+        def dv(q):
+            raise _FirstStep
+
+        natural = mech.NaturalSystemSpec(mass=1.0, potential=lambda q: 0.5 * q * q, potential_grad=dv)
+        field = cv.FieldLagrangianSpec(eta=1.0, potential=lambda q: 0.5 * q * q, potential_grad=dv)
+        grid = cv.PeriodicGrid1D(2 * np.pi, 16)
+        match = rf"n_steps must be an integer >= 0 and <= 1000000, got {re.escape(repr(n_steps))}$"
+        with pytest.raises(InvalidArgumentError, match=match):
+            mech.hamilton_flow(natural, mech.PhaseState(1.0, 0.0), 1e-3, n_steps)
+        with pytest.raises(InvalidArgumentError, match=match):
+            cv.ddw_evolve(field, cv.FieldState1p1(grid, np.zeros(grid.n), np.zeros(grid.n)), 1e-3, n_steps)
+
+    def test_fixed_steps_take_integers(self):
+        for n_steps in (2.5, True, np.float64(3.0)):
+            match = rf"n_steps must be an integer >= 1 .*, got {re.escape(repr(n_steps))}$"
+            with pytest.raises(InvalidArgumentError, match=match):
+                nx._check_fixed_steps(1e-3, n_steps, 1)
+        nx._check_fixed_steps(1e-3, np.int64(3), 1)
 
     def test_spin_run_rejected_before_stepping(self):
         spec = ds.SpinSystemSpec(U=np.ones((2, 2)) - np.eye(2), theta=np.zeros((2, 2)), b=-1.0)

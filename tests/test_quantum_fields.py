@@ -159,6 +159,33 @@ class TestVacuumProperties:
             psi = vac.psi[1:-1, i]
             assert abs(grid.h * psi @ op.apply(psi) - vac.w[i]) <= tol
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=100, max_value=400),
+        kind=st.sampled_from(sorted(CONFINING)),
+        s=st.floats(min_value=0.05, max_value=5.0),
+        u=st.floats(min_value=-1.0, max_value=1.0),
+        c0=st.floats(min_value=0.0, max_value=1.0),
+        eta=st.floats(min_value=0.5, max_value=2.0),
+        f=st.floats(min_value=0.5, max_value=2.0),
+        modes=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4, unique=True),
+        dt=st.floats(min_value=1e-3, max_value=0.1),
+        n_steps=st.integers(min_value=1, max_value=60),
+    )
+    def test_superposition_keeps_its_mean_energy(self, n, kind, s, u, c0, eta, f, modes, dt, n_steps):
+        # the space-independent runner's start state and its two invariants, at their tolerances
+        T = f * f / (2.0 * eta)
+        spec = qf.QFieldSpec(eta=eta, potential=CONFINING[kind](s, u, c0, T).v, f=f)
+        half = resolving_half_width(spec.v_at, T, max(modes) + 1)
+        grid = build_grid(-half, half, n)
+        vac = qf.vacuum_spectrum(spec, grid, max(modes) + 1)
+        psi0 = np.sum(vac.psi[:, modes], axis=1) / np.sqrt(len(modes))
+        res = qf.space_independent_evolve(spec, grid, psi0.astype(complex), dt, n_steps,
+                                          store_every=max(1, n_steps // 50))
+        wbar = float(np.mean(vac.w[modes]))
+        assert np.max(np.abs(res.mean_energy - res.mean_energy[0])) / abs(res.mean_energy[0]) <= 1e-8
+        assert abs(res.mean_energy[0] - wbar) / wbar <= 1e-6
+
 
 class TestInvariantStateTensor:
     def test_fundamental_vacuum(self):
@@ -217,8 +244,8 @@ class TestSpaceIndependent:
         (0.0, 10, "dt must be finite and > 0"),
         (-2e-3, 10, "dt must be finite and > 0"),
         (np.nan, 10, "dt must be finite and > 0"),
-        (2e-3, 0, "n_steps must be >= 1"),
-        (2e-3, -3, "n_steps must be >= 1"),
+        (2e-3, 0, "n_steps must be an integer >= 1 and <= 1000000"),
+        (2e-3, -3, "n_steps must be an integer >= 1 and <= 1000000"),
     ])
     def test_bad_step_rejected(self, harmonic_vacuum, dt, n_steps, match):
         spec, grid, vac = harmonic_vacuum
@@ -352,7 +379,7 @@ class TestConfinedSolve:
         res = qf.confined_solve(spec, vac, [1.0, 0.1], r_min=0.5, r_max=30.0, tol=1e-8)
         psi0 = vac.psi[:, 0]
         qmask = np.abs(psi0) > 1e-6 * np.max(np.abs(psi0))
-        assert np.min(res.pair.rho[qmask, :]) >= 0.0
+        assert np.min((res.pair.phi * res.pair.phi_tilde)[qmask, :]) >= 0.0
 
     def test_positivity_loss_reported(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum

@@ -1382,7 +1382,7 @@ class TestDdwLeapfrog:
         assert np.array_equal(energies, [cv.total_energy(spec, s) for s in states])
         assert np.array_equal(momenta, [cv.total_momentum(spec, s) for s in states])
         for s in states:
-            assert np.array_equal(cv.energy_momentum(spec, s).T, energy_momentum_ref(spec, s))
+            assert np.array_equal(cv.energy_momentum(spec, s), energy_momentum_ref(spec, s))
 
     def test_run_ddw_series_bitwise(self):
         # the whole runner against the allocating leapfrog and the per-snapshot loop
@@ -1535,11 +1535,11 @@ def confined_solve_ref(spec, vac, c, r_min, r_max, tol=1e-8, n_r=1200):
     c = np.asarray(c, dtype=float)
     if c.size < 1 or abs(c[0] - 1.0) > 0:
         raise InvalidArgumentError("mode coefficients must start with c0 = 1")
-    if c.size > vac.k:
+    if c.size > vac.w.size:
         raise InvalidArgumentError("more coefficients than available modes")
     if not (0 < r_min < r_max):
         raise InvalidArgumentError("need 0 < r_min < r_max")
-    K = vac.k
+    K = vac.w.size
     cs = np.zeros(K)
     cs[: c.size] = c
     f = spec.f
