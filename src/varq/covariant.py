@@ -91,16 +91,21 @@ class FieldState1p1:
         pi0 = np.asarray(self.pi0, dtype=float)
         if q.shape != (self.x_grid.n,) or pi0.shape != (self.x_grid.n,):
             raise InvalidStateError("q and pi0 must match the spatial grid")
-        if not (np.isfinite(q).all() and np.isfinite(pi0).all()):
-            raise InvalidStateError("field values must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi0", pi0)
+        self._check_finite()
+
+    def _check_finite(self):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.pi0).all()):
+            raise InvalidStateError("field values must be finite")
 
 
 class _Leapfrog:
     """What a ddw run carries between its ``ddw_evolve`` calls: q inside the
     padded buffer ``qp`` (``q = qp[1:-1]``, the ends hold its periodic
-    images), pi0, the acceleration ``acc`` at the current q, one scratch
+    images), pi0, the acceleration ``acc`` at the current q, the half kick
+    ``kick = (0.5*dt)*acc`` (a step's closing kick is the next one's opening
+    kick; each ``step`` call takes it afresh, for its own dt), one scratch
     array, eta and dx*dx.  Steps write in place, in the operation order of
     the allocating form, so the bits are the same."""
 
@@ -108,7 +113,7 @@ class _Leapfrog:
         self.spec, self.eta, self.dx2 = spec, spec.eta, state.x_grid.dx * state.x_grid.dx
         self.qp = np.concatenate((state.q[-1:], state.q, state.q[:1]))
         self.q, self.pi0 = self.qp[1:-1], state.pi0.copy()
-        self.acc, self.tmp = np.empty_like(self.q), np.empty_like(self.q)
+        self.acc, self.kick, self.tmp = np.empty_like(self.q), np.empty_like(self.q), np.empty_like(self.q)
         self._accelerate()
 
     def _accelerate(self):
@@ -120,12 +125,18 @@ class _Leapfrog:
         np.subtract(np.multiply(acc, self.eta, out=acc), self.spec.dv_at(q), out=acc)  # V' may alias q
 
     def step(self, dt: float, n_steps: int):
-        half, eta, q, pi0, acc, tmp = 0.5 * dt, self.eta, self.q, self.pi0, self.acc, self.tmp
+        half, eta, q, pi0, acc, kick, tmp = 0.5 * dt, self.eta, self.q, self.pi0, self.acc, self.kick, self.tmp
+        np.multiply(acc, half, out=kick)
         for _ in range(n_steps):
-            np.add(pi0, np.multiply(acc, half, out=tmp), out=pi0)  # pi_half = pi0 + (0.5*dt)*acc
+            np.add(pi0, kick, out=pi0)  # pi_half = pi0 + (0.5*dt)*acc
             np.add(q, np.divide(np.multiply(pi0, dt, out=tmp), eta, out=tmp), out=q)  # q + (dt*pi_half)/eta
             self._accelerate()
-            np.add(pi0, np.multiply(acc, half, out=tmp), out=pi0)  # pi_half + (0.5*dt)*acc
+            np.add(pi0, np.multiply(acc, half, out=kick), out=pi0)  # pi_half + (0.5*dt)*acc
+
+
+def _check_cfl(dt: float, dx: float) -> None:
+    if dt > dx:
+        raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
 
 
 def ddw_evolve(
@@ -136,20 +147,23 @@ def ddw_evolve(
     Equivalent to the wave equation eta (d0^2 - d1^2) q + V'(q) = 0 once
     pi1 is eliminated through its constraint.  ``n_steps = 0`` returns a
     copy of the state.  Raises InvalidArgumentError unless dt is finite and
-    > 0 and n_steps is an integer with 0 <= n_steps <= _MAX_STEPS, and
-    StepRejectedError if dt > dx.
+    > 0 and n_steps is an integer with 0 <= n_steps <= _MAX_STEPS,
+    StepRejectedError if dt > dx, and InvalidStateError on a non-finite field.
 
-    ``_run`` is the calling run's ``_Leapfrog``, which holds ``state``; without
-    it the call builds its own.  The returned state holds copies of its buffers.
+    ``_run``, the calling run's ``_Leapfrog``, holds ``state`` and has checked
+    dt, n_steps and dt <= dx; without it the call checks them and builds its
+    own.  The returned state holds copies of the run's buffers, checked for finiteness alone.
     """
-    _check_positive("dt", dt, InvalidArgumentError)
-    _check_steps(n_steps, 0)
-    dx = state.x_grid.dx
-    if dt > dx:
-        raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
-    run = _run if _run is not None else _Leapfrog(spec, state)
-    run.step(dt, n_steps)
-    return FieldState1p1(state.x_grid, run.q.copy(), run.pi0.copy(), state.time + n_steps * dt)
+    if _run is None:
+        _check_positive("dt", dt, InvalidArgumentError)
+        _check_steps("n_steps", n_steps, 0)
+        _check_cfl(dt, state.x_grid.dx)
+        _run = _Leapfrog(spec, state)
+    _run.step(dt, n_steps)
+    out = object.__new__(FieldState1p1)
+    vars(out).update(x_grid=state.x_grid, q=_run.q.copy(), pi0=_run.pi0.copy(), time=state.time + n_steps * dt)
+    out._check_finite()
+    return out
 
 
 def ddw_evolve_series(
@@ -157,17 +171,15 @@ def ddw_evolve_series(
 ):
     """Leapfrog drive that stores synchronized (q, pi0) snapshots: one
     ``_Leapfrog`` serves the run, one ``ddw_evolve`` call per stored chunk,
-    and V' is evaluated n_steps + 1 times.  Raises InvalidArgumentError
-    unless dt is finite and > 0 and n_steps and store_every are >= 1.
+    and V' is evaluated n_steps + 1 times.  Raises as ``ddw_evolve`` does,
+    checking dt, dt <= dx, and n_steps and store_every in [1, _MAX_STEPS] once.
     """
     _check_fixed_steps(dt, n_steps, store_every)
     run = _Leapfrog(spec, state)
+    _check_cfl(dt, state.x_grid.dx)  # after the first V', as the first chunk's check was
     snaps = [state]
-    done = 0
-    while done < n_steps:
-        chunk = min(store_every, n_steps - done)
-        snaps.append(ddw_evolve(spec, snaps[-1], dt, chunk, _run=run))
-        done += chunk
+    for done in range(0, n_steps, store_every):
+        snaps.append(ddw_evolve(spec, snaps[-1], dt, min(store_every, n_steps - done), _run=run))
     return (np.asarray([s.time for s in snaps]), np.asarray([s.q for s in snaps]),
             np.asarray([s.pi0 for s in snaps]), snaps[-1])
 

@@ -129,14 +129,6 @@ def _propagator(spec: SpinSystemSpec, state: SpinState):
     return at
 
 
-def _as_lists(n: int, p, lam):
-    """p and lam as lists of floats, with one entry per level each."""
-    p, lam = np.asarray(p, dtype=float).tolist(), np.asarray(lam, dtype=float).tolist()
-    if len(p) != n or len(lam) != n:
-        raise InvalidStateError(f"need {n} populations and phases, got {len(p)} and {len(lam)}")
-    return p, lam
-
-
 def _check_floor(p: list, floor: float):
     low = [i for i, x in enumerate(p) if x < floor]  # NaN passes
     if low:
@@ -157,6 +149,7 @@ class _LocalFormRun:
         self.k = 2.0 * self.b / self.a
         self.floor, self.clamp = floor, floor * 1e-3
         self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
+        self.out = self.p = self.lam = ()  # the arrays the last step returned, and their floats
 
     def rhs(self, y: list, clamp: float) -> list:
         """dp + dlam at y = p + lam, with p clamped below at ``clamp`` (NaN
@@ -185,12 +178,20 @@ def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: fl
     The stages run in the operation order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
     each with p clamped below at floor * 1e-3.  ``_run`` is the calling run's
     ``_LocalFormRun`` for this spec, dt and floor; without it the step builds
-    its own (same bits).  Raises InvalidArgumentError unless floor is finite
-    and > 0, and NumericalFailureError on a non-finite derivative.
+    its own (same bits).  Given ``_run`` and the very arrays its previous
+    step returned, the step takes that step's floats and skips the floor
+    check on entry, which that step made on exit; any other p and lam are
+    converted and checked.  Raises InvalidArgumentError unless floor is
+    finite and > 0, and NumericalFailureError on a non-finite derivative.
     """
     run = _run if _run is not None else _LocalFormRun(spec, dt, floor)
-    p, lam = _as_lists(run.n, p, lam)
-    _check_floor(p, run.floor)
+    if run.out and p is run.out[0] and lam is run.out[1]:
+        p, lam = run.p, run.lam
+    else:
+        p, lam = np.asarray(p, dtype=float).tolist(), np.asarray(lam, dtype=float).tolist()
+        if len(p) != run.n or len(lam) != run.n:
+            raise InvalidStateError(f"need {run.n} populations and phases, got {len(p)} and {len(lam)}")
+        _check_floor(p, run.floor)
     y, f, c, half, dt, n = p + lam, run.rhs, run.clamp, run.half, run.dt, run.n
     try:
         k1 = f(y, c)
@@ -203,13 +204,16 @@ def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: fl
         raise NumericalFailureError("non-finite derivative in local_form_step")
     s = run.sixth
     y = [x + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
-    _check_floor(y[:n], run.floor)
-    return np.array(y[:n]), np.array(y[n:])
+    p, lam = y[:n], y[n:]
+    _check_floor(p, run.floor)
+    run.p, run.lam, run.out = p, lam, (np.array(p), np.array(lam))
+    return run.out
 
 
 def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float, floor: float, observer):
     """Uniform-step RK4 drive of the local system, set up once (``_LocalFormRun``);
-    ``observer(t, p, lam)`` is called after every step.
+    ``observer(t, p, lam)`` is called after every step with the step's p and
+    lam as lists of floats, which it must not modify: the next step reads them.
 
     Raises InvalidArgumentError unless t_final, dt and floor are finite and > 0.
     """
@@ -219,7 +223,7 @@ def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float, floo
     for _ in range(n_steps):
         p, lam = local_form_step(spec, p, lam, dt, floor=floor, _run=run)
         t += dt
-        observer(t, p, lam)
+        observer(t, run.p, run.lam)
     return p, lam
 
 

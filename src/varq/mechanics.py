@@ -81,7 +81,7 @@ def hamilton_flow(spec: NaturalSystemSpec, state: PhaseState, dt: float, n_steps
     no ``mass_grad``, and InvalidArgumentError unless n_steps is an integer
     with 0 <= n_steps <= _MAX_STEPS and dt * n_steps is finite.
     """
-    _check_steps(n_steps, 0)
+    _check_steps("n_steps", n_steps, 0)
     if not np.isfinite(dt * n_steps):
         raise InvalidArgumentError("dt * n_steps must be finite")
     mass, dmass, dpot = spec.mass, spec.mass_grad, spec.potential_grad

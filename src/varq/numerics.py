@@ -324,19 +324,18 @@ def _check_positive(name: str, val: float, error: type) -> None:
         raise error(f"{name} must be finite and > 0, got {val!r}")
 
 
-def _check_steps(n_steps: int, least: int) -> None:
-    """Raises InvalidArgumentError unless n_steps is an integer (no bool) in [least, _MAX_STEPS]."""
+def _check_steps(name: str, n_steps: int, least: int) -> None:
+    """Raises InvalidArgumentError unless the count ``name`` is an integer (no bool) in [least, _MAX_STEPS]."""
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or not least <= n_steps <= _MAX_STEPS:
-        raise InvalidArgumentError(f"n_steps must be an integer >= {least} and <= {_MAX_STEPS}, got {n_steps!r}")
+        raise InvalidArgumentError(f"{name} must be an integer >= {least} and <= {_MAX_STEPS}, got {n_steps!r}")
 
 
 def _check_fixed_steps(dt: float, n_steps: int, store_every: int) -> None:
-    """Raises InvalidArgumentError unless dt is finite and > 0, n_steps an
-    integer with 1 <= n_steps <= _MAX_STEPS and store_every >= 1."""
+    """Raises InvalidArgumentError unless dt is finite and > 0 and n_steps
+    and store_every are integers in [1, _MAX_STEPS]."""
     _check_positive("dt", dt, InvalidArgumentError)
-    _check_steps(n_steps, 1)
-    if store_every < 1:
-        raise InvalidArgumentError(f"store_every must be >= 1, got {store_every!r}")
+    _check_steps("n_steps", n_steps, 1)
+    _check_steps("store_every", store_every, 1)
 
 
 def _uniform_steps(t_final: float, dt: float) -> tuple:

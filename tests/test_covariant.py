@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +55,24 @@ class TestPeriodicStencils:
 
 
 class TestDdwEvolve:
-    @pytest.mark.parametrize("store_every", [0, -1])
+    @pytest.mark.parametrize("store_every", [0, -1, 2.5, True, np.float64(5.0)])
     def test_bad_store_interval_rejected(self, store_every):
+        # a non-integer or bool interval is refused by name before the chunk loop
         spec = kg_spec()
         grid = cv.PeriodicGrid1D(2 * np.pi, 16)
         state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
-        with pytest.raises(InvalidArgumentError, match=f"store_every must be >= 1, got {store_every}"):
+        match = rf"store_every must be an integer >= 1 and <= 1000000, got {re.escape(repr(store_every))}$"
+        with pytest.raises(InvalidArgumentError, match=match):
             cv.ddw_evolve_series(spec, state, 1e-3, 10, store_every=store_every)
+
+    def test_numpy_integer_store_interval(self):
+        spec = kg_spec()
+        grid = cv.PeriodicGrid1D(2 * np.pi, 16)
+        state, _ = plane_wave_state(grid, spec, 1.0, 0.01, 1.0)
+        times, qs, pis, _ = cv.ddw_evolve_series(spec, state, 1e-3, 10, store_every=np.int64(5))
+        want = cv.ddw_evolve_series(spec, state, 1e-3, 10, store_every=5)
+        assert np.array_equal(times, want[0]) and np.array_equal(qs, want[1]) and np.array_equal(pis, want[2])
+        assert len(times) == 3
 
     def test_klein_gordon_dispersion(self):
         spec = kg_spec()

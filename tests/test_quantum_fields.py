@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,12 +253,21 @@ class TestSpaceIndependent:
         with pytest.raises(InvalidArgumentError, match=match):
             qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), dt, n_steps, store_every=1)
 
-    @pytest.mark.parametrize("store_every", [0, -1])
+    @pytest.mark.parametrize("store_every", [0, -1, 2.5, True, np.float64(5.0)])
     def test_bad_store_interval_rejected(self, harmonic_vacuum, store_every):
+        # a non-integer or bool interval is refused, not used as a step stride
         spec, grid, vac = harmonic_vacuum
-        with pytest.raises(InvalidArgumentError, match=f"store_every must be >= 1, got {store_every}"):
+        match = rf"store_every must be an integer >= 1 and <= 1000000, got {re.escape(repr(store_every))}$"
+        with pytest.raises(InvalidArgumentError, match=match):
             qf.space_independent_evolve(spec, grid, vac.psi[:, 0].astype(complex), 2e-3, 10,
                                         store_every=store_every)
+
+    def test_numpy_integer_store_interval(self, harmonic_vacuum):
+        spec, grid, vac = harmonic_vacuum
+        psi0 = vac.psi[:, 0].astype(complex)
+        res = qf.space_independent_evolve(spec, grid, psi0, 2e-3, 10, store_every=np.int64(5))
+        assert np.array_equal(res.times, [0.0, 5 * 2e-3, 10 * 2e-3])
+        assert np.array_equal(res.psi, qf.space_independent_evolve(spec, grid, psi0, 2e-3, 10, store_every=5).psi)
 
     @pytest.mark.parametrize("scale", [2.0, np.nan])
     def test_unnormalised_psi0_rejected(self, harmonic_vacuum, scale):

@@ -31,7 +31,10 @@ from test_reachability import ROOT, SRC, outside_trees
 
 LIMIT = 24
 
-SETTER_OK = {}
+SETTER_OK = {
+    ("FieldState1p1", "time"): "covariant.ddw_evolve sets it on every state it returns, which it builds "
+                               "without __init__ from the run's own checked buffers",
+}
 
 DEFAULT_OK = {}
 

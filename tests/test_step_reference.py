@@ -1197,6 +1197,58 @@ class TestLocalFormStep:
         y_ref = np.concatenate([p_ref, lam_ref])
         assert _ulps(np.concatenate([p, lam]), y_ref, np.max(np.abs(y_ref))) <= (0 if levels == 2 else 4)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_run_reuses_only_the_arrays_it_returned(self, monkeypatch, n):
+        # given the very arrays its previous step returned, a run step takes
+        # that step's floats and skips the entry floor check; given copies of
+        # them, it converts and checks them as a standalone step does
+        spec, (p, lam) = _random_spin(11 + n, n, 0.9, -1.1)
+        run = ds._LocalFormRun(spec, 2e-3, 1e-9)
+        checks, real_check = [], ds._check_floor
+        monkeypatch.setattr(ds, "_check_floor", lambda p, floor: checks.append(p) or real_check(p, floor))
+        p, lam = ds.local_form_step(spec, p, lam, 2e-3, 1e-9, _run=run)
+        for k in range(12):
+            given = (p, lam) if k % 2 else (p.copy(), lam.copy())
+            want = np.concatenate(ds.local_form_step(spec, p.copy(), lam.copy(), 2e-3, 1e-9))
+            checks.clear()
+            p, lam = ds.local_form_step(spec, *given, 2e-3, 1e-9, _run=run)
+            assert np.concatenate([p, lam]).tobytes() == want.tobytes()
+            assert len(checks) == (1 if k % 2 else 2)  # on exit only, or on entry and exit
+
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_edited_copy_is_checked(self, where):
+        spec, (p, lam) = _random_spin(5, 3, 1.0, -1.0)
+        run = ds._LocalFormRun(spec, 1e-3, 1e-9)
+        p, lam = ds.local_form_step(spec, p, lam, 1e-3, 1e-9, _run=run)
+        bad = p.copy()
+        bad[where] = 1e-10
+        errors = []
+        for kw in ({"_run": run}, {}):
+            with pytest.raises(StepRejectedError) as exc:
+                ds.local_form_step(spec, bad, lam, 1e-3, 1e-9, **kw)
+            errors.append((str(exc.value), exc.value.location, exc.value.diagnostics))
+        assert errors[0] == errors[1] == ("population below floor 1e-09 (leaving the valid region)", where,
+                                          {"p_min": 1e-10})
+        # the rejected copy left the run's own floats as they were
+        want = np.concatenate(ds.local_form_step(spec, p.copy(), lam.copy(), 1e-3, 1e-9))
+        assert np.concatenate(ds.local_form_step(spec, p, lam, 1e-3, 1e-9, _run=run)).tobytes() == want.tobytes()
+
+    def test_run_spin_rows_as_from_returned_arrays(self):
+        # the observer gets float lists; the populations table must hold the
+        # rows that the returned arrays gave it, step by standalone step
+        sc = parse_scenario((ROOT / "configs" / "spin_rabi.cfg").read_text(), "spin_rabi")
+        rows = runners.run_scenario_object(sc).series["populations"].rows
+        spec, run = runners._spin_spec(sc, np.random.default_rng(sc.seed)), sc.params["run"]
+        start, _ = ds._propagator(spec, ds.SpinState(np.eye(2, dtype=complex)[0]))([run["t_start"]])
+        p, lam = ds.polar_decompose(ds.SpinState(start[0]), spec.a)
+        want, t = [(run["t_start"], *p)], 0.0
+        n_steps, dt = nx._uniform_steps(run["t_final"], run["dt"])
+        for _ in range(n_steps):
+            p, lam = ds.local_form_step(spec, p, lam, dt, run["p_floor"])
+            t += dt
+            want.append((run["t_start"] + t, *p))
+        assert rows.tobytes() == np.asarray(want).tobytes()
+
 
 # -- the De Donder-Weyl leapfrog ----------------------------------------------
 #
@@ -1419,6 +1471,70 @@ class TestDdwLeapfrog:
         monkeypatch.setattr(cv, "ddw_evolve", wrapper)
         runners.run_scenario_object(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003), "scenario"))
         assert sum(counted) == 1003 and len(counted) == 201  # store_every = 1003 // 200 = 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=DDW_DRAWS["n"], seed=DDW_DRAWS["seed"], eta=DDW_DRAWS["eta"], m=DDW_DRAWS["m"],
+           quartic=DDW_DRAWS["quartic"], calls=st.lists(st.tuples(st.floats(min_value=0.05, max_value=1.0),
+                                                                  st.integers(min_value=0, max_value=12)),
+                                                        min_size=1, max_size=8))
+    def test_run_calls_with_their_own_dt(self, n, seed, eta, m, quartic, calls):
+        # one _Leapfrog through ddw_evolve(_run=), dt changing between calls:
+        # each call takes its half kick afresh, so it must give the bits of
+        # the per-call reference chain
+        spec = _field_spec(eta, m, quartic)
+        state = _random_field(seed, n)
+        run = cv._Leapfrog(spec, state)
+        new = old = state
+        for cfl, k in calls:
+            dt = cfl * state.x_grid.dx
+            new = _ddw_outcome(cv.ddw_evolve, spec, new, dt, k, run)
+            old = _ddw_outcome(ddw_evolve_ref, spec, old, dt, k)
+            if isinstance(old, tuple):
+                assert new == old
+                return
+            _assert_same_state(new, old)
+
+    @pytest.mark.parametrize("cells, n_steps, error, message, v_calls", [
+        (1.5, 10, StepRejectedError, "CFL violation: dt = 0.589049 > dx = 0.392699", 1),
+        (np.nan, 10, InvalidArgumentError, "dt must be finite and > 0, got nan", 0),
+        (0.0, 10, InvalidArgumentError, "dt must be finite and > 0, got 0.0", 0),
+        (0.5, 2.5, InvalidArgumentError, "n_steps must be an integer >= 1 and <= 1000000, got 2.5", 0),
+        (0.5, True, InvalidArgumentError, "n_steps must be an integer >= 1 and <= 1000000, got True", 0),
+        (1.5, 2.5, InvalidArgumentError, "n_steps must be an integer >= 1 and <= 1000000, got 2.5", 0),
+    ])
+    def test_series_checks_once_as_each_chunk_did(self, cells, n_steps, error, message, v_calls):
+        # checked once per series, with the classes, messages and V'
+        # evaluations before the error that a check in every chunk gave
+        calls = []
+        spec = cv.FieldLagrangianSpec(1.0, potential=lambda q: 0.5 * q * q,
+                                      potential_grad=lambda q: calls.append(1) or q)
+        grid = cv.PeriodicGrid1D(2 * np.pi, 16)
+        state = cv.FieldState1p1(grid, np.cos(grid.nodes), np.sin(grid.nodes))
+        with pytest.raises(error) as exc:
+            cv.ddw_evolve_series(spec, state, cells * grid.dx, n_steps, 3)
+        assert str(exc.value) == message and len(calls) == v_calls
+
+    @pytest.mark.parametrize("bad_step, store_every", [(1, 1), (7, 3), (9, 3), (20, 5), (30, 4)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_force_fails_at_its_chunk(self, monkeypatch, bad_step, store_every, value):
+        # V' turns non-finite from step bad_step on; the chunk holding that
+        # step fails as a FieldState1p1 of its field would
+        calls = []
+
+        def grad(q):
+            calls.append(1)
+            out = q.copy()
+            if len(calls) > bad_step:  # the first call is the run's set-up
+                out[2] = value
+            return out
+
+        spec = cv.FieldLagrangianSpec(1.0, potential=lambda q: 0.5 * q * q, potential_grad=grad)
+        state = _random_field(4, 32)
+        chunks, real = [], cv.ddw_evolve
+        monkeypatch.setattr(cv, "ddw_evolve", lambda *a, **kw: chunks.append(a[3]) or real(*a, **kw))
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidStateError, match=r"^field values must be finite$"):
+            cv.ddw_evolve_series(spec, state, 0.5 * state.x_grid.dx, 30, store_every)
+        assert len(chunks) == -(-bad_step // store_every) and len(calls) == 1 + sum(chunks)
 
 
 DDW_CFG = """
