@@ -63,8 +63,8 @@ COMMON = {"scenario": {"regime": str, "seed": Between(0, -1, INF)}, "checks": {"
 SCHEMA = {
     "classical": {**_MECH, "system": {"mass": _UNIT}, "initial": {"center": 1.0, "width_cells": Between(3.0, 0, INF)},
                   "run": {"t_final": _SPAN, "cfl": Between(0.4, 0, INF), "support_floor": Between(1e-6, 0.0, 1.0)}},
-    "madelung": {**_MECH, "grid": {**_GRID, "n": int}, "initial": {"center": 0.2, "variance": Between(0.5, 0, INF)},
-                 "run": {"t_final": _SPAN, "dt": _DERIVED}},  # dt = 0.2 h^2; RULES check n
+    "madelung": {**_MECH, "initial": {"center": 0.2, "variance": Between(0.5, 0, INF)},
+                 "run": {"t_final": _SPAN, "dt": _DERIVED}},  # dt = 0.2 h^2
     "schrodinger": {**_MECH, "initial": {"sigma": _UNIT, "center": 0.0, "momentum": Between(0.0, -INF, INF)},
                     "run": {"t_final": _SPAN, "dt": _SPAN}},
     "spin": {"system": {"levels": Between(2, 1, INF), "a": _UNIT, "b": Between(-1.0, -INF, INF),
@@ -87,6 +87,11 @@ SCHEMA = {
 # as keywords and gives its error message, or a false value when it holds.
 _BOUNDS = ("grid.q_max", lambda grid, **_: not grid["q_min"] < grid["q_max"]
            and f"[grid] q_max must be > q_min = {grid['q_min']!r}, got {grid['q_max']!r}")
+# the fewest nodes of a run that checks the grid ends: the Schrodinger leakage guard sums 3 cells at each end,
+# the vacuum_spectrum tail test reads 2 of the n - 2 interior rows at each end, and the quantum-pole
+# step needs a 3-node bulk, a flux cell on each side of it and the 2 end nodes
+_NODES = ("grid.n", lambda grid, **_: grid["n"] < 7
+          and f"[grid] n must be >= 7 for the checks at the grid ends, got {grid['n']}")
 _CENTER = ("initial.center", lambda grid, initial, **_: not grid["q_min"] < initial["center"] < grid["q_max"]
            and f"[initial] center must lie inside the grid, got {initial['center']!r}")
 _CONFINING = ("potential.kind", lambda potential, **_: potential["kind"] in ("free", "box")
@@ -105,12 +110,10 @@ _EIGEN = lambda key, k: (key, lambda grid, **sec: k(sec) > grid["n"] - 2 and
 RULES = {
     "classical": [_BOUNDS, _CENTER, ("run.t_final", lambda run, **_: _STEPS("t_final", run["t_final"], 1e-3)),  # the flow
                   ("run.cfl", lambda grid, run, **_: _STEPS("cfl", run["t_final"], run["cfl"] * _H(grid)))],
-    "schrodinger": [_BOUNDS, _CENTER, _DT],
-    "vacuum": [_BOUNDS, _CONFINING, _EIGEN("run.k_eigen", lambda sec: sec["run"]["k_eigen"])],
-    "madelung": [_BOUNDS, _CENTER, ("grid.n", lambda grid, **_: grid["n"] < 7  # 3 bulk, 2 flux and 2 end nodes
-                                    and f"[grid] n must be >= 7 for the quantum-pole step, got {grid['n']}"),
-                 _DT, ("run.t_final", lambda grid, run, **_: "dt" not in run  # dt = 0.2 h^2
-                       and _STEPS("t_final", run["t_final"], 0.2 * _H(grid) ** 2))],
+    "schrodinger": [_BOUNDS, _NODES, _CENTER, _DT],
+    "vacuum": [_BOUNDS, _NODES, _CONFINING, _EIGEN("run.k_eigen", lambda sec: sec["run"]["k_eigen"])],
+    "madelung": [_BOUNDS, _NODES, _CENTER, _DT, ("run.t_final", lambda grid, run, **_: "dt" not in run  # dt = 0.2 h^2
+                 and _STEPS("t_final", run["t_final"], 0.2 * _H(grid) ** 2))],
     "spin": [("initial.basis_state", lambda system, initial, **_: not 0 <= initial["basis_state"] < system["levels"]
               and f"[initial] basis_state must be in 0..{system['levels'] - 1}, got {initial['basis_state']}"), _DT],
     "ddw": [("system.kg_mass", lambda system, **_: not math.isfinite(system["kg_mass"] * system["kg_mass"])
@@ -119,10 +122,10 @@ RULES = {
              and "[initial] k_mode must be nonzero: a k = 0 field has no wave"),
             ("initial.amplitude", lambda initial, **_: not 0 < abs(initial["amplitude"]) < INF  # NaN fails too
              and f"[initial] amplitude must be finite and nonzero, got {initial['amplitude']!r}")],
-    "space-independent": [_BOUNDS, _CONFINING, ("initial.modes", lambda initial, **_: _MODES(initial["modes"])
+    "space-independent": [_BOUNDS, _NODES, _CONFINING, ("initial.modes", lambda initial, **_: _MODES(initial["modes"])
                           and f"[initial] modes must be distinct integers >= 0, got {initial['modes']}"),
                           _EIGEN("initial.modes", lambda sec: int(max(sec["initial"]["modes"])) + 1)],
-    "confined": [_BOUNDS, _CONFINING, ("initial.c", lambda initial, **_: initial["c"][:1] != [1.0]
+    "confined": [_BOUNDS, _NODES, _CONFINING, ("initial.c", lambda initial, **_: initial["c"][:1] != [1.0]
                                        and f"[initial] c must start with c0 = 1, got {initial['c']}"),
                  ("initial.c", lambda initial, run, **_: len(initial["c"]) > run["k_eigen"]
                   and f"[initial] c has {len(initial['c'])} coefficients, more than [run] k_eigen = {run['k_eigen']}"),

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSpecError, StepRejectedError
+from .errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
 from .mechanics import (NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext, _next_state,
                         _reject_negative, _validate_density_state, _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate, _check_positive,
@@ -75,12 +75,9 @@ def _bulk_slice(rho: np.ndarray, floor: float, peak: int):
 
     Detached remnants at floor level (left behind by a moving support) are
     not part of the bulk and stay frozen.  The component ends next to the
-    nearest below-floor cells on either side of the peak; a peak that is
-    itself below the floor (floor_frac >= 1) gives (peak, peak).
+    nearest below-floor cells on either side of the peak.
     """
     mask = rho > floor
-    if not mask[peak]:
-        return peak, peak
     off = (~mask).nonzero()[0]
     k = int(off.searchsorted(peak))
     lo = int(off[k - 1]) + 1 if k > 0 else 0
@@ -168,7 +165,10 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     ``mechanics._next_state`` builds the new state, checking only the cells
     the step wrote.  ``floor_frac``, ``support_floor`` and ``_op`` keep
     their slots: perfbench/kernels.py passes all seven by position.
+    Raises InvalidArgumentError unless ``floor_frac`` is in (0, 1).
     """
+    if not 0.0 < floor_frac < 1.0:  # NaN fails too; a normalised peak then lies above its floor
+        raise InvalidArgumentError(f"floor_frac must be > 0.0 and < 1.0, got {floor_frac!r}")
     grid = state.grid
     if dspec.mode == "classical":
         rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt,

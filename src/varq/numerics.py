@@ -120,13 +120,13 @@ class TridiagonalOperator:
 def sturm_liouville_operator(
     grid: Grid1D,
     mu: Callable[[np.ndarray], np.ndarray] | float,
-    potential: Callable[[np.ndarray], np.ndarray] | None,
+    potential: Callable[[np.ndarray], np.ndarray],
     coeff: float = 1.0,
 ) -> TridiagonalOperator:
     """Discretise -(coeff/2) d/dq (mu(q) d/dq .) + V(q) on the interior nodes.
 
-    ``mu`` is evaluated at face midpoints (flux form), ``potential`` at the
-    interior nodes; either may be a constant or None (for V = 0).
+    ``mu`` (a constant or a function) is evaluated at face midpoints (flux
+    form), ``potential`` at the interior nodes.
     """
     h = grid.h
     q_in = grid.nodes[1:-1]
@@ -134,7 +134,7 @@ def sturm_liouville_operator(
     mu_f = np.full(faces.shape, float(mu)) if np.isscalar(mu) else np.asarray(mu(faces), dtype=float)
     if np.any(mu_f <= 0):
         raise InvalidArgumentError("mu(q) must be positive on all faces")
-    v_in = np.zeros_like(q_in) if potential is None else np.asarray(potential(q_in), dtype=float)
+    v_in = np.asarray(potential(q_in), dtype=float)
     if not np.all(np.isfinite(v_in)):
         raise InvalidArgumentError("potential must be finite on the grid")
     k = 0.5 * coeff / (h * h)
@@ -194,10 +194,10 @@ class CayleyPropagator:
 
     The matrix 1 + i dt H / 2a is built and LU-factored once, with partial
     pivoting (LAPACK ?gttrf); each step solves with the stored factors
-    (?gttrs). That is the same elimination ?gtsv runs, so a step is bitwise
-    equal to ``solve_banded`` on the unfactored matrix. Operators of size 1
-    and 2 (grids of 3 and 4 nodes) keep the ``solve_banded`` call: scipy's
-    ?gttrf wrapper rejects n <= 2.
+    (?gttrs). That is the same elimination ?gtsv runs, so a step has the
+    bits of a one-shot tridiagonal solve of the unfactored matrix. scipy's
+    ?gttrf wrapper rejects sizes 1 and 2, and so does the propagator: H needs
+    at least 3 interior values (a grid of 5 nodes), else InvalidArgumentError.
 
     A non-finite matrix is rejected when the propagator is built
     (InvalidArgumentError); a non-finite state raises NumericalFailureError
@@ -212,30 +212,22 @@ class CayleyPropagator:
         _check_positive("a", a, InvalidArgumentError)
         if not np.isfinite(dt):
             raise InvalidArgumentError("dt must be finite")
+        if op.size < 3:
+            raise InvalidArgumentError(f"need an operator of size >= 3 (a grid of 5 nodes), got size {op.size}")
         self.op = op
-        self.dt = float(dt)
-        self.a = float(a)
-        mu = 0.5j * dt / a
-        m = op.size
-        ab = np.zeros((3, m), dtype=complex)
-        ab[0, 1:] = mu * op.off_diagonal
-        ab[1, :] = 1.0 + mu * op.diagonal
-        ab[2, :-1] = mu * op.off_diagonal
-        if not np.isfinite(ab).all():
+        self._mu = mu = 0.5j * dt / a
+        off, diag = mu * op.off_diagonal, 1.0 + mu * op.diagonal
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise InvalidArgumentError(
                 "Cayley matrix must be finite: check the operator entries and dt / a"
             )
-        self._ab = ab
-        self._mu = mu
-        self._factors = None
-        if m > 2:
-            gttrf, self._gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (ab,))
-            *factors, info = gttrf(ab[2, :-1], ab[1], ab[0, 1:])
-            if info > 0:  # cannot happen for hermitian op, real dt
-                raise NumericalFailureError(
-                    "singular Cayley system", diagnostics={"size": m, "zero_pivot": info}
-                )
-            self._factors = factors
+        gttrf, self._gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+        *factors, info = gttrf(off, diag, off)  # copies its inputs: one array serves both off-diagonals
+        if info > 0:  # cannot happen for hermitian op, real dt
+            raise NumericalFailureError(
+                "singular Cayley system", diagnostics={"size": op.size, "zero_pivot": info}
+            )
+        self._factors = factors
 
     def step(self, psi: np.ndarray, _hpsi: np.ndarray | None = None) -> np.ndarray:
         hpsi = self.op.apply(np.asarray(psi, dtype=complex)) if _hpsi is None else _hpsi
@@ -245,8 +237,6 @@ class CayleyPropagator:
             raise NumericalFailureError(
                 "non-finite state in Cayley step", diagnostics={"size": rhs.size, "nonfinite": bad}
             )
-        if self._factors is None:  # n <= 2: scipy's ?gttrf wrapper rejects these sizes
-            return sla.solve_banded((1, 1), self._ab, rhs)
         # ?gttrs fails only on an illegal argument, which the stored factors exclude
         x, _ = self._gttrs(*self._factors, rhs, overwrite_b=True)
         return x

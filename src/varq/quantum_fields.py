@@ -132,7 +132,8 @@ def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int) -> VacuumSpectrum:
     spec.validate_on(grid)
     op = _operator(spec, grid)
     w, vecs = eigensolve_lowest(op, k, grid.h)
-    tails = np.max(np.abs(vecs[[0, 1, -2, -1], :]), axis=0) / np.max(np.abs(vecs), axis=0)
+    # two rows at each end, taken by slices: on a one-row grid both are that row
+    tails = np.maximum(np.abs(vecs[:2]).max(axis=0), np.abs(vecs[-2:]).max(axis=0)) / np.max(np.abs(vecs), axis=0)
     if np.any(tails > _TAIL_TOL):
         raise NumericalFailureError(
             "grid does not resolve the requested eigenfunctions",

@@ -111,6 +111,7 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
     rows, norm_drift, energy_drift = [], 0.0, 0.0
     for k, (psi, hpsi) in enumerate(prop.run(wf.psi, n_steps)):
         dens = np.abs(psi) ** 2
+        wv._check_boundary(grid.h, dens, k * dt)  # every state: a packet may reach a wall and come back
         e = wv._expected_energy(grid.h, psi, hpsi)
         if k == 0:
             e0 = e
@@ -119,7 +120,6 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
             energy_drift = max(energy_drift, abs(e - e0) / max(abs(e0), 1e-300))
         if k % max(1, n_steps // 64) == 0:
             rows.append((k * dt, *_moments(grid.h, q, dens), norm_drift, energy_drift))
-    wv._check_boundary(grid, psi, t_final)
 
     report.scalars["final_variance"] = _moments(grid.h, q, dens)[1]  # dens is |psi|^2 of the final psi
     report.add_invariant("norm_drift_per_run", norm_drift, 1e-12 * n_steps)

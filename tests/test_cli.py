@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,15 @@ class TestRunTimeArguments:
         assert code == EXIT_NUMERICAL
         assert "non-finite state in Cayley step" in capsys.readouterr().err
 
+    def test_packet_that_hits_a_wall_is_numerical_failure(self, tmp_path, capsys):
+        # the packet reaches the grid end mid-run and bounces back: checked on
+        # its final state alone, the run passed with a variance below the free one
+        text = (CONFIG_DIR / "schrodinger_free_gaussian.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("center = 0.0", "center = 0.0\nmomentum = 14.0"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: boundary density \S+ exceeds 1\.0e-08 at t=\S+\n", err), err
+
 
 class TestSpecConstants:
     @pytest.mark.parametrize("cfg_name, key, name", [
@@ -268,12 +278,17 @@ class TestConfigIndices:
         assert len(errors) == 1 and f"(key: {key})" in errors[0]
 
 
+# the shipped config of each regime whose run checks cells at the grid ends, and its n
+END_CHECKED = [("madelung_trap.cfg", 801), ("schrodinger_free_gaussian.cfg", 1401), ("vacuum_harmonic.cfg", 2000),
+               ("space_independent_superposition.cfg", 1200), ("confined_harmonic.cfg", 801)]
 BAD_RANGES = [
     ("spin_rabi.cfg", "p_floor = 1e-6", f"p_floor = {v}", "run.p_floor", f"[run] p_floor must be finite and > 0, got {g}")
     for v, g in [("nan", "nan"), ("-1.0", "-1.0"), ("0", "0.0"), ("inf", "inf")]
 ] + [
-    ("madelung_trap.cfg", "n = 801", f"n = {n}", "grid.n", f"[grid] n must be >= 7 for the quantum-pole step, got {n}")
-    for n in (2, 3, 6)
+    (cfg_name, f"n = {old}", f"n = {n}", "grid.n", f"[grid] n must be >= 7 for the checks at the grid ends, got {n}")
+    for cfg_name, old in END_CHECKED for n in (3, 4, 5, 6)
+] + [
+    ("madelung_trap.cfg", "n = 801", "n = 2", "grid.n", "[grid] n must be finite and > 2, got 2")  # as every grid
 ] + [
     ("classical_oscillator.cfg", "support_floor = 1e-6", f"support_floor = {v}", "run.support_floor",
      f"[run] support_floor must be > 0.0 and < 1.0, got {float(v)!r}")
@@ -293,9 +308,9 @@ BAD_RANGES = [
 
 class TestConfigRanges:
     """A spin population floor or an initial width that is not finite and
-    > 0, a Madelung grid too small for a bulk window and the quantum
-    operator, and a classical support floor outside (0, 1): check and run
-    both exit 2 with the same line, naming the key."""
+    > 0, a grid of fewer than 7 nodes for a run that checks cells at the
+    grid ends, and a classical support floor outside (0, 1): check and run
+    both exit 2 with the same line, naming the key, before anything runs."""
 
     @pytest.mark.parametrize("cfg_name, old, new, key, message", BAD_RANGES)
     def test_bad_value_is_config_error(self, tmp_path, capsys, cfg_name, old, new, key, message):
@@ -307,6 +322,12 @@ class TestConfigRanges:
         assert not (tmp_path / "out" / "case" / "report.txt").exists()
         assert main(["check", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message} (key: {key})\n"
+
+    @pytest.mark.parametrize("cfg_name, n", END_CHECKED)
+    def test_seven_nodes_pass_check(self, tmp_path, capsys, cfg_name, n):
+        text = (CONFIG_DIR / cfg_name).read_text().replace(f"\nn = {n}\n", "\nn = 7\n")
+        cfg = write_cfg(tmp_path, text.replace("k_eigen = 8", "k_eigen = 5"))  # 8 eigenpairs need n >= 10
+        assert main(["check", str(cfg)]) == EXIT_OK
 
     def test_smallest_madelung_grid_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (CONFIG_DIR / "madelung_trap.cfg").read_text().replace("\nn = 801\n", "\nn = 7\n"))

@@ -206,7 +206,7 @@ def _bulk(rho, floor_frac):
 
 
 class TestBulkSlice:
-    FLOORS = (0.0, 1e-12, 1e-6, 0.3, 0.9, 1.0, 1.5)
+    FLOORS = (1e-12, 1e-6, 0.3, 0.9)  # madelung_step takes a floor_frac in (0, 1) only
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_loop_on_random_densities(self, seed):
@@ -218,7 +218,7 @@ class TestBulkSlice:
         for _ in range(int(rng.integers(0, 4))):  # holes and detached remnants
             a = int(rng.integers(0, n))
             rho[a : a + int(rng.integers(1, 6))] = rng.choice([0.0, 1e-15, 1e-3])
-        floors = self.FLOORS + tuple(rng.uniform(0.0, 1.2, 3))
+        floors = self.FLOORS + tuple(rng.uniform(1e-12, 1.0, 3))
         for floor_frac in floors:
             assert _bulk(rho, floor_frac) == _bulk_slice_loop(rho, floor_frac)
 
@@ -237,14 +237,17 @@ class TestBulkSlice:
         rho = 1.0 + np.random.default_rng(0).random(64)
         assert _bulk(rho, 0.5) == (0, 63) == _bulk_slice_loop(rho, 0.5)
 
-    @pytest.mark.parametrize("floor_frac", [1.0, 2.0])
-    def test_peak_below_threshold(self, floor_frac):
-        rho = np.exp(-np.linspace(-3.0, 3.0, 41) ** 2)
-        peak = int(np.argmax(rho))
-        assert _bulk(rho, floor_frac) == (peak, peak) == _bulk_slice_loop(rho, floor_frac)
+    @pytest.mark.parametrize("floor_frac", [0.0, 1.0, 2.0, np.nan])
+    def test_floor_frac_outside_unit_interval_rejected(self, unit_mass_harmonic, floor_frac):
+        # at floor_frac >= 1 the peak would lie below its own floor and leave no bulk
+        grid = build_grid(-4, 4, 81)
+        state = hy.HydroState(grid, mech.normalize_density(grid, np.exp(-grid.nodes**2)), np.zeros(grid.n))
+        for mode in ("quantum-pole", "classical"):
+            with pytest.raises(InvalidArgumentError, match=r"floor_frac must be > 0.0 and < 1.0, got "):
+                hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode=mode), state, 1e-4, floor_frac)
 
     def test_single_cell_and_zero_density(self):
-        for rho in (np.array([0.7]), np.zeros(9)):
+        for rho in (np.array([0.7]), np.array([0.0, 0.0, 0.7, 0.0])):  # one cell, amid zero density
             assert _bulk(rho, 1e-12) == _bulk_slice_loop(rho, 1e-12)
 
 

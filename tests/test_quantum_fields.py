@@ -65,6 +65,13 @@ class TestVacuumSpectrum:
         with pytest.raises(NumericalFailureError):
             qf.vacuum_spectrum(spec, grid, 8)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_grid_of_four_interior_rows_or_fewer_does_not_resolve(self, n):
+        # the tail test reads two rows at each end, so on these grids every row;
+        # one interior row raised IndexError
+        with pytest.raises(NumericalFailureError, match="grid does not resolve the requested eigenfunctions"):
+            qf.vacuum_spectrum(harmonic_field_spec(), build_grid(-3, 3, n), 1)
+
     def test_nonconfining_potential_rejected(self):
         spec = qf.QFieldSpec(eta=1.0, potential=lambda q: np.zeros_like(np.asarray(q, dtype=float)), f=1.0)
         grid = build_grid(-5, 5, 200)

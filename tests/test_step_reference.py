@@ -1956,9 +1956,9 @@ class TestSnapshotSeries:
             call()
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(min_value=3, max_value=300), n_steps=st.integers(min_value=1, max_value=80),
+    @given(n=st.integers(min_value=5, max_value=300), n_steps=st.integers(min_value=1, max_value=80),
            store_every=st.integers(min_value=1, max_value=30), seed=st.integers(min_value=0, max_value=2**32 - 1),
-           zero_ends=st.booleans())
+           zero_ends=st.booleans())  # 5 nodes: the fewest whose operator the Cayley propagator takes
     # the benchmark's larger grid: the stacked mean energy sums rows of 2400 strided values
     @example(n=2400, n_steps=60, store_every=6, seed=3, zero_ends=False)
     def test_space_independent_records_bitwise(self, n, n_steps, store_every, seed, zero_ends):
