@@ -11,7 +11,7 @@ is time-reversible and keeps the total energy drift bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,7 +84,7 @@ class FieldState1p1:
     x_grid: PeriodicGrid1D
     q: np.ndarray
     pi0: np.ndarray
-    time: float = 0.0
+    time: float = field(default=0.0, init=False)  # set by ddw_evolve on the states it returns
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)

@@ -256,7 +256,7 @@ class ConfinedSolveResult:
     pair: RadialPair
     residual_history: list
     iterations: int
-    mode_history: list  # [(A, At)] per accepted iterate, seed first
+    mode_history: list  # stacked amplitudes (2, K, n_r) per accepted iterate, seed first; each unpacks as A, At
 
 
 @dataclass(frozen=True)
@@ -308,10 +308,11 @@ def confined_solve(
     reported (seed plus the constant inward continuation of the
     corrections) but carry no accuracy claim, matching the residual
     window: the outer half of the radial range, which must start at or
-    after the source radius.  A sweep works in two per-solve grid buffers:
-    each field, then that field times the log source (taken on the active
-    box, those rows times a radial suffix; zero outside) for the projection,
-    then a residual product.  They end as the returned pair.
+    after the source radius.  A sweep works in one per-solve (2, nq, n_r)
+    buffer, the pair stacked as everywhere in the solve (row 0 phi, row 1
+    phi_tilde): the fields, then the fields times the log source (taken on
+    the active box, those rows times a radial suffix; zero outside) for the
+    projection, then the residual product.  It ends as the returned pair.
 
     A sweep is accepted only if the window residual does not rise above
     max(previous, tol); a rising residual above tolerance stops the
@@ -345,66 +346,59 @@ def confined_solve(
     if resid_lo < source_r_start:
         raise InvalidArgumentError("r_max too small: the residual window must start at or after f/(w1 - w0)")
 
-    A0 = cs[:, None] * np.exp(-np.outer(dw, r) / f)  # (K, nr)
-    At0 = np.zeros_like(A0)
-    At0[0, :] = cs[0]
+    A0 = np.zeros((2, K, n_r))  # the pair's amplitudes: row 0 phi, row 1 phi_tilde
+    A0[0] = cs[:, None] * np.exp(-np.outer(dw, r) / f)
+    A0[1, 0] = cs[0]
+    sign = np.array([1.0, -1.0])[:, None, None]  # -f dphi/dr, +f dphi_tilde/dr
 
     # the log source and the residual window are boxes: the qmask rows times
     # a suffix of the ascending r (never empty for the window: r[-1] == r_max)
     rows = _index_span(qmask)
     src_col, res_col = (int(np.count_nonzero(r < r0)) for r0 in (source_r_start, resid_lo))
-    phi, phi_tilde = (np.empty((psi_mat.shape[0], n_r)) for _ in range(2))
+    fields = np.empty((2, psi_mat.shape[0], n_r))
 
-    def sources(A, At):
-        """P, Pt: the log source times each field of the amplitudes A, At, projected on the modes."""
-        np.matmul(psi_mat, A, out=phi)
-        np.matmul(psi_mat, At, out=phi_tilde)
-        pb, ptb = phi[rows, src_col:], phi_tilde[rows, src_col:]
-        if (pb <= 0.0).any() or (ptb <= 0.0).any():
-            iq, ir = np.argwhere((pb <= 0.0) | (ptb <= 0.0))[0]
+    def sources(A):
+        """P: the log source times each field of the amplitudes A, projected on the modes."""
+        np.matmul(psi_mat, A, out=fields)
+        box = fields[:, rows, src_col:]
+        if (box <= 0.0).any():
+            iq, ir = np.argwhere((box <= 0.0).any(axis=0))[0]
             raise NumericalFailureError(
                 "conjugate pair lost positivity",
                 diagnostics={"q": float(vac.grid.nodes[rows][iq]), "r": float(r[src_col:][ir])},
             )
-        ratio = np.divide(pb, ptb)  # np.log on a contiguous array: a strided output may take another loop
+        ratio = np.divide(box[0], box[1])  # np.log on a contiguous array: a strided output may take another loop
         log_ratio = np.log(ratio, out=ratio)
-        for field in (phi, phi_tilde):  # times the log source, zero outside the box
-            field[rows, src_col:] *= log_ratio
-            field[:, :src_col] = 0.0
-            field[~qmask] = 0.0
-        return h * (psi_mat.T @ phi), h * (psi_mat.T @ phi_tilde)  # (K, nr) each
+        fields[:, rows, src_col:] *= log_ratio  # times the log source, zero outside the box
+        fields[:, :, :src_col] = 0.0
+        fields[:, ~qmask] = 0.0
+        return h * (psi_mat.T @ fields)  # (2, K, nr)
 
-    def residual_max(P_prev, P_new, C, Pt_prev, Pt_new, Ct):
-        def window_max(R):
-            return float(np.max(np.abs(np.matmul(psi_mat, R, out=phi)[rows, res_col:])))
-        return max(window_max((f / r)[None, :] * (P_prev - P_new) - dw[:, None] * C),
-                   window_max((f / r)[None, :] * (Pt_prev - Pt_new) - dw[:, None] * Ct))
+    def residual_max(P_prev, P_new, C):
+        np.matmul(psi_mat, (f / r) * (P_prev - P_new) - dw[:, None] * C, out=fields)
+        return max(float(np.max(np.abs(R[rows, res_col:]))) for R in fields)
 
-    A, At = A0.copy(), At0.copy()
-    P, Pt = sources(A, At)
+    A, P = A0, sources(A0)
     # seed residual: the missing log source (the seed solves the log-free
     # system exactly in the discrete eigenbasis)
-    resid = residual_max(np.zeros_like(P), P, np.zeros_like(P), np.zeros_like(Pt), Pt, np.zeros_like(Pt))
+    resid = residual_max(0.0, P, 0.0)
     history = [resid]
-    mode_history = [(A.copy(), At.copy())]
+    mode_history = [A]
     converged = resid < tol and not np.any(cs[1:])
     iterations = 0
 
     while not converged and iterations < _MAX_ITER:
-        C = _reverse_cumtrapz(P / r[None, :], r)
-        Ct = -_reverse_cumtrapz(Pt / r[None, :], r)
+        C = sign * _reverse_cumtrapz(P / r, r)
         A_new = A0 + C
-        At_new = At0 + Ct
-        P_new, Pt_new = sources(A_new, At_new)
-        resid_new = residual_max(P, P_new, C, Pt, Pt_new, Ct)
+        P_new = sources(A_new)
+        resid_new = residual_max(P, P_new, C)
         if resid_new > max(history[-1] * (1.0 + 1e-12), tol):
             # residual stagnated above tolerance: reject the sweep
             break
-        change = max(float(np.max(np.abs(A_new - A))), float(np.max(np.abs(At_new - At))))
-        A, At = A_new, At_new
-        P, Pt = P_new, Pt_new
+        change = float(np.max(np.abs(A_new - A)))
+        A, P = A_new, P_new
         history.append(resid_new)
-        mode_history.append((A.copy(), At.copy()))
+        mode_history.append(A)
         iterations += 1
         if resid_new < tol and change < _CHANGE_TOL:
             converged = True
@@ -413,7 +407,7 @@ def confined_solve(
             "confined solve did not reach tolerance (max-iterations)",
             diagnostics={"residual_history": history},
         )
-    pair = RadialPair(vac.grid, r, np.matmul(psi_mat, A, out=phi), np.matmul(psi_mat, At, out=phi_tilde))
+    pair = RadialPair(vac.grid, r, *np.matmul(psi_mat, A, out=fields))
     return ConfinedSolveResult(pair, history, iterations, mode_history)
 
 

@@ -10,6 +10,8 @@ the kinetic term fixes the operator ordering for position-dependent mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -128,10 +130,10 @@ def _expected_energy(h: float, psi: np.ndarray, hpsi: np.ndarray) -> float:
 
 
 def _check_boundary(h: float, dens: np.ndarray, t: float):
-    """Leakage guard on the density |psi|^2 at time t on a grid of spacing h:
-    raises DomainEscapeError when the 3 cells at each grid end hold more than
-    1e-8 of the probability (the state has left the grid). Reads those six cells only."""
-    mass = h * float(dens[:_BOUNDARY_CELLS].sum() + dens[-_BOUNDARY_CELLS:].sum())  # the method: half np.sum's cost
+    """Leakage guard on the density |psi|^2 at time t on a grid of spacing h: raises DomainEscapeError when
+    the 3 cells at each grid end hold more than 1e-8 of the probability (the state has left the grid). Reads
+    those six cells only, as Python floats added left to right at each end (numpy's grouping, no numpy kernel)."""
+    mass = h * (reduce(add, dens[:_BOUNDARY_CELLS].tolist()) + reduce(add, dens[-_BOUNDARY_CELLS:].tolist()))
     if mass > _BOUNDARY_THRESHOLD:
         raise DomainEscapeError(
             f"boundary density {mass:.3e} exceeds {_BOUNDARY_THRESHOLD:.1e} at t={t:.6g}",

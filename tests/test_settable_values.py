@@ -29,12 +29,9 @@ from functools import lru_cache
 
 from test_reachability import ROOT, SRC, outside_trees
 
-LIMIT = 24
+LIMIT = 23
 
-SETTER_OK = {
-    ("FieldState1p1", "time"): "covariant.ddw_evolve sets it on every state it returns, which it builds "
-                               "without __init__ from the run's own checked buffers",
-}
+SETTER_OK = {}
 
 DEFAULT_OK = {}
 

@@ -183,6 +183,24 @@ class TestSchrodingerEvolve:
         with pytest.raises(DomainEscapeError):
             wv.schrodinger_evolve(free_particle, wf, 0.005, 1000)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(6, 40), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.integers(0, 2), min_size=6, max_size=6), h=st.floats(1e-12, 1.0))
+    def test_edge_mass_is_the_numpy_sum(self, n, seed, kinds, h):
+        # the guard's Python-float edge sum keeps the bits of the ndarray form it
+        # replaced; each edge cell is a zero, a subnormal or a random float
+        rng = np.random.default_rng(seed)
+        dens = rng.uniform(0.0, 1e3, n)
+        cells = [*range(3), *range(n - 3, n)]
+        dens[cells] = np.choose(kinds, [0.0, rng.uniform(0.0, 2.2e-308, 6), rng.uniform(0.0, 1e3, 6)])
+        expected = h * float(dens[:3].sum() + dens[-3:].sum())
+        if expected > 1e-8:
+            with pytest.raises(DomainEscapeError) as err:
+                wv._check_boundary(h, dens, 0.0)
+            assert err.value.diagnostics["boundary_mass"] == expected
+        else:
+            wv._check_boundary(h, dens, 0.0)
+
 
 def test_branch_restarts_across_masked_gaps():
     # two disconnected support components unwrap independently
