@@ -121,7 +121,9 @@ RULES = {
             ("initial.k_mode", lambda initial, **_: initial["k_mode"] == 0
              and "[initial] k_mode must be nonzero: a k = 0 field has no wave"),
             ("initial.amplitude", lambda initial, **_: not 0 < abs(initial["amplitude"]) < INF  # NaN fails too
-             and f"[initial] amplitude must be finite and nonzero, got {initial['amplitude']!r}")],
+             and f"[initial] amplitude must be finite and nonzero, got {initial['amplitude']!r}"),
+            ("run.dt", lambda grid, run, **_: run["dt"] > grid["length"] / grid["n"]  # CFL; PeriodicGrid1D.dx
+             and f"[run] dt must be <= [grid] length / n = {grid['length'] / grid['n']!r}, got {run['dt']!r}")],
     "space-independent": [_BOUNDS, _NODES, _CONFINING, ("initial.modes", lambda initial, **_: _MODES(initial["modes"])
                           and f"[initial] modes must be distinct integers >= 0, got {initial['modes']}"),
                           _EIGEN("initial.modes", lambda sec: int(max(sec["initial"]["modes"])) + 1)],

@@ -11,7 +11,8 @@ locally equivalent to the linear evolution in the wavefunction module.
 
 Direct integration is singular at density nodes, so lam-updates are
 restricted to the bulk where rho stays above a relative floor; global
-statements live with the complex-amplitude variables.
+statements live with the complex-amplitude variables.  The state is
+``mechanics.HydroState``, the classical regime's own.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
-from .mechanics import (NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext, _next_state,
-                        _reject_negative, _validate_density_state, _windowed_upwind)
+from .mechanics import (HydroState, NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext,
+                        _next_state, _reject_negative, _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate, _check_positive,
                        _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
@@ -57,15 +58,6 @@ class DiffusionSpec:
         _check_positive("a", self.a, InvalidSpecError)
         if self.mode not in ("classical", "quantum-pole"):
             raise InvalidSpecError(f"unknown mode {self.mode!r}")
-
-@dataclass(frozen=True)
-class HydroState:
-    grid: Grid1D
-    rho: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        _validate_density_state(self, "lam")
 
 
 def _bulk_slice(rho: np.ndarray, floor: float, peak: int):
@@ -173,7 +165,7 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     if dspec.mode == "classical":
         rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt,
                                                     support_floor=support_floor, _run=_run)
-        return _next_state(HydroState, grid, rho_new, lam_new, _run.moved if _run else slice(None), slice(None),
+        return _next_state(grid, rho_new, lam_new, _run.moved if _run else slice(None), slice(None),
                            _run and _run.low, _run)
 
     carried = _run is not None and _run.last is state
@@ -193,7 +185,7 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     lam_new = state.lam.copy()
     lam_new[bulk] -= dt * rate
     # low, the whole grid's minimum, bounds the moved cells' from below
-    _run.last = _next_state(HydroState, grid, rho_new, lam_new, slice(lo, hi + 1), bulk, low, _run)
+    _run.last = _next_state(grid, rho_new, lam_new, slice(lo, hi + 1), bulk, low, _run)
     _run.window = lo2, hi2
     return _run.last
 

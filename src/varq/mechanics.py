@@ -1,7 +1,7 @@
 """Classical probabilistic transport for natural systems H = p^2/2m(q) + V(q):
-characteristic (Hamilton) flow, density transport driven by a global
-multiplier field S, and the Hamilton-Jacobi and continuity residuals on
-stored snapshots.
+characteristic (Hamilton) flow, transport of the density state
+``HydroState(grid, rho, lam)`` (lam is the Hamilton-Jacobi S here), and the
+Hamilton-Jacobi and continuity residuals on stored snapshots.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .potentials import _sample
 __all__ = [
     "NaturalSystemSpec",
     "PhaseState",
-    "ClassicalEnsemble",
+    "HydroState",
     "hamilton_flow",
     "transport_density",
     "classical_transport_step",
@@ -134,16 +134,16 @@ def normalize_density(grid: Grid1D, rho: np.ndarray) -> np.ndarray:
 _RHO_NEG_TOL = 1e-14  # rounding below zero that a density state accepts and clips
 
 
-def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, moved: slice, lam_moved: slice,
+def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice,
                  low: Optional[float]) -> float:
-    """Check the density state cells rho[moved] and lam[lam_moved] (the
-    multiplier ``field`` finite, then rho >= -1e-14) and h*sum(rho) = 1 on
-    the whole grid (a NaN density fails it); clip rho[moved] at 0 in place.
-    ``low`` is min(rho[moved]), or a lower bound of it, when the caller has
-    scanned it, else None.  Returns h*sum(rho) of the clipped rho."""
+    """Check the density state cells rho[moved] and lam[lam_moved] (lam
+    finite, then rho >= -1e-14) and h*sum(rho) = 1 on the whole grid (a NaN
+    density fails it); clip rho[moved] at 0 in place.  ``low`` is
+    min(rho[moved]), or a lower bound of it, when the caller has scanned it,
+    else None.  Returns h*sum(rho) of the clipped rho."""
     part = rho[moved]
     if not np.isfinite(lam[lam_moved]).all():
-        raise InvalidStateError(f"{field} must be finite")
+        raise InvalidStateError("lam must be finite")
     if low is None:
         low = part.min()  # a NaN minimum leaves the decision to the cell test
     if not low >= -_RHO_NEG_TOL and (part < -_RHO_NEG_TOL).any():
@@ -157,42 +157,37 @@ def _check_cells(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, field: str, mov
     return _quad(grid.h, rho)
 
 
-def _validate_density_state(state, field: str):
-    """Check a constructor's arguments: rho and the multiplier ``field`` on
-    the grid, then every cell; stores a clipped copy of rho."""
-    rho = np.array(state.rho, dtype=float)
-    lam = np.asarray(getattr(state, field), dtype=float)
-    if rho.shape != (state.grid.n,) or lam.shape != (state.grid.n,):
-        raise InvalidStateError(f"rho and {field} must match the grid")
-    _check_cells(state.grid, rho, lam, field, slice(None), slice(None), None)
-    vars(state).update({"rho": rho, field: lam})
-
-
 @dataclass(frozen=True)
-class ClassicalEnsemble:
-    """Density rho plus the global multiplier field S on a shared grid."""
+class HydroState:
+    """Density rho plus its multiplier field lam on a shared grid: the
+    Hamilton-Jacobi S in the classical regime.  The constructor checks rho
+    and lam on the grid, then every cell, and stores a clipped copy of rho."""
 
     grid: Grid1D
     rho: np.ndarray
-    S: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
-        _validate_density_state(self, "S")
+        rho = np.array(self.rho, dtype=float)
+        lam = np.asarray(self.lam, dtype=float)
+        if rho.shape != (self.grid.n,) or lam.shape != (self.grid.n,):
+            raise InvalidStateError("rho and lam must match the grid")
+        _check_cells(self.grid, rho, lam, slice(None), slice(None), None)
+        vars(self).update({"rho": rho, "lam": lam})
 
 
-def _next_state(cls, grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice,
-                low: Optional[float], run: Optional[_RunContext]):
-    """The ``ClassicalEnsemble`` or ``HydroState`` (``cls``) of the fresh
-    arrays rho and lam, built without ``__post_init__``: outside rho[moved]
-    and lam[lam_moved] they equal a checked state's, so only those cells
-    are checked (``_check_cells``, given ``low``).  A ``_RunContext``
-    ``run`` (else None) gets the state's h*sum(rho) as ``run.mass``."""
-    field = "S" if cls is ClassicalEnsemble else "lam"
-    mass = _check_cells(grid, rho, lam, field, moved, lam_moved, low)
+def _next_state(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice,
+                low: Optional[float], run: Optional[_RunContext]) -> HydroState:
+    """The ``HydroState`` of the fresh arrays rho and lam, built without
+    ``__post_init__``: outside rho[moved] and lam[lam_moved] they equal a
+    checked state's, so only those cells are checked (``_check_cells``,
+    given ``low``).  A ``_RunContext`` ``run`` (else None) gets the state's
+    h*sum(rho) as ``run.mass``."""
+    mass = _check_cells(grid, rho, lam, moved, lam_moved, low)
     if run is not None:
         run.mass = mass
-    state = object.__new__(cls)
-    vars(state).update({"grid": grid, "rho": rho, field: lam})
+    state = object.__new__(HydroState)
+    vars(state).update({"grid": grid, "rho": rho, "lam": lam})
     return state
 
 
@@ -401,7 +396,7 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     return rho_new, S_new
 
 
-def transport_density(ens: ClassicalEnsemble, spec: NaturalSystemSpec, dt: float) -> ClassicalEnsemble:
+def transport_density(ens: HydroState, spec: NaturalSystemSpec, dt: float) -> HydroState:
     """One step of the coupled global system
 
         drho/dt + d/dq (rho dS/dq / m) = 0,    dS/dt + H(q, dS/dq) = 0
@@ -409,16 +404,16 @@ def transport_density(ens: ClassicalEnsemble, spec: NaturalSystemSpec, dt: float
     with both fields advanced on the whole grid; ``classical_transport_step``
     with a ``support_floor`` restricts the multiplier update to the support.
     """
-    return ClassicalEnsemble(ens.grid, *classical_transport_step(ens.grid, ens.rho, ens.S, spec, dt))
+    return HydroState(ens.grid, *classical_transport_step(ens.grid, ens.rho, ens.lam, spec, dt))
 
 
-def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: float, dt: float,
-                  support_floor: Optional[float], observer) -> ClassicalEnsemble:
+def transport_run(ens: HydroState, spec: NaturalSystemSpec, t_final: float, dt: float,
+                  support_floor: Optional[float], observer) -> HydroState:
     """Advance the ensemble to t_final in uniform steps of (at most) dt.
 
     ``observer(t, rho, mass)`` is called after every step with h*sum(rho),
     the sum the step's check took, and must not modify rho.  The steps
-    share one ``_RunContext`` and one S buffer, a copy of ``ens.S``; with
+    share one ``_RunContext`` and one S buffer, a copy of ``ens.lam``; with
     ``support_floor`` the run writes it outside the last window only before
     it returns (see classical_transport_step).  Each step checks rho on its
     window and S where it wrote (``_check_cells``).  Raises
@@ -427,17 +422,17 @@ def transport_run(ens: ClassicalEnsemble, spec: NaturalSystemSpec, t_final: floa
     n_steps, dt = _uniform_steps(t_final, dt)
     grid = ens.grid
     run = _RunContext(grid, spec, nodes=False)
-    rho, S = ens.rho, ens.S
-    S = run.S = S.copy()
+    rho = ens.rho
+    S = run.S = ens.lam.copy()
     t = 0.0
     for _ in range(n_steps):
         rho, S = classical_transport_step(grid, rho, S, spec, dt, support_floor=support_floor, _run=run)
-        mass = _check_cells(grid, rho, S, "S", run.moved, slice(None) if run.ext is None else run.moved, run.low)
+        mass = _check_cells(grid, rho, S, run.moved, slice(None) if run.ext is None else run.moved, run.low)
         t += dt
         observer(t, rho, mass)
     if run.ext is not None:
         run.fill(S, 0, grid.n - 1)
-    return _next_state(ClassicalEnsemble, grid, rho, S, run.moved, slice(None), run.low, run)  # S checked whole
+    return _next_state(grid, rho, S, run.moved, slice(None), run.low, run)  # S checked whole
 
 
 def _hj_rule(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dSdt: np.ndarray) -> np.ndarray:

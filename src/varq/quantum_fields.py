@@ -20,7 +20,7 @@ Pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,11 +105,13 @@ def _operator(spec: QFieldSpec, grid: Grid1D):
 
 @dataclass(frozen=True)
 class VacuumSpectrum:
-    """Ordered eigenvalues w and grid-normalised eigenfunctions (columns)."""
+    """Ordered eigenvalues w and grid-normalised eigenfunctions (columns);
+    ``ortho`` is max |h psi^T psi - I|, the orthonormality error."""
 
     grid: Grid1D
     w: np.ndarray
     psi: np.ndarray  # (n, k), full-length vectors with Dirichlet zeros
+    ortho: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -117,10 +119,10 @@ class VacuumSpectrum:
         if not (np.all(np.diff(w) > 0) and w[0] >= -1e-10 and np.isfinite(w[-1])):
             raise InvalidStateError("eigenvalues must be finite and satisfy 0 <= w0 < w1 < ...")
         gram = self.grid.h * psi.T @ psi
-        if not np.max(np.abs(gram - np.eye(w.size))) <= 1e-8:
+        ortho = float(np.max(np.abs(gram - np.eye(w.size))))
+        if not ortho <= 1e-8:
             raise InvalidStateError("eigenfunctions not orthonormal to 1e-8")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "psi", psi)
+        vars(self).update({"w": w, "psi": psi, "ortho": ortho})
 
 
 def vacuum_spectrum(spec: QFieldSpec, grid: Grid1D, k: int) -> VacuumSpectrum:

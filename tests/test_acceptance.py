@@ -42,7 +42,7 @@ def test_criterion_1_classical_limit():
     grid = build_grid(-1.4, 1.4, 1401)
     q = grid.nodes
     rho = np.exp(-0.5 * ((q - 1.0) / (3 * grid.h)) ** 2)
-    ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
+    ens = mech.HydroState(grid, mech.normalize_density(grid, rho), np.zeros(grid.n))
     worst = 0.0
 
     def obs(t, rho, mass):
@@ -135,13 +135,12 @@ def test_criterion_3_local_global_equivalence():
     grid2 = build_grid(-4, 4, 501)
     rho2 = mech.normalize_density(grid2, np.exp(-grid2.nodes**2))
     lam2 = 0.3 * grid2.nodes
-    cstate = hy.HydroState(grid2, rho2, lam2)
-    ens = mech.ClassicalEnsemble(grid2, rho2, lam2)
+    cstate = mech.HydroState(grid2, rho2, lam2)
     out_h = hy.madelung_step(HARMONIC, hy.DiffusionSpec(a=1.0, mode="classical"), cstate, 1e-3)
-    out_m = mech.transport_density(ens, HARMONIC, 1e-3)
+    out_m = mech.transport_density(cstate, HARMONIC, 1e-3)
     cdiff = max(
         float(np.max(np.abs(out_h.rho - out_m.rho))),
-        float(np.max(np.abs(out_h.lam - out_m.S))),
+        float(np.max(np.abs(out_h.lam - out_m.lam))),
     )
 
     ok = linf <= 1e-3 and cdiff <= 1e-12
@@ -399,13 +398,13 @@ def test_criterion_10_reversal_symmetries():
     grid = build_grid(-3, 3, 400)
     q = grid.nodes
     rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.8) / 0.25) ** 2))
-    ens = mech.ClassicalEnsemble(grid, rho, np.zeros(grid.n))
+    ens = mech.HydroState(grid, rho, np.zeros(grid.n))
     dt = 0.4 * grid.h
-    rhos, lams, times = [ens.rho], [ens.S], [0.0]
+    rhos, lams, times = [ens.rho], [ens.lam], [0.0]
     for k in range(6):
         ens = mech.transport_density(ens, HARMONIC, dt)
         rhos.append(ens.rho)
-        lams.append(ens.S)
+        lams.append(ens.lam)
         times.append((k + 1) * dt)
     rhos, lams, times = np.array(rhos), np.array(lams), np.array(times)
     r_fwd = mech.hj_residual_series(grid, HARMONIC, lams, times)

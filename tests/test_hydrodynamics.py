@@ -68,13 +68,12 @@ class TestMadelungStep:
         rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
         lam = 0.3 * grid.nodes
         dspec = hy.DiffusionSpec(a=1.0, mode="classical")
-        state = hy.HydroState(grid, rho, lam)
-        ens = mech.ClassicalEnsemble(grid, rho, lam)
+        state = mech.HydroState(grid, rho, lam)
         dt = 1e-3
         out_h = hy.madelung_step(unit_mass_harmonic, dspec, state, dt)
-        out_m = mech.transport_density(ens, unit_mass_harmonic, dt)
+        out_m = mech.transport_density(state, unit_mass_harmonic, dt)
         assert np.max(np.abs(out_h.rho - out_m.rho)) <= 1e-12
-        assert np.max(np.abs(out_h.lam - out_m.S)) <= 1e-12
+        assert np.max(np.abs(out_h.lam - out_m.lam)) <= 1e-12
 
     def test_coherent_centroid_oscillates_with_classical_period(self, unit_mass_harmonic):
         # half a period is enough to pin the oscillation against d cos(t)

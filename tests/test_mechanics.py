@@ -23,7 +23,7 @@ from test_step_reference import rk4_step
 def gaussian_ensemble(grid, center, width, momentum=0.0):
     q = grid.nodes
     rho = np.exp(-0.5 * ((q - center) / width) ** 2)
-    return mech.ClassicalEnsemble(grid, mech.normalize_density(grid, rho), momentum * q)
+    return mech.HydroState(grid, mech.normalize_density(grid, rho), momentum * q)
 
 
 class TestHamiltonFlow:
@@ -125,7 +125,7 @@ class TestTransport:
     def test_probability_conserved_per_step(self, unit_mass_harmonic):
         grid = build_grid(-3, 3, 500)
         ens = gaussian_ensemble(grid, 0.5, 0.3)
-        ens.S[:] = 0.4 * grid.nodes
+        ens.lam[:] = 0.4 * grid.nodes
         for _ in range(50):
             ens = mech.transport_density(ens, unit_mass_harmonic, 1e-3)
             assert abs(grid.h * np.sum(ens.rho) - 1.0) < 1e-9
@@ -195,12 +195,12 @@ class TestRunSampling:
         n_steps = int(np.ceil(t_final / dt))
         ref = ens0
         for k in range(n_steps):
-            ref = mech.ClassicalEnsemble(grid, *mech.classical_transport_step(grid, ref.rho, ref.S, spec,
+            ref = mech.HydroState(grid, *mech.classical_transport_step(grid, ref.rho, ref.lam, spec,
                                                                               t_final / n_steps, support_floor))
             assert np.array_equal(seen[k][0], ref.rho) and seen[k][1] == grid.h * float(ref.rho.sum())
         assert len(seen) == n_steps
-        assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.S, ref.S)
-        assert np.array_equal(np.signbit(out.S), np.signbit(ref.S))
+        assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.lam, ref.lam)
+        assert np.array_equal(np.signbit(out.lam), np.signbit(ref.lam))
 
     def test_bad_face_mass_rejected_before_first_step(self, monkeypatch):
         grid = build_grid(-3, 3, 201)
@@ -241,10 +241,10 @@ class TestRunSampling:
                 mech.transport_run(ens, unit_mass_harmonic, 0.01, 0.4 * grid.h, support_floor=floor,
                                    observer=lambda t, rho, mass: None)
             elif via == "classical_transport_step":
-                mech.classical_transport_step(grid, ens.rho, ens.S, unit_mass_harmonic, 0.4 * grid.h, floor)
+                mech.classical_transport_step(grid, ens.rho, ens.lam, unit_mass_harmonic, 0.4 * grid.h, floor)
             else:
                 hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode="classical"),
-                                 hy.HydroState(grid, ens.rho, ens.S), 0.4 * grid.h, support_floor=floor)
+                                 ens, 0.4 * grid.h, support_floor=floor)
 
 
 class TestTimeReversal:
@@ -254,11 +254,11 @@ class TestTimeReversal:
         grid = build_grid(-3, 3, 400)
         ens = gaussian_ensemble(grid, 0.8, 0.25)
         dt = 0.4 * grid.h
-        rhos, lams, times = [ens.rho], [ens.S], [0.0]
+        rhos, lams, times = [ens.rho], [ens.lam], [0.0]
         for k in range(6):
             ens = mech.transport_density(ens, unit_mass_harmonic, dt)
             rhos.append(ens.rho)
-            lams.append(ens.S)
+            lams.append(ens.lam)
             times.append((k + 1) * dt)
         rhos, lams, times = np.array(rhos), np.array(lams), np.array(times)
 
@@ -714,32 +714,28 @@ class TestOverdraw:
 
     def test_half_cfl_accepted(self, free_particle):
         grid, rho, S, dt = _overdrawn()
-        out = mech.transport_density(mech.ClassicalEnsemble(grid, rho, S), free_particle, 0.5 * dt)
+        out = mech.transport_density(mech.HydroState(grid, rho, S), free_particle, 0.5 * dt)
         assert np.min(out.rho) >= 0.0
 
 
 class TestNonFiniteStates:
     """A NaN fails the normalisation test and a non-finite multiplier is
-    refused, in both density states."""
+    refused by the density state."""
 
-    @pytest.mark.parametrize("state", ["ensemble", "hydro"])
     @pytest.mark.parametrize("field, value", [("rho", np.nan), ("mult", np.nan), ("mult", np.inf),
                                               ("mult", -np.inf)])
-    def test_rejected(self, state, field, value):
+    def test_rejected(self, field, value):
         grid = build_grid(-1.0, 1.0, 41)
         rho = mech.normalize_density(grid, np.exp(-(grid.nodes**2)))
         lam = 0.3 * grid.nodes
         (rho if field == "rho" else lam)[17] = value
-        build = mech.ClassicalEnsemble if state == "ensemble" else hy.HydroState
-        name = "S" if state == "ensemble" else "lam"
-        match = "density not normalised: h\\*sum\\(rho\\) = nan" if field == "rho" else f"^{name} must be finite$"
+        match = "density not normalised: h\\*sum\\(rho\\) = nan" if field == "rho" else "^lam must be finite$"
         with pytest.raises(InvalidStateError, match=match):
-            build(grid, rho, lam)
+            mech.HydroState(grid, rho, lam)
 
     def test_nan_step_rejected_not_returned(self, free_particle):
         grid = build_grid(-1.0, 1.0, 41)
-        ens = mech.ClassicalEnsemble(grid, mech.normalize_density(grid, np.exp(-(grid.nodes**2))),
-                                     0.3 * grid.nodes)
+        ens = mech.HydroState(grid, mech.normalize_density(grid, np.exp(-(grid.nodes**2))), 0.3 * grid.nodes)
         with pytest.raises(StepRejectedError, match="CFL violation"):
             mech.transport_density(ens, free_particle, float("nan"))
 

@@ -35,8 +35,8 @@ SUM_OK = {
 PRODUCT_OK = {
     "quantum_fields.confined_solve": (4, "the pair's fields, their log-source projection, the residual and the "
                                          "returned pair, each over one (2, nq, n_r) stack"),
-    "quantum_fields.VacuumSpectrum.__post_init__": (1, "the orthonormality check's Gram matrix: a check, no output bits"),
-    "runners.run_vacuum": (1, "the Gram matrix of the reported orthonormality error"),
+    "quantum_fields.VacuumSpectrum.__post_init__": (1, "the orthonormality check's Gram matrix, whose error "
+                                                       "run_vacuum reports"),
     "runners.run_ddw": (1, "the projection of the stored fields on the plane wave's mode"),
     "discrete._propagator": (2, "the eigenbasis coefficients of the state and the evolved superposition"),
     "wavefunction._expected_energy": (1, "vdot of the interior state with H psi"),

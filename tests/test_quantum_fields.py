@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varq import hydrodynamics as hy
@@ -11,7 +11,7 @@ from varq import mechanics as mech
 from varq import potentials as pot
 from varq import quantum_fields as qf
 from varq.errors import InvalidArgumentError, InvalidSpecError, InvalidStateError, NumericalFailureError
-from varq.numerics import CayleyPropagator, build_grid
+from varq.numerics import CayleyPropagator, _support_mask, build_grid
 
 
 def harmonic_field_spec(k=1.0, eta=1.0, f=1.0):
@@ -193,6 +193,45 @@ class TestVacuumProperties:
         wbar = float(np.mean(vac.w[modes]))
         assert np.max(np.abs(res.mean_energy - res.mean_energy[0])) / abs(res.mean_energy[0]) <= 1e-8
         assert abs(res.mean_energy[0] - wbar) / wbar <= 1e-6
+
+
+class TestConfinedProperties:
+    # 80 draws take about 1.2 s; a few of them raise NumericalFailureError
+    # (lost positivity, max-iterations), on which the confined runner exits 3
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=100, max_value=300),
+        kind=st.sampled_from(sorted(CONFINING)),
+        s=st.floats(min_value=0.05, max_value=5.0),
+        u=st.floats(min_value=-1.0, max_value=1.0),
+        c0=st.floats(min_value=0.0, max_value=1.0),
+        eta=st.floats(min_value=0.5, max_value=2.0),
+        f=st.floats(min_value=0.5, max_value=2.0),
+        cn=st.lists(st.floats(min_value=0.0, max_value=0.2), min_size=1, max_size=4),
+        n_r=st.integers(min_value=100, max_value=400),
+    )
+    def test_solve_converges_monotone_and_positive_beyond_the_source_radius(self, n, kind, s, u, c0, eta, f, cn,
+                                                                           n_r):
+        # the confined runner's radii and tolerance, K = len(cn) + 1 modes
+        T = f * f / (2.0 * eta)
+        spec = qf.QFieldSpec(eta=eta, potential=CONFINING[kind](s, u, c0, T).v, f=f)
+        half = resolving_half_width(spec.v_at, T, len(cn) + 1)
+        grid = build_grid(-half, half, n)
+        vac = qf.vacuum_spectrum(spec, grid, len(cn) + 1)
+        dw, tol = vac.w[1] - vac.w[0], 1e-8
+        r_min = 0.5 * f / dw
+        try:
+            res = qf.confined_solve(spec, vac, [1.0, *cn], r_min, 30.0 * f / dw, tol, n_r)
+        except NumericalFailureError:
+            assume(False)  # a discarded draw, so a solver that stops returning fails the health check
+        hist = np.asarray(res.residual_history)
+        above = hist[hist > tol]
+        assert np.all(np.diff(above) <= 0.0)
+        assert hist[-1] < tol
+        # no claim below the source radius, where the log source is off
+        qmask = _support_mask(np.abs(vac.psi[:, 0]), qf._PSI0_FLOOR)
+        rho = res.pair.phi_tilde * res.pair.phi
+        assert np.all(rho[qmask][:, res.pair.r >= max(r_min, f / dw)] >= 0.0)
 
 
 class TestInvariantStateTensor:

@@ -276,6 +276,9 @@ RULE_CASES = [
      "[run] n_steps must be > 0 and < 1000001, got 1000001"),
     (SPACE_INDEPENDENT, "n_steps = 1000\n", "n_steps = 1000001\n", "run.n_steps",
      "[run] n_steps must be > 0 and < 1000001, got 1000001"),
+    # a leapfrog step above the CFL bound dx = length / n
+    (DDW, "dt = 0.001\n", "dt = 0.03\n", "run.dt",
+     "[run] dt must be <= [grid] length / n = 0.02454369260617026, got 0.03"),
 ]
 
 
@@ -290,7 +293,7 @@ class TestRules:
     more eigenpairs than the grid has (exit 2 from the eigensolver, naming no
     key) and a fit window outside the radii (exit 3 after the solve); a run
     of more than 10^6 steps passed both and ran on, its memory growing with
-    its steps."""
+    its steps.  A ddw step above dx passed check and exited 3 from run."""
 
     @pytest.mark.parametrize("text, old, new, key, message", RULE_CASES,
                              ids=[f"{read_sections(c[0])['scenario']['regime']}-{c[2].splitlines()[-1]}"
@@ -299,6 +302,15 @@ class TestRules:
         assert old in text
         for err in _both_commands_reject(tmp_path, monkeypatch, capsys, text.replace(old, new), key):
             assert err == f"config error: {message} (key: {key})\n"
+
+    def test_ddw_step_at_the_cfl_bound_runs(self, tmp_path):
+        sections = read_sections(DDW)
+        grid = sections["grid"]
+        sections["run"].update(dt=repr(float(grid["length"]) / int(grid["n"])), n_steps="20")  # the bits of dx
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(render(sections))
+        assert main(["check", str(cfg)]) == EXIT_OK
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 class TestSpellings:

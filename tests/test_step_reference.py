@@ -17,7 +17,7 @@ the array rhs ``local_form_rhs_ref`` through it.
 
 The transport run loops check only the cells a step wrote
 (``mechanics._check_cells``, through ``mechanics._next_state`` in
-``madelung_run``); the constructors' former whole-grid check is kept here
+``madelung_run``); the constructor's former whole-grid check is kept here
 (``density_state_ref``) and both must match it.  ``transport_run`` with a
 support floor writes S outside the window once, before it returns, and
 samples V and m once per window; the reference keeps a whole S and a
@@ -334,8 +334,8 @@ def transport_run_ref(ens, spec, t_final, dt, support_floor, observer):
     m_face = spec.mass_at(ens.grid.midpoints)
     t = 0.0
     for _ in range(n_steps):
-        rho, S = classical_transport_step_ref(ens.grid, ens.rho, ens.S, spec, dt, support_floor, m_face)
-        ens = mech.ClassicalEnsemble(ens.grid, rho, S)
+        rho, S = classical_transport_step_ref(ens.grid, ens.rho, ens.lam, spec, dt, support_floor, m_face)
+        ens = mech.HydroState(ens.grid, rho, S)
         t += dt
         observer(t, ens.rho, ens.grid.h * float(np.sum(ens.rho)))
     return ens
@@ -380,8 +380,8 @@ def _assert_same_rho(new, old, q, h):
     if isinstance(end_old, tuple):
         assert end_new == end_old
     else:
-        assert np.array_equal(end_new.rho, end_old.rho) and np.array_equal(end_new.S, end_old.S)
-        assert np.array_equal(np.signbit(end_new.S), np.signbit(end_old.S))
+        assert np.array_equal(end_new.rho, end_old.rho) and np.array_equal(end_new.lam, end_old.lam)
+        assert np.array_equal(np.signbit(end_new.lam), np.signbit(end_old.lam))
 
 
 def _samples(s, mass):
@@ -523,13 +523,13 @@ class TestTransportRun:
         q = grid.nodes
         spec = _spec(kind, strength, m0, m1)
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - center_frac * half_width) / (width_cells * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, kick * q)
+        ens = mech.HydroState(grid, rho, kick * q)
         dt = cfl * grid.h
         new = _rho_trajectory(mech.transport_run, ens, spec, 30 * dt, dt, support_floor)
         old = _rho_trajectory(transport_run_ref, ens, spec, 30 * dt, dt, support_floor)
         _assert_same_rho(new, old, q, grid.h)
 
-    @pytest.mark.parametrize("wall, seen, error", [(1e308, 4, "S must be finite"), (1e302, 5, "CFL violation")],
+    @pytest.mark.parametrize("wall, seen, error", [(1e308, 4, "lam must be finite"), (1e302, 5, "CFL violation")],
                              ids=["overflow", "bound-only"])
     def test_planted_overflow_fails_as_before(self, monkeypatch, wall, seen, error):
         # the packet's window reaches a potential wall at step 5; there the
@@ -541,7 +541,7 @@ class TestTransportRun:
         grid = build_grid(-1.4, 1.4, 401)
         q = grid.nodes
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.1) / (3 * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, 0.5 * q)
+        ens = mech.HydroState(grid, rho, 0.5 * q)
         dt = 0.4 * grid.h
         written = []
         real = mech._extend
@@ -563,7 +563,7 @@ class TestTransportRun:
         grid = build_grid(-1.4, 1.4, 401)
         q = grid.nodes
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.1) / (3 * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, 0.5 * q)
+        ens = mech.HydroState(grid, rho, 0.5 * q)
         dt = 0.4 * grid.h
         new = _rho_trajectory(mech.transport_run, ens, spec, 200 * dt, dt, 1e-6)
         old = _rho_trajectory(transport_run_ref, ens, spec, 200 * dt, dt, 1e-6)
@@ -658,18 +658,18 @@ class TestScanCount:
 # -- states a run step builds --------------------------------------------------
 
 
-def density_state_ref(grid, rho, lam, field):
-    """The constructors' whole-grid check and clip before they shared
-    ``mechanics._next_state``."""
+def density_state_ref(grid, rho, lam):
+    """The constructor's whole-grid check and clip before it shared
+    ``mechanics._check_cells`` with ``mechanics._next_state``."""
     rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
     if not np.isfinite(lam).all():
-        raise InvalidStateError(f"{field} must be finite")
+        raise InvalidStateError("lam must be finite")
     if (rho < -1e-14).any():
         raise InvalidStateError("density must be nonnegative")
     total = grid.h * float(np.sum(rho))
     if not abs(total - 1.0) <= 1e-9:
         raise InvalidStateError(f"density not normalised: h*sum(rho) = {total!r}")
-    return SimpleNamespace(grid=grid, rho=np.maximum(rho, 0.0), **{field: lam})
+    return SimpleNamespace(grid=grid, rho=np.maximum(rho, 0.0), lam=lam)
 
 
 def _build(make, *args):
@@ -678,7 +678,7 @@ def _build(make, *args):
         state = make(*args)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "location", None), getattr(exc, "diagnostics", None)
-    return state.grid, state.rho, getattr(state, "lam", getattr(state, "S", None))
+    return state.grid, state.rho, state.lam
 
 
 class TestNextState:
@@ -691,17 +691,16 @@ class TestNextState:
     @given(
         n=st.integers(min_value=5, max_value=200),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        cls=st.sampled_from([mech.ClassicalEnsemble, hy.HydroState]),
         lam_whole=st.booleans(),
         bad=st.lists(st.sampled_from(["nan", "negative", "unnormalised", "lam_inf", "lam_nan", "tiny_negative"]),
                      max_size=2),
     )
-    def test_matches_public_constructor(self, n, seed, cls, lam_whole, bad):
+    def test_matches_public_constructor(self, n, seed, lam_whole, bad):
         rng = np.random.default_rng(seed)
         grid = build_grid(-rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), n)
         rho0 = rng.random(n) ** 3 * (rng.random(n) > 0.3)
         rho0[rng.integers(n)] += 1.0
-        prev = cls(grid, mech.normalize_density(grid, rho0), rng.normal(scale=3.0, size=n))
+        prev = mech.HydroState(grid, mech.normalize_density(grid, rho0), rng.normal(scale=3.0, size=n))
         lo = int(rng.integers(0, n - 2))
         hi = int(rng.integers(lo + 2, n))
         moved = slice(lo, hi + 1)
@@ -710,7 +709,7 @@ class TestNextState:
         w = rng.random(hi - lo + 1) * (rng.random(hi - lo + 1) > 0.2)
         if w.sum() > 0:  # the window keeps its mass, so the state stays normalised to rounding
             rho[moved] = w * (prev.rho[moved].sum() / w.sum())
-        lam = np.array(getattr(prev, "S" if cls is mech.ClassicalEnsemble else "lam"))
+        lam = prev.lam.copy()
         lam[lam_moved] += rng.normal(size=lam[lam_moved].size)
         cell = lo + int(rng.integers(0, hi - lo + 1))
         for kind in bad:
@@ -724,12 +723,11 @@ class TestNextState:
                 rho[cell] += 1e-6 / grid.h
             else:
                 lam[lam_moved][int(rng.integers(0, lam[lam_moved].size))] = np.inf if kind == "lam_inf" else np.nan
-        field = "S" if cls is mech.ClassicalEnsemble else "lam"
-        old = _build(density_state_ref, grid, rho.copy(), lam.copy(), field)
-        public = _build(cls, grid, rho.copy(), lam.copy())
-        private = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved, None, None)
+        old = _build(density_state_ref, grid, rho.copy(), lam.copy())
+        public = _build(mech.HydroState, grid, rho.copy(), lam.copy())
+        private = _build(mech._next_state, grid, rho.copy(), lam.copy(), moved, lam_moved, None, None)
         # a step hands over the minimum its rejection test took (a NaN when rho[moved] holds one)
-        scanned = _build(mech._next_state, cls, grid, rho.copy(), lam.copy(), moved, lam_moved,
+        scanned = _build(mech._next_state, grid, rho.copy(), lam.copy(), moved, lam_moved,
                          float(rho[moved][int(rho[moved].argmin())]), None)
         for got in (public, private, scanned):
             assert isinstance(got[0], type) == isinstance(old[0], type)
@@ -745,11 +743,10 @@ class TestNextState:
         rho = mech.normalize_density(grid, np.ones(grid.n))
         rho[4], lam = np.nan, np.zeros(grid.n)
         lam[6] = np.inf
-        for cls, field in ((mech.ClassicalEnsemble, "S"), (hy.HydroState, "lam")):
-            with pytest.raises(InvalidStateError, match=f"^{field} must be finite$"):
-                mech._next_state(cls, grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None, None)
-            with pytest.raises(InvalidStateError, match=r"^density not normalised: h\*sum\(rho\) = nan$"):
-                mech._next_state(cls, grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None, None)
+        with pytest.raises(InvalidStateError, match="^lam must be finite$"):
+            mech._next_state(grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None, None)
+        with pytest.raises(InvalidStateError, match=r"^density not normalised: h\*sum\(rho\) = nan$"):
+            mech._next_state(grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None, None)
 
 
 class TestStepWork:
@@ -765,8 +762,7 @@ class TestStepWork:
                 return real(*a, **kw)
             return wrapped
 
-        monkeypatch.setattr(mech, "_validate_density_state", counting("validate", mech._validate_density_state))
-        monkeypatch.setattr(hy, "_validate_density_state", counting("validate", hy._validate_density_state))
+        monkeypatch.setattr(mech.HydroState, "__post_init__", counting("validate", mech.HydroState.__post_init__))
         monkeypatch.setattr(nx, "build_grid", counting("build_grid", nx.build_grid))
         return calls
 
@@ -775,7 +771,7 @@ class TestStepWork:
         grid = build_grid(-1.4, 1.4, 401)
         q = grid.nodes
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.9) / (3 * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, 0.3 * q)
+        ens = mech.HydroState(grid, rho, 0.3 * q)
         calls, steps = self._count(monkeypatch), []
         real = mech.classical_transport_step
         monkeypatch.setattr(mech, "classical_transport_step",
@@ -803,7 +799,7 @@ class TestStepWork:
         grid = build_grid(-2.0, 2.0, 301)
         q = grid.nodes
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.4) / (4 * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, -0.7 * q)
+        ens = mech.HydroState(grid, rho, -0.7 * q)
         seen = []
         real = mech.classical_transport_step
 
@@ -817,12 +813,12 @@ class TestStepWork:
         dt = 0.3 * grid.h
         out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor, observer=lambda t, rho, mass: None)
         assert len(seen) == 40
-        S = ens.S  # the whole S of each step, from the standalone steps
+        S = ens.lam  # the whole S of each step, from the standalone steps
         for rho, rho_run, moved, S_run in seen:
             rho_alone, S = real(grid, rho, S, spec, dt, floor)
             assert np.array_equal(rho_alone, rho_run) and np.array_equal(S[moved], S_run)
             assert np.array_equal(np.signbit(S[moved]), np.signbit(S_run))
-        assert np.array_equal(out.S, S) and np.array_equal(np.signbit(out.S), np.signbit(S))
+        assert np.array_equal(out.lam, S) and np.array_equal(np.signbit(out.lam), np.signbit(S))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(min_value=3, max_value=80), seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -854,7 +850,7 @@ class TestStepWork:
         grid = build_grid(-1.4, 1.4, 1401)
         q = grid.nodes
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 1.0) / (3 * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, np.zeros(grid.n))
+        ens = mech.HydroState(grid, rho, np.zeros(grid.n))
         windows = []
         real = mech.classical_transport_step
 
@@ -877,7 +873,7 @@ class TestStepWork:
         grid = build_grid(-1.4, 1.4, 1401)
         q = grid.nodes
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 1.0) / (3 * grid.h)) ** 2))
-        ens = mech.ClassicalEnsemble(grid, rho, np.zeros(grid.n))
+        ens = mech.HydroState(grid, rho, np.zeros(grid.n))
         written = []
         real = mech._extend
         monkeypatch.setattr(mech, "_extend", lambda out, *a: written.append(out.size) or real(out, *a))
