@@ -12,7 +12,7 @@ is time-reversible and keeps the total energy drift bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -101,13 +101,13 @@ class FieldState1p1:
 
 
 class _Leapfrog:
-    """What a ddw run carries between its ``ddw_evolve`` calls: q inside the
-    padded buffer ``qp`` (``q = qp[1:-1]``, the ends hold its periodic
-    images), pi0, the acceleration ``acc`` at the current q, the half kick
-    ``kick = (0.5*dt)*acc`` (a step's closing kick is the next one's opening
-    kick; each ``step`` call takes it afresh, for its own dt), one scratch
-    array, eta and dx*dx.  Steps write in place, in the operation order of
-    the allocating form, so the bits are the same."""
+    """The buffers a ddw run steps: q inside the padded buffer ``qp`` (``q =
+    qp[1:-1]``, the ends hold its periodic images), pi0, the acceleration
+    ``acc`` at the current q, the half kick ``kick = (0.5*dt)*acc`` (a
+    step's closing kick is the next one's opening kick; each ``advance``
+    takes it afresh, for its own dt), one scratch array, eta and dx*dx.
+    Steps write in place, in the operation order of the allocating form,
+    so the bits are the same."""
 
     def __init__(self, spec: FieldLagrangianSpec, state: FieldState1p1):
         self.spec, self.eta, self.dx2 = spec, spec.eta, state.x_grid.dx * state.x_grid.dx
@@ -124,7 +124,9 @@ class _Leapfrog:
         np.divide(np.add(acc, qp[:-2], out=acc), self.dx2, out=acc)
         np.subtract(np.multiply(acc, self.eta, out=acc), self.spec.dv_at(q), out=acc)  # V' may alias q
 
-    def step(self, dt: float, n_steps: int):
+    def advance(self, state: FieldState1p1, dt: float, n_steps: int) -> FieldState1p1:
+        """Step the buffers n_steps times from ``state``, the state they hold;
+        returns the new state with copies of them, checked for finiteness alone."""
         half, eta, q, pi0, acc, kick, tmp = 0.5 * dt, self.eta, self.q, self.pi0, self.acc, self.kick, self.tmp
         np.multiply(acc, half, out=kick)
         for _ in range(n_steps):
@@ -132,6 +134,10 @@ class _Leapfrog:
             np.add(q, np.divide(np.multiply(pi0, dt, out=tmp), eta, out=tmp), out=q)  # q + (dt*pi_half)/eta
             self._accelerate()
             np.add(pi0, np.multiply(acc, half, out=kick), out=pi0)  # pi_half + (0.5*dt)*acc
+        out = object.__new__(FieldState1p1)
+        vars(out).update(x_grid=state.x_grid, q=q.copy(), pi0=pi0.copy(), time=state.time + n_steps * dt)
+        out._check_finite()
+        return out
 
 
 def _check_cfl(dt: float, dx: float) -> None:
@@ -139,9 +145,7 @@ def _check_cfl(dt: float, dx: float) -> None:
         raise StepRejectedError(f"CFL violation: dt = {dt:g} > dx = {dx:g}")
 
 
-def ddw_evolve(
-    spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, _run: Optional[_Leapfrog] = None
-) -> FieldState1p1:
+def ddw_evolve(spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int) -> FieldState1p1:
     """Advance d0 q = pi0/eta, d0 pi0 = -d1 pi1 - V'(q) by leapfrog.
 
     Equivalent to the wave equation eta (d0^2 - d1^2) q + V'(q) = 0 once
@@ -149,37 +153,27 @@ def ddw_evolve(
     copy of the state.  Raises InvalidArgumentError unless dt is finite and
     > 0 and n_steps is an integer with 0 <= n_steps <= _MAX_STEPS,
     StepRejectedError if dt > dx, and InvalidStateError on a non-finite field.
-
-    ``_run``, the calling run's ``_Leapfrog``, holds ``state`` and has checked
-    dt, n_steps and dt <= dx; without it the call checks them and builds its
-    own.  The returned state holds copies of the run's buffers, checked for finiteness alone.
     """
-    if _run is None:
-        _check_positive("dt", dt, InvalidArgumentError)
-        _check_steps("n_steps", n_steps, 0)
-        _check_cfl(dt, state.x_grid.dx)
-        _run = _Leapfrog(spec, state)
-    _run.step(dt, n_steps)
-    out = object.__new__(FieldState1p1)
-    vars(out).update(x_grid=state.x_grid, q=_run.q.copy(), pi0=_run.pi0.copy(), time=state.time + n_steps * dt)
-    out._check_finite()
-    return out
+    _check_positive("dt", dt, InvalidArgumentError)
+    _check_steps("n_steps", n_steps, 0)
+    _check_cfl(dt, state.x_grid.dx)
+    return _Leapfrog(spec, state).advance(state, dt, n_steps)
 
 
 def ddw_evolve_series(
     spec: FieldLagrangianSpec, state: FieldState1p1, dt: float, n_steps: int, store_every: int
 ):
     """Leapfrog drive that stores synchronized (q, pi0) snapshots: one
-    ``_Leapfrog`` serves the run, one ``ddw_evolve`` call per stored chunk,
-    and V' is evaluated n_steps + 1 times.  Raises as ``ddw_evolve`` does,
-    checking dt, dt <= dx, and n_steps and store_every in [1, _MAX_STEPS] once.
+    ``_Leapfrog`` serves the run, one ``advance`` per stored chunk, and V'
+    is evaluated n_steps + 1 times.  Raises as ``ddw_evolve`` does, checking
+    dt, dt <= dx, and n_steps and store_every in [1, _MAX_STEPS] once.
     """
     _check_fixed_steps(dt, n_steps, store_every)
     run = _Leapfrog(spec, state)
     _check_cfl(dt, state.x_grid.dx)  # after the first V', as the first chunk's check was
     snaps = [state]
     for done in range(0, n_steps, store_every):
-        snaps.append(ddw_evolve(spec, snaps[-1], dt, min(store_every, n_steps - done), _run=run))
+        snaps.append(run.advance(snaps[-1], dt, min(store_every, n_steps - done)))
     return (np.asarray([s.time for s in snaps]), np.asarray([s.q for s in snaps]),
             np.asarray([s.pi0 for s in snaps]), snaps[-1])
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, isfinite, sin, sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -139,8 +138,8 @@ def _check_floor(p: list, floor: float):
 class _LocalFormRun:
     """What a local-form run sets up once for its steps: U and theta as
     lists, a, b, 2b/a, the floor, its clamp floor * 1e-3, dt/2 and dt/6.
-    Steps run on Python floats: at a few levels numpy's per-call dispatch
-    costs more than the arithmetic."""
+    Steps run on p and lam as lists of Python floats: at a few levels
+    numpy's per-call dispatch costs more than the arithmetic."""
 
     def __init__(self, spec: SpinSystemSpec, dt: float, floor: float):
         _check_positive("floor", floor, InvalidArgumentError)
@@ -149,7 +148,14 @@ class _LocalFormRun:
         self.k = 2.0 * self.b / self.a
         self.floor, self.clamp = floor, floor * 1e-3
         self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
-        self.out = self.p = self.lam = ()  # the arrays the last step returned, and their floats
+
+    def start(self, p, lam) -> tuple:
+        """p and lam as lists of floats, checked for length and the floor."""
+        p, lam = np.asarray(p, dtype=float).tolist(), np.asarray(lam, dtype=float).tolist()
+        if len(p) != self.n or len(lam) != self.n:
+            raise InvalidStateError(f"need {self.n} populations and phases, got {len(p)} and {len(lam)}")
+        _check_floor(p, self.floor)
+        return p, lam
 
     def rhs(self, y: list, clamp: float) -> list:
         """dp + dlam at y = p + lam, with p clamped below at ``clamp`` (NaN
@@ -170,44 +176,34 @@ class _LocalFormRun:
             dp.append(k * si * s)
         return dp + dlam
 
+    def step(self, p: list, lam: list) -> tuple:
+        """One RK4 step from the float lists p and lam (``start``'s), in the
+        operation order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), each stage with
+        p clamped; rejects if any p_alpha ends below the floor."""
+        y, f, c, half, dt, n = p + lam, self.rhs, self.clamp, self.half, self.dt, self.n
+        try:
+            k1 = f(y, c)
+            k2 = f([x + half * d for x, d in zip(y, k1)], c)
+            k3 = f([x + half * d for x, d in zip(y, k2)], c)
+            k4 = f([x + dt * d for x, d in zip(y, k3)], c)
+        except (ValueError, ZeroDivisionError):  # cos(inf), x / 0: where numpy gives nan or inf
+            raise NumericalFailureError("non-finite derivative in local_form_step") from None
+        if not all(map(isfinite, k1 + k2 + k3 + k4)):
+            raise NumericalFailureError("non-finite derivative in local_form_step")
+        s = self.sixth
+        y = [x + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+        p, lam = y[:n], y[n:]
+        _check_floor(p, self.floor)
+        return p, lam
 
-def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: float,
-                    floor: float = P_FLOOR, _run: Optional[_LocalFormRun] = None):
-    """One RK4 step of the local system; rejects if any p_alpha < floor.
 
-    The stages run in the operation order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
-    each with p clamped below at floor * 1e-3.  ``_run`` is the calling run's
-    ``_LocalFormRun`` for this spec, dt and floor; without it the step builds
-    its own (same bits).  Given ``_run`` and the very arrays its previous
-    step returned, the step takes that step's floats and skips the floor
-    check on entry, which that step made on exit; any other p and lam are
-    converted and checked.  Raises InvalidArgumentError unless floor is
-    finite and > 0, and NumericalFailureError on a non-finite derivative.
-    """
-    run = _run if _run is not None else _LocalFormRun(spec, dt, floor)
-    if run.out and p is run.out[0] and lam is run.out[1]:
-        p, lam = run.p, run.lam
-    else:
-        p, lam = np.asarray(p, dtype=float).tolist(), np.asarray(lam, dtype=float).tolist()
-        if len(p) != run.n or len(lam) != run.n:
-            raise InvalidStateError(f"need {run.n} populations and phases, got {len(p)} and {len(lam)}")
-        _check_floor(p, run.floor)
-    y, f, c, half, dt, n = p + lam, run.rhs, run.clamp, run.half, run.dt, run.n
-    try:
-        k1 = f(y, c)
-        k2 = f([x + half * d for x, d in zip(y, k1)], c)
-        k3 = f([x + half * d for x, d in zip(y, k2)], c)
-        k4 = f([x + dt * d for x, d in zip(y, k3)], c)
-    except (ValueError, ZeroDivisionError):  # cos(inf), x / 0: where numpy gives nan or inf
-        raise NumericalFailureError("non-finite derivative in local_form_step") from None
-    if not all(map(isfinite, k1 + k2 + k3 + k4)):
-        raise NumericalFailureError("non-finite derivative in local_form_step")
-    s = run.sixth
-    y = [x + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
-    p, lam = y[:n], y[n:]
-    _check_floor(p, run.floor)
-    run.p, run.lam, run.out = p, lam, (np.array(p), np.array(lam))
-    return run.out
+def local_form_step(spec: SpinSystemSpec, p: np.ndarray, lam: np.ndarray, dt: float):
+    """One RK4 step of the local system, a one-step ``local_form_run`` with
+    the floor ``P_FLOOR``: rejects if any p_alpha < floor on entry or exit.
+    Raises NumericalFailureError on a non-finite derivative."""
+    run = _LocalFormRun(spec, dt, P_FLOOR)
+    p, lam = run.step(*run.start(p, lam))
+    return np.array(p), np.array(lam)
 
 
 def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float, floor: float, observer):
@@ -219,12 +215,13 @@ def local_form_run(spec: SpinSystemSpec, p, lam, t_final: float, dt: float, floo
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     run = _LocalFormRun(spec, dt, floor)
+    p, lam = run.start(p, lam)
     t = 0.0
     for _ in range(n_steps):
-        p, lam = local_form_step(spec, p, lam, dt, floor=floor, _run=run)
+        p, lam = run.step(p, lam)
         t += dt
-        observer(t, run.p, run.lam)
-    return p, lam
+        observer(t, p, lam)
+    return np.array(p), np.array(lam)
 
 
 def polar_decompose(state: SpinState, a: float):

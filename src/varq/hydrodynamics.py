@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
 from .mechanics import (HydroState, NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext,
-                        _next_state, _reject_negative, _windowed_upwind)
+                        _next_state, _reject_negative, _step, _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate, _check_positive,
                        _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
@@ -135,10 +135,28 @@ def _bulk_gradient(lam: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
     return grad_central(lam, h)[lo : hi + 1]
 
 
+def _pole_update(run: _RunContext, op: TridiagonalOperator, state: HydroState, rho_new: np.ndarray, lo: int,
+                 hi: int, dt: float, floor_frac: float):
+    """A quantum-pole step of ``run`` after the density update rho_new on lo..hi:
+    lam advanced on the bulk of rho_new, ``_next_state`` checking only the
+    cells written.  Returns the state and its bulk window, which the next
+    step takes (the clip at 0 moves neither the floor, the node test nor the bulk)."""
+    lo2, hi2, low = _check_nodeless(rho_new, floor_frac, "after step")
+    bulk = slice(lo2, hi2 + 1)  # contiguous, so every update below is on views
+    # (H sqrt(rho))/sqrt(rho) reduces exactly to w_r on discrete eigenstate densities
+    rate = _sqrt_density_ratio(op, np.maximum(rho_new, 0.0), bulk)[bulk]
+    rate += _bulk_gradient(state.lam, state.grid.h, lo2, hi2) ** 2 / (2.0 * run.m_node[bulk])
+    lam_new = state.lam.copy()
+    lam_new[bulk] -= dt * rate
+    # low, the whole grid's minimum, bounds the moved cells' from below
+    return _next_state(state.grid, rho_new, lam_new, slice(lo, hi + 1), bulk, low, run), (lo2, hi2)
+
+
 def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, dt: float,
                   floor_frac: float = RHO_FLOOR_FRAC, support_floor: Optional[float] = None,
-                  _op: Optional[TridiagonalOperator] = None, _run: Optional[_RunContext] = None) -> HydroState:
-    """One semi-implicit step of the coupled (rho, lam) system.
+                  _op: Optional[TridiagonalOperator] = None) -> HydroState:
+    """One semi-implicit step of the coupled (rho, lam) system: a one-step
+    ``madelung_run``.
 
     Classical mode delegates to the shared classical transport kernel, so
     it reproduces mechanics.classical_transport_step bit for bit.  In quantum-pole
@@ -147,47 +165,22 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     (lagged sqrt(rho)); multiplier updates are restricted to the bulk
     where rho exceeds the relative floor.
 
-    ``_op`` is the quantum operator and ``_run`` the calling run's
-    ``_RunContext`` (mass samples, last bulk window, and ``mass``, h*sum(rho)
-    of the state returned).  Given the state the run's previous step
-    returned, the step takes that step's window instead of scanning the
-    same density again (the clip at 0 moves neither the floor, the node
-    test nor the bulk); any other state is scanned.
-    Without them the step builds and samples its own, with the same bits.
-    ``mechanics._next_state`` builds the new state, checking only the cells
-    the step wrote.  ``floor_frac``, ``support_floor`` and ``_op`` keep
-    their slots: perfbench/kernels.py passes all seven by position.
-    Raises InvalidArgumentError unless ``floor_frac`` is in (0, 1).
+    ``_op`` is the quantum operator; without it the step builds its own.
+    ``floor_frac``, ``support_floor`` and ``_op`` keep their slots:
+    perfbench/kernels.py passes all seven by position.  Raises
+    InvalidArgumentError unless ``floor_frac`` is in (0, 1).
     """
     if not 0.0 < floor_frac < 1.0:  # NaN fails too; a normalised peak then lies above its floor
         raise InvalidArgumentError(f"floor_frac must be > 0.0 and < 1.0, got {floor_frac!r}")
     grid = state.grid
     if dspec.mode == "classical":
-        rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt,
-                                                    support_floor=support_floor, _run=_run)
-        return _next_state(grid, rho_new, lam_new, _run.moved if _run else slice(None), slice(None),
-                           _run and _run.low, _run)
-
-    carried = _run is not None and _run.last is state
-    lo, hi = _run.window if carried else _check_nodeless(state.rho, floor_frac, "before step")[:2]
-    if _run is None:  # sampled after the scan: a noded density is rejected before m(q) is checked
-        _run = _RunContext(grid, spec, nodes=True)
-
-    rho_new = _windowed_upwind(grid, state.rho, state.lam, _run.m_face, lo, hi, dt)
-
-    # multiplier update with the quantum term (H sqrt(rho))/sqrt(rho) at the
-    # fresh density; it reduces exactly to w_r on discrete eigenstate densities
+        rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt, support_floor)
+        return _next_state(grid, rho_new, lam_new, slice(None), slice(None), None, None)
+    lo, hi = _check_nodeless(state.rho, floor_frac, "before step")[:2]
+    run = _RunContext(grid, spec, nodes=True)  # sampled after the scan: a noded density is rejected first
+    rho_new = _windowed_upwind(grid, state.rho, state.lam, run.m_face, lo, hi, dt)
     op = _op if _op is not None else schrodinger_operator(spec, grid, dspec.a)
-    lo2, hi2, low = _check_nodeless(rho_new, floor_frac, "after step")
-    bulk = slice(lo2, hi2 + 1)  # contiguous, so every update below is on views
-    rate = _sqrt_density_ratio(op, np.maximum(rho_new, 0.0), bulk)[bulk]
-    rate += _bulk_gradient(state.lam, grid.h, lo2, hi2) ** 2 / (2.0 * _run.m_node[bulk])
-    lam_new = state.lam.copy()
-    lam_new[bulk] -= dt * rate
-    # low, the whole grid's minimum, bounds the moved cells' from below
-    _run.last = _next_state(grid, rho_new, lam_new, slice(lo, hi + 1), bulk, low, _run)
-    _run.window = lo2, hi2
-    return _run.last
+    return _pole_update(run, op, state, rho_new, lo, hi, dt, floor_frac)[0]
 
 
 def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, t_final: float, dt: float,
@@ -195,19 +188,27 @@ def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroStat
     """Advance to t_final in uniform steps of (at most) dt.
 
     The run builds the quantum operator and samples m(q) into one
-    ``_RunContext`` before the first step; the context carries each step's
-    bulk window to the next, so k quantum-pole steps scan the density k + 1
-    times.  ``observer(t, state, mass)``, when given, is called after every
+    ``_RunContext`` before the first step, and hands each quantum-pole step
+    the bulk window the step before found, so k steps scan the density
+    k + 1 times.  Classical mode takes ``mechanics._step`` on the whole
+    grid.  ``observer(t, state, mass)``, when given, is called after every
     step with h*sum(state.rho), the sum the step's check took, and must not
-    modify the state.  Raises InvalidArgumentError unless
-    t_final and dt are finite and > 0.
+    modify the state.  Raises InvalidArgumentError unless t_final and dt
+    are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
-    t = 0.0
-    op = schrodinger_operator(spec, state.grid, dspec.a) if dspec.mode == "quantum-pole" else None
-    run = _RunContext(state.grid, spec, nodes=True)
+    t, grid = 0.0, state.grid
+    op = schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    run = _RunContext(grid, spec, nodes=True)
+    if op is not None:
+        window = _check_nodeless(state.rho, RHO_FLOOR_FRAC, "before step")[:2]
     for _ in range(n_steps):
-        state = madelung_step(spec, dspec, state, dt, _op=op, _run=run)
+        if op is None:
+            rho, lam = _step(run, grid, state.rho, state.lam, spec, dt, None)
+            state = _next_state(grid, rho, lam, run.moved, slice(None), run.low, run)
+        else:
+            rho = _windowed_upwind(grid, state.rho, state.lam, run.m_face, *window, dt)
+            state, window = _pole_update(run, op, state, rho, *window, dt, RHO_FLOOR_FRAC)
         t += dt
         if observer is not None:
             observer(t, state, run.mass)

@@ -285,21 +285,20 @@ class _RunContext:
     """What a run computes once for its steps: m(q) through ``spec.mass_at``
     at ``grid.midpoints`` and, with ``nodes``, at ``grid.nodes`` (else None);
     ``dist`` (h*i at node i) and the n-cell ``scratch`` of the multiplier
-    extension.  What a step leaves for the next: ``moved``, the slice a
+    extension.  What a step leaves for its run: ``moved``, the slice a
     classical step's density update wrote, and ``low``, its minimum;
-    ``window``, the bulk window ``madelung_step`` found on the state it
-    returned (``last``), and ``mass``, h*sum(rho) of the last state checked;
-    in ``transport_run``, whose S buffer is ``S``, the extension ``ext`` not
-    yet written: its window, then per side the edge value, gradient and
-    curvature.  The record of the last supported window (``samples``):
-    ``win`` = (lo, hi), then ``rec`` = (hs, 2m, V) on its nodes."""
+    ``mass``, h*sum(rho) of the last state checked; the extension ``ext`` a
+    supported step recorded and did not write: its window, then per side
+    the edge value, gradient and curvature.  The record of the last
+    supported window (``samples``): ``win`` = (lo, hi), then ``rec`` =
+    (hs, 2m, V) on its nodes."""
 
     def __init__(self, grid: Grid1D, spec: NaturalSystemSpec, *, nodes: bool):
         self.m_face = spec.mass_at(grid.midpoints)
         self.m_node = spec.mass_at(grid.nodes) if nodes else None
         self.dist = grid.h * np.arange(grid.n)
         self.scratch = np.empty(grid.n)
-        self.last = self.window = self.moved = self.low = self.mass = self.S = self.ext = self.win = self.rec = None
+        self.moved = self.low = self.mass = self.ext = self.win = self.rec = None
 
     def samples(self, grid: Grid1D, spec: NaturalSystemSpec, lo: int, hi: int) -> tuple:
         """(hs, 2m, V) on the nodes ``build_grid`` would give the window
@@ -333,9 +332,48 @@ def _extend(out: np.ndarray, s_edge: float, g: float, c: float, d: np.ndarray, t
     out += tmp
 
 
+def _step(run: _RunContext, grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: NaturalSystemSpec, dt: float,
+          support_floor: Optional[float]):
+    """One (rho, S) step of ``run``, which gets the window as ``moved`` and its
+    minimum density as ``low``.  Without ``support_floor`` S comes back new.
+    With it S is written in place: the extension in ``run.ext`` on the cells
+    the window adds, then the window (2m and V from ``run.samples``); the
+    step's own extension is recorded, or written at once (``ext`` None)
+    unless |s0| + |g| D + |c/2| D^2 < 1e300 on both sides, D = q_max - q_min."""
+    n, h = grid.n, grid.h
+    lo, hi = (0, n - 1) if support_floor is None else _support_window(rho, support_floor)
+    if run.ext is not None:
+        run.fill(S, lo, hi)
+    # the whole-grid window keeps every face, so the masked velocity equals
+    # the unmasked one bit for bit
+    rho_new = _windowed_upwind(grid, rho, S, run.m_face, lo, hi, dt)
+    run.low = _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
+    run.moved = slice(lo, hi + 1)
+    if support_floor is None:
+        return rho_new, _godunov_hj_update(h, 2.0 * spec.mass_at(grid.nodes), spec.potential_at(grid.nodes), S, dt)
+
+    S[lo : hi + 1] = _godunov_hj_update(*run.samples(grid, spec, lo, hi), S[lo : hi + 1], dt)
+    # quadratic extension outside the window (matching edge gradient and
+    # curvature): the multiplier is local to the support, outside values
+    # only seed cells the window grows into, and keeping the curvature
+    # avoids kicking the density when the window turns around
+    l0, l1, l2 = S[lo : lo + 3].tolist()
+    gl, cl = -((l1 - l0) / h), (l2 - 2.0 * l1 + l0) / (h * h)  # negated: l0 - g*d is l0 + (-g)*d bit for bit
+    r2, r1, r0 = S[hi - 2 : hi + 1].tolist()
+    gr, cr = (r0 - r1) / h, (r0 - 2.0 * r1 + r2) / (h * h)
+    run.ext = lo, hi, (l0, gl, cl), (r0, gr, cr)
+    D = grid.q_max - grid.q_min
+    if not (abs(l0) + abs(gl) * D + abs(0.5 * cl) * D * D < 1e300
+            and abs(r0) + abs(gr) * D + abs(0.5 * cr) * D * D < 1e300):
+        run.fill(S, 0, n - 1)
+        run.ext = None
+    return rho_new, S
+
+
 def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: NaturalSystemSpec, dt: float,
-                             support_floor: Optional[float] = None, _run: Optional[_RunContext] = None):
-    """Shared kernel: one coupled (rho, S) step of the classical balance.
+                             support_floor: Optional[float] = None):
+    """Shared kernel: one coupled (rho, S) step of the classical balance,
+    a one-step ``transport_run`` that returns a new, whole S.
 
     With ``support_floor`` set, the multiplier equation is advanced only on
     the support window {rho > floor * max(rho)} (dilated by a fixed 12
@@ -344,55 +382,17 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     the multiplier gradients bounded by the ensemble's physical momentum
     range even while the density passes through a focus.
 
-    ``_run`` is the calling run's ``_RunContext`` (a call without one builds
-    its own): m(q) at the faces and the extension's buffers; the step
-    records its window in ``moved`` and the window's minimum density in
-    ``low``.  The window's update takes 2m and V from the run's record of
-    the last window (``_RunContext.samples``), which samples them only when
-    the window moved.  Given the run's buffer ``_run.S``, the step first
-    writes the extension recorded in ``_run.ext`` into the cells its window
-    adds, then writes S only on its window and records its own extension;
-    it writes that extension at once (``ext`` None) unless |s0| + |g| D +
-    |c/2| D^2 < 1e300 on both sides (D = q_max - q_min), so a recorded one
-    is finite.  Any other S gets a new array, whole.
-
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
     most negative cell, ``diagnostics["rho_min"]`` its value), and
     InvalidArgumentError unless ``support_floor`` is None or in (0, 1).
     """
-    n, h = grid.n, grid.h
     if support_floor is not None and not 0.0 < support_floor < 1.0:
         raise InvalidArgumentError(f"support_floor must be > 0.0 and < 1.0, got {support_floor!r}")
-    lo, hi = (0, n - 1) if support_floor is None else _support_window(rho, support_floor)
-    if _run is None:
-        _run = _RunContext(grid, spec, nodes=False)
-    if _run.ext is not None:
-        _run.fill(S, lo, hi)
-    # the whole-grid window keeps every face, so the masked velocity equals
-    # the unmasked one bit for bit
-    rho_new = _windowed_upwind(grid, rho, S, _run.m_face, lo, hi, dt)
-    _run.low = _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
-    _run.moved = slice(lo, hi + 1)
-    if support_floor is None:
-        return rho_new, _godunov_hj_update(h, 2.0 * spec.mass_at(grid.nodes), spec.potential_at(grid.nodes), S, dt)
-
-    S_new = S if S is _run.S else np.empty(n)
-    S_new[lo : hi + 1] = _godunov_hj_update(*_run.samples(grid, spec, lo, hi), S[lo : hi + 1], dt)
-    # quadratic extension outside the window (matching edge gradient and
-    # curvature): the multiplier is local to the support, outside values
-    # only seed cells the window grows into, and keeping the curvature
-    # avoids kicking the density when the window turns around
-    l0, l1, l2 = S_new[lo : lo + 3].tolist()
-    gl, cl = -((l1 - l0) / h), (l2 - 2.0 * l1 + l0) / (h * h)  # negated: l0 - g*d is l0 + (-g)*d bit for bit
-    r2, r1, r0 = S_new[hi - 2 : hi + 1].tolist()
-    gr, cr = (r0 - r1) / h, (r0 - 2.0 * r1 + r2) / (h * h)
-    _run.ext = lo, hi, (l0, gl, cl), (r0, gr, cr)
-    D = grid.q_max - grid.q_min
-    if S_new is not S or not (abs(l0) + abs(gl) * D + abs(0.5 * cl) * D * D < 1e300
-                              and abs(r0) + abs(gr) * D + abs(0.5 * cr) * D * D < 1e300):
-        _run.fill(S_new, 0, n - 1)
-        _run.ext = None
+    run = _RunContext(grid, spec, nodes=False)
+    rho_new, S_new = _step(run, grid, rho, np.array(S, dtype=float), spec, dt, support_floor)
+    if run.ext is not None:
+        run.fill(S_new, 0, grid.n - 1)
     return rho_new, S_new
 
 
@@ -413,20 +413,21 @@ def transport_run(ens: HydroState, spec: NaturalSystemSpec, t_final: float, dt: 
 
     ``observer(t, rho, mass)`` is called after every step with h*sum(rho),
     the sum the step's check took, and must not modify rho.  The steps
-    share one ``_RunContext`` and one S buffer, a copy of ``ens.lam``; with
-    ``support_floor`` the run writes it outside the last window only before
-    it returns (see classical_transport_step).  Each step checks rho on its
-    window and S where it wrote (``_check_cells``).  Raises
-    InvalidArgumentError unless t_final and dt are finite and > 0.
+    (``_step``) share one ``_RunContext`` and one S buffer, a copy of
+    ``ens.lam``; with ``support_floor`` the run writes it outside the last
+    window only before it returns.  Each step checks rho on its window and
+    S where it wrote (``_check_cells``).  Raises InvalidArgumentError unless
+    t_final and dt are finite and > 0.
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     grid = ens.grid
     run = _RunContext(grid, spec, nodes=False)
-    rho = ens.rho
-    S = run.S = ens.lam.copy()
+    if support_floor is not None and not 0.0 < support_floor < 1.0:  # after m(q): a bad mass raises first
+        raise InvalidArgumentError(f"support_floor must be > 0.0 and < 1.0, got {support_floor!r}")
+    rho, S = ens.rho, ens.lam.copy()
     t = 0.0
     for _ in range(n_steps):
-        rho, S = classical_transport_step(grid, rho, S, spec, dt, support_floor=support_floor, _run=run)
+        rho, S = _step(run, grid, rho, S, spec, dt, support_floor)
         mass = _check_cells(grid, rho, S, run.moved, slice(None) if run.ext is None else run.moved, run.low)
         t += dt
         observer(t, rho, mass)

@@ -160,7 +160,9 @@ def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float):
     to be nonnegative; excited states get a deterministic sign.
 
     Eigenvalues come from bisection on the Sturm sequence and eigenvectors
-    from inverse iteration (LAPACK stebz/stein via scipy).
+    from inverse iteration (LAPACK stebz/stein via scipy).  A pair equal or
+    swapped by at most 4 eps ``norm`` (||H|| <= max|diag| + 2 max|off|) is
+    reported as degenerate to rounding, not as a solver failure.
     """
     if k < 1 or k > op.size:
         raise InvalidArgumentError(f"need 1 <= k <= {op.size}, got {k}")
@@ -179,10 +181,13 @@ def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float):
         # nonzero off-diagonals guarantee a nodeless ground state; a sign
         # flip can only hide in roundoff
         raise NumericalFailureError("ground state is not sign-definite")
-    if np.any(np.diff(w) <= 0):
-        raise NumericalFailureError(
-            "eigenvalues not strictly increasing", diagnostics={"w": w}
-        )
+    gaps = np.diff(w)
+    if np.any(gaps <= 0):
+        j = int((gaps <= 0).argmax())
+        gap, norm = float(gaps[j]), float(np.abs(op.diagonal).max() + 2.0 * np.abs(op.off_diagonal).max())
+        what = (f"eigenvalues {j} and {j + 1} are degenerate to rounding: gap {gap:.3g}, ||H|| <= {norm:.4g}"
+                if gap >= -4.0 * np.finfo(float).eps * norm else "eigenvalues not strictly increasing")
+        raise NumericalFailureError(what, diagnostics={"w": w, "gap": gap, "norm": norm})
     return w, vecs
 
 
@@ -201,11 +206,8 @@ class CayleyPropagator:
 
     A non-finite matrix is rejected when the propagator is built
     (InvalidArgumentError); a non-finite state raises NumericalFailureError
-    in ``step``.
-
-    ``run`` hands each step the H psi it yielded for the state before, as
-    ``step(psi, _hpsi=op.apply(psi))`` with psi complex: the step is then
-    bitwise ``step(psi)``, and H is applied once per step.
+    in ``step``.  ``step(psi)`` on an interior state is a one-step ``run``,
+    whose steps reuse the H psi they yield, so H is applied once per step.
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float, a: float):
@@ -229,8 +231,8 @@ class CayleyPropagator:
             )
         self._factors = factors
 
-    def step(self, psi: np.ndarray, _hpsi: np.ndarray | None = None) -> np.ndarray:
-        hpsi = self.op.apply(np.asarray(psi, dtype=complex)) if _hpsi is None else _hpsi
+    def _solve(self, psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
+        """The step from psi, given H psi."""
         rhs = psi - self._mu * hpsi
         if not np.isfinite(rhs).all():
             bad = int(np.count_nonzero(~np.isfinite(rhs)))
@@ -241,6 +243,9 @@ class CayleyPropagator:
         x, _ = self._gttrs(*self._factors, rhs, overwrite_b=True)
         return x
 
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        return self._solve(psi, self.op.apply(np.asarray(psi, dtype=complex)))
+
     def run(self, psi: np.ndarray, n_steps: int):
         """Yield (psi, H psi[1:-1]) for a copy of the full-length state ``psi``
         and after each of ``n_steps`` steps: k = 0, 1, ..., n_steps. The
@@ -250,7 +255,7 @@ class CayleyPropagator:
         yield psi, hpsi
         for _ in range(n_steps):
             nxt = np.zeros(psi.size, complex)  # np.zeros_like costs 1.2 us more at n = 1401
-            nxt[1:-1] = self.step(psi[1:-1], _hpsi=hpsi)
+            nxt[1:-1] = self._solve(psi[1:-1], hpsi)
             psi, hpsi = nxt, self.op.apply(nxt[1:-1])
             yield psi, hpsi
 

@@ -187,6 +187,19 @@ class TestRunTimeArguments:
         err = capsys.readouterr().err
         assert re.fullmatch(r"numerical failure: boundary density \S+ exceeds 1\.0e-08 at t=\S+\n", err), err
 
+    def test_degenerate_double_well_pair_is_named(self, tmp_path, capsys):
+        # the barrier action is about 43: the lowest pair of this double well
+        # splits below double precision, so the solver returns it equal;
+        # check passes it and the run fails naming the pair, not the solver
+        text = VACUUM_CFG.replace("q_min = -10.0\nq_max = 10.0\nn = 1800", "q_min = -8.0\nq_max = 8.0\nn = 100")
+        text = text.replace("eta = 1.0", "eta = 2.0").replace("k_eigen = 3", "k_eigen = 2")
+        text = text.replace("kind = harmonic\nk = 1.0", "kind = polynomial\ncoeffs = 16 0 -2 0 0.0625")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["check", str(cfg)]) == EXIT_OK
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: eigenvalues 0 and 1 are degenerate to rounding: gap 0, ||H|| <= 167.3\n", err
+
 
 class TestSpecConstants:
     @pytest.mark.parametrize("cfg_name, key, name", [

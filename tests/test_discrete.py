@@ -217,7 +217,7 @@ def _failing_run(monkeypatch, ref_fails_from: int, run_fails_at: int):
     """SPIN_SHORT (t_start 0.1, dt 1e-3) with its reference failing at every
     time from step ``ref_fails_from`` on and its local step failing at step
     ``run_fails_at``."""
-    real_propagator, real_step, calls = ds._propagator, ds.local_form_step, []
+    real_propagator, real_step, calls = ds._propagator, ds._LocalFormRun.step, []
 
     def propagator(spec, state):
         at = real_propagator(spec, state)
@@ -228,14 +228,14 @@ def _failing_run(monkeypatch, ref_fails_from: int, run_fails_at: int):
             return at(ts)
         return checked
 
-    def step(*args, **kwargs):
+    def step(run, p, lam):
         calls.append(1)
         if len(calls) == run_fails_at:
             raise StepRejectedError("local step failed")
-        return real_step(*args, **kwargs)
+        return real_step(run, p, lam)
 
     monkeypatch.setattr(ds, "_propagator", propagator)
-    monkeypatch.setattr(ds, "local_form_step", step)
+    monkeypatch.setattr(ds._LocalFormRun, "step", step)
     runners.run_scenario_object(parse_scenario(SPIN_SHORT, "scenario"))
 
 

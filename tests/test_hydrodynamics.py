@@ -331,8 +331,8 @@ class TestRunSampling:
         assert np.all(spec.mass_at(grid.nodes) > 0)
         rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
         steps = []
-        real_step = hy.madelung_step
-        monkeypatch.setattr(hy, "madelung_step", lambda *a, **k: steps.append(1) or real_step(*a, **k))
+        for name in ("_step", "_windowed_upwind"):  # the first call of a classical, a quantum-pole run step
+            monkeypatch.setattr(hy, name, lambda *a, real=getattr(hy, name): steps.append(1) or real(*a))
         with pytest.raises(InvalidSpecError):
             hy.madelung_run(spec, hy.DiffusionSpec(a=1.0, mode=mode),
                             hy.HydroState(grid, rho, np.zeros(grid.n)), 0.01, 1e-4)

@@ -211,9 +211,8 @@ class TestRunSampling:
         )
         assert np.all(spec.mass_at(grid.nodes) > 0)
         steps = []
-        real_step = mech.classical_transport_step
-        monkeypatch.setattr(mech, "classical_transport_step",
-                            lambda *a, **k: steps.append(1) or real_step(*a, **k))
+        real_step = mech._step
+        monkeypatch.setattr(mech, "_step", lambda *a: steps.append(1) or real_step(*a))
         with pytest.raises(InvalidSpecError):
             mech.transport_run(gaussian_ensemble(grid, 0.0, 0.4), spec, 0.1, 1e-2, support_floor=1e-6,
                                observer=lambda t, rho, mass: None)
@@ -346,8 +345,10 @@ class TestWholeGridWindow:
         vmax = float(np.max(np.abs(np.diff(S) / grid.h / spec.mass_at(grid.midpoints))))
         dt = cfl_target * grid.h / max(vmax, 1e-300)
         m_face = spec.mass_at(grid.midpoints) if pass_run else None
-        run = mech._RunContext(grid, spec, nodes=False) if pass_run else None
-        new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None, run)
+        if pass_run:  # a run's step
+            new = _outcome(mech._step, mech._RunContext(grid, spec, nodes=False), grid, rho, S, spec, dt, None)
+        else:
+            new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None)
         old = _outcome(transport_step_unmasked, grid, rho, S, spec, dt, m_face)
         if not isinstance(old[0], str) and np.min(old[0]) < -1e-14:
             # an overdrawn cell: the step now rejects where the old form went negative

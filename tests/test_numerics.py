@@ -111,6 +111,17 @@ class TestEigensolve:
         with pytest.raises(InvalidArgumentError):
             nx.eigensolve_lowest(op, op.size + 1, 1.0)
 
+    def test_pair_degenerate_to_rounding_is_named(self):
+        # a double well with barrier action about 43: its lowest pair comes
+        # out equal, a gap within 4 eps ||H||, which is no solver failure
+        g = nx.build_grid(-8.0, 8.0, 100)
+        op = nx.sturm_liouville_operator(g, 0.5, potentials.polynomial([16.0, 0.0, -2.0, 0.0, 0.0625]).v)
+        with pytest.raises(NumericalFailureError, match=r"^eigenvalues 0 and 1 are degenerate to rounding") as exc:
+            nx.eigensolve_lowest(op, 2, g.h)
+        d = exc.value.diagnostics
+        assert d["gap"] == 0.0 and d["norm"] == np.abs(op.diagonal).max() + 2.0 * np.abs(op.off_diagonal).max()
+        assert d["w"][0] == d["w"][1]
+
 
 class TestUnitaryStep:
     def test_zero_dt_is_identity(self):
@@ -190,9 +201,9 @@ def _step_per_call(monkeypatch):
         self.ref_dt_a = dt, a
 
     monkeypatch.setattr(nx.CayleyPropagator, "__init__", record)
-    # applies H itself: a run that hands the step a wrong H psi differs from it
-    monkeypatch.setattr(nx.CayleyPropagator, "step",
-                        lambda self, psi, _hpsi=None: cayley_step_per_call(self.op, *self.ref_dt_a, psi))
+    # applies H itself: a run that hands the solve a wrong H psi differs from it
+    monkeypatch.setattr(nx.CayleyPropagator, "_solve",
+                        lambda self, psi, hpsi: cayley_step_per_call(self.op, *self.ref_dt_a, psi))
 
 
 class TestCayleyPrefactored:
@@ -307,18 +318,18 @@ class TestCayleyPrefactored:
             assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
-def _step_outcome(prop, psi, **kwargs):
+def _step_outcome(step, *args):
     """The step's result, or the class, message and diagnostics it raised."""
     try:
         with np.errstate(invalid="ignore"):
-            return prop.step(psi, **kwargs)
+            return step(*args)
     except NumericalFailureError as exc:
         return type(exc), str(exc), exc.diagnostics
 
 
 class TestCayleyHandedHpsi:
-    """``step(psi, _hpsi=op.apply(psi))`` for a complex psi: ``run`` hands
-    the step the H psi it already holds instead of letting it apply H."""
+    """``_solve(psi, op.apply(psi))`` for a complex psi: ``run`` hands the
+    solve the H psi it already holds, where ``step`` applies H itself."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -338,10 +349,10 @@ class TestCayleyHandedHpsi:
         prop = nx.CayleyPropagator(op, dt, a)
         psi = rng.normal(size=m) + 1j * rng.normal(size=m)
         for _ in range(5):
-            want = _step_outcome(prop, psi)
+            want = _step_outcome(prop.step, psi)
             with np.errstate(invalid="ignore"):
                 hpsi = op.apply(psi)
-            got = _step_outcome(prop, psi, _hpsi=hpsi)
+            got = _step_outcome(prop._solve, psi, hpsi)
             if isinstance(want, tuple):  # a non-finite state: the same failure either way
                 assert got == want
                 break
@@ -357,7 +368,7 @@ class TestCayleyHandedHpsi:
         psi = rng.normal(size=40) + 1j * rng.normal(size=40)
         psi[20] = np.nan
         with np.errstate(invalid="ignore"):
-            got = _step_outcome(nx.CayleyPropagator(op, 0.1, 1.0), psi, _hpsi=op.apply(psi))
+            got = _step_outcome(nx.CayleyPropagator(op, 0.1, 1.0)._solve, psi, op.apply(psi))
         assert got == (NumericalFailureError, "non-finite state in Cayley step", {"size": 40, "nonfinite": 3})
 
 

@@ -22,6 +22,10 @@ dataclass field with a default that ``__init__`` takes (a
   that every such call overrides is a required parameter in disguise.
   ``DEFAULT_OK`` holds the exceptions, each with its reason; an entry that
   gains a call relying on it or goes must leave the list.
+* No private parameter: a public function, or a public method (``__init__``
+  included) of a public class, takes no ``_``-prefixed parameter; a run
+  keeps its step state in its own objects, not in a hidden argument of a
+  public step.  ``PRIVATE_PARAM_OK`` holds the exceptions, each with its reason.
 """
 
 import ast
@@ -29,11 +33,15 @@ from functools import lru_cache
 
 from test_reachability import ROOT, SRC, outside_trees
 
-LIMIT = 23
+LIMIT = 17
 
 SETTER_OK = {}
 
 DEFAULT_OK = {}
+
+PRIVATE_PARAM_OK = {
+    ("hydrodynamics.py", "madelung_step", "_op"): "perfbench/kernels.py passes it by position (ROADMAP item 8)",
+}
 
 KERNELS = ROOT / "perfbench" / "kernels.py"
 
@@ -88,6 +96,26 @@ def settable_values(source: str) -> list:
             visit(child)
 
     visit(ast.parse(source))
+    return found
+
+
+def private_params(source: str) -> list:
+    """(owner, name) of every ``_``-prefixed parameter of a public function,
+    or of a public method or ``__init__`` of a public class (owner
+    ``Class.method``), in one module's source."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            funcs = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, FUNCS[:2])
+                     and (not f.name.startswith("_") or f.name == "__init__")]
+        elif isinstance(node, FUNCS[:2]) and not node.name.startswith("_"):
+            funcs = [(node.name, node)]
+        else:
+            continue
+        for owner, f in funcs:
+            a = f.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p is not None]
+            found.extend((owner, p.arg) for p in params if p.arg.startswith("_"))
     return found
 
 
@@ -241,3 +269,33 @@ def test_kernel_table_on_a_small_module():
     assert unset(values, calls([], [table])) == [("kernel", "_run"), ("step", "_hpsi")]
     assert overridden(values, calls([], [table])) == [("kernel", "floor")]
     assert unset(values, calls([table])) == [("kernel", "floor"), ("kernel", "_run"), ("step", "_hpsi")]
+
+
+def _src_private_params() -> set:
+    return {(p.name, *v) for p in sorted(SRC.glob("*.py")) for v in private_params(p.read_text())}
+
+
+def test_no_private_parameter_in_a_public_signature():
+    found = sorted(_src_private_params() - set(PRIVATE_PARAM_OK))
+    assert not found, "private parameter of a public function: " + ", ".join(f"{m}: {o}({n})" for m, o, n in found)
+
+
+def test_allowed_private_parameter_is_still_there():
+    stale = sorted(set(PRIVATE_PARAM_OK) - _src_private_params())
+    assert not stale, "allowed but gone, drop from PRIVATE_PARAM_OK: " + ", ".join(
+        f"{m}: {o}({n})" for m, o, n in stale)
+
+
+def test_private_parameter_rule_on_a_small_module():
+    # public functions and the public methods and __init__ of public classes
+    # are held to it; private functions, classes and methods, and nested
+    # functions are not
+    lib = (
+        "def kernel(x, floor=0.0, _run=None):\n    def inner(_y): pass\n"
+        "def _helper(_x): pass\n"
+        "class Prop:\n    def __init__(self, op, _z): pass\n"
+        "    def step(self, psi, *_rest, _hpsi=None): pass\n    def _solve(self, _psi): pass\n"
+        "class _Run:\n    def step(self, _y): pass\n"
+    )
+    assert private_params(lib) == [("kernel", "_run"), ("Prop.__init__", "_z"), ("Prop.step", "_hpsi"),
+                                   ("Prop.step", "_rest")]

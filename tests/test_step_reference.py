@@ -27,14 +27,14 @@ and returned S, sign bits included.  The spin step's comparison with its numpy f
 bound derived in ``rk4_rounding_bound``.
 
 The De Donder-Weyl leapfrog steps in place on the buffers of one
-``covariant._Leapfrog`` per run, carrying the acceleration between stored
-chunks, and ``run_ddw`` evaluates the energy-momentum tensor once over the
+``covariant._Leapfrog`` per run, which advances them chunk by stored
+chunk, and ``run_ddw`` evaluates the energy-momentum tensor once over the
 stacked snapshots.  The allocating leapfrog with its ``_lap``/``_accel`` and
 the per-snapshot conservation loop are kept here; runs and series must give
 their bits.
 
-The linear run loops step through ``CayleyPropagator.run``, which hands
-each step the H psi it already holds (``step(psi, _hpsi=...)``), and
+The linear run loops step through ``CayleyPropagator.run``, whose steps
+reuse the H psi they yield (``CayleyPropagator._solve``), and
 ``confined_solve`` evaluates its log source on the active box in two
 per-solve grid buffers.  The Schrodinger
 runner must give the bits of a loop that calls ``CayleyPropagator.step``
@@ -482,8 +482,11 @@ class TestMadelungRun:
         dt = 0.2 * grid.h**2
         dspec = hy.DiffusionSpec(a=1.0)
         run = mech._RunContext(grid, spec, nodes=True)
-        new = hy.madelung_step(spec, dspec, state, dt, _op=wv.schrodinger_operator(spec, grid, 1.0), _run=run)
-        lo2, hi2 = run.window
+        lo, hi = hy._check_nodeless(state.rho, nx.RHO_FLOOR_FRAC, "before step")[:2]
+        rho_new = mech._windowed_upwind(grid, state.rho, state.lam, run.m_face, lo, hi, dt)
+        new, (lo2, hi2) = hy._pole_update(run, wv.schrodinger_operator(spec, grid, 1.0), state, rho_new, lo, hi, dt,
+                                          nx.RHO_FLOOR_FRAC)
+        assert np.array_equal(new.lam, hy.madelung_step(spec, dspec, state, dt).lam)
         assert {"interior": 0 < lo2 and hi2 < grid.n - 1, "first node": lo2 == 0 and hi2 < grid.n - 1,
                 "last node": hi2 == grid.n - 1 and lo2 > 0}[ends]
         m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
@@ -571,7 +574,7 @@ class TestTransportRun:
         assert len(new[0]) > 10 and new[1][:2] == (InvalidSpecError, "potential V(q) must be finite")
 
     def test_full_S_outside_a_run(self):
-        # without a transport run's context every step returns the whole S
+        # a public step returns the whole S
         spec = _spec("quartic", 1.3, 0.9, 0.2)
         grid = build_grid(-2.0, 2.0, 301)
         q = grid.nodes
@@ -581,9 +584,7 @@ class TestTransportRun:
         dspec = hy.DiffusionSpec(a=1.0, mode="classical")
         state = hy.HydroState(grid, rho, S)
         for got in (mech.classical_transport_step(grid, rho, S, spec, dt, floor)[1],
-                    hy.madelung_step(spec, dspec, state, dt, support_floor=floor).lam,
-                    hy.madelung_step(spec, dspec, state, dt, support_floor=floor,
-                                     _run=mech._RunContext(grid, spec, nodes=True)).lam):
+                    hy.madelung_step(spec, dspec, state, dt, support_floor=floor).lam):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -625,17 +626,6 @@ class TestScanCount:
     def test_state_from_no_run_is_scanned_before_step(self, unit_mass_harmonic):
         with pytest.raises(StepRejectedError, match=r"density node forming inside the bulk \(before step\)"):
             hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0), _noded_state(), 1e-5)
-
-    def test_other_state_given_with_a_run_is_scanned(self, unit_mass_harmonic):
-        # the carried window belongs to the state the run's last step returned
-        noded = _noded_state()
-        smooth = hy.HydroState(noded.grid, mech.normalize_density(noded.grid, np.exp(-noded.grid.nodes**2)),
-                               np.zeros(noded.grid.n))
-        run = mech._RunContext(noded.grid, unit_mass_harmonic, nodes=True)
-        dspec = hy.DiffusionSpec(a=1.0)
-        assert hy.madelung_step(unit_mass_harmonic, dspec, smooth, 1e-5, _run=run) is run.last
-        with pytest.raises(StepRejectedError, match=r"density node forming inside the bulk \(before step\)"):
-            hy.madelung_step(unit_mass_harmonic, dspec, noded, 1e-5, _run=run)
 
     def test_benchmark_positional_calls(self):
         # perfbench/kernels.py calls madelung_step with seven positional
@@ -751,7 +741,7 @@ class TestNextState:
 
 class TestStepWork:
     """Per-step work of the transport run loops: no whole-state validation,
-    no grid object, one public step per step, one spec sample per window."""
+    no grid object, one step of one run per step, one spec sample per window."""
 
     def _count(self, monkeypatch):
         calls = {"validate": 0, "build_grid": 0}
@@ -773,9 +763,8 @@ class TestStepWork:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.9) / (3 * grid.h)) ** 2))
         ens = mech.HydroState(grid, rho, 0.3 * q)
         calls, steps = self._count(monkeypatch), []
-        real = mech.classical_transport_step
-        monkeypatch.setattr(mech, "classical_transport_step",
-                            lambda *a, **kw: steps.append(kw["_run"]) or real(*a, **kw))
+        real = mech._step
+        monkeypatch.setattr(mech, "_step", lambda run, *a: steps.append(run) or real(run, *a))
         dt = 0.4 * grid.h
         mech.transport_run(ens, unit_mass_harmonic, k * dt, dt, support_floor=1e-6, observer=lambda t, rho, mass: None)
         assert calls == {"validate": 0, "build_grid": 0}
@@ -786,8 +775,9 @@ class TestStepWork:
     def test_madelung_run(self, unit_mass_harmonic, monkeypatch, mode, k):
         state = _gaussian_state()
         calls, steps = self._count(monkeypatch), []
-        real = hy.madelung_step
-        monkeypatch.setattr(hy, "madelung_step", lambda *a, **kw: steps.append(kw["_run"]) or real(*a, **kw))
+        name = "_pole_update" if mode == "quantum-pole" else "_step"
+        real = getattr(hy, name)
+        monkeypatch.setattr(hy, name, lambda run, *a: steps.append(run) or real(run, *a))
         dt = 0.2 * state.grid.h**2
         hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode=mode), state, k * dt, dt)
         assert calls == {"validate": 0, "build_grid": 0}
@@ -801,21 +791,22 @@ class TestStepWork:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.4) / (4 * grid.h)) ** 2))
         ens = mech.HydroState(grid, rho, -0.7 * q)
         seen = []
-        real = mech.classical_transport_step
+        real = mech._step
 
-        def recording(*a, **kw):
-            out = real(*a, **kw)
-            moved = kw["_run"].moved  # the step's window: a run's S holds the step's values only there
+        def recording(run, *a):
+            out = real(run, *a)
+            moved = run.moved  # the step's window: a run's S holds the step's values only there
             seen.append((a[1].copy(), out[0].copy(), moved, out[1][moved].copy()))
             return out
 
-        monkeypatch.setattr(mech, "classical_transport_step", recording)
+        monkeypatch.setattr(mech, "_step", recording)
         dt = 0.3 * grid.h
         out = mech.transport_run(ens, spec, 40 * dt, dt, support_floor=floor, observer=lambda t, rho, mass: None)
+        monkeypatch.undo()  # the standalone steps below take _step too
         assert len(seen) == 40
         S = ens.lam  # the whole S of each step, from the standalone steps
         for rho, rho_run, moved, S_run in seen:
-            rho_alone, S = real(grid, rho, S, spec, dt, floor)
+            rho_alone, S = mech.classical_transport_step(grid, rho, S, spec, dt, floor)
             assert np.array_equal(rho_alone, rho_run) and np.array_equal(S[moved], S_run)
             assert np.array_equal(np.signbit(S[moved]), np.signbit(S_run))
         assert np.array_equal(out.lam, S) and np.array_equal(np.signbit(out.lam), np.signbit(S))
@@ -852,14 +843,14 @@ class TestStepWork:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 1.0) / (3 * grid.h)) ** 2))
         ens = mech.HydroState(grid, rho, np.zeros(grid.n))
         windows = []
-        real = mech.classical_transport_step
+        real = mech._step
 
-        def recording(*a, **kw):
-            out = real(*a, **kw)
-            windows.append(kw["_run"].moved)
+        def recording(run, *a):
+            out = real(run, *a)
+            windows.append(run.moved)
             return out
 
-        monkeypatch.setattr(mech, "classical_transport_step", recording)
+        monkeypatch.setattr(mech, "_step", recording)
         dt = 0.4 * grid.h
         mech.transport_run(ens, spec, 157 * dt, dt, support_floor=1e-6, observer=lambda t, rho, mass: None)
         assert len(windows) == 157
@@ -1036,6 +1027,13 @@ def rk4_rounding_bound(spec, p, lam, dt, floor):
     return (dt / 6 * sum(wi * bi for wi, bi in zip(w, bs)) + 2 * eps * (np.abs(y) + dt / 6 * inc)).astype(float)
 
 
+def local_form_step_at(spec, p, lam, dt, floor):
+    """``local_form_step`` with the floor ``floor``: one step of a run."""
+    run = ds._LocalFormRun(spec, dt, floor)
+    p, lam = run.step(*run.start(p, lam))
+    return np.array(p), np.array(lam)
+
+
 def _step_or_rejection(step, *args):
     try:
         return np.concatenate(step(*args))
@@ -1083,7 +1081,7 @@ class TestLocalFormStep:
         assert _ulps(dp, dp_ref, abs(2.0 * b / a) * sq * sin_abs) <= 4
         # the step amplifies those rhs differences by up to dt times its
         # Jacobian, so it is held to the derived rounding bound, not to 4 ulp
-        new = _step_or_rejection(ds.local_form_step, spec, p, lam, dt, 1e-7)
+        new = _step_or_rejection(local_form_step_at, spec, p, lam, dt, 1e-7)
         old = _step_or_rejection(local_form_step_ref, spec, p, lam, dt, 1e-7)
         bound = rk4_rounding_bound(spec, p, lam, dt, 1e-7)
         if isinstance(old, StepRejectedError) or isinstance(new, StepRejectedError):
@@ -1100,7 +1098,7 @@ class TestLocalFormStep:
         # -1.36e-3 and both forms reject it with the same bits
         spec, (p, lam) = _random_spin(82, 4, 0.5, 2.0)
         args = (spec, np.maximum(p, 1e-6), lam, 0.03125, 1e-7)
-        new, old = _step_or_rejection(ds.local_form_step, *args), _step_or_rejection(local_form_step_ref, *args)
+        new, old = _step_or_rejection(local_form_step_at, *args), _step_or_rejection(local_form_step_ref, *args)
         assert isinstance(new, StepRejectedError) and new.location == 1
         assert (str(new), new.location, new.diagnostics) == (str(old), old.location, old.diagnostics)
         assert type(new) is type(old)
@@ -1119,27 +1117,18 @@ class TestLocalFormStep:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_standalone_step_equals_run_step(self, n):
         spec, (p, lam) = _random_spin(7 + n, n, 0.8, -1.3)
-        run = ds._LocalFormRun(spec, 2e-3, 1e-9)
-        p1, l1, p2, l2 = p, lam, p, lam
+        run = ds._LocalFormRun(spec, 2e-3, ds.P_FLOOR)
+        p1, l1 = p, lam
+        p2, l2 = run.start(p, lam)
         for _ in range(25):
-            p1, l1 = ds.local_form_step(spec, p1, l1, 2e-3, 1e-9)
-            p2, l2 = ds.local_form_step(spec, p2, l2, 2e-3, 1e-9, _run=run)
+            p1, l1 = ds.local_form_step(spec, p1, l1, 2e-3)
+            p2, l2 = run.step(p2, l2)
             assert np.array_equal(p1, p2) and np.array_equal(l1, l2)
-
-    def test_run_takes_one_public_step_per_step(self, monkeypatch):
-        runs = []
-        real = ds.local_form_step
-        monkeypatch.setattr(ds, "local_form_step", lambda *a, **kw: runs.append(kw["_run"]) or real(*a, **kw))
-        spec, (p, lam) = _random_spin(3, 3, 1.0, -1.0)
-        ds.local_form_run(spec, p, lam, 0.05, 1e-3, floor=1e-9, observer=lambda t, p, lam: None)
-        assert len(runs) == 50 and all(r is runs[0] for r in runs)
 
     @pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0, 0.0, -0.0])
     def test_floor_must_be_finite_and_positive(self, floor):
         spec = _exchange(0.0)
         p, lam = np.array([0.5, 0.5]), np.zeros(2)
-        with pytest.raises(InvalidArgumentError, match=r"floor must be finite and > 0"):
-            ds.local_form_step(spec, p, lam, 1e-3, floor)
         with pytest.raises(InvalidArgumentError, match=r"floor must be finite and > 0"):
             ds.local_form_run(spec, p, lam, 0.01, 1e-3, floor=floor, observer=lambda t, p, lam: None)
 
@@ -1193,45 +1182,9 @@ class TestLocalFormStep:
         y_ref = np.concatenate([p_ref, lam_ref])
         assert _ulps(np.concatenate([p, lam]), y_ref, np.max(np.abs(y_ref))) <= (0 if levels == 2 else 4)
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_run_reuses_only_the_arrays_it_returned(self, monkeypatch, n):
-        # given the very arrays its previous step returned, a run step takes
-        # that step's floats and skips the entry floor check; given copies of
-        # them, it converts and checks them as a standalone step does
-        spec, (p, lam) = _random_spin(11 + n, n, 0.9, -1.1)
-        run = ds._LocalFormRun(spec, 2e-3, 1e-9)
-        checks, real_check = [], ds._check_floor
-        monkeypatch.setattr(ds, "_check_floor", lambda p, floor: checks.append(p) or real_check(p, floor))
-        p, lam = ds.local_form_step(spec, p, lam, 2e-3, 1e-9, _run=run)
-        for k in range(12):
-            given = (p, lam) if k % 2 else (p.copy(), lam.copy())
-            want = np.concatenate(ds.local_form_step(spec, p.copy(), lam.copy(), 2e-3, 1e-9))
-            checks.clear()
-            p, lam = ds.local_form_step(spec, *given, 2e-3, 1e-9, _run=run)
-            assert np.concatenate([p, lam]).tobytes() == want.tobytes()
-            assert len(checks) == (1 if k % 2 else 2)  # on exit only, or on entry and exit
-
-    @pytest.mark.parametrize("where", [0, 2])
-    def test_edited_copy_is_checked(self, where):
-        spec, (p, lam) = _random_spin(5, 3, 1.0, -1.0)
-        run = ds._LocalFormRun(spec, 1e-3, 1e-9)
-        p, lam = ds.local_form_step(spec, p, lam, 1e-3, 1e-9, _run=run)
-        bad = p.copy()
-        bad[where] = 1e-10
-        errors = []
-        for kw in ({"_run": run}, {}):
-            with pytest.raises(StepRejectedError) as exc:
-                ds.local_form_step(spec, bad, lam, 1e-3, 1e-9, **kw)
-            errors.append((str(exc.value), exc.value.location, exc.value.diagnostics))
-        assert errors[0] == errors[1] == ("population below floor 1e-09 (leaving the valid region)", where,
-                                          {"p_min": 1e-10})
-        # the rejected copy left the run's own floats as they were
-        want = np.concatenate(ds.local_form_step(spec, p.copy(), lam.copy(), 1e-3, 1e-9))
-        assert np.concatenate(ds.local_form_step(spec, p, lam, 1e-3, 1e-9, _run=run)).tobytes() == want.tobytes()
-
     def test_run_spin_rows_as_from_returned_arrays(self):
         # the observer gets float lists; the populations table must hold the
-        # rows that the returned arrays gave it, step by standalone step
+        # rows that returned arrays give it, step by one-step run
         sc = parse_scenario((ROOT / "configs" / "spin_rabi.cfg").read_text(), "spin_rabi")
         rows = runners.run_scenario_object(sc).series["populations"].rows
         spec, run = runners._spin_spec(sc, np.random.default_rng(sc.seed)), sc.params["run"]
@@ -1240,7 +1193,7 @@ class TestLocalFormStep:
         want, t = [(run["t_start"], *p)], 0.0
         n_steps, dt = nx._uniform_steps(run["t_final"], run["dt"])
         for _ in range(n_steps):
-            p, lam = ds.local_form_step(spec, p, lam, dt, run["p_floor"])
+            p, lam = local_form_step_at(spec, p, lam, dt, run["p_floor"])
             t += dt
             want.append((run["t_start"] + t, *p))
         assert rows.tobytes() == np.asarray(want).tobytes()
@@ -1392,7 +1345,7 @@ class TestDdwLeapfrog:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for _ in range(1 + n_steps // store_every):
-                    states.append(cv.ddw_evolve(spec, states[-1], dt, store_every, _run=run))
+                    states.append(run.advance(states[-1], dt, store_every))
                     kept.append((states[-1].q.copy(), states[-1].pi0.copy()))
             except InvalidStateError:
                 pass  # a field that blew up; the states before it must still hold
@@ -1458,42 +1411,6 @@ class TestDdwLeapfrog:
         cv.ddw_evolve_series(spec, state, 0.5 * state.x_grid.dx, 103, store_every=5)
         assert len(calls) == 104
 
-    def test_run_ddw_public_calls_sum_to_n_steps(self, monkeypatch):
-        # perfbench/tracer.py replaces cv.ddw_evolve by a wrapper and counts
-        # covariant.ddw_steps from each call's n_steps argument
-        counted = []
-        real = cv.ddw_evolve
-
-        def wrapper(*args, **kwargs):
-            counted.append(int(kwargs.get("n_steps", args[3] if len(args) > 3 else 0)))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cv, "ddw_evolve", wrapper)
-        runners.run_scenario_object(parse_scenario(DDW_CFG.format(eta=1.0, n_steps=1003), "scenario"))
-        assert sum(counted) == 1003 and len(counted) == 201  # store_every = 1003 // 200 = 5
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=DDW_DRAWS["n"], seed=DDW_DRAWS["seed"], eta=DDW_DRAWS["eta"], m=DDW_DRAWS["m"],
-           quartic=DDW_DRAWS["quartic"], calls=st.lists(st.tuples(st.floats(min_value=0.05, max_value=1.0),
-                                                                  st.integers(min_value=0, max_value=12)),
-                                                        min_size=1, max_size=8))
-    def test_run_calls_with_their_own_dt(self, n, seed, eta, m, quartic, calls):
-        # one _Leapfrog through ddw_evolve(_run=), dt changing between calls:
-        # each call takes its half kick afresh, so it must give the bits of
-        # the per-call reference chain
-        spec = _field_spec(eta, m, quartic)
-        state = _random_field(seed, n)
-        run = cv._Leapfrog(spec, state)
-        new = old = state
-        for cfl, k in calls:
-            dt = cfl * state.x_grid.dx
-            new = _ddw_outcome(cv.ddw_evolve, spec, new, dt, k, run)
-            old = _ddw_outcome(ddw_evolve_ref, spec, old, dt, k)
-            if isinstance(old, tuple):
-                assert new == old
-                return
-            _assert_same_state(new, old)
-
     @pytest.mark.parametrize("cells, n_steps, error, message, v_calls", [
         (1.5, 10, StepRejectedError, "CFL violation: dt = 0.589049 > dx = 0.392699", 1),
         (np.nan, 10, InvalidArgumentError, "dt must be finite and > 0, got nan", 0),
@@ -1530,8 +1447,8 @@ class TestDdwLeapfrog:
 
         spec = cv.FieldLagrangianSpec(1.0, potential=lambda q: 0.5 * q * q, potential_grad=grad)
         state = _random_field(4, 32)
-        chunks, real = [], cv.ddw_evolve
-        monkeypatch.setattr(cv, "ddw_evolve", lambda *a, **kw: chunks.append(a[3]) or real(*a, **kw))
+        chunks, real = [], cv._Leapfrog.advance
+        monkeypatch.setattr(cv._Leapfrog, "advance", lambda run, st, dt, n: chunks.append(n) or real(run, st, dt, n))
         with np.errstate(invalid="ignore"), pytest.raises(InvalidStateError, match=r"^field values must be finite$"):
             cv.ddw_evolve_series(spec, state, 0.5 * state.x_grid.dx, 30, store_every)
         assert len(chunks) == -(-bad_step // store_every) and len(calls) == 1 + sum(chunks)
@@ -1886,8 +1803,7 @@ def space_independent_evolve_ref(spec, grid, psi0, dt, n_steps, store_every):
     h_in = apply_ref(op, psi[1:-1])
     records = [record(0.0, psi, h_in)]
     for k in range(n_steps):
-        psi = np.pad(prop.step(psi[1:-1], _hpsi=h_in), 1)
-        h_in = None
+        psi = np.pad(prop.step(psi[1:-1]), 1)
         if (k + 1) % store_every == 0:
             h_in = apply_ref(op, psi[1:-1])
             records.append(record((k + 1) * dt, psi, h_in))
@@ -2002,3 +1918,105 @@ class TestSnapshotSeries:
             for a, b, c in zip(stacked, one, ref):
                 assert a[i].dtype == b.dtype == c.dtype
                 assert np.array_equal(a[i], b) and np.array_equal(b, c)
+
+
+# -- a public step is a one-step run ------------------------------------------
+
+
+def _one_step(fn, *args):
+    """The arrays of fn's result, or the class, message, location and diagnostics it raised."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            out = fn(*args)
+        except (ValueError, NumericalFailureError) as exc:
+            return type(exc), str(exc), getattr(exc, "location", None), repr(getattr(exc, "diagnostics", None))
+    if isinstance(out, (mech.HydroState, cv.FieldState1p1)):
+        return [np.asarray(v) for v in vars(out).values() if not isinstance(v, (nx.Grid1D, cv.PeriodicGrid1D))]
+    return [np.asarray(v) for v in (out if isinstance(out, tuple) else (out,))]
+
+
+def _assert_same_step(alone, run):
+    assert isinstance(alone, list) == isinstance(run, list)
+    if not isinstance(alone, list):
+        assert alone == run
+        return
+    assert len(alone) == len(run)
+    for a, b in zip(alone, run):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _first_cayley_step(prop, psi):
+    steps = prop.run(np.pad(psi, 1), 1)
+    next(steps)
+    return next(steps)[0][1:-1]
+
+
+class TestOneStepRun:
+    """Each public step equals the first step of its run, bit for bit,
+    rejections included: the step and the run share one private step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(half_width=st.floats(min_value=1.0, max_value=3.0), n=st.integers(min_value=61, max_value=301),
+           center_frac=st.floats(min_value=-0.5, max_value=0.5), width_cells=st.floats(min_value=2.0, max_value=8.0),
+           kick=st.floats(min_value=-3.0, max_value=3.0), cfl=st.floats(min_value=0.05, max_value=1.5),
+           support_floor=st.sampled_from([1e-6, None]), **SPECS)
+    def test_classical_transport_step(self, half_width, n, center_frac, width_cells, kick, cfl, support_floor,
+                                      kind, strength, m0, m1):
+        grid = build_grid(-half_width, half_width, n)
+        q = grid.nodes
+        spec = _spec(kind, strength, m0, m1)
+        centre, width = center_frac * half_width, width_cells * grid.h
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - centre) / width) ** 2))
+        ens = mech.HydroState(grid, rho, kick * q + 0.1 * q * q)
+        dt = cfl * grid.h
+        alone = _one_step(lambda: mech.HydroState(grid, *mech.classical_transport_step(grid, ens.rho, ens.lam, spec,
+                                                                                      dt, support_floor)))
+        run = _one_step(mech.transport_run, ens, spec, dt, dt, support_floor, lambda t, rho, mass: None)
+        _assert_same_step(alone, run)
+
+    @settings(max_examples=40, deadline=None)
+    @given(half_width=st.floats(min_value=5.0, max_value=9.0), n=st.integers(min_value=81, max_value=201),
+           center_frac=st.floats(min_value=-0.3, max_value=0.3), variance=st.floats(min_value=0.2, max_value=1.0),
+           kick=st.floats(min_value=-2.0, max_value=2.0), mode=st.sampled_from(["quantum-pole", "classical"]),
+           cfl=st.floats(min_value=0.05, max_value=1.0), **SPECS)
+    def test_madelung_step(self, half_width, n, center_frac, variance, kick, mode, cfl, kind, strength, m0, m1):
+        grid = build_grid(-half_width, half_width, n)
+        q = grid.nodes
+        spec = _spec(kind, strength, m0, m1)
+        dspec = hy.DiffusionSpec(a=1.0, mode=mode)
+        rho = mech.normalize_density(grid, np.exp(-((q - center_frac * half_width) ** 2) / (2 * variance)))
+        state = hy.HydroState(grid, rho, kick * q)
+        dt = cfl * grid.h**2
+        _assert_same_step(_one_step(hy.madelung_step, spec, dspec, state, dt),
+                          _one_step(hy.madelung_run, spec, dspec, state, dt, dt))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1), **A_B_DT)
+    def test_local_form_step(self, n, seed, a, b, dt):
+        spec, (p, lam) = _random_spin(seed, n, a, b)
+        _assert_same_step(_one_step(ds.local_form_step, spec, p, lam, dt),
+                          _one_step(ds.local_form_run, spec, p, lam, dt, dt, ds.P_FLOOR, lambda t, p, lam: None))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=DDW_DRAWS["n"], seed=DDW_DRAWS["seed"], cfl=st.floats(min_value=0.05, max_value=1.2),
+           eta=DDW_DRAWS["eta"], m=DDW_DRAWS["m"], quartic=DDW_DRAWS["quartic"])
+    def test_ddw_evolve(self, n, seed, cfl, eta, m, quartic):
+        spec = _field_spec(eta, m, quartic)
+        state = _random_field(seed, n)
+        dt = cfl * state.x_grid.dx
+        _assert_same_step(_one_step(cv.ddw_evolve, spec, state, dt, 1),
+                          _one_step(lambda: cv.ddw_evolve_series(spec, state, dt, 1, 1)[3]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([3, 4, 40, 1401]), seed=st.integers(min_value=0, max_value=10_000),
+           dt=st.floats(min_value=-0.5, max_value=0.5), a=st.floats(min_value=0.05, max_value=20.0),
+           bad=st.sampled_from([None, np.nan, np.inf]))
+    def test_cayley_step(self, m, seed, dt, a, bad):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        op = nx.TridiagonalOperator(scale[0] * rng.normal(size=m), scale[1] * rng.normal(size=m - 1))
+        prop = nx.CayleyPropagator(op, dt, a)
+        psi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        if bad is not None:
+            psi[rng.integers(m)] = bad
+        _assert_same_step(_one_step(prop.step, psi), _one_step(_first_cayley_step, prop, psi))
