@@ -276,6 +276,8 @@ def _godunov_hj_update(h: float, m2, v: np.ndarray, S: np.ndarray, dt: float) ->
 def _support_window(rho: np.ndarray, floor_frac: float) -> tuple:
     """Index window [lo, hi] covering {rho > floor} dilated by _SUPPORT_BUFFER."""
     idx = _support_mask(rho, floor_frac).nonzero()[0]
+    if not idx.size:  # all zero, or NaN
+        raise InvalidStateError("no cell of the density is above the support floor")
     lo = max(int(idx[0]) - _SUPPORT_BUFFER, 0)
     hi = min(int(idx[-1]) + _SUPPORT_BUFFER, rho.size - 1)
     return lo, hi
@@ -384,8 +386,9 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
 
     Raises StepRejectedError when the CFL number exceeds 1 on active faces,
     or when the step leaves a density below -1e-14 (``location`` is the
-    most negative cell, ``diagnostics["rho_min"]`` its value), and
-    InvalidArgumentError unless ``support_floor`` is None or in (0, 1).
+    most negative cell, ``diagnostics["rho_min"]`` its value),
+    InvalidArgumentError unless ``support_floor`` is None or in (0, 1), and
+    InvalidStateError when no cell of rho is above the support floor.
     """
     if support_floor is not None and not 0.0 < support_floor < 1.0:
         raise InvalidArgumentError(f"support_floor must be > 0.0 and < 1.0, got {support_floor!r}")

@@ -97,6 +97,7 @@ _TAIL_FLOOR = 1e-280  # confinement_report: smallest tail integral whose log ent
 _MAX_ITER = 60  # confined_solve: sweeps before giving up
 _CHANGE_TOL = 1e-12  # confined_solve: mode-amplitude change that counts as converged
 _PSI0_FLOOR = 1e-6  # confined_solve: relative |psi0| below which the log source is off
+_BLOCK = 64  # confined_solve, tail_integral: most q rows or r columns in one (q, r) temporary
 
 
 def _operator(spec: QFieldSpec, grid: Grid1D):
@@ -199,9 +200,10 @@ def space_independent_evolve(
     hpsi[:, 1:-1] = h_in
     dens = np.abs(psi) ** 2
     mask = _support_mask(dens, RHO_FLOOR_FRAC)
+    e = np.real(np.conj(psi) * hpsi)
     eps = np.zeros(dens.shape)
-    eps[mask] = np.real(np.conj(psi[mask]) * hpsi[mask]) / dens[mask]
-    mean_energy = _quad(grid.h, np.real(np.conj(psi) * hpsi))
+    eps[mask] = e[mask] / dens[mask]
+    mean_energy = _quad(grid.h, e)
     return SpaceIndependentResult(times, psi, eps, mask, mean_energy)
 
 
@@ -268,11 +270,17 @@ class ConfinementReport:
     tail: np.ndarray  # tail_integral at every radius, the fitted ones and the rest
 
 
-def _index_span(mask: np.ndarray):
-    """The True positions of ``mask``: a slice when they are contiguous, else
-    an index array (a ground state can dip below the floor between wells)."""
-    idx = np.flatnonzero(mask)
+def _index_span(idx: np.ndarray):
+    """The ascending indices ``idx``: a slice when they are contiguous, else
+    the index array (a ground state can dip below the floor between wells)."""
     return slice(idx[0], idx[-1] + 1) if idx.size and idx[-1] - idx[0] + 1 == idx.size else idx
+
+
+def _blocks(n: int) -> list:
+    """range(n) in order as the fewest slices of at most _BLOCK, of near-equal
+    width: a width-1 column block would sum pairwise, not row by row."""
+    k = -(-n // _BLOCK)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def _reverse_cumtrapz(g: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -315,6 +323,8 @@ def confined_solve(
     phi_tilde): the fields, then the fields times the log source (taken on
     the active box, those rows times a radial suffix; zero outside) for the
     projection, then the residual product.  It ends as the returned pair.
+    The log source and the window's max |R| take the active rows in blocks of
+    at most 64: no other temporary outgrows a block (products keep full shape).
 
     A sweep is accepted only if the window residual does not rise above
     max(previous, tol); a rising residual above tolerance stops the
@@ -354,69 +364,67 @@ def confined_solve(
     sign = np.array([1.0, -1.0])[:, None, None]  # -f dphi/dr, +f dphi_tilde/dr
 
     # the log source and the residual window are boxes: the qmask rows times
-    # a suffix of the ascending r (never empty for the window: r[-1] == r_max)
-    rows = _index_span(qmask)
+    # a suffix of the ascending r (never empty for the window: r[-1] == r_max),
+    # visited in blocks of at most _BLOCK rows, each a slice where it can be
+    rows = np.flatnonzero(qmask)
+    row_blocks = [_index_span(rows[b]) for b in _blocks(rows.size)]
     src_col, res_col = (int(np.count_nonzero(r < r0)) for r0 in (source_r_start, resid_lo))
     fields = np.empty((2, psi_mat.shape[0], n_r))
 
     def sources(A):
         """P: the log source times each field of the amplitudes A, projected on the modes."""
         np.matmul(psi_mat, A, out=fields)
-        box = fields[:, rows, src_col:]
-        if (box <= 0.0).any():
-            iq, ir = np.argwhere((box <= 0.0).any(axis=0))[0]
-            raise NumericalFailureError(
-                "conjugate pair lost positivity",
-                diagnostics={"q": float(vac.grid.nodes[rows][iq]), "r": float(r[src_col:][ir])},
-            )
-        ratio = np.divide(box[0], box[1])  # np.log on a contiguous array: a strided output may take another loop
-        log_ratio = np.log(ratio, out=ratio)
-        fields[:, rows, src_col:] *= log_ratio  # times the log source, zero outside the box
+        for rb in row_blocks:
+            blk = fields[:, rb, src_col:]  # a copy where rb is an index array
+            bad = () if blk.min() > 0.0 else np.argwhere((blk <= 0.0).any(axis=0))  # a NaN passes
+            if len(bad):  # rows in order: the block's first bad cell of either field is the box's
+                raise NumericalFailureError("conjugate pair lost positivity", diagnostics={
+                    "q": float(vac.grid.nodes[rb][bad[0, 0]]), "r": float(r[src_col + bad[0, 1]])})
+            ratio = np.divide(blk[0], blk[1])  # np.log on a contiguous array: a strided output may take another loop
+            fields[:, rb, src_col:] *= np.log(ratio, out=ratio)  # times the log source, zero outside the box
         fields[:, :, :src_col] = 0.0
         fields[:, ~qmask] = 0.0
         return h * (psi_mat.T @ fields)  # (2, K, nr)
 
     def residual_max(P_prev, P_new, C):
         np.matmul(psi_mat, (f / r) * (P_prev - P_new) - dw[:, None] * C, out=fields)
-        return max(float(np.max(np.abs(R[rows, res_col:]))) for R in fields)
+        ends = [(R.max(), -R.min()) for R in (fields[:, rb, res_col:] for rb in row_blocks)]
+        return abs(float(np.max(ends)))  # max |R|: np.max keeps a NaN, abs turns -0.0 into 0.0
 
     A, P = A0, sources(A0)
     # seed residual: the missing log source (the seed solves the log-free
     # system exactly in the discrete eigenbasis)
-    resid = residual_max(0.0, P, 0.0)
-    history = [resid]
-    mode_history = [A]
-    converged = resid < tol and not np.any(cs[1:])
-    iterations = 0
+    history, mode_history = [residual_max(0.0, P, 0.0)], [A]
+    converged = history[0] < tol and not np.any(cs[1:])
 
-    while not converged and iterations < _MAX_ITER:
+    while not converged and len(history) <= _MAX_ITER:  # one entry per accepted sweep after the seed's
         C = sign * _reverse_cumtrapz(P / r, r)
         A_new = A0 + C
         P_new = sources(A_new)
         resid_new = residual_max(P, P_new, C)
         if resid_new > max(history[-1] * (1.0 + 1e-12), tol):
-            # residual stagnated above tolerance: reject the sweep
-            break
-        change = float(np.max(np.abs(A_new - A)))
+            break  # residual stagnated above tolerance: reject the sweep
+        converged = resid_new < tol and float(np.max(np.abs(A_new - A))) < _CHANGE_TOL
         A, P = A_new, P_new
         history.append(resid_new)
         mode_history.append(A)
-        iterations += 1
-        if resid_new < tol and change < _CHANGE_TOL:
-            converged = True
     if not history[-1] < tol:  # a converged solve ends below tol; a stopped one is accepted there too
         raise NumericalFailureError(
             "confined solve did not reach tolerance (max-iterations)",
             diagnostics={"residual_history": history},
         )
     pair = RadialPair(vac.grid, r, *np.matmul(psi_mat, A, out=fields))
-    return ConfinedSolveResult(pair, history, iterations, mode_history)
+    return ConfinedSolveResult(pair, history, len(history) - 1, mode_history)
 
 
 def tail_integral(pair: RadialPair, vac: VacuumSpectrum) -> np.ndarray:
-    """h * sum_q |rho(q, r) - psi0(q)^2| for each radius."""
-    rho0 = vac.psi[:, 0] ** 2
-    return _quad(pair.grid.h, np.abs(pair.phi * pair.phi_tilde - rho0[:, None]).T)  # a view, summed in memory order
+    """h * sum_q |rho(q, r) - psi0(q)^2| for each radius, in blocks of at most 64
+    radii; each column sums over q row by row, as a whole-grid sum would."""
+    rho0 = vac.psi[:, :1] ** 2
+    tail = np.empty(pair.phi.shape[1])
+    for b in _blocks(tail.size):
+        tail[b] = _quad(pair.grid.h, np.abs(pair.phi[:, b] * pair.phi_tilde[:, b] - rho0).T)
+    return tail
 
 
 def confinement_report(pair: RadialPair, vac: VacuumSpectrum, f: float, window: tuple) -> ConfinementReport:

@@ -245,6 +245,13 @@ class TestRunSampling:
                 hy.madelung_step(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode="classical"),
                                  ens, 0.4 * grid.h, support_floor=floor)
 
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_no_cell_above_support_floor_rejected(self, unit_mass_harmonic, value):
+        grid = build_grid(-3, 3, 101)
+        with pytest.raises(InvalidStateError, match="no cell of the density is above the support floor"):
+            mech.classical_transport_step(grid, np.full(grid.n, value), np.zeros(grid.n), unit_mass_harmonic,
+                                          0.4 * grid.h, 1e-6)
+
 
 class TestTimeReversal:
     def test_residuals_invariant_under_reversal(self, unit_mass_harmonic):

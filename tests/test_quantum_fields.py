@@ -457,9 +457,10 @@ class TestConfinedSolve:
             qf.confined_solve(spec, vac, [1.0, 0.1], r_min=0.5, r_max=30.0, tol=tol, n_r=n_r)
 
     def test_peak_memory(self, harmonic_vacuum):
-        """The sweep works in two grid buffers that end as the returned pair.
-        tracemalloc peak of this solve (801 x 1200, K = 8, numpy 2.4): 24.8 MB.
-        The former sweep kept four grid fields besides the pair: 50.6 MB."""
+        """The sweep works in one grid buffer that ends as the returned pair.
+        tracemalloc peak of this solve (801 x 1200, K = 8, numpy 2.4): 20.6 MB;
+        24.0 MB with whole-box temporaries, and 50.6 MB when the sweep kept
+        four grid fields besides the pair."""
         spec, grid, vac = harmonic_vacuum
         tracemalloc.start()
         try:
@@ -468,6 +469,25 @@ class TestConfinedSolve:
         finally:
             tracemalloc.stop()
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_solve_and_report_peak_memory(self, harmonic_vacuum):
+        """Solve and report hold the (2, nq, n_r) field buffer, the mode history
+        and temporaries of a block or so.  At 801 x 400, K = 8 (numpy 2.4) the
+        traced peak is 7.2 MB against a bound of 8.0 MB; whole-grid temporaries
+        in the sweep and in tail_integral read 11.6 MB."""
+        spec, grid, vac = harmonic_vacuum
+        n_r = 400
+        tracemalloc.start()
+        try:
+            res = qf.confined_solve(spec, vac, [1.0, 0.1], r_min=0.5, r_max=30.0, tol=1e-8, n_r=n_r)
+            qf.confinement_report(res.pair, vac, spec.f, window=(10.0, 25.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = 2 * grid.n * n_r * 8
+        block = 2 * qf._BLOCK * max(grid.n, n_r) * 8  # a (2, _BLOCK, n) stack of floats
+        bound = fields + sum(a.nbytes for a in res.mode_history) + 2 * block
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
     def test_residual_history_decreasing_above_tol(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum

@@ -35,12 +35,13 @@ their bits.
 
 The linear run loops step through ``CayleyPropagator.run``, whose steps
 reuse the H psi they yield (``CayleyPropagator._solve``), and
-``confined_solve`` evaluates its log source on the active box in two
-per-solve grid buffers.  The Schrodinger
+``confined_solve`` evaluates its log source and window residual on the
+active box, in blocks of rows, in one per-solve grid buffer;
+``tail_integral`` sums in blocks of columns.  The Schrodinger
 runner must give the bits of a loop that calls ``CayleyPropagator.step``
-without the H psi and applies H for the energy itself, and the solver
+without the H psi and applies H for the energy itself, the solver
 those of its former whole-grid form, ``confined_solve_ref``, failures and
-their diagnostics included.
+their diagnostics included, and the tail those of one whole-grid sum.
 
 The HJ and continuity residual series and the space-independent records
 (energy density, mask, mean energy) evaluate once over the stacked
@@ -1728,12 +1729,13 @@ class TestConfinedSolve:
         assert new[:2] == (NumericalFailureError, "conjugate pair lost positivity")
         assert set(new[2]) == {"q", "r"}
         assert new == _confined_outcome(confined_solve_ref, *args)
+        if c1 > 0.0:  # the first bad row lies past the first block of rows
+            assert new[2]["q"] > vac.grid.nodes[_row_spans(vac)[0].stop - 1]
 
     @pytest.mark.parametrize("c1", [0.0, 0.02, 0.05, 30.0])
     def test_gapped_active_rows(self, c1):
         grid, vac = _two_well_vacuum()
-        qmask = nx._support_mask(np.abs(vac.psi[:, 0]), qf._PSI0_FLOOR)
-        assert isinstance(qf._index_span(qmask), np.ndarray)  # the rows are not one slice
+        assert any(isinstance(s, np.ndarray) for s in _row_spans(vac))  # the gap falls inside a block of rows
         spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * np.square(q), f=1.0)
         args = (spec, vac, [1.0, c1], 0.5, 30.0, 1e-8, 300)
         new = _confined_outcome(qf.confined_solve, *args)
@@ -1743,12 +1745,60 @@ class TestConfinedSolve:
         else:
             assert not isinstance(new, tuple)
 
+    def test_contiguous_rows_over_several_blocks(self):
+        """263 active rows: five slice blocks, the last narrower than _BLOCK."""
+        spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * np.square(q), f=1.0)
+        vac = qf.vacuum_spectrum(spec, build_grid(-8.0, 8.0, 401), 4)
+        spans = _row_spans(vac)
+        assert len(spans) >= 3 and all(isinstance(s, slice) for s in spans)
+        assert spans[-1].stop - spans[-1].start < qf._BLOCK
+        args = (spec, vac, [1.0, 0.1], 0.5, 30.0, 1e-8, 600)
+        _assert_same_solve(_confined_outcome(qf.confined_solve, *args), _confined_outcome(confined_solve_ref, *args))
+
+    def test_gap_on_a_block_boundary(self):
+        """The gap between the wells falls between two slice blocks."""
+        grid, vac = _two_well_vacuum(n=361)
+        spans = _row_spans(vac)
+        assert all(isinstance(s, slice) for s in spans)
+        assert any(a.stop < b.start for a, b in zip(spans, spans[1:]))
+        spec = qf.QFieldSpec(eta=1.0, potential=lambda q: 0.5 * np.square(q), f=1.0)
+        args = (spec, vac, [1.0, 0.05], 0.5, 30.0, 1e-8, 300)
+        new = _confined_outcome(qf.confined_solve, *args)
+        assert not isinstance(new, tuple)
+        _assert_same_solve(new, _confined_outcome(confined_solve_ref, *args))
+
+
+def _row_spans(vac):
+    """The row blocks of ``confined_solve``: its active rows as spans of at most ``_BLOCK``."""
+    rows = np.flatnonzero(nx._support_mask(np.abs(vac.psi[:, 0]), qf._PSI0_FLOOR))
+    return [qf._index_span(rows[b]) for b in qf._blocks(rows.size)]
+
+
+@pytest.mark.parametrize("width", [1, qf._BLOCK - 1, qf._BLOCK, qf._BLOCK + 1, 3 * qf._BLOCK + 5])
+def test_tail_integral_blocks_keep_the_bits(width):
+    """The blocked tail equals one whole-grid quadrature of the (n_r, nq) view."""
+    grid, vac = _two_well_vacuum()
+    rng = np.random.default_rng(width)
+    psi0 = vac.psi[:, :1]
+    phi, phi_tilde = (psi0 * (1.0 + 0.3 * rng.standard_normal((grid.n, width))) for _ in range(2))
+    pair = qf.RadialPair(grid, np.geomspace(0.5, 30.0, width), phi, phi_tilde)
+    whole = nx._quad(grid.h, np.abs(phi * phi_tilde - vac.psi[:, 0][:, None] ** 2).T)
+    assert np.array_equal(qf.tail_integral(pair, vac), whole)
+
+
+def test_blocks():
+    for n in (0, 1, 2, qf._BLOCK - 1, qf._BLOCK, qf._BLOCK + 1, 3 * qf._BLOCK + 5):
+        spans = qf._blocks(n)
+        assert [i for b in spans for i in range(n)[b]] == list(range(n))
+        assert all(2 <= b.stop - b.start <= qf._BLOCK for b in spans) or n < 2
+        assert len(spans) == -(-n // qf._BLOCK)
+
 
 def test_index_span():
-    assert qf._index_span(np.array([False, True, True, False])) == slice(1, 3)
-    assert qf._index_span(np.array([True, True])) == slice(0, 2)
-    assert np.array_equal(qf._index_span(np.array([True, False, True])), [0, 2])
-    assert np.array_equal(qf._index_span(np.zeros(3, dtype=bool)), np.zeros(0, dtype=int))
+    assert qf._index_span(np.array([1, 2])) == slice(1, 3)
+    assert qf._index_span(np.array([0, 1])) == slice(0, 2)
+    assert np.array_equal(qf._index_span(np.array([0, 2])), [0, 2])
+    assert np.array_equal(qf._index_span(np.zeros(0, dtype=int)), np.zeros(0, dtype=int))
 
 
 # -- the snapshot series ------------------------------------------------------
