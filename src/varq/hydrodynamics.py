@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
-from .mechanics import (HydroState, NaturalSystemSpec, classical_transport_step, hj_residual_series, _RunContext,
-                        _next_state, _reject_negative, _step, _windowed_upwind)
+from .mechanics import (HydroState, NaturalSystemSpec, classical_transport_step, hj_residual_series, transport_run,
+                        _next_state, _reject_negative, _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate, _check_positive,
                        _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
@@ -135,21 +135,22 @@ def _bulk_gradient(lam: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
     return grad_central(lam, h)[lo : hi + 1]
 
 
-def _pole_update(run: _RunContext, op: TridiagonalOperator, state: HydroState, rho_new: np.ndarray, lo: int,
+def _pole_update(op: TridiagonalOperator, m_node: np.ndarray, state: HydroState, rho_new: np.ndarray, lo: int,
                  hi: int, dt: float, floor_frac: float):
-    """A quantum-pole step of ``run`` after the density update rho_new on lo..hi:
-    lam advanced on the bulk of rho_new, ``_next_state`` checking only the
-    cells written.  Returns the state and its bulk window, which the next
-    step takes (the clip at 0 moves neither the floor, the node test nor the bulk)."""
+    """A quantum-pole step after the density update rho_new on lo..hi
+    (``m_node`` is m at ``grid.nodes``): lam advanced on the bulk of
+    rho_new, ``_next_state`` checking only the cells written.  Returns the
+    state, its h*sum(rho) and its bulk window, which the next step takes
+    (the clip at 0 moves neither the floor, the node test nor the bulk)."""
     lo2, hi2, low = _check_nodeless(rho_new, floor_frac, "after step")
     bulk = slice(lo2, hi2 + 1)  # contiguous, so every update below is on views
     # (H sqrt(rho))/sqrt(rho) reduces exactly to w_r on discrete eigenstate densities
     rate = _sqrt_density_ratio(op, np.maximum(rho_new, 0.0), bulk)[bulk]
-    rate += _bulk_gradient(state.lam, state.grid.h, lo2, hi2) ** 2 / (2.0 * run.m_node[bulk])
+    rate += _bulk_gradient(state.lam, state.grid.h, lo2, hi2) ** 2 / (2.0 * m_node[bulk])
     lam_new = state.lam.copy()
     lam_new[bulk] -= dt * rate
     # low, the whole grid's minimum, bounds the moved cells' from below
-    return _next_state(state.grid, rho_new, lam_new, slice(lo, hi + 1), bulk, low, run), (lo2, hi2)
+    return (*_next_state(state.grid, rho_new, lam_new, slice(lo, hi + 1), bulk, low), (lo2, hi2))
 
 
 def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, dt: float,
@@ -158,8 +159,9 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
     """One semi-implicit step of the coupled (rho, lam) system: a one-step
     ``madelung_run``.
 
-    Classical mode delegates to the shared classical transport kernel, so
-    it reproduces mechanics.classical_transport_step bit for bit.  In quantum-pole
+    Classical mode is the classical transport step,
+    ``HydroState(grid, *classical_transport_step(...))``: without
+    ``support_floor`` that is ``mechanics.transport_density``.  In quantum-pole
     mode the density moves by limited upwind fluxes and the multiplier is
     then advanced with the quantum term evaluated at the fresh density
     (lagged sqrt(rho)); multiplier updates are restricted to the bulk
@@ -174,44 +176,40 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
         raise InvalidArgumentError(f"floor_frac must be > 0.0 and < 1.0, got {floor_frac!r}")
     grid = state.grid
     if dspec.mode == "classical":
-        rho_new, lam_new = classical_transport_step(grid, state.rho, state.lam, spec, dt, support_floor)
-        return _next_state(grid, rho_new, lam_new, slice(None), slice(None), None, None)
+        return HydroState(grid, *classical_transport_step(grid, state.rho, state.lam, spec, dt, support_floor))
     lo, hi = _check_nodeless(state.rho, floor_frac, "before step")[:2]
-    run = _RunContext(grid, spec, nodes=True)  # sampled after the scan: a noded density is rejected first
-    rho_new = _windowed_upwind(grid, state.rho, state.lam, run.m_face, lo, hi, dt)
+    m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)  # after the scan: a node raises first
+    rho_new = _windowed_upwind(grid, state.rho, state.lam, m_face, lo, hi, dt)
     op = _op if _op is not None else schrodinger_operator(spec, grid, dspec.a)
-    return _pole_update(run, op, state, rho_new, lo, hi, dt, floor_frac)[0]
+    return _pole_update(op, m_node, state, rho_new, lo, hi, dt, floor_frac)[0]
 
 
 def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, t_final: float, dt: float,
                  observer=None) -> HydroState:
-    """Advance to t_final in uniform steps of (at most) dt.
+    """Advance to t_final in uniform steps of (at most) dt: in classical
+    mode, ``mechanics.transport_run`` without a support floor.
 
-    The run builds the quantum operator and samples m(q) into one
-    ``_RunContext`` before the first step, and hands each quantum-pole step
-    the bulk window the step before found, so k steps scan the density
-    k + 1 times.  Classical mode takes ``mechanics._step`` on the whole
-    grid.  ``observer(t, state, mass)``, when given, is called after every
-    step with h*sum(state.rho), the sum the step's check took, and must not
-    modify the state.  Raises InvalidArgumentError unless t_final and dt
+    ``observer(t, rho, mass)``, when given, is called after every step with
+    h*sum(rho), the sum the step's check took, and must not modify rho.  A
+    quantum-pole run builds the operator and samples m(q) once, and hands
+    each step the bulk window the step before found, so k steps scan the
+    density k + 1 times.  Raises InvalidArgumentError unless t_final and dt
     are finite and > 0.
     """
+    if observer is None:
+        observer = lambda t, rho, mass: None  # noqa: E731
+    if dspec.mode == "classical":
+        return transport_run(state, spec, t_final, dt, None, observer)
     n_steps, dt = _uniform_steps(t_final, dt)
     t, grid = 0.0, state.grid
-    op = schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
-    run = _RunContext(grid, spec, nodes=True)
-    if op is not None:
-        window = _check_nodeless(state.rho, RHO_FLOOR_FRAC, "before step")[:2]
+    op = schrodinger_operator(spec, grid, dspec.a)
+    m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
+    window = _check_nodeless(state.rho, RHO_FLOOR_FRAC, "before step")[:2]
     for _ in range(n_steps):
-        if op is None:
-            rho, lam = _step(run, grid, state.rho, state.lam, spec, dt, None)
-            state = _next_state(grid, rho, lam, run.moved, slice(None), run.low, run)
-        else:
-            rho = _windowed_upwind(grid, state.rho, state.lam, run.m_face, *window, dt)
-            state, window = _pole_update(run, op, state, rho, *window, dt, RHO_FLOOR_FRAC)
+        rho = _windowed_upwind(grid, state.rho, state.lam, m_face, *window, dt)
+        state, mass, window = _pole_update(op, m_node, state, rho, *window, dt, RHO_FLOOR_FRAC)
         t += dt
-        if observer is not None:
-            observer(t, state, run.mass)
+        observer(t, state.rho, mass)
     return state
 
 

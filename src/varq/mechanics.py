@@ -177,18 +177,15 @@ class HydroState:
 
 
 def _next_state(grid: Grid1D, rho: np.ndarray, lam: np.ndarray, moved: slice, lam_moved: slice,
-                low: Optional[float], run: Optional[_RunContext]) -> HydroState:
+                low: Optional[float]) -> tuple:
     """The ``HydroState`` of the fresh arrays rho and lam, built without
-    ``__post_init__``: outside rho[moved] and lam[lam_moved] they equal a
-    checked state's, so only those cells are checked (``_check_cells``,
-    given ``low``).  A ``_RunContext`` ``run`` (else None) gets the state's
-    h*sum(rho) as ``run.mass``."""
+    ``__post_init__``, and its h*sum(rho): outside rho[moved] and
+    lam[lam_moved] they equal a checked state's, so only those cells are
+    checked (``_check_cells``, given ``low``)."""
     mass = _check_cells(grid, rho, lam, moved, lam_moved, low)
-    if run is not None:
-        run.mass = mass
     state = object.__new__(HydroState)
     vars(state).update({"grid": grid, "rho": rho, "lam": lam})
-    return state
+    return state, mass
 
 
 def _add_upwind_flux(new: np.ndarray, rho: np.ndarray, v_face: np.ndarray, dt: float, h: float):
@@ -284,23 +281,19 @@ def _support_window(rho: np.ndarray, floor_frac: float) -> tuple:
 
 
 class _RunContext:
-    """What a run computes once for its steps: m(q) through ``spec.mass_at``
-    at ``grid.midpoints`` and, with ``nodes``, at ``grid.nodes`` (else None);
-    ``dist`` (h*i at node i) and the n-cell ``scratch`` of the multiplier
-    extension.  What a step leaves for its run: ``moved``, the slice a
-    classical step's density update wrote, and ``low``, its minimum;
-    ``mass``, h*sum(rho) of the last state checked; the extension ``ext`` a
-    supported step recorded and did not write: its window, then per side
-    the edge value, gradient and curvature.  The record of the last
-    supported window (``samples``): ``win`` = (lo, hi), then ``rec`` =
-    (hs, 2m, V) on its nodes."""
+    """What a transport run computes once for its steps: m(q) through
+    ``spec.mass_at`` at ``grid.midpoints``, ``dist`` (h*i at node i) and the
+    n-cell ``scratch`` of the multiplier extension.  What it carries between
+    steps: the extension ``ext`` a supported step recorded and did not
+    write (its window, then per side the edge value, gradient and
+    curvature), and the record of the last supported window (``samples``):
+    ``win`` = (lo, hi), then ``rec`` = (hs, 2m, V) on its nodes."""
 
-    def __init__(self, grid: Grid1D, spec: NaturalSystemSpec, *, nodes: bool):
+    def __init__(self, grid: Grid1D, spec: NaturalSystemSpec):
         self.m_face = spec.mass_at(grid.midpoints)
-        self.m_node = spec.mass_at(grid.nodes) if nodes else None
         self.dist = grid.h * np.arange(grid.n)
         self.scratch = np.empty(grid.n)
-        self.moved = self.low = self.mass = self.ext = self.win = self.rec = None
+        self.ext = self.win = self.rec = None
 
     def samples(self, grid: Grid1D, spec: NaturalSystemSpec, lo: int, hi: int) -> tuple:
         """(hs, 2m, V) on the nodes ``build_grid`` would give the window
@@ -336,11 +329,11 @@ def _extend(out: np.ndarray, s_edge: float, g: float, c: float, d: np.ndarray, t
 
 def _step(run: _RunContext, grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: NaturalSystemSpec, dt: float,
           support_floor: Optional[float]):
-    """One (rho, S) step of ``run``, which gets the window as ``moved`` and its
-    minimum density as ``low``.  Without ``support_floor`` S comes back new.
-    With it S is written in place: the extension in ``run.ext`` on the cells
-    the window adds, then the window (2m and V from ``run.samples``); the
-    step's own extension is recorded, or written at once (``ext`` None)
+    """One (rho, S) step of ``run``; returns rho, S, the slice the density
+    update wrote and its minimum.  Without ``support_floor`` S comes back
+    new.  With it S is written in place: the extension in ``run.ext`` on the
+    cells the window adds, then the window (2m and V from ``run.samples``);
+    the step's own extension is recorded, or written at once (``ext`` None)
     unless |s0| + |g| D + |c/2| D^2 < 1e300 on both sides, D = q_max - q_min."""
     n, h = grid.n, grid.h
     lo, hi = (0, n - 1) if support_floor is None else _support_window(rho, support_floor)
@@ -349,10 +342,11 @@ def _step(run: _RunContext, grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: 
     # the whole-grid window keeps every face, so the masked velocity equals
     # the unmasked one bit for bit
     rho_new = _windowed_upwind(grid, rho, S, run.m_face, lo, hi, dt)
-    run.low = _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
-    run.moved = slice(lo, hi + 1)
+    low = _reject_negative(rho_new[lo : hi + 1], "after step", lo)  # only lo..hi moved
+    moved = slice(lo, hi + 1)
     if support_floor is None:
-        return rho_new, _godunov_hj_update(h, 2.0 * spec.mass_at(grid.nodes), spec.potential_at(grid.nodes), S, dt)
+        S_new = _godunov_hj_update(h, 2.0 * spec.mass_at(grid.nodes), spec.potential_at(grid.nodes), S, dt)
+        return rho_new, S_new, moved, low
 
     S[lo : hi + 1] = _godunov_hj_update(*run.samples(grid, spec, lo, hi), S[lo : hi + 1], dt)
     # quadratic extension outside the window (matching edge gradient and
@@ -369,7 +363,7 @@ def _step(run: _RunContext, grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: 
             and abs(r0) + abs(gr) * D + abs(0.5 * cr) * D * D < 1e300):
         run.fill(S, 0, n - 1)
         run.ext = None
-    return rho_new, S
+    return rho_new, S, moved, low
 
 
 def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec: NaturalSystemSpec, dt: float,
@@ -392,8 +386,8 @@ def classical_transport_step(grid: Grid1D, rho: np.ndarray, S: np.ndarray, spec:
     """
     if support_floor is not None and not 0.0 < support_floor < 1.0:
         raise InvalidArgumentError(f"support_floor must be > 0.0 and < 1.0, got {support_floor!r}")
-    run = _RunContext(grid, spec, nodes=False)
-    rho_new, S_new = _step(run, grid, rho, np.array(S, dtype=float), spec, dt, support_floor)
+    run = _RunContext(grid, spec)
+    rho_new, S_new = _step(run, grid, rho, np.array(S, dtype=float), spec, dt, support_floor)[:2]
     if run.ext is not None:
         run.fill(S_new, 0, grid.n - 1)
     return rho_new, S_new
@@ -424,19 +418,19 @@ def transport_run(ens: HydroState, spec: NaturalSystemSpec, t_final: float, dt: 
     """
     n_steps, dt = _uniform_steps(t_final, dt)
     grid = ens.grid
-    run = _RunContext(grid, spec, nodes=False)
+    run = _RunContext(grid, spec)
     if support_floor is not None and not 0.0 < support_floor < 1.0:  # after m(q): a bad mass raises first
         raise InvalidArgumentError(f"support_floor must be > 0.0 and < 1.0, got {support_floor!r}")
     rho, S = ens.rho, ens.lam.copy()
     t = 0.0
     for _ in range(n_steps):
-        rho, S = _step(run, grid, rho, S, spec, dt, support_floor)
-        mass = _check_cells(grid, rho, S, run.moved, slice(None) if run.ext is None else run.moved, run.low)
+        rho, S, moved, low = _step(run, grid, rho, S, spec, dt, support_floor)
+        mass = _check_cells(grid, rho, S, moved, slice(None) if run.ext is None else moved, low)
         t += dt
         observer(t, rho, mass)
     if run.ext is not None:
         run.fill(S, 0, grid.n - 1)
-    return _next_state(grid, rho, S, run.moved, slice(None), run.low, run)  # S checked whole
+    return _next_state(grid, rho, S, moved, slice(None), low)[0]  # S checked whole
 
 
 def _hj_rule(grid: Grid1D, spec: NaturalSystemSpec, S: np.ndarray, dSdt: np.ndarray) -> np.ndarray:

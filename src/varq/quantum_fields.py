@@ -260,7 +260,7 @@ class ConfinedSolveResult:
     pair: RadialPair
     residual_history: list
     iterations: int
-    mode_history: list  # stacked amplitudes (2, K, n_r) per accepted iterate, seed first; each unpacks as A, At
+    mode_history: list  # stacked amplitudes (2, K, n_r): the seed's, then the first accepted sweep's if any
 
 
 @dataclass(frozen=True)
@@ -332,7 +332,8 @@ def confined_solve(
     and the mode amplitudes move by less than 1e-12, and stops after 60
     sweeps; a stopped solve whose last residual is not below tol raises
     NumericalFailureError.  Pure vacuum input (all higher c_n zero) is a
-    fixed point and returns after zero iterations.
+    fixed point and returns after zero iterations.  ``mode_history`` keeps
+    the seed's amplitudes and the first accepted sweep's, each as A, At.
     """
     c = np.asarray(c, dtype=float)
     if c.size < 1 or abs(c[0] - 1.0) > 0:
@@ -407,7 +408,8 @@ def confined_solve(
         converged = resid_new < tol and float(np.max(np.abs(A_new - A))) < _CHANGE_TOL
         A, P = A_new, P_new
         history.append(resid_new)
-        mode_history.append(A)
+        if len(mode_history) < 2:
+            mode_history.append(A)
     if not history[-1] < tol:  # a converged solve ends below tol; a stopped one is accepted there too
         raise NumericalFailureError(
             "confined solve did not reach tolerance (max-iterations)",

@@ -20,7 +20,7 @@ from . import potentials
 from . import quantum_fields as qf
 from . import wavefunction as wv
 from .config import POTENTIALS, Scenario
-from .errors import InvalidArgumentError
+from .errors import ConfigError, DomainEscapeError, InvalidArgumentError
 from .numerics import _NORM_TOL, CayleyPropagator, _check_positive, _moments, _quad, _uniform_steps, build_grid
 from .reporting import InvariantCheck, RunReport, Series
 
@@ -84,8 +84,8 @@ def run_madelung(sc: Scenario, report: RunReport) -> None:
 
     samples = []
 
-    def obs(t, s, mass):
-        samples.append((t, _quad(grid.h, s.rho * q), mass))
+    def obs(t, rho, mass):
+        samples.append((t, _quad(grid.h, rho * q), mass))
 
     dt = sc.params["run"].get("dt", 0.2 * grid.h**2)
     state = hy.madelung_run(spec, dspec, state, sc.params["run"]["t_final"], dt, observer=obs)
@@ -102,10 +102,14 @@ def run_schrodinger(sc: Scenario, report: RunReport) -> None:
     spec = _mech_spec(sc)
     grid = _grid_from(sc)
     q = grid.nodes
-    a, t_final = sc.params["system"]["a"], sc.params["run"]["t_final"]
-    psi0 = (np.exp(-((q - sc.params["initial"]["center"]) ** 2) / (4 * sc.params["initial"]["sigma"] ** 2))
+    a, t_final, sigma = sc.params["system"]["a"], sc.params["run"]["t_final"], sc.params["initial"]["sigma"]
+    psi0 = (np.exp(-((q - sc.params["initial"]["center"]) ** 2) / (4 * sigma**2))
             * np.exp(1j * sc.params["initial"]["momentum"] * q / a))
     wf = wv.WaveFunction(grid, wv.normalize_wavefunction(grid, psi0), a)
+    try:  # a start the leakage guard refuses is the config's fault; a wall reached later is the run's
+        wv._check_boundary(grid.h, np.abs(wf.psi) ** 2, 0.0)
+    except DomainEscapeError as exc:
+        raise ConfigError(f"[initial] sigma = {sigma!r} does not fit the grid: {exc}", key="initial.sigma") from None
     n_steps, dt = _uniform_steps(t_final, sc.params["run"]["dt"])
     prop = CayleyPropagator(wv.schrodinger_operator(spec, grid, a), dt, a)
     rows, norm_drift, energy_drift = [], 0.0, 0.0

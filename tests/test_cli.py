@@ -187,6 +187,19 @@ class TestRunTimeArguments:
         err = capsys.readouterr().err
         assert re.fullmatch(r"numerical failure: boundary density \S+ exceeds 1\.0e-08 at t=\S+\n", err), err
 
+    def test_packet_too_wide_for_the_grid_is_config_error(self, tmp_path, capsys):
+        # sigma = 4 on [-14, 14] leaves 2.7e-5 of the probability in the edge
+        # cells at t = 0: check cannot see it, run refuses the start before stepping
+        text = (CONFIG_DIR / "schrodinger_free_gaussian.cfg").read_text()
+        assert "sigma = 1.0" in text
+        cfg = write_cfg(tmp_path, text.replace("sigma = 1.0", "sigma = 4.0"))
+        assert main(["check", str(cfg)]) == EXIT_OK
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: [initial] sigma = 4.0 does not fit the grid: boundary density 2.666e-05 exceeds"
+                       " 1.0e-08 at t=0 (key: initial.sigma)\n"), err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_double_well_pair_is_named(self, tmp_path, capsys):
         # the barrier action is about 43: the lowest pair of this double well
         # splits below double precision, so the solver returns it equal;

@@ -86,9 +86,9 @@ class TestMadelungStep:
         dt = 0.25 * grid.h**2
         ts, cens = [], []
 
-        def obs(t, s, mass):
+        def obs(t, rho, mass):
             ts.append(t)
-            cens.append(grid.h * np.sum(s.rho * q))
+            cens.append(grid.h * np.sum(rho * q))
 
         hy.madelung_run(unit_mass_harmonic, dspec, state, np.pi, dt, observer=obs)
         cens = np.asarray(cens)
@@ -275,7 +275,7 @@ class TestMassConservation:
         masses = []
         dt = 0.2 * grid.h**2 * mass / a
         hy.madelung_run(spec, hy.DiffusionSpec(a=a), hy.HydroState(grid, rho, kick * q), 20 * dt, dt,
-                        observer=lambda t, s, mass: masses.append((mass, grid.h * float(np.sum(s.rho)))))
+                        observer=lambda t, rho, mass: masses.append((mass, grid.h * float(np.sum(rho)))))
         assert all(mass == summed for mass, summed in masses)  # the observer's mass is h*sum(rho)
         masses = [m for m, _ in masses]
         assert len(masses) >= 20
@@ -312,17 +312,16 @@ class TestRunSampling:
         grid = build_grid(-8, 8, 401)
         rho = mech.normalize_density(grid, np.exp(-((grid.nodes - 0.3) ** 2)))
         state0 = hy.HydroState(grid, rho, 0.1 * grid.nodes)
-        dt = 0.2 * grid.h**2
-        t_final = 25 * dt
+        dt = 2.0**-12  # below 0.2 h^2, and k * dt / k is dt for a run of any length k
         seen = []
-        out = hy.madelung_run(spec, dspec, state0, t_final, dt, observer=lambda t, s, mass: seen.append(s))
-        n_steps = int(np.ceil(t_final / dt))
+        hy.madelung_run(spec, dspec, state0, 25 * dt, dt, observer=lambda t, rho, mass: seen.append(rho))
+        assert len(seen) == 25
         ref = state0
-        for k in range(n_steps):
-            ref = hy.madelung_step(spec, dspec, ref, t_final / n_steps)
-            assert np.array_equal(seen[k].rho, ref.rho) and np.array_equal(seen[k].lam, ref.lam)
-        assert len(seen) == n_steps
-        assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.lam, ref.lam)
+        for k in range(1, 26):  # the observer shows no lam: a run of each length returns it
+            ref = hy.madelung_step(spec, dspec, ref, dt)
+            out = hy.madelung_run(spec, dspec, state0, k * dt, dt)
+            assert np.array_equal(seen[k - 1], ref.rho)
+            assert np.array_equal(out.rho, ref.rho) and np.array_equal(out.lam, ref.lam)
 
     @pytest.mark.parametrize("mode", ["quantum-pole", "classical"])
     def test_bad_face_mass_rejected_before_first_step(self, mode, monkeypatch):
@@ -331,8 +330,8 @@ class TestRunSampling:
         assert np.all(spec.mass_at(grid.nodes) > 0)
         rho = mech.normalize_density(grid, np.exp(-grid.nodes**2))
         steps = []
-        for name in ("_step", "_windowed_upwind"):  # the first call of a classical, a quantum-pole run step
-            monkeypatch.setattr(hy, name, lambda *a, real=getattr(hy, name): steps.append(1) or real(*a))
+        for mod, name in ((mech, "_step"), (hy, "_windowed_upwind")):  # the first call of a classical, a pole run step
+            monkeypatch.setattr(mod, name, lambda *a, real=getattr(mod, name): steps.append(1) or real(*a))
         with pytest.raises(InvalidSpecError):
             hy.madelung_run(spec, hy.DiffusionSpec(a=1.0, mode=mode),
                             hy.HydroState(grid, rho, np.zeros(grid.n)), 0.01, 1e-4)

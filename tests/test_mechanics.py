@@ -353,7 +353,7 @@ class TestWholeGridWindow:
         dt = cfl_target * grid.h / max(vmax, 1e-300)
         m_face = spec.mass_at(grid.midpoints) if pass_run else None
         if pass_run:  # a run's step
-            new = _outcome(mech._step, mech._RunContext(grid, spec, nodes=False), grid, rho, S, spec, dt, None)
+            new = _outcome(mech._step, mech._RunContext(grid, spec), grid, rho, S, spec, dt, None)
         else:
             new = _outcome(mech.classical_transport_step, grid, rho, S, spec, dt, None)
         old = _outcome(transport_step_unmasked, grid, rho, S, spec, dt, m_face)
@@ -772,8 +772,9 @@ class TestNumberMass:
         for floor in (1e-6, None):
             steps = [mech.classical_transport_step(grid, rho, 0.1 * S, s, 1e-4, floor)[1] for s in (number, callable_)]
             assert np.array_equal(*steps)
-        runs = [mech._RunContext(grid, s, nodes=True) for s in (number, callable_)]
-        assert np.array_equal(runs[0].m_face, runs[1].m_face) and np.array_equal(runs[0].m_node, runs[1].m_node)
+        runs = [mech._RunContext(grid, s) for s in (number, callable_)]
+        assert np.array_equal(runs[0].m_face, runs[1].m_face)
+        assert np.array_equal(number.mass_at(grid.nodes), callable_.mass_at(grid.nodes))
         start = mech.PhaseState(*rng.uniform(-1.0, 1.0, 2))
         flows = [mech.hamilton_flow(s, start, 0.01, 50) for s in (number, callable_)]
         assert np.array_equal(flows[0], flows[1])

@@ -471,10 +471,12 @@ class TestConfinedSolve:
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_solve_and_report_peak_memory(self, harmonic_vacuum):
-        """Solve and report hold the (2, nq, n_r) field buffer, the mode history
-        and temporaries of a block or so.  At 801 x 400, K = 8 (numpy 2.4) the
-        traced peak is 7.2 MB against a bound of 8.0 MB; whole-grid temporaries
-        in the sweep and in tail_integral read 11.6 MB."""
+        """Solve and report hold the (2, nq, n_r) field buffer, two (2, K, n_r)
+        iterates of the mode history and temporaries of a block or so.  At
+        801 x 400, K = 8 (numpy 2.4) the solve takes 24 sweeps and the traced
+        peak is 6.1 MB against a bound of 6.9 MB; a history of all 25 iterates
+        read 7.2 MB, and whole-grid temporaries in the sweep and in
+        tail_integral 11.6 MB."""
         spec, grid, vac = harmonic_vacuum
         n_r = 400
         tracemalloc.start()
@@ -486,8 +488,10 @@ class TestConfinedSolve:
             tracemalloc.stop()
         fields = 2 * grid.n * n_r * 8
         block = 2 * qf._BLOCK * max(grid.n, n_r) * 8  # a (2, _BLOCK, n) stack of floats
-        bound = fields + sum(a.nbytes for a in res.mode_history) + 2 * block
+        iterate = 2 * vac.w.size * n_r * 8  # a (2, K, n_r) stack of amplitudes
+        bound = fields + 2 * iterate + 2 * block
         assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+        assert len(res.mode_history) == 2 and res.iterations == 24
 
     def test_residual_history_decreasing_above_tol(self, harmonic_vacuum):
         spec, grid, vac = harmonic_vacuum

@@ -440,6 +440,11 @@ GROWTH = "config error: potential must grow toward the grid ends\n"
 # these cases pass check and exit 2 from run with GROWTH, naming no key.
 GRID_SAMPLED = {(regime, f"grid.{key}", value) for regime in ("confined", "space-independent", "vacuum")
                 for key in ("q_min", "q_max") for value in ("0", "-1")}
+# A Schrodinger packet that leaves more than the leakage guard allows in the
+# edge cells at t = 0 is refused by the runner before it steps, naming
+# initial.sigma; config has no rule for it (that needs the runner's
+# normalisation sum), so this case passes check and exits 2 from run.
+PACKET_OUTSIDE = {("schrodinger", "grid.q_min", "-1")}
 # a rule's key -> the other keys it reads; an edit of one of them may name the rule's key
 GRID = {"grid.q_min", "grid.q_max", "grid.n"}
 RULE_KEYS = {"grid.q_max": {"grid.q_min"}, "initial.center": {"grid.q_min", "grid.q_max"},
@@ -461,12 +466,13 @@ def _outcome(argv, capsys) -> tuple:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("regime", sorted(SCHEMA))
 def test_check_rejects_what_run_rejects(tmp_path, capsys, regime):
-    """check exits 2 exactly when run does, but for GRID_SAMPLED; both then
-    print the same line, which names the edited key or a rule that reads it."""
+    """check exits 2 exactly when run does, but for GRID_SAMPLED and
+    PACKET_OUTSIDE; both then print the same line, which names the edited
+    key or a rule that reads it."""
     base = read_sections(f"[scenario]\nregime = {regime}\n" + SMALL[regime])
     assert base.get("potential", {"kind": "harmonic"})["kind"] == "harmonic"
     cfg, out = tmp_path / "case.cfg", str(tmp_path / "out")
-    wrong, grid_sampled = [], set()
+    wrong, grid_sampled, packet_outside = [], set(), set()
     for sec, keys in SCHEMA[regime].items():
         for key, value in ((key, value) for key in keys for value in FUZZ_VALUES):
             edited = f"{sec}.{key}"
@@ -478,11 +484,14 @@ def test_check_rejects_what_run_rejects(tmp_path, capsys, regime):
             named = check_err.rpartition("(key: ")[2].rstrip(")\n")
             if (check, run, run_err) == (EXIT_OK, EXIT_CONFIG, GROWTH):
                 grid_sampled.add((regime, edited, value))
+            elif (check, run) == (EXIT_OK, EXIT_CONFIG) and run_err.endswith(" (key: initial.sigma)\n"):
+                packet_outside.add((regime, edited, value))
             elif EXIT_CONFIG in (check, run) or edited in ALWAYS_REJECTED:
                 if not (check_err == run_err and (named == edited or edited in RULE_KEYS.get(named, ()))):
                     wrong.append((edited, value, check, run, run_err))
     assert not wrong
     assert grid_sampled == {case for case in GRID_SAMPLED if case[0] == regime}
+    assert packet_outside == {case for case in PACKET_OUTSIDE if case[0] == regime}
 
 
 def test_benchmark_configs_parse(monkeypatch):

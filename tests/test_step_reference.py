@@ -16,8 +16,8 @@ stages on Python floats.  The numpy forms they replaced are kept here too:
 the array rhs ``local_form_rhs_ref`` through it.
 
 The transport run loops check only the cells a step wrote
-(``mechanics._check_cells``, through ``mechanics._next_state`` in
-``madelung_run``); the constructor's former whole-grid check is kept here
+(``mechanics._check_cells``, through ``mechanics._next_state`` in the
+quantum-pole ``madelung_run``); the constructor's former whole-grid check is kept here
 (``density_state_ref``) and both must match it.  ``transport_run`` with a
 support floor writes S outside the window once, before it returns, and
 samples V and m once per window; the reference keeps a whole S and a
@@ -325,7 +325,7 @@ def madelung_run_ref(spec, dspec, state, t_final, dt, observer):
     for _ in range(n_steps):
         state = madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node)
         t += dt
-        observer(t, state, grid.h * float(np.sum(state.rho)))
+        observer(t, state.rho, grid.h * float(np.sum(state.rho)))
     return state
 
 
@@ -345,25 +345,16 @@ def transport_run_ref(ens, spec, t_final, dt, support_floor, observer):
 # -- runs against the references ----------------------------------------------
 
 
-def _trajectory(run, *args):
-    """(observed states with the runners' samples, final state or rejection)."""
+def _rho_trajectory(run, grid, *args):
+    """A density run on ``grid``, whose observer takes (t, rho, mass): the
+    observed densities with the runners' samples (the centroid in the
+    method form they use, and the mass the run hands over), then the final
+    state or the rejection (a rejected step, a bad state or a spec the
+    step's samples refuse) as (class, message, location, diagnostics)."""
+    q, h = grid.nodes, grid.h
     seen = []
     try:
-        out = run(*args, lambda t, s, mass: seen.append((t, s, _samples(s, mass))))
-    except StepRejectedError as exc:
-        return seen, (str(exc), exc.location, exc.diagnostics)
-    return seen, out
-
-
-def _rho_trajectory(run, ens, *args):
-    """``_trajectory`` of a transport run, whose observer takes (t, rho, mass): the
-    observed densities with the runner's samples, then the final ensemble
-    or the rejection (a rejected step, a bad state or a spec the step's
-    samples refuse) as (class, message, location, diagnostics)."""
-    q, h = ens.grid.nodes, ens.grid.h
-    seen = []
-    try:
-        out = run(ens, *args, lambda t, rho, mass: seen.append((t, rho.copy(), (h * float((rho * q).sum()), mass))))
+        out = run(*args, lambda t, rho, mass: seen.append((t, rho.copy(), (h * float((rho * q).sum()), mass))))
     except (StepRejectedError, InvalidStateError, InvalidSpecError) as exc:
         return seen, (type(exc), str(exc), getattr(exc, "location", None), getattr(exc, "diagnostics", None))
     return seen, out
@@ -385,31 +376,19 @@ def _assert_same_rho(new, old, q, h):
         assert np.array_equal(np.signbit(end_new.lam), np.signbit(end_old.lam))
 
 
-def _samples(s, mass):
-    """What run_classical/run_madelung record from each state, in the
-    method form they use: the centroid and the mass the run hands over."""
-    q, h = s.grid.nodes, s.grid.h
-    return h * float((s.rho * q).sum()), mass
-
-
-def _samples_ref(s):
-    q, h = s.grid.nodes, s.grid.h
-    return h * float(np.sum(s.rho * q)), h * float(np.sum(s.rho))
-
-
-def _assert_same(new, old, field):
-    (seen_new, end_new), (seen_old, end_old) = new, old
-    assert len(seen_new) == len(seen_old)
-    for (t1, s1, x1), (t2, s2, _) in zip(seen_new, seen_old):
-        assert t1 == t2
-        assert np.array_equal(s1.rho, s2.rho) and np.array_equal(getattr(s1, field), getattr(s2, field))
-        assert x1 == _samples_ref(s2)
-    assert isinstance(end_new, tuple) == isinstance(end_old, tuple)
-    if isinstance(end_old, tuple):
-        assert end_new == end_old
-    else:
-        assert np.array_equal(end_new.rho, end_old.rho)
-        assert np.array_equal(getattr(end_new, field), getattr(end_old, field))
+def _assert_same_madelung(spec, dspec, state, dt, steps):
+    """A ``steps``-step Madelung run against the reference, then each
+    shorter run down to one step, none longer than the states the first
+    run observed: the observer shows no lam, so the returned states hold
+    it.  Returns the first run's trajectory."""
+    grid, full, k = state.grid, None, steps
+    while k:
+        new = _rho_trajectory(hy.madelung_run, grid, spec, dspec, state, k * dt, dt)
+        old = _rho_trajectory(madelung_run_ref, grid, spec, dspec, state, k * dt, dt)
+        _assert_same_rho(new, old, grid.nodes, grid.h)
+        full = new if full is None else full
+        k = min(k - 1, len(new[0]))
+    return full
 
 
 def _spec(kind, strength, m0, m1):
@@ -445,10 +424,7 @@ class TestMadelungRun:
         dspec = hy.DiffusionSpec(a=1.0, mode=mode)
         rho = mech.normalize_density(grid, np.exp(-((q - center_frac * half_width) ** 2) / (2 * variance)))
         state = hy.HydroState(grid, rho, kick * q)
-        dt = 0.2 * grid.h**2
-        new = _trajectory(hy.madelung_run, spec, dspec, state, 20 * dt, dt)
-        old = _trajectory(madelung_run_ref, spec, dspec, state, 20 * dt, dt)
-        _assert_same(new, old, "lam")
+        _assert_same_madelung(spec, dspec, state, 0.2 * grid.h**2, 20)
 
     def test_node_mid_run_rejected_as_before(self):
         # a frozen remnant (cells 10-19) beyond an empty gap (20-24) turns
@@ -463,12 +439,10 @@ class TestMadelungRun:
         state = hy.HydroState(grid, mech.normalize_density(grid, rho), q**2)
         dt = 0.2 * grid.h**2
         dspec = hy.DiffusionSpec(a=1.0)
-        new = _trajectory(hy.madelung_run, spec, dspec, state, 300 * dt, dt)
-        old = _trajectory(madelung_run_ref, spec, dspec, state, 300 * dt, dt)
-        _assert_same(new, old, "lam")
+        new = _assert_same_madelung(spec, dspec, state, dt, 300)
         assert len(new[0]) == 94
-        assert new[1][:2] == ("density node forming inside the bulk (after step)", 20)
-        assert new[1][2]["rho_min"] == 0.0
+        assert new[1][:3] == (StepRejectedError, "density node forming inside the bulk (after step)", 20)
+        assert new[1][3]["rho_min"] == 0.0
 
     @pytest.mark.parametrize("center, ends", [(0.0, "interior"), (-7.5, "first node"), (7.5, "last node")])
     def test_bulk_gradient_at_the_grid_ends(self, center, ends):
@@ -482,15 +456,14 @@ class TestMadelungRun:
         state = hy.HydroState(grid, rho, lam)
         dt = 0.2 * grid.h**2
         dspec = hy.DiffusionSpec(a=1.0)
-        run = mech._RunContext(grid, spec, nodes=True)
+        m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
         lo, hi = hy._check_nodeless(state.rho, nx.RHO_FLOOR_FRAC, "before step")[:2]
-        rho_new = mech._windowed_upwind(grid, state.rho, state.lam, run.m_face, lo, hi, dt)
-        new, (lo2, hi2) = hy._pole_update(run, wv.schrodinger_operator(spec, grid, 1.0), state, rho_new, lo, hi, dt,
-                                          nx.RHO_FLOOR_FRAC)
+        rho_new = mech._windowed_upwind(grid, state.rho, state.lam, m_face, lo, hi, dt)
+        new, _, (lo2, hi2) = hy._pole_update(wv.schrodinger_operator(spec, grid, 1.0), m_node, state, rho_new, lo, hi,
+                                             dt, nx.RHO_FLOOR_FRAC)
         assert np.array_equal(new.lam, hy.madelung_step(spec, dspec, state, dt).lam)
         assert {"interior": 0 < lo2 and hi2 < grid.n - 1, "first node": lo2 == 0 and hi2 < grid.n - 1,
                 "last node": hi2 == grid.n - 1 and lo2 > 0}[ends]
-        m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
         old = madelung_step_ref(spec, dspec, state, dt, wv.schrodinger_operator(spec, grid, 1.0), m_face, m_node)
         assert np.array_equal(new.rho, old.rho) and np.array_equal(new.lam, old.lam)
         assert not np.array_equal(new.lam[lo2 : hi2 + 1], state.lam[lo2 : hi2 + 1])
@@ -529,8 +502,8 @@ class TestTransportRun:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - center_frac * half_width) / (width_cells * grid.h)) ** 2))
         ens = mech.HydroState(grid, rho, kick * q)
         dt = cfl * grid.h
-        new = _rho_trajectory(mech.transport_run, ens, spec, 30 * dt, dt, support_floor)
-        old = _rho_trajectory(transport_run_ref, ens, spec, 30 * dt, dt, support_floor)
+        new = _rho_trajectory(mech.transport_run, grid, ens, spec, 30 * dt, dt, support_floor)
+        old = _rho_trajectory(transport_run_ref, grid, ens, spec, 30 * dt, dt, support_floor)
         _assert_same_rho(new, old, q, grid.h)
 
     @pytest.mark.parametrize("wall, seen, error", [(1e308, 4, "lam must be finite"), (1e302, 5, "CFL violation")],
@@ -551,8 +524,8 @@ class TestTransportRun:
         real = mech._extend
         monkeypatch.setattr(mech, "_extend", lambda out, *a: written.append(out.size) or real(out, *a))
         with np.errstate(over="ignore"):
-            new = _rho_trajectory(mech.transport_run, ens, spec, 200 * dt, dt, 1e-6)
-            old = _rho_trajectory(transport_run_ref, ens, spec, 200 * dt, dt, 1e-6)
+            new = _rho_trajectory(mech.transport_run, grid, ens, spec, 200 * dt, dt, 1e-6)
+            old = _rho_trajectory(transport_run_ref, grid, ens, spec, 200 * dt, dt, 1e-6)
         _assert_same_rho(new, old, q, grid.h)
         assert len(new[0]) == seen and new[1][1].startswith(error)
         assert new[1][0] is (InvalidStateError if wall == 1e308 else StepRejectedError)
@@ -569,8 +542,8 @@ class TestTransportRun:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - 0.1) / (3 * grid.h)) ** 2))
         ens = mech.HydroState(grid, rho, 0.5 * q)
         dt = 0.4 * grid.h
-        new = _rho_trajectory(mech.transport_run, ens, spec, 200 * dt, dt, 1e-6)
-        old = _rho_trajectory(transport_run_ref, ens, spec, 200 * dt, dt, 1e-6)
+        new = _rho_trajectory(mech.transport_run, grid, ens, spec, 200 * dt, dt, 1e-6)
+        old = _rho_trajectory(transport_run_ref, grid, ens, spec, 200 * dt, dt, 1e-6)
         _assert_same_rho(new, old, q, grid.h)
         assert len(new[0]) > 10 and new[1][:2] == (InvalidSpecError, "potential V(q) must be finite")
 
@@ -587,6 +560,50 @@ class TestTransportRun:
         for got in (mech.classical_transport_step(grid, rho, S, spec, dt, floor)[1],
                     hy.madelung_step(spec, dspec, state, dt, support_floor=floor).lam):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestClassicalModeIsTransport:
+    """Classical ``madelung_run`` is ``transport_run`` without a support
+    floor, and classical ``madelung_step`` is the classical transport step."""
+
+    DRAWS = dict(half_width=st.floats(min_value=1.0, max_value=8.0), n=st.integers(min_value=41, max_value=241),
+                 center_frac=st.floats(min_value=-0.5, max_value=0.5),
+                 width_cells=st.floats(min_value=2.0, max_value=10.0), kick=st.floats(min_value=-2.0, max_value=2.0),
+                 cfl=st.floats(min_value=0.05, max_value=1.5), number_mass=st.booleans(), **SPECS)
+
+    @staticmethod
+    def _draw(half_width, n, center_frac, width_cells, kick, cfl, number_mass, kind, strength, m0, m1):
+        """The spec (a callback or a number mass), a Gaussian state and dt = cfl * h: CFL numbers reach past 1."""
+        grid = build_grid(-half_width, half_width, n)
+        q = grid.nodes
+        spec = _spec(kind, strength, m0, m1)
+        if number_mass:
+            spec = mech.NaturalSystemSpec(mass=m0, potential=spec.potential)
+        rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - center_frac * half_width) / (width_cells * grid.h)) ** 2))
+        return spec, hy.HydroState(grid, rho, kick * q + 0.1 * q * q), cfl * grid.h
+
+    @settings(max_examples=40, deadline=None)
+    @given(**DRAWS)
+    def test_run_is_transport_run(self, **draw):
+        spec, state, dt = self._draw(**draw)
+        grid = state.grid
+        dspec = hy.DiffusionSpec(a=1.0, mode="classical")
+        new = _rho_trajectory(hy.madelung_run, grid, spec, dspec, state, 25 * dt, dt)
+        old = _rho_trajectory(mech.transport_run, grid, state, spec, 25 * dt, dt, None)
+        _assert_same_rho(new, old, grid.nodes, grid.h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(support_floor=st.sampled_from([None, 1e-6]), **DRAWS)
+    def test_step_is_transport_step(self, support_floor, **draw):
+        spec, state, dt = self._draw(**draw)
+        dspec = hy.DiffusionSpec(a=1.0, mode="classical")
+        new = _one_step(hy.madelung_step, spec, dspec, state, dt, nx.RHO_FLOOR_FRAC, support_floor)
+        if support_floor is None:
+            old = _one_step(mech.transport_density, state, spec, dt)
+        else:
+            old = _one_step(lambda: mech.HydroState(state.grid, *mech.classical_transport_step(
+                state.grid, state.rho, state.lam, spec, dt, support_floor)))
+        _assert_same_step(new, old)
 
 
 # -- one scan per step --------------------------------------------------------
@@ -663,6 +680,13 @@ def density_state_ref(grid, rho, lam):
     return SimpleNamespace(grid=grid, rho=np.maximum(rho, 0.0), lam=lam)
 
 
+def _next_state(*args):
+    """The state ``mechanics._next_state`` builds, once the sum it returns is held to the state's h*sum(rho)."""
+    state, mass = mech._next_state(*args)
+    assert mass == state.grid.h * float(np.sum(state.rho))
+    return state
+
+
 def _build(make, *args):
     """The new state's arrays, or the rejection as (class, message, location, diagnostics)."""
     try:
@@ -716,10 +740,10 @@ class TestNextState:
                 lam[lam_moved][int(rng.integers(0, lam[lam_moved].size))] = np.inf if kind == "lam_inf" else np.nan
         old = _build(density_state_ref, grid, rho.copy(), lam.copy())
         public = _build(mech.HydroState, grid, rho.copy(), lam.copy())
-        private = _build(mech._next_state, grid, rho.copy(), lam.copy(), moved, lam_moved, None, None)
+        private = _build(_next_state, grid, rho.copy(), lam.copy(), moved, lam_moved, None)
         # a step hands over the minimum its rejection test took (a NaN when rho[moved] holds one)
-        scanned = _build(mech._next_state, grid, rho.copy(), lam.copy(), moved, lam_moved,
-                         float(rho[moved][int(rho[moved].argmin())]), None)
+        scanned = _build(_next_state, grid, rho.copy(), lam.copy(), moved, lam_moved,
+                         float(rho[moved][int(rho[moved].argmin())]))
         for got in (public, private, scanned):
             assert isinstance(got[0], type) == isinstance(old[0], type)
             if isinstance(old[0], type):
@@ -735,9 +759,9 @@ class TestNextState:
         rho[4], lam = np.nan, np.zeros(grid.n)
         lam[6] = np.inf
         with pytest.raises(InvalidStateError, match="^lam must be finite$"):
-            mech._next_state(grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None, None)
+            mech._next_state(grid, rho.copy(), lam.copy(), slice(3, 8), slice(None), None)
         with pytest.raises(InvalidStateError, match=r"^density not normalised: h\*sum\(rho\) = nan$"):
-            mech._next_state(grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None, None)
+            mech._next_state(grid, rho.copy(), np.zeros(grid.n), slice(3, 8), slice(None), None)
 
 
 class TestStepWork:
@@ -776,13 +800,13 @@ class TestStepWork:
     def test_madelung_run(self, unit_mass_harmonic, monkeypatch, mode, k):
         state = _gaussian_state()
         calls, steps = self._count(monkeypatch), []
-        name = "_pole_update" if mode == "quantum-pole" else "_step"
-        real = getattr(hy, name)
-        monkeypatch.setattr(hy, name, lambda run, *a: steps.append(run) or real(run, *a))
+        mod, name = (hy, "_pole_update") if mode == "quantum-pole" else (mech, "_step")
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda first, *a: steps.append(first) or real(first, *a))
         dt = 0.2 * state.grid.h**2
         hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode=mode), state, k * dt, dt)
         assert calls == {"validate": 0, "build_grid": 0}
-        assert len(steps) == k and all(r is steps[0] for r in steps)
+        assert len(steps) == k and all(r is steps[0] for r in steps)  # one operator, or one _RunContext, per run
 
     @pytest.mark.parametrize("floor", [1e-6, None])
     def test_standalone_step_equals_run_step(self, monkeypatch, floor):
@@ -796,7 +820,7 @@ class TestStepWork:
 
         def recording(run, *a):
             out = real(run, *a)
-            moved = run.moved  # the step's window: a run's S holds the step's values only there
+            moved = out[2]  # the step's window: a run's S holds the step's values only there
             seen.append((a[1].copy(), out[0].copy(), moved, out[1][moved].copy()))
             return out
 
@@ -819,7 +843,7 @@ class TestStepWork:
         # bits of the whole extension on its cells outside it, and no other cell changes
         rng = np.random.default_rng(seed)
         grid = build_grid(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), n)
-        run = mech._RunContext(grid, mech.NaturalSystemSpec(mass=1.0, potential=lambda q: 0.0 * q), nodes=False)
+        run = mech._RunContext(grid, mech.NaturalSystemSpec(mass=1.0, potential=lambda q: 0.0 * q))
         wlo, whi = sorted(rng.choice(n, size=2, replace=False).tolist())
         run.ext = wlo, whi, tuple(rng.normal(scale=5.0, size=3)), tuple(rng.normal(scale=5.0, size=3))
         whole = np.full(n, np.nan)
@@ -848,7 +872,7 @@ class TestStepWork:
 
         def recording(run, *a):
             out = real(run, *a)
-            windows.append(run.moved)
+            windows.append(out[2])
             return out
 
         monkeypatch.setattr(mech, "_step", recording)
@@ -1680,7 +1704,7 @@ def _assert_same_solve(new, old):
     assert not isinstance(new, tuple), new
     assert new.residual_history == old.residual_history
     assert new.iterations == old.iterations
-    assert len(new.mode_history) == len(old.mode_history)
+    assert len(new.mode_history) == min(len(old.mode_history), 2)  # the seed's and the first sweep's
     for (a, at), (b, bt) in zip(new.mode_history, old.mode_history):
         assert np.array_equal(a, b) and np.array_equal(at, bt)
     for name in ("r", "phi", "phi_tilde"):
