@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""List, per module of src/varq, the executable lines that no real caller runs.
+"""Check that every executable line of src/varq that no real caller runs is
+on the allowlist scripts/line_reach_ok.json, and that every entry still is
+such a line.
 
     python scripts/line_reach.py [--json unrun.json]
 
@@ -10,7 +12,7 @@ directory), one pass of each benchmark workload of perfbench/workloads.py
 at seed 1 plus its warm-up scenarios, and one call of each entry of the
 kernel table in perfbench/kernels.py.  Both perfbench files are imported,
 never written.  The roots run under ``sys.settrace`` with BLAS at one
-thread; their own output is discarded.  It takes about 30 s on a 2-vCPU
+thread; their own output is discarded.  It takes about 25 s on a 2-vCPU
 Xeon virtual machine.
 
 A line is executable when it starts a line-table entry of a function,
@@ -19,9 +21,25 @@ are left out; so is the def or decorator line a call starts on).  A line
 that holds several of them counts as run when any of them ran.  ``--json``
 writes the unrun line numbers per module and each module's count of
 executable lines.
+
+An allowlist entry names a line by its module, the qualname of the
+innermost def or class around it and its stripped text, never by number,
+so an edit elsewhere in the file leaves it matching; ``count`` (default 1)
+covers that many identical lines.  Each entry gives either a ``class``
+(one of ``CLASSES``) or a one-line ``reason``.  The classes: "raise", a
+line of a raise statement, of a branch that only builds what it raises, or
+of a varq error's constructor; "except handler", an ``except`` line;
+"config or CLI error path", a config check's message or the CLI's error
+reporting; "catalogue kind no shipped config uses", the body of such a
+kind in potentials.py.  Every other entry needs a reason.  The script prints every
+module's unrun lines, then the unrun lines no entry covers and the entries
+that match fewer unrun lines than they count (the line runs now, or is
+gone), and exits 1 if either list is not empty: the allowlist can only
+shrink.
 """
 
 import argparse
+import ast
 import contextlib
 import dis
 import importlib.util
@@ -32,12 +50,16 @@ import os
 import runpy
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "varq"
 SCIENCE = ("confinement_scan.py", "dispersion_check.py", "equivalence_demo.py")
 WORKLOAD_SEED = 1
+ALLOWLIST = Path(__file__).resolve().with_name("line_reach_ok.json")
+CLASSES = ("raise", "except handler", "config or CLI error path", "catalogue kind no shipped config uses")
+FIELDS = {"module", "qualname", "text", "count", "class", "reason"}
 
 
 def executable_lines(path: Path) -> set:
@@ -83,6 +105,56 @@ def trace(roots, paths) -> dict:
 def unrun(paths, ran) -> dict:
     """The executable lines of each file of ``paths`` missing from ``ran``, ascending."""
     return {str(p): sorted(executable_lines(p) - ran[str(p)]) for p in paths}
+
+
+def enclosing(path: Path) -> dict:
+    """Line -> dotted qualname of the innermost def or class spanning it in
+    the source file ``path`` (lines at module level are left out)."""
+    names = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.update(dict.fromkeys(range(child.lineno, child.end_lineno + 1), prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")  # inner defs overwrite their lines
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return names
+
+
+def load_allowlist(path: Path) -> Counter:
+    """The entries of the allowlist file ``path`` as counts keyed (module,
+    qualname, text); raises SystemExit on a malformed or repeated entry."""
+    allowed = Counter()
+    for entry in json.loads(path.read_text()):
+        key = (entry.get("module"), entry.get("qualname"), entry.get("text"))
+        count, cls, reason = entry.get("count", 1), entry.get("class"), entry.get("reason")
+        justified = (cls in CLASSES if reason is None else
+                     cls is None and isinstance(reason, str) and reason.strip() != "" and "\n" not in reason)
+        if (key in allowed or not all(isinstance(k, str) for k in key) or not justified
+                or type(count) is not int or count < 1 or set(entry) - FIELDS):
+            raise SystemExit(f"{path.name}: malformed or repeated entry {entry}")
+        allowed[key] = count
+    return allowed
+
+
+def check(missing: dict, allowed: Counter) -> tuple:
+    """Match the unrun lines ``missing`` (``unrun``'s result) against the
+    ``allowed`` counts.  Returns (unlisted, stale): the unrun lines past
+    their key's count, as (module, line, qualname, text), and the counts
+    by which entries exceed the unrun lines they match."""
+    unlisted, found = [], Counter()
+    for name, lines in missing.items():
+        path = Path(name)
+        source, names = path.read_text().splitlines(), enclosing(path)
+        for line in lines:
+            key = (path.name, names.get(line, ""), source[line - 1].strip())
+            found[key] += 1
+            if found[key] > allowed[key]:
+                unlisted.append((key[0], line, *key[1:]))
+    return unlisted, allowed - found
 
 
 def _load(path: Path):
@@ -144,6 +216,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--json", help="write the unrun lines and the executable-line counts to this file")
     args = ap.parse_args()
+    allowed = load_allowlist(ALLOWLIST)  # a malformed file fails before the trace
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
@@ -161,7 +234,16 @@ def main():
     if args.json:
         unrun_lines = {Path(p).name: lines for p, lines in missing.items()}
         Path(args.json).write_text(json.dumps({"unrun": unrun_lines, "executable": counts}, indent=1) + "\n")
+    unlisted, stale = check(missing, allowed)
+    print(f"{len(unlisted)} unrun lines not on {ALLOWLIST.name} (give each a class or a reason there, or run it):")
+    for module, line, qualname, text in unlisted:
+        print(f"  {module}:{line} {qualname}: {text}")
+    print(f"{sum(stale.values())} entries of {ALLOWLIST.name} match no unrun line (the line runs now or is gone; "
+          "remove them):")
+    for (module, qualname, text), n in sorted(stale.items()):
+        print(f"  {module} {qualname}: {text}" + (f" (x{n})" if n > 1 else ""))
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

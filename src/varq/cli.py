@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .config import load_scenario
 from .errors import ConfigError, InvariantFailure, NumericalFailureError
-from .reporting import emit_series, write_report
+from .reporting import RunReport, emit_series, write_report
 from .runners import run_scenario_object
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
+_STATUS = {EXIT_OK: "ok", EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure",
+           EXIT_INVARIANT: "invariant failure"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,8 +58,14 @@ def _run_one(path, out_root: Path, seed, tol_scale: float) -> int:
     sc = load_scenario(path)
     if seed is not None:
         sc.seed = seed
-    report = run_scenario_object(sc, tol_scale=tol_scale)
-    out_dir = out_root / sc.name
+    out_dir, t0 = out_root / sc.name, time.perf_counter()
+    try:
+        report = run_scenario_object(sc, tol_scale=tol_scale)
+    except NumericalFailureError as exc:  # the report of a failed run: header, then the error
+        report = RunReport(sc.name, sc.regime, sc.seed, sc.sections, tol_scale)
+        report.failure, report.wall_time_s = exc, time.perf_counter() - t0
+        write_report(report, out_dir)
+        raise
     write_report(report, out_dir)
     emit_series(report, out_dir)
     for chk in report.invariants:
@@ -87,13 +96,17 @@ def main(argv=None) -> int:
         configs = sorted(cfg_dir.glob("*.cfg"))
         if not configs:
             raise ConfigError(f"no scenario configs (*.cfg) in {cfg_dir}")
-        codes = []
+        results = []
         for cfg in configs:
+            t0 = time.perf_counter()
             try:
-                codes.append(_run_one(cfg, out_root, args.seed, args.tol_scale))
+                code = _run_one(cfg, out_root, args.seed, args.tol_scale)
             except Exception as exc:  # classified per config; the sweep goes on
-                codes.append(_classify(exc))
-        return max(codes)
+                code = _classify(exc)
+            results.append((cfg.stem, code, time.perf_counter() - t0))
+        for name, code, wall in results:  # the summary, one line per config
+            print(f"sweep: {name} {_STATUS[code]} (exit {code}, {wall:.3f} s)")
+        return max(code for _, code, _ in results)
     except Exception as exc:
         return _classify(exc)
 

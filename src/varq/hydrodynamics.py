@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, StepRejectedError
-from .mechanics import (HydroState, NaturalSystemSpec, classical_transport_step, hj_residual_series, transport_run,
-                        _next_state, _reject_negative, _windowed_upwind)
+from .mechanics import (HydroState, NaturalSystemSpec, classical_transport_step, _next_state, _reject_negative,
+                        _windowed_upwind)
 from .numerics import (RHO_FLOOR_FRAC, Grid1D, TridiagonalOperator, _centered_rate, _check_positive,
                        _sqrt_density_ratio, _support_mask, _uniform_steps, grad_central)
 from .wavefunction import schrodinger_operator
@@ -156,8 +156,8 @@ def _pole_update(op: TridiagonalOperator, m_node: np.ndarray, state: HydroState,
 def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, dt: float,
                   floor_frac: float = RHO_FLOOR_FRAC, support_floor: Optional[float] = None,
                   _op: Optional[TridiagonalOperator] = None) -> HydroState:
-    """One semi-implicit step of the coupled (rho, lam) system: a one-step
-    ``madelung_run``.
+    """One semi-implicit step of the coupled (rho, lam) system; in
+    quantum-pole mode a one-step ``madelung_run``.
 
     Classical mode is the classical transport step,
     ``HydroState(grid, *classical_transport_step(...))``: without
@@ -186,20 +186,18 @@ def madelung_step(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroSta
 
 def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroState, t_final: float, dt: float,
                  observer=None) -> HydroState:
-    """Advance to t_final in uniform steps of (at most) dt: in classical
-    mode, ``mechanics.transport_run`` without a support floor.
+    """Advance to t_final in uniform steps of (at most) dt, in quantum-pole
+    mode only: a classical run is ``mechanics.transport_run``.
 
     ``observer(t, rho, mass)``, when given, is called after every step with
-    h*sum(rho), the sum the step's check took, and must not modify rho.  A
-    quantum-pole run builds the operator and samples m(q) once, and hands
+    h*sum(rho), the sum the step's check took, and must not modify rho.  The
+    run builds the operator and samples m(q) once, and hands
     each step the bulk window the step before found, so k steps scan the
-    density k + 1 times.  Raises InvalidArgumentError unless t_final and dt
-    are finite and > 0.
+    density k + 1 times.  Raises InvalidSpecError in classical mode, and
+    InvalidArgumentError unless t_final and dt are finite and > 0.
     """
-    if observer is None:
-        observer = lambda t, rho, mass: None  # noqa: E731
     if dspec.mode == "classical":
-        return transport_run(state, spec, t_final, dt, None, observer)
+        raise InvalidSpecError("madelung_run takes quantum-pole mode only: a classical run is mechanics.transport_run")
     n_steps, dt = _uniform_steps(t_final, dt)
     t, grid = 0.0, state.grid
     op = schrodinger_operator(spec, grid, dspec.a)
@@ -209,21 +207,22 @@ def madelung_run(spec: NaturalSystemSpec, dspec: DiffusionSpec, state: HydroStat
         rho = _windowed_upwind(grid, state.rho, state.lam, m_face, *window, dt)
         state, mass, window = _pole_update(op, m_node, state, rho, *window, dt, RHO_FLOOR_FRAC)
         t += dt
-        observer(t, state.rho, mass)
+        if observer is not None:
+            observer(t, state.rho, mass)
     return state
 
 
 def multiplier_residual_series(grid: Grid1D, spec: NaturalSystemSpec, dspec: DiffusionSpec, rho_series: np.ndarray,
                                lam_series: np.ndarray, times: np.ndarray):
-    """Residual of the multiplier equation on stored snapshots.
+    """Residual of the quantum-pole multiplier equation on stored snapshots.
 
     Returns (residuals, mask) with residuals shaped (nt - 2, n), centered
-    in time and evaluated only on the bulk mask of each snapshot.
+    in time and evaluated only on the bulk mask of each snapshot.  Raises
+    InvalidSpecError in classical mode.
     """
-    lam_series = np.asarray(lam_series, dtype=float)
     if dspec.mode == "classical":
-        res = hj_residual_series(grid, spec, lam_series, times)
-        return res, np.ones(res.shape, dtype=bool)
+        raise InvalidSpecError("quantum-pole mode only: a classical residual is mechanics.hj_residual_series")
+    lam_series = np.asarray(lam_series, dtype=float)
     dldt = _centered_rate(lam_series, times)
     rho = np.asarray(rho_series, dtype=float)[1:-1]
     m = spec.mass_at(grid.nodes)

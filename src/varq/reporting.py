@@ -17,7 +17,11 @@ SCHEMA = "varq-report/1"
 
 
 def fmt(x) -> str:
-    """Full-precision decimal rendering, stable across runs."""
+    """Full-precision decimal rendering, stable across runs (a string as itself, a sequence comma-separated)."""
+    if isinstance(x, str):
+        return x
+    if np.ndim(x):
+        return ",".join(fmt(v) for v in np.ravel(x))
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -54,9 +58,10 @@ class RunReport:
     invariants: list = field(init=False, default_factory=list)
     series: dict = field(init=False, default_factory=dict)
     wall_time_s: float = field(init=False, default=0.0)
+    failure: Exception | None = field(init=False, default=None)  # the NumericalFailureError that ended the run
 
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.invariants)
+        return self.failure is None and all(c.passed for c in self.invariants)
 
     def add_invariant(self, name: str, value: float, tol: float):
         self.invariants.append(InvariantCheck(name, float(value), float(tol) * self.tol_scale))
@@ -72,6 +77,11 @@ def render_report(report: RunReport) -> str:
     for sec in sorted(report.scenario_echo):
         for key in sorted(report.scenario_echo[sec]):
             lines.append(f"config.{sec}.{key}={report.scenario_echo[sec][key]}")
+    if report.failure is not None:
+        exc, location = report.failure, getattr(report.failure, "location", None)
+        lines += ["status=failed", f"error={type(exc).__name__}", f"message={exc}",
+                  f"location={'' if location is None else fmt(location)}"]
+        lines += [f"diagnostics.{key}={fmt(val)}" for key, val in sorted(exc.diagnostics.items())]
     for key in sorted(report.scalars):
         lines.append(f"scalar.{key}={fmt(report.scalars[key])}")
     for chk in report.invariants:

@@ -6,9 +6,9 @@ import pytest
 
 from varq import cli, runners
 from varq.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
-from varq.config import parse_scenario
-from varq.errors import ConfigError
-from varq.reporting import RunReport, Series, emit_series
+from varq.config import load_scenario, parse_scenario
+from varq.errors import ConfigError, NumericalFailureError
+from varq.reporting import RunReport, Series, emit_series, render_report
 
 from test_schema import SMALL
 
@@ -129,6 +129,34 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, VACUUM_CFG)
         assert main(["check", str(cfg)]) == EXIT_OK
         assert not (tmp_path / "out").exists()
+
+    def test_numerical_failure_leaves_a_report(self, tmp_path, capsys):
+        # 15 nodes on [-8, 8]: the first Madelung step's CFL number is 1.4
+        text = (CONFIG_DIR / "madelung_trap.cfg").read_text()
+        assert "n = 801" in text
+        cfg = write_cfg(tmp_path, text.replace("n = 801", "n = 15"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: CFL violation: max |v| dt / h = 1.4 > 1\n"
+        assert sorted(p.name for p in (tmp_path / "out" / "case").iterdir()) == ["report.txt"]
+        lines = (tmp_path / "out" / "case" / "report.txt").read_text().splitlines()
+        header = render_report(RunReport("case", "madelung", 0, load_scenario(cfg).sections, 1.0)).splitlines()[:-2]
+        assert lines[:len(header)] == header and "config.grid.n=15" in header
+        tail = lines[len(header):]
+        assert tail[:4] == ["status=failed", "error=StepRejectedError", "message=CFL violation: max |v| dt / h = 1.4 > 1",
+                            "location=3"]
+        assert re.fullmatch(r"diagnostics\.cfl=1\.4\d*", tail[4]), tail[4]
+        assert tail[5] == "invariants_passed=false" and tail[6].startswith("wall_time_s=") and len(tail) == 7
+
+    def test_failure_lines_render_through_fmt(self):
+        report = RunReport("case", "vacuum", 3, {"grid": {"n": "9"}}, 1.0)
+        report.failure = NumericalFailureError("no", diagnostics={"w": np.array([0.5, 1.0 / 3.0]), "k": 2,
+                                                                  "reason": "did not converge", "hist": [1e-3]})
+        assert render_report(report).splitlines()[:-1] == [
+            "schema=varq-report/1", "scenario=case", "regime=vacuum", "seed=3", "config.grid.n=9",
+            "status=failed", "error=NumericalFailureError", "message=no", "location=",
+            "diagnostics.hist=0.001", "diagnostics.k=2", "diagnostics.reason=did not converge",
+            "diagnostics.w=0.5,0.33333333333333331", "invariants_passed=false"]
+        assert not report.all_passed()
 
 
 class TestRunTimeArguments:
@@ -437,6 +465,19 @@ class TestSweep:
         assert (tmp_path / "out" / "b" / "report.txt").exists()
         err = capsys.readouterr().err
         assert len([l for l in err.splitlines() if l.startswith("config error")]) == 1
+
+    def test_sweep_ends_with_a_summary(self, tmp_path, capsys):
+        d = tmp_path / "cfgs"
+        d.mkdir()
+        (d / "a.cfg").write_text("[scenario\nregime = vacuum\n")
+        (d / "b.cfg").write_text(VACUUM_CFG)
+        (d / "c.cfg").write_text((CONFIG_DIR / "madelung_trap.cfg").read_text().replace("n = 801", "n = 15"))
+        assert main(["sweep", str(d), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out.splitlines()
+        assert [re.sub(r"\d+\.\d{3} s\)$", "T s)", line) for line in out[-3:]] == [
+            "sweep: a config error (exit 2, T s)", "sweep: b ok (exit 0, T s)",
+            "sweep: c numerical failure (exit 3, T s)"]
+        assert "status=failed" in (tmp_path / "out" / "c" / "report.txt").read_text()
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         d = tmp_path / "empty"

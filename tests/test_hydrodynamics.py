@@ -302,12 +302,8 @@ class TestRunSampling:
     """The runs sample m(q) once; every step must see the same bits as a
     step that samples the spec itself."""
 
-    @pytest.mark.parametrize(
-        "dspec",
-        [hy.DiffusionSpec(a=1.0), hy.DiffusionSpec(a=1.0, mode="classical")],
-        ids=["pole", "classical"],
-    )
-    def test_madelung_run_matches_unsampled_steps(self, dspec):
+    def test_madelung_run_matches_unsampled_steps(self):
+        dspec = hy.DiffusionSpec(a=1.0)
         spec = mech.NaturalSystemSpec(mass=_varying_mass, potential=lambda q: 0.5 * np.asarray(q) ** 2)
         grid = build_grid(-8, 8, 401)
         rho = mech.normalize_density(grid, np.exp(-((grid.nodes - 0.3) ** 2)))

@@ -8,7 +8,7 @@ the lines are needed; a change that removes some lowers it.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "varq"
-LIMIT = 3049
+LIMIT = 3071
 
 
 def line_count(text: str) -> int:

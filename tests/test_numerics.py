@@ -502,28 +502,22 @@ def madelung_step_inline(spec, dspec, state, dt, floor_frac=nx.RHO_FLOOR_FRAC):
 
 def multiplier_residual_series_inline(grid, spec, dspec, rho_series, lam_series, times,
                                       floor_frac=nx.RHO_FLOOR_FRAC):
-    """multiplier_residual_series before (H sqrt(rho))/sqrt(rho) was shared."""
-    q = grid.nodes
-    m = spec.mass_at(q)
-    v = spec.potential_at(q)
+    """multiplier_residual_series (quantum-pole) before (H sqrt(rho))/sqrt(rho) was shared."""
+    m = spec.mass_at(grid.nodes)
     nt = rho_series.shape[0]
     out = np.zeros((nt - 2, grid.n))
     masks = np.zeros((nt - 2, grid.n), dtype=bool)
-    op = wv.schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    op = wv.schrodinger_operator(spec, grid, dspec.a)
     for k in range(1, nt - 1):
         dldt = (lam_series[k + 1] - lam_series[k - 1]) / (times[k + 1] - times[k - 1])
         grad_lam = nx.grad_central(lam_series[k], grid.h)
         res = dldt + grad_lam**2 / (2.0 * m)
-        if op is not None:
-            sr = np.sqrt(rho_series[k])
-            h_sr = np.pad(op.apply(sr[1:-1]), 1)
-            mask = nx._support_mask(rho_series[k], floor_frac)
-            quantum = np.zeros(grid.n)
-            quantum[mask] = h_sr[mask] / sr[mask]
-            res = np.where(mask, res + quantum, 0.0)
-        else:
-            mask = np.ones(grid.n, dtype=bool)
-            res = res + v
+        sr = np.sqrt(rho_series[k])
+        h_sr = np.pad(op.apply(sr[1:-1]), 1)
+        mask = nx._support_mask(rho_series[k], floor_frac)
+        quantum = np.zeros(grid.n)
+        quantum[mask] = h_sr[mask] / sr[mask]
+        res = np.where(mask, res + quantum, 0.0)
         out[k - 1] = res
         masks[k - 1] = mask
     return out, masks
@@ -604,11 +598,10 @@ class TestSqrtDensityRatio:
     @given(
         st.integers(min_value=8, max_value=120),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["quantum-pole", "classical"]),
     )
-    def test_multiplier_residual_series(self, n, seed, mode):
+    def test_multiplier_residual_series(self, n, seed):
         rng, grid, spec = _random_setup(seed, n)
-        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0), mode=mode)
+        dspec = hy.DiffusionSpec(a=rng.uniform(0.3, 2.0))
         nt = int(rng.integers(3, 7))
         rho = np.array([_random_density(rng, grid) for _ in range(nt)])
         lam = rng.normal(size=(nt, n))
@@ -616,8 +609,6 @@ class TestSqrtDensityRatio:
         res, masks = hy.multiplier_residual_series(grid, spec, dspec, rho, lam, times)
         res_old, masks_old = multiplier_residual_series_inline(grid, spec, dspec, rho, lam, times)
         assert np.array_equal(res, res_old) and np.array_equal(masks, masks_old)
-        if mode == "classical":
-            assert np.array_equal(res, mech.hj_residual_series(grid, spec, lam, times)) and masks.all()
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -298,11 +298,8 @@ def sqrt_density_ratio_ref(grid, op, rho, mask):
 
 
 def madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node, floor_frac=nx.RHO_FLOOR_FRAC):
-    """Two scans per step, boolean-mask gathers and scatters."""
+    """Two scans per step, boolean-mask gathers and scatters (quantum-pole mode)."""
     grid = state.grid
-    if dspec.mode == "classical":
-        rho_new, lam_new = classical_transport_step_ref(grid, state.rho, state.lam, spec, dt, None, m_face)
-        return hy.HydroState(grid, rho_new, lam_new)
     lo, hi = check_nodeless_ref(state.rho, floor_frac, "before step")
     rho_new = windowed_upwind_ref(grid, state.rho, state.lam, m_face, lo, hi, dt)
     mask = np.zeros(grid.n, dtype=bool)
@@ -319,7 +316,7 @@ def madelung_step_ref(spec, dspec, state, dt, op, m_face, m_node, floor_frac=nx.
 def madelung_run_ref(spec, dspec, state, t_final, dt, observer):
     n_steps, dt = nx._uniform_steps(t_final, dt)
     grid = state.grid
-    op = wv.schrodinger_operator(spec, grid, dspec.a) if dspec.mode == "quantum-pole" else None
+    op = wv.schrodinger_operator(spec, grid, dspec.a)
     m_face, m_node = spec.mass_at(grid.midpoints), spec.mass_at(grid.nodes)
     t = 0.0
     for _ in range(n_steps):
@@ -413,15 +410,13 @@ class TestMadelungRun:
         center_frac=st.floats(min_value=-0.3, max_value=0.3),
         variance=st.floats(min_value=0.2, max_value=1.0),
         kick=st.floats(min_value=-2.0, max_value=2.0),
-        mode=st.sampled_from(["quantum-pole", "quantum-pole", "classical"]),
         **SPECS,
     )
-    def test_matches_two_scan_masked_run(self, half_width, n, center_frac, variance, kick, mode,
-                                         kind, strength, m0, m1):
+    def test_matches_two_scan_masked_run(self, half_width, n, center_frac, variance, kick, kind, strength, m0, m1):
         grid = build_grid(-half_width, half_width, n)
         q = grid.nodes
         spec = _spec(kind, strength, m0, m1)
-        dspec = hy.DiffusionSpec(a=1.0, mode=mode)
+        dspec = hy.DiffusionSpec(a=1.0)
         rho = mech.normalize_density(grid, np.exp(-((q - center_frac * half_width) ** 2) / (2 * variance)))
         state = hy.HydroState(grid, rho, kick * q)
         _assert_same_madelung(spec, dspec, state, 0.2 * grid.h**2, 20)
@@ -563,8 +558,9 @@ class TestTransportRun:
 
 
 class TestClassicalModeIsTransport:
-    """Classical ``madelung_run`` is ``transport_run`` without a support
-    floor, and classical ``madelung_step`` is the classical transport step."""
+    """Classical ``madelung_step`` is the classical transport step; a
+    classical run or residual series is refused, naming the mechanics entry
+    point that computes it."""
 
     DRAWS = dict(half_width=st.floats(min_value=1.0, max_value=8.0), n=st.integers(min_value=41, max_value=241),
                  center_frac=st.floats(min_value=-0.5, max_value=0.5),
@@ -582,15 +578,14 @@ class TestClassicalModeIsTransport:
         rho = mech.normalize_density(grid, np.exp(-0.5 * ((q - center_frac * half_width) / (width_cells * grid.h)) ** 2))
         return spec, hy.HydroState(grid, rho, kick * q + 0.1 * q * q), cfl * grid.h
 
-    @settings(max_examples=40, deadline=None)
-    @given(**DRAWS)
-    def test_run_is_transport_run(self, **draw):
-        spec, state, dt = self._draw(**draw)
-        grid = state.grid
-        dspec = hy.DiffusionSpec(a=1.0, mode="classical")
-        new = _rho_trajectory(hy.madelung_run, grid, spec, dspec, state, 25 * dt, dt)
-        old = _rho_trajectory(mech.transport_run, grid, state, spec, 25 * dt, dt, None)
-        _assert_same_rho(new, old, grid.nodes, grid.h)
+    def test_classical_run_and_residuals_rejected(self, unit_mass_harmonic, monkeypatch):
+        monkeypatch.setattr(hy, "_pole_update", lambda *a: pytest.fail("a classical run took a quantum-pole step"))
+        dspec, state = hy.DiffusionSpec(a=1.0, mode="classical"), _gaussian_state()
+        with pytest.raises(InvalidSpecError, match=r"quantum-pole mode only: a classical run is mechanics\.transport_run"):
+            hy.madelung_run(unit_mass_harmonic, dspec, state, 0.01, 1e-3, observer=lambda *a: pytest.fail("observed"))
+        series = np.stack([state.rho] * 3)
+        with pytest.raises(InvalidSpecError, match=r"a classical residual is mechanics\.hj_residual_series"):
+            hy.multiplier_residual_series(state.grid, unit_mass_harmonic, dspec, series, series, [0.0, 0.1, 0.2])
 
     @settings(max_examples=40, deadline=None)
     @given(support_floor=st.sampled_from([None, 1e-6]), **DRAWS)
@@ -633,13 +628,6 @@ class TestScanCount:
         dt = 0.2 * state.grid.h**2
         hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0), state, k * dt, dt)
         assert calls == ["before step"] + ["after step"] * k
-
-    def test_classical_mode_does_not_scan(self, unit_mass_harmonic, monkeypatch):
-        calls = []
-        monkeypatch.setattr(hy, "_check_nodeless", lambda *a: calls.append(a))
-        state = _gaussian_state()
-        hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode="classical"), state, 0.01, 1e-3)
-        assert calls == []
 
     def test_state_from_no_run_is_scanned_before_step(self, unit_mass_harmonic):
         with pytest.raises(StepRejectedError, match=r"density node forming inside the bulk \(before step\)"):
@@ -795,18 +783,16 @@ class TestStepWork:
         assert calls == {"validate": 0, "build_grid": 0}
         assert len(steps) == k and all(r is steps[0] for r in steps)
 
-    @pytest.mark.parametrize("mode", ["quantum-pole", "classical"])
     @pytest.mark.parametrize("k", [1, 2, 7])
-    def test_madelung_run(self, unit_mass_harmonic, monkeypatch, mode, k):
+    def test_madelung_run(self, unit_mass_harmonic, monkeypatch, k):
         state = _gaussian_state()
         calls, steps = self._count(monkeypatch), []
-        mod, name = (hy, "_pole_update") if mode == "quantum-pole" else (mech, "_step")
-        real = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda first, *a: steps.append(first) or real(first, *a))
+        real = hy._pole_update
+        monkeypatch.setattr(hy, "_pole_update", lambda op, *a: steps.append(op) or real(op, *a))
         dt = 0.2 * state.grid.h**2
-        hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0, mode=mode), state, k * dt, dt)
+        hy.madelung_run(unit_mass_harmonic, hy.DiffusionSpec(a=1.0), state, k * dt, dt)
         assert calls == {"validate": 0, "build_grid": 0}
-        assert len(steps) == k and all(r is steps[0] for r in steps)  # one operator, or one _RunContext, per run
+        assert len(steps) == k and all(op is steps[0] for op in steps)  # one operator per run
 
     @pytest.mark.parametrize("floor", [1e-6, None])
     def test_standalone_step_equals_run_step(self, monkeypatch, floor):
@@ -1931,7 +1917,7 @@ class TestSnapshotSeries:
         assert np.array_equal(ct, continuity_residual_series_ref(grid, spec, rho, lam, times))
 
     @pytest.mark.parametrize("nt", [1, 2])
-    @pytest.mark.parametrize("series", ["hj", "continuity", "multiplier", "multiplier-classical"])
+    @pytest.mark.parametrize("series", ["hj", "continuity", "multiplier"])
     def test_fewer_than_three_snapshots_rejected(self, nt, series):
         # these returned (0, n) arrays: no interior time to centre on
         grid, spec, rho, lam, times = _series_setup(7, 40, nt, "varying", False)
@@ -1939,8 +1925,6 @@ class TestSnapshotSeries:
             "hj": lambda: mech.hj_residual_series(grid, spec, lam, times),
             "continuity": lambda: mech.continuity_residual_series(grid, spec, rho, lam, times),
             "multiplier": lambda: hy.multiplier_residual_series(grid, spec, hy.DiffusionSpec(a=1.0), rho, lam, times),
-            "multiplier-classical": lambda: hy.multiplier_residual_series(
-                grid, spec, hy.DiffusionSpec(a=1.0, mode="classical"), rho, lam, times),
         }[series]
         with pytest.raises(InvalidArgumentError, match="need at least 3 stored time levels"):
             call()
@@ -2051,13 +2035,12 @@ class TestOneStepRun:
     @settings(max_examples=40, deadline=None)
     @given(half_width=st.floats(min_value=5.0, max_value=9.0), n=st.integers(min_value=81, max_value=201),
            center_frac=st.floats(min_value=-0.3, max_value=0.3), variance=st.floats(min_value=0.2, max_value=1.0),
-           kick=st.floats(min_value=-2.0, max_value=2.0), mode=st.sampled_from(["quantum-pole", "classical"]),
-           cfl=st.floats(min_value=0.05, max_value=1.0), **SPECS)
-    def test_madelung_step(self, half_width, n, center_frac, variance, kick, mode, cfl, kind, strength, m0, m1):
+           kick=st.floats(min_value=-2.0, max_value=2.0), cfl=st.floats(min_value=0.05, max_value=1.0), **SPECS)
+    def test_madelung_step(self, half_width, n, center_frac, variance, kick, cfl, kind, strength, m0, m1):
         grid = build_grid(-half_width, half_width, n)
         q = grid.nodes
         spec = _spec(kind, strength, m0, m1)
-        dspec = hy.DiffusionSpec(a=1.0, mode=mode)
+        dspec = hy.DiffusionSpec(a=1.0)
         rho = mech.normalize_density(grid, np.exp(-((q - center_frac * half_width) ** 2) / (2 * variance)))
         state = hy.HydroState(grid, rho, kick * q)
         dt = cfl * grid.h**2
