@@ -15,8 +15,6 @@ from pathlib import Path
 
 from .config import load_scenario
 from .errors import ConfigError, InvariantFailure, NumericalFailureError
-from .reporting import RunReport, emit_series, write_report
-from .runners import run_scenario_object
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,16 +43,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (run_p, sweep_p):
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--tol-scale",
-            type=float,
-            default=1.0,
-            help="multiply invariant tolerances by this factor",
-        )
+        p.add_argument("--tol-scale", type=float, default=1.0, help="multiply invariant tolerances by this factor")
     return parser
 
 
+def run_scenario_object(sc, tol_scale: float):
+    """``runners.run_scenario_object``, imported on the first run, so that ``check`` loads no numpy."""
+    from .runners import run_scenario_object as run
+    return run(sc, tol_scale=tol_scale)
+
+
 def _run_one(path, out_root: Path, seed, tol_scale: float) -> int:
+    from .reporting import RunReport, emit_series, write_report  # with numpy, on the first run
     sc = load_scenario(path)
     if seed is not None:
         sc.seed = seed

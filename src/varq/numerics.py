@@ -15,16 +15,20 @@ Conventions used throughout the package:
   ``(nt, n)`` they evaluate every row at once, with the bits of a call on
   each row;
 * the linear regimes (Schrodinger, the space-independent sector) step
-  through ``CayleyPropagator.run``, which applies H once per step.
+  through ``CayleyPropagator.run``, which applies H once per step;
+* LAPACK is scipy's compiled ``scipy.linalg._flapack``, loaded by ``_lapack``
+  on first use without running scipy's package inits (about 0.2 s and 28 MB).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import _MAX_STEPS  # numpy-free config owns the step cap, so check applies it too
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -93,9 +97,7 @@ class TridiagonalOperator:
         d = np.asarray(self.diagonal, dtype=float)
         e = np.asarray(self.off_diagonal, dtype=float)
         if d.ndim != 1 or e.ndim != 1 or e.size != d.size - 1:
-            raise InvalidArgumentError(
-                "need diagonal of length m and off-diagonal of length m-1"
-            )
+            raise InvalidArgumentError("need diagonal of length m and off-diagonal of length m-1")
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "off_diagonal", e)
 
@@ -111,10 +113,7 @@ class TridiagonalOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        m += np.diag(self.off_diagonal, 1)
-        m += np.diag(self.off_diagonal, -1)
-        return m
+        return np.diag(self.diagonal) + np.diag(self.off_diagonal, 1) + np.diag(self.off_diagonal, -1)
 
 
 def sturm_liouville_operator(
@@ -145,11 +144,21 @@ def sturm_liouville_operator(
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: largest-magnitude entry positive."""
-    for j in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    vecs[:, vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])] < 0] *= -1.0
     return vecs
+
+
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, scipy.linalg._flapack, loaded from scipy's directory: no package init runs."""
+    scipy = find_spec("scipy")  # finds the package without running its __init__
+    dirs = scipy.submodule_search_locations if scipy else []
+    spec = PathFinder.find_spec("scipy.linalg._flapack", [f"{d}/linalg" for d in dirs])
+    if spec is None:
+        raise ImportError("varq needs the compiled module scipy.linalg._flapack (scipy >= 1.10)")
+    module = module_from_spec(spec)  # its functions are the objects scipy.linalg.lapack hands out
+    spec.loader.exec_module(module)
+    return module
 
 
 def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float):
@@ -159,23 +168,30 @@ def eigensolve_lowest(op: TridiagonalOperator, k: int, h: float):
     normalised so that h * sum(v**2) = 1.  The ground state is sign-fixed
     to be nonnegative; excited states get a deterministic sign.
 
-    Eigenvalues come from bisection on the Sturm sequence and eigenvectors
-    from inverse iteration (LAPACK stebz/stein via scipy).  A pair equal or
+    Eigenvalues come from bisection on the Sturm sequence (LAPACK dstebz),
+    eigenvectors from inverse iteration (dstein), called through ``_lapack``
+    as scipy's ``eigh_tridiagonal(select="i")`` calls them.  A non-finite
+    entry or a nonzero info raises NumericalFailureError.  A pair equal or
     swapped by at most 4 eps ``norm`` (||H|| <= max|diag| + 2 max|off|) is
     reported as degenerate to rounding, not as a solver failure.
     """
     if k < 1 or k > op.size:
         raise InvalidArgumentError(f"need 1 <= k <= {op.size}, got {k}")
-    try:
-        w, vecs = sla.eigh_tridiagonal(
-            op.diagonal, op.off_diagonal, select="i", select_range=(0, k - 1)
-        )
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NumericalFailureError(
-            "tridiagonal eigensolver failed to converge",
-            diagnostics={"size": op.size, "k": k, "reason": str(exc)},
-        ) from exc
-    vecs = _fix_signs(np.array(vecs))
+    d, e = op.diagonal, op.off_diagonal
+    w, vecs, reason = d[:1], np.ones((1, 1)), None  # the eigenpair of size 1, which the dstebz wrapper rejects
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        reason = "non-finite operator entries"
+    elif op.size > 1:
+        m, w, iblock, isplit, info = _lapack().dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")  # the lowest k, block order
+        w, reason = w[:m], f"dstebz info {info}"
+        if info == 0:
+            vecs, info = _lapack().dstein(d, e, w, iblock, isplit)
+            reason = f"dstein info {info}" if info else None
+    if reason:
+        raise NumericalFailureError("tridiagonal eigensolver failed to converge",
+                                    diagnostics={"size": op.size, "k": k, "reason": reason})
+    order = np.argsort(w)  # block order to ascending
+    w, vecs = w[order], _fix_signs(vecs[:, order])
     vecs /= np.sqrt(_quad(h, (vecs**2).T))  # the columns: a view, summed in memory order
     if np.any(vecs[:, 0] < -1e-10 * np.max(np.abs(vecs[:, 0]))):
         # nonzero off-diagonals guarantee a nodeless ground state; a sign
@@ -200,8 +216,8 @@ class CayleyPropagator:
     The matrix 1 + i dt H / 2a is built and LU-factored once, with partial
     pivoting (LAPACK ?gttrf); each step solves with the stored factors
     (?gttrs). That is the same elimination ?gtsv runs, so a step has the
-    bits of a one-shot tridiagonal solve of the unfactored matrix. scipy's
-    ?gttrf wrapper rejects sizes 1 and 2, and so does the propagator: H needs
+    bits of a one-shot tridiagonal solve of the unfactored matrix. The
+    zgttrf wrapper rejects sizes 1 and 2, and so does the propagator: H needs
     at least 3 interior values (a grid of 5 nodes), else InvalidArgumentError.
 
     A non-finite matrix is rejected when the propagator is built
@@ -220,11 +236,9 @@ class CayleyPropagator:
         self._mu = mu = 0.5j * dt / a
         off, diag = mu * op.off_diagonal, 1.0 + mu * op.diagonal
         if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-            raise InvalidArgumentError(
-                "Cayley matrix must be finite: check the operator entries and dt / a"
-            )
-        gttrf, self._gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-        *factors, info = gttrf(off, diag, off)  # copies its inputs: one array serves both off-diagonals
+            raise InvalidArgumentError("Cayley matrix must be finite: check the operator entries and dt / a")
+        self._gttrs = _lapack().zgttrs
+        *factors, info = _lapack().zgttrf(off, diag, off)  # copies its inputs: one array serves both off-diagonals
         if info > 0:  # cannot happen for hermitian op, real dt
             raise NumericalFailureError(
                 "singular Cayley system", diagnostics={"size": op.size, "zero_pivot": info}

@@ -1,5 +1,6 @@
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,64 @@ class TestEigensolve:
         d = exc.value.diagnostics
         assert d["gap"] == 0.0 and d["norm"] == np.abs(op.diagonal).max() + 2.0 * np.abs(op.off_diagonal).max()
         assert d["w"][0] == d["w"][1]
+
+
+def eigensolve_through_scipy(op, k, h):
+    """`eigensolve_lowest`'s eigenpairs as they were before the direct LAPACK
+    calls: scipy's `eigh_tridiagonal` and a sign fix column by column; reference."""
+    w, vecs = sla.eigh_tridiagonal(op.diagonal, op.off_diagonal, select="i", select_range=(0, k - 1))
+    vecs = np.array(vecs)
+    for j in range(vecs.shape[1]):
+        i = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[i, j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    vecs /= np.sqrt(nx._quad(h, (vecs**2).T))
+    return w, vecs
+
+
+class TestDirectLapack:
+    def test_eigenpairs_match_scipy_bit_for_bit(self):
+        # random diagonals and negative off-diagonals (a nodeless ground state),
+        # a third of them split by an exact zero; size 1, which the dstebz
+        # wrapper rejects, is kept as scipy's special case: w = d, v = [[1]]
+        rng = np.random.default_rng(20)
+        cases = 0
+        for size in [*range(1, 13), 31]:
+            for draw in range(3):
+                off = -rng.uniform(0.1, 2.0, size - 1)
+                if draw == 0 and size > 1:
+                    off[rng.integers(size - 1)] = 0.0
+                op = nx.TridiagonalOperator(rng.normal(size=size), off)
+                h = rng.uniform(0.01, 1.0)
+                for k in range(1, size + 1):
+                    w, vecs = nx.eigensolve_lowest(op, k, h)
+                    w_ref, vecs_ref = eigensolve_through_scipy(op, k, h)
+                    assert np.array_equal(w, w_ref) and np.array_equal(vecs, vecs_ref), (size, draw, k)
+                    assert vecs.flags.c_contiguous == vecs_ref.flags.c_contiguous
+                    cases += 1
+        assert cases == 3 * (sum(range(1, 13)) + 31)
+
+    def test_the_functions_are_scipys(self):
+        lapack = nx._lapack()
+        for name in ("dstebz", "dstein", "zgttrf", "zgttrs"):
+            assert getattr(lapack, name) is getattr(sla.lapack, name), name
+
+    @pytest.mark.parametrize("diag, off", [([1.0, np.nan, 2.0], [-1.0, -1.0]), ([1.0, 0.0, 2.0], [-np.inf, -1.0])])
+    def test_non_finite_operator_fails_to_converge(self, diag, off):
+        with pytest.raises(NumericalFailureError, match="^tridiagonal eigensolver failed to converge$") as exc:
+            nx.eigensolve_lowest(nx.TridiagonalOperator(diag, off), 2, 1.0)
+        assert exc.value.diagnostics == {"size": 3, "k": 2, "reason": "non-finite operator entries"}
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_nonzero_info_fails_to_converge(self, monkeypatch, routine):
+        real = nx._lapack()
+        fake = {"dstebz": real.dstebz, "dstein": real.dstein}
+        fake[routine] = lambda *args: (*getattr(real, routine)(*args)[:-1], 3)
+        monkeypatch.setattr(nx, "_lapack", lambda: SimpleNamespace(**fake))
+        _, op = harmonic_operator(n=50)
+        with pytest.raises(NumericalFailureError, match="^tridiagonal eigensolver failed to converge$") as exc:
+            nx.eigensolve_lowest(op, 4, 0.1)
+        assert exc.value.diagnostics == {"size": 48, "k": 4, "reason": f"{routine} info 3"}
 
 
 class TestUnitaryStep:

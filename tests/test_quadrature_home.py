@@ -21,7 +21,7 @@ import ast
 
 import pytest
 
-from test_reachability import FUNCS, MODULES, parse_modules
+from test_reachability import FUNCS, MODULES, planted, src_trees
 
 HOME = "numerics._quad"
 SUM_OK = {
@@ -92,20 +92,20 @@ def norm_tolerances(trees: dict) -> list:
 
 
 def test_every_sum_is_the_quadrature_or_allowed():
-    stray = [f"{k} ({n})" for k, n in sites(parse_modules(), _is_sum).items() if k != HOME and k not in SUM_OK]
+    stray = [f"{k} ({n})" for k, n in sites(src_trees(), _is_sum).items() if k != HOME and k not in SUM_OK]
     assert not stray, ("sums outside numerics._quad: route each grid quadrature through _quad, "
                        "or allow it in SUM_OK: " + ", ".join(stray))
 
 
 def test_allowed_sums_still_sum():
-    found = sites(parse_modules(), _is_sum)
+    found = sites(src_trees(), _is_sum)
     assert HOME in found
     gone = sorted(set(SUM_OK) - set(found))
     assert not gone, "an allowed function no longer sums or is gone: drop it from SUM_OK: " + ", ".join(gone)
 
 
 def test_every_product_is_listed():
-    found = sites(parse_modules(), _is_product)
+    found = sites(src_trees(), _is_product)
     listed = {k: n for k, (n, _) in PRODUCT_OK.items()}
     assert found == listed, ("matrix products differ from PRODUCT_OK (function: found, listed): " + ", ".join(
         f"{k}: {found.get(k, 0)}, {listed.get(k, 0)}" for k in sorted(set(found) | set(listed))
@@ -113,7 +113,7 @@ def test_every_product_is_listed():
 
 
 def test_norm_tolerance_has_one_home():
-    trees = parse_modules()
+    trees = src_trees()
     home = [n for n in trees["numerics"].body if isinstance(n, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "_NORM_TOL" for t in n.targets)]
     assert len(home) == 1 and norm_tolerances(trees) == [f"numerics:{home[0].lineno}"], (
@@ -124,9 +124,8 @@ def test_norm_tolerance_has_one_home():
 def test_scan_flags_a_planted_quadrature(mod):
     # a hand-written h * sum(.), a mean, an add fold or a matrix product added to
     # any module, bare or as a method, must be named
-    trees = parse_modules()
-    before = len(norm_tolerances(trees))
-    trees[mod].body += ast.parse(
+    before = len(norm_tolerances(src_trees()))
+    trees = planted(mod,
         "def _probe_norm(h, f): return h * float(np.sum(f))\n"
         "class _Probe:\n    def mass(self, h, f): return h * f.sum()\n    def dot(self, a, b): return a.dot(b)\n"
         "_PROBE = sum(x for x in ())\n"
@@ -136,7 +135,7 @@ def test_scan_flags_a_planted_quadrature(mod):
         "def _probe_gram(a): return a.T @ a\n"
         "def _probe_matmul(a, b): return np.matmul(a, b)\n"
         "def _probe_vdot(a, b): return np.vdot(a, b)\n"
-    ).body
+    )
     sums, products = sites(trees, _is_sum), sites(trees, _is_product)
     for probe in ("_probe_norm", "_Probe.mass", "<module>", "_probe_mean"):
         assert sums[f"{mod}.{probe}"] >= 1

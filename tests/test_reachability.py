@@ -29,6 +29,7 @@ the live code instead.
 import ast
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -145,6 +146,21 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
 @lru_cache(maxsize=None)
+def src_trees() -> MappingProxyType:
+    """Every src/varq module's tree, parsed once per test run; read-only, so a
+    case that plants code works on ``planted``'s copy."""
+    return MappingProxyType(parse_modules())
+
+
+def planted(mod: str, source: str) -> dict:
+    """``src_trees`` with the statements of ``source`` appended to a copy of
+    module ``mod``'s tree: no case sees another case's plant."""
+    trees = dict(src_trees())
+    trees[mod] = ast.Module(body=[*trees[mod].body, *ast.parse(source).body], type_ignores=[])
+    return trees
+
+
+@lru_cache(maxsize=None)
 def root_trees() -> tuple:
     return tuple(ast.parse(p.read_text(), str(p)) for p in ROOT_FILES)
 
@@ -152,13 +168,13 @@ def root_trees() -> tuple:
 @lru_cache(maxsize=None)
 def outside_trees() -> tuple:
     """The code outside the unit tests: every src/varq module and every root file."""
-    return (*parse_modules().values(), *root_trees())
+    return (*src_trees().values(), *root_trees())
 
 
 @lru_cache(maxsize=None)
 def scan() -> tuple:
     """(unreached definitions, unused imports) of the tree as it stands."""
-    trees = parse_modules()
+    trees = src_trees()
     roots = library_roots(trees) + list(root_trees())
     return tuple(unreached(trees, roots)), tuple(unused_imports(trees))
 
@@ -189,8 +205,7 @@ def test_every_test_import_is_used(path):
 def test_scan_flags_a_planted_orphan(mod):
     # a definition no one calls and an import no one reads, added to this
     # module, must be named: the scan covers every module
-    trees = parse_modules()
-    trees[mod].body += ast.parse("import json as _probe_json\ndef _probe_orphan(): return None\n").body
+    trees = planted(mod, "import json as _probe_json\ndef _probe_orphan(): return None\n")
     roots = library_roots(trees) + list(root_trees())
     assert f"{mod}._probe_orphan" in unreached(trees, roots)
     assert f"{mod}: import json" in unused_imports(trees)
